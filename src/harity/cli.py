@@ -1,14 +1,22 @@
 """Experiment runner: seeded, reproducible, CSV + JSON emission.
 
-Every subcommand accepts a JSON config file (``--config``) whose keys match
-the command's options; explicit flags override the file.  The seed falls back
-to the HARITY_SEED environment variable.  Each run writes ``<out>.csv`` (one
-header row, then one row per sweep point or aggregate; byte-identical across
-reruns with the same config and seed) and ``<out>.json`` (schema-versioned
-summary with the config echo, the git description, and the wall time).
+Every subcommand accepts a JSON config file (``--config``) whose keys are the
+command's flag names without the dashes (``member`` included); explicit flags
+override the file.  The seed falls back to the HARITY_SEED environment
+variable.  Each run writes ``<out>.csv`` (one header row, then one row per
+sweep point or aggregate; byte-identical across reruns with the same config
+and seed) and ``<out>.json`` (schema-versioned summary with the config echo,
+the git description, and the wall time).
 
-Exit codes: 0 success, 2 config error, 3 infeasible instance (a cap was
-exceeded).
+Exit codes: 0 success; 2 config error (a bad flag or config value, a config
+file that is unreadable or not a JSON object, an unknown family, an
+unreadable ``partition:`` table, a ``--member`` out of range, an ``--out``
+path that cannot be written); 3 infeasible instance (a cap was exceeded, the
+command does not handle the family, or the library raised ``ValueError``).
+
+Each subcommand is a ``build(merged) -> (header, rows)`` function registered
+with ``command``; the scaffold alone merges the config, maps errors to exit
+codes and emits the files.
 """
 
 import csv
@@ -19,6 +27,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import click
 
@@ -26,17 +35,35 @@ from . import (
     adversaries,
     dims,
     families,
+    indexing,
     learners,
     losses,
     reductions,
     sampler,
     templates,
 )
-from .hypotheses import partize_class, partize_hypothesis
+from .hypotheses import Hypothesis, partize_class, partize_hypothesis
 
 SCHEMA_VERSION = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
+
+FAMILIES = ("matching", "bdeg", "dist", "maxg", "highorder")
+
+_OPEN_UNIT = click.FloatRange(0, 1, min_open=True, max_open=True)
+
+# option name -> click type, shared by the flags and the config file's values
+OPTIONS = {
+    "family": click.STRING,  # a FAMILIES name or partition:PATH
+    "n": click.INT,
+    "d": click.INT,
+    "m": None,  # one size or a comma-separated sweep; a config may give a list
+    "eps": _OPEN_UNIT,
+    "delta": _OPEN_UNIT,
+    "trials": click.IntRange(min=1),
+    "member": click.INT,
+    "direction": click.Choice(["partize", "departize"]),
+}
 
 
 class Infeasible(Exception):
@@ -62,43 +89,72 @@ def _git_describe():
 def _load_config(path):
     if path is None:
         return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise click.UsageError("config must be a JSON object")
     return cfg
 
 
 def _resolve(cfg, overrides):
+    """Lay the flags that were given over the config file, and parse the
+    command's options with the types in ``OPTIONS``."""
     merged = dict(cfg)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
+    merged.update((key, value) for key, value in overrides.items() if value is not None)
     seed = merged.get("seed") or os.environ.get("HARITY_SEED") or "harity"
     merged["seed"] = str(seed)
-    for key in ("eps", "delta"):
-        if key in merged and not 0 < float(merged[key]) < 1:
-            raise click.UsageError(f"{key} must lie in (0, 1)")
-    if "trials" in merged and int(merged["trials"]) < 1:
-        raise click.UsageError("trials must be >= 1")
+    for key in overrides:
+        if OPTIONS.get(key) is not None and key in merged:
+            try:
+                merged[key] = OPTIONS[key](merged[key])
+            except (click.BadParameter, TypeError):
+                raise click.UsageError(f"{key}: bad value {merged[key]!r}") from None
     return merged
 
 
 def _family(merged):
     name = merged.get("family", "matching")
-    params = {}
-    for key in ("n", "d"):
-        if merged.get(key) is not None:
-            params[key] = int(merged[key])
     if name.startswith("partition:"):
-        with open(name.split(":", 1)[1]) as fh:
-            table = {
-                frozenset(map(int, k.split("-"))): v
-                for k, v in json.load(fh).items()
-            }
-        n = max(max(p) for p in table) + 1
+        path = name.split(":", 1)[1]
+        try:
+            with open(path) as fh:
+                table = {
+                    frozenset(map(int, k.split("-"))): v
+                    for k, v in json.load(fh).items()
+                }
+        except (OSError, ValueError, AttributeError) as exc:
+            msg = f"cannot read partition table {path}: {exc}"
+            raise click.UsageError(msg) from None
+        n = max((max(p) for p in table), default=0) + 1
+        if any(frozenset(p) not in table for p in combinations(range(n), 2)):
+            raise click.UsageError(f"partition table {path} misses a vertex pair")
         return families.partition_family(n, lambda e: table[e], name="partition")
+    if name not in FAMILIES:
+        raise click.UsageError(
+            f"unknown family {name!r}; choose one of {', '.join(FAMILIES)}"
+            " or partition:PATH"
+        )
+    params = {key: merged[key] for key in ("n", "d") if merged.get(key) is not None}
     return families.build_family(name, **params)
+
+
+def _scenario(merged):
+    """The class, the uniform scenario of the chosen member, and the 0/1 loss
+    in the class's setting."""
+    cls = _family(merged).cls
+    member = merged.get("member", 0)
+    if not 0 <= member < len(cls.members):
+        raise click.UsageError(f"member must lie in [0, {len(cls.members)})")
+    if cls.partite:
+        mu = templates.uniform_partite_prob(cls.template)
+    else:
+        mu = templates.uniform_prob(cls.template)
+    sc = sampler.Scenario(mu, cls.members[member], partite=cls.partite)
+    setting = "partite" if cls.partite else "nonpartite"
+    return cls, sc, losses.zero_one_loss(cls.labels, cls.k, setting=setting)
 
 
 def _emit(out, command, merged, rows, header, started):
@@ -125,9 +181,12 @@ def _emit(out, command, merged, rows, header, started):
 
 def _m_list(merged, default):
     m = merged.get("m", default)
-    if isinstance(m, (list, tuple)):
-        return [int(v) for v in m]
-    return [int(v) for v in str(m).split(",")]
+    sizes = m if isinstance(m, (list, tuple)) else str(m).split(",")
+    try:
+        return [int(v) for v in sizes]
+    except (TypeError, ValueError):
+        msg = f"m must be a size or a comma-separated list, not {m!r}"
+        raise click.UsageError(msg) from None
 
 
 def _float_str(x):
@@ -139,469 +198,248 @@ def main():
     """Experiment runner for high-arity learning simulations."""
 
 
-def _common(fn):
-    fn = click.option("--config", type=click.Path(exists=True), default=None)(fn)
-    fn = click.option("--seed", default=None)(fn)
-    fn = click.option("--out", default=None)(fn)
-    return fn
+def command(name, *option_names):
+    """Register ``build(merged) -> (header, rows)`` as the subcommand ``name``
+    with ``--out/--seed/--config`` and the named ``OPTIONS``.  This is the one
+    place that resolves the config, maps errors to exit codes and emits."""
+
+    def register(build):
+        def run(config, **flags):
+            started = time.time()
+            try:
+                merged = _resolve(_load_config(config), flags)
+                header, rows = build(merged)
+                out = str(merged.get("out") or f"harity-{name}")
+                _emit(out, name, merged, rows, header, started)
+            except (click.UsageError, OSError) as exc:
+                click.echo(str(exc), err=True)
+                sys.exit(EXIT_CONFIG)
+            except (Infeasible, ValueError) as exc:
+                click.echo(f"infeasible: {exc}", err=True)
+                sys.exit(EXIT_INFEASIBLE)
+
+        params = [
+            click.Option(["--out"]),
+            click.Option(["--seed"]),
+            click.Option(["--config"], type=click.Path(exists=True)),
+        ]
+        params += [click.Option([f"--{k}"], type=OPTIONS[k]) for k in option_names]
+        cmd = click.Command(name, callback=run, params=params, help=build.__doc__)
+        main.add_command(cmd)
+        return cmd
+
+    return register
 
 
-def _run(command, merged, builder):
-    started = time.time()
-    out = merged.get("out") or f"harity-{command}"
-    try:
-        header, rows = builder(merged)
-    except Infeasible as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
-    _emit(out, command, merged, rows, header, started)
-
-
-@main.command("dims")
-@_common
-@click.option("--family", default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--d", type=int, default=None)
-def dims_cmd(config, seed, out, family, n, d):
+@command("dims", "family", "n", "d")
+def dims_cmd(merged):
     """Dimension report for one family or every built-in default."""
-    try:
-        merged = _resolve(
-            _load_config(config),
-            {"seed": seed, "out": out, "family": family, "n": n, "d": d},
+    if merged.get("family"):
+        specs = [_family(merged)]
+    else:
+        specs = [families.build_family(name) for name in FAMILIES]
+    rows = []
+    for spec in specs:
+        measured = dims.vcn_k(spec.cls, cap=12)
+        expected = (spec.metadata or {}).get("vcn2")
+        shown = (
+            f">={int(measured)}" if isinstance(measured, dims.AtLeast)
+            else int(measured)
         )
-    except click.UsageError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
-
-    def build(merged):
-        specs = (
-            [_family(merged)]
-            if merged.get("family")
-            else [families.build_family(name) for name in
-                  ("matching", "bdeg", "dist", "maxg", "highorder")]
-        )
-        rows = []
-        for spec in specs:
-            measured = dims.vcn_k(spec.cls, cap=12)
-            expected = (spec.metadata or {}).get("vcn2")
-            shown = (
-                f">={int(measured)}" if isinstance(measured, dims.AtLeast)
-                else int(measured)
-            )
-            if expected is None:
-                ok = ""
-            elif isinstance(measured, dims.AtLeast):
-                ok = int(int(measured) <= expected)
-            else:
-                ok = int(int(measured) == expected)
-            rows.append(
-                [
-                    spec.name,
-                    json.dumps(spec.params, sort_keys=True),
-                    "vcn2",
-                    shown,
-                    "" if expected is None else expected,
-                    ok,
-                ]
-            )
-        return ["family", "params", "metric", "measured", "expected", "ok"], rows
-
-    _run("dims", merged, build)
+        if expected is None:
+            ok = ""
+        elif isinstance(measured, dims.AtLeast):
+            ok = int(int(measured) <= expected)
+        else:
+            ok = int(int(measured) == expected)
+        params = json.dumps(spec.params, sort_keys=True)
+        shown_expected = "" if expected is None else expected
+        rows.append([spec.name, params, "vcn2", shown, shown_expected, ok])
+    return ["family", "params", "metric", "measured", "expected", "ok"], rows
 
 
-@main.command("sample")
-@_common
-@click.option("--family", default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--m", default=None)
-@click.option("--member", type=int, default=0)
-def sample_cmd(config, seed, out, family, n, d, m, member):
+@command("sample", "family", "n", "d", "m", "member")
+def sample_cmd(merged):
     """Draw one labeled sample from a family scenario."""
-    try:
-        merged = _resolve(
-            _load_config(config),
-            {
-                "seed": seed,
-                "out": out,
-                "family": family,
-                "n": n,
-                "d": d,
-                "m": m,
-                "member": member,
-            },
-        )
-    except click.UsageError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
-
-    def build(merged):
-        spec = _family(merged)
-        cls = spec.cls
-        F = cls.members[int(merged.get("member", 0))]
-        mm = _m_list(merged, "4")[0]
-        mu = (
-            templates.uniform_partite_prob(cls.template)
-            if cls.partite
-            else templates.uniform_prob(cls.template)
-        )
-        sc = sampler.Scenario(mu, F, partite=cls.partite)
-        x, y = sampler.labeled_sample(sc, mm, sampler.stream(merged["seed"], 0))
-        from . import indexing
-
-        rows = [["x", indexing.encode_config(x), ""]]
-        for key in sorted(y):
-            rows.append(["y", str(key), str(y[key])])
-        return ["kind", "index", "value"], rows
-
-    _run("sample", merged, build)
+    _, sc, _ = _scenario(merged)
+    mm = _m_list(merged, "4")[0]
+    x, y = sampler.labeled_sample(sc, mm, sampler.stream(merged["seed"], 0))
+    rows = [["x", indexing.encode_config(x), ""]]
+    rows += [["y", str(key), str(y[key])] for key in sorted(y)]
+    return ["kind", "index", "value"], rows
 
 
-@main.command("learn")
-@_common
-@click.option("--family", default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--m", default=None)
-@click.option("--eps", type=float, default=None)
-@click.option("--delta", type=float, default=None)
-@click.option("--trials", type=int, default=None)
-@click.option("--member", type=int, default=0)
-def learn_cmd(config, seed, out, family, n, d, m, eps, delta, trials, member):
+def _sweep(merged, default_m, frequency):
+    """One row per sample size: ``frequency(m, eps, trials)`` against the
+    1 - delta bound."""
+    epsv = Fraction(str(merged.get("eps", 0.2)))
+    deltav = merged.get("delta", 0.2)
+    ntrials = merged.get("trials", 200)
+    rows = [
+        [
+            mm,
+            _float_str(epsv),
+            _float_str(deltav),
+            ntrials,
+            _float_str(frequency(mm, epsv, ntrials)),
+            _float_str(1 - deltav),
+        ]
+        for mm in _m_list(merged, default_m)
+    ]
+    return ["m", "eps", "delta", "trials", "success_freq", "bound"], rows
+
+
+@command("learn", "family", "n", "d", "m", "eps", "delta", "trials", "member")
+def learn_cmd(merged):
     """ERM success-frequency sweep."""
-    try:
-        merged = _resolve(
-            _load_config(config),
-            {
-                "seed": seed,
-                "out": out,
-                "family": family,
-                "n": n,
-                "d": d,
-                "m": m,
-                "eps": eps,
-                "delta": delta,
-                "trials": trials,
-                "member": member,
-            },
-        )
-    except click.UsageError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
-
-    def build(merged):
-        spec = _family(merged)
-        cls = spec.cls
-        epsv = Fraction(str(merged.get("eps", 0.2)))
-        deltav = float(merged.get("delta", 0.2))
-        ntrials = int(merged.get("trials", 200))
-        F = cls.members[int(merged.get("member", 0))]
-        setting = "partite" if cls.partite else "nonpartite"
-        ell = losses.zero_one_loss(cls.labels, cls.k, setting=setting)
-        mu = (
-            templates.uniform_partite_prob(cls.template)
-            if cls.partite
-            else templates.uniform_prob(cls.template)
-        )
-        sc = sampler.Scenario(mu, F, partite=cls.partite)
-        A = (
-            learners.erm_partite(cls, ell)
-            if cls.partite
-            else learners.erm_nonpartite(cls, ell)
-        )
-        rows = []
-        for mm in _m_list(merged, "10,20,40"):
-            freq = learners.estimate_pac_success(
-                A, sc, ell, mm, epsv, ntrials, merged["seed"]
-            )
-            rows.append(
-                [
-                    mm,
-                    _float_str(epsv),
-                    _float_str(deltav),
-                    ntrials,
-                    _float_str(freq),
-                    _float_str(1 - deltav),
-                ]
-            )
-        return ["m", "eps", "delta", "trials", "success_freq", "bound"], rows
-
-    _run("learn", merged, build)
+    cls, sc, ell = _scenario(merged)
+    erm = learners.erm_partite if cls.partite else learners.erm_nonpartite
+    A = erm(cls, ell)
+    return _sweep(
+        merged,
+        "10,20,40",
+        lambda m, eps, trials: learners.estimate_pac_success(
+            A, sc, ell, m, eps, trials, merged["seed"]
+        ),
+    )
 
 
-@main.command("verify-uc")
-@_common
-@click.option("--family", default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--d", type=int, default=None)
-@click.option("--m", default=None)
-@click.option("--eps", type=float, default=None)
-@click.option("--delta", type=float, default=None)
-@click.option("--trials", type=int, default=None)
-@click.option("--member", type=int, default=0)
-def verify_uc_cmd(config, seed, out, family, n, d, m, eps, delta, trials, member):
+@command("verify-uc", "family", "n", "d", "m", "eps", "delta", "trials", "member")
+def verify_uc_cmd(merged):
     """Uniform-convergence (representativeness) frequency sweep."""
-    try:
-        merged = _resolve(
-            _load_config(config),
-            {
-                "seed": seed,
-                "out": out,
-                "family": family,
-                "n": n,
-                "d": d,
-                "m": m,
-                "eps": eps,
-                "delta": delta,
-                "trials": trials,
-                "member": member,
-            },
-        )
-    except click.UsageError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
+    cls, sc, ell = _scenario(merged)
+    if cls.partite:
+        raise Infeasible("verify-uc handles non-partite families")
+    return _sweep(
+        merged,
+        "10,20,40,80",
+        lambda m, eps, trials: learners.check_uniform_convergence(
+            sc, cls, ell, m, eps, trials, merged["seed"]
+        ).frequency,
+    )
 
-    def build(merged):
-        spec = _family(merged)
-        cls = spec.cls
+
+@command("nofreelunch", "d", "m", "eps", "trials")
+def nfl_cmd(merged):
+    """Worst-case adversary failure frequency vs. the displayed bound."""
+    dd = merged.get("d", 20)
+    mm = _m_list(merged, "5")[0]
+    epsv = Fraction(str(merged.get("eps", 0.1)))
+    ntrials = merged.get("trials", 2000)
+    if dd > 24:
+        raise Infeasible("d capped at 24")
+    sc = adversaries.shattered_scenario(dd)
+    A = adversaries.erm_learner(sc)
+    bound = adversaries.nfl_lower_bound(epsv, mm, dd)
+    _, measured = adversaries.nfl_worst_F(A, sc, mm, epsv, ntrials, merged["seed"])
+    sigma = math.sqrt(max(float(bound) * (1 - float(bound)), 1e-12) / ntrials)
+    rows = [[dd, mm] + [_float_str(v) for v in (epsv, bound, measured, 3 * sigma)]]
+    return ["d", "m", "eps", "bound", "measured", "slack"], rows
+
+
+@command("reduce", "direction", "family", "n", "d")
+def reduce_cmd(merged):
+    """Partization / departization reports."""
+    if merged.get("direction", "partize") == "partize":
+        cls = _family(merged).cls
         if cls.partite:
-            raise Infeasible("verify-uc handles non-partite families")
-        epsv = Fraction(str(merged.get("eps", 0.2)))
-        deltav = float(merged.get("delta", 0.2))
-        ntrials = int(merged.get("trials", 200))
-        F = cls.members[int(merged.get("member", 0))]
+            raise Infeasible("family already partite")
+        if len(cls.members) > 2**10:
+            raise Infeasible("class too large for the exact report")
+        pcls = partize_class(cls)
         ell = losses.zero_one_loss(cls.labels, cls.k)
         mu = templates.uniform_prob(cls.template)
-        sc = sampler.Scenario(mu, F)
-        rows = []
-        for mm in _m_list(merged, "10,20,40,80"):
-            report = learners.check_uniform_convergence(
-                sc, cls, ell, mm, epsv, ntrials, merged["seed"]
-            )
-            rows.append(
-                [
-                    mm,
-                    _float_str(epsv),
-                    _float_str(deltav),
-                    ntrials,
-                    _float_str(report.frequency),
-                    _float_str(1 - deltav),
-                ]
-            )
-        return ["m", "eps", "delta", "trials", "success_freq", "bound"], rows
-
-    _run("verify-uc", merged, build)
-
-
-@main.command("nofreelunch")
-@_common
-@click.option("--d", type=int, default=None)
-@click.option("--m", default=None)
-@click.option("--eps", type=float, default=None)
-@click.option("--trials", type=int, default=None)
-def nfl_cmd(config, seed, out, d, m, eps, trials):
-    """Worst-case adversary failure frequency vs. the displayed bound."""
-    try:
-        merged = _resolve(
-            _load_config(config),
-            {"seed": seed, "out": out, "d": d, "m": m, "eps": eps, "trials": trials},
+        F, H = cls.members[0], cls.members[-1]
+        before = losses.total_loss(mu, F, ell, H)
+        ellp = losses.zero_one_loss(cls.labels, cls.k, setting="partite")
+        after = losses.total_loss_partite(
+            templates.partize_prob(mu, cls.k),
+            partize_hypothesis(F),
+            ellp,
+            partize_hypothesis(H),
         )
-    except click.UsageError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
-
-    def build(merged):
-        dd = int(merged.get("d", 20))
-        mm = _m_list(merged, "5")[0]
-        epsv = Fraction(str(merged.get("eps", 0.1)))
-        ntrials = int(merged.get("trials", 2000))
-        if dd > 24:
-            raise Infeasible("d capped at 24")
-        sc = adversaries.shattered_scenario(dd)
-        A = adversaries.erm_learner(sc)
-        bound = adversaries.nfl_lower_bound(epsv, mm, dd)
-        _, measured = adversaries.nfl_worst_F(
-            A, sc, mm, epsv, ntrials, merged["seed"]
-        )
-        sigma = math.sqrt(max(float(bound) * (1 - float(bound)), 1e-12) / ntrials)
         rows = [
-            [
-                dd,
-                mm,
-                _float_str(epsv),
-                _float_str(bound),
-                _float_str(measured),
-                _float_str(3 * sigma),
-            ]
+            ["vcn2_before", int(dims.vcn_k(cls))],
+            ["vcn2_after", int(dims.vcn_k(pcls))],
+            ["loss_before", _float_str(before)],
+            ["loss_after", _float_str(after)],
+            ["loss_identity_ok", int(before == after)],
         ]
-        return ["d", "m", "eps", "bound", "measured", "slack"], rows
+        return ["metric", "value"], rows
+    # departize: exact tiny-instance oracle report at k = m = 2
+    t = templates.Template(2, (2, 1))
+    mu = templates.ProbTemplate(t, ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1),)))
+    mu2 = templates.ProbTemplate(t, ((Fraction(1, 4), Fraction(3, 4)), (Fraction(1),)))
+    tj = templates.product_template(t, t)
+    F = Hypothesis(
+        2,
+        tj,
+        (0, 1),
+        lambda x: (x[(1,)] + x[(2,)]) % 2,
+        name="F",
+        declared_rank=1,
+    )
+    Fp = partize_hypothesis(F)
+    lawA = reductions.departize_construction_law(
+        templates.partize_prob(mu, 2), templates.partize_prob(mu2, 2), Fp, 2, 2
+    )
+    lawB = reductions.departize_discrete_law(mu, mu2, Fp, 2, 2)
+    rows = [
+        ["p", _float_str(reductions.departize_p(2))],
+        ["randomness_count", reductions.departize_r(lambda m: 1, 2, 2)],
+        ["law_atoms", len(lawA)],
+        ["laws_equal", int(lawA == lawB)],
+    ]
+    return ["metric", "value"], rows
 
-    _run("nofreelunch", merged, build)
+
+@command("ramsey", "n", "trials")
+def ramsey_cmd(merged):
+    """Clean-subset search over random instances."""
+    nn = merged.get("n", 4)
+    if nn > 6:
+        raise Infeasible("n capped at 6")
+    rho = adversaries.ramsey_rho(nn)
+    rows = []
+    for t in range(merged.get("trials", 100)):
+        rng = sampler.stream(merged["seed"], t)
+        f1 = rng.sample(range(10 * rho), rho)
+        f2 = {
+            frozenset(p): rng.randrange(3 * rho)
+            for p in combinations(range(rho), 2)
+        }
+        U = adversaries.find_clean_subset(f1, f2, nn)
+        ok = adversaries.verify_clean_subset(f1, f2, U)
+        rows.append([t, nn, rho, ",".join(map(str, U)), int(ok)])
+    return ["trial", "n", "rho", "subset", "ok"], rows
 
 
-@main.command("reduce")
-@_common
-@click.option("--direction", type=click.Choice(["partize", "departize"]), default=None)
-@click.option("--family", default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--d", type=int, default=None)
-def reduce_cmd(config, seed, out, direction, family, n, d):
-    """Partization / departization reports."""
-    try:
-        merged = _resolve(
-            _load_config(config),
-            {
-                "seed": seed,
-                "out": out,
-                "direction": direction,
-                "family": family,
-                "n": n,
-                "d": d,
-            },
-        )
-    except click.UsageError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
-
-    def build(merged):
-        dirn = merged.get("direction", "partize")
-        if dirn == "partize":
-            spec = _family(merged)
-            cls = spec.cls
-            if cls.partite:
-                raise Infeasible("family already partite")
-            if len(cls.members) > 2**10:
-                raise Infeasible("class too large for the exact report")
-            pcls = partize_class(cls)
-            ell = losses.zero_one_loss(cls.labels, cls.k)
-            mu = templates.uniform_prob(cls.template)
-            F, H = cls.members[0], cls.members[-1]
-            before = losses.total_loss(mu, F, ell, H)
-            ellp = losses.zero_one_loss(cls.labels, cls.k, setting="partite")
-            after = losses.total_loss_partite(
-                templates.partize_prob(mu, cls.k),
-                partize_hypothesis(F),
-                ellp,
-                partize_hypothesis(H),
-            )
-            rows = [
-                ["vcn2_before", int(dims.vcn_k(cls))],
-                ["vcn2_after", int(dims.vcn_k(pcls))],
-                ["loss_before", _float_str(before)],
-                ["loss_after", _float_str(after)],
-                ["loss_identity_ok", int(before == after)],
-            ]
-            return ["metric", "value"], rows
-        # departize: exact tiny-instance oracle report at k = m = 2
-        t = templates.Template(2, (2, 1))
-        mu = templates.ProbTemplate(t, ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1),)))
-        mu2 = templates.ProbTemplate(t, ((Fraction(1, 4), Fraction(3, 4)), (Fraction(1),)))
-        tj = templates.product_template(t, t)
-        from .hypotheses import Hypothesis
-
+@command("bayes", "trials")
+def bayes_cmd(merged):
+    """Bayes-predictor optimality on random small agnostic scenarios."""
+    t1 = templates.Template(2, (2, 2))
+    t2 = templates.Template(2, (2, 1))
+    mu = templates.uniform_prob(t1)
+    mu2 = templates.uniform_prob(t2)
+    tj = templates.product_template(t1, t2)
+    ell = losses.zero_one_loss((0, 1), 2)
+    ag = losses.wrap_agnostic(ell)
+    rows = []
+    for t in range(merged.get("trials", 5)):
+        rng = sampler.stream(merged["seed"], t)
+        table = {}
         F = Hypothesis(
             2,
             tj,
             (0, 1),
-            lambda x: (x[(1,)] + x[(2,)]) % 2,
-            name="F",
-            declared_rank=1,
+            lambda x, tab=table, r=rng: tab.setdefault(
+                tuple(sorted(x.items())), r.randrange(2)
+            ),
+            name=f"F{t}",
         )
-        Fp = partize_hypothesis(F)
-        lawA = reductions.departize_construction_law(
-            templates.partize_prob(mu, 2), templates.partize_prob(mu2, 2), Fp, 2, 2
-        )
-        lawB = reductions.departize_discrete_law(mu, mu2, Fp, 2, 2)
-        rows = [
-            ["p", _float_str(reductions.departize_p(2))],
-            ["randomness_count", reductions.departize_r(lambda m: 1, 2, 2)],
-            ["law_atoms", len(lawA)],
-            ["laws_equal", int(lawA == lawB)],
-        ]
-        return ["metric", "value"], rows
-
-    _run("reduce", merged, build)
-
-
-@main.command("ramsey")
-@_common
-@click.option("--n", type=int, default=None)
-@click.option("--trials", type=int, default=None)
-def ramsey_cmd(config, seed, out, n, trials):
-    """Clean-subset search over random instances."""
-    try:
-        merged = _resolve(
-            _load_config(config), {"seed": seed, "out": out, "n": n, "trials": trials}
-        )
-    except click.UsageError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
-
-    def build(merged):
-        from itertools import combinations
-
-        nn = int(merged.get("n", 4))
-        ntrials = int(merged.get("trials", 100))
-        if nn > 6:
-            raise Infeasible("n capped at 6")
-        rho = adversaries.ramsey_rho(nn)
-        rows = []
-        for t in range(ntrials):
-            rng = sampler.stream(merged["seed"], t)
-            f1 = rng.sample(range(10 * rho), rho)
-            f2 = {
-                frozenset(p): rng.randrange(3 * rho)
-                for p in combinations(range(rho), 2)
-            }
-            U = adversaries.find_clean_subset(f1, f2, nn)
-            ok = adversaries.verify_clean_subset(f1, f2, U)
-            rows.append([t, nn, rho, ",".join(map(str, U)), int(ok)])
-        return ["trial", "n", "rho", "subset", "ok"], rows
-
-    _run("ramsey", merged, build)
-
-
-@main.command("bayes")
-@_common
-@click.option("--trials", type=int, default=None)
-def bayes_cmd(config, seed, out, trials):
-    """Bayes-predictor optimality on random small agnostic scenarios."""
-    try:
-        merged = _resolve(_load_config(config), {"seed": seed, "out": out, "trials": trials})
-    except click.UsageError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
-
-    def build(merged):
-        from .hypotheses import Hypothesis
-
-        ntrials = int(merged.get("trials", 5))
-        rows = []
-        for t in range(ntrials):
-            rng = sampler.stream(merged["seed"], t)
-            t1 = templates.Template(2, (2, 2))
-            t2 = templates.Template(2, (2, 1))
-            mu = templates.uniform_prob(t1)
-            mu2 = templates.uniform_prob(t2)
-            tj = templates.product_template(t1, t2)
-            table = {}
-            F = Hypothesis(
-                2,
-                tj,
-                (0, 1),
-                lambda x, tab=table, r=rng: tab.setdefault(
-                    tuple(sorted(x.items())), r.randrange(2)
-                ),
-                name=f"F{t}",
-            )
-            ell = losses.zero_one_loss((0, 1), 2)
-            ag = losses.wrap_agnostic(ell)
-            B = losses.bayes_predictor(mu, mu2, F, ell)
-            b_loss = losses.total_loss_ag(mu, mu2, F, ag, B)
-            rows.append([t, _float_str(b_loss)])
-        return ["scenario", "bayes_loss"], rows
-
-    _run("bayes", merged, build)
+        B = losses.bayes_predictor(mu, mu2, F, ell)
+        rows.append([t, _float_str(losses.total_loss_ag(mu, mu2, F, ag, B))])
+    return ["scenario", "bayes_loss"], rows
 
 
 if __name__ == "__main__":

@@ -36,10 +36,11 @@ class FunctionFamily:
 
 
 def _shattered(functions, idxs):
-    """Natarajan-shattering check for the domain positions ``idxs``."""
+    """The witness pair (g0, g1) Natarajan-shattering the domain positions
+    ``idxs``, or None."""
     restr = {tuple(f[i] for i in idxs) for f in functions}
     if len(restr) < 2 ** len(idxs):
-        return False
+        return None
     for g0 in restr:
         for g1 in restr:
             if any(a == b for a, b in zip(g0, g1)):
@@ -48,8 +49,8 @@ def _shattered(functions, idxs):
                 tuple(g1[i] if bit else g0[i] for i, bit in enumerate(bits)) in restr
                 for bits in product((0, 1), repeat=len(idxs))
             ):
-                return True
-    return False
+                return g0, g1
+    return None
 
 
 def _collapse(fam):
@@ -84,7 +85,7 @@ def natarajan_dim(fam, cap=6, domain_cap=64):
     for size in range(1, min(cap, n) + 1):
         found = False
         for idxs in combinations(range(n), size):
-            if _shattered(fam.functions, idxs):
+            if _shattered(fam.functions, idxs) is not None:
                 found = True
                 break
         if not found:
@@ -101,17 +102,9 @@ def natarajan_witness(fam, d, domain_cap=64):
     if len(fam.domain) > domain_cap:
         raise ValueError("domain exceeds the search cap")
     for idxs in combinations(range(len(fam.domain)), d):
-        restr = {tuple(f[i] for i in idxs) for f in fam.functions}
-        for g0 in restr:
-            for g1 in restr:
-                if any(a == b for a, b in zip(g0, g1)):
-                    continue
-                if all(
-                    tuple(g1[i] if bit else g0[i] for i, bit in enumerate(bits))
-                    in restr
-                    for bits in product((0, 1), repeat=d)
-                ):
-                    return idxs, g0, g1
+        pair = _shattered(fam.functions, idxs)
+        if pair is not None:
+            return (idxs, *pair)
     return None
 
 
@@ -137,53 +130,51 @@ def slice_points_nonpartite(cls):
     return templates.config_points(cls.template, cls.k - 1)
 
 
+def _slice_family(cls, slice_key, x, points):
+    """The class restricted to the extensions ``points`` of the slice point
+    ``x``; a structured class enumerates them from ``slice_key``."""
+    domain = tuple(canonical_key(z) for z in points)
+    if cls.explicit:
+        functions = {tuple(H({**x, **z}) for z in points) for H in cls.members}
+    elif cls.restrictions is not None:
+        functions = set(cls.restrictions(slice_key, points))
+    else:
+        raise ValueError("structured class without a restriction enumerator")
+    return FunctionFamily(domain, tuple(sorted(functions)))
+
+
 def slice_family_nonpartite(cls, x):
     """The unary family H(x): restrictions of the class to extensions of x."""
     keys = slice_domains_nonpartite(cls)
     ranges = [range(cls.template.size(len(a))) for a in keys]
     points = [dict(zip(keys, vals)) for vals in product(*ranges)]
-    domain = tuple(canonical_key(z) for z in points)
-    if cls.explicit:
-        functions = {
-            tuple(H({**x, **z}) for z in points) for H in cls.members
-        }
-    elif cls.restrictions is not None:
-        functions = set(cls.restrictions(x, points))
-    else:
-        raise ValueError("structured class without a restriction enumerator")
-    return FunctionFamily(domain, tuple(sorted(functions)))
+    return _slice_family(cls, x, x, points)
 
 
-def slice_points_partite(cls, a_missing):
+def _part_points(cls, a_missing, containing):
+    """All value assignments to the coordinates whose domain contains the
+    part ``a_missing`` (``containing``) or avoids it."""
     keys = [
         f
         for f in indexing.part_indices(cls.k, 1)
-        if a_missing not in {p for p, _ in f}
+        if (a_missing in {p for p, _ in f}) == containing
     ]
     ranges = [range(cls.template.size(tuple(p for p, _ in f))) for f in keys]
     return [dict(zip(keys, vals)) for vals in product(*ranges)]
+
+
+def slice_points_partite(cls, a_missing):
+    return _part_points(cls, a_missing, containing=False)
 
 
 def slice_extension_points_partite(cls, a_missing):
-    """The domain of an ``a_missing`` slice family: all value assignments to
-    the coordinates whose domain contains the missing part."""
-    keys = [
-        f for f in indexing.part_indices(cls.k, 1) if a_missing in {p for p, _ in f}
-    ]
-    ranges = [range(cls.template.size(tuple(p for p, _ in f))) for f in keys]
-    return [dict(zip(keys, vals)) for vals in product(*ranges)]
+    """The domain of an ``a_missing`` slice family."""
+    return _part_points(cls, a_missing, containing=True)
 
 
 def slice_family_partite(cls, a_missing, x):
     points = slice_extension_points_partite(cls, a_missing)
-    domain = tuple(canonical_key(z) for z in points)
-    if cls.explicit:
-        functions = {tuple(H({**x, **z}) for z in points) for H in cls.members}
-    elif cls.restrictions is not None:
-        functions = set(cls.restrictions((a_missing, x), points))
-    else:
-        raise ValueError("structured class without a restriction enumerator")
-    return FunctionFamily(domain, tuple(sorted(functions)))
+    return _slice_family(cls, (a_missing, x), x, points)
 
 
 def _slices(cls):

@@ -12,6 +12,17 @@ from itertools import combinations
 from . import templates
 from .hypotheses import Hypothesis, HypothesisClass
 
+# eager member enumerations stop at this many candidate subsets
+ENUMERATION_CAP = 2**21
+
+
+def _check_enumeration(what, size):
+    """Refuse to enumerate the 2**size subsets of ``size`` items past the cap."""
+    if 2**size > ENUMERATION_CAP:
+        raise ValueError(
+            f"{what} would enumerate 2^{size} subsets, over the cap {ENUMERATION_CAP}"
+        )
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -36,6 +47,17 @@ def _graph_hypothesis(t, edges, name):
         return 1 if u != v and frozenset((u, v)) in es else 0
 
     return Hypothesis(2, t, (0, 1), fn, name=name, declared_rank=1)
+
+
+def _positive_edges(x, y):
+    """The vertex pairs {u, v}, u != v, that a graph sample labels 1."""
+    edges = set()
+    for alpha, label in y.items():
+        if label == 1 and len(alpha) == 2:
+            u, v = x[(alpha[0],)], x[(alpha[1],)]
+            if u != v:
+                edges.add(frozenset((u, v)))
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +89,9 @@ def matching_family(n_pairs):
 
     def erm(x, y, m):
         # include pair i iff some labelled-1 injection witnesses it
-        included = set()
-        for alpha, label in y.items():
-            if label != 1 or len(alpha) != 2:
-                continue
-            u, v = x[(alpha[0],)], x[(alpha[1],)]
-            for i, p in enumerate(pairs):
-                if frozenset((u, v)) == p:
-                    included.add(i)
-        return member_by_pairs[frozenset(included)]
+        positive = _positive_edges(x, y)
+        included = frozenset(i for i, p in enumerate(pairs) if p in positive)
+        return member_by_pairs[included]
 
     cls = HypothesisClass(
         2, t, (0, 1), tuple(members), name=f"matching({n_pairs})", erm=erm
@@ -99,6 +115,7 @@ def bounded_degree_family(n, d):
         raise ValueError("bad parameters")
     t = _graph_template(n)
     all_edges = [frozenset(e) for e in combinations(range(n), 2)]
+    _check_enumeration(f"bdeg({n},{d})", len(all_edges))
     members = []
     graphs = []
     for r in range(len(all_edges) + 1):
@@ -122,12 +139,7 @@ def bounded_degree_family(n, d):
         # greedy consistent subgraph in canonical edge order
         deg = {}
         chosen = set()
-        positive = set()
-        for alpha, label in y.items():
-            if label == 1 and len(alpha) == 2:
-                u, v = x[(alpha[0],)], x[(alpha[1],)]
-                if u != v:
-                    positive.add(frozenset((u, v)))
+        positive = _positive_edges(x, y)
         for e in all_edges:
             if e in positive and all(deg.get(v, 0) < d for v in e):
                 chosen.add(e)
@@ -174,6 +186,7 @@ def partition_family(n, chi, name="partition"):
     vertex pairs; G_B(x, y) = 1[chi({x, y}) in B]."""
     t = _graph_template(n)
     classes = sorted({chi(frozenset(e)) for e in combinations(range(n), 2)})
+    _check_enumeration(f"{name}({n})", len(classes))
     members = []
     by_b = {}
     for r in range(len(classes) + 1):
@@ -192,13 +205,7 @@ def partition_family(n, chi, name="partition"):
 
     def erm(x, y, m):
         # B := classes witnessed positive
-        b = set()
-        for alpha, label in y.items():
-            if label == 1 and len(alpha) == 2:
-                u, v = x[(alpha[0],)], x[(alpha[1],)]
-                if u != v:
-                    b.add(chi(frozenset((u, v))))
-        return by_b[frozenset(b)]
+        return by_b[frozenset(chi(e) for e in _positive_edges(x, y))]
 
     cls = HypothesisClass(
         2, t, (0, 1), tuple(members), name=f"{name}({n})", erm=erm
@@ -251,15 +258,11 @@ def highorder_family(n):
         if isinstance(sizes, int):
             sizes = [sizes, sizes]
         v_hat = set()
-        witnessed = set()
         for alpha, label in y.items():
             i, j = alpha
             b = x[((2, j),)]
-            c = x[((1, i), (2, j))]
-            if b == c:
-                witnessed.add(b)
-                if label == 1:
-                    v_hat.add(b)
+            if label == 1 and b == x[((1, i), (2, j))]:
+                v_hat.add(b)
         return by_v[frozenset(v_hat)]
 
     def restrictions(slice_key, points):

@@ -80,19 +80,13 @@ def star_partite(F, x, sizes):
 
 def rank_of(F):
     """Smallest r such that F only depends on coordinates with |A| <= r."""
-    if F.partite:
-        keys_of = lambda x: [k for k in x]  # noqa: E731
-        arity = lambda key: len(key)  # noqa: E731
-    else:
-        keys_of = lambda x: list(x)  # noqa: E731
-        arity = lambda key: len(key)  # noqa: E731
     dom = F.domain()
     values = {canonical_key(x): F(x) for x in dom}
-    max_arity = max((arity(k) for k in keys_of(dom[0])), default=0)
+    max_arity = max((len(key) for key in dom[0]), default=0)
     for r in range(0, max_arity + 1):
         groups = {}
         for x in dom:
-            low = tuple(sorted((k, v) for k, v in x.items() if arity(k) <= r))
+            low = tuple(sorted((k, v) for k, v in x.items() if len(k) <= r))
             groups.setdefault(low, set()).add(values[canonical_key(x)])
         if all(len(vs) == 1 for vs in groups.values()):
             return r
@@ -137,8 +131,8 @@ def unpartize_hypothesis(G, template, labels, name=""):
 class HypothesisClass:
     """Either an explicit list of hypotheses or a structured family.
 
-    Structured families carry three pure capabilities: a membership test, an
-    ERM oracle ``erm(x, y, loss) -> Hypothesis`` over labeled samples, and a
+    Structured families carry two pure capabilities: an ERM oracle
+    ``erm(x, y, loss) -> Hypothesis`` over labeled samples, and a
     restriction enumerator ``restrictions(slice_point) -> list of value
     tuples`` feeding the dimension machinery.  Explicit lists are
     duplicate-free under pointwise equality.
@@ -150,7 +144,6 @@ class HypothesisClass:
     members: tuple = None
     name: str = ""
     erm: object = field(default=None, compare=False)
-    membership: object = field(default=None, compare=False)
     restrictions: object = field(default=None, compare=False)
 
     def __post_init__(self):

@@ -44,42 +44,36 @@ class Learner:
 # empirical risk minimization
 
 
-def erm_nonpartite(cls, ell, use_oracle=True):
+def _erm(cls, ell, use_oracle, partite):
     """Exact empirical-loss argmin over the class, ties broken by the
     member order; structured classes may supply a closed-form oracle."""
     if cls.erm is None and not cls.explicit:
         raise ValueError("class has neither members nor an ERM oracle")
 
     def fn(x, y, b):
-        m = nonpartite_size(x)
+        m = partite_size(x) if partite else nonpartite_size(x)
         if use_oracle and cls.erm is not None:
             return cls.erm(x, y, m)
+        if partite:
+            empirical = losses.empirical_loss_partite
+        else:
+            empirical = losses.empirical_loss_nonpartite
         best = None
         for i, H in enumerate(cls.members):
-            loss = losses.empirical_loss_nonpartite(x, y, ell, H, m)
+            loss = empirical(x, y, ell, H, m)
             if best is None or loss < best[0]:
                 best = (loss, i)
         return cls.members[best[1]]
 
-    return Learner(cls.k, fn, lambda m: 1, partite=False, name=f"erm({cls.name})")
+    return Learner(cls.k, fn, lambda m: 1, partite=partite, name=f"erm({cls.name})")
+
+
+def erm_nonpartite(cls, ell, use_oracle=True):
+    return _erm(cls, ell, use_oracle, partite=False)
 
 
 def erm_partite(cls, ell, use_oracle=True):
-    if cls.erm is None and not cls.explicit:
-        raise ValueError("class has neither members nor an ERM oracle")
-
-    def fn(x, y, b):
-        m = partite_size(x)
-        if use_oracle and cls.erm is not None:
-            return cls.erm(x, y, m)
-        best = None
-        for i, H in enumerate(cls.members):
-            loss = losses.empirical_loss_partite(x, y, ell, H, m)
-            if best is None or loss < best[0]:
-                best = (loss, i)
-        return cls.members[best[1]]
-
-    return Learner(cls.k, fn, lambda m: 1, partite=True, name=f"erm({cls.name})")
+    return _erm(cls, ell, use_oracle, partite=True)
 
 
 # ---------------------------------------------------------------------------

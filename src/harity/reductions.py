@@ -507,7 +507,6 @@ def extend_codomain(cls, extra_labels, y0=None):
         members2,
         name=cls.name + "+ext",
         erm=cls.erm,
-        membership=cls.membership,
         restrictions=cls.restrictions,
     )
     fill = cls.labels[0] if y0 is None else y0

@@ -7,7 +7,6 @@ Each Monte Carlo trial derives an independent ``random.Random`` stream from
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import indexing, templates
 from .hypotheses import star, star_partite
@@ -65,61 +64,44 @@ def sample_partite_config(mu, sizes, rng):
     return out
 
 
+def _setting(partite):
+    """The config sampler, exact config law, product join and F* map of the
+    partite or the non-partite setting."""
+    if partite:
+        return (
+            sample_partite_config,
+            templates.partite_config_law,
+            templates.join_partite_config,
+            star_partite,
+        )
+    return sample_config, templates.config_law, templates.join_config, star
+
+
 def labeled_sample(sc, m, rng):
     """Draw the learner's visible sample (x, F*-labels); the auxiliary x' is
     sampled and discarded."""
-    if sc.partite:
-        x = sample_partite_config(sc.mu, m, rng)
-        if sc.mu2 is None:
-            y = star_partite(sc.F, x, m)
-        else:
-            xp = sample_partite_config(sc.mu2, m, rng)
-            joined = templates.join_partite_config(
-                sc.mu.template, sc.mu2.template, x, xp
-            )
-            y = star_partite(sc.F, joined, m)
-        return x, y
-    x = sample_config(sc.mu, m, rng)
-    if sc.mu2 is None:
-        y = star(sc.F, x, m)
-    else:
-        xp = sample_config(sc.mu2, m, rng)
-        joined = templates.join_config(sc.mu.template, sc.mu2.template, x, xp)
-        y = star(sc.F, joined, m)
-    return x, y
+    draw, _, join, star_of = _setting(sc.partite)
+    x = draw(sc.mu, m, rng)
+    joined = x
+    if sc.mu2 is not None:
+        joined = join(sc.mu.template, sc.mu2.template, x, draw(sc.mu2, m, rng))
+    return x, star_of(sc.F, joined, m)
 
 
 def exact_sample_law(sc, m, max_atoms=10**6):
     """Exact rational law of (x, y) as a dict keyed by canonical encodings."""
-    if sc.partite:
-        x_law = templates.partite_config_law(sc.mu, m)
-        xp_law = (
-            [({}, Fraction(1))]
-            if sc.mu2 is None
-            else templates.partite_config_law(sc.mu2, m)
-        )
-    else:
-        x_law = templates.config_law(sc.mu, m)
-        xp_law = (
-            [({}, Fraction(1))] if sc.mu2 is None else templates.config_law(sc.mu2, m)
-        )
+    _, law_of, join, star_of = _setting(sc.partite)
+    x_law = law_of(sc.mu, m)
+    xp_law = [({}, Fraction(1))] if sc.mu2 is None else law_of(sc.mu2, m)
     if len(x_law) * len(xp_law) > max_atoms:
         raise ValueError("instance too large for the exact law oracle")
     law = {}
     for x, p in x_law:
         for xp, q in xp_law:
-            if sc.mu2 is None:
-                joined = x
-            elif sc.partite:
-                joined = templates.join_partite_config(
-                    sc.mu.template, sc.mu2.template, x, xp
-                )
-            else:
-                joined = templates.join_config(sc.mu.template, sc.mu2.template, x, xp)
-            if sc.partite:
-                y = star_partite(sc.F, joined, m)
-            else:
-                y = star(sc.F, joined, m)
+            joined = x
+            if sc.mu2 is not None:
+                joined = join(sc.mu.template, sc.mu2.template, x, xp)
+            y = star_of(sc.F, joined, m)
             key = (
                 tuple(sorted(x.items())),
                 tuple(sorted(y.items())),

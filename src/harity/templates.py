@@ -162,18 +162,6 @@ def product_partite_template(t1, t2):
     )
 
 
-def product_partite_prob(p1, p2):
-    t = product_partite_template(p1.template, p2.template)
-    weights = {}
-    for a in indexing.subsets(t.k, t.k):
-        w = []
-        for u in range(p1.template.size(a)):
-            for v in range(p2.template.size(a)):
-                w.append(p1.weight(a, u) * p2.weight(a, v))
-        weights[a] = tuple(w)
-    return PartiteProbTemplate(t, weights)
-
-
 def join_partite_config(t1, t2, x1, x2):
     out = {}
     for key in x1:
@@ -219,24 +207,29 @@ def config_points(template, m, arity_cap=None):
     return [dict(zip(keys, vals)) for vals in product(*ranges)]
 
 
-def config_law(mu, m, arity_cap=None):
-    """Exact law of mu^[m] as a list of (config point, Fraction) pairs."""
-    cap = mu.template.k if arity_cap is None else arity_cap
-    keys = indexing.subsets(m, cap)
+def _product_law(mu, keys, domain_of):
+    """Exact law of independent coordinates ``keys``, each drawn from mu's
+    weights on ``domain_of(key)``, as (config point, Fraction) pairs."""
     out = [({}, Fraction(1))]
-    for a in keys:
-        i = len(a)
+    for key in keys:
+        dom = domain_of(key)
         nxt = []
         for x, p in out:
-            for point in range(mu.template.size(i)):
-                w = mu.weight(i, point)
+            for point in range(mu.template.size(dom)):
+                w = mu.weight(dom, point)
                 if w == 0:
                     continue
                 y = dict(x)
-                y[a] = point
+                y[key] = point
                 nxt.append((y, p * w))
         out = nxt
     return out
+
+
+def config_law(mu, m, arity_cap=None):
+    """Exact law of mu^[m] as a list of (config point, Fraction) pairs."""
+    cap = mu.template.k if arity_cap is None else arity_cap
+    return _product_law(mu, indexing.subsets(m, cap), len)
 
 
 def partite_config_points(template, sizes):
@@ -252,20 +245,7 @@ def partite_config_law(mu, sizes):
     if isinstance(sizes, int):
         sizes = [sizes] * mu.template.k
     keys = indexing.part_indices(mu.template.k, list(sizes))
-    out = [({}, Fraction(1))]
-    for f in keys:
-        dom = tuple(p for p, _ in f)
-        nxt = []
-        for x, p in out:
-            for point in range(mu.template.size(dom)):
-                w = mu.weight(dom, point)
-                if w == 0:
-                    continue
-                y = dict(x)
-                y[f] = point
-                nxt.append((y, p * w))
-        out = nxt
-    return out
+    return _product_law(mu, keys, lambda f: tuple(p for p, _ in f))
 
 
 # ---------------------------------------------------------------------------
