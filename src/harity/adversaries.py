@@ -211,7 +211,7 @@ class SliceNonlearnScenario:
         restricts the answer back to the slice."""
 
         def fn(x, y, b):
-            m = learners.nonpartite_size(x)
+            m = learners.sample_size(x, False)
             js = [x[(i,)] for i in range(1, m + 1)]
             xp = self.assemble(js, m)
             yp = {

@@ -202,10 +202,7 @@ def vcn_k(cls, cap=6, domain_cap=64):
 def family_on_full_domain(cls):
     """The class viewed as a plain function family over its whole arity-k
     configuration space (used for classic VC on binary classes)."""
-    if cls.partite:
-        points = templates.partite_config_points(cls.template, 1)
-    else:
-        points = templates.config_points(cls.template, cls.k)
+    points = templates.domain_points(cls.template, cls.k)
     domain = tuple(canonical_key(x) for x in points)
     functions = tuple(sorted({tuple(H(x) for x in points) for H in cls.members}))
     return FunctionFamily(domain, functions)

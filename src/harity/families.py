@@ -14,14 +14,16 @@ from .hypotheses import Hypothesis, HypothesisClass
 
 # eager member enumerations stop at this many candidate subsets
 ENUMERATION_CAP = 2**21
+# families with one member per subset keep every candidate, and building a
+# class evaluates each member on every configuration point: matching(12)
+# takes about 2 s, and each further pair doubles it
+MEMBER_CAP = 2**12
 
 
-def _check_enumeration(what, size):
+def _check_enumeration(what, size, cap=ENUMERATION_CAP):
     """Refuse to enumerate the 2**size subsets of ``size`` items past the cap."""
-    if 2**size > ENUMERATION_CAP:
-        raise ValueError(
-            f"{what} would enumerate 2^{size} subsets, over the cap {ENUMERATION_CAP}"
-        )
+    if 2**size > cap:
+        raise ValueError(f"{what} would enumerate 2^{size} subsets, over the cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,7 @@ def matching_family(n_pairs):
     {2i, 2i+1}, one hypothesis per subset of pairs."""
     if n_pairs < 1:
         raise ValueError("need at least one pair")
+    _check_enumeration(f"matching({n_pairs})", n_pairs, MEMBER_CAP)
     t = _graph_template(2 * n_pairs)
     pairs = [frozenset((2 * i, 2 * i + 1)) for i in range(n_pairs)]
     members = []
@@ -236,6 +239,7 @@ def max_family(n):
 def highorder_family(n):
     """The 2-partite rank-2 class: H_V(x) = 1[x_{2} = x_{12} in V] over a
     singleton first part and n-point second/pair spaces."""
+    _check_enumeration(f"highorder({n})", n, MEMBER_CAP)
     pt = templates.PartiteTemplate(2, {(1,): 1, (2,): n, (1, 2): n})
     k2 = (((2, 1),),)
     k12 = (((1, 1), (2, 1)),)

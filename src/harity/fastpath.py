@@ -12,8 +12,12 @@ instances.
 1 and whose loss ignores the configuration argument (e.g. the 0/1-loss):
 everything reduces to tables over unary value pairs, and empirical losses
 collapse to value-pair counts.  ``TwoPartiteContext`` covers 2-partite
-scenarios with a single fixed hypothesis by tabulating the loss over the
-three coordinates of one cross pair.
+scenarios, one context per hypothesis, by tabulating the loss over the three
+coordinates of one cross pair.
+
+Neither context knows an auxiliary measure mu', so agnostic scenarios always
+take the generic route; ``learners._trial_losses`` chooses the route for both
+the uniform-convergence and the concentration check.
 """
 
 from collections import Counter
@@ -57,11 +61,11 @@ class PairContext:
             [H({(1,): a, (2,): b, (1, 2): 0}) for b in range(n)] for a in range(n)
         ]
 
-    def loss_table(self, H, htable=None):
+    def loss_table(self, H):
         """V[a][b]: loss of H against the adversary on a sample pair with
         unary values (a, b)."""
         n = self.n
-        ht = self.value_table(H) if htable is None else htable
+        ht = self.value_table(H)
         ft = self.ftable
         rep = {(1,): 0, (2,): 0, (1, 2): 0}
         V = [

@@ -40,9 +40,7 @@ class Hypothesis:
         return self.fn(x)
 
     def domain(self):
-        if self.partite:
-            return templates.partite_config_points(self.template, 1)
-        return templates.config_points(self.template, self.k)
+        return templates.domain_points(self.template, self.k)
 
     def table(self):
         return {canonical_key(x): self.fn(x) for x in self.domain()}
@@ -148,10 +146,7 @@ class HypothesisClass:
 
     def __post_init__(self):
         if self.members:
-            if isinstance(self.template, templates.PartiteTemplate):
-                points = templates.partite_config_points(self.template, 1)
-            else:
-                points = templates.config_points(self.template, self.k)
+            points = templates.domain_points(self.template, self.k)
             seen = set()
             for h in self.members:
                 sig = tuple(h(x) for x in points)

@@ -18,6 +18,7 @@ so serialized output is bit-stable across runs.
 """
 
 from itertools import combinations, permutations, product
+from math import factorial
 
 
 def subsets(m, arity_cap):
@@ -52,6 +53,20 @@ def part_indices(k, sizes):
 def injections(m, k):
     """All injective tuples ([m])_k, lexicographic."""
     return list(permutations(range(1, m + 1), k))
+
+
+def nth_permutation(index, m):
+    """``injections(m, m)[index]`` without listing all m! permutations: the
+    factorial-base (Lehmer) digits of ``index`` pick each next image among
+    the vertices not used yet."""
+    if not 0 <= index < factorial(m):
+        raise ValueError("permutation index out of range")
+    free = list(range(1, m + 1))
+    out = []
+    for i in range(m - 1, -1, -1):
+        digit, index = divmod(index, factorial(i))
+        out.append(free.pop(digit))
+    return tuple(out)
 
 
 def identity_injection(k):

@@ -5,6 +5,10 @@ A ``Learner`` maps a visible sample plus a randomness index ``b`` in
 ``[R(m)]`` to a hypothesis; ``R`` identically 1 means deterministic.  Sample
 sizes are inferred from the sample itself, so learners compose without extra
 plumbing.
+
+Every Monte Carlo check takes its exact totals from ``_total_loss``; the
+uniform-convergence and concentration checks take their per-trial empirical
+losses from the one route chooser ``_trial_losses``.
 """
 
 import math
@@ -14,15 +18,20 @@ from itertools import product
 from math import comb
 
 from . import fastpath, indexing, losses, sampler
-from .hypotheses import pattern
 
 
-def nonpartite_size(x):
+def sample_size(x, partite):
+    """The number of points of a sample (per part, in the partite setting)."""
+    if partite:
+        return max(v for key in x for _, v in key)
     return max(a[-1] for a in x)
 
 
-def partite_size(x):
-    return max(v for key in x for _, v in key)
+def _empirical(partite):
+    """The empirical loss of the setting, looked up at call time."""
+    if partite:
+        return losses.empirical_loss_partite
+    return losses.empirical_loss_nonpartite
 
 
 @dataclass(frozen=True)
@@ -34,8 +43,7 @@ class Learner:
     name: str = ""
 
     def __call__(self, x, y, b=0):
-        m = partite_size(x) if self.partite else nonpartite_size(x)
-        if not 0 <= b < self.r(m):
+        if not 0 <= b < self.r(sample_size(x, self.partite)):
             raise ValueError("randomness index out of range")
         return self.fn(x, y, b)
 
@@ -51,13 +59,10 @@ def _erm(cls, ell, use_oracle, partite):
         raise ValueError("class has neither members nor an ERM oracle")
 
     def fn(x, y, b):
-        m = partite_size(x) if partite else nonpartite_size(x)
+        m = sample_size(x, partite)
         if use_oracle and cls.erm is not None:
             return cls.erm(x, y, m)
-        if partite:
-            empirical = losses.empirical_loss_partite
-        else:
-            empirical = losses.empirical_loss_nonpartite
+        empirical = _empirical(partite)
         best = None
         for i, H in enumerate(cls.members):
             loss = empirical(x, y, ell, H, m)
@@ -74,6 +79,67 @@ def erm_nonpartite(cls, ell, use_oracle=True):
 
 def erm_partite(cls, ell, use_oracle=True):
     return _erm(cls, ell, use_oracle, partite=True)
+
+
+# ---------------------------------------------------------------------------
+# exact totals and per-trial empirical losses, shared by every Monte Carlo
+# check
+
+
+def _total_loss(sc, ell, H):
+    """Exact total loss of H in the scenario: the plain or the agnostic
+    (mu, mu', F) total of the scenario's setting."""
+    if sc.mu2 is None:
+        total = losses.total_loss_partite if sc.partite else losses.total_loss
+        return total(sc.mu, sc.F, ell, H)
+    total = losses.total_loss_partite_ag if sc.partite else losses.total_loss_ag
+    return total(sc.mu, sc.mu2, sc.F, losses.wrap_agnostic(ell), H)
+
+
+def _pairable(sc, members, ell):
+    """Whether a non-partite k = 2 scenario qualifies for PairContext."""
+    if not ell.symmetric:
+        return False
+    if any(getattr(H, "declared_rank", None) != 1 for H in [*members, sc.F]):
+        return False
+    # otherwise configuration-independence cannot be certified cheaply
+    return ell.name == "01" or sc.mu.template.size(2) == 1
+
+
+def _trial_losses(sc, members, ell):
+    """The one per-trial route: (rng, m) -> the empirical loss of each member
+    on the size-m sample drawn from rng.
+
+    Non-agnostic k = 2 scenarios take a fastpath context (TwoPartiteContext
+    when 2-partite, PairContext when ``_pairable``); agnostic scenarios and
+    all others draw the generic labeled sample.  Each route reads the stream
+    as the generic one does, so all give bit-identical losses.
+    """
+    if sc.mu2 is None and ell.k == 2:
+        if sc.partite:
+            ctxs = [fastpath.TwoPartiteContext(sc.mu, sc.F, H, ell) for H in members]
+
+            def two_partite(rng, m):
+                sample = ctxs[0].draw(rng, m)
+                return [ctx.empirical(*sample) for ctx in ctxs]
+
+            return two_partite
+        if _pairable(sc, members, ell):
+            ctx = fastpath.PairContext(sc.mu, sc.F, ell)
+            tables = [ctx.loss_table(H) for H in members]
+
+            def pair(rng, m):
+                u = ctx.draw_unary(rng, m)
+                return [ctx.empirical(V, u) for V in tables]
+
+            return pair
+    empirical = _empirical(sc.partite)
+
+    def generic(rng, m):
+        x, y = sampler.labeled_sample(sc, m, rng)
+        return [empirical(x, y, ell, H, m) for H in members]
+
+    return generic
 
 
 # ---------------------------------------------------------------------------
@@ -123,52 +189,19 @@ class UCReport:
     erm_violations: int  # of those, ERM total loss > inf + eps (should be 0)
 
 
-def _pair_context(sc, members, ell):
-    """A PairContext when the scenario qualifies for the fast route."""
-    if sc.partite or sc.mu2 is not None or ell.k != 2 or not ell.symmetric:
-        return None
-    for H in list(members) + [sc.F]:
-        if getattr(H, "declared_rank", None) != 1:
-            return None
-    if ell.name != "01" and sc.mu.template.size(2) != 1:
-        return None  # cannot certify configuration-independence cheaply
-    return fastpath.PairContext(sc.mu, sc.F, ell)
-
-
 def check_uniform_convergence(sc, cls, ell, m, eps, trials, seed):
     """Monte Carlo frequency of eps-representative samples, with exact total
     losses; also checks per trial that eps/2-representativeness forces the
     ERM's total loss within eps of the class infimum."""
     eps = Fraction(eps)
     members = list(cls.members)
-    if sc.partite:
-        totals = [losses.total_loss_partite(sc.mu, sc.F, ell, H) for H in members]
-    elif sc.mu2 is not None:
-        ag = losses.wrap_agnostic(ell)
-        totals = [losses.total_loss_ag(sc.mu, sc.mu2, sc.F, ag, H) for H in members]
-    else:
-        totals = [losses.total_loss(sc.mu, sc.F, ell, H) for H in members]
+    totals = [_total_loss(sc, ell, H) for H in members]
     inf_total = min(totals)
-    ctx = _pair_context(sc, members, ell)
-    tables = [ctx.loss_table(H) for H in members] if ctx else None
+    trial = _trial_losses(sc, members, ell)
 
     good = checked = violations = 0
     for t in range(trials):
-        rng = sampler.stream(seed, t)
-        if ctx is not None:
-            u = ctx.draw_unary(rng, m)
-            emps = [ctx.empirical(V, u) for V in tables]
-        else:
-            x, y = sampler.labeled_sample(sc, m, rng)
-            if sc.partite:
-                emps = [
-                    losses.empirical_loss_partite(x, y, ell, H, m) for H in members
-                ]
-            else:
-                emps = [
-                    losses.empirical_loss_nonpartite(x, y, ell, H, m)
-                    for H in members
-                ]
+        emps = trial(sampler.stream(seed, t), m)
         dev = max(abs(e - T) for e, T in zip(emps, totals))
         if dev <= eps:
             good += 1
@@ -198,32 +231,11 @@ def concentration_bound(eps, m, k, setting, sup_norm=1):
 def check_concentration(sc, H, ell, m, eps, trials, seed):
     """Measured frequency of |empirical - total| >= eps for a fixed H."""
     eps = Fraction(eps)
+    total = _total_loss(sc, ell, H)
+    trial = _trial_losses(sc, [H], ell)
     hits = 0
-    if sc.partite:
-        total = losses.total_loss_partite(sc.mu, sc.F, ell, H)
-        ctx = (
-            fastpath.TwoPartiteContext(sc.mu, sc.F, H, ell) if ell.k == 2 else None
-        )
-        for t in range(trials):
-            rng = sampler.stream(seed, t)
-            if ctx is not None:
-                emp = ctx.empirical(*ctx.draw(rng, m))
-            else:
-                x, y = sampler.labeled_sample(sc, m, rng)
-                emp = losses.empirical_loss_partite(x, y, ell, H, m)
-            if abs(emp - total) >= eps:
-                hits += 1
-        return Fraction(hits, trials)
-    total = losses.total_loss(sc.mu, sc.F, ell, H)
-    ctx = _pair_context(sc, [H], ell)
-    table = ctx.loss_table(H) if ctx else None
     for t in range(trials):
-        rng = sampler.stream(seed, t)
-        if ctx is not None:
-            emp = ctx.empirical(table, ctx.draw_unary(rng, m))
-        else:
-            x, y = sampler.labeled_sample(sc, m, rng)
-            emp = losses.empirical_loss_nonpartite(x, y, ell, H, m)
+        (emp,) = trial(sampler.stream(seed, t), m)
         if abs(emp - total) >= eps:
             hits += 1
     return Fraction(hits, trials)
@@ -285,35 +297,25 @@ def split_for(m, m_rand, r, k, setting, sup_norm=1, s_cap=10**6, r_cap=2**20):
     return best
 
 
-def _split_nonpartite(x, y, m1, m, k):
-    iota1 = tuple(range(1, m1 + 1))
-    iota2 = tuple(range(m1 + 1, m + 1))
-    x1 = indexing.pullback(iota1, x)
-    y1 = {beta: y[beta] for beta in indexing.injections(m1, k)}
-    x2 = indexing.pullback(iota2, x)
-    y2 = {
-        beta: y[indexing.compose(iota2, beta)]
-        for beta in indexing.injections(m - m1, k)
-    }
-    return x1, y1, x2, y2
+def _split(x, y, m1, m, k, partite):
+    """The prefix sample on points 1..m1 and the holdout on points m1+1..m,
+    each renumbered from 1.  Labels are read by index only, so ``y`` may be
+    any lookup (e.g. ``fastpath.LazyPairLabels``)."""
 
+    def part(lo, hi):
+        if partite:
+            xs = {
+                tuple((p, j - lo) for p, j in key): v
+                for key, v in x.items()
+                if all(lo < j <= hi for _, j in key)
+            }
+            index = product(range(1, hi - lo + 1), repeat=k)
+        else:
+            xs = indexing.pullback(tuple(range(lo + 1, hi + 1)), x)
+            index = indexing.injections(hi - lo, k)
+        return xs, {a: y[tuple(j + lo for j in a)] for a in index}
 
-def _split_partite(x, y, m1, m, k):
-    def restrict(lo, hi):
-        out = {}
-        for key, v in x.items():
-            if all(lo < j <= hi for _, j in key):
-                out[tuple((p, j - lo) for p, j in key)] = v
-        return out
-
-    x1 = restrict(0, m1)
-    x2 = restrict(m1, m)
-    y1 = {a: y[a] for a in product(range(1, m1 + 1), repeat=k)}
-    y2 = {
-        a: y[tuple(j + m1 for j in a)]
-        for a in product(range(1, m - m1 + 1), repeat=k)
-    }
-    return x1, y1, x2, y2
+    return (*part(0, m1), *part(m1, m))
 
 
 def derandomize(
@@ -337,28 +339,24 @@ def derandomize(
     sup = float(ell.sup_norm if sup_norm is None else sup_norm)
 
     def fn(x, y, b):
-        m = partite_size(x) if A.partite else nonpartite_size(x)
+        m = sample_size(x, A.partite)
         setting = "partite" if A.partite else "nonpartite"
         sp = split_for(m, m_rand, A.r, A.k, setting, sup, s_cap, r_cap)
         if sp is None:
             return fallback
         _, m1 = sp
-        split = _split_partite if A.partite else _split_nonpartite
-        if empirical_eval is not None:
-            # the caller evaluates on the point range directly, so the
-            # holdout sample never needs to be materialized
-            x1, y1, _, _ = split(x, y, m1, m1, A.k)
-        else:
-            x1, y1, x2, y2 = split(x, y, m1, m, A.k)
+        # empirical_eval reads the point range directly, so the holdout
+        # sample is then never materialized
+        holdout_end = m1 if empirical_eval is not None else m
+        x1, y1, x2, y2 = _split(x, y, m1, holdout_end, A.k, A.partite)
+        empirical = _empirical(A.partite)
         best = None
         for bb in range(A.r(m1)):
             H = A(x1, y1, bb)
             if empirical_eval is not None:
                 loss = empirical_eval(H, x, y, m1, m)
-            elif A.partite:
-                loss = losses.empirical_loss_partite(x2, y2, ell, H, m - m1)
             else:
-                loss = losses.empirical_loss_nonpartite(x2, y2, ell, H, m - m1)
+                loss = empirical(x2, y2, ell, H, m - m1)
             if best is None or (loss, bb) < (best[0], best[1]):
                 best = (loss, bb, H)
         return best[2]
@@ -406,26 +404,13 @@ def estimate_pac_success(
     loss <= eps (non-agnostic) or <= inf + eps (agnostic, exact infimum)."""
     eps = Fraction(eps)
     if agnostic and inf_loss is None:
-        ag = losses.wrap_agnostic(ell)
-        inf_loss = losses.class_infimum_ag(cls, sc.mu, sc.mu2, sc.F, ag)
+        inf_loss = min(_total_loss(sc, ell, H) for H in cls)
     target = eps + (inf_loss if agnostic else 0)
     wins = 0
     for t in range(trials):
         rng = sampler.stream(seed, t)
         x, y = sampler.labeled_sample(sc, m, rng)
-        b = rng.randrange(A.r(m))
-        H = A(x, y, b)
-        if sc.partite:
-            if sc.mu2 is None:
-                L = losses.total_loss_partite(sc.mu, sc.F, ell, H)
-            else:
-                ag = losses.wrap_agnostic(ell)
-                L = losses.total_loss_partite_ag(sc.mu, sc.mu2, sc.F, ag, H)
-        elif sc.mu2 is None:
-            L = losses.total_loss(sc.mu, sc.F, ell, H)
-        else:
-            ag = losses.wrap_agnostic(ell)
-            L = losses.total_loss_ag(sc.mu, sc.mu2, sc.F, ag, H)
-        if L <= target:
+        H = A(x, y, rng.randrange(A.r(m)))
+        if _total_loss(sc, ell, H) <= target:
             wins += 1
     return Fraction(wins, trials)

@@ -37,12 +37,11 @@ def loss_metadata(ell, template, patterns=None):
     ``patterns`` defaults to all of Lambda^{S_k} (non-partite) or Lambda
     (partite).  Returns (sup_norm, separation, symmetric).
     """
+    points = templates.domain_points(template, ell.k)
     if ell.setting == "partite":
-        points = templates.partite_config_points(template, 1)
         pats = list(ell.labels) if patterns is None else patterns
         sym_perms = None
     else:
-        points = templates.config_points(template, ell.k)
         pats = (
             list(product(ell.labels, repeat=len(perms(ell.k))))
             if patterns is None
@@ -167,12 +166,6 @@ def total_loss_partite_ag(mu, mu2, F, ell_ag, H):
             y = F(templates.join_partite_config(t1, t2, x, xp))
             total += p * q * Fraction(ell_ag(H, x, y))
     return total
-
-
-def class_infimum_ag(cls, mu, mu2, F, ell_ag):
-    if cls.partite:
-        return min(total_loss_partite_ag(mu, mu2, F, ell_ag, H) for H in cls)
-    return min(total_loss_ag(mu, mu2, F, ell_ag, H) for H in cls)
 
 
 # ---------------------------------------------------------------------------

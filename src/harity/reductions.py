@@ -66,7 +66,7 @@ def nonpartite_from_partite_learner(A2, template, labels, name=""):
     k = A2.k
 
     def fn(x, y, b):
-        m = learners.nonpartite_size(x)
+        m = learners.sample_size(x, False)
         G = A2(phi_m(x, m, k), phi_m_labels(y, m, k), b)
         return unpartize_hypothesis(G, template, labels)
 
@@ -267,7 +267,7 @@ def decode_departize_randomness(index, r_a, m, k):
     tags = _tag_radices(m, k)
     digits = decode_mixed(index, [r_a(m), factorial(m)] + tags + tags)
     b = digits[0]
-    sigma = indexing.injections(m, m)[digits[1]]
+    sigma = indexing.nth_permutation(digits[1], m)
     coords = indexing.subsets(m, k)
     U = {
         c: tag_subset(k, len(c), d)
@@ -285,7 +285,7 @@ def departize_learner(A, k, base_template, labels, name=""):
     the neutral symbol) into a partite learner for the partization class."""
 
     def fn(x, y, b):
-        m = learners.partite_size(x)
+        m = learners.sample_size(x, True)
         ba, sigma, U, Uprime = decode_departize_randomness(b, A.r, m, k)
         xhat, yhat = departize_sample(x, y, sigma, U, Uprime, k)
         H = A(xhat, yhat, ba)
@@ -440,11 +440,7 @@ def neutral_symbol_learner(A, witness):
     injection with the same image carries the symbol; partite: entrywise)."""
 
     def fn(x, y, b):
-        m = (
-            learners.partite_size(x)
-            if A.partite
-            else learners.nonpartite_size(x)
-        )
+        m = learners.sample_size(x, A.partite)
         ba, bn = divmod(b, witness.r_n(m))
         noise = witness.noise(x, bn, m)
         if A.partite:

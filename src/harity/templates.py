@@ -241,6 +241,15 @@ def partite_config_points(template, sizes):
     return [dict(zip(keys, vals)) for vals in product(*ranges)]
 
 
+def domain_points(template, k):
+    """The arity-k configuration points hypotheses over ``template`` are
+    defined on: E_[k](Omega) for a plain template, one vertex per part for a
+    partite one."""
+    if isinstance(template, PartiteTemplate):
+        return partite_config_points(template, 1)
+    return config_points(template, k)
+
+
 def partite_config_law(mu, sizes):
     if isinstance(sizes, int):
         sizes = [sizes] * mu.template.k

@@ -382,7 +382,7 @@ def test_criterion_12_derandomization():
     def a_fn(x, y, b):
         if b < 3:
             return const1
-        return cls.erm(x, y, learners.nonpartite_size(x))
+        return cls.erm(x, y, learners.sample_size(x, False))
 
     A = learners.Learner(2, a_fn, lambda m: 4, name="mixed")
     m_rand = lambda e, d: 8 / min(e, d)  # noqa: E731

@@ -252,10 +252,12 @@ def test_partition_table_family(tmp_path):
 
 
 def test_enumeration_cap_exits_3_quickly(tmp_path):
-    started = time.perf_counter()
-    res = _run(["dims", "--family", "bdeg", "--n", "8", "--out", str(tmp_path / "b")])
-    assert time.perf_counter() - started < 1
-    assert res.exit_code == cli.EXIT_INFEASIBLE, (res.output, res.exception)
+    for family, n in (("bdeg", "8"), ("matching", "30")):
+        started = time.perf_counter()
+        out = str(tmp_path / family)
+        res = _run(["dims", "--family", family, "--n", n, "--out", out])
+        assert time.perf_counter() - started < 1
+        assert res.exit_code == cli.EXIT_INFEASIBLE, (res.output, res.exception)
 
 
 def test_enumeration_cap_in_the_library():
@@ -263,6 +265,11 @@ def test_enumeration_cap_in_the_library():
         families.bounded_degree_family(8, 2)
     with pytest.raises(ValueError, match="cap"):
         families.distance_family(23)
+    with pytest.raises(ValueError, match="cap"):
+        families.matching_family(13)
+    with pytest.raises(ValueError, match="cap"):
+        families.highorder_family(13)
+    assert len(families.highorder_family(12).cls) == families.MEMBER_CAP
 
 
 # option names per subcommand, as each --help listed them before the scaffold

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -64,6 +64,15 @@ def test_injections_and_compose():
     assert indexing.identity_injection(3) == (1, 2, 3)
     # compose applies the right factor first
     assert indexing.compose((3, 1, 2), (2, 1)) == (1, 3)
+
+
+def test_nth_permutation_matches_lexicographic_order():
+    for m in range(7):
+        expected = list(permutations(range(1, m + 1)))
+        assert [indexing.nth_permutation(i, m) for i in range(len(expected))] == expected
+    for bad in (-1, 24):
+        with pytest.raises(ValueError):
+            indexing.nth_permutation(bad, 4)
 
 
 def test_invert_roundtrip():

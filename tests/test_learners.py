@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from harity import families, learners, losses, sampler, templates
-from harity.hypotheses import constant_hypothesis, star
+from harity import fastpath, families, learners, losses, sampler, templates
+from harity.hypotheses import (
+    Hypothesis,
+    HypothesisClass,
+    constant_hypothesis,
+    star,
+    star_partite,
+)
 
 
 def _m_rand(e, d):
@@ -12,11 +18,9 @@ def _m_rand(e, d):
 
 
 def test_size_helpers():
-    assert learners.nonpartite_size({(1,): 0, (2,): 0, (1, 2): 0}) == 2
-    assert (
-        learners.partite_size({((1, 1),): 0, ((2, 3),): 0, ((1, 1), (2, 3)): 0})
-        == 3
-    )
+    assert learners.sample_size({(1,): 0, (2,): 0, (1, 2): 0}, False) == 2
+    x = {((1, 1),): 0, ((2, 3),): 0, ((1, 1), (2, 3)): 0}
+    assert learners.sample_size(x, True) == 3
 
 
 def test_learner_randomness_range():
@@ -100,24 +104,96 @@ def test_uc_report_structure():
     assert report.erm_violations == 0
 
 
-def test_uc_fast_route_equals_manual_generic():
-    # the fast pair route must reproduce the generic empirical losses exactly
-    spec = families.matching_family(2)
-    cls = spec.cls
-    ell = losses.zero_one_loss(cls.labels, 2)
-    mu = templates.uniform_prob(cls.template)
-    F = cls.members[2]
-    sc = sampler.Scenario(mu, F)
-    ctx = learners._pair_context(sc, cls.members, ell)
-    assert ctx is not None
+def test_uc_fast_route_equals_manual_generic(monkeypatch):
+    # both k = 2 classes take a fastpath context, and its per-trial empirical
+    # losses reproduce the generic route exactly
+    built = []
+    for ctx_cls in (fastpath.PairContext, fastpath.TwoPartiteContext):
+        init = ctx_cls.__init__
+
+        def spy(self, *args, _init=init):
+            built.append(type(self))
+            _init(self, *args)
+
+        monkeypatch.setattr(ctx_cls, "__init__", spy)
+    match = families.matching_family(2).cls
+    ho = families.highorder_family(3).cls
+    setups = [
+        (
+            fastpath.PairContext,
+            sampler.Scenario(templates.uniform_prob(match.template), match.members[2]),
+            match,
+            losses.zero_one_loss(match.labels, 2),
+        ),
+        (
+            fastpath.TwoPartiteContext,
+            sampler.Scenario(
+                templates.uniform_partite_prob(ho.template), ho.members[-1], partite=True
+            ),
+            ho,
+            losses.zero_one_loss(ho.labels, 2, setting="partite"),
+        ),
+    ]
     m = 8
-    for t in range(10):
-        u = ctx.draw_unary(sampler.stream("ucfast", t), m)
-        x, y = sampler.labeled_sample(sc, m, sampler.stream("ucfast", t))
-        for H in cls.members:
-            assert ctx.empirical(ctx.loss_table(H), u) == (
-                losses.empirical_loss_nonpartite(x, y, ell, H, m)
-            )
+    for ctx_cls, sc, cls, ell in setups:
+        built.clear()
+        trial = learners._trial_losses(sc, cls.members, ell)
+        assert built and set(built) == {ctx_cls}
+        empirical = (
+            losses.empirical_loss_partite
+            if sc.partite
+            else losses.empirical_loss_nonpartite
+        )
+        for t in range(10):
+            x, y = sampler.labeled_sample(sc, m, sampler.stream("ucfast", t))
+            assert trial(sampler.stream("ucfast", t), m) == [
+                empirical(x, y, ell, H, m) for H in cls.members
+            ]
+
+
+def _agnostic_point_mass_scenarios():
+    """A k = 1 and a 2-partite agnostic scenario whose mu' is a point mass
+    at 1 and whose F reads the joined value's parity: F is 1 wherever the
+    joined sample can land, so H = 1 has empirical and total loss 0 exactly,
+    while F on the un-joined sample would be 1 only half the time."""
+    t = templates.Template(1, (2,))
+    point_mass = (Fraction(0), Fraction(1))
+    F = Hypothesis(1, templates.product_template(t, t), (0, 1), lambda x: x[(1,)] % 2)
+    sc1 = sampler.Scenario(
+        templates.uniform_prob(t), F, mu2=templates.ProbTemplate(t, (point_mass,))
+    )
+    pt = templates.PartiteTemplate(2, {(1,): 2, (2,): 2, (1, 2): 2})
+    pair = ((1, 1), (2, 1))
+    Fp = Hypothesis(
+        2, templates.product_partite_template(pt, pt), (0, 1), lambda x: x[pair] % 2
+    )
+    sc2 = sampler.Scenario(
+        templates.uniform_partite_prob(pt),
+        Fp,
+        mu2=templates.PartiteProbTemplate(pt, {a: point_mass for a in pt.sizes}),
+        partite=True,
+    )
+    return (sc1, t, losses.zero_one_loss((0, 1), 1)), (
+        sc2,
+        pt,
+        losses.zero_one_loss((0, 1), 2, setting="partite"),
+    )
+
+
+def test_agnostic_checks_use_the_joined_total():
+    eps = Fraction(1, 1000)
+    (sc1, t, ell1), (sc2, pt, ell2) = _agnostic_point_mass_scenarios()
+    H1 = constant_hypothesis(1, t, (0, 1), 1)
+    assert learners.check_concentration(sc1, H1, ell1, 6, eps, 10, "ag") == 0
+    H2 = constant_hypothesis(2, pt, (0, 1), 1)
+    assert learners.check_concentration(sc2, H2, ell2, 6, eps, 10, "ag") == 0
+    cls = HypothesisClass(2, pt, (0, 1), (constant_hypothesis(2, pt, (0, 1), 0), H2))
+    report = learners.check_uniform_convergence(sc2, cls, ell2, 6, eps, 10, "ag")
+    assert report.frequency == 1 and report.erm_violations == 0
+    assert learners.estimate_pac_success(
+        learners.Learner(2, lambda x, y, b: H2, lambda m: 1, partite=True),
+        sc2, ell2, 3, eps, 5, "ag", agnostic=True, cls=cls,
+    ) == 1
 
 
 def test_check_concentration_within_bound():
@@ -159,17 +235,28 @@ def test_split_nonpartite_shapes():
     F = spec.cls.members[1]
     x = sampler.sample_config(mu, 6, sampler.stream("split", 0))
     y = star(F, x, 6)
-    x1, y1, x2, y2 = learners._split_nonpartite(x, y, 2, 6, 2)
-    assert learners.nonpartite_size(x1) == 2
-    assert learners.nonpartite_size(x2) == 4
+    x1, y1, x2, y2 = learners._split(x, y, 2, 6, 2, False)
+    assert learners.sample_size(x1, False) == 2
+    assert learners.sample_size(x2, False) == 4
     assert y1[(1, 2)] == y[(1, 2)]
     assert y2[(1, 2)] == y[(3, 4)]
     assert x2[(1,)] == x[(3,)]
 
 
-def test_derandomize_deterministic_and_fallback():
-    from harity import fastpath
+def test_split_partite_shapes():
+    ho = families.highorder_family(3).cls
+    mu = templates.uniform_partite_prob(ho.template)
+    x = sampler.sample_partite_config(mu, 5, sampler.stream("split", 1))
+    y = star_partite(ho.members[-1], x, 5)
+    x1, y1, x2, y2 = learners._split(x, y, 2, 5, 2, True)
+    assert learners.sample_size(x1, True) == 2
+    assert learners.sample_size(x2, True) == 3
+    assert len(y1) == 4 and len(y2) == 9
+    assert y2[(1, 2)] == y[(3, 4)]
+    assert x2[((1, 1), (2, 3))] == x[((1, 3), (2, 5))]
 
+
+def test_derandomize_deterministic_and_fallback():
     spec = families.matching_family(2)
     cls = spec.cls
     ell = losses.zero_one_loss(cls.labels, 2)

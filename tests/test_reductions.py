@@ -224,6 +224,17 @@ def test_decode_departize_randomness_covers_everything():
     assert len(seen) == total
 
 
+def test_decode_departize_randomness_unranks_sigma_at_m16():
+    # the last index has every digit at its maximum; sigma is the last
+    # permutation of [16] in lexicographic order, i.e. the reversed one
+    r_a = lambda m: 3  # noqa: E731
+    last = reductions.departize_r(r_a, 16, 2) - 1
+    b, sigma, U, Uprime = reductions.decode_departize_randomness(last, r_a, 16, 2)
+    assert b == 2
+    assert sigma == tuple(range(16, 0, -1))
+    assert U[(1,)] == Uprime[(1,)] == (2,)
+
+
 def test_confidence_discounts():
     assert reductions.delta_tilde(Fraction(1, 2), Fraction(2, 5), 1) == Fraction(1, 10)
     assert reductions.delta_tilde(1, 1, Fraction(1, 100)) == Fraction(1, 2)
