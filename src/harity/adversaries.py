@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from . import dims, indexing, learners, losses, sampler, templates
+from . import dims, learners, losses, sampler, templates
 from .hypotheses import Hypothesis, HypothesisClass
 
 
@@ -52,7 +52,14 @@ class ShatteredScenario:
         )
 
 
-def shattered_scenario(d, labels=(0, 1), f0=None, f1=None, explicit_cap=12):
+# shattered scenarios up to this size enumerate all 2^d hypotheses F_B: the
+# class lists them as members and the no-free-lunch search tries every B
+EXPLICIT_CAP = 12
+# the number of seeded random B the no-free-lunch search tries above the cap
+NFL_RANDOM_BATCH = 64
+
+
+def shattered_scenario(d, labels=(0, 1), f0=None, f1=None):
     f0 = (lambda a: labels[0]) if f0 is None else f0
     f1 = (lambda a: labels[1]) if f1 is None else f1
     for a in range(d):
@@ -72,7 +79,7 @@ def shattered_scenario(d, labels=(0, 1), f0=None, f1=None, explicit_cap=12):
         return sc.hypothesis(B)
 
     members = None
-    if d <= explicit_cap:
+    if d <= EXPLICIT_CAP:
         members = tuple(
             sc.hypothesis(B)
             for r in range(d + 1)
@@ -88,16 +95,15 @@ def erm_learner(sc):
     )
 
 
-def nfl_worst_F(A, sc, m, eps, trials, seed, ell=None, n_random=64, search_trials=100):
+def nfl_worst_F(A, sc, m, eps, trials, seed, ell=None, search_trials=100):
     """The B maximizing the Monte Carlo failure estimate P[L > eps], with a
-    final measurement at the full trial count.  Exhaustive over B for d <= 12,
-    otherwise a seeded random batch (the averaging argument makes a random B
-    faithful)."""
+    final measurement at the full trial count.  Exhaustive over B for d <=
+    EXPLICIT_CAP, otherwise a seeded random batch (the averaging argument
+    makes a random B faithful)."""
     if ell is None:
         ell = losses.zero_one_loss(sc.labels, 1)
-    eps = Fraction(eps)
     d = sc.d
-    if d <= 12:
+    if d <= EXPLICIT_CAP:
         candidates = [
             frozenset(B) for r in range(d + 1) for B in combinations(range(d), r)
         ]
@@ -105,21 +111,13 @@ def nfl_worst_F(A, sc, m, eps, trials, seed, ell=None, n_random=64, search_trial
         rng = sampler.stream(seed, "B-choice")
         candidates = [
             frozenset(a for a in range(d) if rng.random() < 0.5)
-            for _ in range(n_random)
+            for _ in range(NFL_RANDOM_BATCH)
         ]
 
     def failure_freq(B, n, tag):
-        F = sc.hypothesis(B)
-        scen = sampler.Scenario(sc.mu, F)
-        fails = 0
-        for t in range(n):
-            r = sampler.stream(seed, f"{tag}/{t}")
-            x, y = sampler.labeled_sample(scen, m, r)
-            b = r.randrange(A.r(m))
-            H = A(x, y, b)
-            if losses.total_loss(sc.mu, F, ell, H) > eps:
-                fails += 1
-        return Fraction(fails, n)
+        scen = sampler.Scenario(sc.mu, sc.hypothesis(B))
+        success = learners.estimate_pac_success(A, scen, ell, m, eps, n, f"{seed}/{tag}")
+        return 1 - success
 
     best = None
     for i, B in enumerate(candidates):
@@ -152,11 +150,11 @@ class SliceNonlearnScenario:
     def assemble(self, js, m):
         """The partite sample whose part-``a_missing`` vertex i carries the
         slice point js[i-1]; every other part repeats the fixed slice point."""
-        k = self.cls.k
+        t = self.cls.template
         a = self.a_missing
         out = {}
-        for f in indexing.part_indices(k, m):
-            dom = tuple(p for p, _ in f)
+        for f in t.coords(m):
+            dom = t.space(f)
             base_key = tuple((p, 1) for p in dom)
             if a in dom:
                 i = dict(f)[a]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from . import indexing, templates
+from . import templates
 from .hypotheses import canonical_key
 
 
@@ -122,7 +122,7 @@ def vc_dim(fam, cap=6, domain_cap=64):
 def slice_domains_nonpartite(cls):
     """The coordinates a non-partite slice function varies over: all index
     sets within [k] that contain the new vertex k."""
-    return [a for a in indexing.subsets(cls.k, cls.k) if cls.k in a]
+    return [a for a in cls.template.coords(cls.k) if cls.k in a]
 
 
 def slice_points_nonpartite(cls):
@@ -145,22 +145,16 @@ def _slice_family(cls, slice_key, x, points):
 
 def slice_family_nonpartite(cls, x):
     """The unary family H(x): restrictions of the class to extensions of x."""
-    keys = slice_domains_nonpartite(cls)
-    ranges = [range(cls.template.size(len(a))) for a in keys]
-    points = [dict(zip(keys, vals)) for vals in product(*ranges)]
+    points = templates.points_over(cls.template, slice_domains_nonpartite(cls))
     return _slice_family(cls, x, x, points)
 
 
 def _part_points(cls, a_missing, containing):
     """All value assignments to the coordinates whose domain contains the
     part ``a_missing`` (``containing``) or avoids it."""
-    keys = [
-        f
-        for f in indexing.part_indices(cls.k, 1)
-        if (a_missing in {p for p, _ in f}) == containing
-    ]
-    ranges = [range(cls.template.size(tuple(p for p, _ in f))) for f in keys]
-    return [dict(zip(keys, vals)) for vals in product(*ranges)]
+    t = cls.template
+    keys = [f for f in t.coords(1) if (a_missing in t.space(f)) == containing]
+    return templates.points_over(t, keys)
 
 
 def slice_points_partite(cls, a_missing):

@@ -257,10 +257,8 @@ def highorder_family(n):
             members.append(h)
             by_v[vset] = h
 
-    def erm(x, y, sizes):
+    def erm(x, y, m):
         # witnessed diagonal values determine membership exactly
-        if isinstance(sizes, int):
-            sizes = [sizes, sizes]
         v_hat = set()
         for alpha, label in y.items():
             i, j = alpha

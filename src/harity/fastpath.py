@@ -17,7 +17,8 @@ coordinates of one cross pair.
 
 Neither context knows an auxiliary measure mu', so agnostic scenarios always
 take the generic route; ``learners._trial_losses`` chooses the route for both
-the uniform-convergence and the concentration check.
+the uniform-convergence and the concentration check.  The contexts compute
+empirical losses only: ``losses`` owns every exact total.
 """
 
 from collections import Counter
@@ -48,12 +49,10 @@ class PairContext:
     def __init__(self, mu, F, ell):
         if ell.k != 2 or ell.setting != "nonpartite":
             raise ValueError("pair context needs a non-partite binary loss")
-        self.mu = mu
         self.n = mu.template.size(1)
-        self.weights = mu.weights[0]
         self.ell = ell
         self.ftable = self.value_table(F)
-        self._floats = [float(w) for w in self.weights]
+        self._floats = [float(w) for w in mu.weights[0]]
 
     def value_table(self, H):
         n = self.n
@@ -80,14 +79,6 @@ class PairContext:
                 if V[a][b] != V[b][a]:
                     raise ValueError("asymmetric loss table; fast path invalid")
         return V
-
-    def total(self, H, table=None):
-        """Exact total loss of H against the adversary."""
-        V = self.loss_table(H) if table is None else table
-        w = self.weights
-        return sum(
-            w[a] * w[b] * V[a][b] for a in range(self.n) for b in range(self.n)
-        )
 
     def draw_unary(self, rng, m):
         """The m unary values of a size-m sample: the first m draws of the
@@ -131,7 +122,6 @@ class TwoPartiteContext:
         vals = []
         index = {}
         code = np.empty((self.n1, self.n2, self.n12), dtype=np.int64)
-        total = Fraction(0)
         w1, w2, w12 = mu.weights[(1,)], mu.weights[(2,)], mu.weights[(1, 2)]
         for a in range(self.n1):
             for b in range(self.n2):
@@ -142,10 +132,8 @@ class TwoPartiteContext:
                         index[v] = len(vals)
                         vals.append(v)
                     code[a, b, c] = index[v]
-                    total += w1[a] * w2[b] * w12[c] * v
         self.values = vals
         self.code = code
-        self.total = total
         self._cum1, self._cum2, self._cum12 = _cum(w1), _cum(w2), _cum(w12)
 
     def draw(self, rng, m):

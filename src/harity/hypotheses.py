@@ -66,14 +66,12 @@ def pattern(F, x):
     return tuple(F(indexing.pullback(sigma, x)) for sigma in perms(F.k))
 
 
-def star_partite(F, x, sizes):
-    """Partite F*: label tensor indexed by tuples in prod [m_i]."""
-    if isinstance(sizes, int):
-        sizes = [sizes] * F.k
-    out = {}
-    for alpha in product(*(range(1, s + 1) for s in sizes)):
-        out[alpha] = F(indexing.pullback_partite(alpha, x))
-    return out
+def star_partite(F, x, m):
+    """Partite F*: label tensor indexed by tuples in [m]^k."""
+    return {
+        alpha: F(indexing.pullback_partite(alpha, x))
+        for alpha in product(range(1, m + 1), repeat=F.k)
+    }
 
 
 def rank_of(F):

@@ -21,14 +21,14 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 
-def subsets(m, arity_cap):
-    """All non-empty subsets of [m] of size <= arity_cap, size-then-lex."""
+def subsets(m, max_size):
+    """All non-empty subsets of [m] of size <= max_size, size-then-lex."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if arity_cap < 1:
-        raise ValueError("arity_cap must be >= 1")
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
     out = []
-    for size in range(1, min(m, arity_cap) + 1):
+    for size in range(1, min(m, max_size) + 1):
         out.extend(combinations(range(1, m + 1), size))
     return out
 

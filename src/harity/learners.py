@@ -89,11 +89,10 @@ def erm_partite(cls, ell, use_oracle=True):
 def _total_loss(sc, ell, H):
     """Exact total loss of H in the scenario: the plain or the agnostic
     (mu, mu', F) total of the scenario's setting."""
-    if sc.mu2 is None:
-        total = losses.total_loss_partite if sc.partite else losses.total_loss
-        return total(sc.mu, sc.F, ell, H)
-    total = losses.total_loss_partite_ag if sc.partite else losses.total_loss_ag
-    return total(sc.mu, sc.mu2, sc.F, losses.wrap_agnostic(ell), H)
+    if sc.mu2 is not None:
+        return losses.total_loss_ag(sc.mu, sc.mu2, sc.F, losses.wrap_agnostic(ell), H)
+    total = losses.total_loss_partite if sc.partite else losses.total_loss
+    return total(sc.mu, sc.F, ell, H)
 
 
 def _pairable(sc, members, ell):
@@ -274,17 +273,22 @@ def derandomized_sample_size_simple(m_rand, r, k, setting, sup_norm, eps):
     )
 
 
-def split_for(m, m_rand, r, k, setting, sup_norm=1, s_cap=10**6, r_cap=2**20):
+# split_for scans s up to SPLIT_S_CAP and refuses R(m1) above RANDOMNESS_CAP
+SPLIT_S_CAP = 10**6
+RANDOMNESS_CAP = 2**20
+
+
+def split_for(m, m_rand, r, k, setting, sup_norm=1):
     """Largest s (with its prefix size m1) such that
     m1(s) + ceil(8 K sup^2 s^2 ln(4 s R(m1))) <= m; None when even s = 1
     fails.  Scans upward and stops at the first failure; R(m1) is capped."""
     K = concentration_constant(k, setting)
     best = None
     s = 1
-    while s <= s_cap:
+    while s <= SPLIT_S_CAP:
         m1 = math.ceil(m_rand(Fraction(1, 2 * s), Fraction(1, 2 * s)))
         rv = r(m1)
-        if rv > r_cap:
+        if rv > RANDOMNESS_CAP:
             raise ValueError("randomness count exceeds the experiment cap")
         need = m1 + math.ceil(
             8 * K * float(sup_norm) ** 2 * s * s * math.log(4 * s * rv)
@@ -318,16 +322,7 @@ def _split(x, y, m1, m, k, partite):
     return (*part(0, m1), *part(m1, m))
 
 
-def derandomize(
-    A,
-    m_rand,
-    ell,
-    fallback,
-    sup_norm=None,
-    empirical_eval=None,
-    s_cap=10**6,
-    r_cap=2**20,
-):
+def derandomize(A, m_rand, ell, fallback, sup_norm=None, empirical_eval=None):
     """Deterministic wrapper: split the sample, run A on the prefix under
     every randomness index, and return the candidate with the smallest
     empirical loss on the holdout (smallest index on ties).  Degenerate sizes
@@ -341,7 +336,7 @@ def derandomize(
     def fn(x, y, b):
         m = sample_size(x, A.partite)
         setting = "partite" if A.partite else "nonpartite"
-        sp = split_for(m, m_rand, A.r, A.k, setting, sup, s_cap, r_cap)
+        sp = split_for(m, m_rand, A.r, A.k, setting, sup)
         if sp is None:
             return fallback
         _, m1 = sp
@@ -397,15 +392,13 @@ def infvcn_learner(n_max):
 # PAC success estimation
 
 
-def estimate_pac_success(
-    A, sc, ell, m, eps, trials, seed, agnostic=False, inf_loss=None, cls=None
-):
+def estimate_pac_success(A, sc, ell, m, eps, trials, seed, agnostic=False, cls=None):
     """Monte Carlo frequency of trials whose learned hypothesis has total
-    loss <= eps (non-agnostic) or <= inf + eps (agnostic, exact infimum)."""
-    eps = Fraction(eps)
-    if agnostic and inf_loss is None:
-        inf_loss = min(_total_loss(sc, ell, H) for H in cls)
-    target = eps + (inf_loss if agnostic else 0)
+    loss <= eps (non-agnostic) or <= inf + eps (agnostic, exact infimum over
+    ``cls``)."""
+    target = Fraction(eps)
+    if agnostic:
+        target += min(_total_loss(sc, ell, H) for H in cls)
     wins = 0
     for t in range(trials):
         rng = sampler.stream(seed, t)

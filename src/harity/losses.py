@@ -141,12 +141,17 @@ def total_loss(mu, F, ell, H):
 
 
 def total_loss_ag(mu, mu2, F, ell_ag, H):
-    """Non-partite agnostic: E over (mu (x) mu')^k of l(H, x, F-pattern)."""
-    t1, t2 = mu.template, mu2.template
+    """Agnostic, either setting: E over mu (x) mu' of l(H, x, y), where y is
+    F's labels at the joined point (its single label when partite)."""
+    if isinstance(mu.template, templates.PartiteTemplate):
+        law, m, labels = templates.partite_config_law, 1, F
+    else:
+        law, m, labels = templates.config_law, ell_ag.k, lambda z: pattern(F, z)
+    xp_law = law(mu2, m)
     total = Fraction(0)
-    for x, p in templates.config_law(mu, ell_ag.k):
-        for xp, q in templates.config_law(mu2, ell_ag.k):
-            y = pattern(F, templates.join_config(t1, t2, x, xp))
+    for x, p in law(mu, m):
+        for xp, q in xp_law:
+            y = labels(templates.join_config(mu.template, mu2.template, x, xp))
             total += p * q * Fraction(ell_ag(H, x, y))
     return total
 
@@ -158,33 +163,19 @@ def total_loss_partite(mu, F, ell, H):
     return total
 
 
-def total_loss_partite_ag(mu, mu2, F, ell_ag, H):
-    t1, t2 = mu.template, mu2.template
-    total = Fraction(0)
-    for x, p in templates.partite_config_law(mu, 1):
-        for xp, q in templates.partite_config_law(mu2, 1):
-            y = F(templates.join_partite_config(t1, t2, x, xp))
-            total += p * q * Fraction(ell_ag(H, x, y))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # empirical losses
 
 
-def empirical_loss_partite(x, y, ell, H, sizes):
-    """Mean over alpha in prod V_i of l(alpha*(x), H(alpha*(x)), y_alpha)."""
-    if isinstance(sizes, int):
-        sizes = [sizes] * ell.k
+def empirical_loss_partite(x, y, ell, H, m):
+    """Mean over alpha in [m]^k of l(alpha*(x), H(alpha*(x)), y_alpha)."""
+    if m < 1:
+        raise ValueError("empty sample")
     total = Fraction(0)
-    count = 0
-    for alpha in product(*(range(1, s + 1) for s in sizes)):
+    for alpha in product(range(1, m + 1), repeat=ell.k):
         xa = indexing.pullback_partite(alpha, x)
         total += Fraction(ell(xa, H(xa), y[alpha]))
-        count += 1
-    if count == 0:
-        raise ValueError("empty sample")
-    return total / count
+    return total / m**ell.k
 
 
 def canonical_order_choice(m, k):
@@ -374,12 +365,12 @@ def bayes_predictor_partite(mu, mu2, F, ell):
     t1, t2 = mu.template, mu2.template
     xp_law = templates.partite_config_law(mu2, 1)
     values = {}
-    for x in templates.partite_config_points(t1, 1):
+    for x in templates.config_points(t1, 1):
         best = None
         for c in ell.labels:
             total = Fraction(0)
             for xp, q in xp_law:
-                y = F(templates.join_partite_config(t1, t2, x, xp))
+                y = F(templates.join_config(t1, t2, x, xp))
                 total += q * Fraction(ell(x, c, y))
             cand = (total, ell.labels.index(c))
             if best is None or cand < best:

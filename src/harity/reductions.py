@@ -362,7 +362,7 @@ def departize_construction_law(mu_part, mu2_part, F_part, m, k):
     law = {}
     for x, p in templates.partite_config_law(mu_part, m):
         for xp, q in templates.partite_config_law(mu2_part, m):
-            joined = templates.join_partite_config(t1, t2, x, xp)
+            joined = templates.join_config(t1, t2, x, xp)
             y = star_partite(F_part, joined, m)
             for sigma, U, Uprime, w in _randomness_atoms(m, k):
                 xhat, yhat = departize_sample(x, y, sigma, U, Uprime, k)

@@ -8,7 +8,7 @@ Each Monte Carlo trial derives an independent ``random.Random`` stream from
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import indexing, templates
+from . import templates
 from .hypotheses import star, star_partite
 
 
@@ -44,53 +44,54 @@ def _draw(rng, weights):
     return len(weights) - 1
 
 
-def sample_config(mu, m, rng, arity_cap=None):
-    """One independent draw per subset A of [m] with |A| <= cap."""
-    cap = mu.template.k if arity_cap is None else arity_cap
+def _draw_config(mu, m, rng):
+    """One independent draw per coordinate of a size-m sample, in canonical
+    order, from its ground space's weights (as floats, once per space)."""
+    t = mu.template
+    floats = {}
     out = {}
-    floats = {i: [float(w) for w in mu.weights[i - 1]] for i in range(1, cap + 1)}
-    for a in indexing.subsets(m, cap):
-        out[a] = _draw(rng, floats[len(a)])
+    for key in t.coords(m):
+        space = t.space(key)
+        if space not in floats:
+            floats[space] = [float(mu.weight(space, p)) for p in range(t.size(space))]
+        out[key] = _draw(rng, floats[space])
     return out
 
 
-def sample_partite_config(mu, sizes, rng):
-    if isinstance(sizes, int):
-        sizes = [sizes] * mu.template.k
-    out = {}
-    for f in indexing.part_indices(mu.template.k, list(sizes)):
-        dom = tuple(p for p, _ in f)
-        out[f] = _draw(rng, [float(w) for w in mu.weights[dom]])
-    return out
+def sample_config(mu, m, rng):
+    """One independent draw per subset A of [m] with |A| <= k."""
+    return _draw_config(mu, m, rng)
+
+
+def sample_partite_config(mu, m, rng):
+    """One independent draw per partite index with m vertices per part."""
+    return _draw_config(mu, m, rng)
 
 
 def _setting(partite):
-    """The config sampler, exact config law, product join and F* map of the
-    partite or the non-partite setting."""
+    """The config sampler, exact config law and F* map of the partite or the
+    non-partite setting."""
     if partite:
-        return (
-            sample_partite_config,
-            templates.partite_config_law,
-            templates.join_partite_config,
-            star_partite,
-        )
-    return sample_config, templates.config_law, templates.join_config, star
+        return sample_partite_config, templates.partite_config_law, star_partite
+    return sample_config, templates.config_law, star
 
 
 def labeled_sample(sc, m, rng):
     """Draw the learner's visible sample (x, F*-labels); the auxiliary x' is
     sampled and discarded."""
-    draw, _, join, star_of = _setting(sc.partite)
+    draw, _, star_of = _setting(sc.partite)
     x = draw(sc.mu, m, rng)
     joined = x
     if sc.mu2 is not None:
-        joined = join(sc.mu.template, sc.mu2.template, x, draw(sc.mu2, m, rng))
+        joined = templates.join_config(
+            sc.mu.template, sc.mu2.template, x, draw(sc.mu2, m, rng)
+        )
     return x, star_of(sc.F, joined, m)
 
 
 def exact_sample_law(sc, m, max_atoms=10**6):
     """Exact rational law of (x, y) as a dict keyed by canonical encodings."""
-    _, law_of, join, star_of = _setting(sc.partite)
+    _, law_of, star_of = _setting(sc.partite)
     x_law = law_of(sc.mu, m)
     xp_law = [({}, Fraction(1))] if sc.mu2 is None else law_of(sc.mu2, m)
     if len(x_law) * len(xp_law) > max_atoms:
@@ -100,7 +101,7 @@ def exact_sample_law(sc, m, max_atoms=10**6):
         for xp, q in xp_law:
             joined = x
             if sc.mu2 is not None:
-                joined = join(sc.mu.template, sc.mu2.template, x, xp)
+                joined = templates.join_config(sc.mu.template, sc.mu2.template, x, xp)
             y = star_of(sc.F, joined, m)
             key = (
                 tuple(sorted(x.items())),

@@ -1,6 +1,12 @@
 """Finite stand-ins for Borel/probability templates (plain and partite),
 label spaces, product templates, and exact configuration-space enumeration.
 
+A template owns the coordinate rule of its setting: ``coords(m)`` lists the
+coordinates of a size-m sample in canonical order, and ``space(key)`` names
+the ground space coordinate ``key`` draws from (its arity for a plain
+template, its part set for a partite one).  Products, points, exact laws and
+the samplers are written once over these two methods.
+
 Probabilities are exact rationals (``fractions.Fraction``) so tiny-instance
 oracles compare distributions for equality; Monte Carlo code converts to
 floats only at the sampling boundary.
@@ -32,6 +38,14 @@ class Template:
 
     def size(self, i):
         return self.sizes[i - 1] if i <= self.k else 1
+
+    def coords(self, m):
+        """The subsets of [m] of size at most k."""
+        return indexing.subsets(m, self.k)
+
+    def space(self, key):
+        """A coordinate draws from the ground space of its arity."""
+        return len(key)
 
 
 @dataclass(frozen=True)
@@ -69,6 +83,14 @@ class PartiteTemplate:
 
     def size(self, a):
         return self.sizes[tuple(a)]
+
+    def coords(self, m):
+        """The partite indices with m vertices in every part."""
+        return indexing.part_indices(self.k, m)
+
+    def space(self, key):
+        """A coordinate draws from the ground space of its part set."""
+        return tuple(p for p, _ in key)
 
 
 @dataclass(frozen=True)
@@ -129,27 +151,16 @@ def product_prob(p1, p2):
     return ProbTemplate(t, tuple(weights))
 
 
-def join_point(t1, t2, i, a, b):
-    """Identify E_V(Omega (x) Omega') with E_V(Omega) x E_V(Omega')."""
-    return a * t2.size(i) + b
-
-
-def split_point(t1, t2, i, c):
-    return divmod(c, t2.size(i))
-
-
 def join_config(t1, t2, x1, x2):
-    out = {}
-    for key in x1:
-        i = len(key)
-        out[key] = join_point(t1, t2, i, x1[key], x2[key])
-    return out
+    """Identify E_V(Omega (x) Omega') with E_V(Omega) x E_V(Omega'),
+    coordinate by coordinate."""
+    return {key: a * t2.size(t2.space(key)) + x2[key] for key, a in x1.items()}
 
 
 def split_config(t1, t2, x):
     a, b = {}, {}
     for key, c in x.items():
-        a[key], b[key] = split_point(t1, t2, len(key), c)
+        a[key], b[key] = divmod(c, t2.size(t2.space(key)))
     return a, b
 
 
@@ -161,21 +172,6 @@ def product_partite_template(t1, t2):
         k, {a: t1.size(a) * t2.size(a) for a in indexing.subsets(k, k)}
     )
 
-
-def join_partite_config(t1, t2, x1, x2):
-    out = {}
-    for key in x1:
-        a = tuple(p for p, _ in key)
-        out[key] = x1[key] * t2.size(a) + x2[key]
-    return out
-
-
-def split_partite_config(t1, t2, x):
-    a, b = {}, {}
-    for key, c in x.items():
-        dom = tuple(p for p, _ in key)
-        a[key], b[key] = divmod(c, t2.size(dom))
-    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +195,38 @@ def partize_prob(mu, k):
 # configuration-space enumeration (exact)
 
 
-def config_points(template, m, arity_cap=None):
-    """All points of E_[m](Omega) truncated at the arity cap (default k)."""
-    cap = template.k if arity_cap is None else arity_cap
-    keys = indexing.subsets(m, cap)
-    ranges = [range(template.size(len(a))) for a in keys]
+def points_over(template, keys):
+    """Every assignment of a point of its ground space to each coordinate in
+    ``keys``."""
+    ranges = [range(template.size(template.space(key))) for key in keys]
     return [dict(zip(keys, vals)) for vals in product(*ranges)]
 
 
-def _product_law(mu, keys, domain_of):
-    """Exact law of independent coordinates ``keys``, each drawn from mu's
-    weights on ``domain_of(key)``, as (config point, Fraction) pairs."""
+def config_points(template, m):
+    """All points of the size-m configuration space (m vertices per part in
+    the partite setting)."""
+    return points_over(template, template.coords(m))
+
+
+def domain_points(template, k):
+    """The arity-k configuration points hypotheses over ``template`` are
+    defined on: E_[k](Omega) for a plain template, one vertex per part for a
+    partite one."""
+    return config_points(template, 1 if isinstance(template, PartiteTemplate) else k)
+
+
+def _product_law(mu, m):
+    """Exact law of the size-m sample, one independent coordinate per
+    ``coords(m)`` drawn from mu's weights on its ground space, as (config
+    point, Fraction) pairs."""
+    t = mu.template
     out = [({}, Fraction(1))]
-    for key in keys:
-        dom = domain_of(key)
+    for key in t.coords(m):
+        space = t.space(key)
         nxt = []
         for x, p in out:
-            for point in range(mu.template.size(dom)):
-                w = mu.weight(dom, point)
+            for point in range(t.size(space)):
+                w = mu.weight(space, point)
                 if w == 0:
                     continue
                 y = dict(x)
@@ -226,35 +236,14 @@ def _product_law(mu, keys, domain_of):
     return out
 
 
-def config_law(mu, m, arity_cap=None):
+def config_law(mu, m):
     """Exact law of mu^[m] as a list of (config point, Fraction) pairs."""
-    cap = mu.template.k if arity_cap is None else arity_cap
-    return _product_law(mu, indexing.subsets(m, cap), len)
+    return _product_law(mu, m)
 
 
-def partite_config_points(template, sizes):
-    """All points of the partite configuration space with the given part sizes."""
-    if isinstance(sizes, int):
-        sizes = [sizes] * template.k
-    keys = indexing.part_indices(template.k, list(sizes))
-    ranges = [range(template.size(tuple(p for p, _ in f))) for f in keys]
-    return [dict(zip(keys, vals)) for vals in product(*ranges)]
-
-
-def domain_points(template, k):
-    """The arity-k configuration points hypotheses over ``template`` are
-    defined on: E_[k](Omega) for a plain template, one vertex per part for a
-    partite one."""
-    if isinstance(template, PartiteTemplate):
-        return partite_config_points(template, 1)
-    return config_points(template, k)
-
-
-def partite_config_law(mu, sizes):
-    if isinstance(sizes, int):
-        sizes = [sizes] * mu.template.k
-    keys = indexing.part_indices(mu.template.k, list(sizes))
-    return _product_law(mu, keys, lambda f: tuple(p for p, _ in f))
+def partite_config_law(mu, m):
+    """Exact law of a partite sample with m vertices per part."""
+    return _product_law(mu, m)
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ def test_criterion_07_departization_oracle():
             lhs += p * (0 if pattern(Ht, dict(xh)) == (y12, y21) else 1)
     pk = reductions.departize_p(2)
     ag = losses.wrap_agnostic(losses.zero_one_loss(Fp.labels, 2, setting="partite"))
-    l_kpart = losses.total_loss_partite_ag(mup, mu2p, Fp, ag, partize_hypothesis(H))
+    l_kpart = losses.total_loss_ag(mup, mu2p, Fp, ag, partize_hypothesis(H))
     rhs = (1 - pk) * C + pk * l_kpart
     ok = law_a == law_b and survived == pk == Fraction(1, 16) and lhs == rhs
     _report(
@@ -411,7 +411,7 @@ def test_criterion_12_derandomization():
         H = D(x, y, 0)
         if t == 0:
             deterministic = deterministic and D(x, y, 0) is H
-        if ctx.total(H) <= Fraction(1, 4):
+        if losses.total_loss(mu, F, ell, H) <= Fraction(1, 4):
             successes += 1
     freq_der = Fraction(successes, trials)
     slack = 3 * _sigma(trials)

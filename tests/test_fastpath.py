@@ -15,12 +15,6 @@ def _matching_ctx(n=2):
     return cls, mu, F, fastpath.PairContext(mu, F, ell), ell
 
 
-def test_pair_total_matches_exact():
-    cls, mu, F, ctx, ell = _matching_ctx()
-    for H in cls.members:
-        assert ctx.total(H) == losses.total_loss(mu, F, ell, H)
-
-
 def test_pair_empirical_matches_generic():
     # the fast route reads the same stream prefix the generic route reads,
     # so both see identical unary values and identical empirical losses
@@ -87,12 +81,6 @@ def _two_partite_setup():
     H = cls.members[1]
     ell = losses.zero_one_loss(cls.labels, 2, setting="partite")
     return cls, mu, F, H, ell
-
-
-def test_two_partite_total():
-    cls, mu, F, H, ell = _two_partite_setup()
-    ctx = fastpath.TwoPartiteContext(mu, F, H, ell)
-    assert ctx.total == losses.total_loss_partite(mu, F, ell, H)
 
 
 def test_two_partite_draw_matches_generic():

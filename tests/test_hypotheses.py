@@ -107,7 +107,7 @@ def test_partize_class_bijective():
 def test_star_partite_shape():
     spec = families.highorder_family(2)
     F = spec.cls.members[1]
-    x = templates.partite_config_points(spec.cls.template, 2)[0]
+    x = templates.config_points(spec.cls.template, 2)[0]
     y = star_partite(F, x, 2)
     assert set(y) == {(i, j) for i in (1, 2) for j in (1, 2)}
 

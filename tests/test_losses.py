@@ -207,10 +207,10 @@ def test_bayes_partite():
     ell = losses.zero_one_loss((0, 1), 1, setting="partite")
     ag = losses.wrap_agnostic(ell)
     B = losses.bayes_predictor_partite(mu, mu2, F, ell)
-    bloss = losses.total_loss_partite_ag(mu, mu2, F, ag, B)
+    bloss = losses.total_loss_ag(mu, mu2, F, ag, B)
     for v in (0, 1):
         H = constant_hypothesis(1, pt, (0, 1), v)
-        assert bloss <= losses.total_loss_partite_ag(mu, mu2, F, ag, H)
+        assert bloss <= losses.total_loss_ag(mu, mu2, F, ag, H)
 
 
 def test_cover_hart():

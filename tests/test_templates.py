@@ -54,22 +54,37 @@ def test_product_prob_valid(w1a, w1b, w2a, w2b):
     assert prod.weight(1, 1) == w1a[0] * w2a[1]
 
 
-def test_join_split_roundtrip():
-    t1 = templates.Template(2, (2, 3))
-    t2 = templates.Template(2, (3, 2))
-    x1 = {(1,): 1, (2,): 0, (1, 2): 2}
-    x2 = {(1,): 2, (2,): 1, (1, 2): 1}
+@pytest.mark.parametrize(
+    "t1, t2, x1, x2",
+    [
+        (
+            templates.Template(2, (2, 3)),
+            templates.Template(2, (3, 2)),
+            {(1,): 1, (2,): 0, (1, 2): 2},
+            {(1,): 2, (2,): 1, (1, 2): 1},
+        ),
+        (
+            templates.PartiteTemplate(2, {(1,): 2, (2,): 2, (1, 2): 3}),
+            templates.PartiteTemplate(2, {(1,): 3, (2,): 1, (1, 2): 2}),
+            {((1, 1),): 1, ((2, 1),): 0, ((1, 1), (2, 1)): 2},
+            {((1, 1),): 2, ((2, 1),): 0, ((1, 1), (2, 1)): 1},
+        ),
+    ],
+    ids=["plain", "partite"],
+)
+def test_join_split_roundtrip(t1, t2, x1, x2):
     j = templates.join_config(t1, t2, x1, x2)
     assert templates.split_config(t1, t2, j) == (x1, x2)
 
 
-def test_join_split_partite_roundtrip():
-    t1 = templates.PartiteTemplate(2, {(1,): 2, (2,): 2, (1, 2): 3})
-    t2 = templates.PartiteTemplate(2, {(1,): 3, (2,): 1, (1, 2): 2})
-    x1 = {((1, 1),): 1, ((2, 1),): 0, ((1, 1), (2, 1)): 2}
-    x2 = {((1, 1),): 2, ((2, 1),): 0, ((1, 1), (2, 1)): 1}
-    j = templates.join_partite_config(t1, t2, x1, x2)
-    assert templates.split_partite_config(t1, t2, j) == (x1, x2)
+def test_coords_follow_the_index_algebra():
+    t = templates.Template(2, (2, 3))
+    pt = templates.PartiteTemplate(2, {(1,): 2, (2,): 2, (1, 2): 3})
+    for m in range(5):
+        assert t.coords(m) == indexing.subsets(m, 2)
+        assert pt.coords(m) == indexing.part_indices(2, m)
+    assert [t.space(a) for a in t.coords(3)] == [1, 1, 1, 2, 2, 2]
+    assert [pt.space(f) for f in pt.coords(1)] == [(1,), (2,), (1, 2)]
 
 
 def test_partize_template_and_prob():
