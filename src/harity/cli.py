@@ -42,7 +42,7 @@ from . import (
     sampler,
     templates,
 )
-from .hypotheses import Hypothesis, partize_class, partize_hypothesis
+from .hypotheses import Hypothesis, canonical_key, partize_class, partize_hypothesis
 
 SCHEMA_VERSION = 1
 EXIT_CONFIG = 2
@@ -427,15 +427,9 @@ def bayes_cmd(merged):
     rows = []
     for t in range(merged.get("trials", 5)):
         rng = sampler.stream(merged["seed"], t)
-        table = {}
+        table = {canonical_key(x): rng.randrange(2) for x in templates.config_points(tj, 2)}
         F = Hypothesis(
-            2,
-            tj,
-            (0, 1),
-            lambda x, tab=table, r=rng: tab.setdefault(
-                tuple(sorted(x.items())), r.randrange(2)
-            ),
-            name=f"F{t}",
+            2, tj, (0, 1), lambda x, tab=table: tab[canonical_key(x)], name=f"F{t}"
         )
         B = losses.bayes_predictor(mu, mu2, F, ell)
         rows.append([t, _float_str(losses.total_loss_ag(mu, mu2, F, ag, B))])

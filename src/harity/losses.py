@@ -325,18 +325,11 @@ def bayes_predictor(mu, mu2, F, ell):
     points = templates.config_points(t1, k)
     ps = perms(k)
     values = {}
-
-    def conditional(x, pat):
-        total = Fraction(0)
-        for xp, q in xp_law:
-            yp = pattern(F, templates.join_config(t1, t2, x, xp))
-            total += q * Fraction(ell(x, pat, yp))
-        return total
-
     for x0 in points:
         key0 = canonical_key(x0)
         if key0 in values:
             continue
+        yps = [(q, pattern(F, templates.join_config(t1, t2, x0, xp))) for xp, q in xp_law]
         orbit = {}
         for sigma in ps:
             orbit[canonical_key(indexing.pullback(sigma, x0))] = None
@@ -348,7 +341,7 @@ def bayes_predictor(mu, mu2, F, ell):
                 ell.labels[lookup[canonical_key(indexing.pullback(sigma, x0))]]
                 for sigma in ps
             )
-            score = conditional(x0, pat)
+            score = sum((q * Fraction(ell(x0, pat, yp)) for q, yp in yps), Fraction(0))
             cand = (score, pat, assignment)
             if best is None or cand < best:
                 best = cand

@@ -10,6 +10,10 @@ extension.
 Composite randomness uses a fixed mixed-radix encoding, most significant
 first: (b, b_noise, sigma in factorial base, U per coordinate, U' per
 coordinate); coordinates enumerate in the canonical size-then-lex order.
+
+One per-atom plan (``_plan``) decides which labels survive departization.
+``departize_sample`` and both exact laws apply it, and the laws decode every
+randomness index exactly as the departized learner does.
 """
 
 import math
@@ -17,12 +21,13 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
 
-from . import indexing, learners, losses, templates
+from . import indexing, learners, losses, sampler, templates
 from .hypotheses import (
     Hypothesis,
     HypothesisClass,
     partize_hypothesis,
     perms,
+    star_partite,
     unpartize_hypothesis,
 )
 
@@ -188,6 +193,49 @@ def sigma_alpha(sigma, alpha):
     return tuple(i + 1 for i in order)
 
 
+def _plan(sigma, U, Uprime, k):
+    """What the randomness atom (sigma, U, U') does to any sample of size
+    m = len(sigma), as ``(coords, labels)``.
+
+    ``coords`` lists ``(C, key, tag)`` for each coordinate C of the
+    non-partite sample: the partite key C reads (U[C]'s parts at C's
+    vertices in sigma^{-1} order) and C's tag, the index of U[C].  ``labels``
+    lists ``(alpha, survivor)`` for each injection alpha: ``survivor`` is
+    ``(beta, pos)`` with beta = alpha o tau (tau = sigma_alpha(sigma, alpha))
+    and pos the position of tau^{-1} in a full pattern, or None.  alpha's
+    labels survive exactly when U and U' both give every subset of alpha's
+    image the part set sigma induces on it; this is the only place that
+    compares them.
+    """
+    m = len(sigma)
+    inv = indexing.invert(sigma)
+    coords = [
+        (C, tuple(zip(U[C], sorted(C, key=lambda c: inv[c - 1]))), tag_index(k, U[C]))
+        for C in indexing.subsets(m, k)
+    ]
+    pindex = {p: i for i, p in enumerate(perms(k))}
+    labels = []
+    for alpha in indexing.injections(m, k):
+        tau = sigma_alpha(sigma, alpha)
+        tau_inv = indexing.invert(tau)
+        survives = True
+        for C in indexing.subsets(k, k):
+            img = tuple(sorted(alpha[c - 1] for c in C))
+            want = tuple(sorted(tau_inv[c - 1] for c in C))
+            survives = survives and U[img] == want and Uprime[img] == want
+        survivor = (indexing.compose(alpha, tau), pindex[tau_inv]) if survives else None
+        labels.append((alpha, survivor))
+    return coords, labels
+
+
+def _departize(plan, x, y, k, bottom=BOTTOM):
+    """Apply a plan to a partite sample x with full-pattern labels y."""
+    coords, labels = plan
+    xhat = {C: encode_tagged(x[key], tag, k, len(C)) for C, key, tag in coords}
+    yhat = {a: bottom if s is None else y[s[0]][s[1]] for a, s in labels}
+    return xhat, yhat
+
+
 def departize_sample(x, y, sigma, U, Uprime, k, bottom=BOTTOM):
     """One departization step.
 
@@ -199,35 +247,7 @@ def departize_sample(x, y, sigma, U, Uprime, k, bottom=BOTTOM):
     {bottom}: a label survives exactly when both tag assignments agree with
     the part sets induced by sigma on the injection's image.
     """
-    m = len(sigma)
-    inv = indexing.invert(sigma)
-    xhat = {}
-    for C in indexing.subsets(m, k):
-        UC = U[C]
-        pre = sorted(inv[c - 1] for c in C)
-        key = tuple(
-            (u, sigma[pre[idx] - 1]) for idx, u in enumerate(UC)
-        )
-        xhat[C] = encode_tagged(x[key], tag_index(k, UC), k, len(C))
-    ps = perms(k)
-    pindex = {p: i for i, p in enumerate(ps)}
-    yhat = {}
-    for alpha in indexing.injections(m, k):
-        tau = sigma_alpha(sigma, alpha)
-        tau_inv = indexing.invert(tau)
-        good = True
-        for C in indexing.subsets(k, k):
-            img = tuple(sorted(alpha[c - 1] for c in C))
-            want = tuple(sorted(tau_inv[c - 1] for c in C))
-            if U[img] != want or Uprime[img] != want:
-                good = False
-                break
-        if good:
-            beta = indexing.compose(alpha, tau)
-            yhat[alpha] = y[beta][pindex[tau_inv]]
-        else:
-            yhat[alpha] = bottom
-    return xhat, yhat
+    return _departize(_plan(sigma, U, Uprime, k), x, y, k, bottom)
 
 
 def departize_p(k):
@@ -247,10 +267,6 @@ def departize_r(r_a, m, k):
     return out
 
 
-def _tag_radices(m, k):
-    return [tag_count(k, len(c)) for c in indexing.subsets(m, k)]
-
-
 def decode_mixed(index, radices):
     """Mixed-radix decode, most significant digit first."""
     out = []
@@ -264,20 +280,14 @@ def decode_mixed(index, radices):
 
 def decode_departize_randomness(index, r_a, m, k):
     """Split a composite index into (b, sigma, U, Uprime)."""
-    tags = _tag_radices(m, k)
-    digits = decode_mixed(index, [r_a(m), factorial(m)] + tags + tags)
-    b = digits[0]
-    sigma = indexing.nth_permutation(digits[1], m)
     coords = indexing.subsets(m, k)
-    U = {
-        c: tag_subset(k, len(c), d)
-        for c, d in zip(coords, digits[2 : 2 + len(coords)])
-    }
-    Uprime = {
-        c: tag_subset(k, len(c), d)
-        for c, d in zip(coords, digits[2 + len(coords) :])
-    }
-    return b, sigma, U, Uprime
+    tags = [tag_count(k, len(c)) for c in coords]
+    digits = decode_mixed(index, [r_a(m), factorial(m)] + tags + tags)
+    U, Uprime = (
+        {c: tag_subset(k, len(c), d) for c, d in zip(coords, digits[start:])}
+        for start in (2, 2 + len(coords))
+    )
+    return digits[0], indexing.nth_permutation(digits[1], m), U, Uprime
 
 
 def departize_learner(A, k, base_template, labels, name=""):
@@ -334,40 +344,32 @@ def departize_sample_size(m_a, eps, delta, sup_norm, k):
 # exact departization laws (tiny-instance oracles)
 
 
-def _randomness_atoms(m, k):
-    coords = indexing.subsets(m, k)
-    tag_choices = [
-        list(combinations(range(1, k + 1), len(c))) for c in coords
-    ]
-    n_sigma = factorial(m)
-    total = n_sigma
-    for t in tag_choices:
-        total *= len(t) ** 2
-    weight = Fraction(1, total)
-    for sigma in indexing.injections(m, m):
-        for u_vals in product(*tag_choices):
-            U = dict(zip(coords, u_vals))
-            for up_vals in product(*tag_choices):
-                Uprime = dict(zip(coords, up_vals))
-                yield sigma, U, Uprime, weight
+def _atom_plans(mu, mu2, m, k):
+    """The plan of every randomness atom, decoded from each index below
+    R = departize_r(1, m, k) exactly as the departized learner decodes its
+    randomness; each atom has probability 1/R.  A law whose atoms (samples
+    of mu and mu2 times R) exceed the exact-law cap is refused first."""
+    one = lambda _: 1  # noqa: E731
+    r = departize_r(one, m, k)
+    sampler.check_law_size(templates.law_atoms(mu, m) * templates.law_atoms(mu2, m) * r)
+    return [_plan(*decode_departize_randomness(i, one, m, k)[1:], k) for i in range(r)]
 
 
 def departize_construction_law(mu_part, mu2_part, F_part, m, k):
     """Exact law of the departized (sample, labels) built from the partite
     construction: x visible, labels from F on the joined sample, randomness
     uniform."""
-    from .hypotheses import star_partite
-
+    plans = _atom_plans(mu_part, mu2_part, m, k)
     t1, t2 = mu_part.template, mu2_part.template
+    xp_law = templates.partite_config_law(mu2_part, m)
     law = {}
     for x, p in templates.partite_config_law(mu_part, m):
-        for xp, q in templates.partite_config_law(mu2_part, m):
-            joined = templates.join_config(t1, t2, x, xp)
-            y = star_partite(F_part, joined, m)
-            for sigma, U, Uprime, w in _randomness_atoms(m, k):
-                xhat, yhat = departize_sample(x, y, sigma, U, Uprime, k)
-                key = (tuple(sorted(xhat.items())), tuple(sorted(yhat.items())))
-                law[key] = law.get(key, Fraction(0)) + p * q * w
+        for xp, q in xp_law:
+            y = star_partite(F_part, templates.join_config(t1, t2, x, xp), m)
+            w = p * q / len(plans)
+            for plan in plans:
+                key = sampler.law_key(*_departize(plan, x, y, k))
+                law[key] = law.get(key, Fraction(0)) + w
     return law
 
 
@@ -376,56 +378,23 @@ def departize_discrete_law(mu_base, mu2_base, F_part, m, k):
     base measures with independent uniform tags, a uniform permutation, and
     labels computed by pulling the joined values back through the induced
     part assignment."""
+    plans = _atom_plans(mu_base, mu2_base, m, k)
     t1, t2 = mu_base.template, mu2_base.template
-    coords = indexing.subsets(m, k)
-    n_tags = [tag_count(k, len(c)) for c in coords]
-    ps = perms(k)
-    pindex = {p: i for i, p in enumerate(ps)}
+    xp_law = templates.config_law(mu2_base, m)
     law = {}
-    tags_weight = Fraction(1)
-    for n in n_tags:
-        tags_weight /= n * n
-    sig_weight = Fraction(1, factorial(m))
     for x, p in templates.config_law(mu_base, m):
-        for xp, q in templates.config_law(mu2_base, m):
-            for jtags in product(*[range(n) for n in n_tags]):
-                jmap = dict(zip(coords, jtags))
-                for jptags in product(*[range(n) for n in n_tags]):
-                    jpmap = dict(zip(coords, jptags))
-                    xhat = {
-                        c: encode_tagged(x[c], jmap[c], k, len(c)) for c in coords
-                    }
-                    for sigma in indexing.injections(m, m):
-                        yhat = {}
-                        for alpha in indexing.injections(m, k):
-                            tau = sigma_alpha(sigma, alpha)
-                            tau_inv = indexing.invert(tau)
-                            good = True
-                            for C in indexing.subsets(k, k):
-                                img = tuple(sorted(alpha[c - 1] for c in C))
-                                want = tag_index(
-                                    k,
-                                    tuple(sorted(tau_inv[c - 1] for c in C)),
-                                )
-                                if jmap[img] != want or jpmap[img] != want:
-                                    good = False
-                                    break
-                            if not good:
-                                yhat[alpha] = BOTTOM
-                                continue
-                            pulled = indexing.pullback(
-                                indexing.compose(alpha, tau),
-                                templates.join_config(t1, t2, x, xp),
-                            )
-                            pat = F_part(indexing.phi_k(pulled))
-                            yhat[alpha] = pat[pindex[tau_inv]]
-                        key = (
-                            tuple(sorted(xhat.items())),
-                            tuple(sorted(yhat.items())),
-                        )
-                        law[key] = law.get(key, Fraction(0)) + (
-                            p * q * tags_weight * sig_weight
-                        )
+        for xp, q in xp_law:
+            joined = templates.join_config(t1, t2, x, xp)
+            pats = {
+                beta: F_part(indexing.phi_k(indexing.pullback(beta, joined)))
+                for beta in indexing.injections(m, k)
+            }
+            w = p * q / len(plans)
+            for coords, labels in plans:
+                xhat = {C: encode_tagged(x[C], tag, k, len(C)) for C, _, tag in coords}
+                yhat = {a: BOTTOM if s is None else pats[s[0]][s[1]] for a, s in labels}
+                key = sampler.law_key(xhat, yhat)
+                law[key] = law.get(key, Fraction(0)) + w
     return law
 
 

@@ -9,7 +9,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import templates
-from .hypotheses import star, star_partite
+from .hypotheses import canonical_key, star, star_partite
+
+# Every exact sample law refuses, before enumerating anything, to have more
+# atoms than this.
+EXACT_LAW_CAP = 10**6
 
 
 def stream(seed, trial=0):
@@ -89,24 +93,36 @@ def labeled_sample(sc, m, rng):
     return x, star_of(sc.F, joined, m)
 
 
-def exact_sample_law(sc, m, max_atoms=10**6):
+def check_law_size(atoms):
+    """Refuse an exact law of more than EXACT_LAW_CAP atoms."""
+    if atoms > EXACT_LAW_CAP:
+        raise ValueError(
+            f"instance too large for the exact law oracle: {atoms} atoms "
+            f"exceed {EXACT_LAW_CAP}"
+        )
+
+
+def law_key(x, y):
+    """The canonical encoding of a labeled sample (x, y) as a law atom."""
+    return canonical_key(x), canonical_key(y)
+
+
+def exact_sample_law(sc, m):
     """Exact rational law of (x, y) as a dict keyed by canonical encodings."""
     _, law_of, star_of = _setting(sc.partite)
+    atoms = templates.law_atoms(sc.mu, m)
+    if sc.mu2 is not None:
+        atoms *= templates.law_atoms(sc.mu2, m)
+    check_law_size(atoms)
     x_law = law_of(sc.mu, m)
     xp_law = [({}, Fraction(1))] if sc.mu2 is None else law_of(sc.mu2, m)
-    if len(x_law) * len(xp_law) > max_atoms:
-        raise ValueError("instance too large for the exact law oracle")
     law = {}
     for x, p in x_law:
         for xp, q in xp_law:
             joined = x
             if sc.mu2 is not None:
                 joined = templates.join_config(sc.mu.template, sc.mu2.template, x, xp)
-            y = star_of(sc.F, joined, m)
-            key = (
-                tuple(sorted(x.items())),
-                tuple(sorted(y.items())),
-            )
+            key = law_key(x, star_of(sc.F, joined, m))
             law[key] = law.get(key, Fraction(0)) + p * q
     return law
 
@@ -116,7 +132,6 @@ def empirical_frequencies(sc, m, seed, trials):
     law."""
     counts = {}
     for t in range(trials):
-        x, y = labeled_sample(sc, m, stream(seed, t))
-        key = (tuple(sorted(x.items())), tuple(sorted(y.items())))
+        key = law_key(*labeled_sample(sc, m, stream(seed, t)))
         counts[key] = counts.get(key, 0) + 1
     return {k: Fraction(v, trials) for k, v in counts.items()}

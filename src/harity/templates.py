@@ -236,6 +236,18 @@ def _product_law(mu, m):
     return out
 
 
+def law_atoms(mu, m):
+    """The number of atoms of mu's size-m product law, counted without
+    enumerating it: the product over ``coords(m)`` of each coordinate's
+    positive-weight points."""
+    t = mu.template
+    out = 1
+    for key in t.coords(m):
+        space = t.space(key)
+        out *= sum(1 for point in range(t.size(space)) if mu.weight(space, point) > 0)
+    return out
+
+
 def config_law(mu, m):
     """Exact law of mu^[m] as a list of (config point, Fraction) pairs."""
     return _product_law(mu, m)

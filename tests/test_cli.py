@@ -5,7 +5,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from harity import cli, families
+from harity import cli, families, losses
 
 
 def _run(args, **kw):
@@ -164,7 +164,7 @@ GOLDEN_CSV = [
         "ramsey --n 3 --trials 10",
         "c96c135976dd89de5e26bcf08cf1a76e3209d99e8b3a2efdf930bf77c27c2f6c",
     ),
-    ("bayes --trials 3", "8f3891d1afb412ea4f92be5be0e7e4d3fcbd2567022e9eb8d4b7435c99f658f2"),
+    ("bayes --trials 3", "7cb31ac9cb1bfb5971340ccebfadeb09ecf2a99dfcd0137cfc3e6339bb5e179f"),
     (
         "sample --family matching --n 2 --m 4 --seed s1 --member 3",
         "17973ccc807747eecdf718d5e48346f791a15045ab5034eee16727ca497ceeaf",
@@ -186,6 +186,23 @@ def test_golden_csv(tmp_path, monkeypatch, args, digest):
     res = _run([*args.split(), "--out", str(tmp_path / "g")])
     assert res.exit_code == 0, res.output
     assert _csv_digest(tmp_path / "g.csv") == digest
+
+
+def test_bayes_csv_ignores_evaluation_order(tmp_path, monkeypatch):
+    # each F's table is drawn before F is evaluated, so evaluating F first at
+    # every domain point in reverse order leaves the CSV as it is
+    bayes_predictor = losses.bayes_predictor
+
+    def reversed_first(mu, mu2, F, ell):
+        for x in reversed(F.domain()):
+            F(x)
+        return bayes_predictor(mu, mu2, F, ell)
+
+    monkeypatch.setattr(losses, "bayes_predictor", reversed_first)
+    monkeypatch.delenv("HARITY_SEED", raising=False)
+    res = _run(["bayes", "--trials", "3", "--out", str(tmp_path / "b")])
+    assert res.exit_code == 0, res.output
+    assert _csv_digest(tmp_path / "b.csv") == dict(GOLDEN_CSV)["bayes --trials 3"]
 
 
 def test_config_member_is_honoured(tmp_path):

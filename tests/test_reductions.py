@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harity import dims, families, indexing, learners, losses, reductions, templates
+from harity import dims, families, indexing, learners, losses, reductions, sampler, templates
 from harity.hypotheses import (
     Hypothesis,
     partize_class,
@@ -259,20 +260,53 @@ def test_departize_sample_size_plumbing():
     assert calls[-1] == (Fraction(1, 64), Fraction(1, 1024))
 
 
-def _departize_instance():
+def _departize_instances():
+    """Two (mu, mu') pairs, the second with a zero-weight point and a larger
+    space for mu, times three F: criterion 07's parity, and two that tell
+    the vertex order apart (one of them with three labels)."""
     t, mu = _base()
     mu2 = templates.ProbTemplate(
         t, ((Fraction(1, 4), Fraction(3, 4)), (Fraction(1),))
     )
-    tj = templates.product_template(t, t)
-    F = Hypothesis(
-        2, tj, (0, 1), lambda x: (x[(1,)] + x[(2,)]) % 2, name="par", declared_rank=1
+    t3 = templates.Template(2, (3, 1))
+    nu = templates.ProbTemplate(
+        t3, ((Fraction(1, 2), Fraction(0), Fraction(1, 2)), (Fraction(1),))
     )
-    return mu, mu2, partize_hypothesis(F)
+    nu2 = templates.ProbTemplate(
+        t, ((Fraction(1, 5), Fraction(4, 5)), (Fraction(1),))
+    )
+    out = []
+    for a, b in ((mu, mu2), (nu, nu2)):
+        tj = templates.product_template(a.template, b.template)
+        n = b.template.size(1)
+        for F in (
+            Hypothesis(
+                2, tj, (0, 1), lambda x: (x[(1,)] + x[(2,)]) % 2, name="par",
+                declared_rank=1,
+            ),
+            Hypothesis(
+                2, tj, (0, 1), lambda x, n=n: int(x[(1,)] // n > x[(2,)] % n),
+                name="cross",
+            ),
+            Hypothesis(
+                2, tj, (0, 1, 2), lambda x, n=n: min(2, x[(1,)] // n + x[(2,)] % n),
+                name="three",
+            ),
+        ):
+            out.append((a, b, partize_hypothesis(F)))
+    return out
 
 
-def test_departize_laws_agree_exactly():
-    mu, mu2, Fp = _departize_instance()
+DEPARTIZE_INSTANCES = _departize_instances()
+DEPARTIZE_IDS = [
+    f"{pair}-{name}"
+    for pair in ("criterion-07", "zero-weight")
+    for name in ("par", "cross", "three")
+]
+
+
+@pytest.mark.parametrize("mu,mu2,Fp", DEPARTIZE_INSTANCES, ids=DEPARTIZE_IDS)
+def test_departize_laws_agree_exactly(mu, mu2, Fp):
     lawA = reductions.departize_construction_law(
         templates.partize_prob(mu, 2), templates.partize_prob(mu2, 2), Fp, 2, 2
     )
@@ -281,10 +315,51 @@ def test_departize_laws_agree_exactly():
     assert lawA == lawB
 
 
+def test_departize_laws_refuse_past_the_cap():
+    # criterion 07's measures at m = 3: 64 * 64 partite samples times 384
+    # randomness atoms; the discrete law passes the cap at m = 4.  Both are
+    # refused before anything is enumerated.
+    mu, mu2, Fp = DEPARTIZE_INSTANCES[0]
+    mup, mu2p = templates.partize_prob(mu, 2), templates.partize_prob(mu2, 2)
+    assert templates.law_atoms(mup, 3) == 64
+    assert reductions.departize_r(lambda m: 1, 3, 2) == 384
+    started = time.perf_counter()
+    with pytest.raises(ValueError):
+        reductions.departize_construction_law(mup, mu2p, Fp, 3, 2)
+    with pytest.raises(ValueError):
+        reductions.departize_discrete_law(mu, mu2, Fp, 4, 2)
+    assert time.perf_counter() - started < 1
+
+
+def test_departize_learner_decodes_and_partizes():
+    # the inner learner sees departize_sample at the decoded (sigma, U, U')
+    # and b's own digit; its hypothesis comes back partized
+    cls = families.matching_family(2).cls
+    tagged = reductions.tag_class(cls, 2).members
+    seen = []
+
+    def record(x, y, b):
+        seen.append((x, y, b))
+        return tagged[b]
+
+    A = learners.Learner(2, record, lambda m: 2)
+    D = reductions.departize_learner(A, 2, cls.template, cls.labels)
+    assert D.partite and D.r(2) == 2 * reductions.departize_r(lambda m: 1, 2, 2)
+    mu = templates.partize_prob(templates.uniform_prob(cls.template), 2)
+    x = sampler.sample_partite_config(mu, 2, sampler.stream("departize-learner", 0))
+    y = star_partite(partize_hypothesis(cls.members[1]), x, 2)
+    for b in range(D.r(2)):
+        G = D(x, y, b)
+        ba, sigma, U, Uprime = reductions.decode_departize_randomness(b, A.r, 2, 2)
+        xhat, yhat = reductions.departize_sample(x, y, sigma, U, Uprime, 2)
+        assert seen[-1] == (xhat, yhat, ba)
+        assert G.same_function(partize_hypothesis(cls.members[ba]))
+
+
 def test_departize_survival_probability():
     # over all randomness atoms, a fixed injection's labels survive with
     # probability exactly p = departize_p(k)
-    mu, mu2, Fp = _departize_instance()
+    mu, mu2, Fp = DEPARTIZE_INSTANCES[0]
     lawA = reductions.departize_construction_law(
         templates.partize_prob(mu, 2), templates.partize_prob(mu2, 2), Fp, 2, 2
     )
