@@ -209,7 +209,7 @@ class SliceNonlearnScenario:
         restricts the answer back to the slice."""
 
         def fn(x, y, b):
-            m = learners.sample_size(x, False)
+            m = learners.sample_size(x)
             js = [x[(i,)] for i in range(1, m + 1)]
             xp = self.assemble(js, m)
             yp = {
@@ -218,7 +218,7 @@ class SliceNonlearnScenario:
             }
             return self.restrict(A(xp, yp, b))
 
-        return learners.Learner(1, fn, A.r, partite=False, name=f"unary({A.name})")
+        return learners.Learner(1, fn, A.r, name=f"unary({A.name})")
 
 
 def vcn_nonlearn_scenario(cls, d):

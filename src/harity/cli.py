@@ -152,7 +152,7 @@ def _scenario(merged):
         mu = templates.uniform_partite_prob(cls.template)
     else:
         mu = templates.uniform_prob(cls.template)
-    sc = sampler.Scenario(mu, cls.members[member], partite=cls.partite)
+    sc = sampler.Scenario(mu, cls.members[member])
     setting = "partite" if cls.partite else "nonpartite"
     return cls, sc, losses.zero_one_loss(cls.labels, cls.k, setting=setting)
 
@@ -293,8 +293,7 @@ def _sweep(merged, default_m, frequency):
 def learn_cmd(merged):
     """ERM success-frequency sweep."""
     cls, sc, ell = _scenario(merged)
-    erm = learners.erm_partite if cls.partite else learners.erm_nonpartite
-    A = erm(cls, ell)
+    A = learners.erm(cls, ell)
     return _sweep(
         merged,
         "10,20,40",
@@ -416,7 +415,7 @@ def ramsey_cmd(merged):
 
 @command("bayes", "trials")
 def bayes_cmd(merged):
-    """Bayes-predictor optimality on random small agnostic scenarios."""
+    """Exact agnostic loss of the Bayes predictor on random small scenarios."""
     t1 = templates.Template(2, (2, 2))
     t2 = templates.Template(2, (2, 1))
     mu = templates.uniform_prob(t1)

@@ -34,7 +34,7 @@ class Hypothesis:
 
     @property
     def partite(self):
-        return isinstance(self.template, templates.PartiteTemplate)
+        return self.template.partite
 
     def __call__(self, x):
         return self.fn(x)
@@ -154,7 +154,7 @@ class HypothesisClass:
 
     @property
     def partite(self):
-        return isinstance(self.template, templates.PartiteTemplate)
+        return self.template.partite
 
     @property
     def explicit(self):

@@ -69,10 +69,6 @@ def nth_permutation(index, m):
     return tuple(out)
 
 
-def identity_injection(k):
-    return tuple(range(1, k + 1))
-
-
 def compose(alpha, beta):
     """alpha o beta (apply beta first)."""
     return tuple(alpha[b - 1] for b in beta)
@@ -164,9 +160,15 @@ def encode_part_index(f):
     return ",".join(f"{p}↦{v}" for p, v in f)
 
 
+def partite_keys(x):
+    """Whether a config point is keyed by partite indices rather than by
+    subsets, read from one key."""
+    return bool(x) and isinstance(next(iter(x))[0], tuple)
+
+
 def encode_config(x):
     """Canonical textual encoding of a config point, for CSV/JSON output."""
     items = sorted(x.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    if items and isinstance(items[0][0][0], tuple):
+    if partite_keys(x):
         return ";".join(f"{encode_part_index(k)}={v}" for k, v in items)
     return ";".join(f"{encode_subset(k)}={v}" for k, v in items)

@@ -2,9 +2,10 @@
 uniform-convergence and concentration verifiers, and the rank-2 class learner.
 
 A ``Learner`` maps a visible sample plus a randomness index ``b`` in
-``[R(m)]`` to a hypothesis; ``R`` identically 1 means deterministic.  Sample
-sizes are inferred from the sample itself, so learners compose without extra
-plumbing.
+``[R(m)]`` to a hypothesis; ``R`` identically 1 means deterministic.  A
+learner carries no setting flag: sample sizes and the setting are read from
+the sample's keys, and ``erm`` reads the class's template, so learners compose
+without extra plumbing.
 
 Every Monte Carlo check takes its exact totals from ``_total_loss``; the
 uniform-convergence and concentration checks take their per-trial empirical
@@ -20,9 +21,9 @@ from math import comb
 from . import fastpath, indexing, losses, sampler
 
 
-def sample_size(x, partite):
+def sample_size(x):
     """The number of points of a sample (per part, in the partite setting)."""
-    if partite:
+    if indexing.partite_keys(x):
         return max(v for key in x for _, v in key)
     return max(a[-1] for a in x)
 
@@ -39,11 +40,10 @@ class Learner:
     k: int
     fn: object = field(compare=False)  # (x, y, b) -> Hypothesis
     r: object = field(compare=False)  # m -> randomness count
-    partite: bool = False
     name: str = ""
 
     def __call__(self, x, y, b=0):
-        if not 0 <= b < self.r(sample_size(x, self.partite)):
+        if not 0 <= b < self.r(sample_size(x)):
             raise ValueError("randomness index out of range")
         return self.fn(x, y, b)
 
@@ -52,17 +52,18 @@ class Learner:
 # empirical risk minimization
 
 
-def _erm(cls, ell, use_oracle, partite):
-    """Exact empirical-loss argmin over the class, ties broken by the
-    member order; structured classes may supply a closed-form oracle."""
+def erm(cls, ell, use_oracle=True):
+    """Exact empirical-loss argmin over the class, in the setting of its
+    template, ties broken by the member order; structured classes may supply
+    a closed-form oracle."""
     if cls.erm is None and not cls.explicit:
         raise ValueError("class has neither members nor an ERM oracle")
 
     def fn(x, y, b):
-        m = sample_size(x, partite)
+        m = sample_size(x)
         if use_oracle and cls.erm is not None:
             return cls.erm(x, y, m)
-        empirical = _empirical(partite)
+        empirical = _empirical(cls.template.partite)
         best = None
         for i, H in enumerate(cls.members):
             loss = empirical(x, y, ell, H, m)
@@ -70,15 +71,11 @@ def _erm(cls, ell, use_oracle, partite):
                 best = (loss, i)
         return cls.members[best[1]]
 
-    return Learner(cls.k, fn, lambda m: 1, partite=partite, name=f"erm({cls.name})")
+    return Learner(cls.k, fn, lambda m: 1, name=f"erm({cls.name})")
 
 
-def erm_nonpartite(cls, ell, use_oracle=True):
-    return _erm(cls, ell, use_oracle, partite=False)
-
-
-def erm_partite(cls, ell, use_oracle=True):
-    return _erm(cls, ell, use_oracle, partite=True)
+# the old per-setting names, kept because perfbench's workloads call them
+erm_nonpartite = erm_partite = erm
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +298,11 @@ def split_for(m, m_rand, r, k, setting, sup_norm=1):
     return best
 
 
-def _split(x, y, m1, m, k, partite):
+def _split(x, y, m1, m, k):
     """The prefix sample on points 1..m1 and the holdout on points m1+1..m,
-    each renumbered from 1.  Labels are read by index only, so ``y`` may be
-    any lookup (e.g. ``fastpath.LazyPairLabels``)."""
+    each renumbered from 1, in x's setting.  Labels are read by index only,
+    so ``y`` may be any lookup (e.g. ``fastpath.LazyPairLabels``)."""
+    partite = indexing.partite_keys(x)
 
     def part(lo, hi):
         if partite:
@@ -334,17 +332,16 @@ def derandomize(A, m_rand, ell, fallback, sup_norm=None, empirical_eval=None):
     sup = float(ell.sup_norm if sup_norm is None else sup_norm)
 
     def fn(x, y, b):
-        m = sample_size(x, A.partite)
-        setting = "partite" if A.partite else "nonpartite"
-        sp = split_for(m, m_rand, A.r, A.k, setting, sup)
+        m = sample_size(x)
+        sp = split_for(m, m_rand, A.r, A.k, ell.setting, sup)
         if sp is None:
             return fallback
         _, m1 = sp
         # empirical_eval reads the point range directly, so the holdout
         # sample is then never materialized
         holdout_end = m1 if empirical_eval is not None else m
-        x1, y1, x2, y2 = _split(x, y, m1, holdout_end, A.k, A.partite)
-        empirical = _empirical(A.partite)
+        x1, y1, x2, y2 = _split(x, y, m1, holdout_end, A.k)
+        empirical = _empirical(ell.setting == "partite")
         best = None
         for bb in range(A.r(m1)):
             H = A(x1, y1, bb)
@@ -356,9 +353,7 @@ def derandomize(A, m_rand, ell, fallback, sup_norm=None, empirical_eval=None):
                 best = (loss, bb, H)
         return best[2]
 
-    return Learner(
-        A.k, fn, lambda m: 1, partite=A.partite, name=f"derand({A.name})"
-    )
+    return Learner(A.k, fn, lambda m: 1, name=f"derand({A.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +379,7 @@ def infvcn_learner(n_max):
 
     spec = families.highorder_family(n_max)
     ell = losses.zero_one_loss((0, 1), 2, setting="partite")
-    A = erm_partite(spec.cls, ell)
+    A = erm(spec.cls, ell)
     return spec.cls, A, infvcn_m_pac
 
 

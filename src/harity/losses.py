@@ -8,7 +8,8 @@ Lambda^{S_k}.  Partite losses consume single labels.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 from . import indexing, templates
 from .hypotheses import Hypothesis, canonical_key, pattern, perms, star
@@ -143,7 +144,7 @@ def total_loss(mu, F, ell, H):
 def total_loss_ag(mu, mu2, F, ell_ag, H):
     """Agnostic, either setting: E over mu (x) mu' of l(H, x, y), where y is
     F's labels at the joined point (its single label when partite)."""
-    if isinstance(mu.template, templates.PartiteTemplate):
+    if mu.template.partite:
         law, m, labels = templates.partite_config_law, 1, F
     else:
         law, m, labels = templates.config_law, ell_ag.k, lambda z: pattern(F, z)
@@ -178,27 +179,18 @@ def empirical_loss_partite(x, y, ell, H, m):
     return total / m**ell.k
 
 
-def canonical_order_choice(m, k):
-    from itertools import combinations
-
-    return {u: u for u in combinations(range(1, m + 1), k)}
-
-
-def empirical_loss_nonpartite(x, y, ell, H, m, order_choice=None):
-    """Mean over k-subsets U of [m] of the loss at the order-choice injection,
-    with the label tensor reshaped to full patterns."""
-    k = ell.k
-    oc = canonical_order_choice(m, k) if order_choice is None else order_choice
-    ps = perms(k)
+def empirical_loss_nonpartite(x, y, ell, H, m):
+    """Mean over k-subsets U of [m] of the loss at U's increasing injection,
+    with the label tensor reshaped to full patterns.  A symmetric loss gives
+    the same mean under any other choice of injection onto each U."""
+    ps = perms(ell.k)
     total = Fraction(0)
-    for u, alpha_u in sorted(oc.items()):
-        if tuple(sorted(alpha_u)) != tuple(sorted(u)):
-            raise ValueError("order choice image mismatch")
-        xu = indexing.pullback(alpha_u, x)
+    for u in combinations(range(1, m + 1), ell.k):
+        xu = indexing.pullback(u, x)
         hy = pattern(H, xu)
-        yy = tuple(y[indexing.compose(alpha_u, tau)] for tau in ps)
+        yy = tuple(y[indexing.compose(u, tau)] for tau in ps)
         total += Fraction(ell(xu, hy, yy))
-    return total / len(oc)
+    return total / comb(m, ell.k)
 
 
 # ---------------------------------------------------------------------------
@@ -315,67 +307,41 @@ def bayes_predictor(mu, mu2, F, ell):
     """The hypothesis minimizing the conditional expected loss at every
     positive-mass configuration point (exact, exhaustive).
 
-    Minimization runs per S_k-orbit over all realizable label assignments so
-    the result is a genuine hypothesis; ties break toward the smallest
-    induced pattern in canonical order.
+    Minimization runs per orbit over all label assignments, so the result is
+    a genuine hypothesis.  A non-partite point's orbit is its S_k pullbacks
+    and the loss reads their pattern; a partite point is its own orbit and
+    the loss reads its one label.  Ties break toward the smallest label
+    indices, read in the order the loss reads the orbit.
     """
     k = ell.k
     t1, t2 = mu.template, mu2.template
-    xp_law = templates.config_law(mu2, k)
-    points = templates.config_points(t1, k)
-    ps = perms(k)
+    if t1.partite:
+        m, read, orbit = 1, (lambda G, x: G(x)), (lambda x: [x])
+    else:
+        ps = perms(k)
+        m, read = k, pattern
+        orbit = lambda x: [indexing.pullback(sigma, x) for sigma in ps]  # noqa: E731
+    xp_law = templates.config_law(mu2, m)
     values = {}
-    for x0 in points:
-        key0 = canonical_key(x0)
-        if key0 in values:
+    for x0 in templates.config_points(t1, m):
+        if canonical_key(x0) in values:
             continue
-        yps = [(q, pattern(F, templates.join_config(t1, t2, x0, xp))) for xp, q in xp_law]
-        orbit = {}
-        for sigma in ps:
-            orbit[canonical_key(indexing.pullback(sigma, x0))] = None
-        orbit_keys = sorted(orbit)
+        yps = [(q, read(F, templates.join_config(t1, t2, x0, xp))) for xp, q in xp_law]
+        keys = [canonical_key(z) for z in orbit(x0)]
+        orbit_keys = sorted(set(keys))
         best = None
         for assignment in product(range(len(ell.labels)), repeat=len(orbit_keys)):
             lookup = dict(zip(orbit_keys, assignment))
-            pat = tuple(
-                ell.labels[lookup[canonical_key(indexing.pullback(sigma, x0))]]
-                for sigma in ps
-            )
-            score = sum((q * Fraction(ell(x0, pat, yp)) for q, yp in yps), Fraction(0))
-            cand = (score, pat, assignment)
-            if best is None or cand < best:
-                best = cand
-        _, _, assignment = best
-        for key, idx in zip(orbit_keys, assignment):
-            values[key] = ell.labels[idx]
+            idx = tuple(lookup[key] for key in keys)
+            hy = tuple(ell.labels[i] for i in idx)
+            if t1.partite:
+                hy = hy[0]
+            score = sum((q * Fraction(ell(x0, hy, yp)) for q, yp in yps), Fraction(0))
+            if best is None or (score, idx) < best[:2]:
+                best = (score, idx, lookup)
+        for key, i in best[2].items():
+            values[key] = ell.labels[i]
 
     return Hypothesis(
         k, t1, ell.labels, lambda x: values[canonical_key(x)], name="bayes"
     )
-
-
-def bayes_predictor_partite(mu, mu2, F, ell):
-    t1, t2 = mu.template, mu2.template
-    xp_law = templates.partite_config_law(mu2, 1)
-    values = {}
-    for x in templates.config_points(t1, 1):
-        best = None
-        for c in ell.labels:
-            total = Fraction(0)
-            for xp, q in xp_law:
-                y = F(templates.join_config(t1, t2, x, xp))
-                total += q * Fraction(ell(x, c, y))
-            cand = (total, ell.labels.index(c))
-            if best is None or cand < best:
-                best = cand
-        values[canonical_key(x)] = ell.labels[best[1]]
-    return Hypothesis(
-        ell.k, t1, ell.labels, lambda x: values[canonical_key(x)], name="bayes"
-    )
-
-
-def cover_hart_bound(r_star, L):
-    """Upper bound on the asymptotic nearest-neighbor risk given the optimal
-    risk r_star over L labels: r*(2 - L/(L-1) * r*)."""
-    r_star = Fraction(r_star)
-    return r_star * (2 - Fraction(L, L - 1) * r_star)

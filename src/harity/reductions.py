@@ -71,7 +71,7 @@ def nonpartite_from_partite_learner(A2, template, labels, name=""):
     k = A2.k
 
     def fn(x, y, b):
-        m = learners.sample_size(x, False)
+        m = learners.sample_size(x)
         G = A2(phi_m(x, m, k), phi_m_labels(y, m, k), b)
         return unpartize_hypothesis(G, template, labels)
 
@@ -79,7 +79,6 @@ def nonpartite_from_partite_learner(A2, template, labels, name=""):
         k,
         fn,
         lambda m: A2.r(m // k),
-        partite=False,
         name=name or f"unpartized({A2.name})",
     )
 
@@ -295,7 +294,7 @@ def departize_learner(A, k, base_template, labels, name=""):
     the neutral symbol) into a partite learner for the partization class."""
 
     def fn(x, y, b):
-        m = learners.sample_size(x, True)
+        m = learners.sample_size(x)
         ba, sigma, U, Uprime = decode_departize_randomness(b, A.r, m, k)
         xhat, yhat = departize_sample(x, y, sigma, U, Uprime, k)
         H = A(xhat, yhat, ba)
@@ -308,7 +307,6 @@ def departize_learner(A, k, base_template, labels, name=""):
         k,
         fn,
         lambda m: departize_r(A.r, m, k),
-        partite=True,
         name=name or f"departized({A.name})",
     )
 
@@ -409,10 +407,10 @@ def neutral_symbol_learner(A, witness):
     injection with the same image carries the symbol; partite: entrywise)."""
 
     def fn(x, y, b):
-        m = learners.sample_size(x, A.partite)
+        m = learners.sample_size(x)
         ba, bn = divmod(b, witness.r_n(m))
         noise = witness.noise(x, bn, m)
-        if A.partite:
+        if witness.setting == "partite":
             y2 = {
                 alpha: (noise[alpha] if v == BOTTOM else v)
                 for alpha, v in y.items()
@@ -429,7 +427,6 @@ def neutral_symbol_learner(A, witness):
         A.k,
         fn,
         lambda m: A.r(m) * witness.r_n(m),
-        partite=A.partite,
         name=f"neutral({A.name})",
     )
 
@@ -450,9 +447,7 @@ def strip_dummy(A, anchors):
         }
         return A(x2, y, b)
 
-    return learners.Learner(
-        A.k, fn, A.r, partite=A.partite, name=f"stripped({A.name})"
-    )
+    return learners.Learner(A.k, fn, A.r, name=f"stripped({A.name})")
 
 
 def extend_codomain(cls, extra_labels, y0=None):
@@ -482,8 +477,6 @@ def extend_codomain(cls, extra_labels, y0=None):
             y2 = {a: (v if v in known else fill) for a, v in y.items()}
             return A(x, y2, b)
 
-        return learners.Learner(
-            A.k, fn, A.r, partite=A.partite, name=f"ext({A.name})"
-        )
+        return learners.Learner(A.k, fn, A.r, name=f"ext({A.name})")
 
     return cls2, transfer

@@ -26,12 +26,19 @@ def stream(seed, trial=0):
 @dataclass(frozen=True)
 class Scenario:
     """The adversary's (mu, mu', F).  For the non-agnostic case mu2 is None
-    and F lives over mu's template directly."""
+    and F lives over mu's template directly.  ``partite`` is read from mu's
+    template; a value passed that disagrees with it is refused."""
 
     mu: object
     F: object
     mu2: object = None
-    partite: bool = False
+    partite: bool = None
+
+    def __post_init__(self):
+        partite = self.mu.template.partite
+        if self.partite not in (None, partite):
+            raise ValueError(f"partite={self.partite} disagrees with mu's template")
+        object.__setattr__(self, "partite", partite)
 
     @property
     def k(self):

@@ -5,7 +5,9 @@ A template owns the coordinate rule of its setting: ``coords(m)`` lists the
 coordinates of a size-m sample in canonical order, and ``space(key)`` names
 the ground space coordinate ``key`` draws from (its arity for a plain
 template, its part set for a partite one).  Products, points, exact laws and
-the samplers are written once over these two methods.
+the samplers are written once over these two methods.  Each template class
+also declares its setting once, as the class attribute ``partite``; every
+other module reads the setting from the data it is given, never from a flag.
 
 Probabilities are exact rationals (``fractions.Fraction``) so tiny-instance
 oracles compare distributions for equality; Monte Carlo code converts to
@@ -15,7 +17,6 @@ floats only at the sampling boundary.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-import json
 
 from . import indexing
 
@@ -26,6 +27,8 @@ class Template:
 
     Arities above k are implicitly singletons and never stored.
     """
+
+    partite = False  # the setting, read by every module that needs it
 
     k: int
     sizes: tuple
@@ -71,6 +74,8 @@ class ProbTemplate:
 
 @dataclass(frozen=True)
 class PartiteTemplate:
+    partite = True
+
     k: int
     sizes: dict = field(hash=False)  # subset index -> cardinality
 
@@ -139,18 +144,6 @@ def product_template(t1, t2):
     return Template(k, tuple(t1.size(i) * t2.size(i) for i in range(1, k + 1)))
 
 
-def product_prob(p1, p2):
-    t = product_template(p1.template, p2.template)
-    weights = []
-    for i in range(1, t.k + 1):
-        w = []
-        for a in range(p1.template.size(i)):
-            for b in range(p2.template.size(i)):
-                w.append(p1.weight(i, a) * p2.weight(i, b))
-        weights.append(tuple(w))
-    return ProbTemplate(t, tuple(weights))
-
-
 def join_config(t1, t2, x1, x2):
     """Identify E_V(Omega (x) Omega') with E_V(Omega) x E_V(Omega'),
     coordinate by coordinate."""
@@ -171,7 +164,6 @@ def product_partite_template(t1, t2):
     return PartiteTemplate(
         k, {a: t1.size(a) * t2.size(a) for a in indexing.subsets(k, k)}
     )
-
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +204,7 @@ def domain_points(template, k):
     """The arity-k configuration points hypotheses over ``template`` are
     defined on: E_[k](Omega) for a plain template, one vertex per part for a
     partite one."""
-    return config_points(template, 1 if isinstance(template, PartiteTemplate) else k)
+    return config_points(template, 1 if template.partite else k)
 
 
 def _product_law(mu, m):
@@ -256,33 +248,3 @@ def config_law(mu, m):
 def partite_config_law(mu, m):
     """Exact law of a partite sample with m vertices per part."""
     return _product_law(mu, m)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def template_to_json(t, mu=None):
-    if isinstance(t, PartiteTemplate):
-        doc = {
-            "k": t.k,
-            "partite": True,
-            "sizes": {indexing.encode_subset(a): n for a, n in sorted(t.sizes.items())},
-        }
-        if mu is not None:
-            doc["weights"] = {
-                indexing.encode_subset(a): [str(w) for w in mu.weights[a]]
-                for a in sorted(mu.weights)
-            }
-    else:
-        doc = {
-            "k": t.k,
-            "partite": False,
-            "sizes": {str(i): t.size(i) for i in range(1, t.k + 1)},
-        }
-        if mu is not None:
-            doc["weights"] = {
-                str(i): [str(w) for w in mu.weights[i - 1]]
-                for i in range(1, t.k + 1)
-            }
-    return json.dumps(doc, ensure_ascii=False, sort_keys=True)

@@ -141,9 +141,7 @@ def test_criterion_05_concentration():
 
     pt1 = templates.PartiteTemplate(1, {(1,): 2})
     mup1 = templates.uniform_partite_prob(pt1)
-    sc_p1 = sampler.Scenario(
-        mup1, Hypothesis(1, pt1, (0, 1), lambda x: x[((1, 1),)]), partite=True
-    )
+    sc_p1 = sampler.Scenario(mup1, Hypothesis(1, pt1, (0, 1), lambda x: x[((1, 1),)]))
     H_p1 = Hypothesis(1, pt1, (0, 1), lambda x: 0)
 
     m2 = families.matching_family(2).cls
@@ -151,7 +149,7 @@ def test_criterion_05_concentration():
 
     ho = families.highorder_family(3).cls
     sc_p2 = sampler.Scenario(
-        templates.uniform_partite_prob(ho.template), ho.members[-1], partite=True
+        templates.uniform_partite_prob(ho.template), ho.members[-1]
     )
 
     setups = [
@@ -382,7 +380,7 @@ def test_criterion_12_derandomization():
     def a_fn(x, y, b):
         if b < 3:
             return const1
-        return cls.erm(x, y, learners.sample_size(x, False))
+        return cls.erm(x, y, learners.sample_size(x))
 
     A = learners.Learner(2, a_fn, lambda m: 4, name="mixed")
     m_rand = lambda e, d: 8 / min(e, d)  # noqa: E731

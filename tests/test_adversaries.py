@@ -94,7 +94,7 @@ def test_nonlearn_wrap_roundtrip():
     sc = _slice_scenario()
     B = {0, 2}
     F = sc.realizing_member(B)
-    A2 = learners.Learner(sc.cls.k, lambda x, y, b: F, lambda m: 1, partite=True)
+    A2 = learners.Learner(sc.cls.k, lambda x, y, b: F, lambda m: 1)
     A = sc.wrap(A2)
     x = {(1,): 0, (2,): 1, (3,): 2}
     y = {(i + 1,): (sc.g1[i] if i in B else sc.g0[i]) for i in range(3)}

@@ -86,7 +86,7 @@ def _two_partite_setup():
 def test_two_partite_draw_matches_generic():
     cls, mu, F, H, ell = _two_partite_setup()
     ctx = fastpath.TwoPartiteContext(mu, F, H, ell)
-    sc = sampler.Scenario(mu, F, partite=True)
+    sc = sampler.Scenario(mu, F)
     for t in range(20):
         s1, s2, p = ctx.draw(sampler.stream("tp", t), 3)
         x = sampler.sample_partite_config(mu, 3, sampler.stream("tp", t))

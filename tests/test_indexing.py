@@ -61,7 +61,6 @@ def test_injections_and_compose():
         (3, 1),
         (3, 2),
     ]
-    assert indexing.identity_injection(3) == (1, 2, 3)
     # compose applies the right factor first
     assert indexing.compose((3, 1, 2), (2, 1)) == (1, 3)
 

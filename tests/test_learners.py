@@ -18,9 +18,9 @@ def _m_rand(e, d):
 
 
 def test_size_helpers():
-    assert learners.sample_size({(1,): 0, (2,): 0, (1, 2): 0}, False) == 2
+    assert learners.sample_size({(1,): 0, (2,): 0, (1, 2): 0}) == 2
     x = {((1, 1),): 0, ((2, 3),): 0, ((1, 1), (2, 3)): 0}
-    assert learners.sample_size(x, True) == 3
+    assert learners.sample_size(x) == 3
 
 
 def test_learner_randomness_range():
@@ -78,8 +78,8 @@ def test_erm_routes_agree():
     cls = spec.cls
     ell = losses.zero_one_loss(cls.labels, 2)
     mu = templates.uniform_prob(cls.template)
-    oracle = learners.erm_nonpartite(cls, ell)
-    explicit = learners.erm_nonpartite(cls, ell, use_oracle=False)
+    oracle = learners.erm(cls, ell)
+    explicit = learners.erm(cls, ell, use_oracle=False)
     for t in range(10):
         rng = sampler.stream("erm-agree", t)
         F = cls.members[rng.randrange(len(cls))]
@@ -128,7 +128,7 @@ def test_uc_fast_route_equals_manual_generic(monkeypatch):
         (
             fastpath.TwoPartiteContext,
             sampler.Scenario(
-                templates.uniform_partite_prob(ho.template), ho.members[-1], partite=True
+                templates.uniform_partite_prob(ho.template), ho.members[-1]
             ),
             ho,
             losses.zero_one_loss(ho.labels, 2, setting="partite"),
@@ -171,7 +171,6 @@ def _agnostic_point_mass_scenarios():
         templates.uniform_partite_prob(pt),
         Fp,
         mu2=templates.PartiteProbTemplate(pt, {a: point_mass for a in pt.sizes}),
-        partite=True,
     )
     return (sc1, t, losses.zero_one_loss((0, 1), 1)), (
         sc2,
@@ -191,7 +190,7 @@ def test_agnostic_checks_use_the_joined_total():
     report = learners.check_uniform_convergence(sc2, cls, ell2, 6, eps, 10, "ag")
     assert report.frequency == 1 and report.erm_violations == 0
     assert learners.estimate_pac_success(
-        learners.Learner(2, lambda x, y, b: H2, lambda m: 1, partite=True),
+        learners.Learner(2, lambda x, y, b: H2, lambda m: 1),
         sc2, ell2, 3, eps, 5, "ag", agnostic=True, cls=cls,
     ) == 1
 
@@ -235,9 +234,9 @@ def test_split_nonpartite_shapes():
     F = spec.cls.members[1]
     x = sampler.sample_config(mu, 6, sampler.stream("split", 0))
     y = star(F, x, 6)
-    x1, y1, x2, y2 = learners._split(x, y, 2, 6, 2, False)
-    assert learners.sample_size(x1, False) == 2
-    assert learners.sample_size(x2, False) == 4
+    x1, y1, x2, y2 = learners._split(x, y, 2, 6, 2)
+    assert learners.sample_size(x1) == 2
+    assert learners.sample_size(x2) == 4
     assert y1[(1, 2)] == y[(1, 2)]
     assert y2[(1, 2)] == y[(3, 4)]
     assert x2[(1,)] == x[(3,)]
@@ -248,9 +247,9 @@ def test_split_partite_shapes():
     mu = templates.uniform_partite_prob(ho.template)
     x = sampler.sample_partite_config(mu, 5, sampler.stream("split", 1))
     y = star_partite(ho.members[-1], x, 5)
-    x1, y1, x2, y2 = learners._split(x, y, 2, 5, 2, True)
-    assert learners.sample_size(x1, True) == 2
-    assert learners.sample_size(x2, True) == 3
+    x1, y1, x2, y2 = learners._split(x, y, 2, 5, 2)
+    assert learners.sample_size(x1) == 2
+    assert learners.sample_size(x2) == 3
     assert len(y1) == 4 and len(y2) == 9
     assert y2[(1, 2)] == y[(3, 4)]
     assert x2[((1, 1), (2, 3))] == x[((1, 3), (2, 5))]
@@ -300,8 +299,36 @@ def test_infvcn_m_pac_frozen():
 
 def test_infvcn_learner_wiring():
     cls, A, m_pac = learners.infvcn_learner(2)
-    assert cls.partite and A.partite
+    assert cls.partite
     assert m_pac is learners.infvcn_m_pac
+    # the learner reads the partite sample and fits it exactly
+    sc = sampler.Scenario(templates.uniform_partite_prob(cls.template), cls.members[-1])
+    x, y = sampler.labeled_sample(sc, 4, sampler.stream("infvcn", 0))
+    ell = losses.zero_one_loss(cls.labels, 2, setting="partite")
+    assert losses.empirical_loss_partite(x, y, ell, A(x, y), 4) == 0
+
+
+def test_the_setting_is_read_from_the_data():
+    # a partite scenario needs no flag, and a flag that disagrees is refused
+    ho = families.highorder_family(3).cls
+    mu = templates.uniform_partite_prob(ho.template)
+    F, H = ho.members[-1], ho.members[1]
+    ell = losses.zero_one_loss(ho.labels, 2, setting="partite")
+    read, passed = sampler.Scenario(mu, F), sampler.Scenario(mu, F, partite=True)
+    assert read.partite
+    eps = Fraction(1, 10)
+    assert learners.check_concentration(
+        read, H, ell, 8, eps, 20, "flag"
+    ) == learners.check_concentration(passed, H, ell, 8, eps, 20, "flag")
+    with pytest.raises(ValueError):
+        sampler.Scenario(mu, F, partite=False)
+    x, y = sampler.labeled_sample(read, 5, sampler.stream("flag", 0))
+    m = learners.sample_size(x)
+    assert type(m) is int and m == 5
+    # every ERM name runs in the class's own setting
+    assert learners.erm_nonpartite is learners.erm_partite is learners.erm
+    G = learners.erm(ho, ell, use_oracle=False)(x, y)
+    assert losses.empirical_loss_partite(x, y, ell, G, m) == 0
 
 
 def test_estimate_pac_success_perfect_learner():

@@ -4,7 +4,14 @@ from itertools import product
 import pytest
 
 from harity import families, indexing, losses, templates
-from harity.hypotheses import Hypothesis, constant_hypothesis, pattern
+from harity.hypotheses import (
+    Hypothesis,
+    canonical_key,
+    constant_hypothesis,
+    pattern,
+    perms,
+    star,
+)
 
 
 def _two_point_unary():
@@ -71,34 +78,22 @@ def test_empirical_nonpartite_m_equals_k():
 
 
 def test_order_choice_invariance_symmetric():
-    # symmetric loss: the empirical loss does not depend on the order choice
+    # symmetric loss: reading each 2-subset through either of its two
+    # injections (an order choice) gives the library's empirical loss
     ell = losses.zero_one_loss((0, 1), 2)
     spec = families.matching_family(2)
     F, H = spec.cls.members[1], spec.cls.members[2]
-    t = spec.cls.template
     x = {(1,): 0, (2,): 1, (3,): 2, (1, 2): 0, (1, 3): 0, (2, 3): 0}
-    from harity.hypotheses import star
-
     y = star(F, x, 3)
-    subsets3 = [(1, 2), (1, 3), (2, 3)]
-    vals = set()
+    expected = losses.empirical_loss_nonpartite(x, y, ell, H, 3)
     for picks in product((0, 1), repeat=3):
-        oc = {
-            u: (u if p == 0 else (u[1], u[0]))
-            for u, p in zip(subsets3, picks)
-        }
-        vals.add(losses.empirical_loss_nonpartite(x, y, ell, H, 3, oc))
-    assert len(vals) == 1
-
-
-def test_order_choice_validation():
-    ell = losses.zero_one_loss((0, 1), 2)
-    t = templates.Template(2, (2, 1))
-    H = constant_hypothesis(2, t, (0, 1), 0)
-    x = {(1,): 0, (2,): 1, (1, 2): 0}
-    y = {(1, 2): 0, (2, 1): 0}
-    with pytest.raises(ValueError):
-        losses.empirical_loss_nonpartite(x, y, ell, H, 2, {(1, 2): (1, 3)})
+        total = Fraction(0)
+        for u, p in zip([(1, 2), (1, 3), (2, 3)], picks):
+            alpha = u if p == 0 else (u[1], u[0])
+            xa = indexing.pullback(alpha, x)
+            ya = tuple(y[indexing.compose(alpha, tau)] for tau in perms(2))
+            total += ell(xa, pattern(H, xa), ya)
+        assert total / 3 == expected
 
 
 def test_wrap_agnostic():
@@ -206,18 +201,59 @@ def test_bayes_partite():
     )
     ell = losses.zero_one_loss((0, 1), 1, setting="partite")
     ag = losses.wrap_agnostic(ell)
-    B = losses.bayes_predictor_partite(mu, mu2, F, ell)
+    B = losses.bayes_predictor(mu, mu2, F, ell)
     bloss = losses.total_loss_ag(mu, mu2, F, ag, B)
     for v in (0, 1):
         H = constant_hypothesis(1, pt, (0, 1), v)
         assert bloss <= losses.total_loss_ag(mu, mu2, F, ag, H)
 
 
-def test_cover_hart():
-    assert losses.cover_hart_bound(0, 2) == 0
-    assert losses.cover_hart_bound(Fraction(1, 4), 2) == Fraction(1, 4) * (
-        2 - 2 * Fraction(1, 4)
+def _bayes_plain():
+    t = templates.Template(2, (2, 1))
+    mu = templates.ProbTemplate(t, ((Fraction(2, 3), Fraction(1, 3)), (Fraction(1),)))
+    mu2 = templates.ProbTemplate(t, ((Fraction(1, 4), Fraction(3, 4)), (Fraction(1),)))
+    # the joined value at {1} is 2a + b for the learner's a and the hidden b;
+    # F reads a + b mod 2, so an orbit's two points get different labels
+    F = Hypothesis(
+        2,
+        templates.product_template(t, t),
+        (0, 1),
+        lambda x: (x[(1,)] // 2 + x[(1,)]) % 2,
     )
+    return mu, mu2, F, losses.zero_one_loss((0, 1), 2)
+
+
+def _bayes_partite():
+    pt = templates.PartiteTemplate(1, {(1,): 2})
+    mu = templates.PartiteProbTemplate(pt, {(1,): (Fraction(2, 3), Fraction(1, 3))})
+    mu2 = templates.PartiteProbTemplate(pt, {(1,): (Fraction(1, 4), Fraction(3, 4))})
+    F = Hypothesis(
+        1,
+        templates.product_partite_template(pt, pt),
+        (0, 1),
+        lambda x: (x[((1, 1),)] // 2 + x[((1, 1),)]) % 2,
+    )
+    return mu, mu2, F, losses.zero_one_loss((0, 1), 1, setting="partite")
+
+
+@pytest.mark.parametrize(
+    "instance", [_bayes_plain, _bayes_partite], ids=["plain", "partite"]
+)
+def test_bayes_loss_is_the_minimum_over_the_domain(instance):
+    # brute force: the Bayes predictor's loss is the least total loss of
+    # every function on the domain (16 plain, 4 partite)
+    mu, mu2, F, ell = instance()
+    ag = losses.wrap_agnostic(ell)
+    t = mu.template
+    keys = [canonical_key(x) for x in templates.domain_points(t, ell.k)]
+    totals = []
+    for values in product(ell.labels, repeat=len(keys)):
+        table = dict(zip(keys, values))
+        H = Hypothesis(ell.k, t, ell.labels, lambda x, tab=table: tab[canonical_key(x)])
+        totals.append(losses.total_loss_ag(mu, mu2, F, ag, H))
+    assert len(totals) == {2: 16, 1: 4}[ell.k]
+    B = losses.bayes_predictor(mu, mu2, F, ell)
+    assert losses.total_loss_ag(mu, mu2, F, ag, B) == min(totals) < max(totals)
 
 
 def test_permute_pattern_identity():

@@ -75,9 +75,8 @@ def test_nonpartite_from_partite_learner():
     pcls = partize_class(cls)
     G = pcls.members[2]
 
-    A2 = learners.Learner(2, lambda x, y, b: G, lambda m: 3, partite=True)
+    A2 = learners.Learner(2, lambda x, y, b: G, lambda m: 3)
     A = reductions.nonpartite_from_partite_learner(A2, cls.template, cls.labels)
-    assert not A.partite
     assert A.r(9) == 3
     mu = templates.uniform_prob(cls.template)
     import harity.sampler as sampler
@@ -86,6 +85,10 @@ def test_nonpartite_from_partite_learner():
     y = star(cls.members[0], x, 4)
     H = A(x, y, 0)
     assert H.same_function(cls.members[2])
+    # the randomness range is checked on the non-partite sample
+    A(x, y, 2)
+    with pytest.raises(ValueError):
+        A(x, y, 3)
     assert reductions.nonpartite_sample_size(2.5, 2) == 6
 
 
@@ -344,7 +347,7 @@ def test_departize_learner_decodes_and_partizes():
 
     A = learners.Learner(2, record, lambda m: 2)
     D = reductions.departize_learner(A, 2, cls.template, cls.labels)
-    assert D.partite and D.r(2) == 2 * reductions.departize_r(lambda m: 1, 2, 2)
+    assert D.r(2) == 2 * reductions.departize_r(lambda m: 1, 2, 2)
     mu = templates.partize_prob(templates.uniform_prob(cls.template), 2)
     x = sampler.sample_partite_config(mu, 2, sampler.stream("departize-learner", 0))
     y = star_partite(partize_hypothesis(cls.members[1]), x, 2)
@@ -353,7 +356,10 @@ def test_departize_learner_decodes_and_partizes():
         ba, sigma, U, Uprime = reductions.decode_departize_randomness(b, A.r, 2, 2)
         xhat, yhat = reductions.departize_sample(x, y, sigma, U, Uprime, 2)
         assert seen[-1] == (xhat, yhat, ba)
-        assert G.same_function(partize_hypothesis(cls.members[ba]))
+        assert G.partite and G.same_function(partize_hypothesis(cls.members[ba]))
+    # the randomness range is read at the partite size 2
+    with pytest.raises(ValueError):
+        D(x, y, D.r(2))
 
 
 def test_departize_survival_probability():

@@ -1,9 +1,6 @@
-import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from harity import indexing, templates
 
@@ -36,22 +33,6 @@ def test_uniform_prob():
     mu = templates.uniform_prob(t)
     assert mu.weights[0] == (Fraction(1, 4),) * 4
     assert mu.weights[1] == (Fraction(1, 2),) * 2
-
-
-def _rational_vector(n):
-    return st.lists(
-        st.integers(min_value=1, max_value=9), min_size=n, max_size=n
-    ).map(lambda ws: tuple(Fraction(w, sum(ws)) for w in ws))
-
-
-@given(_rational_vector(2), _rational_vector(3), _rational_vector(2), _rational_vector(3))
-@settings(max_examples=25, deadline=None)
-def test_product_prob_valid(w1a, w1b, w2a, w2b):
-    p1 = templates.ProbTemplate(templates.Template(2, (2, 3)), (w1a, w1b))
-    p2 = templates.ProbTemplate(templates.Template(2, (2, 3)), (w2a, w2b))
-    prod = templates.product_prob(p1, p2)
-    # construction re-validates sums; spot-check one joint weight
-    assert prod.weight(1, 1) == w1a[0] * w2a[1]
 
 
 @pytest.mark.parametrize(
@@ -148,19 +129,3 @@ def test_zero_mass_points_skipped():
     law = templates.config_law(mu, 2)
     assert len(law) == 1
     assert law[0][1] == 1
-
-
-def test_template_to_json_frozen():
-    t = templates.Template(2, (2, 1))
-    mu = templates.uniform_prob(t)
-    doc = json.loads(templates.template_to_json(t, mu))
-    assert doc == {
-        "k": 2,
-        "partite": False,
-        "sizes": {"1": 2, "2": 1},
-        "weights": {"1": ["1/2", "1/2"], "2": ["1"]},
-    }
-    pt = templates.partize_template(t, 2)
-    pdoc = json.loads(templates.template_to_json(pt))
-    assert pdoc["partite"] is True
-    assert pdoc["sizes"] == {"{1}": 2, "{2}": 2, "{1,2}": 1}
