@@ -183,10 +183,13 @@ def _m_list(merged, default):
     m = merged.get("m", default)
     sizes = m if isinstance(m, (list, tuple)) else str(m).split(",")
     try:
-        return [int(v) for v in sizes]
+        out = [int(v) for v in sizes]
     except (TypeError, ValueError):
         msg = f"m must be a size or a comma-separated list, not {m!r}"
         raise click.UsageError(msg) from None
+    if not out or min(out) < 1:
+        raise click.UsageError(f"m must be a positive size, not {m!r}")
+    return out
 
 
 def _float_str(x):

@@ -2,6 +2,7 @@
 computation, and class partization."""
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations, product
 
 from . import indexing, templates
@@ -11,9 +12,10 @@ def canonical_key(x):
     return tuple(sorted(x.items()))
 
 
+@cache
 def perms(k):
-    """Canonical enumeration of S_k (lexicographic)."""
-    return list(permutations(range(1, k + 1)))
+    """Canonical enumeration of S_k (lexicographic), built once per k."""
+    return tuple(permutations(range(1, k + 1)))
 
 
 @dataclass(frozen=True)

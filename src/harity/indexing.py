@@ -11,12 +11,15 @@ Conventions used throughout the package:
   position ``i`` (0-based) holds the image of ``i + 1``.
 * Configuration points are plain dicts keyed by subset indices (non-partite)
   or partite indices (partite).  All values are immutable, so config points
-  are shared freely.
+  are shared freely.  A non-partite config point over [m] holds every subset
+  of size <= min(k, m) for its template's arity k (``Template.coords``), so
+  the pullbacks probe image keys instead of scanning the point.
 
 The canonical order for subsets and partite indices is size-then-lexicographic
 so serialized output is bit-stable across runs.
 """
 
+from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -90,17 +93,18 @@ def pullback(alpha, x):
     """Contravariant action on non-partite config points: alpha*(x)_A = x_{alpha(A)}.
 
     x is a config point over [m]; the result lives over [len(alpha)] and keeps
-    exactly the arities that x has (keys whose image set is a key of x).
+    exactly the arities that x has.  As x holds every subset of size <= min(k, m),
+    size s is kept when the image of alpha's first s positions is a key of x:
+    one probe per size, so a call costs O(2^k) lookups when len(alpha) = k.
     """
     out = {}
     kp = len(alpha)
-    arities = {len(a) for a in x}
-    for size in sorted(arities):
-        if size > kp:
-            continue
-        for dom in combinations(range(1, kp + 1), size):
-            image = tuple(sorted(alpha[i - 1] for i in dom))
-            out[dom] = x[image]
+    for size in range(1, kp + 1):
+        if tuple(sorted(alpha[:size])) not in x:
+            break
+        doms = combinations(range(1, kp + 1), size)
+        for dom, image in zip(doms, combinations(alpha, size)):
+            out[dom] = x[tuple(sorted(image))]
     return out
 
 
@@ -108,19 +112,22 @@ def pullback_partite(alpha, x):
     """alpha*(x)_f = x_{alpha restricted to dom(f)} for alpha in prod V_i.
 
     alpha is a tuple of k part-local vertex ids; the result is a partite
-    config point over parts of size 1 each.
+    config point over parts of size 1 each, with one coordinate per domain
+    A within [k] whose restriction of alpha is a key of x.
     """
-    k = len(alpha)
     out = {}
-    for key in x:
-        dom = tuple(p for p, _ in key)
-        if len(dom) != len(set(dom)):  # pragma: no cover - malformed key
-            raise ValueError("bad partite index")
-        # Only keys that are restrictions of alpha contribute one coordinate
-        # of the result; every domain A appears exactly once in the result.
-        if all(v == alpha[p - 1] for p, v in key):
-            out[tuple((p, 1) for p in dom)] = x[key]
+    for dom, unit in _part_domains(len(alpha)):
+        key = tuple((p, alpha[p - 1]) for p in dom)
+        if key in x:
+            out[unit] = x[key]
     return out
+
+
+@cache
+def _part_domains(k):
+    """Each domain A within [k], with its partite index over one vertex per
+    part, in canonical order."""
+    return tuple((dom, tuple((p, 1) for p in dom)) for dom in subsets(k, k))
 
 
 def sigma_act_partite(sigma, x):

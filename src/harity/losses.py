@@ -9,7 +9,7 @@ Lambda^{S_k}.  Partite losses consume single labels.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial, perm
 
 from . import indexing, templates
 from .hypotheses import Hypothesis, canonical_key, pattern, perms, star
@@ -19,6 +19,9 @@ BOTTOM = "⊥"
 
 @dataclass(frozen=True)
 class LossFn:
+    """A loss l(x, y, y') whose values are ints or Fractions (an empirical
+    loss sums them exactly, and a float value raises there)."""
+
     k: int
     setting: str  # "nonpartite" | "partite"
     labels: tuple
@@ -41,7 +44,7 @@ def loss_metadata(ell, template, patterns=None):
     points = templates.domain_points(template, ell.k)
     if ell.setting == "partite":
         pats = list(ell.labels) if patterns is None else patterns
-        sym_perms = None
+        sym_perms = ()
     else:
         pats = (
             list(product(ell.labels, repeat=len(perms(ell.k))))
@@ -59,17 +62,12 @@ def loss_metadata(ell, template, patterns=None):
                 sup = max(sup, v)
                 if y != yp:
                     sep = v if sep is None else min(sep, v)
-    if sym_perms is not None:
-        for x in points:
-            for y in pats:
-                for yp in pats:
-                    for sigma in sym_perms:
-                        sx = indexing.pullback(sigma, x)
-                        sy = permute_pattern(y, sigma, ell.k)
-                        syp = permute_pattern(yp, sigma, ell.k)
-                        if ell(sx, sy, syp) != ell(x, y, yp):
-                            symmetric = False
-                            break
+                for sigma in sym_perms:
+                    sx = indexing.pullback(sigma, x)
+                    sy = permute_pattern(y, sigma, ell.k)
+                    syp = permute_pattern(yp, sigma, ell.k)
+                    if ell(sx, sy, syp) != v:
+                        symmetric = False
     if sep is None:
         sep = Fraction(0)
     return sup, sep, symmetric
@@ -172,25 +170,24 @@ def empirical_loss_partite(x, y, ell, H, m):
     """Mean over alpha in [m]^k of l(alpha*(x), H(alpha*(x)), y_alpha)."""
     if m < 1:
         raise ValueError("empty sample")
-    total = Fraction(0)
+    total = 0
     for alpha in product(range(1, m + 1), repeat=ell.k):
         xa = indexing.pullback_partite(alpha, x)
-        total += Fraction(ell(xa, H(xa), y[alpha]))
-    return total / m**ell.k
+        total += ell(xa, H(xa), y[alpha])
+    return Fraction(total, m**ell.k)
 
 
 def empirical_loss_nonpartite(x, y, ell, H, m):
     """Mean over k-subsets U of [m] of the loss at U's increasing injection,
     with the label tensor reshaped to full patterns.  A symmetric loss gives
     the same mean under any other choice of injection onto each U."""
-    ps = perms(ell.k)
-    total = Fraction(0)
+    taus = [[t - 1 for t in tau] for tau in perms(ell.k)]
+    total = 0
     for u in combinations(range(1, m + 1), ell.k):
         xu = indexing.pullback(u, x)
-        hy = pattern(H, xu)
-        yy = tuple(y[indexing.compose(u, tau)] for tau in ps)
-        total += Fraction(ell(xu, hy, yy))
-    return total / comb(m, ell.k)
+        yy = tuple(y[tuple(u[t] for t in tau)] for tau in taus)
+        total += ell(xu, pattern(H, xu), yy)
+    return Fraction(total, comb(m, ell.k))
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +228,12 @@ def flexibility_witness_01(labels, k, setting="nonpartite"):
     if setting == "partite" or k == 1:
         constant = Fraction(L - 1, L)
     else:
-        import math
-
-        constant = 1 - Fraction(1, L ** math.factorial(k))
+        constant = 1 - Fraction(1, L ** factorial(k))
 
     def r_n(m):
         if setting == "partite":
             return L ** (m ** k)
-        count = 1
-        for i in range(k):
-            count *= m - i
-        return L ** count
+        return L ** perm(m, k)
 
     def noise(x, b, m):
         if setting == "partite":
@@ -310,33 +302,43 @@ def bayes_predictor(mu, mu2, F, ell):
     Minimization runs per orbit over all label assignments, so the result is
     a genuine hypothesis.  A non-partite point's orbit is its S_k pullbacks
     and the loss reads their pattern; a partite point is its own orbit and
-    the loss reads its one label.  Ties break toward the smallest label
+    the loss reads its one label.  An assignment scores the sum of the
+    conditional losses at the orbit's distinct points, which carry equal mass
+    under a product law, so asymmetric losses are minimized too; a symmetric
+    loss scores every point alike.  Ties break toward the smallest label
     indices, read in the order the loss reads the orbit.
     """
     k = ell.k
     t1, t2 = mu.template, mu2.template
     if t1.partite:
-        m, read, orbit = 1, (lambda G, x: G(x)), (lambda x: [x])
+        m, read, ps, reading = 1, (lambda G, x: G(x)), None, [(0,)]
     else:
-        ps = perms(k)
-        m, read = k, pattern
-        orbit = lambda x: [indexing.pullback(sigma, x) for sigma in ps]  # noqa: E731
-    xp_law = templates.config_law(mu2, m)
+        m, read, ps = k, pattern, perms(k)
+        pindex = {p: i for i, p in enumerate(ps)}
+        # orbit point i pulled back along ps[j] is orbit point reading[i][j]
+        reading = [tuple(pindex[indexing.compose(a, b)] for b in ps) for a in ps]
+    xp_law, join = templates.config_law(mu2, m), templates.join_config
     values = {}
     for x0 in templates.config_points(t1, m):
         if canonical_key(x0) in values:
             continue
-        yps = [(q, read(F, templates.join_config(t1, t2, x0, xp))) for xp, q in xp_law]
-        keys = [canonical_key(z) for z in orbit(x0)]
+        orbit = [x0] if ps is None else [indexing.pullback(sigma, x0) for sigma in ps]
+        keys = [canonical_key(z) for z in orbit]
         orbit_keys = sorted(set(keys))
+        points = [  # the orbit's distinct points, with F's conditional labels
+            (z, reading[i], [(q, read(F, join(t1, t2, z, xp))) for xp, q in xp_law])
+            for i, z in enumerate(orbit)
+            if keys.index(keys[i]) == i
+        ]
         best = None
         for assignment in product(range(len(ell.labels)), repeat=len(orbit_keys)):
             lookup = dict(zip(orbit_keys, assignment))
             idx = tuple(lookup[key] for key in keys)
-            hy = tuple(ell.labels[i] for i in idx)
-            if t1.partite:
-                hy = hy[0]
-            score = sum((q * Fraction(ell(x0, hy, yp)) for q, yp in yps), Fraction(0))
+            score = Fraction(0)
+            for z, positions, yps in points:
+                hy = tuple(ell.labels[idx[j]] for j in positions)
+                hy = hy[0] if ps is None else hy
+                score += sum(q * Fraction(ell(z, hy, yp)) for q, yp in yps)
             if best is None or (score, idx) < best[:2]:
                 best = (score, idx, lookup)
         for key, i in best[2].items():

@@ -250,6 +250,28 @@ CONFIG_ERRORS = {
 }
 
 
+M_COMMANDS = {
+    "learn": ["learn", "--family", "matching", "--n", "2"],
+    "sample": ["sample", "--family", "matching", "--n", "2"],
+    "verify-uc": ["verify-uc", "--family", "matching", "--n", "2"],
+    "nofreelunch": ["nofreelunch"],
+}
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "[10, 0]"])
+@pytest.mark.parametrize("name", sorted(M_COMMANDS))
+def test_non_positive_m_exits_2(tmp_path, name, bad):
+    args = M_COMMANDS[name] + ["--out", str(tmp_path / "o")]
+    if bad.startswith("["):
+        args += _config_file(tmp_path, '{"m": %s}' % bad)
+    else:
+        args += ["--m", bad]
+    res = _run(args)
+    assert res.exit_code == cli.EXIT_CONFIG, (res.output, res.exception)
+    assert "m must be a positive size" in res.output
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
 def test_config_errors_exit_2(tmp_path, case):
     args = CONFIG_ERRORS[case](tmp_path)

@@ -1,4 +1,4 @@
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -132,6 +132,49 @@ def test_pullback_partite_manual():
         ((2, 1),): 20,
         ((1, 1), (2, 1)): 31,
     }
+
+
+def _scan_pullback(alpha, x):
+    # the definition the probing pullback replaced: keep every arity of x
+    out = {}
+    for size in sorted({len(a) for a in x}):
+        if size > len(alpha):
+            continue
+        for dom in combinations(range(1, len(alpha) + 1), size):
+            out[dom] = x[tuple(sorted(alpha[i - 1] for i in dom))]
+    return out
+
+
+def _scan_pullback_partite(alpha, x):
+    # the definition the probing pullback replaced: scan every key of x
+    out = {}
+    for key in x:
+        if all(v == alpha[p - 1] for p, v in key):
+            out[tuple((p, 1) for p, _ in key)] = x[key]
+    return out
+
+
+def test_pullback_equals_the_scanning_definition():
+    m = 4
+    alphas = [a for j in range(1, m + 1) for a in indexing.injections(m, j)]
+    for x in _points(templates.Template(2, (2, 2)), m):
+        for alpha in alphas:
+            out = indexing.pullback(alpha, x)
+            assert out == _scan_pullback(alpha, x)
+            assert list(out) == list(_scan_pullback(alpha, x))
+    # a sample with its unary coordinates only keeps arity 1
+    unary = {(i,): i % 2 for i in range(1, m + 1)}
+    for alpha in alphas:
+        assert indexing.pullback(alpha, unary) == _scan_pullback(alpha, unary)
+
+
+def test_pullback_partite_equals_the_scanning_definition():
+    t = templates.PartiteTemplate(2, {(1,): 2, (2,): 1, (1, 2): 2})
+    m = 3
+    for x in _points(t, m):
+        for alpha in product(range(1, m + 1), repeat=2):
+            out = indexing.pullback_partite(alpha, x)
+            assert list(out.items()) == list(_scan_pullback_partite(alpha, x).items())
 
 
 def test_sigma_act_partite_covariant():

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,20 @@ def test_split_nonpartite_shapes():
     assert y1[(1, 2)] == y[(1, 2)]
     assert y2[(1, 2)] == y[(3, 4)]
     assert x2[(1,)] == x[(3,)]
+
+
+def test_split_stops_at_the_sample_arity():
+    # the prefix is a pullback along an injection of length 20; probing
+    # every subset size up to that length would enumerate 2^20 subsets
+    spec = families.matching_family(2)
+    mu = templates.uniform_prob(spec.cls.template)
+    sc = sampler.Scenario(mu, spec.cls.members[1])
+    x, y = sampler.labeled_sample(sc, 40, sampler.stream("split", 2))
+    started = time.perf_counter()
+    x1, _, x2, _ = learners._split(x, y, 20, 40, 2)
+    assert time.perf_counter() - started < 1
+    assert {len(a) for a in x1} == {len(a) for a in x2} == {1, 2}
+    assert len(x1) == len(x2) == 20 + 190
 
 
 def test_split_partite_shapes():

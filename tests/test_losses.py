@@ -1,9 +1,10 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
-from harity import families, indexing, losses, templates
+from harity import families, indexing, losses, sampler, templates
 from harity.hypotheses import (
     Hypothesis,
     canonical_key,
@@ -11,6 +12,7 @@ from harity.hypotheses import (
     pattern,
     perms,
     star,
+    star_partite,
 )
 
 
@@ -75,6 +77,56 @@ def test_empirical_nonpartite_m_equals_k():
     y = {(1, 2): 0, (2, 1): 1}
     val = losses.empirical_loss_nonpartite(x, y, ell, H, 2)
     assert val == 1  # pattern (0,0) vs (0,1)
+
+
+def _thirds_loss(k, setting):
+    # a Fraction-valued loss: a third per disagreeing label
+    def fn(x, y, yp):
+        if setting == "partite":
+            return Fraction(int(y != yp), 3)
+        return Fraction(sum(a != b for a, b in zip(y, yp)), 3)
+
+    return losses.LossFn(k, setting, (0, 1), fn, name="thirds")
+
+
+def test_empirical_losses_equal_the_per_term_fraction_sum():
+    spec = families.matching_family(2)
+    mu = templates.uniform_prob(spec.cls.template)
+    F = spec.cls.members[1]
+    H = Hypothesis(2, spec.cls.template, (0, 1), lambda z: z[(1,)] % 2)
+    m = 6
+    x = sampler.sample_config(mu, m, sampler.stream("thirds", 0))
+    y = star(F, x, m)
+    ell = _thirds_loss(2, "nonpartite")
+    expected = Fraction(0)
+    for u in combinations(range(1, m + 1), 2):
+        xu = indexing.pullback(u, x)
+        yu = tuple(y[indexing.compose(u, tau)] for tau in perms(2))
+        expected += Fraction(ell(xu, pattern(H, xu), yu))
+    got = losses.empirical_loss_nonpartite(x, y, ell, H, m)
+    assert got == expected / comb(m, 2) and 0 < got < 1
+
+    ho = families.highorder_family(3).cls
+    mu = templates.uniform_partite_prob(ho.template)
+    F, H = ho.members[-1], ho.members[1]
+    x = sampler.sample_partite_config(mu, 4, sampler.stream("thirds", 1))
+    y = star_partite(F, x, 4)
+    ell = _thirds_loss(2, "partite")
+    expected = Fraction(0)
+    for alpha in product(range(1, 5), repeat=2):
+        xa = indexing.pullback_partite(alpha, x)
+        expected += Fraction(ell(xa, H(xa), y[alpha]))
+    got = losses.empirical_loss_partite(x, y, ell, H, 4)
+    assert got == expected / 4**2 and 0 < got < 1
+
+
+def test_empirical_loss_refuses_float_values():
+    t = templates.Template(2, (2, 1))
+    H = constant_hypothesis(2, t, (0, 1), 0)
+    ell = losses.LossFn(2, "nonpartite", (0, 1), lambda x, y, yp: 0.5)
+    x = {(1,): 0, (2,): 1, (1, 2): 0}
+    with pytest.raises(TypeError):
+        losses.empirical_loss_nonpartite(x, {(1, 2): 0, (2, 1): 1}, ell, H, 2)
 
 
 def test_order_choice_invariance_symmetric():
@@ -236,8 +288,18 @@ def _bayes_partite():
     return mu, mu2, F, losses.zero_one_loss((0, 1), 1, setting="partite")
 
 
+def _bayes_plain_second_entry():
+    # an asymmetric loss: it reads only the pattern entry at the swap (2, 1),
+    # so an orbit's two points weigh the two labels differently
+    mu, mu2, F, ell = _bayes_plain()
+    second = lambda x, y, yp: int(y[1] != yp[1])  # noqa: E731
+    return mu, mu2, F, losses.LossFn(2, "nonpartite", ell.labels, second)
+
+
 @pytest.mark.parametrize(
-    "instance", [_bayes_plain, _bayes_partite], ids=["plain", "partite"]
+    "instance",
+    [_bayes_plain, _bayes_partite, _bayes_plain_second_entry],
+    ids=["plain", "partite", "plain-asymmetric"],
 )
 def test_bayes_loss_is_the_minimum_over_the_domain(instance):
     # brute force: the Bayes predictor's loss is the least total loss of
