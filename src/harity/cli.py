@@ -328,6 +328,8 @@ def nfl_cmd(merged):
     mm = _m_list(merged, "5")[0]
     epsv = Fraction(str(merged.get("eps", 0.1)))
     ntrials = merged.get("trials", 2000)
+    if dd < 1:
+        raise click.UsageError(f"d must be a positive size, not {dd!r}")
     if dd > 24:
         raise Infeasible("d capped at 24")
     sc = adversaries.shattered_scenario(dd)

@@ -7,9 +7,10 @@ learner carries no setting flag: sample sizes and the setting are read from
 the sample's keys, and ``erm`` reads the class's template, so learners compose
 without extra plumbing.
 
-Every Monte Carlo check takes its exact totals from ``_total_loss``; the
-uniform-convergence and concentration checks take their per-trial empirical
-losses from the one route chooser ``_trial_losses``.
+Every Monte Carlo check builds its exact totals once, from ``_totals``, and
+then reads each trial's hypothesis against them; the uniform-convergence and
+concentration checks take their per-trial empirical losses from the one route
+chooser ``_trial_losses``.
 """
 
 import math
@@ -83,13 +84,12 @@ erm_nonpartite = erm_partite = erm
 # check
 
 
-def _total_loss(sc, ell, H):
-    """Exact total loss of H in the scenario: the plain or the agnostic
-    (mu, mu', F) total of the scenario's setting."""
+def _totals(sc, ell):
+    """H -> the exact total loss of H in the scenario: the plain or the
+    agnostic (mu, mu', F) total, built once per check."""
     if sc.mu2 is not None:
-        return losses.total_loss_ag(sc.mu, sc.mu2, sc.F, losses.wrap_agnostic(ell), H)
-    total = losses.total_loss_partite if sc.partite else losses.total_loss
-    return total(sc.mu, sc.F, ell, H)
+        return losses.totals(sc.mu, sc.F, losses.wrap_agnostic(ell), sc.mu2)
+    return losses.totals(sc.mu, sc.F, ell)
 
 
 def _pairable(sc, members, ell):
@@ -191,7 +191,7 @@ def check_uniform_convergence(sc, cls, ell, m, eps, trials, seed):
     ERM's total loss within eps of the class infimum."""
     eps = Fraction(eps)
     members = list(cls.members)
-    totals = [_total_loss(sc, ell, H) for H in members]
+    totals = list(map(_totals(sc, ell), members))
     inf_total = min(totals)
     trial = _trial_losses(sc, members, ell)
 
@@ -227,7 +227,7 @@ def concentration_bound(eps, m, k, setting, sup_norm=1):
 def check_concentration(sc, H, ell, m, eps, trials, seed):
     """Measured frequency of |empirical - total| >= eps for a fixed H."""
     eps = Fraction(eps)
-    total = _total_loss(sc, ell, H)
+    total = _totals(sc, ell)(H)
     trial = _trial_losses(sc, [H], ell)
     hits = 0
     for t in range(trials):
@@ -391,14 +391,14 @@ def estimate_pac_success(A, sc, ell, m, eps, trials, seed, agnostic=False, cls=N
     """Monte Carlo frequency of trials whose learned hypothesis has total
     loss <= eps (non-agnostic) or <= inf + eps (agnostic, exact infimum over
     ``cls``)."""
-    target = Fraction(eps)
+    target, total = Fraction(eps), _totals(sc, ell)
     if agnostic:
-        target += min(_total_loss(sc, ell, H) for H in cls)
+        target += min(map(total, cls))
     wins = 0
     for t in range(trials):
         rng = sampler.stream(seed, t)
         x, y = sampler.labeled_sample(sc, m, rng)
         H = A(x, y, rng.randrange(A.r(m)))
-        if _total_loss(sc, ell, H) <= target:
+        if total(H) <= target:
             wins += 1
     return Fraction(wins, trials)

@@ -1,5 +1,6 @@
-"""Loss functions (plain and agnostic, both settings), total and empirical
-losses, flexibility witnesses, neutral symbols, and Bayes predictors.
+"""Loss functions (plain and agnostic, both settings), exact totals (each built
+once as a plan by ``totals``), empirical losses, flexibility witnesses, neutral
+symbols, and Bayes predictors.
 
 Non-partite losses consume full label patterns: a pattern is a tuple over the
 canonical enumeration of S_k (see ``hypotheses.perms``), i.e. an element of
@@ -9,9 +10,9 @@ Lambda^{S_k}.  Partite losses consume single labels.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm, prod
 
-from . import indexing, templates
+from . import indexing, sampler, templates
 from .hypotheses import Hypothesis, canonical_key, pattern, perms, star
 
 BOTTOM = "⊥"
@@ -19,8 +20,8 @@ BOTTOM = "⊥"
 
 @dataclass(frozen=True)
 class LossFn:
-    """A loss l(x, y, y') whose values are ints or Fractions (an empirical
-    loss sums them exactly, and a float value raises there)."""
+    """A loss l(x, y, y') whose values are ints or Fractions (empirical and
+    total losses sum them exactly, and a float value raises TypeError there)."""
 
     k: int
     setting: str  # "nonpartite" | "partite"
@@ -128,38 +129,44 @@ def wrap_agnostic(ell):
 
 
 # ---------------------------------------------------------------------------
-# total losses (exact enumeration)
+# total losses (exact enumeration, one plan per check)
+
+
+def totals(mu, F, ell, mu2=None):
+    """H -> E_{x ~ mu}[l(x, H's labels at x, F's labels at x)], or, given mu2,
+    E over mu (x) mu' of the agnostic l(H, x, y), y F's labels at the joined
+    point.  The laws (under the exact-law cap), each atom's S_k orbit and F's
+    labels are built once; a call reads H once per atom and sums integer
+    numerators over one common denominator, so a float loss value raises.
+    ``total_loss``, ``total_loss_partite`` and ``total_loss_ag`` call it once."""
+    t, t2, partite = mu.template, mu2 and mu2.template, mu.template.partite
+    m, ps = (1, None) if partite else (ell.k, perms(ell.k))
+    law = templates.partite_config_law if partite else templates.config_law
+    sampler.check_law_size(prod(templates.law_atoms(nu, m) for nu in (mu, mu2) if nu))
+    read = (lambda G, o: G(o[0])) if partite else (lambda G, o: tuple(map(G, o)))
+    xp_law, plan = [(None, 1)] if mu2 is None else law(mu2, m), []
+    for x, p in law(mu, m):
+        o = (x,) if partite else [indexing.pullback(s, x) for s in ps]
+        for xp, q in xp_law:
+            z = x if xp is None else templates.join_config(t, t2, x, xp)
+            plan.append((p * q, x, o, F(z) if partite else pattern(F, z)))
+    D = lcm(*(w.denominator for w, *_ in plan))
+    plan = [(w.numerator * (D // w.denominator), x, o, y) for w, x, o, y in plan]
+    if mu2 is not None:
+        return lambda H: Fraction(sum(n * ell(H, x, y) for n, x, _, y in plan), D)
+    return lambda H: Fraction(sum(n * ell(x, read(H, o), y) for n, x, o, y in plan), D)
 
 
 def total_loss(mu, F, ell, H):
-    """Non-partite, non-agnostic: E_{x ~ mu^k}[l(x, H-pattern, F-pattern)]."""
-    total = Fraction(0)
-    for x, p in templates.config_law(mu, ell.k):
-        total += p * Fraction(ell(x, pattern(H, x), pattern(F, x)))
-    return total
+    return totals(mu, F, ell)(H)
 
 
 def total_loss_ag(mu, mu2, F, ell_ag, H):
-    """Agnostic, either setting: E over mu (x) mu' of l(H, x, y), where y is
-    F's labels at the joined point (its single label when partite)."""
-    if mu.template.partite:
-        law, m, labels = templates.partite_config_law, 1, F
-    else:
-        law, m, labels = templates.config_law, ell_ag.k, lambda z: pattern(F, z)
-    xp_law = law(mu2, m)
-    total = Fraction(0)
-    for x, p in law(mu, m):
-        for xp, q in xp_law:
-            y = labels(templates.join_config(mu.template, mu2.template, x, xp))
-            total += p * q * Fraction(ell_ag(H, x, y))
-    return total
+    return totals(mu, F, ell_ag, mu2)(H)
 
 
 def total_loss_partite(mu, F, ell, H):
-    total = Fraction(0)
-    for x, p in templates.partite_config_law(mu, 1):
-        total += p * Fraction(ell(x, H(x), F(x)))
-    return total
+    return totals(mu, F, ell)(H)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ Each Monte Carlo trial derives an independent ``random.Random`` stream from
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import templates
 from .hypotheses import canonical_key, star, star_partite
@@ -117,10 +118,7 @@ def law_key(x, y):
 def exact_sample_law(sc, m):
     """Exact rational law of (x, y) as a dict keyed by canonical encodings."""
     _, law_of, star_of = _setting(sc.partite)
-    atoms = templates.law_atoms(sc.mu, m)
-    if sc.mu2 is not None:
-        atoms *= templates.law_atoms(sc.mu2, m)
-    check_law_size(atoms)
+    check_law_size(prod(templates.law_atoms(nu, m) for nu in (sc.mu, sc.mu2) if nu))
     x_law = law_of(sc.mu, m)
     xp_law = [({}, Fraction(1))] if sc.mu2 is None else law_of(sc.mu2, m)
     law = {}

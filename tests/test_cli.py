@@ -240,6 +240,9 @@ CONFIG_ERRORS = {
     "config-bad-trials": lambda tmp: ["ramsey", *_config_file(tmp, '{"trials": 0}')],
     "partition-unreadable": lambda tmp: ["dims", "--family", f"partition:{tmp}/none"],
     "config-n-is-a-list": lambda tmp: ["dims", *_config_file(tmp, '{"n": [3]}')],
+    "nofreelunch-d-zero": lambda tmp: ["nofreelunch", "--d", "0"],
+    "nofreelunch-d-negative": lambda tmp: ["nofreelunch", "--d", "-2"],
+    "config-d-zero": lambda tmp: ["nofreelunch", *_config_file(tmp, '{"d": 0}')],
     "out-unwritable": lambda tmp: ["dims", "--out", f"{tmp}/no/such/dir/o"],
     "partition-not-json": lambda tmp: [
         "dims", "--family", "partition:" + _write(tmp, "p.json", "[1")

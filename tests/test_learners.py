@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from harity import fastpath, families, learners, losses, sampler, templates
+from harity import adversaries, fastpath, families, learners, losses, sampler, templates
 from harity.hypotheses import (
     Hypothesis,
     HypothesisClass,
@@ -194,6 +194,41 @@ def test_agnostic_checks_use_the_joined_total():
         learners.Learner(2, lambda x, y, b: H2, lambda m: 1),
         sc2, ell2, 3, eps, 5, "ag", agnostic=True, cls=cls,
     ) == 1
+
+
+def test_each_check_enumerates_the_law_once(monkeypatch):
+    # the exact totals are built once per check, not once per trial or member
+    calls = []
+    law = templates.config_law
+    monkeypatch.setattr(
+        templates, "config_law", lambda mu, m: calls.append(mu) or law(mu, m)
+    )
+    nfl = adversaries.shattered_scenario(6)
+    ell = losses.zero_one_loss(nfl.labels, 1)
+    sc = sampler.Scenario(nfl.mu, nfl.hypothesis(frozenset({0, 3})))
+    A = adversaries.erm_learner(nfl)
+    learners.estimate_pac_success(A, sc, ell, 3, Fraction(1, 10), 50, "once")
+    assert len(calls) == 1
+    calls.clear()
+    learners.check_concentration(sc, nfl.cls.members[5], ell, 3, 0.5, 50, "once")
+    assert len(calls) == 1
+    calls.clear()
+    match = families.matching_family(2).cls
+    sc2 = sampler.Scenario(templates.uniform_prob(match.template), match.members[1])
+    ell2 = losses.zero_one_loss(match.labels, 2)
+    learners.check_uniform_convergence(sc2, match, ell2, 4, 0.5, 20, "once")
+    assert len(calls) == 1 and len(match.members) > 1
+    (ag, t, ell1), _ = _agnostic_point_mass_scenarios()
+    consts = [constant_hypothesis(1, t, (0, 1), v) for v in (0, 1)]
+    calls.clear()
+    learners.check_concentration(ag, consts[1], ell1, 4, 0.5, 20, "once")
+    assert len(calls) == 2 and set(calls) == {ag.mu, ag.mu2}
+    calls.clear()
+    learners.estimate_pac_success(
+        learners.Learner(1, lambda x, y, b: consts[1], lambda m: 1),
+        ag, ell1, 3, Fraction(1, 10), 20, "once", agnostic=True, cls=consts,
+    )
+    assert len(calls) == 2 and set(calls) == {ag.mu, ag.mu2}
 
 
 def test_check_concentration_within_bound():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -118,6 +119,138 @@ def test_empirical_losses_equal_the_per_term_fraction_sum():
         expected += Fraction(ell(xa, H(xa), y[alpha]))
     got = losses.empirical_loss_partite(x, y, ell, H, 4)
     assert got == expected / 4**2 and 0 < got < 1
+
+
+# the per-atom definitions the exact totals had before ``losses.totals``
+
+
+def _old_total_loss(mu, F, ell, H):
+    total = Fraction(0)
+    for x, p in templates.config_law(mu, ell.k):
+        total += p * Fraction(ell(x, pattern(H, x), pattern(F, x)))
+    return total
+
+
+def _old_total_loss_partite(mu, F, ell, H):
+    total = Fraction(0)
+    for x, p in templates.partite_config_law(mu, 1):
+        total += p * Fraction(ell(x, H(x), F(x)))
+    return total
+
+
+def _old_total_loss_ag(mu, mu2, F, ell_ag, H):
+    if mu.template.partite:
+        law, m, labels = templates.partite_config_law, 1, F
+    else:
+        law, m, labels = templates.config_law, ell_ag.k, lambda z: pattern(F, z)
+    total = Fraction(0)
+    for x, p in law(mu, m):
+        for xp, q in law(mu2, m):
+            y = labels(templates.join_config(mu.template, mu2.template, x, xp))
+            total += p * q * Fraction(ell_ag(H, x, y))
+    return total
+
+
+def _totals_plain():
+    # a zero-weight point at arity 2, an order-sensitive F and H, and losses
+    # that read the pattern asymmetrically or in thirds
+    t = templates.Template(2, (2, 2))
+    mu = templates.ProbTemplate(
+        t, ((Fraction(1, 4), Fraction(3, 4)), (Fraction(0), Fraction(1)))
+    )
+    F = Hypothesis(2, t, (0, 1), lambda x: x[(1,)])
+    Hs = [
+        Hypothesis(2, t, (0, 1), lambda x: int(x[(1,)] < x[(2,)]) ^ x[(1, 2)]),
+        constant_hypothesis(2, t, (0, 1), 1),
+        F,
+    ]
+    second = losses.LossFn(2, "nonpartite", (0, 1), lambda x, y, yp: int(y[1] != yp[1]))
+    ells = [second, losses.zero_one_loss((0, 1), 2), _thirds_loss(2, "nonpartite")]
+    return mu, None, F, ells, Hs
+
+
+def _totals_partite():
+    pt = templates.PartiteTemplate(2, {(1,): 2, (2,): 3, (1, 2): 2})
+    weights = {(1,): (1, 2), (2,): (0, 1, 3), (1, 2): (3, 1)}
+    mu = templates.PartiteProbTemplate(
+        pt, {a: tuple(Fraction(w, sum(ws)) for w in ws) for a, ws in weights.items()}
+    )
+    F = Hypothesis(2, pt, (0, 1), lambda x: (x[((1, 1),)] + x[((1, 1), (2, 1))]) % 2)
+    Hs = [Hypothesis(2, pt, (0, 1), lambda x: int(x[((2, 1),)] == 2)), F]
+    ells = [losses.zero_one_loss((0, 1), 2, setting="partite"), _thirds_loss(2, "partite")]
+    return mu, None, F, ells, Hs
+
+
+def _with_mu2(instance):
+    # the agnostic total of an instance: mu' is mu with each weight vector
+    # reversed, and F over the product template reads the hidden value too
+    def build():
+        mu, _, F, ells, Hs = instance()
+        t = mu.template
+        if t.partite:
+            tt = templates.product_partite_template(t, t)
+            mu2 = templates.PartiteProbTemplate(
+                t, {a: w[::-1] for a, w in mu.weights.items()}
+            )
+        else:
+            tt = templates.product_template(t, t)
+            mu2 = templates.ProbTemplate(t, tuple(w[::-1] for w in mu.weights))
+        G = Hypothesis(F.k, tt, F.labels, lambda x: sum(x.values()) % 2)
+        return mu, mu2, G, [losses.wrap_agnostic(ell) for ell in ells], Hs
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [_totals_plain, _totals_partite, _with_mu2(_totals_plain), _with_mu2(_totals_partite)],
+    ids=["plain", "partite", "agnostic-plain", "agnostic-partite"],
+)
+def test_totals_equal_the_per_atom_sums(instance):
+    mu, mu2, F, ells, Hs = instance()
+    seen = set()
+    for ell in ells:
+        total = losses.totals(mu, F, ell, mu2)
+        for H in Hs:
+            if mu2 is not None:
+                expected = _old_total_loss_ag(mu, mu2, F, ell, H)
+                wrapped = losses.total_loss_ag(mu, mu2, F, ell, H)
+            elif mu.template.partite:
+                expected = _old_total_loss_partite(mu, F, ell, H)
+                wrapped = losses.total_loss_partite(mu, F, ell, H)
+            else:
+                expected = _old_total_loss(mu, F, ell, H)
+                wrapped = losses.total_loss(mu, F, ell, H)
+            got = total(H)
+            assert type(got) is Fraction and got == wrapped == expected
+            seen.add(got)
+    assert len(seen) > 2  # the instance tells the hypotheses and losses apart
+
+
+def test_totals_refuse_float_values():
+    mu, _, F, _, Hs = _totals_plain()
+    half = losses.LossFn(2, "nonpartite", (0, 1), lambda x, y, yp: 0.5)
+    with pytest.raises(TypeError):
+        losses.total_loss(mu, F, half, Hs[0])
+    mu, mu2, G, _, Hs = _with_mu2(_totals_partite)()
+    half = losses.LossFn(2, "partite", (0, 1), lambda x, y, yp: 0.5)
+    with pytest.raises(TypeError):
+        losses.totals(mu, G, losses.wrap_agnostic(half), mu2)(Hs[0])
+
+
+def test_totals_refuse_a_law_above_the_cap():
+    # 10^7 atoms for the plain total, 1,100^2 for the agnostic one
+    mu = templates.uniform_prob(templates.Template(3, (10, 10, 10)))
+    F = constant_hypothesis(3, mu.template, (0, 1), 0)
+    mu2 = templates.uniform_prob(templates.Template(2, (10, 11)))
+    G = constant_hypothesis(2, mu2.template, (0, 1), 0)
+    ag = losses.wrap_agnostic(losses.zero_one_loss((0, 1), 2))
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="exact law"):
+        losses.total_loss(mu, F, losses.zero_one_loss((0, 1), 3), F)
+    with pytest.raises(ValueError, match="exact law"):
+        losses.total_loss_ag(mu2, mu2, G, ag, G)
+    assert time.perf_counter() - started < 1
 
 
 def test_empirical_loss_refuses_float_values():
