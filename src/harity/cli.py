@@ -148,11 +148,7 @@ def _scenario(merged):
     member = merged.get("member", 0)
     if not 0 <= member < len(cls.members):
         raise click.UsageError(f"member must lie in [0, {len(cls.members)})")
-    if cls.partite:
-        mu = templates.uniform_partite_prob(cls.template)
-    else:
-        mu = templates.uniform_prob(cls.template)
-    sc = sampler.Scenario(mu, cls.members[member])
+    sc = sampler.Scenario(templates.uniform_prob(cls.template), cls.members[member])
     setting = "partite" if cls.partite else "nonpartite"
     return cls, sc, losses.zero_one_loss(cls.labels, cls.k, setting=setting)
 

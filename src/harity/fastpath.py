@@ -12,8 +12,10 @@ instances.
 1 and whose loss ignores the configuration argument (e.g. the 0/1-loss):
 everything reduces to tables over unary value pairs, and empirical losses
 collapse to value-pair counts.  ``TwoPartiteContext`` covers 2-partite
-scenarios, one context per hypothesis, by tabulating the loss over the three
-coordinates of one cross pair.
+scenarios by tabulating the loss over the three coordinates of one cross
+pair.  Both build one context per check and one loss table per hypothesis,
+draw a sample with ``draw(rng, m)`` and read a table with ``empirical(V,
+sample)``.
 
 Neither context knows an auxiliary measure mu', so agnostic scenarios always
 take the generic route; ``learners._trial_losses`` chooses the route for both
@@ -80,6 +82,9 @@ class PairContext:
                     raise ValueError("asymmetric loss table; fast path invalid")
         return V
 
+    def draw(self, rng, m):
+        return self.draw_unary(rng, m)
+
     def draw_unary(self, rng, m):
         """The m unary values of a size-m sample: the first m draws of the
         generic stream (unary coordinates enumerate first)."""
@@ -88,6 +93,9 @@ class PairContext:
 
     def empirical(self, V, u):
         """Mean of V over the unordered value pairs of the sample u."""
+        if len(u) < 2:
+            m = len(u)
+            raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = 2")
         items = sorted(Counter(u).items())
         num = Fraction(0)
         for i, (a, ca) in enumerate(items):
@@ -111,30 +119,35 @@ class LazyPairLabels:
 
 
 class TwoPartiteContext:
-    """Loss-value tables over one cross pair for a 2-partite scenario with a
-    fixed hypothesis H against the adversary's F."""
+    """Loss-value tables over one cross pair for a 2-partite scenario: a
+    hypothesis H's table codes the loss of H against the adversary's F at each
+    (part-1, part-2, cross) value triple."""
 
-    def __init__(self, mu, F, H, ell):
+    def __init__(self, mu, F, ell):
         if ell.k != 2 or ell.setting != "partite":
             raise ValueError("needs a 2-partite loss")
         t = mu.template
+        self.F, self.ell = F, ell
         self.n1, self.n2, self.n12 = t.size((1,)), t.size((2,)), t.size((1, 2))
+        w1, w2, w12 = mu.weights[(1,)], mu.weights[(2,)], mu.weights[(1, 2)]
+        self._cum1, self._cum2, self._cum12 = _cum(w1), _cum(w2), _cum(w12)
+
+    def loss_table(self, H):
+        """(values, code): the distinct loss values of H, and the index of
+        the value at each value triple."""
         vals = []
         index = {}
         code = np.empty((self.n1, self.n2, self.n12), dtype=np.int64)
-        w1, w2, w12 = mu.weights[(1,)], mu.weights[(2,)], mu.weights[(1, 2)]
         for a in range(self.n1):
             for b in range(self.n2):
                 for c in range(self.n12):
                     x = {((1, 1),): a, ((2, 1),): b, ((1, 1), (2, 1)): c}
-                    v = Fraction(ell(x, H(x), F(x)))
+                    v = Fraction(self.ell(x, H(x), self.F(x)))
                     if v not in index:
                         index[v] = len(vals)
                         vals.append(v)
                     code[a, b, c] = index[v]
-        self.values = vals
-        self.code = code
-        self._cum1, self._cum2, self._cum12 = _cum(w1), _cum(w2), _cum(w12)
+        return vals, code
 
     def draw(self, rng, m):
         """One size-(m, m) partite sample, reading the stream in the canonical
@@ -147,8 +160,11 @@ class TwoPartiteContext:
         p = _decode(self._cum12, u[2 * m :]).reshape(m, m)
         return s1, s2, p
 
-    def empirical(self, s1, s2, p):
-        codes = self.code[s1[:, None], s2[None, :], p]
-        cnt = np.bincount(codes.ravel(), minlength=len(self.values))
-        num = sum(Fraction(int(c)) * v for c, v in zip(cnt, self.values) if c)
+    def empirical(self, V, sample):
+        (values, code), (s1, s2, p) = V, sample
+        if not len(s1):
+            raise ValueError("no empirical loss: m = 0 has no unit of arity k = 2")
+        codes = code[s1[:, None], s2[None, :], p]
+        cnt = np.bincount(codes.ravel(), minlength=len(values))
+        num = sum(Fraction(int(c)) * v for c, v in zip(cnt, values) if c)
         return num / (len(s1) * len(s2))

@@ -29,13 +29,6 @@ def sample_size(x):
     return max(a[-1] for a in x)
 
 
-def _empirical(partite):
-    """The empirical loss of the setting, looked up at call time."""
-    if partite:
-        return losses.empirical_loss_partite
-    return losses.empirical_loss_nonpartite
-
-
 @dataclass(frozen=True)
 class Learner:
     k: int
@@ -64,10 +57,9 @@ def erm(cls, ell, use_oracle=True):
         m = sample_size(x)
         if use_oracle and cls.erm is not None:
             return cls.erm(x, y, m)
-        empirical = _empirical(cls.template.partite)
         best = None
         for i, H in enumerate(cls.members):
-            loss = empirical(x, y, ell, H, m)
+            loss = losses.empirical_loss(x, y, ell, H, m)
             if best is None or loss < best[0]:
                 best = (loss, i)
         return cls.members[best[1]]
@@ -106,34 +98,30 @@ def _trial_losses(sc, members, ell):
     """The one per-trial route: (rng, m) -> the empirical loss of each member
     on the size-m sample drawn from rng.
 
-    Non-agnostic k = 2 scenarios take a fastpath context (TwoPartiteContext
-    when 2-partite, PairContext when ``_pairable``); agnostic scenarios and
-    all others draw the generic labeled sample.  Each route reads the stream
-    as the generic one does, so all give bit-identical losses.
+    Non-agnostic k = 2 scenarios take one fastpath context per check
+    (TwoPartiteContext when 2-partite, PairContext when ``_pairable``) with a
+    loss table per member; agnostic scenarios and all others draw the generic
+    labeled sample.  Each route reads the stream as the generic one does, so
+    all give bit-identical losses.
     """
+    ctx = None
     if sc.mu2 is None and ell.k == 2:
         if sc.partite:
-            ctxs = [fastpath.TwoPartiteContext(sc.mu, sc.F, H, ell) for H in members]
-
-            def two_partite(rng, m):
-                sample = ctxs[0].draw(rng, m)
-                return [ctx.empirical(*sample) for ctx in ctxs]
-
-            return two_partite
-        if _pairable(sc, members, ell):
+            ctx = fastpath.TwoPartiteContext(sc.mu, sc.F, ell)
+        elif _pairable(sc, members, ell):
             ctx = fastpath.PairContext(sc.mu, sc.F, ell)
-            tables = [ctx.loss_table(H) for H in members]
+    if ctx is not None:
+        tables = [ctx.loss_table(H) for H in members]
 
-            def pair(rng, m):
-                u = ctx.draw_unary(rng, m)
-                return [ctx.empirical(V, u) for V in tables]
+        def fast(rng, m):
+            sample = ctx.draw(rng, m)
+            return [ctx.empirical(V, sample) for V in tables]
 
-            return pair
-    empirical = _empirical(sc.partite)
+        return fast
 
     def generic(rng, m):
         x, y = sampler.labeled_sample(sc, m, rng)
-        return [empirical(x, y, ell, H, m) for H in members]
+        return [losses.empirical_loss(x, y, ell, H, m) for H in members]
 
     return generic
 
@@ -341,14 +329,13 @@ def derandomize(A, m_rand, ell, fallback, sup_norm=None, empirical_eval=None):
         # sample is then never materialized
         holdout_end = m1 if empirical_eval is not None else m
         x1, y1, x2, y2 = _split(x, y, m1, holdout_end, A.k)
-        empirical = _empirical(ell.setting == "partite")
         best = None
         for bb in range(A.r(m1)):
             H = A(x1, y1, bb)
             if empirical_eval is not None:
                 loss = empirical_eval(H, x, y, m1, m)
             else:
-                loss = empirical(x2, y2, ell, H, m - m1)
+                loss = losses.empirical_loss(x2, y2, ell, H, m - m1)
             if best is None or (loss, bb) < (best[0], best[1]):
                 best = (loss, bb, H)
         return best[2]

@@ -4,16 +4,17 @@ symbols, and Bayes predictors.
 
 Non-partite losses consume full label patterns: a pattern is a tuple over the
 canonical enumeration of S_k (see ``hypotheses.perms``), i.e. an element of
-Lambda^{S_k}.  Partite losses consume single labels.
+Lambda^{S_k}.  Partite losses consume single labels.  Both are read through
+the template's rules, so no loss computation here branches on the setting.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, factorial, lcm, perm, prod
+from itertools import product
+from math import factorial, lcm, perm, prod
 
 from . import indexing, sampler, templates
-from .hypotheses import Hypothesis, canonical_key, pattern, perms, star
+from .hypotheses import Hypothesis, canonical_key, perms
 
 BOTTOM = "⊥"
 
@@ -111,11 +112,8 @@ class AgnosticLossFn:
 
 
 def wrap_agnostic(ell):
-    """The natural agnostic version l(H,x,y) := l(x, H's pattern at x, y)."""
-    if ell.setting == "partite":
-        fn = lambda H, x, y: ell(x, H(x), y)  # noqa: E731
-    else:
-        fn = lambda H, x, y: ell(x, pattern(H, x), y)  # noqa: E731
+    """The natural agnostic version l(H,x,y) := l(x, H's labels at x, y)."""
+    fn = lambda H, x, y: ell(x, H.template.label(H, x), y)  # noqa: E731
     return AgnosticLossFn(
         ell.k,
         ell.setting,
@@ -139,17 +137,15 @@ def totals(mu, F, ell, mu2=None):
     labels are built once; a call reads H once per atom and sums integer
     numerators over one common denominator, so a float loss value raises.
     ``total_loss``, ``total_loss_partite`` and ``total_loss_ag`` call it once."""
-    t, t2, partite = mu.template, mu2 and mu2.template, mu.template.partite
-    m, ps = (1, None) if partite else (ell.k, perms(ell.k))
-    law = templates.partite_config_law if partite else templates.config_law
+    t, t2 = mu.template, mu2 and mu2.template
+    (m, orbit), pull, read, label = t.domain(ell.k), t.pull, t.read, t.label
     sampler.check_law_size(prod(templates.law_atoms(nu, m) for nu in (mu, mu2) if nu))
-    read = (lambda G, o: G(o[0])) if partite else (lambda G, o: tuple(map(G, o)))
-    xp_law, plan = [(None, 1)] if mu2 is None else law(mu2, m), []
-    for x, p in law(mu, m):
-        o = (x,) if partite else [indexing.pullback(s, x) for s in ps]
+    xp_law, plan = [(None, 1)] if mu2 is None else templates.config_law(mu2, m), []
+    for x, p in templates.config_law(mu, m):
+        o = [pull(a, x) for a in orbit]
         for xp, q in xp_law:
             z = x if xp is None else templates.join_config(t, t2, x, xp)
-            plan.append((p * q, x, o, F(z) if partite else pattern(F, z)))
+            plan.append((p * q, x, o, label(F, z)))
     D = lcm(*(w.denominator for w, *_ in plan))
     plan = [(w.numerator * (D // w.denominator), x, o, y) for w, x, o, y in plan]
     if mu2 is not None:
@@ -173,28 +169,32 @@ def total_loss_partite(mu, F, ell, H):
 # empirical losses
 
 
-def empirical_loss_partite(x, y, ell, H, m):
-    """Mean over alpha in [m]^k of l(alpha*(x), H(alpha*(x)), y_alpha)."""
-    if m < 1:
-        raise ValueError("empty sample")
+def empirical_loss(x, y, ell, H, m):
+    """Mean over the units u of H's template (the k-subsets of [m] read through
+    their increasing injections, or the tuples in [m]^k) of the loss at u*(x),
+    with H's and y's labels read over u's orbit.  A symmetric loss gives the
+    same mean under any other choice of injection onto each subset."""
+    t, k = H.template, ell.k
+    units = list(t.units(m, k))
+    if not units:
+        raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = {k}")
+    pull, orbit, read, at = t.pull, t.orbit, t.read, y.__getitem__
     total = 0
-    for alpha in product(range(1, m + 1), repeat=ell.k):
-        xa = indexing.pullback_partite(alpha, x)
-        total += ell(xa, H(xa), y[alpha])
-    return Fraction(total, m**ell.k)
+    for u in units:
+        o = orbit(u)  # u first: the identity leads the orbit
+        xs = [pull(a, x) for a in o]  # u o sigma pulls x back to sigma*(u*(x))
+        total += ell(xs[0], read(H, xs), read(at, o))
+    return Fraction(total, len(units))
 
 
 def empirical_loss_nonpartite(x, y, ell, H, m):
-    """Mean over k-subsets U of [m] of the loss at U's increasing injection,
-    with the label tensor reshaped to full patterns.  A symmetric loss gives
-    the same mean under any other choice of injection onto each U."""
-    taus = [[t - 1 for t in tau] for tau in perms(ell.k)]
-    total = 0
-    for u in combinations(range(1, m + 1), ell.k):
-        xu = indexing.pullback(u, x)
-        yy = tuple(y[tuple(u[t] for t in tau)] for tau in taus)
-        total += ell(xu, pattern(H, xu), yy)
-    return Fraction(total, comb(m, ell.k))
+    """``empirical_loss``, kept as a distinct name for perfbench's tracer."""
+    return empirical_loss(x, y, ell, H, m)
+
+
+def empirical_loss_partite(x, y, ell, H, m):
+    """``empirical_loss``, kept as a distinct name for perfbench's tracer."""
+    return empirical_loss(x, y, ell, H, m)
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +269,16 @@ def extend_with_neutral(ell_ag, witness):
     whenever BOTTOM touches the pattern, the loss is the witness's averaged
     value, independent of H."""
     labels = ell_ag.labels + (BOTTOM,)
-
+    # a partite label is touched when it is BOTTOM, a pattern when one entry is
     if ell_ag.setting == "partite":
-
-        def fn(H, x, y):
-            if y == BOTTOM:
-                return witness.bottom_cost(x)
-            return ell_ag(H, x, y)
-
+        touches = lambda y: y == BOTTOM  # noqa: E731
     else:
+        touches = lambda y: BOTTOM in y  # noqa: E731
 
-        def fn(H, x, y):
-            if BOTTOM in y:
-                return witness.bottom_cost(x)
-            return ell_ag(H, x, y)
+    def fn(H, x, y):
+        if touches(y):
+            return witness.bottom_cost(x)
+        return ell_ag(H, x, y)
 
     info = NeutralSymbolInfo(BOTTOM, witness.bottom_cost)
     return (
@@ -317,23 +313,20 @@ def bayes_predictor(mu, mu2, F, ell):
     """
     k = ell.k
     t1, t2 = mu.template, mu2.template
-    if t1.partite:
-        m, read, ps, reading = 1, (lambda G, x: G(x)), None, [(0,)]
-    else:
-        m, read, ps = k, pattern, perms(k)
-        pindex = {p: i for i, p in enumerate(ps)}
-        # orbit point i pulled back along ps[j] is orbit point reading[i][j]
-        reading = [tuple(pindex[indexing.compose(a, b)] for b in ps) for a in ps]
+    (m, ps), pull, read, label = t1.domain(k), t1.pull, t1.read, t1.label
+    pindex = {p: i for i, p in enumerate(ps)}
+    # orbit point i pulled back along ps[j] is orbit point reading[i][j]
+    reading = [tuple(pindex[indexing.compose(a, b)] for b in ps) for a in ps]
     xp_law, join = templates.config_law(mu2, m), templates.join_config
     values = {}
     for x0 in templates.config_points(t1, m):
         if canonical_key(x0) in values:
             continue
-        orbit = [x0] if ps is None else [indexing.pullback(sigma, x0) for sigma in ps]
+        orbit = [pull(sigma, x0) for sigma in ps]
         keys = [canonical_key(z) for z in orbit]
         orbit_keys = sorted(set(keys))
         points = [  # the orbit's distinct points, with F's conditional labels
-            (z, reading[i], [(q, read(F, join(t1, t2, z, xp))) for xp, q in xp_law])
+            (z, reading[i], [(q, label(F, join(t1, t2, z, xp))) for xp, q in xp_law])
             for i, z in enumerate(orbit)
             if keys.index(keys[i]) == i
         ]
@@ -343,8 +336,7 @@ def bayes_predictor(mu, mu2, F, ell):
             idx = tuple(lookup[key] for key in keys)
             score = Fraction(0)
             for z, positions, yps in points:
-                hy = tuple(ell.labels[idx[j]] for j in positions)
-                hy = hy[0] if ps is None else hy
+                hy = read(lambda j: ell.labels[idx[j]], positions)
                 score += sum(q * Fraction(ell(z, hy, yp)) for q, yp in yps)
             if best is None or (score, idx) < best[:2]:
                 best = (score, idx, lookup)

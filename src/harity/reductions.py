@@ -27,7 +27,7 @@ from .hypotheses import (
     HypothesisClass,
     partize_hypothesis,
     perms,
-    star_partite,
+    star,
     unpartize_hypothesis,
 )
 
@@ -359,11 +359,11 @@ def departize_construction_law(mu_part, mu2_part, F_part, m, k):
     uniform."""
     plans = _atom_plans(mu_part, mu2_part, m, k)
     t1, t2 = mu_part.template, mu2_part.template
-    xp_law = templates.partite_config_law(mu2_part, m)
+    xp_law = templates.config_law(mu2_part, m)
     law = {}
-    for x, p in templates.partite_config_law(mu_part, m):
+    for x, p in templates.config_law(mu_part, m):
         for xp, q in xp_law:
-            y = star_partite(F_part, templates.join_config(t1, t2, x, xp), m)
+            y = star(F_part, templates.join_config(t1, t2, x, xp), m)
             w = p * q / len(plans)
             for plan in plans:
                 key = sampler.law_key(*_departize(plan, x, y, k))

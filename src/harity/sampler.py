@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import prod
 
 from . import templates
-from .hypotheses import canonical_key, star, star_partite
+from .hypotheses import canonical_key, star
 
 # Every exact sample law refuses, before enumerating anything, to have more
 # atoms than this.
@@ -41,10 +41,6 @@ class Scenario:
             raise ValueError(f"partite={self.partite} disagrees with mu's template")
         object.__setattr__(self, "partite", partite)
 
-    @property
-    def k(self):
-        return self.F.k
-
 
 def _draw(rng, weights):
     r = rng.random()
@@ -56,9 +52,10 @@ def _draw(rng, weights):
     return len(weights) - 1
 
 
-def _draw_config(mu, m, rng):
-    """One independent draw per coordinate of a size-m sample, in canonical
-    order, from its ground space's weights (as floats, once per space)."""
+def sample_config(mu, m, rng):
+    """One independent draw per coordinate of a size-m sample (m vertices per
+    part in the partite setting), in canonical order, from its ground space's
+    weights (as floats, once per space)."""
     t = mu.template
     floats = {}
     out = {}
@@ -70,35 +67,21 @@ def _draw_config(mu, m, rng):
     return out
 
 
-def sample_config(mu, m, rng):
-    """One independent draw per subset A of [m] with |A| <= k."""
-    return _draw_config(mu, m, rng)
-
-
 def sample_partite_config(mu, m, rng):
-    """One independent draw per partite index with m vertices per part."""
-    return _draw_config(mu, m, rng)
-
-
-def _setting(partite):
-    """The config sampler, exact config law and F* map of the partite or the
-    non-partite setting."""
-    if partite:
-        return sample_partite_config, templates.partite_config_law, star_partite
-    return sample_config, templates.config_law, star
+    """``sample_config``, kept as a distinct name for perfbench's tracer."""
+    return sample_config(mu, m, rng)
 
 
 def labeled_sample(sc, m, rng):
     """Draw the learner's visible sample (x, F*-labels); the auxiliary x' is
     sampled and discarded."""
-    draw, _, star_of = _setting(sc.partite)
-    x = draw(sc.mu, m, rng)
+    x = sample_config(sc.mu, m, rng)
     joined = x
     if sc.mu2 is not None:
         joined = templates.join_config(
-            sc.mu.template, sc.mu2.template, x, draw(sc.mu2, m, rng)
+            sc.mu.template, sc.mu2.template, x, sample_config(sc.mu2, m, rng)
         )
-    return x, star_of(sc.F, joined, m)
+    return x, star(sc.F, joined, m)
 
 
 def check_law_size(atoms):
@@ -117,17 +100,16 @@ def law_key(x, y):
 
 def exact_sample_law(sc, m):
     """Exact rational law of (x, y) as a dict keyed by canonical encodings."""
-    _, law_of, star_of = _setting(sc.partite)
     check_law_size(prod(templates.law_atoms(nu, m) for nu in (sc.mu, sc.mu2) if nu))
-    x_law = law_of(sc.mu, m)
-    xp_law = [({}, Fraction(1))] if sc.mu2 is None else law_of(sc.mu2, m)
+    x_law = templates.config_law(sc.mu, m)
+    xp_law = [({}, Fraction(1))] if sc.mu2 is None else templates.config_law(sc.mu2, m)
     law = {}
     for x, p in x_law:
         for xp, q in xp_law:
             joined = x
             if sc.mu2 is not None:
                 joined = templates.join_config(sc.mu.template, sc.mu2.template, x, xp)
-            key = law_key(x, star_of(sc.F, joined, m))
+            key = law_key(x, star(sc.F, joined, m))
             law[key] = law.get(key, Fraction(0)) + p * q
     return law
 

@@ -1,13 +1,18 @@
 """Finite stand-ins for Borel/probability templates (plain and partite),
 label spaces, product templates, and exact configuration-space enumeration.
 
-A template owns the coordinate rule of its setting: ``coords(m)`` lists the
-coordinates of a size-m sample in canonical order, and ``space(key)`` names
-the ground space coordinate ``key`` draws from (its arity for a plain
-template, its part set for a partite one).  Products, points, exact laws and
-the samplers are written once over these two methods.  Each template class
-also declares its setting once, as the class attribute ``partite``; every
-other module reads the setting from the data it is given, never from a flag.
+A template class declares its setting once (the class attribute ``partite``)
+and owns every rule that differs by setting: the coordinates of a size-m
+sample (``coords``) and the ground space each draws from (``space``); how
+sizes and weights are stored (``per_space``, ``tabulate``: a tuple per arity,
+or a dict per part set); the units an empirical loss averages over
+(``units``: k-subsets of [m], or [m]^k) and the label tensor's index set
+(``index``: ([m])_k, or [m]^k); the pullback (``pull``); and the S_k orbit of
+an index with G's read over it (``orbit``, ``read``, ``label``, ``domain``:
+a pattern, or a partite point's one label, i.e. the same read with a trivial
+orbit).  Laws, samplers, F*, and empirical and total losses are written once
+over these methods; no other module branches on the setting where the maths
+agrees.
 
 Probabilities are exact rationals (``fractions.Fraction``) so tiny-instance
 oracles compare distributions for equality; Monte Carlo code converts to
@@ -16,9 +21,9 @@ floats only at the sampling boundary.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
-from . import indexing
+from . import hypotheses, indexing
 
 
 @dataclass(frozen=True)
@@ -50,26 +55,37 @@ class Template:
         """A coordinate draws from the ground space of its arity."""
         return len(key)
 
+    def per_space(self, table):
+        return dict(enumerate(table, start=1))
 
-@dataclass(frozen=True)
-class ProbTemplate:
-    template: Template
-    weights: tuple  # per arity, tuple of Fraction
+    def tabulate(self, fn):
+        return tuple(fn(i) for i in range(1, self.k + 1))
 
-    def __post_init__(self):
-        t = self.template
-        if len(self.weights) != t.k:
-            raise ValueError("need one weight vector per arity")
-        for i, w in enumerate(self.weights, start=1):
-            if len(w) != t.size(i):
-                raise ValueError(f"arity {i}: {len(w)} weights for {t.size(i)} points")
-            if any(p < 0 for p in w):
-                raise ValueError("negative weight")
-            if sum(w) != 1:
-                raise ValueError(f"arity {i}: weights sum to {sum(w)}, not 1")
+    def units(self, m, k):
+        """Each k-subset of [m], as its increasing injection."""
+        return combinations(range(1, m + 1), k)
 
-    def weight(self, i, point):
-        return self.weights[i - 1][point] if i <= self.template.k else Fraction(1)
+    def index(self, m, k):
+        return indexing.injections(m, k)
+
+    @property
+    def pull(self):
+        """Looked up when bound, so a wrapped ``indexing.pullback`` is seen."""
+        return indexing.pullback
+
+    def orbit(self, alpha):
+        """alpha o sigma for each sigma in S_k, in the order of ``perms``."""
+        return [indexing.compose(alpha, s) for s in hypotheses.perms(len(alpha))]
+
+    def read(self, G, orbit):
+        return tuple(map(G, orbit))
+
+    def label(self, G, x):
+        return hypotheses.pattern(G, x)
+
+    def domain(self, k):
+        """An arity-k domain point spans [k]; its identity's orbit is S_k."""
+        return k, self.orbit(tuple(range(1, k + 1)))
 
 
 @dataclass(frozen=True)
@@ -97,42 +113,70 @@ class PartiteTemplate:
         """A coordinate draws from the ground space of its part set."""
         return tuple(p for p, _ in key)
 
+    def per_space(self, table):
+        return dict(table)
+
+    def tabulate(self, fn):
+        return {a: fn(a) for a in indexing.subsets(self.k, self.k)}
+
+    def units(self, m, k):
+        """[m]^k, which is also the label tensor's index set."""
+        return product(range(1, m + 1), repeat=k)
+
+    index = units
+
+    @property
+    def pull(self):
+        return indexing.pullback_partite
+
+    def orbit(self, alpha):
+        return (alpha,)
+
+    def read(self, G, orbit):
+        return G(orbit[0])
+
+    def label(self, G, x):
+        return G(x)
+
+    def domain(self, k):
+        return 1, self.orbit((1,) * k)
+
 
 @dataclass(frozen=True)
-class PartiteProbTemplate:
-    template: PartiteTemplate
-    weights: dict = field(hash=False)  # subset index -> tuple of Fraction
+class ProbTemplate:
+    """A weight vector per ground space, stored like the template's sizes."""
+
+    template: object
+    weights: object = field(hash=False)  # a tuple per arity, or a dict per part set
+    _by_space: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for a in indexing.subsets(self.template.k, self.template.k):
-            w = self.weights[a]
-            if len(w) != self.template.size(a) or any(p < 0 for p in w):
-                raise ValueError(f"bad weight vector at {a}")
+        t = self.template
+        by_space = t.per_space(self.weights)
+        if by_space.keys() != t.per_space(t.sizes).keys():
+            raise ValueError("need one weight vector per ground space")
+        for a, w in by_space.items():
+            if len(w) != t.size(a):
+                raise ValueError(f"space {a}: {len(w)} weights for {t.size(a)} points")
+            if any(p < 0 for p in w):
+                raise ValueError(f"space {a}: negative weight")
             if sum(w) != 1:
-                raise ValueError(f"weights at {a} sum to {sum(w)}, not 1")
+                raise ValueError(f"space {a}: weights sum to {sum(w)}, not 1")
+        object.__setattr__(self, "_by_space", by_space)
 
-    def weight(self, a, point):
-        return self.weights[tuple(a)][point]
+    def weight(self, space, point):
+        """Arities above a plain template's k are singletons of weight 1."""
+        w = self._by_space.get(space) or (Fraction(1),) * self.template.size(space)
+        return w[point]
 
 
 def uniform_prob(template):
-    return ProbTemplate(
-        template,
-        tuple(
-            tuple(Fraction(1, template.size(i)) for _ in range(template.size(i)))
-            for i in range(1, template.k + 1)
-        ),
-    )
+    t = template
+    return ProbTemplate(t, t.tabulate(lambda a: (Fraction(1, t.size(a)),) * t.size(a)))
 
 
-def uniform_partite_prob(template):
-    return PartiteProbTemplate(
-        template,
-        {
-            a: tuple(Fraction(1, template.size(a)) for _ in range(template.size(a)))
-            for a in indexing.subsets(template.k, template.k)
-        },
-    )
+# the old partite name, kept because perfbench's workloads call it
+uniform_partite_prob = uniform_prob
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +184,12 @@ def uniform_partite_prob(template):
 
 
 def product_template(t1, t2):
-    k = max(t1.k, t2.k)
-    return Template(k, tuple(t1.size(i) * t2.size(i) for i in range(1, k + 1)))
+    """Omega (x) Omega', space by space, over the larger k (partite products
+    need equal k)."""
+    if t1.partite and t2.k != t1.k:
+        raise ValueError("partite products need equal k")
+    t = max(t1, t2, key=lambda t: t.k)
+    return type(t)(t.k, t.tabulate(lambda a: t1.size(a) * t2.size(a)))
 
 
 def join_config(t1, t2, x1, x2):
@@ -157,15 +205,6 @@ def split_config(t1, t2, x):
     return a, b
 
 
-def product_partite_template(t1, t2):
-    k = t1.k
-    if t2.k != k:
-        raise ValueError("partite products need equal k")
-    return PartiteTemplate(
-        k, {a: t1.size(a) * t2.size(a) for a in indexing.subsets(k, k)}
-    )
-
-
 # ---------------------------------------------------------------------------
 # partization
 
@@ -178,9 +217,7 @@ def partize_template(t, k):
 
 def partize_prob(mu, k):
     pt = partize_template(mu.template, k)
-    return PartiteProbTemplate(
-        pt, {a: mu.weights[len(a) - 1] for a in indexing.subsets(k, k)}
-    )
+    return ProbTemplate(pt, pt.tabulate(lambda a: mu.weights[len(a) - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +241,26 @@ def domain_points(template, k):
     """The arity-k configuration points hypotheses over ``template`` are
     defined on: E_[k](Omega) for a plain template, one vertex per part for a
     partite one."""
-    return config_points(template, 1 if template.partite else k)
+    return config_points(template, template.domain(k)[0])
 
 
-def _product_law(mu, m):
-    """Exact law of the size-m sample, one independent coordinate per
-    ``coords(m)`` drawn from mu's weights on its ground space, as (config
-    point, Fraction) pairs."""
+def law_atoms(mu, m):
+    """The number of atoms of mu's size-m product law, counted without
+    enumerating it: the product over ``coords(m)`` of each coordinate's
+    positive-weight points."""
+    t = mu.template
+    out = 1
+    for key in t.coords(m):
+        space = t.space(key)
+        out *= sum(1 for point in range(t.size(space)) if mu.weight(space, point) > 0)
+    return out
+
+
+def config_law(mu, m):
+    """Exact law of the size-m sample (m vertices per part in the partite
+    setting), one independent coordinate per ``coords(m)`` drawn from mu's
+    weights on its ground space, as a list of (config point, Fraction)
+    pairs."""
     t = mu.template
     out = [({}, Fraction(1))]
     for key in t.coords(m):
@@ -228,23 +278,6 @@ def _product_law(mu, m):
     return out
 
 
-def law_atoms(mu, m):
-    """The number of atoms of mu's size-m product law, counted without
-    enumerating it: the product over ``coords(m)`` of each coordinate's
-    positive-weight points."""
-    t = mu.template
-    out = 1
-    for key in t.coords(m):
-        space = t.space(key)
-        out *= sum(1 for point in range(t.size(space)) if mu.weight(space, point) > 0)
-    return out
-
-
-def config_law(mu, m):
-    """Exact law of mu^[m] as a list of (config point, Fraction) pairs."""
-    return _product_law(mu, m)
-
-
 def partite_config_law(mu, m):
-    """Exact law of a partite sample with m vertices per part."""
-    return _product_law(mu, m)
+    """``config_law``, kept as a distinct name for perfbench's tracer."""
+    return config_law(mu, m)

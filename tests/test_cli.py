@@ -83,6 +83,15 @@ def test_infeasible_exits_3(tmp_path):
     assert res.exit_code == cli.EXIT_INFEASIBLE
 
 
+@pytest.mark.parametrize("family", ["matching", "dist"])
+def test_sample_smaller_than_k_exits_3(tmp_path, family):
+    # k = 2 families at m = 1: no pair to average over, so no empirical loss
+    args = ["verify-uc", "--family", family, "--n", "2", "--m", "1", "--trials", "3"]
+    res = _run([*args, "--out", str(tmp_path / "u")])
+    assert res.exit_code == cli.EXIT_INFEASIBLE, (res.output, res.exception)
+    assert "m = 1 has no unit of arity k = 2" in res.output
+
+
 def test_reduce_partize_identity(tmp_path):
     out = tmp_path / "red"
     res = _run(

@@ -85,7 +85,8 @@ def _two_partite_setup():
 
 def test_two_partite_draw_matches_generic():
     cls, mu, F, H, ell = _two_partite_setup()
-    ctx = fastpath.TwoPartiteContext(mu, F, H, ell)
+    ctx = fastpath.TwoPartiteContext(mu, F, ell)
+    V = ctx.loss_table(H)
     sc = sampler.Scenario(mu, F)
     for t in range(20):
         s1, s2, p = ctx.draw(sampler.stream("tp", t), 3)
@@ -97,7 +98,7 @@ def test_two_partite_draw_matches_generic():
             for j in range(1, 4):
                 assert p[i - 1, j - 1] == x[((1, i), (2, j))]
         y = star_partite(F, x, 3)
-        assert ctx.empirical(s1, s2, p) == losses.empirical_loss_partite(
+        assert ctx.empirical(V, (s1, s2, p)) == losses.empirical_loss_partite(
             x, y, ell, H, 3
         )
 
@@ -105,4 +106,15 @@ def test_two_partite_draw_matches_generic():
 def test_two_partite_rejects_nonpartite_loss():
     cls, mu, F, H, _ = _two_partite_setup()
     with pytest.raises(ValueError):
-        fastpath.TwoPartiteContext(mu, F, H, losses.zero_one_loss((0, 1), 2))
+        fastpath.TwoPartiteContext(mu, F, losses.zero_one_loss((0, 1), 2))
+
+
+def test_contexts_refuse_a_sample_without_units():
+    cls, mu, F, ctx, ell = _matching_ctx()
+    V = ctx.loss_table(cls.members[0])
+    with pytest.raises(ValueError, match="m = 1 has no unit of arity k = 2"):
+        ctx.empirical(V, ctx.draw(sampler.stream("tiny", 0), 1))
+    cls, mu, F, H, ell = _two_partite_setup()
+    ctx = fastpath.TwoPartiteContext(mu, F, ell)
+    with pytest.raises(ValueError, match="m = 0 has no unit of arity k = 2"):
+        ctx.empirical(ctx.loss_table(H), ctx.draw(sampler.stream("tiny", 0), 0))

@@ -152,6 +152,36 @@ def test_uc_fast_route_equals_manual_generic(monkeypatch):
             ]
 
 
+def test_two_partite_uc_check_builds_one_context(monkeypatch):
+    # one TwoPartiteContext per check, with a loss table per member, and the
+    # check's report equals the one the generic route gives
+    ho = families.highorder_family(3).cls
+    sc = sampler.Scenario(templates.uniform_prob(ho.template), ho.members[-1])
+    ell = losses.zero_one_loss(ho.labels, 2, setting="partite")
+    args = (sc, ho, ell, 4, Fraction(1, 8), 12, "one-ctx")
+    built = []
+    init = fastpath.TwoPartiteContext.__init__
+
+    def spy(self, *a):
+        built.append(a)
+        init(self, *a)
+
+    monkeypatch.setattr(fastpath.TwoPartiteContext, "__init__", spy)
+    fast = learners.check_uniform_convergence(*args)
+    assert len(built) == 1 and len(ho.members) == 8
+    assert 0 < fast.frequency < 1
+    monkeypatch.setattr(learners, "_trial_losses", _generic_trial_losses)
+    assert learners.check_uniform_convergence(*args) == fast
+
+
+def _generic_trial_losses(sc, members, ell):
+    def generic(rng, m):
+        x, y = sampler.labeled_sample(sc, m, rng)
+        return [losses.empirical_loss(x, y, ell, H, m) for H in members]
+
+    return generic
+
+
 def _agnostic_point_mass_scenarios():
     """A k = 1 and a 2-partite agnostic scenario whose mu' is a point mass
     at 1 and whose F reads the joined value's parity: F is 1 wherever the
@@ -166,12 +196,12 @@ def _agnostic_point_mass_scenarios():
     pt = templates.PartiteTemplate(2, {(1,): 2, (2,): 2, (1, 2): 2})
     pair = ((1, 1), (2, 1))
     Fp = Hypothesis(
-        2, templates.product_partite_template(pt, pt), (0, 1), lambda x: x[pair] % 2
+        2, templates.product_template(pt, pt), (0, 1), lambda x: x[pair] % 2
     )
     sc2 = sampler.Scenario(
         templates.uniform_partite_prob(pt),
         Fp,
-        mu2=templates.PartiteProbTemplate(pt, {a: point_mass for a in pt.sizes}),
+        mu2=templates.ProbTemplate(pt, {a: point_mass for a in pt.sizes}),
     )
     return (sc1, t, losses.zero_one_loss((0, 1), 1)), (
         sc2,

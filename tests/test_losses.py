@@ -172,7 +172,7 @@ def _totals_plain():
 def _totals_partite():
     pt = templates.PartiteTemplate(2, {(1,): 2, (2,): 3, (1, 2): 2})
     weights = {(1,): (1, 2), (2,): (0, 1, 3), (1, 2): (3, 1)}
-    mu = templates.PartiteProbTemplate(
+    mu = templates.ProbTemplate(
         pt, {a: tuple(Fraction(w, sum(ws)) for w in ws) for a, ws in weights.items()}
     )
     F = Hypothesis(2, pt, (0, 1), lambda x: (x[((1, 1),)] + x[((1, 1), (2, 1))]) % 2)
@@ -187,13 +187,12 @@ def _with_mu2(instance):
     def build():
         mu, _, F, ells, Hs = instance()
         t = mu.template
+        tt = templates.product_template(t, t)
         if t.partite:
-            tt = templates.product_partite_template(t, t)
-            mu2 = templates.PartiteProbTemplate(
+            mu2 = templates.ProbTemplate(
                 t, {a: w[::-1] for a, w in mu.weights.items()}
             )
         else:
-            tt = templates.product_template(t, t)
             mu2 = templates.ProbTemplate(t, tuple(w[::-1] for w in mu.weights))
         G = Hypothesis(F.k, tt, F.labels, lambda x: sum(x.values()) % 2)
         return mu, mu2, G, [losses.wrap_agnostic(ell) for ell in ells], Hs
@@ -377,10 +376,10 @@ def test_bayes_partite():
     pt = templates.PartiteTemplate(1, {(1,): 2})
     pt2 = templates.PartiteTemplate(1, {(1,): 2})
     mu = templates.uniform_partite_prob(pt)
-    mu2 = templates.PartiteProbTemplate(
+    mu2 = templates.ProbTemplate(
         pt2, {(1,): (Fraction(9, 10), Fraction(1, 10))}
     )
-    tj = templates.product_partite_template(pt, pt2)
+    tj = templates.product_template(pt, pt2)
     F = Hypothesis(
         1, tj, (0, 1), lambda x: x[((1, 1),)] % 2, name="F"
     )
@@ -410,11 +409,11 @@ def _bayes_plain():
 
 def _bayes_partite():
     pt = templates.PartiteTemplate(1, {(1,): 2})
-    mu = templates.PartiteProbTemplate(pt, {(1,): (Fraction(2, 3), Fraction(1, 3))})
-    mu2 = templates.PartiteProbTemplate(pt, {(1,): (Fraction(1, 4), Fraction(3, 4))})
+    mu = templates.ProbTemplate(pt, {(1,): (Fraction(2, 3), Fraction(1, 3))})
+    mu2 = templates.ProbTemplate(pt, {(1,): (Fraction(1, 4), Fraction(3, 4))})
     F = Hypothesis(
         1,
-        templates.product_partite_template(pt, pt),
+        templates.product_template(pt, pt),
         (0, 1),
         lambda x: (x[((1, 1),)] // 2 + x[((1, 1),)]) % 2,
     )

@@ -356,7 +356,8 @@ def test_departize_learner_decodes_and_partizes():
         ba, sigma, U, Uprime = reductions.decode_departize_randomness(b, A.r, 2, 2)
         xhat, yhat = reductions.departize_sample(x, y, sigma, U, Uprime, 2)
         assert seen[-1] == (xhat, yhat, ba)
-        assert G.partite and G.same_function(partize_hypothesis(cls.members[ba]))
+        assert G.template.partite
+        assert G.same_function(partize_hypothesis(cls.members[ba]))
     # the randomness range is read at the partite size 2
     with pytest.raises(ValueError):
         D(x, y, D.r(2))
