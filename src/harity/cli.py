@@ -55,7 +55,7 @@ _OPEN_UNIT = click.FloatRange(0, 1, min_open=True, max_open=True)
 # option name -> click type, shared by the flags and the config file's values
 OPTIONS = {
     "family": click.STRING,  # a FAMILIES name or partition:PATH
-    "n": click.INT,
+    "n": click.IntRange(min=1),
     "d": click.INT,
     "m": None,  # one size or a comma-separated sweep; a config may give a list
     "eps": _OPEN_UNIT,

@@ -3,10 +3,11 @@
 Both contexts replicate the generic sampling streams draw-for-draw: the
 canonical coordinate enumeration puts the low-arity coordinates first, so a
 context that only needs those coordinates can stop reading the stream early
-and still see exactly the values the generic route would have seen.  Every
-Monte Carlo statistic computed here is therefore bit-identical to the generic
-route on the same (seed, trial); the tests cross-check both routes on small
-instances.
+and still see exactly the values the generic route would have seen.  Each
+draw reads its uniforms in one bulk call (``_uniforms``, bit for bit as many
+``rng.random()`` calls), so every Monte Carlo statistic computed here is
+bit-identical to the generic route on the same (seed, trial); the tests
+cross-check both routes on small instances.
 
 ``PairContext`` covers non-partite k = 2 scenarios whose hypotheses have rank
 1 and whose loss ignores the configuration argument (e.g. the 0/1-loss):
@@ -15,7 +16,8 @@ collapse to value-pair counts.  ``TwoPartiteContext`` covers 2-partite
 scenarios by tabulating the loss over the three coordinates of one cross
 pair.  Both build one context per check and one loss table per hypothesis,
 draw a sample with ``draw(rng, m)`` and read a table with ``empirical(V,
-sample)``.
+sample)``.  A table holds integer numerators over one common denominator, so
+a trial does integer work only (a float loss value raises TypeError).
 
 Neither context knows an auxiliary measure mu', so agnostic scenarios always
 take the generic route; ``learners._trial_losses`` chooses the route for both
@@ -23,13 +25,11 @@ the uniform-convergence and the concentration check.  The contexts compute
 empirical losses only: ``losses`` owns every exact total.
 """
 
-from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 import numpy as np
-
-from . import sampler
 
 
 def _cum(weights):
@@ -38,6 +38,20 @@ def _cum(weights):
 
 def _decode(cum, u):
     return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def _uniforms(rng, n):
+    """The next n ``rng.random()`` values, bit for bit, joining 32-bit word
+    pairs as ``random()`` does, from one call that leaves rng in their state."""
+    w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def _numerators(values):
+    """(D, numerators) of int or Fraction values over their lcm D; a float raises."""
+    exact = [Fraction(v, 1) for v in values]
+    D = lcm(*(v.denominator for v in exact))
+    return D, [v.numerator * (D // v.denominator) for v in exact]
 
 
 class PairContext:
@@ -54,7 +68,7 @@ class PairContext:
         self.n = mu.template.size(1)
         self.ell = ell
         self.ftable = self.value_table(F)
-        self._floats = [float(w) for w in mu.weights[0]]
+        self._cum = _cum(mu.weights[0])
 
     def value_table(self, H):
         n = self.n
@@ -63,24 +77,20 @@ class PairContext:
         ]
 
     def loss_table(self, H):
-        """V[a][b]: loss of H against the adversary on a sample pair with
-        unary values (a, b)."""
+        """(D, V): V[a][b] / D is the loss of H against the adversary on a
+        sample pair with unary values (a, b)."""
         n = self.n
-        ht = self.value_table(H)
-        ft = self.ftable
+        ht, ft = self.value_table(H), self.ftable
         rep = {(1,): 0, (2,): 0, (1, 2): 0}
-        V = [
-            [
-                Fraction(self.ell(rep, (ht[a][b], ht[b][a]), (ft[a][b], ft[b][a])))
-                for b in range(n)
-            ]
+        D, flat = _numerators(
+            self.ell(rep, (ht[a][b], ht[b][a]), (ft[a][b], ft[b][a]))
             for a in range(n)
-        ]
-        for a in range(n):
-            for b in range(a):
-                if V[a][b] != V[b][a]:
-                    raise ValueError("asymmetric loss table; fast path invalid")
-        return V
+            for b in range(n)
+        )
+        V = [flat[a * n : (a + 1) * n] for a in range(n)]
+        if any(V[a][b] != V[b][a] for a in range(n) for b in range(a)):
+            raise ValueError("asymmetric loss table; fast path invalid")
+        return D, V
 
     def draw(self, rng, m):
         return self.draw_unary(rng, m)
@@ -88,21 +98,22 @@ class PairContext:
     def draw_unary(self, rng, m):
         """The m unary values of a size-m sample: the first m draws of the
         generic stream (unary coordinates enumerate first)."""
-        fl = self._floats
-        return [sampler._draw(rng, fl) for _ in range(m)]
+        return _decode(self._cum, _uniforms(rng, m)).tolist()
 
     def empirical(self, V, u):
-        """Mean of V over the unordered value pairs of the sample u."""
+        """Mean of V over the unordered value pairs of the sample u: with value
+        counts c, the pair sum is (c V c - sum_a c[a] V[a][a]) / 2."""
         if len(u) < 2:
             m = len(u)
             raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = 2")
-        items = sorted(Counter(u).items())
-        num = Fraction(0)
-        for i, (a, ca) in enumerate(items):
-            num += comb(ca, 2) * V[a][a]
-            for b, cb in items[i + 1 :]:
-                num += ca * cb * V[a][b]
-        return num / comb(len(u), 2)
+        D, rows = V
+        c = np.bincount(u, minlength=self.n).tolist()
+        twice = sum(
+            ca * (sum(map(mul, c, row)) - row[a])
+            for a, (ca, row) in enumerate(zip(c, rows))
+            if ca
+        )
+        return Fraction(twice // 2, D * comb(len(u), 2))
 
 
 class LazyPairLabels:
@@ -133,8 +144,8 @@ class TwoPartiteContext:
         self._cum1, self._cum2, self._cum12 = _cum(w1), _cum(w2), _cum(w12)
 
     def loss_table(self, H):
-        """(values, code): the distinct loss values of H, and the index of
-        the value at each value triple."""
+        """(D, values, code): the distinct loss values of H as integer
+        numerators over D, and the index of the value at each value triple."""
         vals = []
         index = {}
         code = np.empty((self.n1, self.n2, self.n12), dtype=np.int64)
@@ -142,29 +153,28 @@ class TwoPartiteContext:
             for b in range(self.n2):
                 for c in range(self.n12):
                     x = {((1, 1),): a, ((2, 1),): b, ((1, 1), (2, 1)): c}
-                    v = Fraction(self.ell(x, H(x), self.F(x)))
+                    v = self.ell(x, H(x), self.F(x))
                     if v not in index:
                         index[v] = len(vals)
                         vals.append(v)
                     code[a, b, c] = index[v]
-        return vals, code
+        return *_numerators(vals), code
 
     def draw(self, rng, m):
         """One size-(m, m) partite sample, reading the stream in the canonical
         coordinate order: part-1 singletons, part-2 singletons, cross pairs
         (second index fastest)."""
-        n = 2 * m + m * m
-        u = np.fromiter((rng.random() for _ in range(n)), dtype=float, count=n)
+        u = _uniforms(rng, 2 * m + m * m)
         s1 = _decode(self._cum1, u[:m])
         s2 = _decode(self._cum2, u[m : 2 * m])
         p = _decode(self._cum12, u[2 * m :]).reshape(m, m)
         return s1, s2, p
 
     def empirical(self, V, sample):
-        (values, code), (s1, s2, p) = V, sample
+        (D, values, code), (s1, s2, p) = V, sample
         if not len(s1):
             raise ValueError("no empirical loss: m = 0 has no unit of arity k = 2")
         codes = code[s1[:, None], s2[None, :], p]
         cnt = np.bincount(codes.ravel(), minlength=len(values))
-        num = sum(Fraction(int(c)) * v for c, v in zip(cnt, values) if c)
-        return num / (len(s1) * len(s2))
+        num = sum(c * v for c, v in zip(cnt.tolist(), values))
+        return Fraction(num, D * len(s1) * len(s2))

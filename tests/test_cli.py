@@ -252,6 +252,14 @@ CONFIG_ERRORS = {
     "nofreelunch-d-zero": lambda tmp: ["nofreelunch", "--d", "0"],
     "nofreelunch-d-negative": lambda tmp: ["nofreelunch", "--d", "-2"],
     "config-d-zero": lambda tmp: ["nofreelunch", *_config_file(tmp, '{"d": 0}')],
+    "ramsey-n-zero": lambda tmp: ["ramsey", "--n", "0"],
+    "ramsey-n-negative": lambda tmp: ["ramsey", "--n", "-3"],
+    "dims-matching-n-zero": lambda tmp: ["dims", "--family", "matching", "--n", "0"],
+    "dims-highorder-n-negative": lambda tmp: ["dims", "--family", "highorder", "--n", "-1"],
+    "sample-bdeg-n-zero": lambda tmp: [
+        "sample", "--family", "bdeg", "--n", "0", "--m", "2"
+    ],
+    "config-n-zero": lambda tmp: ["dims", *_config_file(tmp, '{"n": 0}')],
     "out-unwritable": lambda tmp: ["dims", "--out", f"{tmp}/no/such/dir/o"],
     "partition-not-json": lambda tmp: [
         "dims", "--family", "partition:" + _write(tmp, "p.json", "[1")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from harity import families, fastpath, losses, sampler, templates
@@ -97,6 +98,10 @@ def test_two_partite_draw_matches_generic():
         for i in range(1, 4):
             for j in range(1, 4):
                 assert p[i - 1, j - 1] == x[((1, i), (2, j))]
+        fast, generic = sampler.stream("tp", t), sampler.stream("tp", t)
+        ctx.draw(fast, 3)
+        sampler.sample_partite_config(mu, 3, generic)
+        assert fast.getstate() == generic.getstate()
         y = star_partite(F, x, 3)
         assert ctx.empirical(V, (s1, s2, p)) == losses.empirical_loss_partite(
             x, y, ell, H, 3
@@ -118,3 +123,130 @@ def test_contexts_refuse_a_sample_without_units():
     ctx = fastpath.TwoPartiteContext(mu, F, ell)
     with pytest.raises(ValueError, match="m = 0 has no unit of arity k = 2"):
         ctx.empirical(ctx.loss_table(H), ctx.draw(sampler.stream("tiny", 0), 0))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1088])
+def test_uniforms_read_the_stream_as_random_does(n):
+    bulk, one_by_one = sampler.stream("u", n), sampler.stream("u", n)
+    u = fastpath._uniforms(bulk, n)
+    assert u.tolist() == [one_by_one.random() for _ in range(n)]
+    assert bulk.getstate() == one_by_one.getstate()
+
+
+class _Fixed:
+    """A stub rng whose random() returns r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+@pytest.mark.parametrize(
+    "weights, r, expected",
+    [
+        # r equal to a cumulative weight moves on to the next value
+        ((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)), 0.25, 1),
+        # ten 0.1s sum to 1 - 2^-53, the largest random() value: r at or
+        # above the last cumulative float falls back to the last value
+        ((Fraction(1, 10),) * 10, 1 - 2.0**-53, 9),
+        ((Fraction(1, 10),) * 10, 1.0, 9),
+        # a zero-weight value is never drawn
+        ((Fraction(1, 2), Fraction(0), Fraction(1, 2)), 0.5, 2),
+    ],
+)
+def test_decode_agrees_with_the_generic_draw_at_boundaries(weights, r, expected):
+    floats = [float(w) for w in weights]
+    cum = fastpath._cum(weights)
+    assert sampler._draw(_Fixed(r), floats) == expected
+    assert fastpath._decode(cum, np.array([r])).tolist() == [expected]
+    # and on both floats next to every cumulative weight
+    rs = [float(np.nextafter(c, d)) for c in cum for d in (0, 2)]
+    decoded = fastpath._decode(cum, np.array(rs)).tolist()
+    assert decoded == [sampler._draw(_Fixed(r), floats) for r in rs]
+
+
+def test_pair_draw_matches_generic_on_a_skewed_mu():
+    cls = families.matching_family(2).cls
+    tmpl = cls.template
+    w1 = (Fraction(1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 6))
+    mu = templates.ProbTemplate(tmpl, (w1, *templates.uniform_prob(tmpl).weights[1:]))
+    ctx = fastpath.PairContext(mu, cls.members[-1], losses.zero_one_loss(cls.labels, 2))
+    floats = [float(w) for w in w1]
+    for t in range(30):
+        fast, generic = sampler.stream("skew", t), sampler.stream("skew", t)
+        u = ctx.draw_unary(fast, 9)
+        x = sampler.sample_config(mu, 9, sampler.stream("skew", t))
+        assert u == [x[(i,)] for i in range(1, 10)]
+        assert u == [sampler._draw(generic, floats) for _ in range(9)]
+        assert fast.getstate() == generic.getstate()
+        assert 1 not in u
+
+
+def _table_loss(setting, labels, table):
+    """A binary loss read from table[(H's label, F's label)] at the unit's
+    first entry (partite losses get single labels)."""
+
+    def first(y):
+        return y if setting == "partite" else y[0]
+
+    return losses.LossFn(
+        2,
+        setting,
+        labels,
+        lambda x, y, yp: table[(first(y), first(yp))],
+        name="table",
+        sup_norm=Fraction(1),
+    )
+
+
+MIXED = {(0, 0): 0, (1, 1): Fraction(1, 3), (0, 1): Fraction(1, 2), (1, 0): Fraction(3, 4)}
+FLOAT = {(0, 0): 0, (1, 1): 0, (0, 1): 0.1, (1, 0): 0.1}
+
+
+def test_pair_empirical_scales_mixed_denominators():
+    cls = families.matching_family(2).cls
+    mu = templates.uniform_prob(cls.template)
+    F = cls.members[1]
+    ell = _table_loss("nonpartite", cls.labels, MIXED)
+    ctx = fastpath.PairContext(mu, F, ell)
+    sc = sampler.Scenario(mu, F)
+    for t in range(10):
+        u = ctx.draw_unary(sampler.stream("mix", t), 7)
+        x, y = sampler.labeled_sample(sc, 7, sampler.stream("mix", t))
+        for H in cls.members:
+            assert ctx.empirical(ctx.loss_table(H), u) == losses.empirical_loss(
+                x, y, ell, H, 7
+            )
+
+
+def test_two_partite_empirical_scales_mixed_denominators():
+    cls, mu, F, _, _ = _two_partite_setup()
+    F = cls.members[3]
+    ell = _table_loss("partite", cls.labels, MIXED)
+    ctx = fastpath.TwoPartiteContext(mu, F, ell)
+    sc = sampler.Scenario(mu, F)
+    for t in range(10):
+        sample = ctx.draw(sampler.stream("mix", t), 4)
+        x, y = sampler.labeled_sample(sc, 4, sampler.stream("mix", t))
+        for H in cls.members:
+            assert ctx.empirical(ctx.loss_table(H), sample) == losses.empirical_loss(
+                x, y, ell, H, 4
+            )
+
+
+def test_pair_refuses_a_float_loss():
+    cls = families.matching_family(2).cls
+    mu = templates.uniform_prob(cls.template)
+    ell = _table_loss("nonpartite", cls.labels, FLOAT)
+    ctx = fastpath.PairContext(mu, cls.members[-1], ell)
+    with pytest.raises(TypeError):
+        ctx.loss_table(cls.members[0])
+
+
+def test_two_partite_refuses_a_float_loss():
+    cls, mu, F, H, _ = _two_partite_setup()
+    ctx = fastpath.TwoPartiteContext(mu, F, _table_loss("partite", cls.labels, FLOAT))
+    with pytest.raises(TypeError):
+        ctx.loss_table(cls.members[0])
