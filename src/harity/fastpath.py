@@ -1,28 +1,27 @@
-"""Exact fast evaluation paths for pair-type scenarios.
+"""Exact fast evaluation paths for k = 2 scenarios without mu'.
 
-Both contexts replicate the generic sampling streams draw-for-draw: the
-canonical coordinate enumeration puts the low-arity coordinates first, so a
-context that only needs those coordinates can stop reading the stream early
-and still see exactly the values the generic route would have seen.  Each
-draw reads its uniforms in one bulk call (``_uniforms``, bit for bit as many
-``rng.random()`` calls), so every Monte Carlo statistic computed here is
-bit-identical to the generic route on the same (seed, trial); the tests
-cross-check both routes on small instances.
+A unit's loss depends only on the values the sample induces on it, so an
+empirical loss is the sample's count of unit value codes times one exact loss
+table.  A context builds, once, each arity-2 domain point (part-1, part-2 and
+pair or cross value, the last fastest) with its orbit pullbacks and F's
+labels, read through the template's rules as ``losses.totals`` reads them.
+``loss_table(H)`` holds H's loss at each point as integer numerators over one
+common denominator (a float loss value raises TypeError), ``draw(rng, m)``
+returns the sample's count vector once per trial, and ``empirical(V,
+counts)`` is an integer read of the two.
 
-``PairContext`` covers non-partite k = 2 scenarios whose hypotheses have rank
-1 and whose loss ignores the configuration argument (e.g. the 0/1-loss):
-everything reduces to tables over unary value pairs, and empirical losses
-collapse to value-pair counts.  ``TwoPartiteContext`` covers 2-partite
-scenarios by tabulating the loss over the three coordinates of one cross
-pair.  Both build one context per check and one loss table per hypothesis,
-draw a sample with ``draw(rng, m)`` and read a table with ``empirical(V,
-sample)``.  A table holds integer numerators over one common denominator, so
-a trial does integer work only (a float loss value raises TypeError).
+``TwoPartiteContext`` counts (part-1, part-2, cross) value triples, so every
+2-partite table qualifies.  ``PairContext`` counts unary values, so its
+``loss_table`` returns None unless H's table ignores the pair value and is
+symmetric in the two unary values; ``learners._trial_losses`` takes a context
+only when every member's table qualifies.  Nothing declared about a
+hypothesis or a loss chooses the route.
 
-Neither context knows an auxiliary measure mu', so agnostic scenarios always
-take the generic route; ``learners._trial_losses`` chooses the route for both
-the uniform-convergence and the concentration check.  The contexts compute
-empirical losses only: ``losses`` owns every exact total.
+Each draw reads the generic stream's prefix (low-arity coordinates enumerate
+first) with one bulk call (``_uniforms``, bit for bit as many
+``rng.random()`` calls), so every statistic computed here is bit-identical
+to the generic route on the same (seed, trial).  ``losses`` owns every exact
+total.
 """
 
 from fractions import Fraction
@@ -30,6 +29,8 @@ from math import comb, lcm
 from operator import mul
 
 import numpy as np
+
+from . import templates
 
 
 def _cum(weights):
@@ -54,66 +55,67 @@ def _numerators(values):
     return D, [v.numerator * (D // v.denominator) for v in exact]
 
 
-class PairContext:
-    """Tables over unary value pairs for a rank-1, k = 2 scenario.
+def _plan(t, F, ell):
+    """(points, table): each arity-2 domain point of t with its orbit
+    pullbacks and F's labels, and H -> (D, H's loss numerators at each)."""
+    (m, orbit), pull, read = t.domain(ell.k), t.pull, t.read
+    orbits = [(x, [pull(a, x) for a in orbit]) for x in templates.config_points(t, m)]
+    points = [(x, o, read(F, o)) for x, o in orbits]
+    return points, lambda H: _numerators(ell(x, read(H, o), y) for x, o, y in points)
 
-    Preconditions (checked where cheap): hypotheses depend only on the two
-    unary coordinates, the loss is symmetric and ignores the configuration
-    argument, and the scenario has no auxiliary measure.
-    """
+
+def _rows(seq, n):
+    """The entries of seq at pair value 0, as rows over the unary values."""
+    w = len(seq) // (n * n)
+    return [seq[a * n * w : (a + 1) * n * w : w] for a in range(n)]
+
+
+class PairContext:
+    """Unary-value tables for a non-partite k = 2 scenario."""
 
     def __init__(self, mu, F, ell):
         if ell.k != 2 or ell.setting != "nonpartite":
             raise ValueError("pair context needs a non-partite binary loss")
         self.n = mu.template.size(1)
-        self.ell = ell
-        self.ftable = self.value_table(F)
+        points, self._table = _plan(mu.template, F, ell)
+        self.ftable = [[y[0] for _, _, y in row] for row in _rows(points, self.n)]
         self._cum = _cum(mu.weights[0])
 
-    def value_table(self, H):
-        n = self.n
-        return [
-            [H({(1,): a, (2,): b, (1, 2): 0}) for b in range(n)] for a in range(n)
-        ]
-
     def loss_table(self, H):
-        """(D, V): V[a][b] / D is the loss of H against the adversary on a
-        sample pair with unary values (a, b)."""
-        n = self.n
-        ht, ft = self.value_table(H), self.ftable
-        rep = {(1,): 0, (2,): 0, (1, 2): 0}
-        D, flat = _numerators(
-            self.ell(rep, (ht[a][b], ht[b][a]), (ft[a][b], ft[b][a]))
-            for a in range(n)
-            for b in range(n)
-        )
-        V = [flat[a * n : (a + 1) * n] for a in range(n)]
-        if any(V[a][b] != V[b][a] for a in range(n) for b in range(a)):
-            raise ValueError("asymmetric loss table; fast path invalid")
-        return D, V
+        """(D, V): V[a][b] / D is the loss of H against F on a unit with unary
+        values (a, b); None unless that loss ignores the pair value and
+        V[a][b] == V[b][a]."""
+        D, flat = self._table(H)
+        V, w = _rows(flat, self.n), len(flat) // self.n**2
+        ignores_pair = flat == [v for row in V for v in row for _ in range(w)]
+        return (D, V) if ignores_pair and V == [list(c) for c in zip(*V)] else None
 
     def draw(self, rng, m):
-        return self.draw_unary(rng, m)
+        """The unary value counts of a size-m sample."""
+        # typed, since bincount would read an empty sample's [] as floats
+        u = np.asarray(self.draw_unary(rng, m), dtype=np.intp)
+        return np.bincount(u, minlength=self.n).tolist()
 
     def draw_unary(self, rng, m):
         """The m unary values of a size-m sample: the first m draws of the
         generic stream (unary coordinates enumerate first)."""
         return _decode(self._cum, _uniforms(rng, m)).tolist()
 
-    def empirical(self, V, u):
-        """Mean of V over the unordered value pairs of the sample u: with value
-        counts c, the pair sum is (c V c - sum_a c[a] V[a][a]) / 2."""
-        if len(u) < 2:
-            m = len(u)
+    def empirical(self, V, c):
+        """Mean of V over the unordered value pairs of a sample with unary value
+        counts c: the pair sum is (c V c - sum_a c[a] V[a][a]) / 2."""
+        if len(c) != self.n:
+            raise ValueError(f"need {self.n} value counts, got {len(c)}")
+        m = sum(c)
+        if m < 2:
             raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = 2")
         D, rows = V
-        c = np.bincount(u, minlength=self.n).tolist()
         twice = sum(
             ca * (sum(map(mul, c, row)) - row[a])
             for a, (ca, row) in enumerate(zip(c, rows))
             if ca
         )
-        return Fraction(twice // 2, D * comb(len(u), 2))
+        return Fraction(twice // 2, D * comb(m, 2))
 
 
 class LazyPairLabels:
@@ -130,51 +132,38 @@ class LazyPairLabels:
 
 
 class TwoPartiteContext:
-    """Loss-value tables over one cross pair for a 2-partite scenario: a
-    hypothesis H's table codes the loss of H against the adversary's F at each
-    (part-1, part-2, cross) value triple."""
+    """Value-triple tables for a 2-partite scenario: a sample is read as its
+    count of each (part-1, part-2, cross) value triple."""
 
     def __init__(self, mu, F, ell):
         if ell.k != 2 or ell.setting != "partite":
             raise ValueError("needs a 2-partite loss")
         t = mu.template
-        self.F, self.ell = F, ell
-        self.n1, self.n2, self.n12 = t.size((1,)), t.size((2,)), t.size((1, 2))
+        points, self._table = _plan(t, F, ell)
+        self._codes, self.n2, self.n12 = len(points), t.size((2,)), t.size((1, 2))
         w1, w2, w12 = mu.weights[(1,)], mu.weights[(2,)], mu.weights[(1, 2)]
         self._cum1, self._cum2, self._cum12 = _cum(w1), _cum(w2), _cum(w12)
 
     def loss_table(self, H):
-        """(D, values, code): the distinct loss values of H as integer
-        numerators over D, and the index of the value at each value triple."""
-        vals = []
-        index = {}
-        code = np.empty((self.n1, self.n2, self.n12), dtype=np.int64)
-        for a in range(self.n1):
-            for b in range(self.n2):
-                for c in range(self.n12):
-                    x = {((1, 1),): a, ((2, 1),): b, ((1, 1), (2, 1)): c}
-                    v = self.ell(x, H(x), self.F(x))
-                    if v not in index:
-                        index[v] = len(vals)
-                        vals.append(v)
-                    code[a, b, c] = index[v]
-        return *_numerators(vals), code
+        """(D, numerators): H's loss against F at each value triple, the cross
+        value fastest."""
+        return self._table(H)
 
     def draw(self, rng, m):
-        """One size-(m, m) partite sample, reading the stream in the canonical
-        coordinate order: part-1 singletons, part-2 singletons, cross pairs
-        (second index fastest)."""
+        """The value-triple counts of one size-(m, m) partite sample, reading
+        the stream in the canonical coordinate order: part-1 singletons,
+        part-2 singletons, cross pairs (second index fastest)."""
         u = _uniforms(rng, 2 * m + m * m)
         s1 = _decode(self._cum1, u[:m])
         s2 = _decode(self._cum2, u[m : 2 * m])
         p = _decode(self._cum12, u[2 * m :]).reshape(m, m)
-        return s1, s2, p
+        codes = (s1[:, None] * self.n2 + s2[None, :]) * self.n12 + p
+        return np.bincount(codes.ravel(), minlength=self._codes).tolist()
 
-    def empirical(self, V, sample):
-        (D, values, code), (s1, s2, p) = V, sample
-        if not len(s1):
+    def empirical(self, V, counts):
+        (D, nums), units = V, sum(counts)
+        if len(counts) != self._codes:
+            raise ValueError(f"need {self._codes} value counts, got {len(counts)}")
+        if not units:
             raise ValueError("no empirical loss: m = 0 has no unit of arity k = 2")
-        codes = code[s1[:, None], s2[None, :], p]
-        cnt = np.bincount(codes.ravel(), minlength=len(values))
-        num = sum(c * v for c, v in zip(cnt.tolist(), values))
-        return Fraction(num, D * len(s1) * len(s2))
+        return Fraction(sum(map(mul, counts, nums)), D * units)

@@ -25,6 +25,8 @@ class Hypothesis:
     ``fn`` must be total on the finite domain and pure.  For partite
     hypotheses the domain is the partite configuration space with one vertex
     per part.  ``labels`` is the tuple of possible label values.
+    ``declared_rank`` is documentation only: nothing verifies it, so no
+    evaluation route reads it (``rank_of`` computes the rank).
     """
 
     k: int

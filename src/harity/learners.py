@@ -84,40 +84,30 @@ def _totals(sc, ell):
     return losses.totals(sc.mu, sc.F, ell)
 
 
-def _pairable(sc, members, ell):
-    """Whether a non-partite k = 2 scenario qualifies for PairContext."""
-    if not ell.symmetric:
-        return False
-    if any(getattr(H, "declared_rank", None) != 1 for H in [*members, sc.F]):
-        return False
-    # otherwise configuration-independence cannot be certified cheaply
-    return ell.name == "01" or sc.mu.template.size(2) == 1
-
-
 def _trial_losses(sc, members, ell):
     """The one per-trial route: (rng, m) -> the empirical loss of each member
     on the size-m sample drawn from rng.
 
-    Non-agnostic k = 2 scenarios take one fastpath context per check
-    (TwoPartiteContext when 2-partite, PairContext when ``_pairable``) with a
-    loss table per member; agnostic scenarios and all others draw the generic
-    labeled sample.  Each route reads the stream as the generic one does, so
-    all give bit-identical losses.
+    A non-agnostic k = 2 scenario builds one fastpath context per check
+    (TwoPartiteContext when 2-partite, PairContext otherwise) and takes it
+    when every member's exact loss table qualifies: a 2-partite table always
+    does, a pair table when it ignores the pair value and is symmetric in the
+    two unary values.  Otherwise the trial draws the generic labeled sample.
+    A context counts the sample once per trial and reads each table against
+    the counts.  Each route reads the stream as the generic one does, so all
+    give bit-identical losses.
     """
-    ctx = None
     if sc.mu2 is None and ell.k == 2:
-        if sc.partite:
-            ctx = fastpath.TwoPartiteContext(sc.mu, sc.F, ell)
-        elif _pairable(sc, members, ell):
-            ctx = fastpath.PairContext(sc.mu, sc.F, ell)
-    if ctx is not None:
+        context = fastpath.TwoPartiteContext if sc.partite else fastpath.PairContext
+        ctx = context(sc.mu, sc.F, ell)
         tables = [ctx.loss_table(H) for H in members]
+        if None not in tables:
 
-        def fast(rng, m):
-            sample = ctx.draw(rng, m)
-            return [ctx.empirical(V, sample) for V in tables]
+            def fast(rng, m):
+                counts = ctx.draw(rng, m)
+                return [ctx.empirical(V, counts) for V in tables]
 
-        return fast
+            return fast
 
     def generic(rng, m):
         x, y = sampler.labeled_sample(sc, m, rng)

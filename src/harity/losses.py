@@ -22,7 +22,8 @@ BOTTOM = "⊥"
 @dataclass(frozen=True)
 class LossFn:
     """A loss l(x, y, y') whose values are ints or Fractions (empirical and
-    total losses sum them exactly, and a float value raises TypeError there)."""
+    total losses sum them exactly, and a float value raises TypeError there).
+    ``symmetric`` is documentation only; ``loss_metadata`` recomputes it."""
 
     k: int
     setting: str  # "nonpartite" | "partite"
@@ -314,6 +315,8 @@ def bayes_predictor(mu, mu2, F, ell):
     k = ell.k
     t1, t2 = mu.template, mu2.template
     (m, ps), pull, read, label = t1.domain(k), t1.pull, t1.read, t1.label
+    points = prod(t1.size(t1.space(key)) for key in t1.coords(m))
+    sampler.check_law_size(points * templates.law_atoms(mu2, m))
     pindex = {p: i for i, p in enumerate(ps)}
     # orbit point i pulled back along ps[j] is orbit point reading[i][j]
     reading = [tuple(pindex[indexing.compose(a, b)] for b in ps) for a in ps]

@@ -396,7 +396,8 @@ def test_criterion_12_derandomization():
     def emp(H, x, y, lo, hi):
         if id(H) not in tables:
             tables[id(H)] = ctx.loss_table(H)
-        return ctx.empirical(tables[id(H)], y.u[lo:hi])
+        counts = np.bincount(y.u[lo:hi], minlength=ctx.n).tolist()
+        return ctx.empirical(tables[id(H)], counts)
 
     D = learners.derandomize(A, m_rand, ell, const1, empirical_eval=emp)
     successes = 0

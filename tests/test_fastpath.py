@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from harity import families, fastpath, losses, sampler, templates
+from harity import families, fastpath, learners, losses, sampler, templates
 from harity.hypotheses import star, star_partite
 
 
@@ -26,10 +26,26 @@ def test_pair_empirical_matches_generic():
         u = ctx.draw_unary(sampler.stream("fp", t), 6)
         x, y = sampler.labeled_sample(sc, 6, sampler.stream("fp", t))
         assert u == [x[(i,)] for i in range(1, 7)]
+        counts = ctx.draw(sampler.stream("fp", t), 6)
+        assert counts == np.bincount(u, minlength=ctx.n).tolist()
         for H, V in zip(cls.members, tables):
-            assert ctx.empirical(V, u) == losses.empirical_loss_nonpartite(
+            assert ctx.empirical(V, counts) == losses.empirical_loss_nonpartite(
                 x, y, ell, H, 6
             )
+
+
+def test_empirical_refuses_counts_of_the_wrong_length():
+    cls, mu, F, ctx, ell = _matching_ctx()
+    V = ctx.loss_table(cls.members[0])
+    u = ctx.draw_unary(sampler.stream("len", 0), 6)
+    # raw values in place of counts are refused, not read as counts
+    with pytest.raises(ValueError, match="need 4 value counts, got 6"):
+        ctx.empirical(V, u)
+    cls, mu, F, H, ell = _two_partite_setup()
+    ctx = fastpath.TwoPartiteContext(mu, F, ell)
+    counts = ctx.draw(sampler.stream("len", 0), 3)
+    with pytest.raises(ValueError, match="value counts"):
+        ctx.empirical(ctx.loss_table(H), counts[:-1])
 
 
 def test_pair_rejects_wrong_shape():
@@ -51,17 +67,17 @@ def test_pair_rejects_asymmetric_loss():
         sup_norm=Fraction(1),
     )
     ctx = fastpath.PairContext(mu, F, bad)
-    # an order-sensitive hypothesis breaks the unordered-pair symmetry
-    H = Hypothesis(
-        2,
-        cls.template,
-        (0, 1),
-        lambda x: 1 if x[(1,)] < x[(2,)] else 0,
-        name="lt",
-        declared_rank=1,
-    )
-    with pytest.raises(ValueError):
-        ctx.loss_table(H)
+    # an order-sensitive hypothesis breaks the unordered-pair symmetry, so
+    # its table does not qualify and the check reads the generic sample
+    H = Hypothesis(2, cls.template, (0, 1), lambda x: 1 if x[(1,)] < x[(2,)] else 0)
+    assert ctx.loss_table(H) is None
+    sc = sampler.Scenario(mu, F)
+    trial = learners._trial_losses(sc, [H], bad)
+    for t in range(5):
+        x, y = sampler.labeled_sample(sc, 6, sampler.stream("asym", t))
+        assert trial(sampler.stream("asym", t), 6) == [
+            losses.empirical_loss(x, y, bad, H, 6)
+        ]
 
 
 def test_lazy_pair_labels():
@@ -89,21 +105,23 @@ def test_two_partite_draw_matches_generic():
     ctx = fastpath.TwoPartiteContext(mu, F, ell)
     V = ctx.loss_table(H)
     sc = sampler.Scenario(mu, F)
+    n2, n12 = cls.template.size((2,)), cls.template.size((1, 2))
     for t in range(20):
-        s1, s2, p = ctx.draw(sampler.stream("tp", t), 3)
+        counts = ctx.draw(sampler.stream("tp", t), 3)
         x = sampler.sample_partite_config(mu, 3, sampler.stream("tp", t))
-        for j in range(1, 4):
-            assert s1[j - 1] == x[((1, j),)]
-            assert s2[j - 1] == x[((2, j),)]
+        # the count of each (part-1, part-2, cross) value triple, cross fastest
+        expect = [0] * len(counts)
         for i in range(1, 4):
             for j in range(1, 4):
-                assert p[i - 1, j - 1] == x[((1, i), (2, j))]
+                a, b = x[((1, i),)], x[((2, j),)]
+                expect[(a * n2 + b) * n12 + x[((1, i), (2, j))]] += 1
+        assert counts == expect
         fast, generic = sampler.stream("tp", t), sampler.stream("tp", t)
         ctx.draw(fast, 3)
         sampler.sample_partite_config(mu, 3, generic)
         assert fast.getstate() == generic.getstate()
         y = star_partite(F, x, 3)
-        assert ctx.empirical(V, (s1, s2, p)) == losses.empirical_loss_partite(
+        assert ctx.empirical(V, counts) == losses.empirical_loss_partite(
             x, y, ell, H, 3
         )
 
@@ -213,10 +231,10 @@ def test_pair_empirical_scales_mixed_denominators():
     ctx = fastpath.PairContext(mu, F, ell)
     sc = sampler.Scenario(mu, F)
     for t in range(10):
-        u = ctx.draw_unary(sampler.stream("mix", t), 7)
+        counts = ctx.draw(sampler.stream("mix", t), 7)
         x, y = sampler.labeled_sample(sc, 7, sampler.stream("mix", t))
         for H in cls.members:
-            assert ctx.empirical(ctx.loss_table(H), u) == losses.empirical_loss(
+            assert ctx.empirical(ctx.loss_table(H), counts) == losses.empirical_loss(
                 x, y, ell, H, 7
             )
 

@@ -1,14 +1,21 @@
 import math
+import random
 import time
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harity import adversaries, fastpath, families, learners, losses, sampler, templates
 from harity.hypotheses import (
     Hypothesis,
     HypothesisClass,
+    canonical_key,
     constant_hypothesis,
+    pattern,
     star,
     star_partite,
 )
@@ -182,6 +189,168 @@ def _generic_trial_losses(sc, members, ell):
     return generic
 
 
+def _on_both_routes(monkeypatch, run):
+    """run()'s result on the chosen route and on the generic one."""
+    out = []
+    for trial_losses in (learners._trial_losses, _generic_trial_losses):
+        monkeypatch.setattr(learners, "_trial_losses", trial_losses)
+        out.append(run())
+    return out
+
+
+def test_a_declared_rank_does_not_choose_the_route(monkeypatch):
+    # F declares rank 1 but reads the pair value: its pair table varies along
+    # the pair value, so the checks must read the generic sample
+    t = templates.Template(2, (2, 2))
+    F = Hypothesis(2, t, (0, 1), lambda x: x[(1, 2)], name="pair", declared_rank=1)
+    consts = [
+        Hypothesis(2, t, (0, 1), lambda x, v=v: v, name=f"c{v}", declared_rank=1)
+        for v in (0, 1)
+    ]
+    cls = HypothesisClass(2, t, (0, 1), tuple(consts))
+    sc = sampler.Scenario(templates.uniform_prob(t), F)
+    ell = losses.zero_one_loss((0, 1), 2)
+    eps = Fraction(1, 4)
+    chosen, generic = _on_both_routes(
+        monkeypatch,
+        lambda: (
+            learners.check_concentration(sc, consts[0], ell, 20, eps, 200, "c"),
+            learners.check_uniform_convergence(sc, cls, ell, 8, eps, 40, "c"),
+        ),
+    )
+    assert chosen == generic and chosen[0] == 0
+    assert fastpath.PairContext(sc.mu, F, ell).loss_table(consts[0]) is None
+
+
+def test_a_loss_named_01_that_reads_the_pair_value(monkeypatch):
+    # a loss named "01" but counting only units with pair value 0: its table
+    # varies along the pair value, so the name cannot choose the fast route
+    t = templates.Template(2, (2, 2))
+    ell = losses.LossFn(
+        2,
+        "nonpartite",
+        (0, 1),
+        lambda x, y, yp: int(y != yp and x[(1, 2)] == 0),
+        name="01",
+        sup_norm=Fraction(1),
+        symmetric=True,
+    )
+    diff = Hypothesis(2, t, (0, 1), lambda x: int(x[(1,)] != x[(2,)]), declared_rank=1)
+    same = Hypothesis(2, t, (0, 1), lambda x: int(x[(1,)] == x[(2,)]), declared_rank=1)
+    cls = HypothesisClass(2, t, (0, 1), (same, diff))
+    sc = sampler.Scenario(templates.uniform_prob(t), diff)
+    eps = Fraction(1, 20)
+    chosen, generic = _on_both_routes(
+        monkeypatch,
+        lambda: (
+            learners.check_concentration(sc, same, ell, 12, eps, 100, "named01"),
+            learners.check_uniform_convergence(sc, cls, ell, 12, eps, 100, "named01"),
+        ),
+    )
+    assert chosen == generic and 0 < chosen[0] < 1
+
+
+def test_matching_members_without_declared_rank_take_the_pair_context(monkeypatch):
+    built = []
+    init = fastpath.PairContext.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(fastpath.PairContext, "__init__", spy)
+    match = families.matching_family(3).cls
+    bare = [Hypothesis(H.k, H.template, H.labels, H.fn, H.name) for H in match.members]
+    assert {H.declared_rank for H in bare} == {None}
+    ell = losses.zero_one_loss(match.labels, 2)
+    sc = sampler.Scenario(templates.uniform_prob(match.template), bare[-1])
+    declared = learners._trial_losses(sc, match.members, ell)
+    trial = learners._trial_losses(sc, bare, ell)
+    assert len(built) == 2
+    generic = _generic_trial_losses(sc, bare, ell)
+    for t in range(6):
+        fast = trial(sampler.stream("bare", t), 9)
+        assert fast == declared(sampler.stream("bare", t), 9)
+        assert fast == generic(sampler.stream("bare", t), 9)
+
+
+def _random_table(rng, keys, values):
+    return {key: rng.choice(values) for key in keys}
+
+
+def _unary(x):
+    """x's unary (or part-singleton) values, in key order."""
+    return tuple(v for key, v in sorted(x.items()) if len(key) == 1)
+
+
+@st.composite
+def _k2_instances(draw):
+    """A small k = 2 scenario in either setting with random H and F tables
+    and a random integer loss table over (x, y, y'); each table may be drawn
+    to ignore the pair (or cross) value, and the loss to ignore x and the
+    order of the orbit, so that both routes come up."""
+    n1, n2, n12 = (draw(st.integers(1, hi)) for hi in (3, 3, 2))
+    if draw(st.booleans()):
+        t = templates.PartiteTemplate(2, {(1,): n1, (2,): n2, (1, 2): n12})
+    else:
+        t = templates.Template(2, (n1, n12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    points = templates.domain_points(t, 2)
+
+    def hypothesis(plain):
+        read = _unary if plain else canonical_key
+        table = _random_table(rng, {read(x) for x in points}, (0, 1))
+        return Hypothesis(2, t, (0, 1), lambda x: table[read(x)])
+
+    members = [hypothesis(draw(st.booleans())) for _ in range(draw(st.integers(1, 2)))]
+    F = hypothesis(draw(st.booleans()))
+    # a partite loss reads one label, wrapped here as a one-entry pattern
+    ys = [(0,), (1,)] if t.partite else [(0, 1), (1, 0), (0, 0), (1, 1)]
+    if draw(st.booleans()):
+        keys = {tuple(sorted(zip(y, yp))) for y in ys for yp in ys}
+        table = _random_table(rng, keys, (0, 1, 2))
+        fn = lambda x, y, yp: table[tuple(sorted(zip(y, yp)))]  # noqa: E731
+    else:
+        keys = [(canonical_key(x), y, yp) for x in points for y in ys for yp in ys]
+        table = _random_table(rng, keys, (0, 1, 2))
+        fn = lambda x, y, yp: table[canonical_key(x), y, yp]  # noqa: E731
+    if t.partite:
+        fn = lambda x, y, yp, f=fn: f(x, (y,), (yp,))  # noqa: E731
+    ell = losses.LossFn(2, "partite" if t.partite else "nonpartite", (0, 1), fn)
+    return sampler.Scenario(templates.uniform_prob(t), F), members, ell
+
+
+def _qualifies(sc, H, ell):
+    """Whether H's loss at each unit depends on its unary values alone, and
+    symmetrically: read from the loss at every domain point."""
+    t = sc.mu.template
+    if t.partite:
+        return True
+    n, w = t.size(1), t.size(2)
+    T = {}
+    for a in range(n):
+        for b in range(n):
+            for c in range(w):
+                x = {(1,): a, (2,): b, (1, 2): c}
+                T[a, b, c] = ell(x, pattern(H, x), pattern(sc.F, x))
+    return all(T[a, b, c] == T[b, a, 0] for a, b, c in T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_k2_instances())
+def test_the_route_follows_the_exact_tables(instance):
+    sc, members, ell = instance
+    generic = _generic_trial_losses(sc, members, ell)
+    expected = [generic(sampler.stream("prop", t), 3) for t in range(4)]
+    with mock.patch.object(
+        sampler, "labeled_sample", wraps=sampler.labeled_sample
+    ) as drawn:
+        trial = learners._trial_losses(sc, members, ell)
+        assert [trial(sampler.stream("prop", t), 3) for t in range(4)] == expected
+    fast = all(_qualifies(sc, H, ell) for H in members)
+    assert drawn.call_count == (0 if fast else 4)
+
+
 def _agnostic_point_mass_scenarios():
     """A k = 1 and a 2-partite agnostic scenario whose mu' is a point mass
     at 1 and whose F reads the joined value's parity: F is 1 wherever the
@@ -351,7 +520,8 @@ def test_derandomize_deterministic_and_fallback():
     tables = [ctx.loss_table(H) for H in cls.members]
 
     def emp(H, x, y, lo, hi):
-        return ctx.empirical(tables[cls.members.index(H)], y.u[lo:hi])
+        counts = np.bincount(y.u[lo:hi], minlength=ctx.n).tolist()
+        return ctx.empirical(tables[cls.members.index(H)], counts)
 
     D = learners.derandomize(A, _m_rand, ell, fallback, empirical_eval=emp)
     assert D.r(100) == 1

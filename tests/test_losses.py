@@ -252,6 +252,17 @@ def test_totals_refuse_a_law_above_the_cap():
     assert time.perf_counter() - started < 1
 
 
+def test_bayes_refuses_a_product_above_the_cap():
+    # 64,000 points of the learner's template times 64,000 atoms of mu'
+    t = templates.Template(2, (40, 40))
+    mu = templates.uniform_prob(t)
+    F = constant_hypothesis(2, templates.product_template(t, t), (0, 1), 0)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="exact law"):
+        losses.bayes_predictor(mu, mu, F, losses.zero_one_loss((0, 1), 2))
+    assert time.perf_counter() - started < 1
+
+
 def test_empirical_loss_refuses_float_values():
     t = templates.Template(2, (2, 1))
     H = constant_hypothesis(2, t, (0, 1), 0)

@@ -3,7 +3,11 @@ per-setting rules) and ``fastpath.py`` (whose contexts are per-setting by
 design), a function may read ``.partite`` or ``.setting`` or call
 ``indexing.partite_keys`` only where the maths differs by setting.  A new
 setting fork must be added to ALLOWED with its reason, or written over the
-template's methods instead."""
+template's methods instead.
+
+Declared metadata chooses nothing: a hypothesis's ``declared_rank`` and a
+loss's ``symmetric`` are never verified, so no function may read them except
+the constructors that copy them onto a derived object (COPIERS)."""
 
 import ast
 from pathlib import Path
@@ -84,3 +88,46 @@ def test_the_check_sees_a_planted_fork():
         "f",
         "g",
     ]
+
+
+DECLARED = ("declared_rank", "symmetric")
+COPIERS = {
+    "hypotheses.partize_hypothesis",
+    "reductions.untagged_hypothesis",
+    "reductions.extend_codomain",
+}
+
+
+def _reads_declared(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and n.attr in DECLARED:
+            if isinstance(n.ctx, ast.Load):
+                return True
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr":
+            if any(getattr(a, "value", None) in DECLARED for a in n.args[1:2]):
+                return True
+    return False
+
+
+def declared_readers():
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, node in _functions(ast.parse(path.read_text())):
+            if _reads_declared(node):
+                out.add(f"{path.stem}.{name}")
+    return out
+
+
+def test_declared_metadata_is_only_copied():
+    assert declared_readers() == COPIERS
+
+
+def test_the_check_sees_a_planted_declared_read():
+    tree = ast.parse(
+        "def f(H):\n    return H.declared_rank == 1\n"
+        "def g(ell):\n    return getattr(ell, 'symmetric', False)\n"
+        "def h(H):\n    return Hypothesis(H.k, declared_rank=1, symmetric=True)\n"
+        "def i(ell):\n    ell.symmetric = True\n"
+    )
+    found = [name for name, node in _functions(tree) if _reads_declared(node)]
+    assert found == ["f", "g"]
