@@ -2,35 +2,29 @@
 
 A unit's loss depends only on the values the sample induces on it, so an
 empirical loss is the sample's count of unit value codes times one exact loss
-table.  A context builds, once, each arity-2 domain point (part-1, part-2 and
-pair or cross value, the last fastest) with its orbit pullbacks and F's
-labels, read through the template's rules as ``losses.totals`` reads them.
-``loss_table(H)`` holds H's loss at each point as integer numerators over one
-common denominator (a float loss value raises TypeError), ``draw(rng, m)``
-returns the sample's count vector once per trial, and ``empirical(V,
-counts)`` is an integer read of the two.
-
-``TwoPartiteContext`` counts (part-1, part-2, cross) value triples, so every
-2-partite table qualifies.  ``PairContext`` counts unary values, so its
-``loss_table`` returns None unless H's table ignores the pair value and is
-symmetric in the two unary values; ``learners._trial_losses`` takes a context
-only when every member's table qualifies.  Nothing declared about a
-hypothesis or a loss chooses the route.
+table.  ``tables`` reads every member's table from one ``losses.point_losses``
+plan of the arity-2 domain points, as integer numerators over one denominator
+(a float loss value raises TypeError); ``draw(rng, m)`` returns a sample's
+count vector once per trial and ``empirical(V, counts)`` reads the two.  A
+2-partite table, over (part-1, part-2, cross) value triples, always
+qualifies; a pair table, over unary values, only when it ignores the pair
+value and is symmetric.  Nothing declared about H, F or the loss is read.
 
 Each draw reads the generic stream's prefix (low-arity coordinates enumerate
 first) with one bulk call (``_uniforms``, bit for bit as many
 ``rng.random()`` calls), so every statistic computed here is bit-identical
-to the generic route on the same (seed, trial).  ``losses`` owns every exact
-total.
+to the generic route on the same (seed, trial).
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 from operator import mul
 
 import numpy as np
 
-from . import templates
+from . import losses, templates
+from .sampler import EXACT_LAW_CAP
 
 
 def _cum(weights):
@@ -55,19 +49,27 @@ def _numerators(values):
     return D, [v.numerator * (D // v.denominator) for v in exact]
 
 
-def _plan(t, F, ell):
-    """(points, table): each arity-2 domain point of t with its orbit
-    pullbacks and F's labels, and H -> (D, H's loss numerators at each)."""
-    (m, orbit), pull, read = t.domain(ell.k), t.pull, t.read
-    orbits = [(x, [pull(a, x) for a in orbit]) for x in templates.config_points(t, m)]
-    points = [(x, o, read(F, o)) for x, o in orbits]
-    return points, lambda H: _numerators(ell(x, read(H, o), y) for x, o, y in points)
+def _pair_table(table, n):
+    """(D, V) with V[a][b] / D the loss on a unit with unary values (a, b),
+    read at pair value 0 from a (D, numerators) table; None unless the table
+    ignores the pair value and V[a][b] == V[b][a]."""
+    D, flat = table
+    w = len(flat) // n**2
+    V = [flat[a * n * w : (a + 1) * n * w : w] for a in range(n)]
+    ignores_pair = flat == [v for row in V for v in row for _ in range(w)]
+    return (D, V) if ignores_pair and V == [list(c) for c in zip(*V)] else None
 
 
-def _rows(seq, n):
-    """The entries of seq at pair value 0, as rows over the unary values."""
-    w = len(seq) // (n * n)
-    return [seq[a * n * w : (a + 1) * n * w : w] for a in range(n)]
+def tables(mu, F, ell, members):
+    """Each member's loss table against F at every arity-2 domain point (part-1,
+    part-2 and pair or cross value, the last fastest), as its context reads it,
+    or None where it does not qualify; all None above the exact-law cap."""
+    t = mu.template
+    if templates.point_count(t, t.domain(ell.k)[0]) > EXACT_LAW_CAP:
+        return [None] * len(members)
+    at = losses.point_losses(t, F, ell, templates.domain_points(t, ell.k))
+    out = [_numerators(at(H)) for H in members]
+    return out if t.partite else [_pair_table(T, t.size(1)) for T in out]
 
 
 class PairContext:
@@ -76,19 +78,19 @@ class PairContext:
     def __init__(self, mu, F, ell):
         if ell.k != 2 or ell.setting != "nonpartite":
             raise ValueError("pair context needs a non-partite binary loss")
-        self.n = mu.template.size(1)
-        points, self._table = _plan(mu.template, F, ell)
-        self.ftable = [[y[0] for _, _, y in row] for row in _rows(points, self.n)]
+        self.n, self._args = mu.template.size(1), (mu, F, ell)
         self._cum = _cum(mu.weights[0])
 
+    @cached_property
+    def ftable(self):
+        """F's label at each pair of unary values (pair value 0)."""
+        F, n = self._args[1], self.n
+        return [[F({(1,): a, (2,): b, (1, 2): 0}) for b in range(n)] for a in range(n)]
+
     def loss_table(self, H):
-        """(D, V): V[a][b] / D is the loss of H against F on a unit with unary
-        values (a, b); None unless that loss ignores the pair value and
-        V[a][b] == V[b][a]."""
-        D, flat = self._table(H)
-        V, w = _rows(flat, self.n), len(flat) // self.n**2
-        ignores_pair = flat == [v for row in V for v in row for _ in range(w)]
-        return (D, V) if ignores_pair and V == [list(c) for c in zip(*V)] else None
+        """(D, V) of ``_pair_table``: H's loss against F on a unit with unary
+        values (a, b) is V[a][b] / D; None if the table does not qualify."""
+        return tables(*self._args, [H])[0]
 
     def draw(self, rng, m):
         """The unary value counts of a size-m sample."""
@@ -139,15 +141,14 @@ class TwoPartiteContext:
         if ell.k != 2 or ell.setting != "partite":
             raise ValueError("needs a 2-partite loss")
         t = mu.template
-        points, self._table = _plan(t, F, ell)
-        self._codes, self.n2, self.n12 = len(points), t.size((2,)), t.size((1, 2))
+        self._args, self.n2, self.n12 = (mu, F, ell), t.size((2,)), t.size((1, 2))
+        self._codes = templates.point_count(t, 1)
         w1, w2, w12 = mu.weights[(1,)], mu.weights[(2,)], mu.weights[(1, 2)]
         self._cum1, self._cum2, self._cum12 = _cum(w1), _cum(w2), _cum(w12)
 
     def loss_table(self, H):
-        """(D, numerators): H's loss against F at each value triple, the cross
-        value fastest."""
-        return self._table(H)
+        """(D, numerators): H's loss at each value triple, the cross fastest."""
+        return tables(*self._args, [H])[0]
 
     def draw(self, rng, m):
         """The value-triple counts of one size-(m, m) partite sample, reading

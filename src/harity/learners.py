@@ -88,26 +88,23 @@ def _trial_losses(sc, members, ell):
     """The one per-trial route: (rng, m) -> the empirical loss of each member
     on the size-m sample drawn from rng.
 
-    A non-agnostic k = 2 scenario builds one fastpath context per check
-    (TwoPartiteContext when 2-partite, PairContext otherwise) and takes it
-    when every member's exact loss table qualifies: a 2-partite table always
-    does, a pair table when it ignores the pair value and is symmetric in the
-    two unary values.  Otherwise the trial draws the generic labeled sample.
-    A context counts the sample once per trial and reads each table against
-    the counts.  Each route reads the stream as the generic one does, so all
-    give bit-identical losses.
+    A non-agnostic k = 2 scenario builds a fastpath context (TwoPartiteContext
+    when 2-partite, PairContext otherwise) only when every member's exact
+    loss table qualifies (``fastpath.tables``); the context then counts the
+    sample once per trial and reads each table against the counts.  Otherwise
+    the trial draws the generic labeled sample.  Each route reads the stream
+    as the generic one does, so all give bit-identical losses.
     """
-    if sc.mu2 is None and ell.k == 2:
+    tables = sc.mu2 is None and ell.k == 2 and fastpath.tables(sc.mu, sc.F, ell, members)
+    if tables and None not in tables:
         context = fastpath.TwoPartiteContext if sc.partite else fastpath.PairContext
         ctx = context(sc.mu, sc.F, ell)
-        tables = [ctx.loss_table(H) for H in members]
-        if None not in tables:
 
-            def fast(rng, m):
-                counts = ctx.draw(rng, m)
-                return [ctx.empirical(V, counts) for V in tables]
+        def fast(rng, m):
+            counts = ctx.draw(rng, m)
+            return [ctx.empirical(V, counts) for V in tables]
 
-            return fast
+        return fast
 
     def generic(rng, m):
         x, y = sampler.labeled_sample(sc, m, rng)

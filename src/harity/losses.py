@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, perm, prod
+from operator import mul
 
 from . import indexing, sampler, templates
 from .hypotheses import Hypothesis, canonical_key, perms
@@ -131,27 +132,37 @@ def wrap_agnostic(ell):
 # total losses (exact enumeration, one plan per check)
 
 
+def point_losses(t, F, ell, points):
+    """H -> H's loss against F at each of ``points`` (domain points of t), read
+    over each point's orbit; the orbits and F's labels are built once."""
+    (_, orbit), pull, read = t.domain(ell.k), t.pull, t.read
+    orbits = [(x, [pull(a, x) for a in orbit]) for x in points]
+    plan = [(x, o, read(F, o)) for x, o in orbits]
+    return lambda H: [ell(x, read(H, o), y) for x, o, y in plan]
+
+
 def totals(mu, F, ell, mu2=None):
     """H -> E_{x ~ mu}[l(x, H's labels at x, F's labels at x)], or, given mu2,
     E over mu (x) mu' of the agnostic l(H, x, y), y F's labels at the joined
-    point.  The laws (under the exact-law cap), each atom's S_k orbit and F's
-    labels are built once; a call reads H once per atom and sums integer
+    point.  The laws (under the exact-law cap) and ``point_losses`` over them
+    are built once; a call reads H once per atom and sums integer
     numerators over one common denominator, so a float loss value raises.
     ``total_loss``, ``total_loss_partite`` and ``total_loss_ag`` call it once."""
     t, t2 = mu.template, mu2 and mu2.template
-    (m, orbit), pull, read, label = t.domain(ell.k), t.pull, t.read, t.label
+    m = t.domain(ell.k)[0]
     sampler.check_law_size(prod(templates.law_atoms(nu, m) for nu in (mu, mu2) if nu))
-    xp_law, plan = [(None, 1)] if mu2 is None else templates.config_law(mu2, m), []
-    for x, p in templates.config_law(mu, m):
-        o = [pull(a, x) for a in orbit]
-        for xp, q in xp_law:
-            z = x if xp is None else templates.join_config(t, t2, x, xp)
-            plan.append((p * q, x, o, label(F, z)))
-    D = lcm(*(w.denominator for w, *_ in plan))
-    plan = [(w.numerator * (D // w.denominator), x, o, y) for w, x, o, y in plan]
-    if mu2 is not None:
-        return lambda H: Fraction(sum(n * ell(H, x, y) for n, x, _, y in plan), D)
-    return lambda H: Fraction(sum(n * ell(x, read(H, o), y) for n, x, o, y in plan), D)
+    law = templates.config_law(mu, m)
+    if mu2 is None:
+        xs, ws = zip(*law)
+        at = point_losses(t, F, ell, xs)
+    else:
+        xp_law, join, label = templates.config_law(mu2, m), templates.join_config, t.label
+        plan = [(x, label(F, join(t, t2, x, xp))) for x, _ in law for xp, _ in xp_law]
+        ws = [p * q for _, p in law for _, q in xp_law]
+        at = lambda H: [ell(H, x, y) for x, y in plan]  # noqa: E731
+    D = lcm(*(w.denominator for w in ws))
+    nums = [w.numerator * (D // w.denominator) for w in ws]
+    return lambda H: Fraction(sum(map(mul, nums, at(H))), D)
 
 
 def total_loss(mu, F, ell, H):
@@ -315,8 +326,7 @@ def bayes_predictor(mu, mu2, F, ell):
     k = ell.k
     t1, t2 = mu.template, mu2.template
     (m, ps), pull, read, label = t1.domain(k), t1.pull, t1.read, t1.label
-    points = prod(t1.size(t1.space(key)) for key in t1.coords(m))
-    sampler.check_law_size(points * templates.law_atoms(mu2, m))
+    sampler.check_law_size(templates.point_count(t1, m) * templates.law_atoms(mu2, m))
     pindex = {p: i for i, p in enumerate(ps)}
     # orbit point i pulled back along ps[j] is orbit point reading[i][j]
     reading = [tuple(pindex[indexing.compose(a, b)] for b in ps) for a in ps]

@@ -22,6 +22,7 @@ floats only at the sampling boundary.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from . import hypotheses, indexing
 
@@ -242,6 +243,12 @@ def domain_points(template, k):
     defined on: E_[k](Omega) for a plain template, one vertex per part for a
     partite one."""
     return config_points(template, template.domain(k)[0])
+
+
+def point_count(template, m):
+    """The number of points of the size-m configuration space, counted
+    without enumerating them."""
+    return prod(template.size(template.space(key)) for key in template.coords(m))
 
 
 def law_atoms(mu, m):

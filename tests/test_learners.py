@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -198,6 +199,19 @@ def _on_both_routes(monkeypatch, run):
     return out
 
 
+@contextmanager
+def _contexts_built():
+    """Counts the fastpath contexts built inside the block."""
+    with ExitStack() as stack:
+        spies = [
+            stack.enter_context(
+                mock.patch.object(cls, "__init__", autospec=True, side_effect=cls.__init__)
+            )
+            for cls in (fastpath.PairContext, fastpath.TwoPartiteContext)
+        ]
+        yield lambda: sum(spy.call_count for spy in spies)
+
+
 def test_a_declared_rank_does_not_choose_the_route(monkeypatch):
     # F declares rank 1 but reads the pair value: its pair table varies along
     # the pair value, so the checks must read the generic sample
@@ -211,13 +225,16 @@ def test_a_declared_rank_does_not_choose_the_route(monkeypatch):
     sc = sampler.Scenario(templates.uniform_prob(t), F)
     ell = losses.zero_one_loss((0, 1), 2)
     eps = Fraction(1, 4)
-    chosen, generic = _on_both_routes(
-        monkeypatch,
-        lambda: (
-            learners.check_concentration(sc, consts[0], ell, 20, eps, 200, "c"),
-            learners.check_uniform_convergence(sc, cls, ell, 8, eps, 40, "c"),
-        ),
-    )
+    with _contexts_built() as built:
+        chosen, generic = _on_both_routes(
+            monkeypatch,
+            lambda: (
+                learners.check_concentration(sc, consts[0], ell, 20, eps, 200, "c"),
+                learners.check_uniform_convergence(sc, cls, ell, 8, eps, 40, "c"),
+            ),
+        )
+        # a check builds no context for a route it does not take
+        assert built() == 0
     assert chosen == generic and chosen[0] == 0
     assert fastpath.PairContext(sc.mu, F, ell).loss_table(consts[0]) is None
 
@@ -342,13 +359,33 @@ def test_the_route_follows_the_exact_tables(instance):
     sc, members, ell = instance
     generic = _generic_trial_losses(sc, members, ell)
     expected = [generic(sampler.stream("prop", t), 3) for t in range(4)]
-    with mock.patch.object(
+    with _contexts_built() as built, mock.patch.object(
         sampler, "labeled_sample", wraps=sampler.labeled_sample
     ) as drawn:
         trial = learners._trial_losses(sc, members, ell)
         assert [trial(sampler.stream("prop", t), 3) for t in range(4)] == expected
-    fast = all(_qualifies(sc, H, ell) for H in members)
+        fast = all(_qualifies(sc, H, ell) for H in members)
+        assert built() == int(fast)
     assert drawn.call_count == (0 if fast else 4)
+
+
+def test_a_check_above_the_cap_takes_the_generic_route_at_once():
+    # 2000^2 domain points but only 2 unary values of positive weight: the
+    # exact totals read 4 atoms, and the route must not tabulate every point
+    t = templates.Template(2, (2000, 1))
+    mu = templates.ProbTemplate(t, ((Fraction(1, 2),) * 2 + (0,) * 1998, (1,)))
+    F = Hypothesis(2, t, (0, 1), lambda x: int(x[(1,)] == x[(2,)]))
+    H = constant_hypothesis(2, t, (0, 1), 0)
+    sc, ell = sampler.Scenario(mu, F), losses.zero_one_loss((0, 1), 2)
+    started = time.perf_counter()
+    with _contexts_built() as built:
+        trial = learners._trial_losses(sc, [H], ell)
+        learners.check_concentration(sc, H, ell, 6, Fraction(1, 4), 20, "cap")
+        assert built() == 0
+    assert time.perf_counter() - started < 2
+    generic = _generic_trial_losses(sc, [H], ell)
+    for t in range(5):
+        assert trial(sampler.stream("cap", t), 6) == generic(sampler.stream("cap", t), 6)
 
 
 def _agnostic_point_mass_scenarios():

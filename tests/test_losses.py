@@ -237,6 +237,18 @@ def test_totals_refuse_float_values():
         losses.totals(mu, G, losses.wrap_agnostic(half), mu2)(Hs[0])
 
 
+def test_totals_pull_each_atom_back_once_per_orbit_point(monkeypatch):
+    # F's labels are read over the stored orbit, not pulled back again
+    cls = families.matching_family(4).cls
+    mu = templates.uniform_prob(cls.template)
+    pull = indexing.pullback
+    calls = []
+    monkeypatch.setattr(indexing, "pullback", lambda *a: calls.append(a) or pull(*a))
+    losses.totals(mu, cls.members[-1], losses.zero_one_loss(cls.labels, 2))
+    atoms = len(templates.config_law(mu, 2))
+    assert len(calls) == atoms * len(perms(2))
+
+
 def test_totals_refuse_a_law_above_the_cap():
     # 10^7 atoms for the plain total, 1,100^2 for the agnostic one
     mu = templates.uniform_prob(templates.Template(3, (10, 10, 10)))
