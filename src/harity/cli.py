@@ -10,8 +10,9 @@ the git description, and the wall time).
 
 Exit codes: 0 success; 2 config error (a bad flag or config value, a config
 file that is unreadable or not a JSON object, an unknown family, an
-unreadable ``partition:`` table, a ``--member`` out of range, an ``--out``
-path that cannot be written); 3 infeasible instance (a cap was exceeded, the
+unreadable ``partition:`` table, a ``--member`` out of range, a ``--m``
+sweep given to a command that takes one size, an ``--out`` path that cannot
+be written); 3 infeasible instance (a cap was exceeded, the
 command does not handle the family, or the library raised ``ValueError``).
 
 Each subcommand is a ``build(merged) -> (header, rows)`` function registered
@@ -188,6 +189,14 @@ def _m_list(merged, default):
     return out
 
 
+def _m_one(merged, default):
+    """The one sample size of a command that takes no sweep."""
+    sizes = _m_list(merged, default)
+    if len(sizes) > 1:
+        raise click.UsageError(f"m must be one size here, not {merged['m']!r}")
+    return sizes[0]
+
+
 def _float_str(x):
     return f"{float(x):.6g}"
 
@@ -261,7 +270,7 @@ def dims_cmd(merged):
 def sample_cmd(merged):
     """Draw one labeled sample from a family scenario."""
     _, sc, _ = _scenario(merged)
-    mm = _m_list(merged, "4")[0]
+    mm = _m_one(merged, "4")
     x, y = sampler.labeled_sample(sc, mm, sampler.stream(merged["seed"], 0))
     rows = [["x", indexing.encode_config(x), ""]]
     rows += [["y", str(key), str(y[key])] for key in sorted(y)]
@@ -321,7 +330,7 @@ def verify_uc_cmd(merged):
 def nfl_cmd(merged):
     """Worst-case adversary failure frequency vs. the displayed bound."""
     dd = merged.get("d", 20)
-    mm = _m_list(merged, "5")[0]
+    mm = _m_one(merged, "5")
     epsv = Fraction(str(merged.get("eps", 0.1)))
     ntrials = merged.get("trials", 2000)
     if dd < 1:

@@ -2,18 +2,16 @@
 
 A unit's loss depends only on the values the sample induces on it, so an
 empirical loss is the sample's count of unit value codes times one exact loss
-table.  ``tables`` reads every member's table from one ``losses.point_losses``
-plan of the arity-2 domain points, as integer numerators over one denominator
-(a float loss value raises TypeError); ``draw(rng, m)`` returns a sample's
-count vector once per trial and ``empirical(V, counts)`` reads the two.  A
-2-partite table, over (part-1, part-2, cross) value triples, always
-qualifies; a pair table, over unary values, only when it ignores the pair
+table: a member's row of the check's ``losses.plan``, laid out over the
+products of mu's supports (``tables``).  A context codes each drawn value by
+its support rank; ``draw(rng, m)`` returns the count vector once per trial
+and ``empirical(V, counts)`` reads it against a table in integers.  A
+2-partite table always qualifies; a pair table only when it ignores the pair
 value and is symmetric.  Nothing declared about H, F or the loss is read.
 
-Each draw reads the generic stream's prefix (low-arity coordinates enumerate
-first) with one bulk call (``_uniforms``, bit for bit as many
-``rng.random()`` calls), so every statistic computed here is bit-identical
-to the generic route on the same (seed, trial).
+Each draw reads the generic stream's prefix with one bulk call
+(``_uniforms``, bit for bit as many ``rng.random()`` calls), so every
+statistic here is bit-identical to the generic route on the same (seed, trial).
 """
 
 from fractions import Fraction
@@ -23,15 +21,18 @@ from operator import mul
 
 import numpy as np
 
-from . import losses, templates
-from .sampler import EXACT_LAW_CAP
+from . import losses
 
 
-def _cum(weights):
-    return np.cumsum(np.asarray([float(w) for w in weights]))
+def _support(weights):
+    """A ground space's values of positive weight, in order, and their
+    cumulative float weights, summed as ``sampler._draw`` sums them."""
+    values = [v for v, w in enumerate(weights) if w]
+    return np.asarray(values), np.cumsum([float(weights[v]) for v in values])
 
 
 def _decode(cum, u):
+    """The support rank each uniform draws; past the float sum, the last."""
     return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
@@ -50,9 +51,9 @@ def _numerators(values):
 
 
 def _pair_table(table, n):
-    """(D, V) with V[a][b] / D the loss on a unit with unary values (a, b),
-    read at pair value 0 from a (D, numerators) table; None unless the table
-    ignores the pair value and V[a][b] == V[b][a]."""
+    """(D, V) with V[a][b] / D the loss on a unit whose unary values have
+    support ranks (a, b), from a (D, numerators) row over n unary support
+    values; None unless it ignores the pair value and V[a][b] == V[b][a]."""
     D, flat = table
     w = len(flat) // n**2
     V = [flat[a * n * w : (a + 1) * n * w : w] for a in range(n)]
@@ -60,52 +61,53 @@ def _pair_table(table, n):
     return (D, V) if ignores_pair and V == [list(c) for c in zip(*V)] else None
 
 
-def tables(mu, F, ell, members):
-    """Each member's loss table against F at every arity-2 domain point (part-1,
-    part-2 and pair or cross value, the last fastest), as its context reads it,
-    or None where it does not qualify; all None above the exact-law cap."""
-    t = mu.template
-    if templates.point_count(t, t.domain(ell.k)[0]) > EXACT_LAW_CAP:
-        return [None] * len(members)
-    at = losses.point_losses(t, F, ell, templates.domain_points(t, ell.k))
-    out = [_numerators(at(H)) for H in members]
-    return out if t.partite else [_pair_table(T, t.size(1)) for T in out]
+def tables(mu, rows):
+    """Each member's table, as its context reads it, from its ``losses.plan``
+    row over mu's k = 2 law, whose atoms are mu's support (part-1, part-2 and
+    pair or cross value, the last fastest), as (D, integer numerators over D);
+    None where it does not qualify."""
+    rows = [_numerators(row) for row in rows]
+    if mu.template.partite:
+        return rows
+    n = len(_support(mu.weights[0])[0])
+    return [_pair_table(row, n) for row in rows]
 
 
 class PairContext:
-    """Unary-value tables for a non-partite k = 2 scenario."""
+    """Unary-value tables for a non-partite k = 2 scenario, over the support
+    ranks of mu's unary values."""
 
     def __init__(self, mu, F, ell):
         if ell.k != 2 or ell.setting != "nonpartite":
             raise ValueError("pair context needs a non-partite binary loss")
-        self.n, self._args = mu.template.size(1), (mu, F, ell)
-        self._cum = _cum(mu.weights[0])
+        self._args = (mu, F, ell)
+        self._values, self._cum = _support(mu.weights[0])
+        self.n = len(self._values)
 
     @cached_property
     def ftable(self):
         """F's label at each pair of unary values (pair value 0)."""
-        F, n = self._args[1], self.n
+        F, n = self._args[1], self._args[0].template.size(1)
         return [[F({(1,): a, (2,): b, (1, 2): 0}) for b in range(n)] for a in range(n)]
 
     def loss_table(self, H):
-        """(D, V) of ``_pair_table``: H's loss against F on a unit with unary
-        values (a, b) is V[a][b] / D; None if the table does not qualify."""
-        return tables(*self._args, [H])[0]
+        """H's table against F, as ``tables`` lays it out; None if it does not
+        qualify."""
+        return tables(self._args[0], [losses.plan(*self._args)[0](H)])[0]
 
     def draw(self, rng, m):
-        """The unary value counts of a size-m sample."""
-        # typed, since bincount would read an empty sample's [] as floats
-        u = np.asarray(self.draw_unary(rng, m), dtype=np.intp)
-        return np.bincount(u, minlength=self.n).tolist()
+        """The support-rank counts of a size-m sample's unary values."""
+        ranks = _decode(self._cum, _uniforms(rng, m))
+        return np.bincount(ranks, minlength=self.n).tolist()
 
     def draw_unary(self, rng, m):
         """The m unary values of a size-m sample: the first m draws of the
         generic stream (unary coordinates enumerate first)."""
-        return _decode(self._cum, _uniforms(rng, m)).tolist()
+        return self._values[_decode(self._cum, _uniforms(rng, m))].tolist()
 
     def empirical(self, V, c):
-        """Mean of V over the unordered value pairs of a sample with unary value
-        counts c: the pair sum is (c V c - sum_a c[a] V[a][a]) / 2."""
+        """Mean of V over the unordered value pairs of a sample with support
+        rank counts c: the pair sum is (c V c - sum_a c[a] V[a][a]) / 2."""
         if len(c) != self.n:
             raise ValueError(f"need {self.n} value counts, got {len(c)}")
         m = sum(c)
@@ -135,25 +137,24 @@ class LazyPairLabels:
 
 class TwoPartiteContext:
     """Value-triple tables for a 2-partite scenario: a sample is read as its
-    count of each (part-1, part-2, cross) value triple."""
+    count of each (part-1, part-2, cross) triple of support ranks."""
 
     def __init__(self, mu, F, ell):
         if ell.k != 2 or ell.setting != "partite":
             raise ValueError("needs a 2-partite loss")
-        t = mu.template
-        self._args, self.n2, self.n12 = (mu, F, ell), t.size((2,)), t.size((1, 2))
-        self._codes = templates.point_count(t, 1)
-        w1, w2, w12 = mu.weights[(1,)], mu.weights[(2,)], mu.weights[(1, 2)]
-        self._cum1, self._cum2, self._cum12 = _cum(w1), _cum(w2), _cum(w12)
+        self._args = (mu, F, ell)
+        self._cum1, self._cum2, self._cum12 = (
+            _support(mu.weights[a])[1] for a in ((1,), (2,), (1, 2))
+        )
+        self.n2, self.n12 = len(self._cum2), len(self._cum12)
+        self._codes = len(self._cum1) * self.n2 * self.n12
 
-    def loss_table(self, H):
-        """(D, numerators): H's loss at each value triple, the cross fastest."""
-        return tables(*self._args, [H])[0]
+    loss_table = PairContext.loss_table
 
     def draw(self, rng, m):
-        """The value-triple counts of one size-(m, m) partite sample, reading
-        the stream in the canonical coordinate order: part-1 singletons,
-        part-2 singletons, cross pairs (second index fastest)."""
+        """The support-rank-triple counts of one size-(m, m) partite sample,
+        reading the stream in the canonical coordinate order: part-1
+        singletons, part-2 singletons, cross pairs (second index fastest)."""
         u = _uniforms(rng, 2 * m + m * m)
         s1 = _decode(self._cum1, u[:m])
         s2 = _decode(self._cum2, u[m : 2 * m])

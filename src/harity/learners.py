@@ -7,10 +7,10 @@ learner carries no setting flag: sample sizes and the setting are read from
 the sample's keys, and ``erm`` reads the class's template, so learners compose
 without extra plumbing.
 
-Every Monte Carlo check builds its exact totals once, from ``_totals``, and
-then reads each trial's hypothesis against them; the uniform-convergence and
-concentration checks take their per-trial empirical losses from the one route
-chooser ``_trial_losses``.
+Every Monte Carlo check reads each hypothesis's exact total from one plan of
+its law (``_plan``); the uniform-convergence and concentration checks take
+their members' totals and per-trial empirical losses from the one route
+chooser ``_trial_losses``, whose fast-route tables are the same plan rows.
 """
 
 import math
@@ -76,26 +76,28 @@ erm_nonpartite = erm_partite = erm
 # check
 
 
-def _totals(sc, ell):
-    """H -> the exact total loss of H in the scenario: the plain or the
-    agnostic (mu, mu', F) total, built once per check."""
-    if sc.mu2 is not None:
-        return losses.totals(sc.mu, sc.F, losses.wrap_agnostic(ell), sc.mu2)
-    return losses.totals(sc.mu, sc.F, ell)
+def _plan(sc, ell):
+    """The check's ``losses.plan``, with the natural agnostic loss given mu'."""
+    ag = sc.mu2 is not None
+    return losses.plan(sc.mu, sc.F, losses.wrap_agnostic(ell) if ag else ell, sc.mu2)
 
 
 def _trial_losses(sc, members, ell):
-    """The one per-trial route: (rng, m) -> the empirical loss of each member
-    on the size-m sample drawn from rng.
+    """Each member's exact total and the one per-trial route: (rng, m) -> the
+    empirical loss of each member on the size-m sample drawn from rng.  Both
+    read one plan, which reads each member once per atom.
 
     A non-agnostic k = 2 scenario builds a fastpath context (TwoPartiteContext
-    when 2-partite, PairContext otherwise) only when every member's exact
-    loss table qualifies (``fastpath.tables``); the context then counts the
+    when 2-partite, PairContext otherwise) only when every member's plan row
+    qualifies as its table (``fastpath.tables``); the context then counts the
     sample once per trial and reads each table against the counts.  Otherwise
     the trial draws the generic labeled sample.  Each route reads the stream
     as the generic one does, so all give bit-identical losses.
     """
-    tables = sc.mu2 is None and ell.k == 2 and fastpath.tables(sc.mu, sc.F, ell, members)
+    row, weigh = _plan(sc, ell)
+    rows = [row(H) for H in members]
+    totals = [weigh(r) for r in rows]
+    tables = sc.mu2 is None and ell.k == 2 and fastpath.tables(sc.mu, rows)
     if tables and None not in tables:
         context = fastpath.TwoPartiteContext if sc.partite else fastpath.PairContext
         ctx = context(sc.mu, sc.F, ell)
@@ -104,13 +106,13 @@ def _trial_losses(sc, members, ell):
             counts = ctx.draw(rng, m)
             return [ctx.empirical(V, counts) for V in tables]
 
-        return fast
+        return totals, fast
 
     def generic(rng, m):
         x, y = sampler.labeled_sample(sc, m, rng)
         return [losses.empirical_loss(x, y, ell, H, m) for H in members]
 
-    return generic
+    return totals, generic
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +168,8 @@ def check_uniform_convergence(sc, cls, ell, m, eps, trials, seed):
     ERM's total loss within eps of the class infimum."""
     eps = Fraction(eps)
     members = list(cls.members)
-    totals = list(map(_totals(sc, ell), members))
+    totals, trial = _trial_losses(sc, members, ell)
     inf_total = min(totals)
-    trial = _trial_losses(sc, members, ell)
 
     good = checked = violations = 0
     for t in range(trials):
@@ -202,8 +203,7 @@ def concentration_bound(eps, m, k, setting, sup_norm=1):
 def check_concentration(sc, H, ell, m, eps, trials, seed):
     """Measured frequency of |empirical - total| >= eps for a fixed H."""
     eps = Fraction(eps)
-    total = _totals(sc, ell)(H)
-    trial = _trial_losses(sc, [H], ell)
+    (total,), trial = _trial_losses(sc, [H], ell)
     hits = 0
     for t in range(trials):
         (emp,) = trial(sampler.stream(seed, t), m)
@@ -365,14 +365,14 @@ def estimate_pac_success(A, sc, ell, m, eps, trials, seed, agnostic=False, cls=N
     """Monte Carlo frequency of trials whose learned hypothesis has total
     loss <= eps (non-agnostic) or <= inf + eps (agnostic, exact infimum over
     ``cls``)."""
-    target, total = Fraction(eps), _totals(sc, ell)
+    (row, weigh), target = _plan(sc, ell), Fraction(eps)
     if agnostic:
-        target += min(map(total, cls))
+        target += min(weigh(row(H)) for H in cls)
     wins = 0
     for t in range(trials):
         rng = sampler.stream(seed, t)
         x, y = sampler.labeled_sample(sc, m, rng)
         H = A(x, y, rng.randrange(A.r(m)))
-        if total(H) <= target:
+        if weigh(row(H)) <= target:
             wins += 1
     return Fraction(wins, trials)

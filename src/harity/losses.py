@@ -1,6 +1,6 @@
-"""Loss functions (plain and agnostic, both settings), exact totals (each built
-once as a plan by ``totals``), empirical losses, flexibility witnesses, neutral
-symbols, and Bayes predictors.
+"""Loss functions (plain and agnostic, both settings), exact totals (read from
+one per-atom ``plan`` of a law), empirical losses, flexibility witnesses,
+neutral symbols, and Bayes predictors.
 
 Non-partite losses consume full label patterns: a pattern is a tuple over the
 canonical enumeration of S_k (see ``hypotheses.perms``), i.e. an element of
@@ -11,7 +11,7 @@ the template's rules, so no loss computation here branches on the setting.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm, perm, prod
+from math import factorial, lcm, perm
 from operator import mul
 
 from . import indexing, sampler, templates
@@ -132,37 +132,33 @@ def wrap_agnostic(ell):
 # total losses (exact enumeration, one plan per check)
 
 
-def point_losses(t, F, ell, points):
-    """H -> H's loss against F at each of ``points`` (domain points of t), read
-    over each point's orbit; the orbits and F's labels are built once."""
-    (_, orbit), pull, read = t.domain(ell.k), t.pull, t.read
-    orbits = [(x, [pull(a, x) for a in orbit]) for x in points]
-    plan = [(x, o, read(F, o)) for x, o in orbits]
-    return lambda H: [ell(x, read(H, o), y) for x, o, y in plan]
+def plan(mu, F, ell, mu2=None):
+    """(row, weigh) over ``sampler.joint_law`` at the loss's domain size.
+    ``row(H)`` is H's loss at each atom: l(x, H's labels, F's labels), both
+    read over the atom's orbit, or, given mu2, the agnostic l(H, x, y), y F's
+    labels at the joined point.  ``weigh(row)`` is its expectation, summed in
+    integers over one denominator, so a float loss value raises TypeError.
+    Orbits and F's labels are built once; a row reads H once per atom."""
+    t = mu.template
+    (m, orbit), pull, read = t.domain(ell.k), t.pull, t.read
+    law = sampler.joint_law(mu, m, mu2)
+    W = lcm(*(p.denominator for *_, p in law))
+    weights = [p.numerator * (W // p.denominator) for *_, p in law]
+    if mu2 is None:
+        orbits = [(x, [pull(a, x) for a in orbit]) for x, _, _ in law]
+        atoms = [(x, o, read(F, o)) for x, o in orbits]
+        row = lambda H: [ell(x, read(H, o), y) for x, o, y in atoms]  # noqa: E731
+    else:
+        atoms = [(x, t.label(F, z)) for x, z, _ in law]
+        row = lambda H: [ell(H, x, y) for x, y in atoms]  # noqa: E731
+    return row, lambda r: Fraction(sum(map(mul, weights, r)), W)
 
 
 def totals(mu, F, ell, mu2=None):
     """H -> E_{x ~ mu}[l(x, H's labels at x, F's labels at x)], or, given mu2,
-    E over mu (x) mu' of the agnostic l(H, x, y), y F's labels at the joined
-    point.  The laws (under the exact-law cap) and ``point_losses`` over them
-    are built once; a call reads H once per atom and sums integer
-    numerators over one common denominator, so a float loss value raises.
-    ``total_loss``, ``total_loss_partite`` and ``total_loss_ag`` call it once."""
-    t, t2 = mu.template, mu2 and mu2.template
-    m = t.domain(ell.k)[0]
-    sampler.check_law_size(prod(templates.law_atoms(nu, m) for nu in (mu, mu2) if nu))
-    law = templates.config_law(mu, m)
-    if mu2 is None:
-        xs, ws = zip(*law)
-        at = point_losses(t, F, ell, xs)
-    else:
-        xp_law, join, label = templates.config_law(mu2, m), templates.join_config, t.label
-        plan = [(x, label(F, join(t, t2, x, xp))) for x, _ in law for xp, _ in xp_law]
-        ws = [p * q for _, p in law for _, q in xp_law]
-        at = lambda H: [ell(H, x, y) for x, y in plan]  # noqa: E731
-    D = lcm(*(w.denominator for w in ws))
-    nums = [w.numerator * (D // w.denominator) for w in ws]
-    return lambda H: Fraction(sum(map(mul, nums, at(H))), D)
+    E over mu (x) mu' of the agnostic l(H, x, y): ``plan``'s weighted row."""
+    row, weigh = plan(mu, F, ell, mu2)
+    return lambda H: weigh(row(H))
 
 
 def total_loss(mu, F, ell, H):

@@ -358,16 +358,12 @@ def departize_construction_law(mu_part, mu2_part, F_part, m, k):
     construction: x visible, labels from F on the joined sample, randomness
     uniform."""
     plans = _atom_plans(mu_part, mu2_part, m, k)
-    t1, t2 = mu_part.template, mu2_part.template
-    xp_law = templates.config_law(mu2_part, m)
     law = {}
-    for x, p in templates.config_law(mu_part, m):
-        for xp, q in xp_law:
-            y = star(F_part, templates.join_config(t1, t2, x, xp), m)
-            w = p * q / len(plans)
-            for plan in plans:
-                key = sampler.law_key(*_departize(plan, x, y, k))
-                law[key] = law.get(key, Fraction(0)) + w
+    for x, joined, p in sampler.joint_law(mu_part, m, mu2_part):
+        y, w = star(F_part, joined, m), p / len(plans)
+        for plan in plans:
+            key = sampler.law_key(*_departize(plan, x, y, k))
+            law[key] = law.get(key, Fraction(0)) + w
     return law
 
 
@@ -377,22 +373,18 @@ def departize_discrete_law(mu_base, mu2_base, F_part, m, k):
     labels computed by pulling the joined values back through the induced
     part assignment."""
     plans = _atom_plans(mu_base, mu2_base, m, k)
-    t1, t2 = mu_base.template, mu2_base.template
-    xp_law = templates.config_law(mu2_base, m)
     law = {}
-    for x, p in templates.config_law(mu_base, m):
-        for xp, q in xp_law:
-            joined = templates.join_config(t1, t2, x, xp)
-            pats = {
-                beta: F_part(indexing.phi_k(indexing.pullback(beta, joined)))
-                for beta in indexing.injections(m, k)
-            }
-            w = p * q / len(plans)
-            for coords, labels in plans:
-                xhat = {C: encode_tagged(x[C], tag, k, len(C)) for C, _, tag in coords}
-                yhat = {a: BOTTOM if s is None else pats[s[0]][s[1]] for a, s in labels}
-                key = sampler.law_key(xhat, yhat)
-                law[key] = law.get(key, Fraction(0)) + w
+    for x, joined, p in sampler.joint_law(mu_base, m, mu2_base):
+        pats = {
+            beta: F_part(indexing.phi_k(indexing.pullback(beta, joined)))
+            for beta in indexing.injections(m, k)
+        }
+        w = p / len(plans)
+        for coords, labels in plans:
+            xhat = {C: encode_tagged(x[C], tag, k, len(C)) for C, _, tag in coords}
+            yhat = {a: BOTTOM if s is None else pats[s[0]][s[1]] for a, s in labels}
+            key = sampler.law_key(xhat, yhat)
+            law[key] = law.get(key, Fraction(0)) + w
     return law
 
 

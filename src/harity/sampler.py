@@ -43,13 +43,15 @@ class Scenario:
 
 
 def _draw(rng, weights):
+    """The index one random() lands in; past the float sum, the last of
+    positive weight."""
     r = rng.random()
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w
         if r < acc:
             return i
-    return len(weights) - 1
+    return max(i for i, w in enumerate(weights) if w > 0)
 
 
 def sample_config(mu, m, rng):
@@ -98,19 +100,24 @@ def law_key(x, y):
     return canonical_key(x), canonical_key(y)
 
 
+def joint_law(mu, m, mu2=None):
+    """The (x, joined point, p) atoms of mu (x) mu' on size-m samples, x' fastest,
+    or of mu alone (joined point x); refused above the cap before enumerating."""
+    check_law_size(prod(templates.law_atoms(nu, m) for nu in (mu, mu2) if nu))
+    law = templates.config_law(mu, m)
+    if mu2 is None:
+        return [(x, x, p) for x, p in law]
+    t, t2, xp_law = mu.template, mu2.template, templates.config_law(mu2, m)
+    join = templates.join_config
+    return [(x, join(t, t2, x, xp), p * q) for x, p in law for xp, q in xp_law]
+
+
 def exact_sample_law(sc, m):
     """Exact rational law of (x, y) as a dict keyed by canonical encodings."""
-    check_law_size(prod(templates.law_atoms(nu, m) for nu in (sc.mu, sc.mu2) if nu))
-    x_law = templates.config_law(sc.mu, m)
-    xp_law = [({}, Fraction(1))] if sc.mu2 is None else templates.config_law(sc.mu2, m)
     law = {}
-    for x, p in x_law:
-        for xp, q in xp_law:
-            joined = x
-            if sc.mu2 is not None:
-                joined = templates.join_config(sc.mu.template, sc.mu2.template, x, xp)
-            key = law_key(x, star(sc.F, joined, m))
-            law[key] = law.get(key, Fraction(0)) + p * q
+    for x, joined, p in joint_law(sc.mu, m, sc.mu2):
+        key = law_key(x, star(sc.F, joined, m))
+        law[key] = law.get(key, Fraction(0)) + p
     return law
 
 

@@ -251,37 +251,30 @@ def point_count(template, m):
     return prod(template.size(template.space(key)) for key in template.coords(m))
 
 
+def _supports(mu, m):
+    """Each coordinate of the size-m configuration space with the (point,
+    weight) pairs of positive weight on its ground space, in ``coords(m)``
+    order."""
+    t = mu.template
+    for key in t.coords(m):
+        a = t.space(key)
+        yield key, [(v, w) for v in range(t.size(a)) if (w := mu.weight(a, v))]
+
+
 def law_atoms(mu, m):
     """The number of atoms of mu's size-m product law, counted without
-    enumerating it: the product over ``coords(m)`` of each coordinate's
-    positive-weight points."""
-    t = mu.template
-    out = 1
-    for key in t.coords(m):
-        space = t.space(key)
-        out *= sum(1 for point in range(t.size(space)) if mu.weight(space, point) > 0)
-    return out
+    enumerating it."""
+    return prod(len(support) for _, support in _supports(mu, m))
 
 
 def config_law(mu, m):
     """Exact law of the size-m sample (m vertices per part in the partite
     setting), one independent coordinate per ``coords(m)`` drawn from mu's
     weights on its ground space, as a list of (config point, Fraction)
-    pairs."""
-    t = mu.template
+    pairs, the last coordinate fastest."""
     out = [({}, Fraction(1))]
-    for key in t.coords(m):
-        space = t.space(key)
-        nxt = []
-        for x, p in out:
-            for point in range(t.size(space)):
-                w = mu.weight(space, point)
-                if w == 0:
-                    continue
-                y = dict(x)
-                y[key] = point
-                nxt.append((y, p * w))
-        out = nxt
+    for key, support in _supports(mu, m):
+        out = [({**x, key: v}, p * w) for x, p in out for v, w in support]
     return out
 
 

@@ -244,6 +244,8 @@ CONFIG_ERRORS = {
     "config-member": lambda tmp: ["sample", *_config_file(tmp, '{"member": 16}')],
     "unknown-family": lambda tmp: ["dims", "--family", "nosuch"],
     "m-not-an-int": lambda tmp: ["learn", "--family", "matching", "--m", "abc"],
+    "sample-m-sweep": lambda tmp: ["sample", "--family", "matching", "--m", "4,8"],
+    "nofreelunch-m-sweep": lambda tmp: ["nofreelunch", "--m", "3,5"],
     "config-not-json": lambda tmp: ["dims", *_config_file(tmp, "{not json")],
     "config-bad-type": lambda tmp: ["dims", *_config_file(tmp, '{"n": "three"}')],
     "config-bad-trials": lambda tmp: ["ramsey", *_config_file(tmp, '{"trials": 0}')],

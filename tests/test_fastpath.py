@@ -72,7 +72,7 @@ def test_pair_rejects_asymmetric_loss():
     H = Hypothesis(2, cls.template, (0, 1), lambda x: 1 if x[(1,)] < x[(2,)] else 0)
     assert ctx.loss_table(H) is None
     sc = sampler.Scenario(mu, F)
-    trial = learners._trial_losses(sc, [H], bad)
+    _, trial = learners._trial_losses(sc, [H], bad)
     for t in range(5):
         x, y = sampler.labeled_sample(sc, 6, sampler.stream("asym", t))
         assert trial(sampler.stream("asym", t), 6) == [
@@ -172,16 +172,19 @@ class _Fixed:
         ((Fraction(1, 10),) * 10, 1.0, 9),
         # a zero-weight value is never drawn
         ((Fraction(1, 2), Fraction(0), Fraction(1, 2)), 0.5, 2),
+        # not even past the float sum, where the last positive weight is drawn
+        ((Fraction(1, 10),) * 10 + (Fraction(0),), 1 - 2.0**-53, 9),
     ],
 )
 def test_decode_agrees_with_the_generic_draw_at_boundaries(weights, r, expected):
     floats = [float(w) for w in weights]
-    cum = fastpath._cum(weights)
+    # the fast route decodes support ranks; values maps them to the draws
+    values, cum = fastpath._support(weights)
     assert sampler._draw(_Fixed(r), floats) == expected
-    assert fastpath._decode(cum, np.array([r])).tolist() == [expected]
+    assert values[fastpath._decode(cum, np.array([r]))].tolist() == [expected]
     # and on both floats next to every cumulative weight
     rs = [float(np.nextafter(c, d)) for c in cum for d in (0, 2)]
-    decoded = fastpath._decode(cum, np.array(rs)).tolist()
+    decoded = values[fastpath._decode(cum, np.array(rs))].tolist()
     assert decoded == [sampler._draw(_Fixed(r), floats) for r in rs]
 
 

@@ -146,7 +146,7 @@ def test_uc_fast_route_equals_manual_generic(monkeypatch):
     m = 8
     for ctx_cls, sc, cls, ell in setups:
         built.clear()
-        trial = learners._trial_losses(sc, cls.members, ell)
+        _, trial = learners._trial_losses(sc, cls.members, ell)
         assert built and set(built) == {ctx_cls}
         empirical = (
             losses.empirical_loss_partite
@@ -183,11 +183,20 @@ def test_two_partite_uc_check_builds_one_context(monkeypatch):
 
 
 def _generic_trial_losses(sc, members, ell):
+    """``learners._trial_losses`` of a non-agnostic scenario on the generic
+    route, with each member's total summed atom by atom over ``config_law``."""
+    t = sc.mu.template
+    law = templates.config_law(sc.mu, t.domain(ell.k)[0])
+
+    def total(H):
+        F = sc.F
+        return sum(p * Fraction(ell(x, t.label(H, x), t.label(F, x))) for x, p in law)
+
     def generic(rng, m):
         x, y = sampler.labeled_sample(sc, m, rng)
         return [losses.empirical_loss(x, y, ell, H, m) for H in members]
 
-    return generic
+    return [total(H) for H in members], generic
 
 
 def _on_both_routes(monkeypatch, run):
@@ -281,10 +290,10 @@ def test_matching_members_without_declared_rank_take_the_pair_context(monkeypatc
     assert {H.declared_rank for H in bare} == {None}
     ell = losses.zero_one_loss(match.labels, 2)
     sc = sampler.Scenario(templates.uniform_prob(match.template), bare[-1])
-    declared = learners._trial_losses(sc, match.members, ell)
-    trial = learners._trial_losses(sc, bare, ell)
+    _, declared = learners._trial_losses(sc, match.members, ell)
+    _, trial = learners._trial_losses(sc, bare, ell)
     assert len(built) == 2
-    generic = _generic_trial_losses(sc, bare, ell)
+    _, generic = _generic_trial_losses(sc, bare, ell)
     for t in range(6):
         fast = trial(sampler.stream("bare", t), 9)
         assert fast == declared(sampler.stream("bare", t), 9)
@@ -334,58 +343,94 @@ def _k2_instances(draw):
     if t.partite:
         fn = lambda x, y, yp, f=fn: f(x, (y,), (yp,))  # noqa: E731
     ell = losses.LossFn(2, "partite" if t.partite else "nonpartite", (0, 1), fn)
-    return sampler.Scenario(templates.uniform_prob(t), F), members, ell
+
+    def weights(n):
+        # zero weights allowed, with at least one positive weight per space
+        w = [rng.choice((0, 1, 2)) for _ in range(n)]
+        w[rng.randrange(n)] += 1
+        return tuple(Fraction(v, sum(w)) for v in w)
+
+    mu = templates.ProbTemplate(t, t.tabulate(lambda a: weights(t.size(a))))
+    return sampler.Scenario(mu, F), members, ell
 
 
 def _qualifies(sc, H, ell):
     """Whether H's loss at each unit depends on its unary values alone, and
-    symmetrically: read from the loss at every domain point."""
+    symmetrically: read from the loss at every domain point of mu's
+    support."""
     t = sc.mu.template
     if t.partite:
         return True
-    n, w = t.size(1), t.size(2)
+    ones, pairs = ([v for v, p in enumerate(w) if p > 0] for w in sc.mu.weights)
     T = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(w):
+    for a in ones:
+        for b in ones:
+            for c in pairs:
                 x = {(1,): a, (2,): b, (1, 2): c}
                 T[a, b, c] = ell(x, pattern(H, x), pattern(sc.F, x))
-    return all(T[a, b, c] == T[b, a, 0] for a, b, c in T)
+    return all(T[a, b, c] == T[b, a, pairs[0]] for a, b, c in T)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_k2_instances())
 def test_the_route_follows_the_exact_tables(instance):
     sc, members, ell = instance
-    generic = _generic_trial_losses(sc, members, ell)
+    generic_totals, generic = _generic_trial_losses(sc, members, ell)
     expected = [generic(sampler.stream("prop", t), 3) for t in range(4)]
     with _contexts_built() as built, mock.patch.object(
         sampler, "labeled_sample", wraps=sampler.labeled_sample
     ) as drawn:
-        trial = learners._trial_losses(sc, members, ell)
+        totals, trial = learners._trial_losses(sc, members, ell)
+        assert totals == generic_totals
         assert [trial(sampler.stream("prop", t), 3) for t in range(4)] == expected
         fast = all(_qualifies(sc, H, ell) for H in members)
         assert built() == int(fast)
     assert drawn.call_count == (0 if fast else 4)
 
 
-def test_a_check_above_the_cap_takes_the_generic_route_at_once():
-    # 2000^2 domain points but only 2 unary values of positive weight: the
-    # exact totals read 4 atoms, and the route must not tabulate every point
-    t = templates.Template(2, (2000, 1))
-    mu = templates.ProbTemplate(t, ((Fraction(1, 2),) * 2 + (0,) * 1998, (1,)))
+@pytest.mark.parametrize("n", [2000, 300])
+def test_a_check_reads_only_mus_support(n):
+    # n^2 domain points but only 2 unary values of positive weight: the plan
+    # reads H at k! orbit points of each of 4 atoms, and the fast route's
+    # table is the same row, over the support
+    t = templates.Template(2, (n, 1))
+    mu = templates.ProbTemplate(t, ((Fraction(1, 2),) * 2 + (0,) * (n - 2), (1,)))
     F = Hypothesis(2, t, (0, 1), lambda x: int(x[(1,)] == x[(2,)]))
-    H = constant_hypothesis(2, t, (0, 1), 0)
+    reads = []
+    H = Hypothesis(2, t, (0, 1), lambda x: reads.append(x) or 0)
     sc, ell = sampler.Scenario(mu, F), losses.zero_one_loss((0, 1), 2)
     started = time.perf_counter()
     with _contexts_built() as built:
-        trial = learners._trial_losses(sc, [H], ell)
         learners.check_concentration(sc, H, ell, 6, Fraction(1, 4), 20, "cap")
-        assert built() == 0
+        assert built() == 1 and len(reads) <= 2 * 4
+        totals, trial = learners._trial_losses(sc, [H], ell)
     assert time.perf_counter() - started < 2
-    generic = _generic_trial_losses(sc, [H], ell)
+    generic_totals, generic = _generic_trial_losses(sc, [H], ell)
+    assert totals == generic_totals
     for t in range(5):
         assert trial(sampler.stream("cap", t), 6) == generic(sampler.stream("cap", t), 6)
+
+
+def test_a_check_reads_each_member_once_per_atom():
+    # the totals and the fast route's tables are the same plan rows: each
+    # member is read once per orbit point of each of the law's atoms
+    match = families.matching_family(2).cls
+    reads = []
+    t, labels = match.template, match.labels
+    counted = [
+        Hypothesis(2, t, labels, lambda x, f=H.fn: reads.append(x) or f(x))
+        for H in match.members
+    ]
+    cls = HypothesisClass(2, t, labels, tuple(counted))
+    mu = templates.uniform_prob(t)
+    sc = sampler.Scenario(mu, match.members[1])
+    ell = losses.zero_one_loss(match.labels, 2)
+    reads.clear()  # building the class reads every member once
+    with _contexts_built() as built:
+        learners.check_uniform_convergence(sc, cls, ell, 6, 0.5, 20, "one-plan")
+        assert built() == 1
+    atoms = len(templates.config_law(mu, 2))
+    assert atoms == 16 and len(reads) == len(counted) * 2 * atoms
 
 
 def _agnostic_point_mass_scenarios():
