@@ -226,23 +226,20 @@ def vcn_nonlearn_scenario(cls, d):
     shattered scenario."""
     if not cls.partite:
         raise ValueError("needs a partite class")
-    for a_missing in range(1, cls.k + 1):
-        for x0 in dims.slice_points_partite(cls, a_missing):
-            fam = dims.slice_family_partite(cls, a_missing, x0)
-            wit = dims.natarajan_witness(fam, d)
-            if wit is None:
-                continue
-            idxs, g0, g1 = wit
-            ext = tuple(dims.slice_extension_points_partite(cls, a_missing))
-            unary = shattered_scenario(
-                d,
-                labels=tuple(cls.labels),
-                f0=lambda i, g=g0: g[i],
-                f1=lambda i, g=g1: g[i],
-            )
-            return SliceNonlearnScenario(
-                cls, a_missing, x0, ext, idxs, g0, g1, unary
-            )
+    for a_missing, x0, ext, fam in dims.slices(cls):
+        wit = dims.natarajan_witness(fam, d)
+        if wit is None:
+            continue
+        idxs, g0, g1 = wit
+        unary = shattered_scenario(
+            d,
+            labels=tuple(cls.labels),
+            f0=lambda i, g=g0: g[i],
+            f1=lambda i, g=g1: g[i],
+        )
+        return SliceNonlearnScenario(
+            cls, a_missing, x0, tuple(ext), idxs, g0, g1, unary
+        )
     raise ValueError("no slice of dimension >= d at this truncation")
 
 

@@ -10,9 +10,9 @@ the git description, and the wall time).
 
 Exit codes: 0 success; 2 config error (a bad flag or config value, a config
 file that is unreadable or not a JSON object, an unknown family, an
-unreadable ``partition:`` table, a ``--member`` out of range, a ``--m``
-sweep given to a command that takes one size, an ``--out`` path that cannot
-be written); 3 infeasible instance (a cap was exceeded, the
+unreadable or malformed ``partition:`` table, a ``--member`` out of range,
+a ``--m`` sweep given to a command that takes one size, an ``--out`` path
+that cannot be written); 3 infeasible instance (a cap was exceeded, the
 command does not handle the family, or the library raised ``ValueError``).
 
 Each subcommand is a ``build(merged) -> (header, rows)`` function registered
@@ -57,7 +57,7 @@ _OPEN_UNIT = click.FloatRange(0, 1, min_open=True, max_open=True)
 OPTIONS = {
     "family": click.STRING,  # a FAMILIES name or partition:PATH
     "n": click.IntRange(min=1),
-    "d": click.INT,
+    "d": click.IntRange(min=0),
     "m": None,  # one size or a comma-separated sweep; a config may give a list
     "eps": _OPEN_UNIT,
     "delta": _OPEN_UNIT,
@@ -116,19 +116,28 @@ def _resolve(cfg, overrides):
     return merged
 
 
+def _vertex_pair(key):
+    """The two distinct vertices a partition table's key ``u-v`` names."""
+    pair = frozenset(map(int, key.split("-")))
+    if len(pair) != 2 or key.count("-") != 1:
+        raise ValueError(f"key {key!r} does not name two distinct vertices u-v")
+    return pair
+
+
 def _family(merged):
     name = merged.get("family", "matching")
     if name.startswith("partition:"):
         path = name.split(":", 1)[1]
         try:
             with open(path) as fh:
-                table = {
-                    frozenset(map(int, k.split("-"))): v
-                    for k, v in json.load(fh).items()
-                }
+                table = {_vertex_pair(k): v for k, v in json.load(fh).items()}
         except (OSError, ValueError, AttributeError) as exc:
             msg = f"cannot read partition table {path}: {exc}"
             raise click.UsageError(msg) from None
+        kinds = {type(c) for c in table.values()}
+        if kinds - {int} and kinds - {str}:
+            msg = f"partition table {path}: classes must be all ints or all strings"
+            raise click.UsageError(msg)
         n = max((max(p) for p in table), default=0) + 1
         if any(frozenset(p) not in table for p in combinations(range(n), 2)):
             raise click.UsageError(f"partition table {path} misses a vertex pair")

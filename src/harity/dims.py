@@ -76,24 +76,13 @@ def _collapse(fam):
 
 def natarajan_dim(fam, cap=6, domain_cap=64):
     fam = _collapse(fam)
-    if len(fam.domain) > domain_cap:
-        raise ValueError("domain exceeds the search cap")
-    if not fam.functions:
-        return 0
     n = len(fam.domain)
-    best = 0
+    if n > domain_cap:
+        raise ValueError("domain exceeds the search cap")
     for size in range(1, min(cap, n) + 1):
-        found = False
-        for idxs in combinations(range(n), size):
-            if _shattered(fam.functions, idxs) is not None:
-                found = True
-                break
-        if not found:
-            return best
-        best = size
-    if best == cap and cap < n:
-        return AtLeast(cap)
-    return best
+        if natarajan_witness(fam, size, domain_cap) is None:
+            return size - 1
+    return AtLeast(cap) if cap < n else n
 
 
 def natarajan_witness(fam, d, domain_cap=64):
@@ -119,73 +108,31 @@ def vc_dim(fam, cap=6, domain_cap=64):
 # slices of hypothesis classes
 
 
-def slice_domains_nonpartite(cls):
-    """The coordinates a non-partite slice function varies over: all index
-    sets within [k] that contain the new vertex k."""
-    return [a for a in cls.template.coords(cls.k) if cls.k in a]
-
-
-def slice_points_nonpartite(cls):
-    """All x in E_{[k-1]}(Omega)."""
-    return templates.config_points(cls.template, cls.k - 1)
-
-
-def _slice_family(cls, slice_key, x, points):
-    """The class restricted to the extensions ``points`` of the slice point
-    ``x``; a structured class enumerates them from ``slice_key``."""
-    domain = tuple(canonical_key(z) for z in points)
-    if cls.explicit:
-        functions = {tuple(H({**x, **z}) for z in points) for H in cls.members}
-    elif cls.restrictions is not None:
-        functions = set(cls.restrictions(slice_key, points))
-    else:
+def slices(cls):
+    """Each slice of the class as (missing, x, points, family): x fixes the
+    coordinates avoiding the missing vertex or part, and the family is the
+    class restricted to x's extensions ``points``, which vary the
+    coordinates containing it.  A structured class enumerates the family
+    from ``restrictions((missing, x), points)``."""
+    if not cls.explicit and cls.restrictions is None:
         raise ValueError("structured class without a restriction enumerator")
-    return FunctionFamily(domain, tuple(sorted(functions)))
-
-
-def slice_family_nonpartite(cls, x):
-    """The unary family H(x): restrictions of the class to extensions of x."""
-    points = templates.points_over(cls.template, slice_domains_nonpartite(cls))
-    return _slice_family(cls, x, x, points)
-
-
-def _part_points(cls, a_missing, containing):
-    """All value assignments to the coordinates whose domain contains the
-    part ``a_missing`` (``containing``) or avoids it."""
     t = cls.template
-    keys = [f for f in t.coords(1) if (a_missing in t.space(f)) == containing]
-    return templates.points_over(t, keys)
-
-
-def slice_points_partite(cls, a_missing):
-    return _part_points(cls, a_missing, containing=False)
-
-
-def slice_extension_points_partite(cls, a_missing):
-    """The domain of an ``a_missing`` slice family."""
-    return _part_points(cls, a_missing, containing=True)
-
-
-def slice_family_partite(cls, a_missing, x):
-    points = slice_extension_points_partite(cls, a_missing)
-    return _slice_family(cls, (a_missing, x), x, points)
-
-
-def _slices(cls):
-    if cls.partite:
-        for a_missing in range(1, cls.k + 1):
-            for x in slice_points_partite(cls, a_missing):
-                yield slice_family_partite(cls, a_missing, x)
-    else:
-        for x in slice_points_nonpartite(cls):
-            yield slice_family_nonpartite(cls, x)
+    for missing, fixed, varied in t.slices(cls.k):
+        points = templates.points_over(t, varied)
+        domain = tuple(canonical_key(z) for z in points)
+        for x in templates.points_over(t, fixed):
+            if cls.explicit:
+                functions = {tuple(H({**x, **z}) for z in points) for H in cls.members}
+            else:
+                functions = set(cls.restrictions((missing, x), points))
+            yield missing, x, points, FunctionFamily(domain, tuple(sorted(functions)))
 
 
 def vcn_k(cls, cap=6, domain_cap=64):
     """Exact supremum of the slice Natarajan dimensions over the finite
     (truncated) slice index set."""
     best = 0
-    for fam in _slices(cls):
+    for *_, fam in slices(cls):
         d = natarajan_dim(fam, cap, domain_cap)
         if isinstance(d, AtLeast):
             return d
@@ -207,12 +154,9 @@ def growth_function(cls, m):
     family to an m-point subset of its domain.  Slices smaller than m
     contribute their full-domain restriction count."""
     best = 1
-    for fam in _slices(cls):
+    for *_, fam in slices(cls):
         n = len(fam.domain)
-        if n <= m:
-            best = max(best, len(set(fam.functions)))
-            continue
-        for idxs in combinations(range(n), m):
+        for idxs in combinations(range(n), min(m, n)):
             best = max(best, len({tuple(f[i] for i in idxs) for f in fam.functions}))
     return best
 

@@ -150,9 +150,10 @@ def bounded_degree_family(n, d):
                     deg[v] = deg.get(v, 0) + 1
         return by_graph[frozenset(chosen)]
 
-    def restrictions(x, points):
+    def restrictions(key, points):
         # neighbourhood patterns of the fixed endpoint: any vertex set of
         # size <= d avoiding the endpoint itself
+        _, x = key
         u = x[(1,)]
         others = [v for v in range(n) if v != u]
         out = []

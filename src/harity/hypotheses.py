@@ -125,10 +125,12 @@ class HypothesisClass:
     """Either an explicit list of hypotheses or a structured family.
 
     Structured families carry two pure capabilities: an ERM oracle
-    ``erm(x, y, loss) -> Hypothesis`` over labeled samples, and a
-    restriction enumerator ``restrictions(slice_point) -> list of value
-    tuples`` feeding the dimension machinery.  Explicit lists are
-    duplicate-free under pointwise equality.
+    ``erm(x, y, m) -> Hypothesis`` over a labeled sample of size m, and a
+    restriction enumerator ``restrictions((missing, x), points) -> value
+    tuples`` feeding the dimension machinery: the class's restrictions to
+    the extensions ``points`` of the slice point x (``dims.slices``), in
+    either setting.  Explicit lists are duplicate-free under pointwise
+    equality.
     """
 
     k: int

@@ -7,12 +7,13 @@ sample (``coords``) and the ground space each draws from (``space``); how
 sizes and weights are stored (``per_space``, ``tabulate``: a tuple per arity,
 or a dict per part set); the units an empirical loss averages over
 (``units``: k-subsets of [m], or [m]^k) and the label tensor's index set
-(``index``: ([m])_k, or [m]^k); the pullback (``pull``); and the S_k orbit of
+(``index``: ([m])_k, or [m]^k); the pullback (``pull``); the S_k orbit of
 an index with G's read over it (``orbit``, ``read``, ``label``, ``domain``:
 a pattern, or a partite point's one label, i.e. the same read with a trivial
-orbit).  Laws, samplers, F*, and empirical and total losses are written once
-over these methods; no other module branches on the setting where the maths
-agrees.
+orbit); and the coordinates a VCN_k slice fixes and varies (``slices``:
+around the vertex k, or around each part).  Laws, samplers, F*, slices, and
+empirical and total losses are written once over these methods; no other
+module branches on the setting where the maths agrees.
 
 Probabilities are exact rationals (``fractions.Fraction``) so tiny-instance
 oracles compare distributions for equality; Monte Carlo code converts to
@@ -88,6 +89,13 @@ class Template:
         """An arity-k domain point spans [k]; its identity's orbit is S_k."""
         return k, self.orbit(tuple(range(1, k + 1)))
 
+    def slices(self, k):
+        """VCN_k's slice rule: (missing, keys avoiding it, keys containing it)
+        over the arity-k domain's coordinates.  S_k symmetry makes the one
+        missing vertex k enough."""
+        keys = self.coords(k)
+        return [(k, [a for a in keys if k not in a], [a for a in keys if k in a])]
+
 
 @dataclass(frozen=True)
 class PartiteTemplate:
@@ -141,6 +149,18 @@ class PartiteTemplate:
 
     def domain(self, k):
         return 1, self.orbit((1,) * k)
+
+    def slices(self, k):
+        """One entry per missing part a in [k], split by ``space(f)``."""
+        keys = self.coords(1)
+        return [
+            (
+                a,
+                [f for f in keys if a not in self.space(f)],
+                [f for f in keys if a in self.space(f)],
+            )
+            for a in range(1, k + 1)
+        ]
 
 
 @dataclass(frozen=True)

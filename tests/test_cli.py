@@ -238,6 +238,15 @@ def _config_file(tmp_path, text):
     return ["--config", _write(tmp_path, "cfg.json", text)]
 
 
+_PAIRS = '"0-1": 0, "0-2": 1, "1-2": 0'
+
+
+def _partition(tmp_path, entries):
+    """A ``learn`` run on the partition table ``{entries}``."""
+    path = _write(tmp_path, "p.json", "{%s}" % entries)
+    return ["learn", "--family", f"partition:{path}"]
+
+
 CONFIG_ERRORS = {
     "member-too-large": lambda tmp: ["sample", "--family", "matching", "--member", "99"],
     "member-negative": lambda tmp: ["learn", "--family", "matching", "--member", "-1"],
@@ -268,6 +277,18 @@ CONFIG_ERRORS = {
     ],
     "partition-misses-a-pair": lambda tmp: [
         "dims", "--family", "partition:" + _write(tmp, "p.json", '{"0-2": 1}')
+    ],
+    # a class table must hold all ints or all strings
+    "partition-list-classes": lambda tmp: _partition(tmp, '"0-1": [1], "0-2": [1], "1-2": [2]'),
+    "partition-int-and-str-classes": lambda tmp: _partition(tmp, '"0-1": 1, "0-2": "a", "1-2": 1'),
+    "partition-null-class": lambda tmp: _partition(tmp, '"0-1": null, "0-2": 1, "1-2": 1'),
+    # every key must name two distinct vertices u-v
+    "partition-key-one-vertex": lambda tmp: _partition(tmp, _PAIRS + ', "2": 1'),
+    "partition-key-repeats-a-vertex": lambda tmp: _partition(tmp, _PAIRS + ', "1-1": 1'),
+    "partition-key-three-vertices": lambda tmp: _partition(tmp, _PAIRS + ', "0-1-2": 1'),
+    "dims-bdeg-d-negative": lambda tmp: ["dims", "--family", "bdeg", "--n", "3", "--d", "-1"],
+    "config-d-negative": lambda tmp: [
+        "dims", "--family", "bdeg", *_config_file(tmp, '{"d": -1}')
     ],
 }
 

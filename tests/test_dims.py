@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from harity import dims, families, sampler
+from harity import dims, families, sampler, templates
 from harity.hypotheses import HypothesisClass, partize_class
 
 
@@ -90,8 +90,7 @@ def test_natarajan_witness_valid():
 def test_vcn_matching_slices():
     # every slice of the matching family has exactly two functions
     cls = families.matching_family(3).cls
-    for x in dims.slice_points_nonpartite(cls):
-        fam = dims.slice_family_nonpartite(cls, x)
+    for *_, fam in dims.slices(cls):
         assert len(set(fam.functions)) == 2
     assert dims.vcn_k(cls) == 1
 
@@ -102,9 +101,39 @@ def test_vcn_bdeg():
 
 
 def test_vcn_partization_invariance():
-    for spec in (families.matching_family(2), families.bounded_degree_family(3, 1)):
-        cls = spec.cls
-        assert dims.vcn_k(cls) == dims.vcn_k(partize_class(cls))
+    # one slice rule, read in both settings: the vertex k's slices of a class
+    # and the part slices of its partization give the same VCN_k and tau^k
+    for spec, vcn, growth in (
+        (families.matching_family(2), 1, (2, 2)),
+        (families.bounded_degree_family(3, 1), 1, (2, 3)),
+        (families.distance_family(4), 3, (2, 4)),
+        (families.max_family(4), 3, (2, 4)),
+        (families.bounded_degree_family(4, 2), 2, (2, 4)),
+        (families.matching_family(3), 1, (2, 2)),
+    ):
+        cls, pcls = spec.cls, partize_class(spec.cls)
+        assert dims.vcn_k(cls) == dims.vcn_k(pcls) == vcn
+        for m, tau in zip((1, 2), growth):
+            assert dims.growth_function(cls, m) == dims.growth_function(pcls, m) == tau
+
+
+def test_slice_rule_splits_the_domain():
+    # one missing vertex for a plain template, one entry per part for a
+    # partite one; each entry splits the arity-k domain's coordinates
+    for t in (
+        templates.Template(1, (3,)),
+        templates.Template(2, (2, 2)),
+        templates.Template(3, (2, 1, 2)),
+        templates.partize_template(templates.Template(2, (2, 3)), 2),
+        templates.partize_template(templates.Template(3, (2, 2, 2)), 3),
+    ):
+        entries = t.slices(t.k)
+        missing = [a for a, _, _ in entries]
+        assert missing == (list(range(1, t.k + 1)) if t.partite else [t.k])
+        domain = t.coords(t.domain(t.k)[0])
+        for _, fixed, varied in entries:
+            assert not set(fixed) & set(varied)
+            assert sorted(fixed + varied) == sorted(domain)
 
 
 def test_growth_function_trivia():

@@ -20,7 +20,6 @@ ALLOWED = {
     "cli._scenario": "names the 0/1 loss's setting",
     "cli.reduce_cmd": "partization needs a non-partite class",
     "cli.verify_uc_cmd": "the command refuses partite families",
-    "dims._slices": "partite and non-partite slices are different families",
     "hypotheses.HypothesisClass.partite": "reads the setting from the template",
     "hypotheses.partize_class": "partization needs a non-partite class",
     "indexing.encode_config": "subset keys and partite keys print differently",
