@@ -95,13 +95,12 @@ def erm_learner(sc):
     )
 
 
-def nfl_worst_F(A, sc, m, eps, trials, seed, ell=None, search_trials=100):
-    """The B maximizing the Monte Carlo failure estimate P[L > eps], with a
-    final measurement at the full trial count.  Exhaustive over B for d <=
-    EXPLICIT_CAP, otherwise a seeded random batch (the averaging argument
-    makes a random B faithful)."""
-    if ell is None:
-        ell = losses.zero_one_loss(sc.labels, 1)
+def nfl_worst_F(A, sc, m, eps, trials, seed, search_trials=100):
+    """The B maximizing the Monte Carlo failure estimate P[L > eps] under the
+    0/1 loss, with a final measurement at the full trial count.  Exhaustive
+    over B for d <= EXPLICIT_CAP, otherwise a seeded random batch (the
+    averaging argument makes a random B faithful)."""
+    ell = losses.zero_one_loss(sc.labels, 1)
     d = sc.d
     if d <= EXPLICIT_CAP:
         candidates = [
@@ -409,17 +408,16 @@ class PartitionAdversary:
         return out
 
 
-def partition_adversary(spec, z_star, d, rng=None):
+def partition_adversary(spec, z_star, d):
     """Build the adversary for a partition family: pick a shattered vertex
-    set via the clean-subset search over the z*-classes."""
+    set via the clean-subset search over the z*-classes of the first
+    ramsey_rho(d) vertices other than z*."""
     chi = spec.chi
     n = spec.params["n"]
     vertices = [v for v in range(n) if v != z_star]
     rho = ramsey_rho(d)
     if len(vertices) < rho:
         raise ValueError("family too small for the requested dimension")
-    if rng is not None:
-        rng.shuffle(vertices)
     pool = vertices[:rho]
     f1 = [chi(frozenset((z_star, v))) for v in pool]
     f2 = {

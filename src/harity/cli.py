@@ -2,11 +2,11 @@
 
 Every subcommand accepts a JSON config file (``--config``) whose keys are the
 command's flag names without the dashes (``member`` included); explicit flags
-override the file.  The seed falls back to the HARITY_SEED environment
-variable.  Each run writes ``<out>.csv`` (one header row, then one row per
-sweep point or aggregate; byte-identical across reruns with the same config
-and seed) and ``<out>.json`` (schema-versioned summary with the config echo,
-the git description, and the wall time).
+override the file.  A seed that neither gives falls back to the HARITY_SEED
+environment variable, then to "harity".  Each run writes ``<out>.csv`` (one
+header row, then one row per sweep point or aggregate; byte-identical across
+reruns with the same config and seed) and ``<out>.json`` (schema-versioned
+summary with the config echo, the git description, and the wall time).
 
 Exit codes: 0 success; 2 config error (a bad flag or config value, a config
 file that is unreadable or not a JSON object, an unknown family, an
@@ -105,7 +105,9 @@ def _resolve(cfg, overrides):
     command's options with the types in ``OPTIONS``."""
     merged = dict(cfg)
     merged.update((key, value) for key, value in overrides.items() if value is not None)
-    seed = merged.get("seed") or os.environ.get("HARITY_SEED") or "harity"
+    seed = merged.get("seed")
+    if seed is None:
+        seed = os.environ.get("HARITY_SEED") or "harity"
     merged["seed"] = str(seed)
     for key in overrides:
         if OPTIONS.get(key) is not None and key in merged:
@@ -124,17 +126,26 @@ def _vertex_pair(key):
     return pair
 
 
+def _pair_table(items):
+    """A partition table's JSON object as {vertex pair: class}; a pair named
+    twice, by one key or as both u-v and v-u, is an error."""
+    table = {_vertex_pair(k): v for k, v in items}
+    if len(table) < len(items):
+        raise ValueError("a vertex pair is named twice")
+    return table
+
+
 def _family(merged):
     name = merged.get("family", "matching")
     if name.startswith("partition:"):
         path = name.split(":", 1)[1]
         try:
             with open(path) as fh:
-                table = {_vertex_pair(k): v for k, v in json.load(fh).items()}
+                table = json.load(fh, object_pairs_hook=_pair_table)
+            kinds = {type(c) for c in table.values()}
         except (OSError, ValueError, AttributeError) as exc:
             msg = f"cannot read partition table {path}: {exc}"
             raise click.UsageError(msg) from None
-        kinds = {type(c) for c in table.values()}
         if kinds - {int} and kinds - {str}:
             msg = f"partition table {path}: classes must be all ints or all strings"
             raise click.UsageError(msg)

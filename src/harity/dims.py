@@ -55,11 +55,10 @@ def _shattered(functions, idxs):
 
 def _collapse(fam):
     """Drop domain points that cannot sit inside any shattered set: points
-    realizing fewer than two values, and duplicates of an identical column
-    (two identical columns can never realize the (f0, f1) mixture patterns).
+    realizing fewer than two values (every point of an empty family), and
+    duplicates of an identical column (two identical columns can never
+    realize the (f0, f1) mixture patterns).
     """
-    if not fam.functions:
-        return fam
     seen = set()
     keep = []
     for i in range(len(fam.domain)):
@@ -111,29 +110,26 @@ def vc_dim(fam, cap=6, domain_cap=64):
 def slices(cls):
     """Each slice of the class as (missing, x, points, family): x fixes the
     coordinates avoiding the missing vertex or part, and the family is the
-    class restricted to x's extensions ``points``, which vary the
-    coordinates containing it.  A structured class enumerates the family
-    from ``restrictions((missing, x), points)``."""
-    if not cls.explicit and cls.restrictions is None:
-        raise ValueError("structured class without a restriction enumerator")
+    class's members restricted to x's extensions ``points``, which vary the
+    coordinates containing it.  A class without a member list raises
+    ValueError."""
+    if not cls.explicit:
+        raise ValueError("structured class without a member list")
     t = cls.template
     for missing, fixed, varied in t.slices(cls.k):
         points = templates.points_over(t, varied)
         domain = tuple(canonical_key(z) for z in points)
         for x in templates.points_over(t, fixed):
-            if cls.explicit:
-                functions = {tuple(H({**x, **z}) for z in points) for H in cls.members}
-            else:
-                functions = set(cls.restrictions((missing, x), points))
+            functions = {tuple(H({**x, **z}) for z in points) for H in cls.members}
             yield missing, x, points, FunctionFamily(domain, tuple(sorted(functions)))
 
 
-def vcn_k(cls, cap=6, domain_cap=64):
+def vcn_k(cls, cap=6):
     """Exact supremum of the slice Natarajan dimensions over the finite
     (truncated) slice index set."""
     best = 0
     for *_, fam in slices(cls):
-        d = natarajan_dim(fam, cap, domain_cap)
+        d = natarajan_dim(fam, cap)
         if isinstance(d, AtLeast):
             return d
         best = max(best, d)

@@ -1,9 +1,9 @@
 """Constructors for the worked example classes: matching graphs, bounded-
 degree graphs, partition families (distance / max), and the rank-2
 higher-order class.  Each family ships an explicit member list at its
-truncation plus closed-form structured oracles (ERM, restriction
-enumeration) and known-dimension metadata that the dimension machinery
-re-derives in the tests.
+truncation, from which the dimension machinery reads every slice, plus a
+closed-form ERM oracle and known-dimension metadata that the dimension
+machinery re-derives in the tests.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +33,6 @@ class FamilySpec:
     cls: HypothesisClass = None
     metadata: dict = field(default=None, hash=False)
     chi: object = field(default=None, compare=False)  # partition data, if any
-    notes: str = ""
 
 
 def _graph_template(n):
@@ -67,8 +66,9 @@ def _positive_edges(x, y):
 
 
 def matching_family(n_pairs):
-    """Truncation of the infinite-matching class: vertices 0..2n-1, pair i is
-    {2i, 2i+1}, one hypothesis per subset of pairs."""
+    """Truncation of the infinite-matching class (VCN_2 = 1, VC = infinity):
+    vertices 0..2n-1, pair i is {2i, 2i+1}, one hypothesis per subset of
+    pairs."""
     if n_pairs < 1:
         raise ValueError("need at least one pair")
     _check_enumeration(f"matching({n_pairs})", n_pairs, MEMBER_CAP)
@@ -104,7 +104,6 @@ def matching_family(n_pairs):
         {"n_pairs": n_pairs},
         cls,
         metadata={"vcn2": 1, "vc": n_pairs, "rank": 1},
-        notes="paper values at the infinite limit: VCN_2 = 1, VC = infinity",
     )
 
 
@@ -150,28 +149,8 @@ def bounded_degree_family(n, d):
                     deg[v] = deg.get(v, 0) + 1
         return by_graph[frozenset(chosen)]
 
-    def restrictions(key, points):
-        # neighbourhood patterns of the fixed endpoint: any vertex set of
-        # size <= d avoiding the endpoint itself
-        _, x = key
-        u = x[(1,)]
-        others = [v for v in range(n) if v != u]
-        out = []
-        for r in range(min(d, len(others)) + 1):
-            for s in combinations(others, r):
-                sset = set(s)
-                # value at a slice point z: 1 iff z's free vertex is in sset
-                out.append(tuple(1 if z[(2,)] in sset else 0 for z in points))
-        return out
-
     cls = HypothesisClass(
-        2,
-        t,
-        (0, 1),
-        tuple(members),
-        name=f"bdeg({n},{d})",
-        erm=erm,
-        restrictions=restrictions,
+        2, t, (0, 1), tuple(members), name=f"bdeg({n},{d})", erm=erm
     )
     return FamilySpec(
         "bdeg",
@@ -239,7 +218,8 @@ def max_family(n):
 
 def highorder_family(n):
     """The 2-partite rank-2 class: H_V(x) = 1[x_{2} = x_{12} in V] over a
-    singleton first part and n-point second/pair spaces."""
+    singleton first part and n-point second/pair spaces (VCN_2 = n here,
+    infinity at the limit)."""
     _check_enumeration(f"highorder({n})", n, MEMBER_CAP)
     pt = templates.PartiteTemplate(2, {(1,): 1, (2,): n, (1, 2): n})
     k2 = (((2, 1),),)
@@ -268,43 +248,14 @@ def highorder_family(n):
                 v_hat.add(b)
         return by_v[frozenset(v_hat)]
 
-    def restrictions(slice_key, points):
-        a_missing, x = slice_key
-        out = set()
-        if a_missing == 1:
-            v = x[key2]
-            # functions of (z_1, z_12): 1[v == z_12 in V] -> only two shapes
-            for has in (False, True):
-                out.add(
-                    tuple(1 if has and z[key12] == v else 0 for z in points)
-                )
-        else:
-            for r in range(n + 1):
-                for vs in combinations(range(n), r):
-                    vset = set(vs)
-                    out.add(
-                        tuple(
-                            1 if z[key2] == z[key12] and z[key2] in vset else 0
-                            for z in points
-                        )
-                    )
-        return out
-
     cls = HypothesisClass(
-        2,
-        pt,
-        (0, 1),
-        tuple(members),
-        name=f"highorder({n})",
-        erm=erm,
-        restrictions=restrictions,
+        2, pt, (0, 1), tuple(members), name=f"highorder({n})", erm=erm
     )
     return FamilySpec(
         "highorder",
         {"n": n},
         cls,
         metadata={"vcn2": n, "rank": 2},
-        notes="paper value at the infinite limit: VCN_2 = infinity",
     )
 
 

@@ -109,14 +109,14 @@ def partize_hypothesis(F):
     )
 
 
-def unpartize_hypothesis(G, template, labels, name=""):
+def unpartize_hypothesis(G, template, labels):
     """Inverse of partize_hypothesis: F(x) = G(phi_k(x))_{id}."""
     return Hypothesis(
         G.k,
         template,
         labels,
         lambda x: G(indexing.phi_k(x))[0],
-        name=name or (G.name + "^-1"),
+        name=G.name + "^-1",
     )
 
 
@@ -124,13 +124,10 @@ def unpartize_hypothesis(G, template, labels, name=""):
 class HypothesisClass:
     """Either an explicit list of hypotheses or a structured family.
 
-    Structured families carry two pure capabilities: an ERM oracle
-    ``erm(x, y, m) -> Hypothesis`` over a labeled sample of size m, and a
-    restriction enumerator ``restrictions((missing, x), points) -> value
-    tuples`` feeding the dimension machinery: the class's restrictions to
-    the extensions ``points`` of the slice point x (``dims.slices``), in
-    either setting.  Explicit lists are duplicate-free under pointwise
-    equality.
+    A class may carry a pure ERM oracle ``erm(x, y, m) -> Hypothesis`` over a
+    labeled sample of size m.  The dimension machinery (``dims.slices``)
+    reads the member list and refuses a structured class.  Explicit lists
+    are duplicate-free under pointwise equality.
     """
 
     k: int
@@ -139,7 +136,6 @@ class HypothesisClass:
     members: tuple = None
     name: str = ""
     erm: object = field(default=None, compare=False)
-    restrictions: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.members:

@@ -295,16 +295,17 @@ def _split(x, y, m1, m, k):
     return (*part(0, m1), *part(m1, m))
 
 
-def derandomize(A, m_rand, ell, fallback, sup_norm=None, empirical_eval=None):
+def derandomize(A, m_rand, ell, fallback, empirical_eval=None):
     """Deterministic wrapper: split the sample, run A on the prefix under
     every randomness index, and return the candidate with the smallest
-    empirical loss on the holdout (smallest index on ties).  Degenerate sizes
-    fall back to a fixed hypothesis.
+    empirical loss on the holdout (smallest index on ties); the split is
+    sized by the loss's sup norm.  Degenerate sizes fall back to a fixed
+    hypothesis.
 
     ``empirical_eval(H, x, y, lo, hi)``, when given, evaluates a candidate on
     the point range (lo, hi] without materializing the holdout sample.
     """
-    sup = float(ell.sup_norm if sup_norm is None else sup_norm)
+    sup = float(ell.sup_norm)
 
     def fn(x, y, b):
         m = sample_size(x)
@@ -361,12 +362,12 @@ def infvcn_learner(n_max):
 # PAC success estimation
 
 
-def estimate_pac_success(A, sc, ell, m, eps, trials, seed, agnostic=False, cls=None):
+def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None):
     """Monte Carlo frequency of trials whose learned hypothesis has total
-    loss <= eps (non-agnostic) or <= inf + eps (agnostic, exact infimum over
+    loss <= eps or, given ``cls``, <= inf + eps (agnostic, exact infimum over
     ``cls``)."""
     (row, weigh), target = _plan(sc, ell), Fraction(eps)
-    if agnostic:
+    if cls is not None:
         target += min(weigh(row(H)) for H in cls)
     wins = 0
     for t in range(trials):

@@ -39,22 +39,17 @@ class LossFn:
         return self.fn(x, y, yp)
 
 
-def loss_metadata(ell, template, patterns=None):
-    """Recompute sup norm, separation, and symmetry exhaustively.
-
-    ``patterns`` defaults to all of Lambda^{S_k} (non-partite) or Lambda
-    (partite).  Returns (sup_norm, separation, symmetric).
+def loss_metadata(ell, template):
+    """Recompute sup norm, separation, and symmetry exhaustively over every
+    pattern in Lambda^{S_k} (non-partite) or label in Lambda (partite).
+    Returns (sup_norm, separation, symmetric).
     """
     points = templates.domain_points(template, ell.k)
     if ell.setting == "partite":
-        pats = list(ell.labels) if patterns is None else patterns
+        pats = list(ell.labels)
         sym_perms = ()
     else:
-        pats = (
-            list(product(ell.labels, repeat=len(perms(ell.k))))
-            if patterns is None
-            else patterns
-        )
+        pats = list(product(ell.labels, repeat=len(perms(ell.k))))
         sym_perms = perms(ell.k)
     sup = Fraction(0)
     sep = None
@@ -106,8 +101,6 @@ class AgnosticLossFn:
     fn: object = field(compare=False)  # (H, x, y) -> value
     name: str = ""
     sup_norm: Fraction = None
-    base: LossFn = None  # locality decomposition: l(H,x,y) = base(x,H*(x),y)+reg(H)
-    regularizer: object = field(default=None, compare=False)
 
     def __call__(self, H, x, y):
         return self.fn(H, x, y)
@@ -123,8 +116,6 @@ def wrap_agnostic(ell):
         fn,
         name=ell.name + "^ag",
         sup_norm=ell.sup_norm,
-        base=ell,
-        regularizer=lambda H: Fraction(0),
     )
 
 
@@ -266,12 +257,6 @@ def flexibility_witness_01(labels, k, setting="nonpartite"):
     return FlexibilityWitness(k, setting, tuple(labels), constant, r_n, noise)
 
 
-@dataclass(frozen=True)
-class NeutralSymbolInfo:
-    bottom: object
-    bottom_cost: object = field(compare=False)  # x -> value
-
-
 def extend_with_neutral(ell_ag, witness):
     """Extend an agnostic loss to Lambda + {BOTTOM} so BOTTOM is neutral:
     whenever BOTTOM touches the pattern, the loss is the witness's averaged
@@ -288,17 +273,13 @@ def extend_with_neutral(ell_ag, witness):
             return witness.bottom_cost(x)
         return ell_ag(H, x, y)
 
-    info = NeutralSymbolInfo(BOTTOM, witness.bottom_cost)
-    return (
-        AgnosticLossFn(
-            ell_ag.k,
-            ell_ag.setting,
-            labels,
-            fn,
-            name=ell_ag.name + "+⊥",
-            sup_norm=ell_ag.sup_norm,
-        ),
-        info,
+    return AgnosticLossFn(
+        ell_ag.k,
+        ell_ag.setting,
+        labels,
+        fn,
+        name=ell_ag.name + "+⊥",
+        sup_norm=ell_ag.sup_norm,
     )
 
 

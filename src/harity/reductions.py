@@ -65,7 +65,7 @@ def phi_m_labels(y, m, k):
     return out
 
 
-def nonpartite_from_partite_learner(A2, template, labels, name=""):
+def nonpartite_from_partite_learner(A2, template, labels):
     """Wrap a partite learner into a non-partite one by folding the sample
     through phi_m / Phi_m and unfolding the output hypothesis."""
     k = A2.k
@@ -79,7 +79,7 @@ def nonpartite_from_partite_learner(A2, template, labels, name=""):
         k,
         fn,
         lambda m: A2.r(m // k),
-        name=name or f"unpartized({A2.name})",
+        name=f"unpartized({A2.name})",
     )
 
 
@@ -227,15 +227,15 @@ def _plan(sigma, U, Uprime, k):
     return coords, labels
 
 
-def _departize(plan, x, y, k, bottom=BOTTOM):
+def _departize(plan, x, y, k):
     """Apply a plan to a partite sample x with full-pattern labels y."""
     coords, labels = plan
     xhat = {C: encode_tagged(x[key], tag, k, len(C)) for C, key, tag in coords}
-    yhat = {a: bottom if s is None else y[s[0]][s[1]] for a, s in labels}
+    yhat = {a: BOTTOM if s is None else y[s[0]][s[1]] for a, s in labels}
     return xhat, yhat
 
 
-def departize_sample(x, y, sigma, U, Uprime, k, bottom=BOTTOM):
+def departize_sample(x, y, sigma, U, Uprime, k):
     """One departization step.
 
     ``x``: partite sample (m vertices per part) over a partization-shaped
@@ -243,10 +243,10 @@ def departize_sample(x, y, sigma, U, Uprime, k, bottom=BOTTOM):
     ``sigma``: permutation of [m]; ``U``/``Uprime``: per non-empty subset C of
     [m] with |C| <= k, a sorted part set of size |C|.  Returns a non-partite
     sample over the tagged ground spaces with scalar labels in Lambda union
-    {bottom}: a label survives exactly when both tag assignments agree with
+    {BOTTOM}: a label survives exactly when both tag assignments agree with
     the part sets induced by sigma on the injection's image.
     """
-    return _departize(_plan(sigma, U, Uprime, k), x, y, k, bottom)
+    return _departize(_plan(sigma, U, Uprime, k), x, y, k)
 
 
 def departize_p(k):
@@ -289,7 +289,7 @@ def decode_departize_randomness(index, r_a, m, k):
     return digits[0], indexing.nth_permutation(digits[1], m), U, Uprime
 
 
-def departize_learner(A, k, base_template, labels, name=""):
+def departize_learner(A, k, base_template, labels):
     """Wrap a non-partite learner over the tagged spaces (labels including
     the neutral symbol) into a partite learner for the partization class."""
 
@@ -307,7 +307,7 @@ def departize_learner(A, k, base_template, labels, name=""):
         k,
         fn,
         lambda m: departize_r(A.r, m, k),
-        name=name or f"departized({A.name})",
+        name=f"departized({A.name})",
     )
 
 
@@ -442,9 +442,9 @@ def strip_dummy(A, anchors):
     return learners.Learner(A.k, fn, A.r, name=f"stripped({A.name})")
 
 
-def extend_codomain(cls, extra_labels, y0=None):
+def extend_codomain(cls, extra_labels):
     """The same class over an enlarged label set, plus the learner transfer
-    that replaces out-of-range labels by a fixed in-range one."""
+    that replaces out-of-range labels by the class's first label."""
     labels2 = cls.labels + tuple(extra_labels)
     members2 = None
     if cls.explicit:
@@ -459,9 +459,8 @@ def extend_codomain(cls, extra_labels, y0=None):
         members2,
         name=cls.name + "+ext",
         erm=cls.erm,
-        restrictions=cls.restrictions,
     )
-    fill = cls.labels[0] if y0 is None else y0
+    fill = cls.labels[0]
     known = set(cls.labels)
 
     def transfer(A):

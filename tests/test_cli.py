@@ -228,6 +228,19 @@ def test_config_member_is_honoured(tmp_path):
     assert summary["config"]["member"] == 3
 
 
+def test_config_seed_zero_is_used(tmp_path, monkeypatch):
+    # a seed of 0 is given, so the config's 0 runs as --seed 0 does
+    monkeypatch.delenv("HARITY_SEED", raising=False)
+    args = ["sample", "--family", "matching", "--n", "2", "--m", "4", "--out"]
+    res = _run(args + [str(tmp_path / "flag"), "--seed", "0"])
+    assert res.exit_code == 0, res.output
+    res = _run(args + [str(tmp_path / "cfg"), *_config_file(tmp_path, '{"seed": 0}')])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+    summary = json.loads((tmp_path / "cfg.json").read_text())
+    assert summary["config"]["seed"] == "0"
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -282,10 +295,15 @@ CONFIG_ERRORS = {
     "partition-list-classes": lambda tmp: _partition(tmp, '"0-1": [1], "0-2": [1], "1-2": [2]'),
     "partition-int-and-str-classes": lambda tmp: _partition(tmp, '"0-1": 1, "0-2": "a", "1-2": 1'),
     "partition-null-class": lambda tmp: _partition(tmp, '"0-1": null, "0-2": 1, "1-2": 1'),
-    # every key must name two distinct vertices u-v
+    # every key must name two distinct vertices u-v, and each pair once
     "partition-key-one-vertex": lambda tmp: _partition(tmp, _PAIRS + ', "2": 1'),
     "partition-key-repeats-a-vertex": lambda tmp: _partition(tmp, _PAIRS + ', "1-1": 1'),
     "partition-key-three-vertices": lambda tmp: _partition(tmp, _PAIRS + ', "0-1-2": 1'),
+    "partition-names-a-pair-twice": lambda tmp: _partition(tmp, _PAIRS + ', "1-0": 1'),
+    "partition-repeats-a-key": lambda tmp: _partition(tmp, _PAIRS + ', "0-1": 1'),
+    "partition-not-an-object": lambda tmp: [
+        "dims", "--family", "partition:" + _write(tmp, "p.json", '[["0-1", 0]]')
+    ],
     "dims-bdeg-d-negative": lambda tmp: ["dims", "--family", "bdeg", "--n", "3", "--d", "-1"],
     "config-d-negative": lambda tmp: [
         "dims", "--family", "bdeg", *_config_file(tmp, '{"d": -1}')

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from harity import dims, families, sampler, templates
+from harity import adversaries, dims, families, sampler, templates
 from harity.hypotheses import HypothesisClass, partize_class
 
 
@@ -16,6 +16,10 @@ def _family(domain_size, functions):
 def test_natarajan_trivia():
     assert dims.natarajan_dim(_family(3, [(0, 1, 0)])) == 0
     assert dims.natarajan_dim(_family(0, [])) == 0
+    # an empty family realizes no value anywhere, so collapsing drops every
+    # column: the dimension is 0 past the domain cap and at cap 0
+    assert dims.natarajan_dim(_family(65, [])) == 0
+    assert dims.natarajan_dim(_family(3, []), cap=0) == 0
 
 
 def test_natarajan_full_family():
@@ -145,6 +149,12 @@ def test_growth_function_trivia():
     # matching slices have two functions, so tau(m) is 2 for every m >= 1
     for m in (1, 2, 3):
         assert dims.growth_function(cls, m) == 2
+    # slices are read from the member list, so a class without one has none
+    memberless = adversaries.shattered_scenario(13).cls
+    with pytest.raises(ValueError):
+        dims.vcn_k(memberless)
+    with pytest.raises(ValueError):
+        dims.growth_function(memberless, 1)
 
 
 def test_growth_bound_values():

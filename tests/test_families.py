@@ -91,25 +91,6 @@ def test_structured_erm_matches_argmin():
     _erm_is_argmin(families.highorder_family(3), 3, 10, "erm-ho")
 
 
-def test_restriction_enumerators_match_members():
-    # structured slice enumerators agree with brute force over the members
-    for spec in (families.bounded_degree_family(4, 2), families.highorder_family(3)):
-        cls = spec.cls
-        structured = families.HypothesisClass(
-            cls.k,
-            cls.template,
-            cls.labels,
-            None,
-            name="structured",
-            restrictions=cls.restrictions,
-        )
-        assert dims.vcn_k(cls) == dims.vcn_k(structured)
-        for m in (1, 2):
-            assert dims.growth_function(cls, m) == dims.growth_function(
-                structured, m
-            )
-
-
 def test_growth_bound_all_builtin_small():
     specs = [
         families.matching_family(2),

@@ -473,7 +473,7 @@ def test_agnostic_checks_use_the_joined_total():
     assert report.frequency == 1 and report.erm_violations == 0
     assert learners.estimate_pac_success(
         learners.Learner(2, lambda x, y, b: H2, lambda m: 1),
-        sc2, ell2, 3, eps, 5, "ag", agnostic=True, cls=cls,
+        sc2, ell2, 3, eps, 5, "ag", cls=cls,
     ) == 1
 
 
@@ -507,7 +507,7 @@ def test_each_check_enumerates_the_law_once(monkeypatch):
     calls.clear()
     learners.estimate_pac_success(
         learners.Learner(1, lambda x, y, b: consts[1], lambda m: 1),
-        ag, ell1, 3, Fraction(1, 10), 20, "once", agnostic=True, cls=consts,
+        ag, ell1, 3, Fraction(1, 10), 20, "once", cls=consts,
     )
     assert len(calls) == 2 and set(calls) == {ag.mu, ag.mu2}
 

@@ -310,7 +310,6 @@ def test_wrap_agnostic():
     H = constant_hypothesis(2, t, (0, 1), 0)
     x = {(1,): 0, (2,): 1, (1, 2): 0}
     assert ag(H, x, (0, 0)) == ell(x, pattern(H, x), (0, 0))
-    assert ag.regularizer(H) == 0
     assert ag.sup_norm == ell.sup_norm
 
 
@@ -349,7 +348,7 @@ def test_extend_with_neutral():
     ell = losses.zero_one_loss((0, 1), 2)
     ag = losses.wrap_agnostic(ell)
     w = losses.flexibility_witness_01((0, 1), 2)
-    ext, info = losses.extend_with_neutral(ag, w)
+    ext = losses.extend_with_neutral(ag, w)
     t = templates.Template(2, (2, 1))
     x = {(1,): 0, (2,): 1, (1, 2): 0}
     H0 = constant_hypothesis(2, t, (0, 1), 0)
@@ -360,7 +359,7 @@ def test_extend_with_neutral():
         assert ext(H1, x, y) == w.constant
     # bottom-free: original value
     assert ext(H0, x, (0, 0)) == ag(H0, x, (0, 0))
-    assert info.bottom == losses.BOTTOM
+    assert ext.labels == (0, 1, losses.BOTTOM)
 
 
 def test_bayes_deterministic_f():
