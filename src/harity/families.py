@@ -1,29 +1,30 @@
 """Constructors for the worked example classes: matching graphs, bounded-
 degree graphs, partition families (distance / max), and the rank-2
-higher-order class.  Each family ships an explicit member list at its
-truncation, from which the dimension machinery reads every slice, plus a
-closed-form ERM oracle and known-dimension metadata that the dimension
-machinery re-derives in the tests.
+higher-order class.  Each is an indicator class H_B(x) = 1[kappa(x) in B],
+one member per kept subset B of a ground set, built by the one constructor
+``_indicators``: it enumerates the subsets in size-then-lex order, keeps
+those a filter accepts (only ``bdeg`` passes one, its degree bound), checks
+the caps, and gives the class one ERM, the member of the keys that the
+sample's 1-labelled units witness (``bdeg`` fits them greedily to its
+bound).  Each family ships its explicit member list, from which the
+dimension machinery reads every slice, and known-dimension metadata that
+the tests re-derive.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import templates
 from .hypotheses import Hypothesis, HypothesisClass
 
 # eager member enumerations stop at this many candidate subsets
 ENUMERATION_CAP = 2**21
-# families with one member per subset keep every candidate, and building a
-# class evaluates each member on every configuration point: matching(12)
-# takes about 2 s, and each further pair doubles it
+# building a class evaluates each kept member on every configuration point:
+# matching(12) (576 points) takes about 2 s, and each further pair doubles it
 MEMBER_CAP = 2**12
-
-
-def _check_enumeration(what, size, cap=ENUMERATION_CAP):
-    """Refuse to enumerate the 2**size subsets of ``size`` items past the cap."""
-    if 2**size > cap:
-        raise ValueError(f"{what} would enumerate 2^{size} subsets, over the cap {cap}")
+# bdeg and the partition families read fewer points per member: bdeg(6, 5)
+# and dist(16) keep 2^15 members, and `dims` takes 4-15 s on them
+GRAPH_MEMBER_CAP = 2**15
 
 
 @dataclass(frozen=True)
@@ -35,30 +36,58 @@ class FamilySpec:
     chi: object = field(default=None, compare=False)  # partition data, if any
 
 
-def _graph_template(n):
-    # simple graphs: n vertices of arity 1, singleton pair space (rank <= 1)
-    return templates.Template(2, (n, 1))
+def _indicators(
+    name, template, reads, key, ground, member_name, rank, cap, keep=None, fit=None
+):
+    """The class {H_B : B a subset of ``ground`` that ``keep`` accepts}, with
+    H_B(x) = 1 if key(x, reads(identity unit)) is in B, else 0.  ``reads(a)``
+    gives the coordinates that unit a of a sample reads; the ERM returns the
+    member of the keys its 1-labelled units show within the ground set, as
+    ``fit`` adjusts them.  Past ``ENUMERATION_CAP`` candidates or ``cap``
+    kept subsets it raises ``ValueError`` before building any member."""
+    size = len(ground)
+    if 2**size > ENUMERATION_CAP:
+        raise ValueError(
+            f"{name} would enumerate 2^{size} subsets, over the cap {ENUMERATION_CAP}"
+        )
+    kept = []
+    for b in chain.from_iterable(combinations(ground, r) for r in range(size + 1)):
+        if keep is None or keep(b):
+            kept.append(b)
+            if len(kept) > cap:
+                raise ValueError(f"{name} keeps more than {cap} members, over the cap")
+    at = reads(template.domain(2)[1][0])  # the identity unit, first of its orbit
+    by_set = {}
+    for b in kept:
+        def fn(x, bs=frozenset(b)):
+            return 1 if key(x, at) in bs else 0
+
+        by_set[frozenset(b)] = Hypothesis(
+            2, template, (0, 1), fn, name=member_name(b), declared_rank=rank
+        )
+    ground_set = frozenset(ground)
+
+    def erm(x, y, m):
+        shown = (key(x, reads(a)) for a, label in y.items() if label == 1)
+        b = ground_set.intersection(shown)
+        return by_set[fit(b) if fit else b]
+
+    return HypothesisClass(2, template, (0, 1), tuple(by_set.values()), name=name, erm=erm)
 
 
-def _graph_hypothesis(t, edges, name):
-    edge_set = frozenset(frozenset(e) for e in edges)
-
-    def fn(x, es=edge_set):
-        u, v = x[(1,)], x[(2,)]
-        return 1 if u != v and frozenset((u, v)) in es else 0
-
-    return Hypothesis(2, t, (0, 1), fn, name=name, declared_rank=1)
-
-
-def _positive_edges(x, y):
-    """The vertex pairs {u, v}, u != v, that a graph sample labels 1."""
-    edges = set()
-    for alpha, label in y.items():
-        if label == 1 and len(alpha) == 2:
-            u, v = x[(alpha[0],)], x[(alpha[1],)]
-            if u != v:
-                edges.add(frozenset((u, v)))
-    return edges
+def _graph(n, pair_key):
+    """Simple graphs on n vertices (arity-1 points, a singleton pair space):
+    the template, the coordinates unit (i, j) reads, and the key of the pair
+    {u, v} it holds, read through one dict over (u, v) in both orders (None
+    when u == v)."""
+    keys = {}
+    for u, v in combinations(range(n), 2):
+        keys[u, v] = keys[v, u] = pair_key(u, v)
+    return (
+        templates.Template(2, (n, 1)),
+        lambda a: ((a[0],), (a[1],)),
+        lambda x, r: keys.get((x[r[0]], x[r[1]])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -71,40 +100,17 @@ def matching_family(n_pairs):
     pairs."""
     if n_pairs < 1:
         raise ValueError("need at least one pair")
-    _check_enumeration(f"matching({n_pairs})", n_pairs, MEMBER_CAP)
-    t = _graph_template(2 * n_pairs)
-    pairs = [frozenset((2 * i, 2 * i + 1)) for i in range(n_pairs)]
-    members = []
-    for r in range(n_pairs + 1):
-        for a in combinations(range(n_pairs), r):
-            members.append(
-                _graph_hypothesis(t, [pairs[i] for i in a], f"match{sorted(a)}")
-            )
-
-    member_by_pairs = {
-        frozenset(
-            i for i in range(n_pairs) if h(
-                {(1,): min(pairs[i]), (2,): max(pairs[i]), (1, 2): 0}
-            )
-        ): h
-        for h in members
-    }
-
-    def erm(x, y, m):
-        # include pair i iff some labelled-1 injection witnesses it
-        positive = _positive_edges(x, y)
-        included = frozenset(i for i, p in enumerate(pairs) if p in positive)
-        return member_by_pairs[included]
-
-    cls = HypothesisClass(
-        2, t, (0, 1), tuple(members), name=f"matching({n_pairs})", erm=erm
+    graph = _graph(2 * n_pairs, lambda u, v: u // 2 if u % 2 == 0 and v == u + 1 else None)
+    cls = _indicators(
+        f"matching({n_pairs})",
+        *graph,
+        tuple(range(n_pairs)),
+        lambda b: f"match{sorted(b)}",
+        1,
+        MEMBER_CAP,
     )
-    return FamilySpec(
-        "matching",
-        {"n_pairs": n_pairs},
-        cls,
-        metadata={"vcn2": 1, "vc": n_pairs, "rank": 1},
-    )
+    metadata = {"vcn2": 1, "vc": n_pairs, "rank": 1}
+    return FamilySpec("matching", {"n_pairs": n_pairs}, cls, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -115,49 +121,37 @@ def bounded_degree_family(n, d):
     """All graphs on n vertices with maximum degree <= d."""
     if n < 1 or d < 0:
         raise ValueError("bad parameters")
-    t = _graph_template(n)
-    all_edges = [frozenset(e) for e in combinations(range(n), 2)]
-    _check_enumeration(f"bdeg({n},{d})", len(all_edges))
-    members = []
-    graphs = []
-    for r in range(len(all_edges) + 1):
-        for es in combinations(all_edges, r):
-            deg = {}
-            ok = True
-            for e in es:
-                for v in e:
-                    deg[v] = deg.get(v, 0) + 1
-                    if deg[v] > d:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                graphs.append(frozenset(es))
-                members.append(_graph_hypothesis(t, es, f"bdeg{sorted(map(sorted, es))}"))
-    by_graph = dict(zip(graphs, members))
+    edges = tuple(combinations(range(n), 2))
 
-    def erm(x, y, m):
+    def bounded(es):
+        deg = [0] * n
+        for e in es:
+            for v in e:
+                deg[v] += 1
+                if deg[v] > d:
+                    return False
+        return True
+
+    def greedy(witnessed):
         # greedy consistent subgraph in canonical edge order
-        deg = {}
-        chosen = set()
-        positive = _positive_edges(x, y)
-        for e in all_edges:
-            if e in positive and all(deg.get(v, 0) < d for v in e):
-                chosen.add(e)
-                for v in e:
-                    deg[v] = deg.get(v, 0) + 1
-        return by_graph[frozenset(chosen)]
+        chosen = ()
+        for e in edges:
+            if e in witnessed and bounded(chosen + (e,)):
+                chosen += (e,)
+        return frozenset(chosen)
 
-    cls = HypothesisClass(
-        2, t, (0, 1), tuple(members), name=f"bdeg({n},{d})", erm=erm
+    cls = _indicators(
+        f"bdeg({n},{d})",
+        *_graph(n, lambda u, v: (u, v)),
+        edges,
+        lambda b: f"bdeg{sorted(map(sorted, b))}",
+        1,
+        GRAPH_MEMBER_CAP,
+        bounded,
+        greedy,
     )
-    return FamilySpec(
-        "bdeg",
-        {"n": n, "d": d},
-        cls,
-        metadata={"vcn2": min(d, n - 1), "rank": 1},
-    )
+    metadata = {"vcn2": min(d, n - 1), "rank": 1}
+    return FamilySpec("bdeg", {"n": n, "d": d}, cls, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -167,31 +161,14 @@ def bounded_degree_family(n, d):
 def partition_family(n, chi, name="partition"):
     """The class {G_B : B subset of classes} for a partition chi of the
     vertex pairs; G_B(x, y) = 1[chi({x, y}) in B]."""
-    t = _graph_template(n)
     classes = sorted({chi(frozenset(e)) for e in combinations(range(n), 2)})
-    _check_enumeration(f"{name}({n})", len(classes))
-    members = []
-    by_b = {}
-    for r in range(len(classes) + 1):
-        for b in combinations(classes, r):
-            bset = frozenset(b)
-
-            def fn(x, bs=bset):
-                u, v = x[(1,)], x[(2,)]
-                if u == v:
-                    return 0
-                return 1 if chi(frozenset((u, v))) in bs else 0
-
-            h = Hypothesis(2, t, (0, 1), fn, name=f"{name}{sorted(b)}", declared_rank=1)
-            members.append(h)
-            by_b[bset] = h
-
-    def erm(x, y, m):
-        # B := classes witnessed positive
-        return by_b[frozenset(chi(e) for e in _positive_edges(x, y))]
-
-    cls = HypothesisClass(
-        2, t, (0, 1), tuple(members), name=f"{name}({n})", erm=erm
+    cls = _indicators(
+        f"{name}({n})",
+        *_graph(n, lambda u, v: chi(frozenset((u, v)))),
+        classes,
+        lambda b: f"{name}{sorted(b)}",
+        1,
+        GRAPH_MEMBER_CAP,
     )
     return FamilySpec(
         name,
@@ -220,43 +197,17 @@ def highorder_family(n):
     """The 2-partite rank-2 class: H_V(x) = 1[x_{2} = x_{12} in V] over a
     singleton first part and n-point second/pair spaces (VCN_2 = n here,
     infinity at the limit)."""
-    _check_enumeration(f"highorder({n})", n, MEMBER_CAP)
-    pt = templates.PartiteTemplate(2, {(1,): 1, (2,): n, (1, 2): n})
-    k2 = (((2, 1),),)
-    k12 = (((1, 1), (2, 1)),)
-    key2, key12 = k2[0], k12[0]
-    members = []
-    by_v = {}
-    for r in range(n + 1):
-        for v in combinations(range(n), r):
-            vset = frozenset(v)
-
-            def fn(x, vs=vset):
-                return 1 if x[key2] == x[key12] and x[key2] in vs else 0
-
-            h = Hypothesis(2, pt, (0, 1), fn, name=f"ho{sorted(v)}", declared_rank=2)
-            members.append(h)
-            by_v[vset] = h
-
-    def erm(x, y, m):
-        # witnessed diagonal values determine membership exactly
-        v_hat = set()
-        for alpha, label in y.items():
-            i, j = alpha
-            b = x[((2, j),)]
-            if label == 1 and b == x[((1, i), (2, j))]:
-                v_hat.add(b)
-        return by_v[frozenset(v_hat)]
-
-    cls = HypothesisClass(
-        2, pt, (0, 1), tuple(members), name=f"highorder({n})", erm=erm
+    cls = _indicators(
+        f"highorder({n})",
+        templates.PartiteTemplate(2, {(1,): 1, (2,): n, (1, 2): n}),
+        lambda a: (((2, a[1]),), ((1, a[0]), (2, a[1]))),
+        lambda x, r: v if (v := x[r[0]]) == x[r[1]] else None,
+        tuple(range(n)),
+        lambda b: f"ho{sorted(b)}",
+        2,
+        MEMBER_CAP,
     )
-    return FamilySpec(
-        "highorder",
-        {"n": n},
-        cls,
-        metadata={"vcn2": n, "rank": 2},
-    )
+    return FamilySpec("highorder", {"n": n}, cls, metadata={"vcn2": n, "rank": 2})
 
 
 # ---------------------------------------------------------------------------

@@ -156,12 +156,15 @@ class HypothesisClass:
         return self.members is not None
 
     def __iter__(self):
-        if not self.explicit:
-            raise ValueError("class is structured; no member list")
-        return iter(self.members)
+        return iter(self._member_list())
 
     def __len__(self):
-        return len(self.members)
+        return len(self._member_list())
+
+    def _member_list(self):
+        if not self.explicit:
+            raise ValueError("class is structured; no member list")
+        return self.members
 
 
 def partize_class(H):

@@ -50,7 +50,7 @@ def erm(cls, ell, use_oracle=True):
     """Exact empirical-loss argmin over the class, in the setting of its
     template, ties broken by the member order; structured classes may supply
     a closed-form oracle."""
-    if cls.erm is None and not cls.explicit:
+    if not cls.members and (cls.erm is None or not use_oracle):
         raise ValueError("class has neither members nor an ERM oracle")
 
     def fn(x, y, b):

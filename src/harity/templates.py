@@ -207,6 +207,8 @@ uniform_partite_prob = uniform_prob
 def product_template(t1, t2):
     """Omega (x) Omega', space by space, over the larger k (partite products
     need equal k)."""
+    if t1.partite != t2.partite:
+        raise ValueError("a product needs two templates of one setting")
     if t1.partite and t2.k != t1.k:
         raise ValueError("partite products need equal k")
     t = max(t1, t2, key=lambda t: t.k)

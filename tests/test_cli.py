@@ -182,6 +182,26 @@ GOLDEN_CSV = [
         "learn --family matching --n 2 --m 4 --trials 20 --seed s3 --member 3",
         "5b11f31fe63f97be6adad96fc01b7a9c14daf6d7f3b3d861492764dbf5cafb91",
     ),
+    (
+        "learn --family bdeg --n 4 --d 2 --m 3,6 --eps 0.05 --trials 20 --member 40",
+        "ccef403d2b134e6b80d217efa35d6f17d120e52f2322076ecb37322ebbdd2c4b",
+    ),
+    (
+        "learn --family dist --n 5 --m 3,6 --eps 0.05 --trials 20 --member 9",
+        "9d6a48d91d95e95311ce0a3ecb707f98f972c422ad0b21af52d8358da59c7bb3",
+    ),
+    (
+        "learn --family maxg --n 5 --m 3,6 --eps 0.05 --trials 20 --member 9",
+        "052ca42cbf61557cd3fe4a2f5338c397accb3fd7f202b7c1bf99129f13906b8d",
+    ),
+    (
+        "learn --family highorder --n 3 --m 2,4 --eps 0.05 --trials 20 --member 5",
+        "2005305afd41d8ead21833fdd10901cc730796b4de39bb220d66880208a70b9a",
+    ),
+    (
+        "sample --family highorder --n 3 --m 3 --seed s1",
+        "2510d0866d54df97b13de1ca24879524fe6414ea1ca7fd046eecfedcdf8f6b1f",
+    ),
 ]
 
 
@@ -352,10 +372,17 @@ def test_partition_table_family(tmp_path):
 
 
 def test_enumeration_cap_exits_3_quickly(tmp_path):
-    for family, n in (("bdeg", "8"), ("matching", "30")):
+    cases = (
+        "bdeg --n 8",
+        "matching --n 30",
+        "bdeg --n 7 --d 6",
+        "bdeg --n 7 --d 3",
+        "dist --n 22",
+    )
+    for i, case in enumerate(cases):
         started = time.perf_counter()
-        out = str(tmp_path / family)
-        res = _run(["dims", "--family", family, "--n", n, "--out", out])
+        out = str(tmp_path / f"case{i}")
+        res = _run(["dims", "--family", *case.split(), "--out", out])
         assert time.perf_counter() - started < 1
         assert res.exit_code == cli.EXIT_INFEASIBLE, (res.output, res.exception)
 

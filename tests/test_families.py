@@ -1,3 +1,5 @@
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -58,6 +60,106 @@ def test_highorder_metadata():
     spec = families.highorder_family(4)
     assert len(spec.cls) == 2**4
     assert dims.vcn_k(spec.cls) == spec.metadata["vcn2"] == 4
+
+
+def _subsets(ground, keep=lambda b: True):
+    """Every subset of ``ground`` that ``keep`` accepts, by size, then lex."""
+    out = []
+    for r in range(len(ground) + 1):
+        out += [b for b in combinations(ground, r) if keep(b)]
+    return out
+
+
+def _graph_members(prefix, ground, key, keep=lambda b: True, show=list):
+    """(name, rank, x -> 1[key(u, v) in B]) per member G_B of a graph family,
+    where u, v are the vertices x holds; a loop u = v is never an edge."""
+
+    def value(x, b):
+        u, v = x[(1,)], x[(2,)]
+        return int(u != v and key(u, v) in b)
+
+    return [
+        (f"{prefix}{show(b)}", 1, lambda x, b=b: value(x, b)) for b in _subsets(ground, keep)
+    ]
+
+
+def _max_degree_at_most(d):
+    return lambda b: max(Counter(v for e in b for v in e).values(), default=0) <= d
+
+
+_WORDS = {
+    (0, 1): "near",
+    (1, 2): "near",
+    (2, 3): "near",
+    (0, 2): "mid",
+    (1, 3): "mid",
+    (0, 3): "far",
+}
+
+DEFINITIONS = {
+    "matching(3)": (
+        lambda: families.matching_family(3),
+        _graph_members(
+            "match",
+            range(3),
+            lambda u, v: next((i for i in range(3) if {u, v} == {2 * i, 2 * i + 1}), None),
+        ),
+    ),
+    "bdeg(4,1)": (
+        lambda: families.bounded_degree_family(4, 1),
+        _graph_members(
+            "bdeg",
+            list(combinations(range(4), 2)),
+            lambda u, v: (min(u, v), max(u, v)),
+            _max_degree_at_most(1),
+            lambda b: [list(e) for e in b],
+        ),
+    ),
+    "bdeg(4,2)": (
+        lambda: families.bounded_degree_family(4, 2),
+        _graph_members(
+            "bdeg",
+            list(combinations(range(4), 2)),
+            lambda u, v: (min(u, v), max(u, v)),
+            _max_degree_at_most(2),
+            lambda b: [list(e) for e in b],
+        ),
+    ),
+    "dist(5)": (
+        lambda: families.distance_family(5),
+        _graph_members("dist", [1, 2, 3, 4], lambda u, v: abs(u - v)),
+    ),
+    "maxg(4)": (
+        lambda: families.max_family(4),
+        _graph_members("maxg", [1, 2, 3], max),
+    ),
+    "partition(4), string classes": (
+        lambda: families.partition_family(4, lambda e: _WORDS[tuple(sorted(e))]),
+        _graph_members(
+            "partition", ["far", "mid", "near"], lambda u, v: _WORDS[min(u, v), max(u, v)]
+        ),
+    ),
+    "highorder(3)": (
+        lambda: families.highorder_family(3),
+        [
+            (
+                f"ho{list(b)}",
+                2,
+                lambda x, b=b: int(x[((2, 1),)] == x[((1, 1), (2, 1))] and x[((2, 1),)] in b),
+            )
+            for b in _subsets(range(3))
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("build, expected", DEFINITIONS.values(), ids=DEFINITIONS)
+def test_members_match_their_written_out_definition(build, expected):
+    # each member's name, declared rank and whole value table, in member order
+    cls = build().cls
+    points = templates.domain_points(cls.template, cls.k)
+    got = [(H.name, H.declared_rank, [H(x) for x in points]) for H in cls.members]
+    assert got == [(name, rank, [fn(x) for x in points]) for name, rank, fn in expected]
 
 
 def _erm_is_argmin(spec, m, trials, seed):

@@ -126,3 +126,5 @@ def test_structured_class_iteration_errors():
     assert not cls.explicit
     with pytest.raises(ValueError):
         iter(cls)
+    with pytest.raises(ValueError):
+        len(cls)

@@ -99,6 +99,10 @@ def test_erm_routes_agree():
         ea = losses.empirical_loss_nonpartite(x, y, ell, a, 5)
         eb = losses.empirical_loss_nonpartite(x, y, ell, b, 5)
         assert ea == eb == 0
+    # a class without members has nothing to minimise over
+    empty = HypothesisClass(1, templates.Template(1, (2,)), (0, 1), ())
+    with pytest.raises(ValueError, match="neither members"):
+        learners.erm(empty, losses.zero_one_loss((0, 1), 1))
 
 
 def test_uc_report_structure():

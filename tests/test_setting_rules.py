@@ -278,3 +278,6 @@ def test_one_product_template_for_both_settings():
     assert templates.product_template(pt, pt).sizes == {(1,): 4}
     with pytest.raises(ValueError, match="equal k"):
         templates.product_template(pt, _partite()[0].template)
+    for pair in ((pt, templates.Template(1, (5,))), (templates.Template(1, (5,)), pt)):
+        with pytest.raises(ValueError, match="one setting"):
+            templates.product_template(*pair)
