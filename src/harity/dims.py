@@ -8,10 +8,10 @@ never conflated with an exact value.
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, perm
 
 from . import templates
-from .hypotheses import canonical_key
+from .hypotheses import canonical_key, distinct_rows
 
 
 @dataclass(frozen=True)
@@ -107,21 +107,32 @@ def vc_dim(fam, cap=6, domain_cap=64):
 # slices of hypothesis classes
 
 
+def _labelled(cls, rows):
+    """Rows of label indices as the sorted tuples of the labels they name."""
+    return tuple(sorted(tuple(cls.labels[i] for i in row) for row in rows.tolist()))
+
+
 def slices(cls):
     """Each slice of the class as (missing, x, points, family): x fixes the
     coordinates avoiding the missing vertex or part, and the family is the
     class's members restricted to x's extensions ``points``, which vary the
-    coordinates containing it.  A class without a member list raises
+    coordinates containing it, read as the class table's distinct rows at
+    their columns (a point's sum of place values); a structured class raises
     ValueError."""
     if not cls.explicit:
         raise ValueError("structured class without a member list")
     t = cls.template
+    place, step = {}, 1
+    for key in reversed(t.coords(t.domain(cls.k)[0])):
+        place[key], step = step, step * t.size(t.space(key))
     for missing, fixed, varied in t.slices(cls.k):
         points = templates.points_over(t, varied)
         domain = tuple(canonical_key(z) for z in points)
+        columns = [sum(place[key] * v for key, v in z.items()) for z in points]
         for x in templates.points_over(t, fixed):
-            functions = {tuple(H({**x, **z}) for z in points) for H in cls.members}
-            yield missing, x, points, FunctionFamily(domain, tuple(sorted(functions)))
+            offset = sum(place[key] * v for key, v in x.items())
+            rows = distinct_rows(cls.table[:, [offset + c for c in columns]])
+            yield missing, x, points, FunctionFamily(domain, _labelled(cls, rows))
 
 
 def vcn_k(cls, cap=6):
@@ -141,8 +152,7 @@ def family_on_full_domain(cls):
     configuration space (used for classic VC on binary classes)."""
     points = templates.domain_points(cls.template, cls.k)
     domain = tuple(canonical_key(x) for x in points)
-    functions = tuple(sorted({tuple(H(x) for x in points) for H in cls.members}))
-    return FunctionFamily(domain, functions)
+    return FunctionFamily(domain, _labelled(cls, distinct_rows(cls.table)))
 
 
 def growth_function(cls, m):
@@ -157,19 +167,12 @@ def growth_function(cls, m):
     return best
 
 
-def falling_factorial(n, j):
-    out = 1
-    for i in range(j):
-        out *= n - i
-    return out
-
-
 def growth_bound(vcn, m, L):
     """Both displayed forms of the growth bound; the first (falling
     factorial) dominates the measured growth function, the second is the
     looser power form."""
     pairs = comb(L, 2)
-    tight = falling_factorial(m + 1, min(vcn, m + 1)) * pairs**vcn
+    tight = perm(m + 1, min(vcn, m + 1)) * pairs**vcn
     loose = (m + 1) ** vcn * pairs**vcn
     return tight, loose
 

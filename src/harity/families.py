@@ -6,24 +6,26 @@ one member per kept subset B of a ground set, built by the one constructor
 those a filter accepts (only ``bdeg`` passes one, its degree bound), checks
 the caps, and gives the class one ERM, the member of the keys that the
 sample's 1-labelled units witness (``bdeg`` fits them greedily to its
-bound).  Each family ships its explicit member list, from which the
-dimension machinery reads every slice, and known-dimension metadata that
-the tests re-derive.
+bound).  Each family ships its member list, its class table, filled from the
+subsets' bitmasks without a member call, which the dimension machinery
+reads, and known-dimension metadata that the tests re-derive.
 """
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations
+
+import numpy as np
 
 from . import templates
 from .hypotheses import Hypothesis, HypothesisClass
 
 # eager member enumerations stop at this many candidate subsets
 ENUMERATION_CAP = 2**21
-# building a class evaluates each kept member on every configuration point:
-# matching(12) (576 points) takes about 2 s, and each further pair doubles it
+# each kept member costs a closure and a class-table row: matching(12) (576
+# points) builds in about 0.1 s, and each further pair more than doubles that
 MEMBER_CAP = 2**12
 # bdeg and the partition families read fewer points per member: bdeg(6, 5)
-# and dist(16) keep 2^15 members, and `dims` takes 4-15 s on them
+# and dist(16) keep 2^15 members, and `harity dims` takes 1.2-1.7 s on them
 GRAPH_MEMBER_CAP = 2**15
 
 
@@ -57,6 +59,11 @@ def _indicators(
             if len(kept) > cap:
                 raise ValueError(f"{name} keeps more than {cap} members, over the cap")
     at = reads(template.domain(2)[1][0])  # the identity unit, first of its orbit
+    # the class table: T[B, p] is bit key(p) of B's mask, or clear bit `size` if no key
+    place = {g: i for i, g in enumerate(ground)}
+    masks = np.array([sum(1 << place[g] for g in b) for b in kept], dtype=np.int64)
+    bits = [place.get(key(x, at), size) for x in templates.domain_points(template, 2)]
+    table = (masks[:, None] >> np.arange(size + 1) & 1).astype(np.uint8)[:, bits]
     by_set = {}
     for b in kept:
         def fn(x, bs=frozenset(b)):
@@ -72,7 +79,7 @@ def _indicators(
         b = ground_set.intersection(shown)
         return by_set[fit(b) if fit else b]
 
-    return HypothesisClass(2, template, (0, 1), tuple(by_set.values()), name=name, erm=erm)
+    return HypothesisClass(2, template, (0, 1), tuple(by_set.values()), name, erm, table)
 
 
 def _graph(n, pair_key):
@@ -122,6 +129,7 @@ def bounded_degree_family(n, d):
     if n < 1 or d < 0:
         raise ValueError("bad parameters")
     edges = tuple(combinations(range(n), 2))
+    edge_text = {e: str(list(e)) for e in edges}
 
     def bounded(es):
         deg = [0] * n
@@ -144,7 +152,7 @@ def bounded_degree_family(n, d):
         f"bdeg({n},{d})",
         *_graph(n, lambda u, v: (u, v)),
         edges,
-        lambda b: f"bdeg{sorted(map(sorted, b))}",
+        lambda b: f"bdeg[{', '.join(map(edge_text.get, b))}]",  # b lists edges in order
         1,
         GRAPH_MEMBER_CAP,
         bounded,

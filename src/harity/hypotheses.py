@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations, product
 
+import numpy as np
+
 from . import indexing, templates
 
 
@@ -44,9 +46,6 @@ class Hypothesis:
 
     def table(self):
         return {canonical_key(x): self.fn(x) for x in self.domain()}
-
-    def same_function(self, other):
-        return self.table() == other.table()
 
 
 def star(F, x, m):
@@ -120,14 +119,26 @@ def unpartize_hypothesis(G, template, labels):
     )
 
 
+def distinct_rows(table):
+    """The distinct rows of a 2-D array, compared as byte strings through a
+    ``np.void`` view (asking for counts skips a first-use numpy.ma import)."""
+    table = np.ascontiguousarray(table)
+    rows = table.view(np.dtype((np.void, table.dtype.itemsize * table.shape[1])))
+    distinct = np.unique(rows, return_counts=True)[0]
+    return distinct.view(table.dtype).reshape(-1, table.shape[1])
+
+
 @dataclass(frozen=True)
 class HypothesisClass:
     """Either an explicit list of hypotheses or a structured family.
 
     A class may carry a pure ERM oracle ``erm(x, y, m) -> Hypothesis`` over a
-    labeled sample of size m.  The dimension machinery (``dims.slices``)
-    reads the member list and refuses a structured class.  Explicit lists
-    are duplicate-free under pointwise equality.
+    labeled sample of size m.  An explicit list is tabulated once: ``table[i,
+    j]`` is the index in ``labels`` of member i's value at the j-th point of
+    ``templates.domain_points`` (mixed radix, the last coordinate fastest), in
+    the smallest unsigned dtype that holds ``len(labels)``, passed in or else
+    evaluated once per member and point.  ``dims`` reads only the table.  A
+    value outside ``labels`` or a duplicate member raises ValueError.
     """
 
     k: int
@@ -136,16 +147,19 @@ class HypothesisClass:
     members: tuple = None
     name: str = ""
     erm: object = field(default=None, compare=False)
+    table: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.members:
+        if self.members is not None and self.table is None:
+            index = {v: i for i, v in enumerate(self.labels)}
             points = templates.domain_points(self.template, self.k)
-            seen = set()
-            for h in self.members:
-                sig = tuple(h(x) for x in points)
-                if sig in seen:
-                    raise ValueError("duplicate hypothesis in explicit class")
-                seen.add(sig)
+            cells = [index.get(h(x), -1) for h in self.members for x in points]
+            if -1 in cells:
+                raise ValueError("member value outside the class labels")
+            table = np.array(cells, np.min_scalar_type(len(self.labels)))
+            object.__setattr__(self, "table", table.reshape(-1, len(points)))
+        if self.members and len(distinct_rows(self.table)) < len(self.members):
+            raise ValueError("duplicate hypothesis in explicit class")
 
     @property
     def partite(self):
