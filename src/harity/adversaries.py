@@ -39,7 +39,6 @@ class ShatteredScenario:
     mu: object
     f0: object = field(compare=False)
     f1: object = field(compare=False)
-    cls: HypothesisClass = None
 
     def hypothesis(self, B):
         Bf = frozenset(B)
@@ -51,9 +50,14 @@ class ShatteredScenario:
             name=f"F{sorted(B)}",
         )
 
+    def erm(self, x, y):
+        """F_B for the points that some witness carries with its f1-label."""
+        return self.hypothesis(
+            {x[(a[0],)] for a, label in y.items() if label == self.f1(x[(a[0],)])}
+        )
 
-# shattered scenarios up to this size enumerate all 2^d hypotheses F_B: the
-# class lists them as members and the no-free-lunch search tries every B
+
+# the no-free-lunch search tries every B (2^d of them) up to this size
 EXPLICIT_CAP = 12
 # the number of seeded random B the no-free-lunch search tries above the cap
 NFL_RANDOM_BATCH = 64
@@ -66,32 +70,12 @@ def shattered_scenario(d, labels=(0, 1), f0=None, f1=None):
         if f0(a) == f1(a):
             raise ValueError("witness functions must disagree everywhere")
     t = templates.Template(1, (d,))
-    mu = templates.uniform_prob(t)
-    sc = ShatteredScenario(d, t, tuple(labels), mu, f0, f1)
-
-    def erm(x, y, m):
-        # include a point iff some witness carries its f1-label
-        B = {
-            x[(a[0],)]
-            for a, label in y.items()
-            if label == f1(x[(a[0],)])
-        }
-        return sc.hypothesis(B)
-
-    members = None
-    if d <= EXPLICIT_CAP:
-        members = tuple(
-            sc.hypothesis(B)
-            for r in range(d + 1)
-            for B in combinations(range(d), r)
-        )
-    cls = HypothesisClass(1, t, tuple(labels), members, name=f"shattered({d})", erm=erm)
-    return ShatteredScenario(d, t, tuple(labels), mu, f0, f1, cls)
+    return ShatteredScenario(d, t, tuple(labels), templates.uniform_prob(t), f0, f1)
 
 
 def erm_learner(sc):
     return learners.Learner(
-        1, lambda x, y, b: sc.cls.erm(x, y, None), lambda m: 1, name="nfl-erm"
+        1, lambda x, y, b: sc.erm(x, y), lambda m: 1, name="nfl-erm"
     )
 
 

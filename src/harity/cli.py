@@ -1,7 +1,7 @@
 """Experiment runner: seeded, reproducible, CSV + JSON emission.
 
 Every subcommand accepts a JSON config file (``--config``) whose keys are the
-command's flag names without the dashes (``member`` included); explicit flags
+command's flag names without the dashes (``member`` included); its flags
 override the file.  A seed that neither gives falls back to the HARITY_SEED
 environment variable, then to "harity".  Each run writes ``<out>.csv`` (one
 header row, then one row per sweep point or aggregate; byte-identical across

@@ -1,7 +1,7 @@
 """Natarajan, VC, and VCN_k dimensions; growth functions; growth-bound
 certification.
 
-The shattering search is exhaustive with explicit caps (default: candidate
+The shattering search is exhaustive within stated caps (default: candidate
 set size <= 6, domain <= 64).  A capped result is reported as ``AtLeast`` and
 never conflated with an exact value.
 """
@@ -117,10 +117,7 @@ def slices(cls):
     coordinates avoiding the missing vertex or part, and the family is the
     class's members restricted to x's extensions ``points``, which vary the
     coordinates containing it, read as the class table's distinct rows at
-    their columns (a point's sum of place values); a structured class raises
-    ValueError."""
-    if not cls.explicit:
-        raise ValueError("structured class without a member list")
+    their columns (a point's sum of place values)."""
     t = cls.template
     place, step = {}, 1
     for key in reversed(t.coords(t.domain(cls.k)[0])):

@@ -4,11 +4,12 @@ higher-order class.  Each is an indicator class H_B(x) = 1[kappa(x) in B],
 one member per kept subset B of a ground set, built by the one constructor
 ``_indicators``: it enumerates the subsets in size-then-lex order, keeps
 those a filter accepts (only ``bdeg`` passes one, its degree bound), checks
-the caps, and gives the class one ERM, the member of the keys that the
-sample's 1-labelled units witness (``bdeg`` fits them greedily to its
-bound).  Each family ships its member list, its class table, filled from the
-subsets' bitmasks without a member call, which the dimension machinery
-reads, and known-dimension metadata that the tests re-derive.
+the caps, and gives the class one ERM oracle ``erm(x, y)``, the member of
+the keys that the sample's 1-labelled units witness (``bdeg`` fits them
+greedily to its bound).  Each family ships its member list, its class
+table, filled from the subsets' bitmasks without a member call, which the
+dimension machinery reads, and known-dimension metadata that the tests
+re-derive.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ GRAPH_MEMBER_CAP = 2**15
 class FamilySpec:
     name: str
     params: dict = field(hash=False)
-    cls: HypothesisClass = None
+    cls: HypothesisClass
     metadata: dict = field(default=None, hash=False)
     chi: object = field(default=None, compare=False)  # partition data, if any
 
@@ -74,7 +75,7 @@ def _indicators(
         )
     ground_set = frozenset(ground)
 
-    def erm(x, y, m):
+    def erm(x, y):
         shown = (key(x, reads(a)) for a, label in y.items() if label == 1)
         b = ground_set.intersection(shown)
         return by_set[fit(b) if fit else b]

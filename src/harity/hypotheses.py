@@ -130,27 +130,27 @@ def distinct_rows(table):
 
 @dataclass(frozen=True)
 class HypothesisClass:
-    """Either an explicit list of hypotheses or a structured family.
+    """A finite list of hypotheses, tabulated once.
 
-    A class may carry a pure ERM oracle ``erm(x, y, m) -> Hypothesis`` over a
-    labeled sample of size m.  An explicit list is tabulated once: ``table[i,
-    j]`` is the index in ``labels`` of member i's value at the j-th point of
-    ``templates.domain_points`` (mixed radix, the last coordinate fastest), in
-    the smallest unsigned dtype that holds ``len(labels)``, passed in or else
-    evaluated once per member and point.  ``dims`` reads only the table.  A
-    value outside ``labels`` or a duplicate member raises ValueError.
+    ``table[i, j]`` is the index in ``labels`` of member i's value at the j-th
+    point of ``templates.domain_points`` (mixed radix, the last coordinate
+    fastest), in the smallest unsigned dtype that holds ``len(labels)``,
+    passed in or else evaluated once per member and point.  ``dims`` reads
+    only the table.  A value outside ``labels`` or a duplicate member raises
+    ValueError.  A class may carry a pure ERM oracle ``erm(x, y) ->
+    Hypothesis`` that returns a member of least empirical loss.
     """
 
     k: int
     template: object
     labels: tuple
-    members: tuple = None
+    members: tuple
     name: str = ""
     erm: object = field(default=None, compare=False)
     table: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.members is not None and self.table is None:
+        if self.table is None:
             index = {v: i for i, v in enumerate(self.labels)}
             points = templates.domain_points(self.template, self.k)
             cells = [index.get(h(x), -1) for h in self.members for x in points]
@@ -159,26 +159,17 @@ class HypothesisClass:
             table = np.array(cells, np.min_scalar_type(len(self.labels)))
             object.__setattr__(self, "table", table.reshape(-1, len(points)))
         if self.members and len(distinct_rows(self.table)) < len(self.members):
-            raise ValueError("duplicate hypothesis in explicit class")
+            raise ValueError("duplicate hypothesis in class")
 
     @property
     def partite(self):
         return self.template.partite
 
-    @property
-    def explicit(self):
-        return self.members is not None
-
     def __iter__(self):
-        return iter(self._member_list())
+        return iter(self.members)
 
     def __len__(self):
-        return len(self._member_list())
-
-    def _member_list(self):
-        if not self.explicit:
-            raise ValueError("class is structured; no member list")
-        return self.members
+        return len(self.members)
 
 
 def partize_class(H):

@@ -46,17 +46,17 @@ class Learner:
 # empirical risk minimization
 
 
-def erm(cls, ell, use_oracle=True):
+def erm(cls, ell):
     """Exact empirical-loss argmin over the class, in the setting of its
-    template, ties broken by the member order; structured classes may supply
-    a closed-form oracle."""
-    if not cls.members and (cls.erm is None or not use_oracle):
-        raise ValueError("class has neither members nor an ERM oracle")
+    template, ties broken by the member order, or the class's ERM oracle when
+    it carries one.  A class with no members raises ValueError."""
+    if not cls.members:
+        raise ValueError("class has no members")
 
     def fn(x, y, b):
+        if cls.erm is not None:
+            return cls.erm(x, y)
         m = sample_size(x)
-        if use_oracle and cls.erm is not None:
-            return cls.erm(x, y, m)
         best = None
         for i, H in enumerate(cls.members):
             loss = losses.empirical_loss(x, y, ell, H, m)

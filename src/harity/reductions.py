@@ -444,21 +444,23 @@ def strip_dummy(A, anchors):
 
 def extend_codomain(cls, extra_labels):
     """The same class over an enlarged label set, plus the learner transfer
-    that replaces out-of-range labels by the class's first label."""
+    that replaces out-of-range labels by the class's first label.  The
+    class's oracle, if any, answers with the extended member at the position
+    of the original's answer."""
     labels2 = cls.labels + tuple(extra_labels)
-    members2 = None
-    if cls.explicit:
-        members2 = tuple(
-            Hypothesis(H.k, H.template, labels2, H.fn, H.name, H.declared_rank)
-            for H in cls.members
-        )
+    members2 = tuple(
+        Hypothesis(H.k, H.template, labels2, H.fn, H.name, H.declared_rank)
+        for H in cls.members
+    )
+    erm2 = None
+    if cls.erm is not None:
+        extended = {id(H): H2 for H, H2 in zip(cls.members, members2)}
+
+        def erm2(x, y):
+            return extended[id(cls.erm(x, y))]
+
     cls2 = HypothesisClass(
-        cls.k,
-        cls.template,
-        labels2,
-        members2,
-        name=cls.name + "+ext",
-        erm=cls.erm,
+        cls.k, cls.template, labels2, members2, name=cls.name + "+ext", erm=erm2
     )
     fill = cls.labels[0]
     known = set(cls.labels)

@@ -306,7 +306,7 @@ def test_criterion_10_rank2_pac():
         r = sampler.stream("c10-xc", t)
         x = sampler.sample_partite_config(mu, 3, r)
         y = star_partite(F, x, 3)
-        H = cls.erm(x, y, 3)
+        H = cls.erm(x, y)
         x2 = np.array([x[((2, j),)] for j in range(1, 4)])
         x12 = np.array(
             [[x[((1, i), (2, j))] for j in range(1, 4)] for i in range(1, 4)]
@@ -380,7 +380,7 @@ def test_criterion_12_derandomization():
     def a_fn(x, y, b):
         if b < 3:
             return const1
-        return cls.erm(x, y, learners.sample_size(x))
+        return cls.erm(x, y)
 
     A = learners.Learner(2, a_fn, lambda m: 4, name="mixed")
     m_rand = lambda e, d: 8 / min(e, d)  # noqa: E731

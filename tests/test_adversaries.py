@@ -24,7 +24,12 @@ def test_nfl_lower_bound_values():
 
 def test_shattered_scenario_structure():
     sc = adversaries.shattered_scenario(4)
-    assert len(sc.cls) == 2**4
+    tables = {
+        tuple(sc.hypothesis(B).table().items())
+        for r in range(5)
+        for B in combinations(range(4), r)
+    }
+    assert len(tables) == 2**4
     H = sc.hypothesis({1, 3})
     for a in range(4):
         assert H({(1,): a}) == (1 if a in {1, 3} else 0)
@@ -33,16 +38,18 @@ def test_shattered_scenario_structure():
 
 
 def test_shattered_erm_is_consistent():
-    sc = adversaries.shattered_scenario(5)
-    ell = losses.zero_one_loss(sc.labels, 1)
-    for t in range(10):
-        rng = sampler.stream("nfl-erm", t)
-        B = {a for a in range(5) if rng.random() < 0.5}
-        F = sc.hypothesis(B)
-        scen = sampler.Scenario(sc.mu, F)
-        x, y = sampler.labeled_sample(scen, 3, rng)
-        H = sc.cls.erm(x, y, 3)
-        assert losses.empirical_loss_nonpartite(x, y, ell, H, 3) == 0
+    # d = 13 is above EXPLICIT_CAP, where the search samples B
+    for d in (5, 13):
+        sc = adversaries.shattered_scenario(d)
+        ell = losses.zero_one_loss(sc.labels, 1)
+        for t in range(10):
+            rng = sampler.stream("nfl-erm", t)
+            B = {a for a in range(d) if rng.random() < 0.5}
+            F = sc.hypothesis(B)
+            scen = sampler.Scenario(sc.mu, F)
+            x, y = sampler.labeled_sample(scen, 3, rng)
+            H = sc.erm(x, y)
+            assert losses.empirical_loss_nonpartite(x, y, ell, H, 3) == 0
 
 
 def test_nfl_worst_F_returns_hard_instance():

@@ -1,8 +1,9 @@
-"""The class table: every explicit class holds its members' label indices
+"""The class table: every class holds its members' label indices
 over ``templates.domain_points``, filled once when it is built, and the
 dimension machinery reads that table instead of calling members."""
 
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,8 +32,17 @@ def _closure_built():
     return [
         pytest.param(lambda: partize_class(matching), id="partized"),
         pytest.param(lambda: reductions.tag_class(matching, 2), id="tagged"),
-        pytest.param(lambda: adversaries.shattered_scenario(4).cls, id="shattered"),
+        pytest.param(lambda: _shattered(4), id="shattered"),
     ]
+
+
+def _shattered(d):
+    """The class {F_B : B a subset of [d]} of ``shattered_scenario(d)``."""
+    sc = adversaries.shattered_scenario(d)
+    members = tuple(
+        sc.hypothesis(B) for r in range(d + 1) for B in combinations(range(d), r)
+    )
+    return HypothesisClass(1, sc.template, sc.labels, members, name=f"shattered({d})")
 
 
 def _parity():
@@ -142,12 +152,12 @@ def test_duplicates_are_refused_from_either_fill():
     t = templates.Template(1, (3,))
     a = Hypothesis(1, t, (0, 1), lambda x: x[(1,)] % 2, name="a")
     b = Hypothesis(1, t, (0, 1), lambda x: int(x[(1,)] in (1,)), name="b")
-    with pytest.raises(ValueError, match="duplicate hypothesis in explicit class"):
+    with pytest.raises(ValueError, match="duplicate hypothesis in class"):
         HypothesisClass(1, t, (0, 1), (a, b))
     cls = families.matching_family(2).cls
     twice = np.vstack([cls.table, cls.table[:1]])
     members = cls.members + cls.members[:1]
-    with pytest.raises(ValueError, match="duplicate hypothesis in explicit class"):
+    with pytest.raises(ValueError, match="duplicate hypothesis in class"):
         HypothesisClass(2, cls.template, (0, 1), members, table=twice)
 
 

@@ -162,6 +162,10 @@ GOLDEN_CSV = [
         "d15d050e5f8032f217e2c33f407fcc1a70cabfb6137f703f99b46e5d1918a9ca",
     ),
     (
+        "nofreelunch --d 14 --m 3 --eps 0.1 --trials 50",
+        "e8c53183a98ab4704207107ad7cdc9e9fdf953fc7b54e8d90c99591ba15ec00c",
+    ),
+    (
         "reduce --direction partize --family matching --n 2",
         "3731f60882604324d920c05a80fa39010795a9564e294e757c7e3cbb746d7497",
     ),

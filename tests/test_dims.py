@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from harity import adversaries, dims, families, sampler, templates
+from harity import dims, families, sampler, templates
 from harity.hypotheses import HypothesisClass, partize_class
 
 
@@ -149,12 +149,6 @@ def test_growth_function_trivia():
     # matching slices have two functions, so tau(m) is 2 for every m >= 1
     for m in (1, 2, 3):
         assert dims.growth_function(cls, m) == 2
-    # slices are read from the member list, so a class without one has none
-    memberless = adversaries.shattered_scenario(13).cls
-    with pytest.raises(ValueError):
-        dims.vcn_k(memberless)
-    with pytest.raises(ValueError):
-        dims.growth_function(memberless, 1)
 
 
 def test_growth_bound_values():

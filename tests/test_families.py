@@ -181,7 +181,7 @@ def _erm_is_argmin(spec, m, trials, seed):
             x = sampler.sample_config(mu, m, rng)
             y = star(F, x, m)
             emp = lambda H: losses.empirical_loss_nonpartite(x, y, ell, H, m)  # noqa: E731
-        chosen = cls.erm(x, y, m)
+        chosen = cls.erm(x, y)
         best = min(emp(H) for H in cls.members)
         assert emp(chosen) == best == 0  # realizable samples
 

@@ -118,13 +118,3 @@ def test_duplicate_members_rejected():
     b = constant_hypothesis(1, t, (0, 1), 0, name="b")
     with pytest.raises(ValueError):
         HypothesisClass(1, t, (0, 1), (a, b))
-
-
-def test_structured_class_iteration_errors():
-    t = templates.Template(1, (2,))
-    cls = HypothesisClass(1, t, (0, 1), None, erm=lambda x, y, m: None)
-    assert not cls.explicit
-    with pytest.raises(ValueError):
-        iter(cls)
-    with pytest.raises(ValueError):
-        len(cls)

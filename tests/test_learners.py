@@ -2,6 +2,7 @@ import math
 import random
 import time
 from contextlib import ExitStack, contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -88,20 +89,20 @@ def test_erm_routes_agree():
     ell = losses.zero_one_loss(cls.labels, 2)
     mu = templates.uniform_prob(cls.template)
     oracle = learners.erm(cls, ell)
-    explicit = learners.erm(cls, ell, use_oracle=False)
+    argmin = learners.erm(replace(cls, erm=None), ell)
     for t in range(10):
         rng = sampler.stream("erm-agree", t)
         F = cls.members[rng.randrange(len(cls))]
         x = sampler.sample_config(mu, 5, rng)
         y = star(F, x, 5)
         a = oracle(x, y, 0)
-        b = explicit(x, y, 0)
+        b = argmin(x, y, 0)
         ea = losses.empirical_loss_nonpartite(x, y, ell, a, 5)
         eb = losses.empirical_loss_nonpartite(x, y, ell, b, 5)
         assert ea == eb == 0
     # a class without members has nothing to minimise over
     empty = HypothesisClass(1, templates.Template(1, (2,)), (0, 1), ())
-    with pytest.raises(ValueError, match="neither members"):
+    with pytest.raises(ValueError, match="no members"):
         learners.erm(empty, losses.zero_one_loss((0, 1), 1))
 
 
@@ -495,7 +496,7 @@ def test_each_check_enumerates_the_law_once(monkeypatch):
     learners.estimate_pac_success(A, sc, ell, 3, Fraction(1, 10), 50, "once")
     assert len(calls) == 1
     calls.clear()
-    learners.check_concentration(sc, nfl.cls.members[5], ell, 3, 0.5, 50, "once")
+    learners.check_concentration(sc, nfl.hypothesis({4}), ell, 3, 0.5, 50, "once")
     assert len(calls) == 1
     calls.clear()
     match = families.matching_family(2).cls
@@ -626,6 +627,28 @@ def test_derandomize_deterministic_and_fallback():
     assert H1 is H2
 
 
+def test_derandomize_holdout_is_the_argmin():
+    # without empirical_eval the wrapper materializes the holdout itself
+    sc = adversaries.shattered_scenario(4)
+    ell = losses.zero_one_loss(sc.labels, 1)
+    F = sc.hypothesis({0, 3})
+    # none equals F, and each misses it on a different number of points
+    candidates = [sc.hypothesis(B) for B in ({1, 2}, set(), {0}, {1})]
+    A = learners.Learner(1, lambda x, y, b: candidates[b], lambda m: 4, name="pick")
+    D = learners.derandomize(A, _m_rand, ell, F)
+    m = 60
+    _, m1 = learners.split_for(m, _m_rand, A.r, 1, "nonpartite")
+    assert 0 < m1 < m
+    for t in range(3):
+        rng = sampler.stream("dr-holdout", t)
+        x, y = sampler.labeled_sample(sampler.Scenario(sc.mu, F), m, rng)
+        _, _, x2, y2 = learners._split(x, y, m1, m, 1)
+        holdout = [losses.empirical_loss(x2, y2, ell, H, m - m1) for H in candidates]
+        best = holdout.index(min(holdout))
+        assert best != 0
+        assert D(x, y) is candidates[best]
+
+
 def test_infvcn_m_pac_frozen():
     assert learners.infvcn_m_pac(0.2, 0.2) == pytest.approx(
         200.97032471472255, rel=1e-9
@@ -663,7 +686,7 @@ def test_the_setting_is_read_from_the_data():
     assert type(m) is int and m == 5
     # every ERM name runs in the class's own setting
     assert learners.erm_nonpartite is learners.erm_partite is learners.erm
-    G = learners.erm(ho, ell, use_oracle=False)(x, y)
+    G = learners.erm(replace(ho, erm=None), ell)(x, y)
     assert losses.empirical_loss_partite(x, y, ell, G, m) == 0
 
 

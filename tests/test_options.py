@@ -1,8 +1,9 @@
 """Every option has a caller: each parameter with a default, on a top-level
-function or method in ``src/harity`` (dunders aside), is passed by keyword or
-by position in some call in ``src/``, ``tests/`` or ``perfbench/``.  A default
-that no call overrides is a constant: make it one, or add the parameter to
-ALLOWED with its reason.
+function or method in ``src/harity`` (dunders aside), and each field with a
+default of a top-level dataclass there (a parameter of its constructor), is
+passed by keyword or by position in some call in ``src/``, ``tests/`` or
+``perfbench/``.  A default that no call overrides is a constant: make it one,
+or add the parameter to ALLOWED with its reason.
 
 Calls match by the bare name of the function or attribute called, so two
 functions that share a name share their calls: a clash can hide an unused
@@ -38,9 +39,39 @@ def _functions(tree):
                     yield f"{node.name}.{item.name}", item, 1
 
 
+def _is_dataclass(node):
+    return any(
+        getattr(d, "id", None) == "dataclass"
+        or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _fields(node):
+    """A dataclass's constructor parameters in order, each with whether it
+    has a default (``init=False`` fields are not parameters)."""
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {kw.arg: kw.value for kw in value.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            yield item.target.id, bool({"default", "default_factory"} & keywords.keys())
+        else:
+            yield item.target.id, value is not None
+
+
 def options(tree):
     """(name, parameter, position) for each parameter with a default, where
-    position is the index a call passes it at, or None if keyword-only."""
+    position is the index a call passes it at, or None if keyword-only; a
+    dataclass field is a parameter of the class's own name."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for i, (param, has_default) in enumerate(_fields(node)):
+                if has_default:
+                    yield node.name, param, i
     for name, node, skip in _functions(tree):
         args = node.args
         positional = args.posonlyargs + args.args
@@ -105,8 +136,19 @@ def test_the_check_sees_a_planted_option():
         "class K:\n"
         "    def m(self, a=1, b=2):\n        pass\n"
         "    def __init__(self, a=1):\n        pass\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    a: int\n"
+        "    b: object = field(compare=False)\n"
+        "    c: int = 1\n"
+        "    d: object = field(default=None, compare=False)\n"
+        "    e: int = field(default=0, init=False)\n"
     )
     callers = calls(
-        [ast.parse("f(0, c=3)\ng(0, 1)\nh(*xs)\nmod.i(**kw)\nK().m(0)\n")]
+        [ast.parse("f(0, c=3)\ng(0, 1)\nh(*xs)\nmod.i(**kw)\nK().m(0)\nD(0, 1, 2)\n")]
     )
-    assert unused_options({"mod": defined}, callers) == {"mod.f.b", "mod.K.m.b"}
+    assert unused_options({"mod": defined}, callers) == {
+        "mod.f.b",
+        "mod.K.m.b",
+        "mod.D.d",
+    }

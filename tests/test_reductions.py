@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -428,3 +429,24 @@ def test_extend_codomain():
     A2 = transfer(A)
     A2({(1,): 0, (2,): 0, (1, 2): 0}, {(1, 2): 2, (2, 1): 1}, 0)
     assert seen[0] == {(1, 2): 0, (2, 1): 1}
+
+
+def test_extend_codomain_oracle_answers_with_an_extended_member():
+    cls = families.matching_family(2).cls
+    cls2, _ = reductions.extend_codomain(cls, (2,))
+    ell = losses.zero_one_loss(cls2.labels, 2)
+    mu = templates.uniform_prob(cls.template)
+    oracle = learners.erm(cls2, ell)
+    argmin = learners.erm(replace(cls2, erm=None), ell)
+    for t in range(5):
+        rng = sampler.stream("ext-erm", t)
+        F = cls2.members[rng.randrange(len(cls2))]
+        x = sampler.sample_config(mu, 4, rng)
+        y = star(F, x, 4)
+        H = oracle(x, y)
+        assert any(H is G for G in cls2.members)
+        assert H.labels == cls2.labels
+        G = argmin(x, y)
+        assert losses.empirical_loss(x, y, ell, H, 4) == losses.empirical_loss(
+            x, y, ell, G, 4
+        )
