@@ -180,7 +180,6 @@ class SliceNonlearnScenario:
 
         return losses.LossFn(
             1,
-            "partite",
             self.cls.labels,
             fn,
             name="slice-capped",
@@ -377,7 +376,6 @@ class PartitionAdversary:
 
         return losses.LossFn(
             1,
-            "partite",
             (0, 1),
             fn,
             name="pf-prime",

@@ -163,15 +163,14 @@ def _family(merged):
 
 
 def _scenario(merged):
-    """The class, the uniform scenario of the chosen member, and the 0/1 loss
-    in the class's setting."""
+    """The class, the uniform scenario of the chosen member, and the 0/1
+    loss."""
     cls = _family(merged).cls
     member = merged.get("member", 0)
     if not 0 <= member < len(cls.members):
         raise click.UsageError(f"member must lie in [0, {len(cls.members)})")
     sc = sampler.Scenario(templates.uniform_prob(cls.template), cls.members[member])
-    setting = "partite" if cls.partite else "nonpartite"
-    return cls, sc, losses.zero_one_loss(cls.labels, cls.k, setting=setting)
+    return cls, sc, losses.zero_one_loss(cls.labels, cls.k)
 
 
 def _emit(out, command, merged, rows, header, started):
@@ -380,11 +379,10 @@ def reduce_cmd(merged):
         mu = templates.uniform_prob(cls.template)
         F, H = cls.members[0], cls.members[-1]
         before = losses.total_loss(mu, F, ell, H)
-        ellp = losses.zero_one_loss(cls.labels, cls.k, setting="partite")
         after = losses.total_loss_partite(
             templates.partize_prob(mu, cls.k),
             partize_hypothesis(F),
-            ellp,
+            ell,
             partize_hypothesis(H),
         )
         rows = [

@@ -78,8 +78,8 @@ class PairContext:
     ranks of mu's unary values."""
 
     def __init__(self, mu, F, ell):
-        if ell.k != 2 or ell.setting != "nonpartite":
-            raise ValueError("pair context needs a non-partite binary loss")
+        if ell.k != 2 or mu.template.partite:
+            raise ValueError("pair context needs a binary loss on a plain template")
         self._args = (mu, F, ell)
         self._values, self._cum = _support(mu.weights[0])
         self.n = len(self._values)
@@ -140,8 +140,8 @@ class TwoPartiteContext:
     count of each (part-1, part-2, cross) triple of support ranks."""
 
     def __init__(self, mu, F, ell):
-        if ell.k != 2 or ell.setting != "partite":
-            raise ValueError("needs a 2-partite loss")
+        if ell.k != 2 or not mu.template.partite:
+            raise ValueError("needs a binary loss on a partite template")
         self._args = (mu, F, ell)
         self._cum1, self._cum2, self._cum12 = (
             _support(mu.weights[a])[1] for a in ((1,), (2,), (1, 2))

@@ -5,7 +5,8 @@ A ``Learner`` maps a visible sample plus a randomness index ``b`` in
 ``[R(m)]`` to a hypothesis; ``R`` identically 1 means deterministic.  A
 learner carries no setting flag: sample sizes and the setting are read from
 the sample's keys, and ``erm`` reads the class's template, so learners compose
-without extra plumbing.
+without extra plumbing.  The concentration constant K, and with it every
+derandomization size, is read from a template (``concentration_constant``).
 
 Every Monte Carlo check reads each hypothesis's exact total from one plan of
 its law (``_plan``); the uniform-convergence and concentration checks take
@@ -189,14 +190,16 @@ def check_uniform_convergence(sc, cls, ell, m, eps, trials, seed):
 # concentration
 
 
-def concentration_constant(k, setting):
-    return k * k if setting == "nonpartite" else k
+def concentration_constant(k, template):
+    """K = k times the template's arity-k domain size in vertices: k^2 for a
+    plain template, k for a partite one (one vertex per part)."""
+    return k * template.domain(k)[0]
 
 
-def concentration_bound(eps, m, k, setting, sup_norm=1):
+def concentration_bound(eps, m, k, template, sup_norm=1):
     """2 exp(-eps^2 m / (2 K sup^2)) with K = k^2 (non-partite) or k
     (partite)."""
-    K = concentration_constant(k, setting)
+    K = concentration_constant(k, template)
     return 2 * math.exp(-float(eps) ** 2 * m / (2 * K * float(sup_norm) ** 2))
 
 
@@ -222,24 +225,24 @@ def xi(eps, delta):
     return min(Fraction(1, math.ceil(2 / eps)), Fraction(1, math.ceil(2 / delta)))
 
 
-def derandomized_sample_size(m_rand, r, k, setting, sup_norm, eps, delta):
+def derandomized_sample_size(m_rand, r, k, template, sup_norm, eps, delta):
     """Sample size of the derandomized learner: run the randomized learner at
     accuracy xi on a prefix, then select on a holdout sized by the
     concentration bound and the randomness count."""
     x = xi(eps, delta)
     M = math.ceil(m_rand(x, x))
-    K = concentration_constant(k, setting)
+    K = concentration_constant(k, template)
     extra = math.ceil(
         2 * K * float(sup_norm) ** 2 / float(x) ** 2 * math.log(2 * r(M) / float(x))
     )
     return M + extra
 
 
-def derandomized_sample_size_simple(m_rand, r, k, setting, sup_norm, eps):
+def derandomized_sample_size_simple(m_rand, r, k, template, sup_norm, eps):
     """The eps = delta special case in its standalone displayed form."""
     t = math.ceil(2 / Fraction(eps))
     M = math.ceil(m_rand(Fraction(1, t), Fraction(1, t)))
-    K = concentration_constant(k, setting)
+    K = concentration_constant(k, template)
     return M + math.ceil(
         2 * K * float(sup_norm) ** 2 * t * t * math.log(2 * t * r(M))
     )
@@ -250,11 +253,11 @@ SPLIT_S_CAP = 10**6
 RANDOMNESS_CAP = 2**20
 
 
-def split_for(m, m_rand, r, k, setting, sup_norm=1):
+def split_for(m, m_rand, r, k, template, sup_norm=1):
     """Largest s (with its prefix size m1) such that
     m1(s) + ceil(8 K sup^2 s^2 ln(4 s R(m1))) <= m; None when even s = 1
     fails.  Scans upward and stops at the first failure; R(m1) is capped."""
-    K = concentration_constant(k, setting)
+    K = concentration_constant(k, template)
     best = None
     s = 1
     while s <= SPLIT_S_CAP:
@@ -299,7 +302,8 @@ def derandomize(A, m_rand, ell, fallback, empirical_eval=None):
     """Deterministic wrapper: split the sample, run A on the prefix under
     every randomness index, and return the candidate with the smallest
     empirical loss on the holdout (smallest index on ties); the split is
-    sized by the loss's sup norm.  Degenerate sizes fall back to a fixed
+    sized by the loss's sup norm and the concentration constant of the
+    fallback's template.  Degenerate sizes fall back to that fixed
     hypothesis.
 
     ``empirical_eval(H, x, y, lo, hi)``, when given, evaluates a candidate on
@@ -309,7 +313,7 @@ def derandomize(A, m_rand, ell, fallback, empirical_eval=None):
 
     def fn(x, y, b):
         m = sample_size(x)
-        sp = split_for(m, m_rand, A.r, A.k, ell.setting, sup)
+        sp = split_for(m, m_rand, A.r, A.k, fallback.template, sup)
         if sp is None:
             return fallback
         _, m1 = sp
@@ -353,7 +357,7 @@ def infvcn_learner(n_max):
     from . import families
 
     spec = families.highorder_family(n_max)
-    ell = losses.zero_one_loss((0, 1), 2, setting="partite")
+    ell = losses.zero_one_loss((0, 1), 2)
     A = erm(spec.cls, ell)
     return spec.cls, A, infvcn_m_pac
 

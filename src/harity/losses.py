@@ -4,14 +4,16 @@ neutral symbols, and Bayes predictors.
 
 Non-partite losses consume full label patterns: a pattern is a tuple over the
 canonical enumeration of S_k (see ``hypotheses.perms``), i.e. an element of
-Lambda^{S_k}.  Partite losses consume single labels.  Both are read through
-the template's rules, so no loss computation here branches on the setting.
+Lambda^{S_k}.  Partite losses consume single labels.  A loss or witness does
+not name its setting: patterns, noise keys and the averaged constant are read
+from a template's rules (``orbit``, ``read``, ``index``, ``domain``), so no
+loss computation here branches on the setting.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm, perm
+from math import lcm
 from operator import mul
 
 from . import indexing, sampler, templates
@@ -27,7 +29,6 @@ class LossFn:
     ``symmetric`` is documentation only; ``loss_metadata`` recomputes it."""
 
     k: int
-    setting: str  # "nonpartite" | "partite"
     labels: tuple
     fn: object = field(compare=False)
     name: str = ""
@@ -41,16 +42,16 @@ class LossFn:
 
 def loss_metadata(ell, template):
     """Recompute sup norm, separation, and symmetry exhaustively over every
-    pattern in Lambda^{S_k} (non-partite) or label in Lambda (partite).
+    read of labels over the template's domain orbit: a pattern in
+    Lambda^{S_k}, or a label in Lambda when the orbit is one point (S_k
+    symmetry is checked only over a longer orbit).
     Returns (sup_norm, separation, symmetric).
     """
-    points = templates.domain_points(template, ell.k)
-    if ell.setting == "partite":
-        pats = list(ell.labels)
-        sym_perms = ()
-    else:
-        pats = list(product(ell.labels, repeat=len(perms(ell.k))))
-        sym_perms = perms(ell.k)
+    t = template
+    points = templates.domain_points(t, ell.k)
+    n = len(t.domain(ell.k)[1])
+    pats = [t.read(lambda v: v, y) for y in product(ell.labels, repeat=n)]
+    sym_perms = perms(ell.k) if n > 1 else ()
     sup = Fraction(0)
     sep = None
     symmetric = True
@@ -79,11 +80,12 @@ def permute_pattern(y, sigma, k):
     return tuple(y[index[indexing.compose(sigma, tau)]] for tau in ps)
 
 
-def zero_one_loss(labels, k, setting="nonpartite"):
-    """1[y != y'] on full patterns (non-partite) or single labels (partite)."""
+def zero_one_loss(labels, k, setting=None):
+    """1[y != y'] on full patterns (non-partite) or single labels (partite).
+    ``setting`` is ignored: the loss reads either alike.  It stays only
+    because perfbench's workloads pass it."""
     return LossFn(
         k,
-        setting,
         tuple(labels),
         lambda x, y, yp: 0 if y == yp else 1,
         name="01",
@@ -96,7 +98,6 @@ def zero_one_loss(labels, k, setting="nonpartite"):
 @dataclass(frozen=True)
 class AgnosticLossFn:
     k: int
-    setting: str
     labels: tuple
     fn: object = field(compare=False)  # (H, x, y) -> value
     name: str = ""
@@ -111,7 +112,6 @@ def wrap_agnostic(ell):
     fn = lambda H, x, y: ell(x, H.template.label(H, x), y)  # noqa: E731
     return AgnosticLossFn(
         ell.k,
-        ell.setting,
         ell.labels,
         fn,
         name=ell.name + "^ag",
@@ -205,13 +205,12 @@ class FlexibilityWitness:
     """(Sigma, nu, G, N) data for a flexible loss, reduced to what finite
     instances need: the constant averaged loss and the finite noise source N.
 
-    ``noise(x, b, m)`` returns a full label tensor (indexed by injections in
-    the non-partite setting, by k-tuples in the partite one); b ranges over
+    ``noise(x, b, m)`` returns a full label tensor over ``template.index(m,
+    k)`` (injections, or k-tuples in the partite setting); b ranges over
     [R_N(m)].
     """
 
-    k: int
-    setting: str
+    template: object
     labels: tuple
     constant: Fraction
     r_n: object = field(compare=False)  # m -> count
@@ -221,40 +220,32 @@ class FlexibilityWitness:
         return self.constant
 
 
-def flexibility_witness_01(labels, k, setting="nonpartite"):
-    """Witness for the 0/1-loss.
+def flexibility_witness_01(labels, template):
+    """Witness for the 0/1-loss at the template's arity k.
 
-    The averaged loss of a uniformly random pattern is constant:
-    1 - 1/L for k = 1 and the partite setting, 1 - L^{-k!} for k >= 2
-    non-partite (a uniformly random element of Lambda^{S_k} equals any fixed
-    pattern with probability L^{-k!}).  N decodes its index into a uniform
-    label tensor in mixed radix, most-significant entry first.
+    The averaged loss of a uniformly random read over the domain orbit is
+    constant, 1 - L^{-|orbit|}: a uniformly random element of Lambda^{S_k}
+    equals any fixed pattern with probability L^{-k!}, and a partite label
+    (a one-point orbit) any fixed label with probability 1/L.  N decodes its
+    index into a uniform label tensor over ``template.index(m, k)`` in mixed
+    radix, most-significant entry first, so R_N(m) = L^{#index}.
     """
-    L = len(labels)
-    if setting == "partite" or k == 1:
-        constant = Fraction(L - 1, L)
-    else:
-        constant = 1 - Fraction(1, L ** factorial(k))
+    t, k, L = template, template.k, len(labels)
+    constant = 1 - Fraction(1, L ** len(t.domain(k)[1]))
 
     def r_n(m):
-        if setting == "partite":
-            return L ** (m ** k)
-        return L ** perm(m, k)
+        return L ** len(list(t.index(m, k)))
 
     def noise(x, b, m):
-        if setting == "partite":
-            keys = list(product(*(range(1, m + 1) for _ in range(k))))
-        else:
-            keys = indexing.injections(m, k)
         out = {}
-        for key in reversed(keys):
+        for key in reversed(list(t.index(m, k))):
             b, digit = divmod(b, L)
             out[key] = labels[digit]
         if b:
             raise ValueError("randomness index out of range")
         return out
 
-    return FlexibilityWitness(k, setting, tuple(labels), constant, r_n, noise)
+    return FlexibilityWitness(t, tuple(labels), constant, r_n, noise)
 
 
 def extend_with_neutral(ell_ag, witness):
@@ -263,7 +254,7 @@ def extend_with_neutral(ell_ag, witness):
     value, independent of H."""
     labels = ell_ag.labels + (BOTTOM,)
     # a partite label is touched when it is BOTTOM, a pattern when one entry is
-    if ell_ag.setting == "partite":
+    if witness.template.partite:
         touches = lambda y: y == BOTTOM  # noqa: E731
     else:
         touches = lambda y: BOTTOM in y  # noqa: E731
@@ -275,7 +266,6 @@ def extend_with_neutral(ell_ag, witness):
 
     return AgnosticLossFn(
         ell_ag.k,
-        ell_ag.setting,
         labels,
         fn,
         name=ell_ag.name + "+⊥",

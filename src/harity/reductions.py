@@ -21,6 +21,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
 
+import numpy as np
+
 from . import indexing, learners, losses, sampler, templates
 from .hypotheses import (
     Hypothesis,
@@ -395,24 +397,20 @@ def departize_discrete_law(mu_base, mu2_base, F_part, m, k):
 def neutral_symbol_learner(A, witness):
     """Wrap a learner so it tolerates the neutral symbol: before running A,
     every label entry touched by the symbol is replaced by the flexibility
-    witness's noise source (non-partite: an entry is replaced when any
-    injection with the same image carries the symbol; partite: entrywise)."""
+    witness's noise source.  An entry alpha is touched when some entry in
+    its orbit under the witness's template carries the symbol: any injection
+    with alpha's image (non-partite), or alpha alone (partite)."""
+    orbit = witness.template.orbit
 
     def fn(x, y, b):
         m = learners.sample_size(x)
         ba, bn = divmod(b, witness.r_n(m))
         noise = witness.noise(x, bn, m)
-        if witness.setting == "partite":
-            y2 = {
-                alpha: (noise[alpha] if v == BOTTOM else v)
-                for alpha, v in y.items()
-            }
-        else:
-            bad = {frozenset(a) for a, v in y.items() if v == BOTTOM}
-            y2 = {
-                alpha: (noise[alpha] if frozenset(alpha) in bad else v)
-                for alpha, v in y.items()
-            }
+        bad = {a for a, v in y.items() if v == BOTTOM}
+        y2 = {
+            alpha: (noise[alpha] if bad.intersection(orbit(alpha)) else v)
+            for alpha, v in y.items()
+        }
         return A(x, y2, ba)
 
     return learners.Learner(
@@ -444,10 +442,14 @@ def strip_dummy(A, anchors):
 
 def extend_codomain(cls, extra_labels):
     """The same class over an enlarged label set, plus the learner transfer
-    that replaces out-of-range labels by the class's first label.  The
-    class's oracle, if any, answers with the extended member at the position
-    of the original's answer."""
+    that replaces out-of-range labels by the class's first label.  The new
+    labels come last, so the class's table carries over (widened if the
+    label count needs it); an extra label that repeats or is already a class
+    label raises ValueError.  The class's oracle, if any, answers with the
+    extended member at the position of the original's answer."""
     labels2 = cls.labels + tuple(extra_labels)
+    if len(set(labels2)) < len(labels2):
+        raise ValueError("an extra label repeats or is already a class label")
     members2 = tuple(
         Hypothesis(H.k, H.template, labels2, H.fn, H.name, H.declared_rank)
         for H in cls.members
@@ -459,8 +461,9 @@ def extend_codomain(cls, extra_labels):
         def erm2(x, y):
             return extended[id(cls.erm(x, y))]
 
+    table = cls.table.astype(np.min_scalar_type(len(labels2)), copy=False)
     cls2 = HypothesisClass(
-        cls.k, cls.template, labels2, members2, name=cls.name + "+ext", erm=erm2
+        cls.k, cls.template, labels2, members2, cls.name + "+ext", erm2, table
     )
     fill = cls.labels[0]
     known = set(cls.labels)

@@ -154,23 +154,22 @@ def test_criterion_05_concentration():
 
     setups = [
         ("k1-nonpartite", sc_n1, H_n1, losses.zero_one_loss((0, 1), 1), 1),
-        ("k1-partite", sc_p1, H_p1, losses.zero_one_loss((0, 1), 1, setting="partite"), 1),
+        ("k1-partite", sc_p1, H_p1, losses.zero_one_loss((0, 1), 1), 1),
         ("k2-nonpartite", sc_n2, m2.members[0], losses.zero_one_loss(m2.labels, 2), 2),
         (
             "k2-partite",
             sc_p2,
             ho.members[1],
-            losses.zero_one_loss(ho.labels, 2, setting="partite"),
+            losses.zero_one_loss(ho.labels, 2),
             2,
         ),
     ]
     ok = True
     worst = ""
     for name, sc, H, ell, k in setups:
-        setting = "partite" if sc.partite else "nonpartite"
         for m in (8, 16, 32):
             freq = learners.check_concentration(sc, H, ell, m, eps, trials, f"c5/{name}")
-            bound = learners.concentration_bound(eps, m, k, setting)
+            bound = learners.concentration_bound(eps, m, k, sc.mu.template)
             if float(freq) > min(bound, 1.0) + slack:
                 ok = False
                 worst = f"{name} m={m}: {float(freq):.4f} > {bound:.4f}+{slack:.4f}"
@@ -234,7 +233,7 @@ def test_criterion_07_departization_oracle():
             survived += p
             lhs += p * (0 if pattern(Ht, dict(xh)) == (y12, y21) else 1)
     pk = reductions.departize_p(2)
-    ag = losses.wrap_agnostic(losses.zero_one_loss(Fp.labels, 2, setting="partite"))
+    ag = losses.wrap_agnostic(losses.zero_one_loss(Fp.labels, 2))
     l_kpart = losses.total_loss_ag(mup, mu2p, Fp, ag, partize_hypothesis(H))
     rhs = (1 - pk) * C + pk * l_kpart
     ok = law_a == law_b and survived == pk == Fraction(1, 16) and lhs == rhs
@@ -390,7 +389,9 @@ def test_criterion_12_derandomization():
         A, sc, ell, math.ceil(m_rand(eps, delta)), eps, trials, "c12-rand"
     )
 
-    m_der = learners.derandomized_sample_size(m_rand, A.r, 2, "nonpartite", 1, eps, delta)
+    m_der = learners.derandomized_sample_size(
+        m_rand, A.r, 2, const1.template, 1, eps, delta
+    )
     tables = {}
 
     def emp(H, x, y, lo, hi):
@@ -416,7 +417,7 @@ def test_criterion_12_derandomization():
     slack = 3 * _sigma(trials)
     ok = (
         m_der == 2194
-        and learners.split_for(m_der, m_rand, A.r, 2, "nonpartite") == (4, 64)
+        and learners.split_for(m_der, m_rand, A.r, 2, const1.template) == (4, 64)
         and deterministic
         and float(freq_der) >= float(freq_rand) - slack
     )

@@ -112,7 +112,7 @@ def test_nonlearn_wrap_roundtrip():
 
 def test_nonlearn_loss_prime_capped():
     sc = _slice_scenario()
-    base = losses.zero_one_loss(sc.cls.labels, sc.cls.k, setting="partite")
+    base = losses.zero_one_loss(sc.cls.labels, sc.cls.k)
     ell = sc.loss_prime(base)
     u = sc.cls.labels[0]
     up = sc.cls.labels[-1]
@@ -236,7 +236,7 @@ def test_adversary_graph_identity():
 
 def test_loss_prime_halves_and_mu_hat():
     spec, adv = _dist_adversary()
-    base = losses.zero_one_loss((0, 1), 2, setting="partite")
+    base = losses.zero_one_loss((0, 1), 2)
     ell = adv.loss_prime(base)
     assert ell({(1,): 3}, 0, 0) == 0
     assert ell({(1,): 3}, 0, 1) == Fraction(1, 2)

@@ -32,6 +32,9 @@ def _closure_built():
     return [
         pytest.param(lambda: partize_class(matching), id="partized"),
         pytest.param(lambda: reductions.tag_class(matching, 2), id="tagged"),
+        pytest.param(
+            lambda: reductions.extend_codomain(matching, (2, "z"))[0], id="extended"
+        ),
         pytest.param(lambda: _shattered(4), id="shattered"),
     ]
 
@@ -137,6 +140,23 @@ def test_an_indicator_class_calls_no_member(calls, build):
     assert sum(calls.values()) == 0
     _read_everything(cls)
     assert sum(calls.values()) == 0
+
+
+def test_an_extended_class_carries_the_table_over(calls):
+    cls = families.matching_family(3).cls
+    ext, _ = reductions.extend_codomain(cls, (2,))
+    assert sum(calls.values()) == 0
+    assert ext.table.dtype == cls.table.dtype and (ext.table == cls.table).all()
+    # 255 labels fit uint8 and 256 do not, so the carried table is widened
+    t = templates.Template(1, (3,))
+    labels = tuple(range(255))
+    H = Hypothesis(1, t, labels, lambda x: 254 - x[(1,)], name="top")
+    cls = HypothesisClass(1, t, labels, (H,))
+    calls.clear()
+    ext, _ = reductions.extend_codomain(cls, (255,))
+    assert sum(calls.values()) == 0
+    assert (cls.table.dtype, ext.table.dtype) == (np.uint8, np.uint16)
+    assert ext.table.tolist() == cls.table.tolist() == [[254, 253, 252]]
 
 
 def test_member_values_outside_the_labels_are_refused():

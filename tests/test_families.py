@@ -164,8 +164,7 @@ def test_members_match_their_written_out_definition(build, expected):
 
 def _erm_is_argmin(spec, m, trials, seed):
     cls = spec.cls
-    setting = "partite" if cls.partite else "nonpartite"
-    ell = losses.zero_one_loss(cls.labels, cls.k, setting=setting)
+    ell = losses.zero_one_loss(cls.labels, cls.k)
     if cls.partite:
         mu = templates.uniform_partite_prob(cls.template)
     else:

@@ -60,7 +60,6 @@ def test_pair_rejects_asymmetric_loss():
     cls, mu, F, _, _ = _matching_ctx()
     bad = losses.LossFn(
         2,
-        "nonpartite",
         (0, 1),
         lambda x, y, yp: 1 if y[0] != yp[0] else 0,
         name="left-only",
@@ -96,7 +95,7 @@ def _two_partite_setup():
     mu = templates.uniform_partite_prob(cls.template)
     F = cls.members[-1]
     H = cls.members[1]
-    ell = losses.zero_one_loss(cls.labels, 2, setting="partite")
+    ell = losses.zero_one_loss(cls.labels, 2)
     return cls, mu, F, H, ell
 
 
@@ -126,10 +125,16 @@ def test_two_partite_draw_matches_generic():
         )
 
 
-def test_two_partite_rejects_nonpartite_loss():
-    cls, mu, F, H, _ = _two_partite_setup()
-    with pytest.raises(ValueError):
-        fastpath.TwoPartiteContext(mu, F, losses.zero_one_loss((0, 1), 2))
+def test_contexts_reject_the_other_setting():
+    # the setting is mu's template's; a loss names none
+    cls, mu, F, H, ell = _two_partite_setup()
+    with pytest.raises(ValueError, match="loss on a"):
+        fastpath.PairContext(mu, F, ell)
+    with pytest.raises(ValueError, match="loss on a"):
+        fastpath.TwoPartiteContext(mu, F, losses.zero_one_loss((0, 1), 1))
+    _, mu, F, _, ell = _matching_ctx()
+    with pytest.raises(ValueError, match="loss on a"):
+        fastpath.TwoPartiteContext(mu, F, ell)
 
 
 def test_contexts_refuse_a_sample_without_units():
@@ -205,16 +210,15 @@ def test_pair_draw_matches_generic_on_a_skewed_mu():
         assert 1 not in u
 
 
-def _table_loss(setting, labels, table):
+def _table_loss(partite, labels, table):
     """A binary loss read from table[(H's label, F's label)] at the unit's
     first entry (partite losses get single labels)."""
 
     def first(y):
-        return y if setting == "partite" else y[0]
+        return y if partite else y[0]
 
     return losses.LossFn(
         2,
-        setting,
         labels,
         lambda x, y, yp: table[(first(y), first(yp))],
         name="table",
@@ -230,7 +234,7 @@ def test_pair_empirical_scales_mixed_denominators():
     cls = families.matching_family(2).cls
     mu = templates.uniform_prob(cls.template)
     F = cls.members[1]
-    ell = _table_loss("nonpartite", cls.labels, MIXED)
+    ell = _table_loss(False, cls.labels, MIXED)
     ctx = fastpath.PairContext(mu, F, ell)
     sc = sampler.Scenario(mu, F)
     for t in range(10):
@@ -245,7 +249,7 @@ def test_pair_empirical_scales_mixed_denominators():
 def test_two_partite_empirical_scales_mixed_denominators():
     cls, mu, F, _, _ = _two_partite_setup()
     F = cls.members[3]
-    ell = _table_loss("partite", cls.labels, MIXED)
+    ell = _table_loss(True, cls.labels, MIXED)
     ctx = fastpath.TwoPartiteContext(mu, F, ell)
     sc = sampler.Scenario(mu, F)
     for t in range(10):
@@ -260,7 +264,7 @@ def test_two_partite_empirical_scales_mixed_denominators():
 def test_pair_refuses_a_float_loss():
     cls = families.matching_family(2).cls
     mu = templates.uniform_prob(cls.template)
-    ell = _table_loss("nonpartite", cls.labels, FLOAT)
+    ell = _table_loss(False, cls.labels, FLOAT)
     ctx = fastpath.PairContext(mu, cls.members[-1], ell)
     with pytest.raises(TypeError):
         ctx.loss_table(cls.members[0])
@@ -268,6 +272,6 @@ def test_pair_refuses_a_float_loss():
 
 def test_two_partite_refuses_a_float_loss():
     cls, mu, F, H, _ = _two_partite_setup()
-    ctx = fastpath.TwoPartiteContext(mu, F, _table_loss("partite", cls.labels, FLOAT))
+    ctx = fastpath.TwoPartiteContext(mu, F, _table_loss(True, cls.labels, FLOAT))
     with pytest.raises(TypeError):
         ctx.loss_table(cls.members[0])

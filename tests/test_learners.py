@@ -27,6 +27,9 @@ def _m_rand(e, d):
     return 8 / min(e, d)
 
 
+PLAIN_2 = templates.Template(2, (1, 1))
+
+
 def test_size_helpers():
     assert learners.sample_size({(1,): 0, (2,): 0, (1, 2): 0}) == 2
     x = {((1, 1),): 0, ((2, 3),): 0, ((1, 1), (2, 3)): 0}
@@ -76,9 +79,9 @@ def test_xi_frozen():
 
 
 def test_concentration_bound_frozen():
-    assert learners.concentration_constant(2, "nonpartite") == 4
-    assert learners.concentration_constant(2, "partite") == 2
-    assert learners.concentration_bound(0.25, 32, 1, "nonpartite") == (
+    assert learners.concentration_constant(2, PLAIN_2) == 4
+    assert learners.concentration_constant(2, templates.partize_template(PLAIN_2, 2)) == 2
+    assert learners.concentration_bound(0.25, 32, 1, PLAIN_2) == (
         pytest.approx(0.7357588823428847, rel=1e-12)
     )
 
@@ -145,7 +148,7 @@ def test_uc_fast_route_equals_manual_generic(monkeypatch):
                 templates.uniform_partite_prob(ho.template), ho.members[-1]
             ),
             ho,
-            losses.zero_one_loss(ho.labels, 2, setting="partite"),
+            losses.zero_one_loss(ho.labels, 2),
         ),
     ]
     m = 8
@@ -170,7 +173,7 @@ def test_two_partite_uc_check_builds_one_context(monkeypatch):
     # check's report equals the one the generic route gives
     ho = families.highorder_family(3).cls
     sc = sampler.Scenario(templates.uniform_prob(ho.template), ho.members[-1])
-    ell = losses.zero_one_loss(ho.labels, 2, setting="partite")
+    ell = losses.zero_one_loss(ho.labels, 2)
     args = (sc, ho, ell, 4, Fraction(1, 8), 12, "one-ctx")
     built = []
     init = fastpath.TwoPartiteContext.__init__
@@ -259,7 +262,6 @@ def test_a_loss_named_01_that_reads_the_pair_value(monkeypatch):
     t = templates.Template(2, (2, 2))
     ell = losses.LossFn(
         2,
-        "nonpartite",
         (0, 1),
         lambda x, y, yp: int(y != yp and x[(1, 2)] == 0),
         name="01",
@@ -347,7 +349,7 @@ def _k2_instances(draw):
         fn = lambda x, y, yp: table[canonical_key(x), y, yp]  # noqa: E731
     if t.partite:
         fn = lambda x, y, yp, f=fn: f(x, (y,), (yp,))  # noqa: E731
-    ell = losses.LossFn(2, "partite" if t.partite else "nonpartite", (0, 1), fn)
+    ell = losses.LossFn(2, (0, 1), fn)
 
     def weights(n):
         # zero weights allowed, with at least one positive weight per space
@@ -462,7 +464,7 @@ def _agnostic_point_mass_scenarios():
     return (sc1, t, losses.zero_one_loss((0, 1), 1)), (
         sc2,
         pt,
-        losses.zero_one_loss((0, 1), 2, setting="partite"),
+        losses.zero_one_loss((0, 1), 2),
     )
 
 
@@ -526,28 +528,28 @@ def test_check_concentration_within_bound():
     sc = sampler.Scenario(mu, F)
     trials = 400
     freq = learners.check_concentration(sc, H, ell, 16, 0.5, trials, "conc")
-    bound = learners.concentration_bound(0.5, 16, 1, "nonpartite")
+    bound = learners.concentration_bound(0.5, 16, 1, t)
     assert float(freq) <= bound + 3 * math.sqrt(0.25 / trials)
 
 
 def test_derandomized_sizes_frozen():
     r = lambda m: 4  # noqa: E731
     assert (
-        learners.derandomized_sample_size(_m_rand, r, 2, "nonpartite", 1, 0.25, 0.25)
+        learners.derandomized_sample_size(_m_rand, r, 2, PLAIN_2, 1, 0.25, 0.25)
         == 2194
     )
     assert (
-        learners.derandomized_sample_size_simple(_m_rand, r, 2, "nonpartite", 1, 0.25)
+        learners.derandomized_sample_size_simple(_m_rand, r, 2, PLAIN_2, 1, 0.25)
         == 2194
     )
-    assert learners.split_for(2194, _m_rand, r, 2, "nonpartite") == (4, 64)
-    assert learners.split_for(10, _m_rand, r, 2, "nonpartite") is None
+    assert learners.split_for(2194, _m_rand, r, 2, PLAIN_2) == (4, 64)
+    assert learners.split_for(10, _m_rand, r, 2, PLAIN_2) is None
 
 
 def test_split_for_randomness_cap():
     r = lambda m: 2**30  # noqa: E731
     with pytest.raises(ValueError):
-        learners.split_for(10**6, _m_rand, r, 2, "nonpartite")
+        learners.split_for(10**6, _m_rand, r, 2, PLAIN_2)
 
 
 def test_split_nonpartite_shapes():
@@ -618,7 +620,7 @@ def test_derandomize_deterministic_and_fallback():
     y = fastpath.LazyPairLabels(ctx.ftable, u)
     assert D(x, y, 0) is fallback
     # feasible size: the holdout argmin, computed twice, is identical
-    m = learners.derandomized_sample_size(_m_rand, A.r, 2, "nonpartite", 1, 0.5, 0.5)
+    m = learners.derandomized_sample_size(_m_rand, A.r, 2, cls.template, 1, 0.5, 0.5)
     u = ctx.draw_unary(sampler.stream("dr", 1), m)
     x = {(i,): v for i, v in enumerate(u, start=1)}
     y = fastpath.LazyPairLabels(ctx.ftable, u)
@@ -637,7 +639,7 @@ def test_derandomize_holdout_is_the_argmin():
     A = learners.Learner(1, lambda x, y, b: candidates[b], lambda m: 4, name="pick")
     D = learners.derandomize(A, _m_rand, ell, F)
     m = 60
-    _, m1 = learners.split_for(m, _m_rand, A.r, 1, "nonpartite")
+    _, m1 = learners.split_for(m, _m_rand, A.r, 1, sc.template)
     assert 0 < m1 < m
     for t in range(3):
         rng = sampler.stream("dr-holdout", t)
@@ -647,6 +649,31 @@ def test_derandomize_holdout_is_the_argmin():
         best = holdout.index(min(holdout))
         assert best != 0
         assert D(x, y) is candidates[best]
+
+
+def test_derandomize_reads_k_off_a_partite_fallback():
+    # on a 2-partite sample K = k = 2, so m = 60 splits at m1 = 2; the plain
+    # K = k^2 = 4 finds no split there and would return the fallback
+    ho = families.highorder_family(3).cls
+    F = ho.members[-1]
+    m_rand = lambda e, d: 1 / e  # noqa: E731
+    prefixes = []
+
+    def pick(x, y, b):
+        prefixes.append(learners.sample_size(x))
+        return (ho.members[1], F)[b]
+
+    A = learners.Learner(2, pick, lambda m: 2, name="pick")
+    m = 60
+    split = learners.split_for(m, m_rand, A.r, 2, ho.template)
+    assert split == (1, 2)
+    assert learners.split_for(m, m_rand, A.r, 2, PLAIN_2) is None
+    ell = losses.zero_one_loss(ho.labels, 2)
+    D = learners.derandomize(A, m_rand, ell, ho.members[0])
+    sc = sampler.Scenario(templates.uniform_prob(ho.template), F)
+    x, y = sampler.labeled_sample(sc, m, sampler.stream("dr-partite", 0))
+    assert D(x, y) is F
+    assert prefixes == [split[1]] * 2
 
 
 def test_infvcn_m_pac_frozen():
@@ -663,7 +690,7 @@ def test_infvcn_learner_wiring():
     # the learner reads the partite sample and fits it exactly
     sc = sampler.Scenario(templates.uniform_partite_prob(cls.template), cls.members[-1])
     x, y = sampler.labeled_sample(sc, 4, sampler.stream("infvcn", 0))
-    ell = losses.zero_one_loss(cls.labels, 2, setting="partite")
+    ell = losses.zero_one_loss(cls.labels, 2)
     assert losses.empirical_loss_partite(x, y, ell, A(x, y), 4) == 0
 
 
@@ -672,7 +699,7 @@ def test_the_setting_is_read_from_the_data():
     ho = families.highorder_family(3).cls
     mu = templates.uniform_partite_prob(ho.template)
     F, H = ho.members[-1], ho.members[1]
-    ell = losses.zero_one_loss(ho.labels, 2, setting="partite")
+    ell = losses.zero_one_loss(ho.labels, 2)
     read, passed = sampler.Scenario(mu, F), sampler.Scenario(mu, F, partite=True)
     assert read.partite
     eps = Fraction(1, 10)

@@ -59,7 +59,7 @@ def test_total_loss_dirac():
 
 
 def test_empirical_partite_hand_values():
-    ell = losses.zero_one_loss((0, 1), 1, setting="partite")
+    ell = losses.zero_one_loss((0, 1), 1)
     x = {((1, 1),): 0, ((1, 2),): 1}
     t = templates.PartiteTemplate(1, {(1,): 2})
     H = Hypothesis(1, t, (0, 1), lambda z: z[((1, 1),)], name="id")
@@ -80,14 +80,14 @@ def test_empirical_nonpartite_m_equals_k():
     assert val == 1  # pattern (0,0) vs (0,1)
 
 
-def _thirds_loss(k, setting):
+def _thirds_loss(k, partite):
     # a Fraction-valued loss: a third per disagreeing label
     def fn(x, y, yp):
-        if setting == "partite":
+        if partite:
             return Fraction(int(y != yp), 3)
         return Fraction(sum(a != b for a, b in zip(y, yp)), 3)
 
-    return losses.LossFn(k, setting, (0, 1), fn, name="thirds")
+    return losses.LossFn(k, (0, 1), fn, name="thirds")
 
 
 def test_empirical_losses_equal_the_per_term_fraction_sum():
@@ -98,7 +98,7 @@ def test_empirical_losses_equal_the_per_term_fraction_sum():
     m = 6
     x = sampler.sample_config(mu, m, sampler.stream("thirds", 0))
     y = star(F, x, m)
-    ell = _thirds_loss(2, "nonpartite")
+    ell = _thirds_loss(2, False)
     expected = Fraction(0)
     for u in combinations(range(1, m + 1), 2):
         xu = indexing.pullback(u, x)
@@ -112,7 +112,7 @@ def test_empirical_losses_equal_the_per_term_fraction_sum():
     F, H = ho.members[-1], ho.members[1]
     x = sampler.sample_partite_config(mu, 4, sampler.stream("thirds", 1))
     y = star_partite(F, x, 4)
-    ell = _thirds_loss(2, "partite")
+    ell = _thirds_loss(2, True)
     expected = Fraction(0)
     for alpha in product(range(1, 5), repeat=2):
         xa = indexing.pullback_partite(alpha, x)
@@ -164,8 +164,8 @@ def _totals_plain():
         constant_hypothesis(2, t, (0, 1), 1),
         F,
     ]
-    second = losses.LossFn(2, "nonpartite", (0, 1), lambda x, y, yp: int(y[1] != yp[1]))
-    ells = [second, losses.zero_one_loss((0, 1), 2), _thirds_loss(2, "nonpartite")]
+    second = losses.LossFn(2, (0, 1), lambda x, y, yp: int(y[1] != yp[1]))
+    ells = [second, losses.zero_one_loss((0, 1), 2), _thirds_loss(2, False)]
     return mu, None, F, ells, Hs
 
 
@@ -177,7 +177,7 @@ def _totals_partite():
     )
     F = Hypothesis(2, pt, (0, 1), lambda x: (x[((1, 1),)] + x[((1, 1), (2, 1))]) % 2)
     Hs = [Hypothesis(2, pt, (0, 1), lambda x: int(x[((2, 1),)] == 2)), F]
-    ells = [losses.zero_one_loss((0, 1), 2, setting="partite"), _thirds_loss(2, "partite")]
+    ells = [losses.zero_one_loss((0, 1), 2), _thirds_loss(2, True)]
     return mu, None, F, ells, Hs
 
 
@@ -228,11 +228,11 @@ def test_totals_equal_the_per_atom_sums(instance):
 
 def test_totals_refuse_float_values():
     mu, _, F, _, Hs = _totals_plain()
-    half = losses.LossFn(2, "nonpartite", (0, 1), lambda x, y, yp: 0.5)
+    half = losses.LossFn(2, (0, 1), lambda x, y, yp: 0.5)
     with pytest.raises(TypeError):
         losses.total_loss(mu, F, half, Hs[0])
     mu, mu2, G, _, Hs = _with_mu2(_totals_partite)()
-    half = losses.LossFn(2, "partite", (0, 1), lambda x, y, yp: 0.5)
+    half = losses.LossFn(2, (0, 1), lambda x, y, yp: 0.5)
     with pytest.raises(TypeError):
         losses.totals(mu, G, losses.wrap_agnostic(half), mu2)(Hs[0])
 
@@ -278,7 +278,7 @@ def test_bayes_refuses_a_product_above_the_cap():
 def test_empirical_loss_refuses_float_values():
     t = templates.Template(2, (2, 1))
     H = constant_hypothesis(2, t, (0, 1), 0)
-    ell = losses.LossFn(2, "nonpartite", (0, 1), lambda x, y, yp: 0.5)
+    ell = losses.LossFn(2, (0, 1), lambda x, y, yp: 0.5)
     x = {(1,): 0, (2,): 1, (1, 2): 0}
     with pytest.raises(TypeError):
         losses.empirical_loss_nonpartite(x, {(1, 2): 0, (2, 1): 1}, ell, H, 2)
@@ -313,18 +313,20 @@ def test_wrap_agnostic():
     assert ag.sup_norm == ell.sup_norm
 
 
+PLAIN_1, PLAIN_2 = templates.Template(1, (1,)), templates.Template(2, (1, 1))
+
+
 def test_flexibility_constants():
-    assert losses.flexibility_witness_01((0, 1), 1).constant == Fraction(1, 2)
-    assert losses.flexibility_witness_01(
-        (0, 1, 2), 1, setting="partite"
-    ).constant == Fraction(2, 3)
+    assert losses.flexibility_witness_01((0, 1), PLAIN_1).constant == Fraction(1, 2)
+    partite = templates.partize_template(PLAIN_1, 1)
+    assert losses.flexibility_witness_01((0, 1, 2), partite).constant == Fraction(2, 3)
     # a uniformly random full pattern misses a fixed one with prob 1 - L^{-k!}
-    assert losses.flexibility_witness_01((0, 1), 2).constant == Fraction(3, 4)
+    assert losses.flexibility_witness_01((0, 1), PLAIN_2).constant == Fraction(3, 4)
 
 
 def test_flexibility_noise_uniform_law():
     # the noise source enumerates exactly the uniform label tensors
-    w = losses.flexibility_witness_01((0, 1), 2)
+    w = losses.flexibility_witness_01((0, 1), PLAIN_2)
     m = 2
     assert w.r_n(m) == 2 ** 2  # (m)_k = 2 injections
     seen = set()
@@ -338,7 +340,7 @@ def test_flexibility_noise_uniform_law():
 
 
 def test_flexibility_noise_partite_count():
-    w = losses.flexibility_witness_01((0, 1), 2, setting="partite")
+    w = losses.flexibility_witness_01((0, 1), templates.partize_template(PLAIN_2, 2))
     assert w.r_n(2) == 2 ** 4
     tensor = w.noise({}, 0, 2)
     assert set(tensor) == {(i, j) for i in (1, 2) for j in (1, 2)}
@@ -347,7 +349,7 @@ def test_flexibility_noise_partite_count():
 def test_extend_with_neutral():
     ell = losses.zero_one_loss((0, 1), 2)
     ag = losses.wrap_agnostic(ell)
-    w = losses.flexibility_witness_01((0, 1), 2)
+    w = losses.flexibility_witness_01((0, 1), PLAIN_2)
     ext = losses.extend_with_neutral(ag, w)
     t = templates.Template(2, (2, 1))
     x = {(1,): 0, (2,): 1, (1, 2): 0}
@@ -360,6 +362,12 @@ def test_extend_with_neutral():
     # bottom-free: original value
     assert ext(H0, x, (0, 0)) == ag(H0, x, (0, 0))
     assert ext.labels == (0, 1, losses.BOTTOM)
+    # on the witness's partite template the symbol touches a single label
+    pt = templates.partize_template(PLAIN_2, 2)
+    w = losses.flexibility_witness_01((0, 1), pt)
+    ext = losses.extend_with_neutral(ag, w)
+    assert ext(H0, x, losses.BOTTOM) == w.constant == Fraction(1, 2)
+    assert ext(H0, x, (0, 0)) == ag(H0, x, (0, 0))
 
 
 def test_bayes_deterministic_f():
@@ -405,7 +413,7 @@ def test_bayes_partite():
     F = Hypothesis(
         1, tj, (0, 1), lambda x: x[((1, 1),)] % 2, name="F"
     )
-    ell = losses.zero_one_loss((0, 1), 1, setting="partite")
+    ell = losses.zero_one_loss((0, 1), 1)
     ag = losses.wrap_agnostic(ell)
     B = losses.bayes_predictor(mu, mu2, F, ell)
     bloss = losses.total_loss_ag(mu, mu2, F, ag, B)
@@ -439,7 +447,7 @@ def _bayes_partite():
         (0, 1),
         lambda x: (x[((1, 1),)] // 2 + x[((1, 1),)]) % 2,
     )
-    return mu, mu2, F, losses.zero_one_loss((0, 1), 1, setting="partite")
+    return mu, mu2, F, losses.zero_one_loss((0, 1), 1)
 
 
 def _bayes_plain_second_entry():
@@ -447,7 +455,7 @@ def _bayes_plain_second_entry():
     # so an orbit's two points weigh the two labels differently
     mu, mu2, F, ell = _bayes_plain()
     second = lambda x, y, yp: int(y[1] != yp[1])  # noqa: E731
-    return mu, mu2, F, losses.LossFn(2, "nonpartite", ell.labels, second)
+    return mu, mu2, F, losses.LossFn(2, ell.labels, second)
 
 
 @pytest.mark.parametrize(

@@ -383,7 +383,7 @@ def test_departize_survival_probability():
 
 
 def test_neutral_symbol_learner_replaces_bottom():
-    witness = losses.flexibility_witness_01((0, 1), 2)
+    witness = losses.flexibility_witness_01((0, 1), templates.Template(2, (2, 1)))
     received = {}
 
     def record(x, y, b):
@@ -429,6 +429,13 @@ def test_extend_codomain():
     A2 = transfer(A)
     A2({(1,): 0, (2,): 0, (1, 2): 0}, {(1, 2): 2, (2, 1): 1}, 0)
     assert seen[0] == {(1, 2): 0, (2, 1): 1}
+
+
+def test_extend_codomain_refuses_a_repeated_or_known_label():
+    cls = families.matching_family(2).cls
+    for extra in [(1,), (2, 2), (2, 0)]:
+        with pytest.raises(ValueError, match="repeats or is already a class label"):
+            reductions.extend_codomain(cls, extra)
 
 
 def test_extend_codomain_oracle_answers_with_an_extended_member():

@@ -3,7 +3,9 @@ per-setting rules) and ``fastpath.py`` (whose contexts are per-setting by
 design), a function may read ``.partite`` or ``.setting`` or call
 ``indexing.partite_keys`` only where the maths differs by setting.  A new
 setting fork must be added to ALLOWED with its reason, or written over the
-template's methods instead.
+template's methods instead.  No module names a setting by a string: a
+"partite" or "nonpartite" constant outside a docstring is a fork that the
+attribute check cannot see, and only STRING_ALLOWED may hold one.
 
 Declared metadata chooses nothing: a hypothesis's ``declared_rank`` and a
 loss's ``symmetric`` are never verified, so no function may read them except
@@ -17,7 +19,6 @@ EXEMPT = ("templates.py", "fastpath.py")
 
 ALLOWED = {
     "adversaries.vcn_nonlearn_scenario": "the slice construction needs a partite class",
-    "cli._scenario": "names the 0/1 loss's setting",
     "cli.reduce_cmd": "partization needs a non-partite class",
     "cli.verify_uc_cmd": "the command refuses partite families",
     "hypotheses.HypothesisClass.partite": "reads the setting from the template",
@@ -25,12 +26,8 @@ ALLOWED = {
     "indexing.encode_config": "subset keys and partite keys print differently",
     "learners._split": "a partite sample splits per part, a plain one by pullback",
     "learners._trial_losses": "each setting has its own fastpath context",
-    "learners.derandomize": "the concentration constant is k^2 or k",
     "learners.sample_size": "reads the sample size off either key shape",
     "losses.extend_with_neutral": "the symbol touches a pattern entry or a label",
-    "losses.loss_metadata": "patterns over S_k or single labels, S_k symmetry",
-    "losses.wrap_agnostic": "copies the loss's setting onto the agnostic loss",
-    "reductions.neutral_symbol_learner": "replaces by image set or entrywise",
     "sampler.Scenario.__post_init__": "reads the setting from mu's template",
 }
 
@@ -87,6 +84,63 @@ def test_the_check_sees_a_planted_fork():
         "f",
         "g",
     ]
+
+
+# the field that Scenario's ``partite=`` keyword fills is named by a string
+STRING_ALLOWED = {"sampler.Scenario.__post_init__"}
+SETTING_NAMES = ("partite", "nonpartite")
+
+
+def _docstrings(tree):
+    """The ids of the module's, each class's and each function's docstring."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                yield id(first.value)
+
+
+def setting_strings(tree, module):
+    """Each function (or ``module`` itself, outside every function) holding a
+    "partite" or "nonpartite" string constant outside a docstring."""
+    docstrings = set(_docstrings(tree))
+    owner = {
+        id(n): f"{module}.{name}" for name, f in _functions(tree) for n in ast.walk(f)
+    }
+    return {
+        owner.get(id(n), module)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant)
+        and n.value in SETTING_NAMES
+        and id(n) not in docstrings
+    }
+
+
+def test_no_module_names_a_setting_by_a_string():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= setting_strings(ast.parse(path.read_text()), path.stem)
+    assert found == STRING_ALLOWED
+
+
+def test_the_check_sees_a_planted_string_fork():
+    tree = ast.parse(
+        '"""A module about the "partite" setting."""\n'
+        'MODE = "nonpartite"\n'
+        "def f(ell):\n"
+        '    """Reads "partite" losses."""\n'
+        '    return 1 if ell.mode == "partite" else 2\n'
+        "def g(k):\n"
+        '    return zero_one_loss((0, 1), k, setting="partite" if k else None)\n'
+        "def h(x):\n"
+        '    """partite"""\n'
+        '    return "partite graphs"\n'
+        "class C:\n"
+        '    kind = "partite"\n'
+        "    def m(self):\n"
+        '        """nonpartite"""\n'
+    )
+    assert setting_strings(tree, "mod") == {"mod", "mod.f", "mod.g"}
 
 
 DECLARED = ("declared_rank", "symmetric")

@@ -102,7 +102,6 @@ def _plain():
     ]
     ell = losses.LossFn(
         2,
-        "nonpartite",
         (0, 1),
         lambda x, y, yp: Fraction(int(y[0] != yp[0]), 3)
         + Fraction(int(y[1] != yp[1]), 2)
@@ -127,7 +126,6 @@ def _partite():
     ]
     ell = losses.LossFn(
         2,
-        "partite",
         (0, 1),
         lambda x, y, yp: Fraction(int(y != yp), 3) + Fraction(x[((1, 1),)], 7),
     )
