@@ -49,6 +49,10 @@ SCHEMA_VERSION = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
+# a size-m sample has O(m^k) coordinates: at m = 1,000 `sample --family
+# highorder --n 8` peaked at 637 MiB, and every --m above this is refused
+M_CAP = 1000
+
 FAMILIES = ("matching", "bdeg", "dist", "maxg", "highorder")
 
 _OPEN_UNIT = click.FloatRange(0, 1, min_open=True, max_open=True)
@@ -205,6 +209,8 @@ def _m_list(merged, default):
         raise click.UsageError(msg) from None
     if not out or min(out) < 1:
         raise click.UsageError(f"m must be a positive size, not {m!r}")
+    if max(out) > M_CAP:
+        raise Infeasible(f"m capped at {M_CAP}")
     return out
 
 
@@ -288,15 +294,15 @@ def dims_cmd(merged):
 @command("sample", "family", "n", "d", "m", "member")
 def sample_cmd(merged):
     """Draw one labeled sample from a family scenario."""
-    _, sc, _ = _scenario(merged)
     mm = _m_one(merged, "4")
+    _, sc, _ = _scenario(merged)
     x, y = sampler.labeled_sample(sc, mm, sampler.stream(merged["seed"], 0))
     rows = [["x", indexing.encode_config(x), ""]]
     rows += [["y", str(key), str(y[key])] for key in sorted(y)]
     return ["kind", "index", "value"], rows
 
 
-def _sweep(merged, default_m, frequency):
+def _sweep(merged, sizes, frequency):
     """One row per sample size: ``frequency(m, eps, trials)`` against the
     1 - delta bound."""
     epsv = Fraction(str(merged.get("eps", 0.2)))
@@ -311,7 +317,7 @@ def _sweep(merged, default_m, frequency):
             _float_str(frequency(mm, epsv, ntrials)),
             _float_str(1 - deltav),
         ]
-        for mm in _m_list(merged, default_m)
+        for mm in sizes
     ]
     return ["m", "eps", "delta", "trials", "success_freq", "bound"], rows
 
@@ -319,11 +325,12 @@ def _sweep(merged, default_m, frequency):
 @command("learn", "family", "n", "d", "m", "eps", "delta", "trials", "member")
 def learn_cmd(merged):
     """ERM success-frequency sweep."""
+    sizes = _m_list(merged, "10,20,40")
     cls, sc, ell = _scenario(merged)
     A = learners.erm(cls, ell)
     return _sweep(
         merged,
-        "10,20,40",
+        sizes,
         lambda m, eps, trials: learners.estimate_pac_success(
             A, sc, ell, m, eps, trials, merged["seed"]
         ),
@@ -333,12 +340,11 @@ def learn_cmd(merged):
 @command("verify-uc", "family", "n", "d", "m", "eps", "delta", "trials", "member")
 def verify_uc_cmd(merged):
     """Uniform-convergence (representativeness) frequency sweep."""
+    sizes = _m_list(merged, "10,20,40,80")
     cls, sc, ell = _scenario(merged)
-    if cls.partite:
-        raise Infeasible("verify-uc handles non-partite families")
     return _sweep(
         merged,
-        "10,20,40,80",
+        sizes,
         lambda m, eps, trials: learners.check_uniform_convergence(
             sc, cls, ell, m, eps, trials, merged["seed"]
         ).frequency,

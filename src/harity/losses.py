@@ -12,9 +12,9 @@ loss computation here branches on the setting.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from . import indexing, sampler, templates
 from .hypotheses import Hypothesis, canonical_key, perms
@@ -41,36 +41,30 @@ class LossFn:
 
 
 def loss_metadata(ell, template):
-    """Recompute sup norm, separation, and symmetry exhaustively over every
-    read of labels over the template's domain orbit: a pattern in
-    Lambda^{S_k}, or a label in Lambda when the orbit is one point (S_k
-    symmetry is checked only over a longer orbit).
-    Returns (sup_norm, separation, symmetric).
-    """
+    """Recompute (sup_norm, separation, symmetric) exhaustively over the
+    domain points and every pair of labellings of the domain orbit, read as
+    the loss reads them: a pattern in Lambda^{S_k}, or a partite point's one
+    label.  Symmetry compares l(x, y, y') with l at each image (sigma*(x),
+    sigma*(y), sigma*(y')) over the orbit; a one-point orbit has none."""
     t = template
-    points = templates.domain_points(t, ell.k)
-    n = len(t.domain(ell.k)[1])
-    pats = [t.read(lambda v: v, y) for y in product(ell.labels, repeat=n)]
-    sym_perms = perms(ell.k) if n > 1 else ()
-    sup = Fraction(0)
-    sep = None
-    symmetric = True
-    for x in points:
-        for y in pats:
-            for yp in pats:
+    orbit = t.domain(ell.k)[1]
+    # each labelling Y of the orbit read at every image: sigma*(y) is Y read
+    # over orbit(sigma), the identity's read (y itself) first
+    labellings = (dict(zip(orbit, ys)) for ys in product(ell.labels, repeat=len(orbit)))
+    reads = [[t.read(Y.get, t.orbit(s)) for s in orbit] for Y in labellings]
+    sup, sep, symmetric = Fraction(0), None, True
+    for point in templates.domain_points(t, ell.k):
+        x, *images = [t.pull(s, point) for s in orbit]  # identity first
+        for y, *ys in reads:
+            for yp, *yps in reads:
                 v = Fraction(ell(x, y, yp))
                 sup = max(sup, v)
                 if y != yp:
                     sep = v if sep is None else min(sep, v)
-                for sigma in sym_perms:
-                    sx = indexing.pullback(sigma, x)
-                    sy = permute_pattern(y, sigma, ell.k)
-                    syp = permute_pattern(yp, sigma, ell.k)
-                    if ell(sx, sy, syp) != v:
-                        symmetric = False
-    if sep is None:
-        sep = Fraction(0)
-    return sup, sep, symmetric
+                symmetric = symmetric and all(
+                    ell(*image) == v for image in zip(images, ys, yps)
+                )
+    return sup, sep or Fraction(0), symmetric
 
 
 def permute_pattern(y, sigma, k):
@@ -278,51 +272,55 @@ def extend_with_neutral(ell_ag, witness):
 
 
 def bayes_predictor(mu, mu2, F, ell):
-    """The hypothesis minimizing the conditional expected loss at every
-    positive-mass configuration point (exact, exhaustive).
+    """The hypothesis minimizing the mu'-conditional expected loss at every
+    configuration point of mu's template (exact, exhaustive).  That value is
+    an expectation over mu' alone, so mu supplies only the template and a
+    mu-null point gets its conditional argmin too.  The points are
+    ``sampler.joint_law``'s under the uniform law, so its cap counts pairs
+    of a point and a mu' atom.
 
-    Minimization runs per orbit over all label assignments, so the result is
-    a genuine hypothesis.  A non-partite point's orbit is its S_k pullbacks
-    and the loss reads their pattern; a partite point is its own orbit and
-    the loss reads its one label.  An assignment scores the sum of the
-    conditional losses at the orbit's distinct points, which carry equal mass
-    under a product law, so asymmetric losses are minimized too; a symmetric
-    loss scores every point alike.  Ties break toward the smallest label
-    indices, read in the order the loss reads the orbit.
+    Labels are chosen per S_k orbit (a partite point is its own orbit) over
+    all assignments to its distinct points, so the result is a genuine
+    hypothesis.  An assignment scores the sum of the conditional losses at
+    those points, which carry equal mass, so asymmetric losses are minimized
+    too; like ``plan``, it sums with integer weights over one denominator.
+    Ties break toward the smallest label indices, read over the distinct
+    points in the order the orbit first shows them.
     """
-    k = ell.k
-    t1, t2 = mu.template, mu2.template
-    (m, ps), pull, read, label = t1.domain(k), t1.pull, t1.read, t1.label
-    sampler.check_law_size(templates.point_count(t1, m) * templates.law_atoms(mu2, m))
-    pindex = {p: i for i, p in enumerate(ps)}
-    # orbit point i pulled back along ps[j] is orbit point reading[i][j]
-    reading = [tuple(pindex[indexing.compose(a, b)] for b in ps) for a in ps]
-    xp_law, join = templates.config_law(mu2, m), templates.join_config
+    t = mu.template
+    (m, ps), pull, read, label = t.domain(ell.k), t.pull, t.read, t.label
+    law = sampler.joint_law(templates.uniform_prob(t), m, mu2)
+    W = lcm(*(p.denominator for *_, p in law))
+    # each point's key -> (the point, [(weight over W, F's labels at a joined
+    # point)]), read off the law, which lists a point's atoms together
+    conditional = {}
+    for x, atoms in groupby(law, key=itemgetter(0)):
+        yps = [(p.numerator * (W // p.denominator), label(F, z)) for _, z, p in atoms]
+        conditional[canonical_key(x)] = x, yps
     values = {}
-    for x0 in templates.config_points(t1, m):
-        if canonical_key(x0) in values:
+    for key, (x, _) in conditional.items():
+        if key in values:
             continue
-        orbit = [pull(sigma, x0) for sigma in ps]
-        keys = [canonical_key(z) for z in orbit]
-        orbit_keys = sorted(set(keys))
-        points = [  # the orbit's distinct points, with F's conditional labels
-            (z, reading[i], [(q, label(F, join(t1, t2, z, xp))) for xp, q in xp_law])
-            for i, z in enumerate(orbit)
-            if keys.index(keys[i]) == i
+        # the orbit's distinct points, numbered as the orbit first shows them
+        orbit = dict.fromkeys(canonical_key(pull(s, x)) for s in ps)
+        slot = {o: i for i, o in enumerate(orbit)}
+        points = [
+            (z, [slot[canonical_key(pull(s, z))] for s in ps], yps)
+            for z, yps in map(conditional.get, slot)
         ]
-        best = None
-        for assignment in product(range(len(ell.labels)), repeat=len(orbit_keys)):
-            lookup = dict(zip(orbit_keys, assignment))
-            idx = tuple(lookup[key] for key in keys)
-            score = Fraction(0)
-            for z, positions, yps in points:
-                hy = read(lambda j: ell.labels[idx[j]], positions)
-                score += sum(q * Fraction(ell(z, hy, yp)) for q, yp in yps)
-            if best is None or (score, idx) < best[:2]:
-                best = (score, idx, lookup)
-        for key, i in best[2].items():
-            values[key] = ell.labels[i]
+
+        def score(assignment):
+            hy = lambda j: ell.labels[assignment[j]]  # noqa: E731
+            return sum(
+                w * ell(z, read(hy, reads), yp)
+                for z, reads, yps in points
+                for w, yp in yps
+            )
+
+        # product runs in lexicographic order and min keeps the first least
+        best = min(product(range(len(ell.labels)), repeat=len(slot)), key=score)
+        values.update((o, ell.labels[i]) for o, i in zip(slot, best))
 
     return Hypothesis(
-        k, t1, ell.labels, lambda x: values[canonical_key(x)], name="bayes"
+        ell.k, t, ell.labels, lambda x: values[canonical_key(x)], name="bayes"
     )

@@ -267,12 +267,6 @@ def domain_points(template, k):
     return config_points(template, template.domain(k)[0])
 
 
-def point_count(template, m):
-    """The number of points of the size-m configuration space, counted
-    without enumerating them."""
-    return prod(template.size(template.space(key)) for key in template.coords(m))
-
-
 def _supports(mu, m):
     """Each coordinate of the size-m configuration space with the (point,
     weight) pairs of positive weight on its ground space, in ``coords(m)``

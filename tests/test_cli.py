@@ -77,10 +77,24 @@ def test_bad_eps_exits_config_error(tmp_path):
 
 
 def test_infeasible_exits_3(tmp_path):
-    res = _run(
-        ["verify-uc", "--family", "highorder", "--n", "3", "--out", str(tmp_path / "u")]
-    )
+    # matching(13) is over the member cap
+    res = _run(["dims", "--family", "matching", "--n", "13", "--out", str(tmp_path / "d")])
     assert res.exit_code == cli.EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize("command", ["sample", "learn", "verify-uc", "nofreelunch"])
+def test_m_above_the_cap_exits_3_before_building(tmp_path, monkeypatch, command):
+    def built(*args, **kw):
+        raise AssertionError("built an instance")
+
+    monkeypatch.setattr(cli, "_family", built)
+    monkeypatch.setattr(cli.adversaries, "shattered_scenario", built)
+    started = time.perf_counter()
+    res = _run([command, "--m", str(cli.M_CAP + 1), "--out", str(tmp_path / "o")])
+    assert res.exit_code == cli.EXIT_INFEASIBLE, (res.output, res.exception)
+    assert f"m capped at {cli.M_CAP}" in res.output
+    assert time.perf_counter() - started < 1
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("family", ["matching", "dist"])
@@ -205,6 +219,10 @@ GOLDEN_CSV = [
     (
         "sample --family highorder --n 3 --m 3 --seed s1",
         "2510d0866d54df97b13de1ca24879524fe6414ea1ca7fd046eecfedcdf8f6b1f",
+    ),
+    (
+        "verify-uc --family highorder --n 3 --m 10,20 --trials 20",
+        "3ba62e8cd26e0b9375881869b36abdf05bbeaae5836473f70ced23ed7bf9a345",
     ),
 ]
 

@@ -36,6 +36,23 @@ def test_loss_metadata_matches_cache():
     assert (sup, sep, sym) == (ell.sup_norm, ell.separation, ell.symmetric)
 
 
+def test_loss_metadata_pulls_each_point_back_once_per_orbit_element(monkeypatch):
+    # each domain point is pulled back along each element of its orbit once,
+    # however many pattern pairs the check reads there
+    t = templates.Template(3, (2, 1, 1))
+    pullback, calls = indexing.pullback, []
+
+    def counted(alpha, x):
+        calls.append(alpha)
+        return pullback(alpha, x)
+
+    monkeypatch.setattr(indexing, "pullback", counted)
+    ell = losses.zero_one_loss((0, 1), 3)
+    assert losses.loss_metadata(ell, t) == (1, 1, True)
+    points, orbit = templates.domain_points(t, 3), t.domain(3)[1]
+    assert len(calls) == len(points) * len(orbit) == 48
+
+
 def test_total_loss_trivia():
     t = _two_point_unary()
     mu = templates.uniform_prob(t)
@@ -450,6 +467,35 @@ def _bayes_partite():
     return mu, mu2, F, losses.zero_one_loss((0, 1), 1)
 
 
+def _bayes_plain_k3():
+    # F reads a + b mod 2 at vertex 1 and adds vertex 2's joined value, so the
+    # S_3 orbit of a point with two distinct values mixes labels
+    t = templates.Template(3, (2, 1, 1))
+    mu = templates.ProbTemplate(
+        t, ((Fraction(2, 3), Fraction(1, 3)), (Fraction(1),), (Fraction(1),))
+    )
+    mu2 = templates.ProbTemplate(
+        t, ((Fraction(1, 4), Fraction(3, 4)), (Fraction(1),), (Fraction(1),))
+    )
+    F = Hypothesis(
+        3,
+        templates.product_template(t, t),
+        (0, 1),
+        lambda x: (x[(1,)] // 2 + x[(1,)] + x[(2,)]) % 2,
+    )
+    return mu, mu2, F, losses.zero_one_loss((0, 1), 3)
+
+
+def _bayes_mu_null():
+    # mu puts no mass on the vertex value 1, so every point that shows it is
+    # mu-null; under mu' the hidden b is 0 with probability 3/4
+    _, _, F, ell = _bayes_plain()
+    t = templates.Template(2, (2, 1))
+    mu = templates.ProbTemplate(t, ((Fraction(1), Fraction(0)), (Fraction(1),)))
+    mu2 = templates.ProbTemplate(t, ((Fraction(3, 4), Fraction(1, 4)), (Fraction(1),)))
+    return mu, mu2, F, ell
+
+
 def _bayes_plain_second_entry():
     # an asymmetric loss: it reads only the pattern entry at the swap (2, 1),
     # so an orbit's two points weigh the two labels differently
@@ -460,24 +506,49 @@ def _bayes_plain_second_entry():
 
 @pytest.mark.parametrize(
     "instance",
-    [_bayes_plain, _bayes_partite, _bayes_plain_second_entry],
-    ids=["plain", "partite", "plain-asymmetric"],
+    [
+        _bayes_plain,
+        _bayes_partite,
+        _bayes_plain_second_entry,
+        _bayes_plain_k3,
+        _bayes_mu_null,
+    ],
+    ids=["plain", "partite", "plain-asymmetric", "plain-k3", "mu-null"],
 )
 def test_bayes_loss_is_the_minimum_over_the_domain(instance):
     # brute force: the Bayes predictor's loss is the least total loss of
-    # every function on the domain (16 plain, 4 partite)
+    # every function on the domain (256 at k = 3, 16 plain, 4 partite)
     mu, mu2, F, ell = instance()
-    ag = losses.wrap_agnostic(ell)
+    total = losses.totals(mu, F, losses.wrap_agnostic(ell), mu2)
     t = mu.template
     keys = [canonical_key(x) for x in templates.domain_points(t, ell.k)]
     totals = []
     for values in product(ell.labels, repeat=len(keys)):
         table = dict(zip(keys, values))
         H = Hypothesis(ell.k, t, ell.labels, lambda x, tab=table: tab[canonical_key(x)])
-        totals.append(losses.total_loss_ag(mu, mu2, F, ag, H))
-    assert len(totals) == {2: 16, 1: 4}[ell.k]
+        totals.append(total(H))
+    assert len(totals) == {3: 256, 2: 16, 1: 4}[ell.k]
     B = losses.bayes_predictor(mu, mu2, F, ell)
-    assert losses.total_loss_ag(mu, mu2, F, ag, B) == min(totals) < max(totals)
+    assert total(B) == min(totals) < max(totals)
+
+
+def test_bayes_value_at_a_mu_null_point_is_the_conditional_argmin():
+    # mu gives the point with both vertices 1 no mass; the predictor still
+    # picks there the label of least expected loss under mu' alone.  The point
+    # is its own swap, so H's pattern there is (h, h).
+    mu, mu2, F, ell = _bayes_mu_null()
+    t, t2 = mu.template, mu2.template
+    x = {(1,): 1, (2,): 1, (1, 2): 0}
+    assert mu.weight(1, 1) == 0
+    risk = {
+        h: sum(
+            q * ell(x, (h, h), pattern(F, templates.join_config(t, t2, x, xp)))
+            for xp, q in templates.config_law(mu2, 2)
+        )
+        for h in ell.labels
+    }
+    assert risk == {0: Fraction(15, 16), 1: Fraction(7, 16)}
+    assert losses.bayes_predictor(mu, mu2, F, ell)(x) == 1
 
 
 def test_permute_pattern_identity():

@@ -20,7 +20,6 @@ EXEMPT = ("templates.py", "fastpath.py")
 ALLOWED = {
     "adversaries.vcn_nonlearn_scenario": "the slice construction needs a partite class",
     "cli.reduce_cmd": "partization needs a non-partite class",
-    "cli.verify_uc_cmd": "the command refuses partite families",
     "hypotheses.HypothesisClass.partite": "reads the setting from the template",
     "hypotheses.partize_class": "partization needs a non-partite class",
     "indexing.encode_config": "subset keys and partite keys print differently",
