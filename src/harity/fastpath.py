@@ -93,7 +93,8 @@ class PairContext:
     def loss_table(self, H):
         """H's table against F, as ``tables`` lays it out; None if it does not
         qualify."""
-        return tables(self._args[0], [losses.plan(*self._args)[0](H)])[0]
+        mu, F, ell = self._args
+        return tables(mu, [losses.plan(losses.law_plan(mu, ell.k), F, ell)[0](H)])[0]
 
     def draw(self, rng, m):
         """The support-rank counts of a size-m sample's unary values."""

@@ -9,8 +9,9 @@ without extra plumbing.  The concentration constant K, and with it every
 derandomization size, is read from a template (``concentration_constant``).
 
 Every Monte Carlo check reads each hypothesis's exact total from one plan of
-its law (``_plan``); the uniform-convergence and concentration checks take
-their members' totals and per-trial empirical losses from the one route
+its law (``_plan``), whose mu-only part (``losses.law_plan``) a caller may
+build once per mu and share; the uniform-convergence and concentration checks
+take their members' totals and per-trial empirical losses from the one route
 chooser ``_trial_losses``, whose fast-route tables are the same plan rows.
 """
 
@@ -77,10 +78,11 @@ erm_nonpartite = erm_partite = erm
 # check
 
 
-def _plan(sc, ell):
-    """The check's ``losses.plan``, with the natural agnostic loss given mu'."""
-    ag = sc.mu2 is not None
-    return losses.plan(sc.mu, sc.F, losses.wrap_agnostic(ell) if ag else ell, sc.mu2)
+def _plan(sc, ell, law=None):
+    """The check's ``losses.plan`` over ``law`` (sc's ``losses.law_plan`` when
+    None), with the natural agnostic loss given mu'."""
+    law = law or losses.law_plan(sc.mu, ell.k, sc.mu2)
+    return losses.plan(law, sc.F, losses.wrap_agnostic(ell) if sc.mu2 else ell)
 
 
 def _trial_losses(sc, members, ell):
@@ -366,11 +368,12 @@ def infvcn_learner(n_max):
 # PAC success estimation
 
 
-def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None):
+def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None, law=None):
     """Monte Carlo frequency of trials whose learned hypothesis has total
     loss <= eps or, given ``cls``, <= inf + eps (agnostic, exact infimum over
-    ``cls``)."""
-    (row, weigh), target = _plan(sc, ell), Fraction(eps)
+    ``cls``).  ``law``, sc's ``losses.law_plan`` at ell's arity, lets callers
+    that vary only F or m build mu's law once; it is built here when None."""
+    (row, weigh), target = _plan(sc, ell, law), Fraction(eps)
     if cls is not None:
         target += min(weigh(row(H)) for H in cls)
     wins = 0

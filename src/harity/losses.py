@@ -1,6 +1,6 @@
 """Loss functions (plain and agnostic, both settings), exact totals (read from
-one per-atom ``plan`` of a law), empirical losses, flexibility witnesses,
-neutral symbols, and Bayes predictors.
+one per-atom ``plan`` over mu's ``law_plan``), empirical losses, flexibility
+witnesses, neutral symbols, and Bayes predictors.
 
 Non-partite losses consume full label patterns: a pattern is a tuple over the
 canonical enumeration of S_k (see ``hypotheses.perms``), i.e. an element of
@@ -10,6 +10,7 @@ from a template's rules (``orbit``, ``read``, ``index``, ``domain``), so no
 loss computation here branches on the setting.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, product
@@ -117,32 +118,41 @@ def wrap_agnostic(ell):
 # total losses (exact enumeration, one plan per check)
 
 
-def plan(mu, F, ell, mu2=None):
-    """(row, weigh) over ``sampler.joint_law`` at the loss's domain size.
-    ``row(H)`` is H's loss at each atom: l(x, H's labels, F's labels), both
-    read over the atom's orbit, or, given mu2, the agnostic l(H, x, y), y F's
-    labels at the joined point.  ``weigh(row)`` is its expectation, summed in
-    integers over one denominator, so a float loss value raises TypeError.
-    Orbits and F's labels are built once; a row reads H once per atom."""
+def law_plan(mu, k, mu2=None):
+    """The part of a ``plan`` that reads mu (and mu') alone, built once per
+    mu: the template, ``sampler.joint_law``'s atoms at the arity-k domain
+    size (each x with its orbit pullbacks, or, given mu2, as listed),
+    ``weigh`` (a row's expectation in integers over one denominator, so a
+    float loss value raises TypeError) and whether mu2 was given."""
     t = mu.template
-    (m, orbit), pull, read = t.domain(ell.k), t.pull, t.read
-    law = sampler.joint_law(mu, m, mu2)
+    (m, orbit), pull = t.domain(k), t.pull
+    law = list(sampler.joint_law(mu, m, mu2))
     W = lcm(*(p.denominator for *_, p in law))
     weights = [p.numerator * (W // p.denominator) for *_, p in law]
-    if mu2 is None:
-        orbits = [(x, [pull(a, x) for a in orbit]) for x, _, _ in law]
-        atoms = [(x, o, read(F, o)) for x, o in orbits]
-        row = lambda H: [ell(x, read(H, o), y) for x, o, y in atoms]  # noqa: E731
-    else:
-        atoms = [(x, t.label(F, z)) for x, z, _ in law]
-        row = lambda H: [ell(H, x, y) for x, y in atoms]  # noqa: E731
-    return row, lambda r: Fraction(sum(map(mul, weights, r)), W)
+    weigh = lambda r: Fraction(sum(map(mul, weights, r)), W)  # noqa: E731
+    if mu2 is not None:
+        return t, law, weigh, True
+    return t, [(x, [pull(a, x) for a in orbit]) for x, _, _ in law], weigh, False
+
+
+def plan(law, F, ell):
+    """(row, weigh) over a ``law_plan``: ``row(H)`` is H's loss at each atom,
+    l(x, H's labels, F's labels), both read over the atom's orbit, or, given
+    mu', the agnostic l(H, x, y), y F's labels at the joined point.  F's
+    labels are read once per plan; a row reads H once per atom."""
+    t, atoms, weigh, joined = law
+    read = t.read
+    if joined:
+        atoms = [(x, t.label(F, z)) for x, z, _ in atoms]
+        return lambda H: [ell(H, x, y) for x, y in atoms], weigh
+    atoms = [(x, o, read(F, o)) for x, o in atoms]
+    return lambda H: [ell(x, read(H, o), y) for x, o, y in atoms], weigh
 
 
 def totals(mu, F, ell, mu2=None):
     """H -> E_{x ~ mu}[l(x, H's labels at x, F's labels at x)], or, given mu2,
     E over mu (x) mu' of the agnostic l(H, x, y): ``plan``'s weighted row."""
-    row, weigh = plan(mu, F, ell, mu2)
+    row, weigh = plan(law_plan(mu, ell.k, mu2), F, ell)
     return lambda H: weigh(row(H))
 
 
@@ -283,19 +293,20 @@ def bayes_predictor(mu, mu2, F, ell):
     all assignments to its distinct points, so the result is a genuine
     hypothesis.  An assignment scores the sum of the conditional losses at
     those points, which carry equal mass, so asymmetric losses are minimized
-    too; like ``plan``, it sums with integer weights over one denominator.
-    Ties break toward the smallest label indices, read over the distinct
-    points in the order the orbit first shows them.
+    too; it sums exactly over the mass of each distinct label of F at a
+    point, read off the law one point at a time.  Ties break toward the
+    smallest label indices, read over the distinct points in the order the
+    orbit first shows them.
     """
-    t = mu.template
+    t, u = mu.template, templates.uniform_prob(mu.template)
     (m, ps), pull, read, label = t.domain(ell.k), t.pull, t.read, t.label
-    law = sampler.joint_law(templates.uniform_prob(t), m, mu2)
-    W = lcm(*(p.denominator for *_, p in law))
-    # each point's key -> (the point, [(weight over W, F's labels at a joined
-    # point)]), read off the law, which lists a point's atoms together
+    # each point's key -> (the point, {F's labels at a joined point: their
+    # mass}), read off the law, which lists a point's atoms together
     conditional = {}
-    for x, atoms in groupby(law, key=itemgetter(0)):
-        yps = [(p.numerator * (W // p.denominator), label(F, z)) for _, z, p in atoms]
+    for x, atoms in groupby(sampler.joint_law(u, m, mu2), key=itemgetter(0)):
+        yps = Counter()
+        for _, z, p in atoms:
+            yps[label(F, z)] += p
         conditional[canonical_key(x)] = x, yps
     values = {}
     for key, (x, _) in conditional.items():
@@ -314,7 +325,7 @@ def bayes_predictor(mu, mu2, F, ell):
             return sum(
                 w * ell(z, read(hy, reads), yp)
                 for z, reads, yps in points
-                for w, yp in yps
+                for yp, w in yps.items()
             )
 
         # product runs in lexicographic order and min keeps the first least

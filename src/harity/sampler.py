@@ -57,16 +57,9 @@ def _draw(rng, weights):
 def sample_config(mu, m, rng):
     """One independent draw per coordinate of a size-m sample (m vertices per
     part in the partite setting), in canonical order, from its ground space's
-    weights (as floats, once per space)."""
-    t = mu.template
-    floats = {}
-    out = {}
-    for key in t.coords(m):
-        space = t.space(key)
-        if space not in floats:
-            floats[space] = [float(mu.weight(space, p)) for p in range(t.size(space))]
-        out[key] = _draw(rng, floats[space])
-    return out
+    float weights, which mu converted once when it was built."""
+    t, floats = mu.template, mu.floats
+    return {key: _draw(rng, floats[t.space(key)]) for key in t.coords(m)}
 
 
 def sample_partite_config(mu, m, rng):
@@ -102,14 +95,15 @@ def law_key(x, y):
 
 def joint_law(mu, m, mu2=None):
     """The (x, joined point, p) atoms of mu (x) mu' on size-m samples, x' fastest,
-    or of mu alone (joined point x); refused above the cap before enumerating."""
+    or of mu alone (joined point x), lazily: a one-pass reader holds only the
+    two measures' own laws.  Refused above the cap before enumerating."""
     check_law_size(prod(templates.law_atoms(nu, m) for nu in (mu, mu2) if nu))
     law = templates.config_law(mu, m)
     if mu2 is None:
-        return [(x, x, p) for x, p in law]
+        return ((x, x, p) for x, p in law)
     t, t2, xp_law = mu.template, mu2.template, templates.config_law(mu2, m)
     join = templates.join_config
-    return [(x, join(t, t2, x, xp), p * q) for x, p in law for xp, q in xp_law]
+    return ((x, join(t, t2, x, xp), p * q) for x, p in law for xp, q in xp_law)
 
 
 def exact_sample_law(sc, m):

@@ -16,8 +16,8 @@ empirical and total losses are written once over these methods; no other
 module branches on the setting where the maths agrees.
 
 Probabilities are exact rationals (``fractions.Fraction``) so tiny-instance
-oracles compare distributions for equality; Monte Carlo code converts to
-floats only at the sampling boundary.
+oracles compare distributions for equality; Monte Carlo code reads the float
+rows a ``ProbTemplate`` converts once, when it is built.
 """
 
 from dataclasses import dataclass, field
@@ -170,6 +170,7 @@ class ProbTemplate:
     template: object
     weights: object = field(hash=False)  # a tuple per arity, or a dict per part set
     _by_space: dict = field(init=False, repr=False, compare=False)
+    floats: dict = field(init=False, repr=False, compare=False)  # space -> floats
 
     def __post_init__(self):
         t = self.template
@@ -184,6 +185,8 @@ class ProbTemplate:
             if sum(w) != 1:
                 raise ValueError(f"space {a}: weights sum to {sum(w)}, not 1")
         object.__setattr__(self, "_by_space", by_space)
+        floats = {a: [float(p) for p in w] for a, w in by_space.items()}
+        object.__setattr__(self, "floats", floats)
 
     def weight(self, space, point):
         """Arities above a plain template's k are singletons of weight 1."""

@@ -517,6 +517,19 @@ def test_each_check_enumerates_the_law_once(monkeypatch):
         ag, ell1, 3, Fraction(1, 10), 20, "once", cls=consts,
     )
     assert len(calls) == 2 and set(calls) == {ag.mu, ag.mu2}
+    # the no-free-lunch search builds mu's law once for its 64 B and the final
+    # measurement
+    calls.clear()
+    adversaries.nfl_worst_F(A, nfl, 3, Fraction(1, 10), 20, "once", search_trials=2)
+    assert calls == [nfl.mu]
+    mu_law = losses.law_plan(nfl.mu, 1)
+    calls.clear()
+    shared = learners.estimate_pac_success(
+        A, sc, ell, 3, Fraction(1, 10), 50, "once", law=mu_law
+    )
+    assert calls == []
+    own = learners.estimate_pac_success(A, sc, ell, 3, Fraction(1, 10), 50, "once")
+    assert type(shared) is Fraction and shared == own
 
 
 def test_check_concentration_within_bound():

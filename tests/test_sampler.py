@@ -44,6 +44,44 @@ def test_sample_partite_coordinates():
     assert set(x) == set(indexing.part_indices(2, 2))
 
 
+def test_sample_config_converts_no_fraction(monkeypatch):
+    # mu's float rows are built with mu; a draw reads them as they are
+    mu = templates.uniform_prob(families.highorder_family(3).cls.template)
+    plain = _unary_scenario().mu
+    calls = []
+    to_float = Fraction.__float__
+    monkeypatch.setattr(
+        Fraction, "__float__", lambda q: calls.append(q) or to_float(q)
+    )
+    for nu in (mu, plain):
+        sampler.sample_config(nu, 4, sampler.stream("f", 0))
+    assert calls == []
+
+
+def test_float_rows_are_the_weights_as_floats():
+    plain = _unary_scenario().mu
+    assert plain.floats == {1: [1 / 3, 2 / 3]}
+    pt = templates.PartiteTemplate(2, {(1,): 2, (2,): 3, (1, 2): 2})
+    third = Fraction(1, 3)
+    weights = {(1,): (Fraction(1), Fraction(0)), (2,): (third,) * 3, (1, 2): (0, 1)}
+    for mu in (plain, templates.ProbTemplate(pt, weights)):
+        t = mu.template
+        assert mu.floats.keys() == t.per_space(t.sizes).keys()
+        for a, row in mu.floats.items():
+            assert row == [float(mu.weight(a, v)) for v in range(t.size(a))]
+            assert all(type(w) is float for w in row)
+
+
+def test_joint_law_is_lazy_and_refuses_eagerly():
+    t = templates.Template(1, (2,))
+    mu = templates.uniform_prob(t)
+    law = sampler.joint_law(mu, 3, mu)
+    assert not isinstance(law, list)
+    assert sum(p for *_, p in law) == 1
+    with pytest.raises(ValueError, match="exact law"):
+        sampler.joint_law(mu, 11, mu)
+
+
 def test_labeled_sample_trivial_aux():
     sc = _unary_scenario()
     x, y = sampler.labeled_sample(sc, 4, sampler.stream("t", 0))
