@@ -117,11 +117,8 @@ def slices(cls):
     coordinates avoiding the missing vertex or part, and the family is the
     class's members restricted to x's extensions ``points``, which vary the
     coordinates containing it, read as the class table's distinct rows at
-    their columns (a point's sum of place values)."""
-    t = cls.template
-    place, step = {}, 1
-    for key in reversed(t.coords(t.domain(cls.k)[0])):
-        place[key], step = step, step * t.size(t.space(key))
+    their columns (``templates.places``)."""
+    t, place = cls.template, templates.places(cls.template, cls.k)
     for missing, fixed, varied in t.slices(cls.k):
         points = templates.points_over(t, varied)
         domain = tuple(canonical_key(z) for z in points)

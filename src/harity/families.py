@@ -3,13 +3,10 @@ degree graphs, partition families (distance / max), and the rank-2
 higher-order class.  Each is an indicator class H_B(x) = 1[kappa(x) in B],
 one member per kept subset B of a ground set, built by the one constructor
 ``_indicators``: it enumerates the subsets in size-then-lex order, keeps
-those a filter accepts (only ``bdeg`` passes one, its degree bound), checks
-the caps, and gives the class one ERM oracle ``erm(x, y)``, the member of
-the keys that the sample's 1-labelled units witness (``bdeg`` fits them
-greedily to its bound).  Each family ships its member list, its class
-table, filled from the subsets' bitmasks without a member call, which the
-dimension machinery reads, and known-dimension metadata that the tests
-re-derive.
+those a filter accepts (only ``bdeg`` passes one, its degree bound) and
+checks the caps.  Each family ships its member list, its class table (filled
+from the subsets' bitmasks without a member call, and all that ``dims`` and
+``learners.erm`` read) and known-dimension metadata that the tests re-derive.
 """
 
 from dataclasses import dataclass, field
@@ -39,15 +36,10 @@ class FamilySpec:
     chi: object = field(default=None, compare=False)  # partition data, if any
 
 
-def _indicators(
-    name, template, reads, key, ground, member_name, rank, cap, keep=None, fit=None
-):
-    """The class {H_B : B a subset of ``ground`` that ``keep`` accepts}, with
-    H_B(x) = 1 if key(x, reads(identity unit)) is in B, else 0.  ``reads(a)``
-    gives the coordinates that unit a of a sample reads; the ERM returns the
-    member of the keys its 1-labelled units show within the ground set, as
-    ``fit`` adjusts them.  Past ``ENUMERATION_CAP`` candidates or ``cap``
-    kept subsets it raises ``ValueError`` before building any member."""
+def _indicators(name, template, key, ground, member_name, rank, cap, keep=None):
+    """The class {H_B : B a subset of ``ground`` that ``keep`` accepts}, where
+    H_B(x) = [key(x) in B] at a domain point x.  Past ``ENUMERATION_CAP``
+    candidates or ``cap`` kept subsets it raises ValueError before any member."""
     size = len(ground)
     if 2**size > ENUMERATION_CAP:
         raise ValueError(
@@ -59,43 +51,27 @@ def _indicators(
             kept.append(b)
             if len(kept) > cap:
                 raise ValueError(f"{name} keeps more than {cap} members, over the cap")
-    at = reads(template.domain(2)[1][0])  # the identity unit, first of its orbit
     # the class table: T[B, p] is bit key(p) of B's mask, or clear bit `size` if no key
     place = {g: i for i, g in enumerate(ground)}
     masks = np.array([sum(1 << place[g] for g in b) for b in kept], dtype=np.int64)
-    bits = [place.get(key(x, at), size) for x in templates.domain_points(template, 2)]
+    bits = [place.get(key(x), size) for x in templates.domain_points(template, 2)]
     table = (masks[:, None] >> np.arange(size + 1) & 1).astype(np.uint8)[:, bits]
-    by_set = {}
-    for b in kept:
-        def fn(x, bs=frozenset(b)):
-            return 1 if key(x, at) in bs else 0
-
-        by_set[frozenset(b)] = Hypothesis(
-            2, template, (0, 1), fn, name=member_name(b), declared_rank=rank
-        )
-    ground_set = frozenset(ground)
-
-    def erm(x, y):
-        shown = (key(x, reads(a)) for a, label in y.items() if label == 1)
-        b = ground_set.intersection(shown)
-        return by_set[fit(b) if fit else b]
-
-    return HypothesisClass(2, template, (0, 1), tuple(by_set.values()), name, erm, table)
+    fns = [lambda x, bs=frozenset(b): 1 if key(x) in bs else 0 for b in kept]
+    members = tuple(
+        Hypothesis(2, template, (0, 1), f, member_name(b), rank)
+        for f, b in zip(fns, kept)
+    )
+    return HypothesisClass(2, template, (0, 1), members, name, table=table)
 
 
 def _graph(n, pair_key):
     """Simple graphs on n vertices (arity-1 points, a singleton pair space):
-    the template, the coordinates unit (i, j) reads, and the key of the pair
-    {u, v} it holds, read through one dict over (u, v) in both orders (None
-    when u == v)."""
+    the template and the key of the pair {u, v} a domain point holds, read
+    through one dict over (u, v) in both orders (None when u == v)."""
     keys = {}
     for u, v in combinations(range(n), 2):
         keys[u, v] = keys[v, u] = pair_key(u, v)
-    return (
-        templates.Template(2, (n, 1)),
-        lambda a: ((a[0],), (a[1],)),
-        lambda x, r: keys.get((x[r[0]], x[r[1]])),
-    )
+    return templates.Template(2, (n, 1)), lambda x: keys.get((x[(1,)], x[(2,)]))
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +117,6 @@ def bounded_degree_family(n, d):
                     return False
         return True
 
-    def greedy(witnessed):
-        # greedy consistent subgraph in canonical edge order
-        chosen = ()
-        for e in edges:
-            if e in witnessed and bounded(chosen + (e,)):
-                chosen += (e,)
-        return frozenset(chosen)
-
     cls = _indicators(
         f"bdeg({n},{d})",
         *_graph(n, lambda u, v: (u, v)),
@@ -157,7 +125,6 @@ def bounded_degree_family(n, d):
         1,
         GRAPH_MEMBER_CAP,
         bounded,
-        greedy,
     )
     metadata = {"vcn2": min(d, n - 1), "rank": 1}
     return FamilySpec("bdeg", {"n": n, "d": d}, cls, metadata=metadata)
@@ -209,8 +176,7 @@ def highorder_family(n):
     cls = _indicators(
         f"highorder({n})",
         templates.PartiteTemplate(2, {(1,): 1, (2,): n, (1, 2): n}),
-        lambda a: (((2, a[1]),), ((1, a[0]), (2, a[1]))),
-        lambda x, r: v if (v := x[r[0]]) == x[r[1]] else None,
+        lambda x: v if (v := x[((2, 1),)]) == x[((1, 1), (2, 1))] else None,
         tuple(range(n)),
         lambda b: f"ho{sorted(b)}",
         2,

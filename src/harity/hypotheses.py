@@ -135,10 +135,9 @@ class HypothesisClass:
     ``table[i, j]`` is the index in ``labels`` of member i's value at the j-th
     point of ``templates.domain_points`` (mixed radix, the last coordinate
     fastest), in the smallest unsigned dtype that holds ``len(labels)``,
-    passed in or else evaluated once per member and point.  ``dims`` reads
-    only the table.  A value outside ``labels`` or a duplicate member raises
-    ValueError.  A class may carry a pure ERM oracle ``erm(x, y) ->
-    Hypothesis`` that returns a member of least empirical loss.
+    passed in or else evaluated once per member and point.  ``dims`` and
+    ``learners.erm`` read only the table.  A value outside ``labels`` or a
+    duplicate member raises ValueError.
     """
 
     k: int
@@ -146,7 +145,6 @@ class HypothesisClass:
     labels: tuple
     members: tuple
     name: str = ""
-    erm: object = field(default=None, compare=False)
     table: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):

@@ -1,10 +1,10 @@
-"""ERM learners, sample-complexity formulas, the derandomization wrapper,
+"""The one ERM, sample-complexity formulas, the derandomization wrapper,
 uniform-convergence and concentration verifiers, and the rank-2 class learner.
 
 A ``Learner`` maps a visible sample plus a randomness index ``b`` in
 ``[R(m)]`` to a hypothesis; ``R`` identically 1 means deterministic.  A
 learner carries no setting flag: sample sizes and the setting are read from
-the sample's keys, and ``erm`` reads the class's template, so learners compose
+the sample's keys, and ``erm`` reads the class's table, so learners compose
 without extra plumbing.  The concentration constant K, and with it every
 derandomization size, is read from a template (``concentration_constant``).
 
@@ -18,17 +18,22 @@ chooser ``_trial_losses``, whose fast-route tables are the same plan rows.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import cache, lru_cache
+from itertools import chain, product
 from math import comb
+from numbers import Integral, Rational
+from operator import itemgetter
 
-from . import fastpath, indexing, losses, sampler
+import numpy as np
+
+from . import fastpath, indexing, losses, sampler, templates
 
 
 def sample_size(x):
     """The number of points of a sample (per part, in the partite setting)."""
     if indexing.partite_keys(x):
-        return max(v for key in x for _, v in key)
-    return max(a[-1] for a in x)
+        return max(map(itemgetter(1), chain.from_iterable(x)))
+    return max(map(itemgetter(-1), x))
 
 
 @dataclass(frozen=True)
@@ -49,22 +54,58 @@ class Learner:
 
 
 def erm(cls, ell):
-    """Exact empirical-loss argmin over the class, in the setting of its
-    template, ties broken by the member order, or the class's ERM oracle when
-    it carries one.  A class with no members raises ValueError."""
+    """The exact empirical-loss argmin over the class, ties to member order.
+    A unit u's loss depends only on its key: the table column of u*(x) and y's
+    labels (ell's) over u's orbit.  So the sample's key counts times a cached
+    loss column per key (one ``ell`` call per distinct table row over the
+    orbit, and no member call) give every member's total, exactly: int64 under
+    an overflow guard, else Python numbers; a float loss raises TypeError.  A
+    sample with no unit (m < k) gives member 0."""
     if not cls.members:
         raise ValueError("class has no members")
+    t, k, labels = cls.template, cls.k, ell.labels
+    place, dom = templates.places(t, k), templates.domain_points(t, k)
+    ids, index = t.domain(k)[1], {v: i for i, v in enumerate(labels)}
+    # a unit's key in mixed radix: its point's column, then y's labels on its orbit
+    digits, slots, top = [len(dom), *[len(labels)] * len(ids)], range(len(ids)), 0
+    if math.prod(digits) > 2**63:
+        raise ValueError("the class's unit keys overflow int64")
+    radix = np.cumprod([1, *digits[:0:-1]])[::-1]
+    wx, wy = np.array([*place.values()]) * radix[0], radix[1:]
+
+    @lru_cache(maxsize=4)
+    def layout(m):  # coords(m), each unit's positions in them, the units' orbits
+        coords, units = t.coords(m), list(t.units(m, k))
+        pos = dict(zip(coords, range(len(coords))))
+        at = np.array([[p[a] for a in place] for p in (t.pull(u, pos) for u in units)])
+        return coords, at, [a for u in units for a in t.orbit(u)]
+
+    @cache
+    def column(key):
+        nonlocal top  # the largest |loss| any column holds
+        c, *ys = (key // radix) % digits
+        cells = [sum(place[a] * v for a, v in t.pull(s, dom[c]).items()) for s in ids]
+        rows, inverse = np.unique(cls.table[:, cells], axis=0, return_inverse=True)
+        hs = [t.read(lambda j: cls.labels[r[j]], slots) for r in rows.tolist()]
+        y = t.read(lambda j: labels[ys[j]], slots)
+        values = [ell(dom[c], h, y) for h in hs]
+        if not all(isinstance(v, Rational) for v in values):
+            raise TypeError("ERM sums loss values exactly: ints or Fractions only")
+        top = max(top, *map(abs, values))
+        return np.array(values, None if top < 2**63 else object)[inverse.ravel()]
 
     def fn(x, y, b):
-        if cls.erm is not None:
-            return cls.erm(x, y)
-        m = sample_size(x)
-        best = None
-        for i, H in enumerate(cls.members):
-            loss = losses.empirical_loss(x, y, ell, H, m)
-            if best is None or loss < best[0]:
-                best = (loss, i)
-        return cls.members[best[1]]
+        coords, at, orbits = layout(sample_size(x))
+        if not len(at):
+            return cls.members[0]
+        xs = np.fromiter(map(x.__getitem__, coords), int, len(coords))
+        ys = np.fromiter(map(index.__getitem__, map(y.__getitem__, orbits)), int)
+        keys = xs[at] @ wx + ys.reshape(len(at), -1) @ wy
+        keys, counts = np.unique(keys, return_counts=True)
+        stack = np.array([column(key) for key in keys.tolist()])
+        if top * len(at) >= 2**63:
+            stack = stack.astype(object)
+        return cls.members[int(np.argmin(counts @ stack))]
 
     return Learner(cls.k, fn, lambda m: 1, name=f"erm({cls.name})")
 
@@ -354,14 +395,12 @@ def infvcn_m_pac(eps, delta, sup_norm=1):
 
 
 def infvcn_learner(n_max):
-    """The diagonal rank-2 class at truncation n_max with its closed-form ERM
-    and sample-size function."""
+    """The diagonal rank-2 class at truncation n_max, its 0/1-loss ``erm`` and
+    its sample-size function."""
     from . import families
 
-    spec = families.highorder_family(n_max)
-    ell = losses.zero_one_loss((0, 1), 2)
-    A = erm(spec.cls, ell)
-    return spec.cls, A, infvcn_m_pac
+    cls = families.highorder_family(n_max).cls
+    return cls, erm(cls, losses.zero_one_loss(cls.labels, 2)), infvcn_m_pac
 
 
 # ---------------------------------------------------------------------------

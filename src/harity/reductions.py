@@ -445,8 +445,7 @@ def extend_codomain(cls, extra_labels):
     that replaces out-of-range labels by the class's first label.  The new
     labels come last, so the class's table carries over (widened if the
     label count needs it); an extra label that repeats or is already a class
-    label raises ValueError.  The class's oracle, if any, answers with the
-    extended member at the position of the original's answer."""
+    label raises ValueError."""
     labels2 = cls.labels + tuple(extra_labels)
     if len(set(labels2)) < len(labels2):
         raise ValueError("an extra label repeats or is already a class label")
@@ -454,17 +453,9 @@ def extend_codomain(cls, extra_labels):
         Hypothesis(H.k, H.template, labels2, H.fn, H.name, H.declared_rank)
         for H in cls.members
     )
-    erm2 = None
-    if cls.erm is not None:
-        extended = {id(H): H2 for H, H2 in zip(cls.members, members2)}
-
-        def erm2(x, y):
-            return extended[id(cls.erm(x, y))]
-
     table = cls.table.astype(np.min_scalar_type(len(labels2)), copy=False)
-    cls2 = HypothesisClass(
-        cls.k, cls.template, labels2, members2, cls.name + "+ext", erm2, table
-    )
+    name2 = cls.name + "+ext"
+    cls2 = HypothesisClass(cls.k, cls.template, labels2, members2, name2, table)
     fill = cls.labels[0]
     known = set(cls.labels)
 

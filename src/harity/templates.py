@@ -270,6 +270,15 @@ def domain_points(template, k):
     return config_points(template, template.domain(k)[0])
 
 
+def places(template, k):
+    """Each arity-k domain coordinate's place value: a point's column in a class
+    table (``domain_points``' mixed radix) is its values' sum of place values."""
+    t, place, step = template, {}, 1
+    for key in reversed(t.coords(t.domain(k)[0])):
+        place[key], step = step, step * t.size(t.space(key))
+    return place
+
+
 def _supports(mu, m):
     """Each coordinate of the size-m configuration space with the (point,
     weight) pairs of positive weight on its ground space, in ``coords(m)``

@@ -300,12 +300,13 @@ def test_criterion_10_rank2_pac():
     # cross-check the fast rule against the generic class ERM on small samples
     mu = templates.uniform_partite_prob(cls.template)
     F = next(H for H in cls.members if H.name == "ho[0, 2, 3, 5, 7]")
+    A = learners.erm(cls, losses.zero_one_loss(cls.labels, 2))
     agree = True
     for t in range(20):
         r = sampler.stream("c10-xc", t)
         x = sampler.sample_partite_config(mu, 3, r)
         y = star_partite(F, x, 3)
-        H = cls.erm(x, y)
+        H = A(x, y)
         x2 = np.array([x[((2, j),)] for j in range(1, 4)])
         x12 = np.array(
             [[x[((1, i), (2, j))] for j in range(1, 4)] for i in range(1, 4)]
@@ -375,11 +376,15 @@ def test_criterion_12_derandomization():
     sc = sampler.Scenario(mu, F)
     ctx = fastpath.PairContext(mu, F, ell)
     const1 = constant_hypothesis(2, cls.template, (0, 1), 1)
+    erm = learners.erm(cls, ell)
 
     def a_fn(x, y, b):
         if b < 3:
             return const1
-        return cls.erm(x, y)
+        # the derandomized run's x holds unary values only; its pair
+        # coordinates read 0, which matching ignores and ctx.ftable uses
+        pairs = combinations(range(1, learners.sample_size(x) + 1), 2)
+        return erm({**dict.fromkeys(pairs, 0), **x}, y)
 
     A = learners.Learner(2, a_fn, lambda m: 4, name="mixed")
     m_rand = lambda e, d: 8 / min(e, d)  # noqa: E731

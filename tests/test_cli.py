@@ -224,6 +224,23 @@ GOLDEN_CSV = [
         "verify-uc --family highorder --n 3 --m 10,20 --trials 20",
         "3ba62e8cd26e0b9375881869b36abdf05bbeaae5836473f70ced23ed7bf9a345",
     ),
+    # a sample with no unit (m < k): the ERM returns member 0
+    (
+        "learn --family matching --n 2 --m 1 --trials 10",
+        "b4de12966074556fa2cc7c4e5dc1859f6d86f37c32c397885105c587face8e34",
+    ),
+    (
+        "learn --family bdeg --n 4 --d 2 --member 20 --m 4,8 --trials 20",
+        "0a4c0bd24523bc179f6f8b916e9156c40bd1fe1a6daade8b4aaf0a8a185ee32b",
+    ),
+    (
+        "learn --family dist --n 6 --member 21 --m 4,8 --trials 20",
+        "03fa1aa4e928b56f92e8b01c532390c35463c522cdc1c8fb1d453f5361761089",
+    ),
+    (
+        "learn --family maxg --n 5 --member 9 --m 4,8 --trials 20",
+        "de070eb879e80e36518496246a2f663d00521d128783baae68e135f88f69cde6",
+    ),
 ]
 
 

@@ -1,11 +1,12 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from harity import dims, families, losses, sampler, templates
-from harity.hypotheses import star, star_partite
+from harity import dims, families, learners, losses, sampler, templates
+from harity.hypotheses import star
 
 
 def test_registry():
@@ -162,27 +163,28 @@ def test_members_match_their_written_out_definition(build, expected):
     assert got == [(name, rank, [fn(x) for x in points]) for name, rank, fn in expected]
 
 
-def _erm_is_argmin(spec, m, trials, seed):
+def _first_argmin(cls, ell, x, y, m):
+    """The reference ERM: the first member of least empirical loss."""
+    emp = [losses.empirical_loss(x, y, ell, H, m) for H in cls.members]
+    return cls.members[emp.index(min(emp))]
+
+
+def _erm_is_argmin(spec, m, trials, seed, flip=0, ell=None):
+    """``learners.erm`` against the reference on samples whose labels each
+    flip with probability ``flip`` (so realizable when 0)."""
     cls = spec.cls
-    ell = losses.zero_one_loss(cls.labels, cls.k)
-    if cls.partite:
-        mu = templates.uniform_partite_prob(cls.template)
-    else:
-        mu = templates.uniform_prob(cls.template)
+    ell = ell or losses.zero_one_loss(cls.labels, cls.k)
+    mu = templates.uniform_prob(cls.template)
+    A = learners.erm(cls, ell)
     for t in range(trials):
         rng = sampler.stream(seed, t)
         F = cls.members[rng.randrange(len(cls.members))]
-        if cls.partite:
-            x = sampler.sample_partite_config(mu, m, rng)
-            y = star_partite(F, x, m)
-            emp = lambda H: losses.empirical_loss_partite(x, y, ell, H, m)  # noqa: E731
-        else:
-            x = sampler.sample_config(mu, m, rng)
-            y = star(F, x, m)
-            emp = lambda H: losses.empirical_loss_nonpartite(x, y, ell, H, m)  # noqa: E731
-        chosen = cls.erm(x, y)
-        best = min(emp(H) for H in cls.members)
-        assert emp(chosen) == best == 0  # realizable samples
+        x = sampler.sample_config(mu, m, rng)
+        y = {a: 1 - v if rng.random() < flip else v for a, v in star(F, x, m).items()}
+        chosen = A(x, y)
+        assert chosen is _first_argmin(cls, ell, x, y, m)
+        if not flip:
+            assert losses.empirical_loss(x, y, ell, chosen, m) == 0
 
 
 def test_structured_erm_matches_argmin():
@@ -190,6 +192,23 @@ def test_structured_erm_matches_argmin():
     _erm_is_argmin(families.distance_family(4), 4, 10, "erm-dist")
     _erm_is_argmin(families.bounded_degree_family(4, 2), 4, 10, "erm-bdeg")
     _erm_is_argmin(families.highorder_family(3), 3, 10, "erm-ho")
+
+
+def test_erm_is_the_argmin_on_noisy_samples():
+    # a fit to the 1-labelled units alone is an argmin only on realizable
+    # samples; with labels flipped at rate 1/5 the ERM must still minimise
+    _erm_is_argmin(families.matching_family(3), 6, 20, "noisy-match", flip=0.2)
+    _erm_is_argmin(families.distance_family(5), 5, 20, "noisy-dist", flip=0.2)
+    _erm_is_argmin(families.bounded_degree_family(4, 2), 5, 20, "noisy-bdeg", flip=0.2)
+    _erm_is_argmin(families.highorder_family(3), 3, 20, "noisy-ho", flip=0.2)
+    # an asymmetric Fraction-valued loss that reads the point: a miss on the
+    # last orbit entry costs 2, a false alarm on the first (1 + x_1) / 3
+    def asym(x, y, yp):
+        return Fraction(1 + x[(1,)], 3) * (y[0] > yp[0]) + 2 * (y[-1] < yp[-1])
+
+    asym = losses.LossFn(2, (0, 1), asym, name="asym")
+    assert not losses.loss_metadata(asym, families.matching_family(3).cls.template)[2]
+    _erm_is_argmin(families.matching_family(3), 6, 20, "noisy-asym", flip=0.2, ell=asym)
 
 
 def test_growth_bound_all_builtin_small():

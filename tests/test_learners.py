@@ -2,7 +2,6 @@ import math
 import random
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -17,6 +16,7 @@ from harity.hypotheses import (
     HypothesisClass,
     canonical_key,
     constant_hypothesis,
+    partize_class,
     pattern,
     star,
     star_partite,
@@ -86,27 +86,75 @@ def test_concentration_bound_frozen():
     )
 
 
+def _first_argmin(cls, ell, x, y, m):
+    """The reference ERM: the first member of least empirical loss."""
+    emp = [losses.empirical_loss(x, y, ell, H, m) for H in cls.members]
+    return cls.members[emp.index(min(emp))]
+
+
 def test_erm_routes_agree():
+    # the one ERM is the reference argmin, on realizable samples a fit
     spec = families.matching_family(2)
     cls = spec.cls
     ell = losses.zero_one_loss(cls.labels, 2)
     mu = templates.uniform_prob(cls.template)
-    oracle = learners.erm(cls, ell)
-    argmin = learners.erm(replace(cls, erm=None), ell)
+    A = learners.erm(cls, ell)
     for t in range(10):
         rng = sampler.stream("erm-agree", t)
         F = cls.members[rng.randrange(len(cls))]
         x = sampler.sample_config(mu, 5, rng)
         y = star(F, x, 5)
-        a = oracle(x, y, 0)
-        b = argmin(x, y, 0)
-        ea = losses.empirical_loss_nonpartite(x, y, ell, a, 5)
-        eb = losses.empirical_loss_nonpartite(x, y, ell, b, 5)
-        assert ea == eb == 0
+        H = A(x, y, 0)
+        assert H is _first_argmin(cls, ell, x, y, 5)
+        assert losses.empirical_loss_nonpartite(x, y, ell, H, 5) == 0
     # a class without members has nothing to minimise over
     empty = HypothesisClass(1, templates.Template(1, (2,)), (0, 1), ())
     with pytest.raises(ValueError, match="no members"):
         learners.erm(empty, losses.zero_one_loss((0, 1), 1))
+
+
+def test_erm_reads_only_the_class_table():
+    # no member is called while the ERM runs, its loss columns included
+    for cls in (
+        partize_class(families.matching_family(2).cls),
+        families.bounded_degree_family(4, 2).cls,
+    ):
+        ell = losses.zero_one_loss(cls.labels, 2)
+        mu = templates.uniform_prob(cls.template)
+        A = learners.erm(cls, ell)
+        for t in range(5):
+            rng = sampler.stream("table-only", t)
+            F = cls.members[rng.randrange(len(cls))]
+            x = sampler.sample_config(mu, 4, rng)
+            y = star(F, x, 4)
+            expected = _first_argmin(cls, ell, x, y, 4)
+            called = AssertionError("ERM called a member")
+            with mock.patch.object(Hypothesis, "__call__", side_effect=called):
+                H = A(x, y)
+            assert H is expected
+
+
+def test_erm_sums_exactly():
+    # Fractions stay exact, int totals past int64 fall back to Python ints,
+    # a float loss value is refused, and a sample with no unit gives member 0
+    cls = families.matching_family(2).cls
+    mu = templates.uniform_prob(cls.template)
+    rng = sampler.stream("erm-exact", 0)
+    x = sampler.sample_config(mu, 6, rng)
+    y = star(cls.members[2], x, 6)
+    for scale in (Fraction(1, 3), 2**60, 2**70):
+        ell = losses.LossFn(2, (0, 1), lambda x, y, yp, s=scale: s * (y != yp))
+        assert learners.erm(cls, ell)(x, y) is cls.members[2]
+    ell = losses.LossFn(2, (0, 1), lambda x, y, yp: 0.5 * (y != yp))
+    with pytest.raises(TypeError):
+        learners.erm(cls, ell)(x, y)
+    ell = losses.zero_one_loss(cls.labels, 2)
+    assert learners.erm(cls, ell)({(1,): 3}, {}) is cls.members[0]
+    # a unit key (the column, then 3! labels out of 1,500) would pass int64
+    t3, wide = templates.Template(3, (1, 1, 1)), tuple(range(1500))
+    one = HypothesisClass(3, t3, wide, (constant_hypothesis(3, t3, wide, 0),))
+    with pytest.raises(ValueError, match="overflow int64"):
+        learners.erm(one, losses.LossFn(3, wide, lambda x, y, yp: 0))
 
 
 def test_uc_report_structure():
@@ -726,7 +774,8 @@ def test_the_setting_is_read_from_the_data():
     assert type(m) is int and m == 5
     # every ERM name runs in the class's own setting
     assert learners.erm_nonpartite is learners.erm_partite is learners.erm
-    G = learners.erm(replace(ho, erm=None), ell)(x, y)
+    G = learners.erm(ho, ell)(x, y)
+    assert G is _first_argmin(ho, ell, x, y, m)
     assert losses.empirical_loss_partite(x, y, ell, G, m) == 0
 
 

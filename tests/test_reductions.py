@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -443,17 +442,14 @@ def test_extend_codomain_oracle_answers_with_an_extended_member():
     cls2, _ = reductions.extend_codomain(cls, (2,))
     ell = losses.zero_one_loss(cls2.labels, 2)
     mu = templates.uniform_prob(cls.template)
-    oracle = learners.erm(cls2, ell)
-    argmin = learners.erm(replace(cls2, erm=None), ell)
+    A = learners.erm(cls2, ell)
     for t in range(5):
         rng = sampler.stream("ext-erm", t)
         F = cls2.members[rng.randrange(len(cls2))]
         x = sampler.sample_config(mu, 4, rng)
         y = star(F, x, 4)
-        H = oracle(x, y)
-        assert any(H is G for G in cls2.members)
+        H = A(x, y)
         assert H.labels == cls2.labels
-        G = argmin(x, y)
-        assert losses.empirical_loss(x, y, ell, H, 4) == losses.empirical_loss(
-            x, y, ell, G, 4
-        )
+        # the reference ERM: the first member of least empirical loss
+        emp = [losses.empirical_loss(x, y, ell, G, 4) for G in cls2.members]
+        assert H is cls2.members[emp.index(min(emp))]
