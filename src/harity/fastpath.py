@@ -9,45 +9,21 @@ and ``empirical(V, counts)`` reads it against a table in integers.  A
 2-partite table always qualifies; a pair table only when it ignores the pair
 value and is symmetric.  Nothing declared about H, F or the loss is read.
 
-Each draw reads the generic stream's prefix with one bulk call
-(``_uniforms``, bit for bit as many ``rng.random()`` calls), so every
-statistic here is bit-identical to the generic route on the same (seed, trial).
+Each draw reads the stream's prefix with one bulk call (``sampler._uniforms``,
+bit for bit as many ``rng.random()`` calls), so every statistic here equals
+``losses.empirical_loss`` on ``sampler.labeled_sample``'s sample for the same
+(seed, trial).
 """
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb
 from operator import mul
 
 import numpy as np
 
 from . import losses
-
-
-def _support(weights):
-    """A ground space's values of positive weight, in order, and their
-    cumulative float weights, summed as ``sampler._draw`` sums them."""
-    values = [v for v, w in enumerate(weights) if w]
-    return np.asarray(values), np.cumsum([float(weights[v]) for v in values])
-
-
-def _decode(cum, u):
-    """The support rank each uniform draws; past the float sum, the last."""
-    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-
-
-def _uniforms(rng, n):
-    """The next n ``rng.random()`` values, bit for bit, joining 32-bit word
-    pairs as ``random()`` does, from one call that leaves rng in their state."""
-    w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
-    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
-
-
-def _numerators(values):
-    """(D, numerators) of int or Fraction values over their lcm D; a float raises."""
-    exact = [Fraction(v, 1) for v in values]
-    D = lcm(*(v.denominator for v in exact))
-    return D, [v.numerator * (D // v.denominator) for v in exact]
+from .sampler import _decode, _support, _uniforms
 
 
 def _pair_table(table, n):
@@ -66,7 +42,7 @@ def tables(mu, rows):
     row over mu's k = 2 law, whose atoms are mu's support (part-1, part-2 and
     pair or cross value, the last fastest), as (D, integer numerators over D);
     None where it does not qualify."""
-    rows = [_numerators(row) for row in rows]
+    rows = [losses.numerators(row) for row in rows]
     if mu.template.partite:
         return rows
     n = len(_support(mu.weights[0])[0])

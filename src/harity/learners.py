@@ -11,8 +11,10 @@ derandomization size, is read from a template (``concentration_constant``).
 Every Monte Carlo check reads each hypothesis's exact total from one plan of
 its law (``_plan``), whose mu-only part (``losses.law_plan``) a caller may
 build once per mu and share; the uniform-convergence and concentration checks
-take their members' totals and per-trial empirical losses from the one route
-chooser ``_trial_losses``, whose fast-route tables are the same plan rows.
+take their members' totals and per-trial empirical losses from
+``_trial_losses``, which counts each trial's units by the law atom they induce
+(in a fastpath context, or by ``_atom_counter``'s unit codes) and reads the
+counts against the same plan rows, so no check draws a dict sample.
 """
 
 import math
@@ -53,6 +55,14 @@ class Learner:
 # empirical risk minimization
 
 
+def _unit_positions(t, units, m, keys, start=0):
+    """Each unit's row: the position in ``t.coords(m)``, numbered from start,
+    of its point u*(x)'s coordinate at each key."""
+    coords = t.coords(m)
+    pos = dict(zip(coords, range(start, start + len(coords))))
+    return np.array([[p[a] for a in keys] for p in (t.pull(u, pos) for u in units)])
+
+
 def erm(cls, ell):
     """The exact empirical-loss argmin over the class, ties to member order.
     A unit u's loss depends only on its key: the table column of u*(x) and y's
@@ -76,8 +86,7 @@ def erm(cls, ell):
     @lru_cache(maxsize=4)
     def layout(m):  # coords(m), each unit's positions in them, the units' orbits
         coords, units = t.coords(m), list(t.units(m, k))
-        pos = dict(zip(coords, range(len(coords))))
-        at = np.array([[p[a] for a in place] for p in (t.pull(u, pos) for u in units)])
+        at = _unit_positions(t, units, m, place)
         return coords, at, [a for u in units for a in t.orbit(u)]
 
     @cache
@@ -126,17 +135,71 @@ def _plan(sc, ell, law=None):
     return losses.plan(law, sc.F, losses.wrap_agnostic(ell) if sc.mu2 else ell)
 
 
+def _atom_counter(sc, k):
+    """(atoms, count): the number of atoms of the check's law (``law_plan``'s,
+    ``sampler.joint_law`` at the arity-k domain size) and count(rng, m) ->
+    (how many units of the size-m sample read off rng induce each atom, the
+    number of units).  The sample is read as ``sampler.labeled_sample`` reads
+    it, x then x', in one bulk draw; only the coordinates some unit reads are
+    decoded, to support ranks.  A unit's code is the mixed radix of the
+    support ranks of its point's coordinates, x's then x''s, the last
+    fastest: the law's atom order."""
+    t, d = sc.mu.template, sc.mu.template.domain(k)[0]
+    measures = [nu for nu in (sc.mu, sc.mu2) if nu]
+    # each domain coordinate's (measure, ground space), in the law's order
+    spaces = [
+        (i, nu.template.space(a))
+        for i, nu in enumerate(measures)
+        for a in nu.template.coords(d)
+    ]
+
+    def support(i, s):  # the space's cumulative weights over its support
+        nu = measures[i]
+        return sampler._support([nu.weight(s, v) for v in range(nu.template.size(s))])
+
+    cums = {space: support(*space)[1] for space in spaces}
+    digits = [len(cums[space]) for space in spaces]
+    radix, atoms = np.cumprod([1, *digits[:0:-1]])[::-1], math.prod(digits)
+
+    @lru_cache(maxsize=4)
+    def layout(m):  # draws, each unit's positions per domain coordinate, decodes
+        units, blocks, n = list(t.units(m, k)), [], 0
+        if not units:
+            raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = {k}")
+        for tn in (nu.template for nu in measures):
+            blocks.append(_unit_positions(tn, units, m, tn.coords(d), n))
+            n += len(tn.coords(m))
+        at, decodes = np.hstack(blocks), []
+        for space, cum in cums.items():  # each position some unit reads, once
+            reads = np.bincount(at[:, [s == space for s in spaces]].ravel())
+            decodes.append((cum, np.flatnonzero(reads)))
+        return n, at, decodes
+
+    def count(rng, m):
+        n, at, decodes = layout(m)
+        u, ranks = sampler._uniforms(rng, n), np.zeros(n, np.intp)
+        for cum, idx in decodes:
+            ranks[idx] = sampler._decode(cum, u[idx])
+        return np.bincount(ranks[at] @ radix, minlength=atoms), len(at)
+
+    return atoms, count
+
+
 def _trial_losses(sc, members, ell):
     """Each member's exact total and the one per-trial route: (rng, m) -> the
     empirical loss of each member on the size-m sample drawn from rng.  Both
     read one plan, which reads each member once per atom.
 
-    A non-agnostic k = 2 scenario builds a fastpath context (TwoPartiteContext
-    when 2-partite, PairContext otherwise) only when every member's plan row
-    qualifies as its table (``fastpath.tables``); the context then counts the
-    sample once per trial and reads each table against the counts.  Otherwise
-    the trial draws the generic labeled sample.  Each route reads the stream
-    as the generic one does, so all give bit-identical losses.
+    A unit's loss depends only on the law atom its point (joined with x' given
+    mu') is, so every route counts the sample's units by atom and reads the
+    counts against each member's plan row.  A non-agnostic k = 2 scenario
+    builds a fastpath context (TwoPartiteContext when 2-partite, PairContext
+    otherwise) when every member's plan row qualifies as its table
+    (``fastpath.tables``).  Otherwise the units are counted by their atom
+    codes (``_atom_counter``), and the counts times the rows, as integer
+    numerators over one denominator (int64 under an overflow guard, else
+    Python ints), give the losses.  Each route reads the stream as
+    ``sampler.labeled_sample`` does, so all give bit-identical losses.
     """
     row, weigh = _plan(sc, ell)
     rows = [row(H) for H in members]
@@ -152,11 +215,19 @@ def _trial_losses(sc, members, ell):
 
         return totals, fast
 
-    def generic(rng, m):
-        x, y = sampler.labeled_sample(sc, m, rng)
-        return [losses.empirical_loss(x, y, ell, H, m) for H in members]
+    atoms, count = _atom_counter(sc, ell.k)
+    D, nums = losses.numerators(chain.from_iterable(rows))
+    top = max(map(abs, nums), default=0)
+    V = np.array(nums, object).reshape(len(rows), atoms).T
+    V64 = V.astype(np.int64) if top < 2**63 else None
 
-    return totals, generic
+    def coded(rng, m):
+        counts, units = count(rng, m)
+        fits = top * units < 2**63  # then no sum leaves int64
+        sums = counts @ V64 if fits else counts.astype(object) @ V
+        return [Fraction(int(s), D * units) for s in sums]
+
+    return totals, coded
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +482,24 @@ def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None, law=None):
     """Monte Carlo frequency of trials whose learned hypothesis has total
     loss <= eps or, given ``cls``, <= inf + eps (agnostic, exact infimum over
     ``cls``).  ``law``, sc's ``losses.law_plan`` at ell's arity, lets callers
-    that vary only F or m build mu's law once; it is built here when None."""
+    that vary only F or m build mu's law once; it is built here when None.
+    Each returned member's total is computed once per call."""
     (row, weigh), target = _plan(sc, ell, law), Fraction(eps)
+    # id(H) -> (H, its total); holding H keeps its id from being reused.  Not
+    # keyed by H: members that differ only in fn compare equal
+    seen = {}
+
+    def total(H):
+        if id(H) not in seen:
+            seen[id(H)] = H, weigh(row(H))
+        return seen[id(H)][1]
+
     if cls is not None:
-        target += min(weigh(row(H)) for H in cls)
+        target += min(map(total, cls))
     wins = 0
     for t in range(trials):
         rng = sampler.stream(seed, t)
         x, y = sampler.labeled_sample(sc, m, rng)
-        H = A(x, y, rng.randrange(A.r(m)))
-        if weigh(row(H)) <= target:
+        if total(A(x, y, rng.randrange(A.r(m)))) <= target:
             wins += 1
     return Fraction(wins, trials)

@@ -118,6 +118,13 @@ def wrap_agnostic(ell):
 # total losses (exact enumeration, one plan per check)
 
 
+def numerators(values):
+    """(D, numerators) of int or Fraction values over their lcm D; a float raises."""
+    exact = [Fraction(v, 1) for v in values]
+    D = lcm(*(v.denominator for v in exact))
+    return D, [v.numerator * (D // v.denominator) for v in exact]
+
+
 def law_plan(mu, k, mu2=None):
     """The part of a ``plan`` that reads mu (and mu') alone, built once per
     mu: the template, ``sampler.joint_law``'s atoms at the arity-k domain
@@ -127,8 +134,7 @@ def law_plan(mu, k, mu2=None):
     t = mu.template
     (m, orbit), pull = t.domain(k), t.pull
     law = list(sampler.joint_law(mu, m, mu2))
-    W = lcm(*(p.denominator for *_, p in law))
-    weights = [p.numerator * (W // p.denominator) for *_, p in law]
+    W, weights = numerators(p for *_, p in law)
     weigh = lambda r: Fraction(sum(map(mul, weights, r)), W)  # noqa: E731
     if mu2 is not None:
         return t, law, weigh, True

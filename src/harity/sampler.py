@@ -2,12 +2,16 @@
 representations, plus exact sample laws for tiny-instance oracles.
 
 Each Monte Carlo trial derives an independent ``random.Random`` stream from
-(seed, trial); identical (seed, trial) pairs give identical draws.
+(seed, trial); identical (seed, trial) pairs give identical draws.  The
+array routes read the same stream in bulk (``_uniforms``) and decode each
+uniform to a support rank (``_support``, ``_decode``) as ``_draw`` would.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+
+import numpy as np
 
 from . import templates
 from .hypotheses import canonical_key, star
@@ -52,6 +56,25 @@ def _draw(rng, weights):
         if r < acc:
             return i
     return max(i for i, w in enumerate(weights) if w > 0)
+
+
+def _support(weights):
+    """A ground space's values of positive weight, in order, and their
+    cumulative float weights, summed as ``_draw`` sums them."""
+    values = [v for v, w in enumerate(weights) if w]
+    return np.asarray(values), np.cumsum([float(weights[v]) for v in values])
+
+
+def _decode(cum, u):
+    """The support rank each uniform draws; past the float sum, the last."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def _uniforms(rng, n):
+    """The next n ``rng.random()`` values, bit for bit, joining 32-bit word
+    pairs as ``random()`` does, from one call that leaves rng in their state."""
+    w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
 def sample_config(mu, m, rng):

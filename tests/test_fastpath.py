@@ -151,7 +151,7 @@ def test_contexts_refuse_a_sample_without_units():
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 1088])
 def test_uniforms_read_the_stream_as_random_does(n):
     bulk, one_by_one = sampler.stream("u", n), sampler.stream("u", n)
-    u = fastpath._uniforms(bulk, n)
+    u = sampler._uniforms(bulk, n)
     assert u.tolist() == [one_by_one.random() for _ in range(n)]
     assert bulk.getstate() == one_by_one.getstate()
 
@@ -184,12 +184,12 @@ class _Fixed:
 def test_decode_agrees_with_the_generic_draw_at_boundaries(weights, r, expected):
     floats = [float(w) for w in weights]
     # the fast route decodes support ranks; values maps them to the draws
-    values, cum = fastpath._support(weights)
+    values, cum = sampler._support(weights)
     assert sampler._draw(_Fixed(r), floats) == expected
-    assert values[fastpath._decode(cum, np.array([r]))].tolist() == [expected]
+    assert values[sampler._decode(cum, np.array([r]))].tolist() == [expected]
     # and on both floats next to every cumulative weight
     rs = [float(np.nextafter(c, d)) for c in cum for d in (0, 2)]
-    decoded = values[fastpath._decode(cum, np.array(rs))].tolist()
+    decoded = values[sampler._decode(cum, np.array(rs))].tolist()
     assert decoded == [sampler._draw(_Fixed(r), floats) for r in rs]
 
 

@@ -440,7 +440,7 @@ def test_the_route_follows_the_exact_tables(instance):
         assert [trial(sampler.stream("prop", t), 3) for t in range(4)] == expected
         fast = all(_qualifies(sc, H, ell) for H in members)
         assert built() == int(fast)
-    assert drawn.call_count == (0 if fast else 4)
+    assert drawn.call_count == 0
 
 
 @pytest.mark.parametrize("n", [2000, 300])
@@ -486,6 +486,152 @@ def test_a_check_reads_each_member_once_per_atom():
         assert built() == 1
     atoms = len(templates.config_law(mu, 2))
     assert atoms == 16 and len(reads) == len(counted) * 2 * atoms
+
+
+def _table_hypothesis(t, k, rng, labels=(0, 1)):
+    """A member over t reading a seeded random label table of its domain
+    points."""
+    points = templates.domain_points(t, k)
+    table = _random_table(rng, {canonical_key(x) for x in points}, labels)
+    return Hypothesis(k, t, labels, lambda x: table[canonical_key(x)])
+
+
+def _skewed(t):
+    """mu over t with weights 1, 2, ..., n (normalized) on each ground space."""
+    n = lambda a: t.size(a)  # noqa: E731
+    return templates.ProbTemplate(
+        t, t.tabulate(lambda a: tuple(Fraction(2 * i + 2, n(a) * (n(a) + 1)) for i in range(n(a))))
+    )
+
+
+def _unit_code_instances():
+    """name -> (scenario, members, loss, sample sizes): checks that take the
+    unit-code route, in both settings, at k = 1, 2 and 3, with zero weights,
+    with mu', and with sums past int64."""
+    rng = random.Random("unit-codes")
+    out = {}
+    # criterion 05's k = 1 setups
+    t1 = templates.Template(1, (2,))
+    mu1 = templates.ProbTemplate(t1, ((Fraction(1, 3), Fraction(2, 3)),))
+    out["c05-k1-plain"] = (
+        sampler.Scenario(mu1, Hypothesis(1, t1, (0, 1), lambda x: x[(1,)])),
+        [constant_hypothesis(1, t1, (0, 1), 0)],
+        losses.zero_one_loss((0, 1), 1),
+        (1, 8, 16),
+    )
+    pt1 = templates.PartiteTemplate(1, {(1,): 2})
+    out["c05-k1-partite"] = (
+        sampler.Scenario(
+            templates.uniform_prob(pt1),
+            Hypothesis(1, pt1, (0, 1), lambda x: x[((1, 1),)]),
+        ),
+        [Hypothesis(1, pt1, (0, 1), lambda x: 0)],
+        losses.zero_one_loss((0, 1), 1),
+        (1, 8, 16),
+    )
+    # k = 3 on a plain template and on its partization
+    t3 = templates.Template(3, (2, 1, 2))
+    for name, mu in (("k3-plain", _skewed(t3)), ("k3-partite", None)):
+        mu = mu or templates.partize_prob(_skewed(t3), 3)
+        F, *members = (_table_hypothesis(mu.template, 3, rng) for _ in range(4))
+        out[name] = (
+            sampler.Scenario(mu, F), members, losses.zero_one_loss((0, 1), 3), (3, 5)
+        )
+    # a zero-weight unary value at k = 2; F reads the pair value, so the
+    # member's table does not qualify for a fastpath context
+    t2 = templates.Template(2, (3, 2))
+    mu0 = templates.ProbTemplate(
+        t2, ((Fraction(1, 2), Fraction(0), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)))
+    )
+    out["zero-weight"] = (
+        sampler.Scenario(mu0, Hypothesis(2, t2, (0, 1), lambda x: x[(1, 2)])),
+        [Hypothesis(2, t2, (0, 1), lambda x: int(x[(1,)] < x[(2,)]))],
+        losses.zero_one_loss((0, 1), 2),
+        (2, 9),
+    )
+    # agnostic matching(3): mu' flips each pair's label with probability 1/5
+    match = families.matching_family(3).cls
+    target = match.members[5]
+    flip = templates.ProbTemplate(
+        templates.Template(2, (1, 2)), ((1,), (Fraction(4, 5), Fraction(1, 5)))
+    )
+    joined = templates.product_template(match.template, flip.template)
+    F = Hypothesis(
+        2,
+        joined,
+        match.labels,
+        lambda z: target({(1,): z[(1,)], (2,): z[(2,)], (1, 2): 0}) ^ z[(1, 2)],
+    )
+    out["agnostic-flip"] = (
+        sampler.Scenario(templates.uniform_prob(match.template), F, mu2=flip),
+        list(match.members),
+        losses.zero_one_loss(match.labels, 2),
+        (2, 8),
+    )
+    # a k = 1 loss on a k = 2 template: the units never read the pair values
+    out["k1-on-k2"] = (
+        sampler.Scenario(_skewed(t2), Hypothesis(1, t2, (0, 1), lambda x: x[(1,)] % 2)),
+        [Hypothesis(1, t2, (0, 1), lambda x, v=v: int(x[(1,)] == v)) for v in range(3)],
+        losses.zero_one_loss((0, 1), 1),
+        (1, 7),
+    )
+    # loss values whose sums leave int64, and one value that does not fit it
+    for name, big in (("sums-past-int64", 2**61), ("values-past-int64", 2**70)):
+        ell = losses.LossFn(
+            1, (0, 1), lambda x, y, yp, b=big: b * (y != yp) + Fraction(x[(1,)], 3)
+        )
+        out[name] = (
+            sampler.Scenario(_skewed(t2), Hypothesis(1, t2, (0, 1), lambda x: x[(1,)] % 2)),
+            [constant_hypothesis(1, t2, (0, 1), v) for v in (0, 1)],
+            ell,
+            (1, 2, 7),
+        )
+    return out
+
+
+UNIT_CODE_INSTANCES = _unit_code_instances()
+
+
+@pytest.mark.parametrize("name", UNIT_CODE_INSTANCES)
+def test_unit_codes_equal_the_generic_route(name):
+    # trial for trial, with no dict sample drawn and no context built
+    sc, members, ell, ms = UNIT_CODE_INSTANCES[name]
+    generic_totals, generic = _generic_trial_losses(sc, members, ell)
+    if sc.mu2 is not None:
+        ag = losses.wrap_agnostic(ell)
+        generic_totals = [losses.totals(sc.mu, sc.F, ag, sc.mu2)(H) for H in members]
+    with _contexts_built() as built, mock.patch.object(
+        sampler, "labeled_sample", side_effect=AssertionError("dict sample drawn")
+    ):
+        totals, trial = learners._trial_losses(sc, members, ell)
+        got = [trial(sampler.stream(name, t), m) for m in ms for t in range(6)]
+        assert built() == 0
+    assert totals == generic_totals
+    assert got == [generic(sampler.stream(name, t), m) for m in ms for t in range(6)]
+    assert all(type(e) is Fraction for emps in got for e in emps)
+
+
+@pytest.mark.parametrize("name", ["c05-k1-plain", "k3-plain", "k3-partite", "agnostic-flip"])
+def test_unit_codes_read_the_stream_as_labeled_sample_does(name):
+    sc, members, ell, ms = UNIT_CODE_INSTANCES[name]
+    _, trial = learners._trial_losses(sc, members, ell)
+    for m in ms:
+        coded, drawn = sampler.stream(name, m), sampler.stream(name, m)
+        trial(coded, m)
+        sampler.labeled_sample(sc, m, drawn)
+        assert coded.getstate() == drawn.getstate()
+
+
+@pytest.mark.parametrize("name", ["c05-k1-plain", "k3-plain", "k3-partite", "zero-weight"])
+def test_unit_codes_refuse_a_sample_without_units(name):
+    sc, members, ell, ms = UNIT_CODE_INSTANCES[name]
+    m = 0 if sc.partite else ell.k - 1
+    message = f"no empirical loss: m = {m} has no unit of arity k = {ell.k}"
+    _, generic = _generic_trial_losses(sc, members, ell)
+    _, trial = learners._trial_losses(sc, members, ell)
+    for route in (generic, trial):
+        with pytest.raises(ValueError, match=message):
+            route(sampler.stream("empty", 0), m)
 
 
 def _agnostic_point_mass_scenarios():
@@ -789,3 +935,38 @@ def test_estimate_pac_success_perfect_learner():
     A = learners.Learner(2, lambda x, y, b: F, lambda m: 1, name="cheat")
     freq = learners.estimate_pac_success(A, sc, ell, 4, 0.1, 20, "pac")
     assert freq == 1
+
+
+def test_pac_success_totals_each_returned_member_once(monkeypatch):
+    # a learner returns one of a few members, so each one's total is read
+    # once per call; two members that differ only in fn compare equal, and
+    # each still gets its own total
+    rows = []
+    plan = losses.plan
+
+    def counted(law, F, ell):
+        row, weigh = plan(law, F, ell)
+        return (lambda H: rows.append(H) or row(H)), weigh
+
+    monkeypatch.setattr(losses, "plan", counted)
+    match = families.matching_family(2).cls
+    t, labels = match.template, match.labels
+    twins = [Hypothesis(2, t, labels, H.fn, name="twin") for H in match.members[:2]]
+    assert twins[0] == twins[1]
+    sc = sampler.Scenario(templates.uniform_prob(t), match.members[0])
+    ell = losses.zero_one_loss(labels, 2)
+    A = learners.Learner(2, lambda x, y, b: twins[b], lambda m: 2)
+    freq = learners.estimate_pac_success(A, sc, ell, 4, Fraction(1, 10), 40, "twins")
+    assert len(rows) == 2
+    # only twins[0], which is F, has total loss 0 <= 1/10
+    picks = []
+    for trial in range(40):
+        rng = sampler.stream("twins", trial)
+        sampler.labeled_sample(sc, 4, rng)
+        picks.append(rng.randrange(2))
+    assert 0 < picks.count(0) < 40 and freq == Fraction(picks.count(0), 40)
+    rows.clear()
+    learners.estimate_pac_success(
+        A, sc, ell, 4, Fraction(1, 10), 40, "twins", cls=match.members
+    )
+    assert len(rows) == len(match.members) + 2
