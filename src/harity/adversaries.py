@@ -39,16 +39,20 @@ class ShatteredScenario:
     mu: object
     f0: object = field(compare=False)
     f1: object = field(compare=False)
+    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def hypothesis(self, B):
+        """F_B, one object per B, so a cache keyed by the member hits."""
         Bf = frozenset(B)
-        return Hypothesis(
-            1,
-            self.template,
-            self.labels,
-            lambda x, b=Bf: self.f1(x[(1,)]) if x[(1,)] in b else self.f0(x[(1,)]),
-            name=f"F{sorted(B)}",
-        )
+        if Bf not in self._built:
+            self._built[Bf] = Hypothesis(
+                1,
+                self.template,
+                self.labels,
+                lambda x, b=Bf: self.f1(x[(1,)]) if x[(1,)] in b else self.f0(x[(1,)]),
+                name=f"F{sorted(B)}",
+            )
+        return self._built[Bf]
 
     def erm(self, x, y):
         """F_B for the points that some witness carries with its f1-label."""

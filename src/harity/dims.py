@@ -125,7 +125,7 @@ def slices(cls):
         columns = [sum(place[key] * v for key, v in z.items()) for z in points]
         for x in templates.points_over(t, fixed):
             offset = sum(place[key] * v for key, v in x.items())
-            rows = distinct_rows(cls.table[:, [offset + c for c in columns]])
+            rows = distinct_rows(cls.table[:, [offset + c for c in columns]])[0]
             yield missing, x, points, FunctionFamily(domain, _labelled(cls, rows))
 
 
@@ -146,7 +146,7 @@ def family_on_full_domain(cls):
     configuration space (used for classic VC on binary classes)."""
     points = templates.domain_points(cls.template, cls.k)
     domain = tuple(canonical_key(x) for x in points)
-    return FunctionFamily(domain, _labelled(cls, distinct_rows(cls.table)))
+    return FunctionFamily(domain, _labelled(cls, distinct_rows(cls.table)[0]))
 
 
 def growth_function(cls, m):

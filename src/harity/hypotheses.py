@@ -120,12 +120,13 @@ def unpartize_hypothesis(G, template, labels):
 
 
 def distinct_rows(table):
-    """The distinct rows of a 2-D array, compared as byte strings through a
-    ``np.void`` view (asking for counts skips a first-use numpy.ma import)."""
+    """(the distinct rows of a 2-D array, each row's index among them), rows
+    compared as byte strings through a ``np.void`` view (asking for the index
+    also skips a first-use numpy.ma import)."""
     table = np.ascontiguousarray(table)
     rows = table.view(np.dtype((np.void, table.dtype.itemsize * table.shape[1])))
-    distinct = np.unique(rows, return_counts=True)[0]
-    return distinct.view(table.dtype).reshape(-1, table.shape[1])
+    distinct, index = np.unique(rows, return_inverse=True)
+    return distinct.view(table.dtype).reshape(-1, table.shape[1]), index.ravel()
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ class HypothesisClass:
                 raise ValueError("member value outside the class labels")
             table = np.array(cells, np.min_scalar_type(len(self.labels)))
             object.__setattr__(self, "table", table.reshape(-1, len(points)))
-        if self.members and len(distinct_rows(self.table)) < len(self.members):
+        if self.members and len(distinct_rows(self.table)[0]) < len(self.members):
             raise ValueError("duplicate hypothesis in class")
 
     @property

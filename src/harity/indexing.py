@@ -58,6 +58,17 @@ def injections(m, k):
     return list(permutations(range(1, m + 1), k))
 
 
+def decode_mixed(index, radices):
+    """Mixed-radix decode, most significant digit first."""
+    out = []
+    for rad in reversed(radices):
+        index, d = divmod(index, rad)
+        out.append(d)
+    if index:
+        raise ValueError("randomness index out of range")
+    return list(reversed(out))
+
+
 def nth_permutation(index, m):
     """``injections(m, m)[index]`` without listing all m! permutations: the
     factorial-base (Lehmer) digits of ``index`` pick each next image among

@@ -13,8 +13,8 @@ its law (``_plan``), whose mu-only part (``losses.law_plan``) a caller may
 build once per mu and share; the uniform-convergence and concentration checks
 take their members' totals and per-trial empirical losses from
 ``_trial_losses``, which counts each trial's units by the law atom they induce
-(in a fastpath context, or by ``_atom_counter``'s unit codes) and reads the
-counts against the same plan rows, so no check draws a dict sample.
+(in a fastpath context, or by ``sampler._atom_counter``'s unit codes) and
+reads the counts against the same plan rows, so no check draws a dict sample.
 """
 
 import math
@@ -28,7 +28,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import fastpath, indexing, losses, sampler, templates
+from . import fastpath, hypotheses, indexing, losses, sampler, templates
 
 
 def sample_size(x):
@@ -55,12 +55,11 @@ class Learner:
 # empirical risk minimization
 
 
-def _unit_positions(t, units, m, keys, start=0):
-    """Each unit's row: the position in ``t.coords(m)``, numbered from start,
-    of its point u*(x)'s coordinate at each key."""
-    coords = t.coords(m)
-    pos = dict(zip(coords, range(start, start + len(coords))))
-    return np.array([[p[a] for a in keys] for p in (t.pull(u, pos) for u in units)])
+def _exact_product(counts, V, bound):
+    """counts @ V exactly, given a bound on every |sum| (the largest |V| times
+    the counts' sum): in V's dtype while it is below 2^63, else in Python
+    numbers."""
+    return counts @ (V if bound < 2**63 else V.astype(object))
 
 
 def erm(cls, ell):
@@ -86,7 +85,7 @@ def erm(cls, ell):
     @lru_cache(maxsize=4)
     def layout(m):  # coords(m), each unit's positions in them, the units' orbits
         coords, units = t.coords(m), list(t.units(m, k))
-        at = _unit_positions(t, units, m, place)
+        at = sampler._unit_positions(t, units, m, place)
         return coords, at, [a for u in units for a in t.orbit(u)]
 
     @cache
@@ -94,14 +93,14 @@ def erm(cls, ell):
         nonlocal top  # the largest |loss| any column holds
         c, *ys = (key // radix) % digits
         cells = [sum(place[a] * v for a, v in t.pull(s, dom[c]).items()) for s in ids]
-        rows, inverse = np.unique(cls.table[:, cells], axis=0, return_inverse=True)
+        rows, index = hypotheses.distinct_rows(cls.table[:, cells])
         hs = [t.read(lambda j: cls.labels[r[j]], slots) for r in rows.tolist()]
         y = t.read(lambda j: labels[ys[j]], slots)
         values = [ell(dom[c], h, y) for h in hs]
         if not all(isinstance(v, Rational) for v in values):
             raise TypeError("ERM sums loss values exactly: ints or Fractions only")
         top = max(top, *map(abs, values))
-        return np.array(values, None if top < 2**63 else object)[inverse.ravel()]
+        return np.array(values, None if top < 2**63 else object)[index]
 
     def fn(x, y, b):
         coords, at, orbits = layout(sample_size(x))
@@ -112,9 +111,7 @@ def erm(cls, ell):
         keys = xs[at] @ wx + ys.reshape(len(at), -1) @ wy
         keys, counts = np.unique(keys, return_counts=True)
         stack = np.array([column(key) for key in keys.tolist()])
-        if top * len(at) >= 2**63:
-            stack = stack.astype(object)
-        return cls.members[int(np.argmin(counts @ stack))]
+        return cls.members[int(np.argmin(_exact_product(counts, stack, top * len(at))))]
 
     return Learner(cls.k, fn, lambda m: 1, name=f"erm({cls.name})")
 
@@ -135,56 +132,6 @@ def _plan(sc, ell, law=None):
     return losses.plan(law, sc.F, losses.wrap_agnostic(ell) if sc.mu2 else ell)
 
 
-def _atom_counter(sc, k):
-    """(atoms, count): the number of atoms of the check's law (``law_plan``'s,
-    ``sampler.joint_law`` at the arity-k domain size) and count(rng, m) ->
-    (how many units of the size-m sample read off rng induce each atom, the
-    number of units).  The sample is read as ``sampler.labeled_sample`` reads
-    it, x then x', in one bulk draw; only the coordinates some unit reads are
-    decoded, to support ranks.  A unit's code is the mixed radix of the
-    support ranks of its point's coordinates, x's then x''s, the last
-    fastest: the law's atom order."""
-    t, d = sc.mu.template, sc.mu.template.domain(k)[0]
-    measures = [nu for nu in (sc.mu, sc.mu2) if nu]
-    # each domain coordinate's (measure, ground space), in the law's order
-    spaces = [
-        (i, nu.template.space(a))
-        for i, nu in enumerate(measures)
-        for a in nu.template.coords(d)
-    ]
-
-    def support(i, s):  # the space's cumulative weights over its support
-        nu = measures[i]
-        return sampler._support([nu.weight(s, v) for v in range(nu.template.size(s))])
-
-    cums = {space: support(*space)[1] for space in spaces}
-    digits = [len(cums[space]) for space in spaces]
-    radix, atoms = np.cumprod([1, *digits[:0:-1]])[::-1], math.prod(digits)
-
-    @lru_cache(maxsize=4)
-    def layout(m):  # draws, each unit's positions per domain coordinate, decodes
-        units, blocks, n = list(t.units(m, k)), [], 0
-        if not units:
-            raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = {k}")
-        for tn in (nu.template for nu in measures):
-            blocks.append(_unit_positions(tn, units, m, tn.coords(d), n))
-            n += len(tn.coords(m))
-        at, decodes = np.hstack(blocks), []
-        for space, cum in cums.items():  # each position some unit reads, once
-            reads = np.bincount(at[:, [s == space for s in spaces]].ravel())
-            decodes.append((cum, np.flatnonzero(reads)))
-        return n, at, decodes
-
-    def count(rng, m):
-        n, at, decodes = layout(m)
-        u, ranks = sampler._uniforms(rng, n), np.zeros(n, np.intp)
-        for cum, idx in decodes:
-            ranks[idx] = sampler._decode(cum, u[idx])
-        return np.bincount(ranks[at] @ radix, minlength=atoms), len(at)
-
-    return atoms, count
-
-
 def _trial_losses(sc, members, ell):
     """Each member's exact total and the one per-trial route: (rng, m) -> the
     empirical loss of each member on the size-m sample drawn from rng.  Both
@@ -195,11 +142,11 @@ def _trial_losses(sc, members, ell):
     counts against each member's plan row.  A non-agnostic k = 2 scenario
     builds a fastpath context (TwoPartiteContext when 2-partite, PairContext
     otherwise) when every member's plan row qualifies as its table
-    (``fastpath.tables``).  Otherwise the units are counted by their atom
-    codes (``_atom_counter``), and the counts times the rows, as integer
-    numerators over one denominator (int64 under an overflow guard, else
-    Python ints), give the losses.  Each route reads the stream as
-    ``sampler.labeled_sample`` does, so all give bit-identical losses.
+    (``fastpath.tables``).  Otherwise ``sampler._atom_counter`` counts the
+    units by their atom codes, and ``_exact_product`` of the counts and the
+    rows, as integer numerators over one denominator, gives the losses.  Each
+    route reads the stream as ``sampler.labeled_sample`` does, so all give
+    bit-identical losses.
     """
     row, weigh = _plan(sc, ell)
     rows = [row(H) for H in members]
@@ -215,16 +162,14 @@ def _trial_losses(sc, members, ell):
 
         return totals, fast
 
-    atoms, count = _atom_counter(sc, ell.k)
+    atoms, count = sampler._atom_counter(sc, ell.k)
     D, nums = losses.numerators(chain.from_iterable(rows))
     top = max(map(abs, nums), default=0)
-    V = np.array(nums, object).reshape(len(rows), atoms).T
-    V64 = V.astype(np.int64) if top < 2**63 else None
+    V = np.array(nums, np.int64 if top < 2**63 else object).reshape(-1, atoms).T
 
     def coded(rng, m):
         counts, units = count(rng, m)
-        fits = top * units < 2**63  # then no sum leaves int64
-        sums = counts @ V64 if fits else counts.astype(object) @ V
+        sums = _exact_product(counts, V, top * units)
         return [Fraction(int(s), D * units) for s in sums]
 
     return totals, coded

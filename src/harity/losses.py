@@ -246,14 +246,10 @@ def flexibility_witness_01(labels, template):
     def r_n(m):
         return L ** len(list(t.index(m, k)))
 
-    def noise(x, b, m):
-        out = {}
-        for key in reversed(list(t.index(m, k))):
-            b, digit = divmod(b, L)
-            out[key] = labels[digit]
-        if b:
-            raise ValueError("randomness index out of range")
-        return out
+    def noise(x, b, m):  # built last key first
+        keys = list(t.index(m, k))
+        digits = indexing.decode_mixed(b, [L] * len(keys))
+        return {key: labels[d] for key, d in zip(keys[::-1], digits[::-1])}
 
     return FlexibilityWitness(t, tuple(labels), constant, r_n, noise)
 

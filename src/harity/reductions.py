@@ -32,6 +32,7 @@ from .hypotheses import (
     star,
     unpartize_hypothesis,
 )
+from .indexing import decode_mixed
 
 BOTTOM = losses.BOTTOM
 
@@ -266,17 +267,6 @@ def departize_r(r_a, m, k):
     for i in range(1, k + 1):
         out *= comb(k, i) ** (2 * comb(m, i))
     return out
-
-
-def decode_mixed(index, radices):
-    """Mixed-radix decode, most significant digit first."""
-    out = []
-    for rad in reversed(radices):
-        index, d = divmod(index, rad)
-        out.append(d)
-    if index:
-        raise ValueError("randomness index out of range")
-    return list(reversed(out))
 
 
 def decode_departize_randomness(index, r_a, m, k):

@@ -5,10 +5,13 @@ Each Monte Carlo trial derives an independent ``random.Random`` stream from
 (seed, trial); identical (seed, trial) pairs give identical draws.  The
 array routes read the same stream in bulk (``_uniforms``) and decode each
 uniform to a support rank (``_support``, ``_decode``) as ``_draw`` would.
+Outside ``fastpath``, only the unit-code reader (``_atom_counter``) below
+reads them: it follows ``labeled_sample``'s stream order.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -100,6 +103,51 @@ def labeled_sample(sc, m, rng):
             sc.mu.template, sc.mu2.template, x, sample_config(sc.mu2, m, rng)
         )
     return x, star(sc.F, joined, m)
+
+
+def _unit_positions(t, units, m, keys, start=0):
+    """Each unit's row: the position in ``t.coords(m)``, numbered from start,
+    of its point u*(x)'s coordinate at each key."""
+    coords = t.coords(m)
+    pos = dict(zip(coords, range(start, start + len(coords))))
+    return np.array([[p[a] for a in keys] for p in (t.pull(u, pos) for u in units)])
+
+
+def _atom_counter(sc, k):
+    """(atoms, count): the number of atoms of the check's law
+    (``joint_law`` at the arity-k domain size, as ``losses.law_plan`` lists
+    it) and count(rng, m) -> (how many units of the size-m sample read off
+    rng induce each atom, the number of units).  The sample is read as
+    ``labeled_sample`` reads it, x then x', in one bulk draw.  Each domain
+    coordinate is decoded over all units at once, to its rank in the law's
+    support of that coordinate (``templates._supports``); a unit's code is
+    the mixed radix of those ranks, x's coordinates then x''s, the last
+    fastest: the law's atom order."""
+    t, d = sc.mu.template, sc.mu.template.domain(k)[0]
+    measures = [nu for nu in (sc.mu, sc.mu2) if nu]
+    supports = [s for nu in measures for _, s in templates._supports(nu, d)]
+    cums = [np.cumsum([float(w) for _, w in s]) for s in supports]  # as _draw sums
+    digits = [len(cum) for cum in cums]
+    atoms = prod(digits)
+
+    @lru_cache(maxsize=4)
+    def layout(m):  # draws, and each domain coordinate's stream position per unit
+        units, blocks, n = list(t.units(m, k)), [], 0
+        if not units:
+            raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = {k}")
+        for tn in (nu.template for nu in measures):
+            blocks.append(_unit_positions(tn, units, m, tn.coords(d), n))
+            n += len(tn.coords(m))
+        return n, np.hstack(blocks).T
+
+    def count(rng, m):
+        n, at = layout(m)
+        u = _uniforms(rng, n)
+        ranks = [_decode(cum, u[j]) for cum, j in zip(cums, at)]
+        codes = np.ravel_multi_index(ranks, digits)  # last fastest, as the law
+        return np.bincount(codes, minlength=atoms), at.shape[1]
+
+    return atoms, count
 
 
 def check_law_size(atoms):

@@ -52,6 +52,27 @@ def test_shattered_erm_is_consistent():
             assert losses.empirical_loss_nonpartite(x, y, ell, H, 3) == 0
 
 
+def test_nfl_hypotheses_are_built_once_per_b(monkeypatch):
+    # the ERM returns F_B' for B' = B ∩ the sample's points, and each B' is
+    # one object, so estimate_pac_success reads each B''s total once
+    rows = []
+    plan = losses.plan
+
+    def counted(law, F, ell):
+        row, weigh = plan(law, F, ell)
+        return (lambda H: rows.append(H) or row(H)), weigh
+
+    monkeypatch.setattr(losses, "plan", counted)
+    sc = adversaries.shattered_scenario(6)
+    scen = sampler.Scenario(sc.mu, sc.hypothesis({0, 3}))
+    ell = losses.zero_one_loss(sc.labels, 1)
+    A = adversaries.erm_learner(sc)
+    freq = learners.estimate_pac_success(A, scen, ell, 5, Fraction(1, 10), 100, 4)
+    # B' is one of the 4 subsets of {0, 3}; only B' = B has loss <= 1/10
+    assert len(rows) == 4 and freq == Fraction(8, 25)
+    assert sc.hypothesis([3, 0]) is sc.hypothesis({0, 3})
+
+
 def test_nfl_worst_F_returns_hard_instance():
     sc = adversaries.shattered_scenario(4)
     A = adversaries.erm_learner(sc)

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harity import adversaries, fastpath, families, learners, losses, sampler, templates
+from harity import (
+    adversaries,
+    fastpath,
+    families,
+    hypotheses,
+    learners,
+    losses,
+    sampler,
+    templates,
+)
 from harity.hypotheses import (
     Hypothesis,
     HypothesisClass,
@@ -155,6 +164,37 @@ def test_erm_sums_exactly():
     one = HypothesisClass(3, t3, wide, (constant_hypothesis(3, t3, wide, 0),))
     with pytest.raises(ValueError, match="overflow int64"):
         learners.erm(one, losses.LossFn(3, wide, lambda x, y, yp: 0))
+
+
+def test_erm_finds_distinct_rows_with_the_one_helper(monkeypatch):
+    # each loss column finds the table's distinct rows with
+    # hypotheses.distinct_rows, once per unit key the samples bring, and no
+    # np.unique call sorts rows (axis=)
+    cls = families.bounded_degree_family(4, 2).cls
+    t, k = cls.template, cls.k
+    ell = losses.zero_one_loss(cls.labels, 2)
+    mu = templates.uniform_prob(t)
+    calls, axes = [], []
+    distinct_rows, unique = hypotheses.distinct_rows, np.unique
+    monkeypatch.setattr(
+        hypotheses, "distinct_rows", lambda table: calls.append(1) or distinct_rows(table)
+    )
+    monkeypatch.setattr(
+        np, "unique", lambda *a, **kw: axes.append("axis" in kw) or unique(*a, **kw)
+    )
+    place, keys = templates.places(t, k), set()
+    A = learners.erm(cls, ell)
+    for trial in range(6):
+        rng = sampler.stream("one-helper", trial)
+        F = cls.members[rng.randrange(len(cls))]
+        x = sampler.sample_config(mu, 5, rng)
+        y = star(F, x, 5)
+        assert A(x, y) is _first_argmin(cls, ell, x, y, 5)
+        for u in t.units(5, k):
+            column = sum(place[a] * v for a, v in t.pull(u, x).items())
+            keys.add((column, t.read(y.get, t.orbit(u))))
+        assert len(calls) == len(keys)
+    assert keys and axes and not any(axes)
 
 
 def test_uc_report_structure():
@@ -568,6 +608,23 @@ def _unit_code_instances():
         losses.zero_one_loss(match.labels, 2),
         (2, 8),
     )
+    # agnostic 2-partite, with a zero weight in mu (part 1) and in mu' (cross)
+    pt = templates.PartiteTemplate(2, {(1,): 3, (2,): 2, (1, 2): 2})
+    pt2 = templates.PartiteTemplate(2, {(1,): 1, (2,): 2, (1, 2): 3})
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    mu = templates.ProbTemplate(
+        pt, {(1,): (half, 0, half), (2,): (third, 2 * third), (1, 2): (half, half)}
+    )
+    mu2 = templates.ProbTemplate(
+        pt2, {(1,): (1,), (2,): (half, half), (1, 2): (third, 0, 2 * third)}
+    )
+    F = _table_hypothesis(templates.product_template(pt, pt2), 2, rng)
+    out["agnostic-zero-weights"] = (
+        sampler.Scenario(mu, F, mu2=mu2),
+        [_table_hypothesis(pt, 2, rng) for _ in range(3)],
+        losses.zero_one_loss((0, 1), 2),
+        (1, 4),
+    )
     # a k = 1 loss on a k = 2 template: the units never read the pair values
     out["k1-on-k2"] = (
         sampler.Scenario(_skewed(t2), Hypothesis(1, t2, (0, 1), lambda x: x[(1,)] % 2)),
@@ -609,9 +666,15 @@ def test_unit_codes_equal_the_generic_route(name):
     assert totals == generic_totals
     assert got == [generic(sampler.stream(name, t), m) for m in ms for t in range(6)]
     assert all(type(e) is Fraction for emps in got for e in emps)
+    # the reader codes the exact law's atoms, zero weights left out
+    d, (atoms, _) = sc.mu.template.domain(ell.k)[0], sampler._atom_counter(sc, ell.k)
+    assert atoms == math.prod(templates.law_atoms(nu, d) for nu in (sc.mu, sc.mu2) if nu)
 
 
-@pytest.mark.parametrize("name", ["c05-k1-plain", "k3-plain", "k3-partite", "agnostic-flip"])
+@pytest.mark.parametrize(
+    "name",
+    ["c05-k1-plain", "k3-plain", "k3-partite", "agnostic-flip", "agnostic-zero-weights"],
+)
 def test_unit_codes_read_the_stream_as_labeled_sample_does(name):
     sc, members, ell, ms = UNIT_CODE_INSTANCES[name]
     _, trial = learners._trial_losses(sc, members, ell)
