@@ -88,7 +88,8 @@ def nfl_worst_F(A, sc, m, eps, trials, seed, search_trials=100):
     0/1 loss, with a final measurement at the full trial count.  Exhaustive
     over B for d <= EXPLICIT_CAP, otherwise a seeded random batch (the
     averaging argument makes a random B faithful).  Only F_B varies, so mu's
-    ``losses.law_plan`` is built once for every measurement."""
+    ``losses.law_plan`` is built once for every measurement.  The F_B that
+    the search builds are dropped when it returns."""
     ell = losses.zero_one_loss(sc.labels, 1)
     law = losses.law_plan(sc.mu, 1)
     d = sc.d
@@ -110,12 +111,14 @@ def nfl_worst_F(A, sc, m, eps, trials, seed, search_trials=100):
         )
 
     best = None
-    for i, B in enumerate(candidates):
-        freq = failure_freq(B, search_trials, f"search/{i}")
-        if best is None or freq > best[0]:
-            best = (freq, B)
-    B_star = best[1]
-    return B_star, failure_freq(B_star, trials, "final")
+    try:
+        for i, B in enumerate(candidates):
+            freq = failure_freq(B, search_trials, f"search/{i}")
+            if best is None or freq > best[0]:
+                best = (freq, B)
+        return best[1], failure_freq(best[1], trials, "final")
+    finally:
+        sc._built.clear()  # no F_B outlives its search
 
 
 # ---------------------------------------------------------------------------

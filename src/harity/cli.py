@@ -342,11 +342,12 @@ def verify_uc_cmd(merged):
     """Uniform-convergence (representativeness) frequency sweep."""
     sizes = _m_list(merged, "10,20,40,80")
     cls, sc, ell = _scenario(merged)
+    pair = learners._trial_losses(sc, cls.members, ell)
     return _sweep(
         merged,
         sizes,
         lambda m, eps, trials: learners.check_uniform_convergence(
-            sc, cls, ell, m, eps, trials, merged["seed"]
+            sc, cls, ell, m, eps, trials, merged["seed"], trial_losses=pair
         ).frequency,
     )
 

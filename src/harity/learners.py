@@ -14,7 +14,10 @@ build once per mu and share; the uniform-convergence and concentration checks
 take their members' totals and per-trial empirical losses from
 ``_trial_losses``, which counts each trial's units by the law atom they induce
 (in a fastpath context, or by ``sampler._atom_counter``'s unit codes) and
-reads the counts against the same plan rows, so no check draws a dict sample.
+reads the counts against the same plan rows.  ``estimate_pac_success`` reads
+its samples by the same unit codes (``sampler._labeled_reader``), with y
+gathered from the plan's labels of F at each atom, so no check or PAC sweep
+draws a dict sample.
 """
 
 import math
@@ -127,8 +130,15 @@ erm_nonpartite = erm_partite = erm
 
 def _plan(sc, ell, law=None):
     """The check's ``losses.plan`` over ``law`` (sc's ``losses.law_plan`` when
-    None), with the natural agnostic loss given mu'."""
+    None), with the natural agnostic loss given mu'.  A law that does not
+    list the atoms of sc's units at ell's arity is refused: one built with
+    mu' for a scenario without it, or the reverse, or at another arity."""
     law = law or losses.law_plan(sc.mu, ell.k, sc.mu2)
+    if law[3] != (sc.mu2 is not None):
+        raise ValueError("law= and the scenario disagree on mu'")
+    atoms = sampler._atoms(sc.mu, sc.mu2, ell.k)
+    if len(law[1]) != atoms:
+        raise ValueError(f"law= has {len(law[1])} atoms, not the units' {atoms}")
     return losses.plan(law, sc.F, losses.wrap_agnostic(ell) if sc.mu2 else ell)
 
 
@@ -148,7 +158,7 @@ def _trial_losses(sc, members, ell):
     route reads the stream as ``sampler.labeled_sample`` does, so all give
     bit-identical losses.
     """
-    row, weigh = _plan(sc, ell)
+    row, weigh, _ = _plan(sc, ell)
     rows = [row(H) for H in members]
     totals = [weigh(r) for r in rows]
     tables = sc.mu2 is None and ell.k == 2 and fastpath.tables(sc.mu, rows)
@@ -222,13 +232,15 @@ class UCReport:
     erm_violations: int  # of those, ERM total loss > inf + eps (should be 0)
 
 
-def check_uniform_convergence(sc, cls, ell, m, eps, trials, seed):
+def check_uniform_convergence(sc, cls, ell, m, eps, trials, seed, trial_losses=None):
     """Monte Carlo frequency of eps-representative samples, with exact total
     losses; also checks per trial that eps/2-representativeness forces the
-    ERM's total loss within eps of the class infimum."""
+    ERM's total loss within eps of the class infimum.  ``trial_losses``,
+    ``_trial_losses(sc, cls.members, ell)``, lets a caller that sweeps m
+    read the members' rows once; it is built here when None."""
     eps = Fraction(eps)
     members = list(cls.members)
-    totals, trial = _trial_losses(sc, members, ell)
+    totals, trial = trial_losses or _trial_losses(sc, members, ell)
     inf_total = min(totals)
 
     good = checked = violations = 0
@@ -427,9 +439,16 @@ def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None, law=None):
     """Monte Carlo frequency of trials whose learned hypothesis has total
     loss <= eps or, given ``cls``, <= inf + eps (agnostic, exact infimum over
     ``cls``).  ``law``, sc's ``losses.law_plan`` at ell's arity, lets callers
-    that vary only F or m build mu's law once; it is built here when None.
-    Each returned member's total is computed once per call."""
-    (row, weigh), target = _plan(sc, ell, law), Fraction(eps)
+    that vary only F or m build mu's law once; it is built here when None,
+    and one built for another scenario shape raises ValueError.  Each
+    returned member's total is computed once per call.
+
+    No check or PAC sweep draws a dict sample: each trial's (x, y) is
+    ``sampler._labeled_reader``'s, x decoded in bulk and y gathered from the
+    plan's labels of F at the atom each unit's code names, so F is read once
+    per atom per call and never in the trial loop."""
+    (row, weigh, labels), target = _plan(sc, ell, law), Fraction(eps)
+    draw = sampler._labeled_reader(sc, ell.k, labels)
     # id(H) -> (H, its total); holding H keeps its id from being reused.  Not
     # keyed by H: members that differ only in fn compare equal
     seen = {}
@@ -444,7 +463,7 @@ def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None, law=None):
     wins = 0
     for t in range(trials):
         rng = sampler.stream(seed, t)
-        x, y = sampler.labeled_sample(sc, m, rng)
+        x, y = draw(rng, m)
         if total(A(x, y, rng.randrange(A.r(m)))) <= target:
             wins += 1
     return Fraction(wins, trials)

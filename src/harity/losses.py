@@ -142,23 +142,34 @@ def law_plan(mu, k, mu2=None):
 
 
 def plan(law, F, ell):
-    """(row, weigh) over a ``law_plan``: ``row(H)`` is H's loss at each atom,
-    l(x, H's labels, F's labels), both read over the atom's orbit, or, given
-    mu', the agnostic l(H, x, y), y F's labels at the joined point.  F's
-    labels are read once per plan; a row reads H once per atom."""
+    """(row, weigh, labels) over a ``law_plan``.  ``labels[i]`` is F's labels
+    over atom i's orbit, ``[F(t.pull(a, z)) for a in t.domain(k)[1]]`` at its
+    point z (joined with x' given mu'), read once per plan.  ``row(H)`` is
+    H's loss at each atom, l(x, H's labels, F's labels), both read over the
+    atom's orbit, or, given mu', the agnostic l(H, x, y), y F's labels at the
+    joined point; a row reads H once per atom."""
     t, atoms, weigh, joined = law
-    read = t.read
     if joined:
-        atoms = [(x, t.label(F, z)) for x, z, _ in atoms]
-        return lambda H: [ell(H, x, y) for x, y in atoms], weigh
-    atoms = [(x, o, read(F, o)) for x, o in atoms]
-    return lambda H: [ell(x, read(H, o), y) for x, o, y in atoms], weigh
+        orbit = t.domain(ell.k)[1]
+        labels = [[F(t.pull(a, z)) for a in orbit] for _, z, _ in atoms]
+    else:
+        labels = [list(map(F, o)) for _, o in atoms]  # o: x's orbit pullbacks
+    read, slots = t.read, range(len(labels[0]))
+    ys = [read(block.__getitem__, slots) for block in labels]
+    if joined:
+        xs = [x for x, _, _ in atoms]
+        return (lambda H: [ell(H, x, y) for x, y in zip(xs, ys)]), weigh, labels
+
+    def row(H):
+        return [ell(x, read(H, o), y) for (x, o), y in zip(atoms, ys)]
+
+    return row, weigh, labels
 
 
 def totals(mu, F, ell, mu2=None):
     """H -> E_{x ~ mu}[l(x, H's labels at x, F's labels at x)], or, given mu2,
     E over mu (x) mu' of the agnostic l(H, x, y): ``plan``'s weighted row."""
-    row, weigh = plan(law_plan(mu, ell.k, mu2), F, ell)
+    row, weigh, _ = plan(law_plan(mu, ell.k, mu2), F, ell)
     return lambda H: weigh(row(H))
 
 

@@ -2,17 +2,24 @@
 representations, plus exact sample laws for tiny-instance oracles.
 
 Each Monte Carlo trial derives an independent ``random.Random`` stream from
-(seed, trial); identical (seed, trial) pairs give identical draws.  The
-array routes read the same stream in bulk (``_uniforms``) and decode each
-uniform to a support rank (``_support``, ``_decode``) as ``_draw`` would.
-Outside ``fastpath``, only the unit-code reader (``_atom_counter``) below
-reads them: it follows ``labeled_sample``'s stream order.
+(seed, trial); identical (seed, trial) pairs give identical draws.
+``labeled_sample`` draws a dict sample one coordinate at a time and is the
+reference.  The array routes read the same stream in bulk (``_uniforms``)
+and decode each uniform to a support rank (``_support``, ``_decode``) as
+``_draw`` would.  Outside ``fastpath`` one reader does so, ``_read`` over a
+cached ``_layout``: it decodes every coordinate once, one decode per ground
+space, and codes each unit by the law atom its point is.  The checks count
+the codes (``_atom_counter``) and the PAC sweep rebuilds (x, y) from them
+(``_labeled_reader``), y gathered from F's labels at each atom, so no check
+or PAC sweep draws a dict sample or calls F in its trial loop.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,13 +76,21 @@ def _support(weights):
 
 
 def _decode(cum, u):
-    """The support rank each uniform draws; past the float sum, the last."""
-    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    """The support rank each uniform draws: how many cumulative weights but
+    the last it reaches, so past the float sum, the last."""
+    return cum[:-1].searchsorted(u, "right")
+
+
+# below this many uniforms, n random() calls cost less than the bulk read
+BULK_UNIFORMS = 64
 
 
 def _uniforms(rng, n):
-    """The next n ``rng.random()`` values, bit for bit, joining 32-bit word
-    pairs as ``random()`` does, from one call that leaves rng in their state."""
+    """The next n ``rng.random()`` values, bit for bit: from n calls for a
+    few, else joining 32-bit word pairs as ``random()`` does, from one call
+    that leaves rng in their state."""
+    if n < BULK_UNIFORMS:
+        return np.array([rng.random() for _ in range(n)])
     w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
     return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
@@ -110,44 +125,107 @@ def _unit_positions(t, units, m, keys, start=0):
     of its point u*(x)'s coordinate at each key."""
     coords = t.coords(m)
     pos = dict(zip(coords, range(start, start + len(coords))))
-    return np.array([[p[a] for a in keys] for p in (t.pull(u, pos) for u in units)])
+    rows = [[p[a] for a in keys] for p in (t.pull(u, pos) for u in units)]
+    return np.array(rows, int).reshape(len(rows), len(keys))
+
+
+class _Layout(NamedTuple):
+    n: int  # draws: x's coordinates, then x''s
+    groups: list  # (cumulative weights, stream positions, values) per ground space
+    coords: list  # x's coordinates, the first draws
+    at: np.ndarray  # each domain coordinate's stream position, per unit
+    radix: np.ndarray  # each domain coordinate's place value in a unit's code
+
+
+@lru_cache(maxsize=32)
+def _layout(mu, mu2, k, m):
+    """How a size-m sample of mu (and mu') is read for units of arity k.
+    Every coordinate is decoded once, one group per ground space of each
+    measure, to its rank in that space's support in the exact law
+    (``templates._supports``, which ``config_law`` and ``law_atoms``
+    enumerate too).  A unit's code is the mixed radix of the ranks at its
+    domain coordinates, x's then x''s, the last fastest: the law's atom
+    order.  Measures hash by template and compare by weights, so equal
+    measures share one layout."""
+    t, d = mu.template, mu.template.domain(k)[0]
+    units, n, groups, at, digits = list(t.units(m, k)), 0, [], [], []
+    for nu in (mu, mu2) if mu2 else (mu,):
+        tn, spaces = nu.template, {}
+        for pos, (key, support) in enumerate(templates._supports(nu, m), n):
+            spaces.setdefault(tn.space(key), (support, []))[1].append(pos)
+        for support, pos in spaces.values():
+            if pos[-1] - pos[0] == len(pos) - 1:
+                pos = slice(pos[0], pos[-1] + 1)
+            cum = np.cumsum([float(w) for _, w in support])  # as _draw sums them
+            groups.append((cum, pos, np.array([v for v, _ in support])))
+        at.append(_unit_positions(tn, units, m, tn.coords(d), n))
+        digits += [len(support) for _, support in templates._supports(nu, d)]
+        n += len(tn.coords(m))
+    radix = np.cumprod([1, *digits[:0:-1]])[::-1]  # the last fastest
+    return _Layout(n, groups, t.coords(m), np.hstack(at).T, radix)
+
+
+def _read(layout, rng):
+    """Each coordinate's value and each unit's atom code, from one bulk draw
+    that leaves rng where ``labeled_sample`` leaves it."""
+    u = _uniforms(rng, layout.n)
+    ranks, values = np.empty(layout.n, int), np.empty(layout.n, int)
+    for cum, pos, support in layout.groups:
+        ranks[pos] = r = _decode(cum, u[pos])
+        values[pos] = support[r]
+    return values, layout.radix.dot(ranks[layout.at])
+
+
+@lru_cache(maxsize=32)
+def _atoms(mu, mu2, k):
+    """The number of atoms of the units' law: ``joint_law`` at the arity-k
+    domain size, as ``losses.law_plan`` lists it."""
+    d = mu.template.domain(k)[0]
+    return prod(templates.law_atoms(nu, d) for nu in (mu, mu2) if nu)
 
 
 def _atom_counter(sc, k):
-    """(atoms, count): the number of atoms of the check's law
-    (``joint_law`` at the arity-k domain size, as ``losses.law_plan`` lists
-    it) and count(rng, m) -> (how many units of the size-m sample read off
-    rng induce each atom, the number of units).  The sample is read as
-    ``labeled_sample`` reads it, x then x', in one bulk draw.  Each domain
-    coordinate is decoded over all units at once, to its rank in the law's
-    support of that coordinate (``templates._supports``); a unit's code is
-    the mixed radix of those ranks, x's coordinates then x''s, the last
-    fastest: the law's atom order."""
-    t, d = sc.mu.template, sc.mu.template.domain(k)[0]
-    measures = [nu for nu in (sc.mu, sc.mu2) if nu]
-    supports = [s for nu in measures for _, s in templates._supports(nu, d)]
-    cums = [np.cumsum([float(w) for _, w in s]) for s in supports]  # as _draw sums
-    digits = [len(cum) for cum in cums]
-    atoms = prod(digits)
-
-    @lru_cache(maxsize=4)
-    def layout(m):  # draws, and each domain coordinate's stream position per unit
-        units, blocks, n = list(t.units(m, k)), [], 0
-        if not units:
-            raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = {k}")
-        for tn in (nu.template for nu in measures):
-            blocks.append(_unit_positions(tn, units, m, tn.coords(d), n))
-            n += len(tn.coords(m))
-        return n, np.hstack(blocks).T
+    """(atoms, count): the number of atoms of the units' law and count(rng,
+    m) -> (how many units of the size-m sample read off rng induce each atom,
+    the number of units): ``_read``'s codes, counted."""
+    atoms = _atoms(sc.mu, sc.mu2, k)
 
     def count(rng, m):
-        n, at = layout(m)
-        u = _uniforms(rng, n)
-        ranks = [_decode(cum, u[j]) for cum, j in zip(cums, at)]
-        codes = np.ravel_multi_index(ranks, digits)  # last fastest, as the law
-        return np.bincount(codes, minlength=atoms), at.shape[1]
+        layout = _layout(sc.mu, sc.mu2, k, m)
+        if not layout.at.shape[1]:
+            raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = {k}")
+        codes = _read(layout, rng)[1]
+        return np.bincount(codes, minlength=atoms), len(codes)
 
     return atoms, count
+
+
+@lru_cache(maxsize=32)
+def _label_layout(t, k, m):
+    """Where y's labels sit: the keys ``t.index(m, k)`` in order, each key's
+    unit (in ``t.units(m, k)`` order) and its slot in that unit's orbit."""
+    units = t.units(m, k)
+    where = {a: (i, j) for i, u in enumerate(units) for j, a in enumerate(t.orbit(u))}
+    keys = list(t.index(m, k))
+    unit, slot = np.array([where[a] for a in keys], int).reshape(-1, 2).T
+    return keys, unit, slot
+
+
+def _labeled_reader(sc, k, labels):
+    """draw(rng, m) -> (x, y), the sample ``labeled_sample`` draws from rng,
+    bit for bit, given F's labels over each atom's orbit (``losses.plan``'s):
+    x is the decoded coordinates, and y over a unit's orbit is the labels of
+    the atom the unit's code names.  F is never called."""
+    t = sc.mu.template
+    blocks = np.fromiter(chain.from_iterable(labels), object).reshape(len(labels), -1)
+
+    def draw(rng, m):
+        layout, (keys, unit, slot) = _layout(sc.mu, sc.mu2, k, m), _label_layout(t, k, m)
+        values, codes = _read(layout, rng)
+        x = dict(zip(layout.coords, values.tolist()))  # x''s values come last
+        return x, dict(zip(keys, blocks[codes[unit], slot].tolist()))
+
+    return draw
 
 
 def check_law_size(atoms):

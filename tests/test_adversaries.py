@@ -59,8 +59,8 @@ def test_nfl_hypotheses_are_built_once_per_b(monkeypatch):
     plan = losses.plan
 
     def counted(law, F, ell):
-        row, weigh = plan(law, F, ell)
-        return (lambda H: rows.append(H) or row(H)), weigh
+        row, weigh, labels = plan(law, F, ell)
+        return (lambda H: rows.append(H) or row(H)), weigh, labels
 
     monkeypatch.setattr(losses, "plan", counted)
     sc = adversaries.shattered_scenario(6)
@@ -71,6 +71,13 @@ def test_nfl_hypotheses_are_built_once_per_b(monkeypatch):
     # B' is one of the 4 subsets of {0, 3}; only B' = B has loss <= 1/10
     assert len(rows) == 4 and freq == Fraction(8, 25)
     assert sc.hypothesis([3, 0]) is sc.hypothesis({0, 3})
+
+
+def test_nfl_search_keeps_no_hypothesis():
+    sc = adversaries.shattered_scenario(8)
+    A = adversaries.erm_learner(sc)
+    adversaries.nfl_worst_F(A, sc, 3, Fraction(1, 10), 20, "built", search_trials=2)
+    assert sc._built == {}
 
 
 def test_nfl_worst_F_returns_hard_instance():

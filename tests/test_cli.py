@@ -5,7 +5,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from harity import cli, families, losses
+from harity import cli, families, learners, losses
 
 
 def _run(args, **kw):
@@ -254,6 +254,19 @@ def test_golden_csv(tmp_path, monkeypatch, args, digest):
     res = _run([*args.split(), "--out", str(tmp_path / "g")])
     assert res.exit_code == 0, res.output
     assert _csv_digest(tmp_path / "g.csv") == digest
+
+
+def test_verify_uc_builds_the_rows_once(tmp_path, monkeypatch):
+    # one (totals, trial) pair serves every sample size of the sweep
+    calls, trial_losses = [], learners._trial_losses
+    monkeypatch.setattr(
+        learners, "_trial_losses", lambda *a: calls.append(a) or trial_losses(*a)
+    )
+    args = ["verify-uc", "--family", "matching", "--n", "4", "--trials", "5"]
+    res = _run([*args, "--out", str(tmp_path / "uc")])
+    assert res.exit_code == 0, res.output
+    assert len((tmp_path / "uc.csv").read_text().splitlines()) == 1 + 4
+    assert len(calls) == 1
 
 
 def test_bayes_csv_ignores_evaluation_order(tmp_path, monkeypatch):

@@ -148,7 +148,7 @@ def test_contexts_refuse_a_sample_without_units():
         ctx.empirical(ctx.loss_table(H), ctx.draw(sampler.stream("tiny", 0), 0))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 1088])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 64, 1088])
 def test_uniforms_read_the_stream_as_random_does(n):
     bulk, one_by_one = sampler.stream("u", n), sampler.stream("u", n)
     u = sampler._uniforms(bulk, n)

@@ -697,6 +697,105 @@ def test_unit_codes_refuse_a_sample_without_units(name):
             route(sampler.stream("empty", 0), m)
 
 
+def _hashing_learner(candidates, k):
+    """A randomized learner whose pick depends on x, on y and on b."""
+
+    def fn(x, y, b):
+        pick = sum(x.values()) + sum(map(hash, y.values())) + len(y) + b
+        return candidates[pick % len(candidates)]
+
+    return learners.Learner(k, fn, lambda m: 2)
+
+
+def _pac_instance(name):
+    """A unit-code instance as a PAC sweep: the learner above over the
+    members (and F, without mu'), and the sizes m < k, m = k and larger."""
+    sc, members, ell, ms = UNIT_CODE_INSTANCES[name]
+    candidates = members if sc.mu2 else [*members, sc.F]
+    small = 0 if sc.partite else ell.k - 1
+    return sc, candidates, ell, sorted({small, ell.k, *ms})
+
+
+@pytest.mark.parametrize("name", UNIT_CODE_INSTANCES)
+def test_pac_success_equals_the_dict_route(name):
+    sc, candidates, ell, ms = _pac_instance(name)
+    ms = [m for m in ms if m]  # a learner cannot size an empty sample
+    A = _hashing_learner(candidates, ell.k)
+    total = losses.totals(sc.mu, sc.F, losses.wrap_agnostic(ell) if sc.mu2 else ell, sc.mu2)
+    target = min(map(total, candidates))
+    expected = []
+    for m in ms:
+        wins = 0
+        for t in range(12):
+            rng = sampler.stream(name, t)
+            x, y = sampler.labeled_sample(sc, m, rng)
+            wins += total(A(x, y, rng.randrange(A.r(m)))) <= target
+        expected.append(Fraction(wins, 12))
+    refuse = {"side_effect": AssertionError("dict sample drawn")}
+    with mock.patch.object(sampler, "labeled_sample", **refuse), mock.patch.object(
+        hypotheses, "star", **refuse
+    ), mock.patch.object(sampler, "star", **refuse):
+        got = [
+            learners.estimate_pac_success(A, sc, ell, m, 0, 12, name, cls=candidates)
+            for m in ms
+        ]
+    assert got == expected and all(type(f) is Fraction for f in got)
+
+
+@pytest.mark.parametrize("name", UNIT_CODE_INSTANCES)
+def test_labeled_reader_draws_labeled_samples(name):
+    # x, y in key order, and the stream left where labeled_sample leaves it
+    sc, _, ell, ms = _pac_instance(name)
+    draw = sampler._labeled_reader(sc, ell.k, learners._plan(sc, ell)[2])
+    for m in ms:
+        coded, drawn = sampler.stream(name, m), sampler.stream(name, m)
+        x, y = draw(coded, m)
+        x0, y0 = sampler.labeled_sample(sc, m, drawn)
+        assert x == x0 and list(x) == list(x0)
+        assert list(y.items()) == list(y0.items())
+        assert coded.getstate() == drawn.getstate()
+
+
+def test_pac_success_reads_F_once_per_atom():
+    # F's labels come from the plan, read once per atom whatever the trials
+    match = families.matching_family(2).cls
+    ell, G, calls = losses.zero_one_loss(match.labels, 2), match.members[1], []
+    F = Hypothesis(2, G.template, G.labels, lambda x: calls.append(x) or G(x))
+    sc = sampler.Scenario(templates.uniform_prob(match.template), F)
+    A, counts = learners.erm(match, ell), []
+    for trials in (1, 50):
+        calls.clear()
+        learners.estimate_pac_success(A, sc, ell, 6, Fraction(1, 10), trials, "F")
+        counts.append(len(calls))
+    atoms = len(losses.law_plan(sc.mu, 2)[1])
+    assert counts == [2 * atoms, 2 * atoms]  # one read per atom and orbit slot
+
+
+def test_pac_success_refuses_a_law_without_mu2():
+    sc, members, ell, _ = UNIT_CODE_INSTANCES["agnostic-flip"]
+    A = _hashing_learner(members, ell.k)
+    with pytest.raises(ValueError, match="disagree on mu'"):
+        learners.estimate_pac_success(
+            A, sc, ell, 4, 0, 5, "law", law=losses.law_plan(sc.mu, ell.k)
+        )
+    plain = sampler.Scenario(sc.mu, members[0])
+    with pytest.raises(ValueError, match="disagree on mu'"):
+        learners.estimate_pac_success(
+            A, plain, ell, 4, 0, 5, "law", law=losses.law_plan(sc.mu, ell.k, sc.mu2)
+        )
+
+
+def test_pac_success_refuses_a_law_at_another_arity():
+    match = families.matching_family(2).cls
+    ell = losses.zero_one_loss(match.labels, 2)
+    sc = sampler.Scenario(templates.uniform_prob(match.template), match.members[1])
+    A = learners.erm(match, ell)
+    with pytest.raises(ValueError, match="atoms, not the units'"):
+        learners.estimate_pac_success(
+            A, sc, ell, 4, 0, 5, "law", law=losses.law_plan(sc.mu, 1)
+        )
+
+
 def _agnostic_point_mass_scenarios():
     """A k = 1 and a 2-partite agnostic scenario whose mu' is a point mass
     at 1 and whose F reads the joined value's parity: F is 1 wherever the
@@ -1008,8 +1107,8 @@ def test_pac_success_totals_each_returned_member_once(monkeypatch):
     plan = losses.plan
 
     def counted(law, F, ell):
-        row, weigh = plan(law, F, ell)
-        return (lambda H: rows.append(H) or row(H)), weigh
+        row, weigh, labels = plan(law, F, ell)
+        return (lambda H: rows.append(H) or row(H)), weigh, labels
 
     monkeypatch.setattr(losses, "plan", counted)
     match = families.matching_family(2).cls

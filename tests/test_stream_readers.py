@@ -3,7 +3,8 @@
 ``_support``), so every array route reads the stream next to
 ``labeled_sample``, whose order it must follow.  ``fastpath.py`` is exempt:
 its contexts are the one other array route, and ROADMAP item 2(d) deletes
-them."""
+them.  ``learners.py`` names no dict sampler (``labeled_sample``, ``star``):
+its checks and its PAC sweep read samples by unit code only."""
 
 import ast
 from pathlib import Path
@@ -11,17 +12,19 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "harity"
 EXEMPT = ("sampler.py", "fastpath.py")
 READERS = ("_uniforms", "_decode", "_support")
+DICT_SAMPLERS = ("labeled_sample", "star")  # no learner names these
 
 
-def stream_readers(tree):
-    """The readers a module names: as a name, an attribute or an import."""
+def stream_readers(tree, names=READERS):
+    """The readers (or other names) a module names: as a name, an attribute
+    or an import."""
     found = set()
     for n in ast.walk(tree):
-        if isinstance(n, ast.Name) and n.id in READERS:
+        if isinstance(n, ast.Name) and n.id in names:
             found.add(n.id)
-        elif isinstance(n, ast.Attribute) and n.attr in READERS:
+        elif isinstance(n, ast.Attribute) and n.attr in names:
             found.add(n.attr)
-        elif isinstance(n, ast.alias) and n.name in READERS:
+        elif isinstance(n, ast.alias) and n.name in names:
             found.add(n.name)
     return found
 
@@ -44,3 +47,18 @@ def test_the_check_sees_a_planted_reader():
         "def h(mu, m):\n    return templates._supports(mu, m)\n"
     )
     assert stream_readers(tree) == {"_decode", "_uniforms", "_support"}
+
+
+def test_no_learner_draws_a_dict_sample():
+    # the checks and the PAC sweep read samples by unit code only
+    tree = ast.parse((SRC / "learners.py").read_text())
+    assert stream_readers(tree, DICT_SAMPLERS) == set()
+
+
+def test_the_check_sees_a_planted_dict_sample():
+    tree = ast.parse(
+        "from .hypotheses import star\n"
+        "def f(sc, m, rng):\n    return sampler.labeled_sample(sc, m, rng)\n"
+        "def g(F, x, m):\n    star_ = F\n    return hypotheses.star(F, x, m)\n"
+    )
+    assert stream_readers(tree, DICT_SAMPLERS) == {"labeled_sample", "star"}
