@@ -87,11 +87,10 @@ def nfl_worst_F(A, sc, m, eps, trials, seed, search_trials=100):
     """The B maximizing the Monte Carlo failure estimate P[L > eps] under the
     0/1 loss, with a final measurement at the full trial count.  Exhaustive
     over B for d <= EXPLICIT_CAP, otherwise a seeded random batch (the
-    averaging argument makes a random B faithful).  Only F_B varies, so mu's
-    ``losses.law_plan`` is built once for every measurement.  The F_B that
-    the search builds are dropped when it returns."""
+    averaging argument makes a random B faithful).  Only F_B varies, so
+    every measurement reads mu's one cached law.  The F_B that the search
+    builds are dropped when it returns."""
     ell = losses.zero_one_loss(sc.labels, 1)
-    law = losses.law_plan(sc.mu, 1)
     d = sc.d
     if d <= EXPLICIT_CAP:
         candidates = [
@@ -107,7 +106,7 @@ def nfl_worst_F(A, sc, m, eps, trials, seed, search_trials=100):
     def failure_freq(B, n, tag):
         scen = sampler.Scenario(sc.mu, sc.hypothesis(B))
         return 1 - learners.estimate_pac_success(
-            A, scen, ell, m, eps, n, f"{seed}/{tag}", law=law
+            A, scen, ell, m, eps, n, f"{seed}/{tag}"
         )
 
     best = None

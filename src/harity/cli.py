@@ -327,12 +327,12 @@ def learn_cmd(merged):
     """ERM success-frequency sweep."""
     sizes = _m_list(merged, "10,20,40")
     cls, sc, ell = _scenario(merged)
-    A, law = learners.erm(cls, ell), losses.law_plan(sc.mu, ell.k)
+    A = learners.erm(cls, ell)
     return _sweep(
         merged,
         sizes,
         lambda m, eps, trials: learners.estimate_pac_success(
-            A, sc, ell, m, eps, trials, merged["seed"], law=law
+            A, sc, ell, m, eps, trials, merged["seed"]
         ),
     )
 

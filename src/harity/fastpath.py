@@ -70,7 +70,8 @@ class PairContext:
         """H's table against F, as ``tables`` lays it out; None if it does not
         qualify."""
         mu, F, ell = self._args
-        return tables(mu, [losses.plan(losses.law_plan(mu, ell.k), F, ell)[0](H)])[0]
+        row = losses.plan(losses.law_plan(mu, ell.k, None), F, ell)[0]
+        return tables(mu, [row(H)])[0]
 
     def draw(self, rng, m):
         """The support-rank counts of a size-m sample's unary values."""

@@ -9,15 +9,15 @@ without extra plumbing.  The concentration constant K, and with it every
 derandomization size, is read from a template (``concentration_constant``).
 
 Every Monte Carlo check reads each hypothesis's exact total from one plan of
-its law (``_plan``), whose mu-only part (``losses.law_plan``) a caller may
-build once per mu and share; the uniform-convergence and concentration checks
-take their members' totals and per-trial empirical losses from
-``_trial_losses``, which counts each trial's units by the law atom they induce
-(in a fastpath context, or by ``sampler._atom_counter``'s unit codes) and
-reads the counts against the same plan rows.  ``estimate_pac_success`` reads
-its samples by the same unit codes (``sampler._labeled_reader``), with y
-gathered from the plan's labels of F at each atom, so no check or PAC sweep
-draws a dict sample.
+its law (``_plan``), whose mu-only part (``losses.law_plan``) is cached by
+the measures, so checks and sweeps on one mu enumerate it once.  The
+uniform-convergence and concentration checks take their members' totals and
+per-trial empirical losses from ``_trial_losses``, which counts each trial's
+units by the law atom they induce (in a fastpath context, or by the unit
+codes ``sampler._atom_counts`` counts) and reads the counts against the same
+plan rows.  ``estimate_pac_success`` reads its samples by the same unit codes
+(``sampler._labeled_reader``), with y gathered from the plan's labels of F at
+each atom, so no check or PAC sweep draws a dict sample.
 """
 
 import math
@@ -35,10 +35,11 @@ from . import fastpath, hypotheses, indexing, losses, sampler, templates
 
 
 def sample_size(x):
-    """The number of points of a sample (per part, in the partite setting)."""
+    """The number of points of a sample (per part, in the partite setting);
+    0 for the empty sample."""
     if indexing.partite_keys(x):
         return max(map(itemgetter(1), chain.from_iterable(x)))
-    return max(map(itemgetter(-1), x))
+    return max(map(itemgetter(-1), x), default=0)
 
 
 @dataclass(frozen=True)
@@ -128,17 +129,10 @@ erm_nonpartite = erm_partite = erm
 # check
 
 
-def _plan(sc, ell, law=None):
-    """The check's ``losses.plan`` over ``law`` (sc's ``losses.law_plan`` when
-    None), with the natural agnostic loss given mu'.  A law that does not
-    list the atoms of sc's units at ell's arity is refused: one built with
-    mu' for a scenario without it, or the reverse, or at another arity."""
-    law = law or losses.law_plan(sc.mu, ell.k, sc.mu2)
-    if law[3] != (sc.mu2 is not None):
-        raise ValueError("law= and the scenario disagree on mu'")
-    atoms = sampler._atoms(sc.mu, sc.mu2, ell.k)
-    if len(law[1]) != atoms:
-        raise ValueError(f"law= has {len(law[1])} atoms, not the units' {atoms}")
+def _plan(sc, ell):
+    """The check's ``losses.plan`` over sc's cached ``losses.law_plan``, with
+    the natural agnostic loss given mu'."""
+    law = losses.law_plan(sc.mu, ell.k, sc.mu2)
     return losses.plan(law, sc.F, losses.wrap_agnostic(ell) if sc.mu2 else ell)
 
 
@@ -152,7 +146,7 @@ def _trial_losses(sc, members, ell):
     counts against each member's plan row.  A non-agnostic k = 2 scenario
     builds a fastpath context (TwoPartiteContext when 2-partite, PairContext
     otherwise) when every member's plan row qualifies as its table
-    (``fastpath.tables``).  Otherwise ``sampler._atom_counter`` counts the
+    (``fastpath.tables``).  Otherwise ``sampler._atom_counts`` counts the
     units by their atom codes, and ``_exact_product`` of the counts and the
     rows, as integer numerators over one denominator, gives the losses.  Each
     route reads the stream as ``sampler.labeled_sample`` does, so all give
@@ -172,13 +166,12 @@ def _trial_losses(sc, members, ell):
 
         return totals, fast
 
-    atoms, count = sampler._atom_counter(sc, ell.k)
     D, nums = losses.numerators(chain.from_iterable(rows))
     top = max(map(abs, nums), default=0)
-    V = np.array(nums, np.int64 if top < 2**63 else object).reshape(-1, atoms).T
+    V = np.array(nums, np.int64 if top < 2**63 else object).reshape(len(rows), -1).T
 
     def coded(rng, m):
-        counts, units = count(rng, m)
+        counts, units = sampler._atom_counts(sc, ell.k, rng, m)
         sums = _exact_product(counts, V, top * units)
         return [Fraction(int(s), D * units) for s in sums]
 
@@ -435,19 +428,18 @@ def infvcn_learner(n_max):
 # PAC success estimation
 
 
-def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None, law=None):
+def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None):
     """Monte Carlo frequency of trials whose learned hypothesis has total
     loss <= eps or, given ``cls``, <= inf + eps (agnostic, exact infimum over
-    ``cls``).  ``law``, sc's ``losses.law_plan`` at ell's arity, lets callers
-    that vary only F or m build mu's law once; it is built here when None,
-    and one built for another scenario shape raises ValueError.  Each
-    returned member's total is computed once per call.
+    ``cls``).  mu's law is ``losses.law_plan``'s, cached by the measures, so
+    callers that vary only F or m enumerate it once.  Each returned member's
+    total is computed once per call.
 
     No check or PAC sweep draws a dict sample: each trial's (x, y) is
     ``sampler._labeled_reader``'s, x decoded in bulk and y gathered from the
     plan's labels of F at the atom each unit's code names, so F is read once
     per atom per call and never in the trial loop."""
-    (row, weigh, labels), target = _plan(sc, ell, law), Fraction(eps)
+    (row, weigh, labels), target = _plan(sc, ell), Fraction(eps)
     draw = sampler._labeled_reader(sc, ell.k, labels)
     # id(H) -> (H, its total); holding H keeps its id from being reused.  Not
     # keyed by H: members that differ only in fn compare equal

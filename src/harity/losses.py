@@ -13,6 +13,7 @@ loss computation here branches on the setting.
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby, product
 from math import lcm
 from operator import itemgetter, mul
@@ -125,12 +126,16 @@ def numerators(values):
     return D, [v.numerator * (D // v.denominator) for v in exact]
 
 
-def law_plan(mu, k, mu2=None):
-    """The part of a ``plan`` that reads mu (and mu') alone, built once per
-    mu: the template, ``sampler.joint_law``'s atoms at the arity-k domain
-    size (each x with its orbit pullbacks, or, given mu2, as listed),
-    ``weigh`` (a row's expectation in integers over one denominator, so a
-    float loss value raises TypeError) and whether mu2 was given."""
+@lru_cache(maxsize=8)
+def law_plan(mu, k, mu2):
+    """The part of a ``plan`` that reads mu (and mu', or None) alone: the
+    template, ``sampler.joint_law``'s atoms at the arity-k domain size (each
+    x with its orbit pullbacks, or, given mu2, as listed), ``weigh`` (a row's
+    expectation in integers over one denominator, so a float loss value
+    raises TypeError) and whether mu2 was given.  Measures hash by template
+    and compare by weights, so equal measures share one cached law; mu2 has
+    no default, so every call keys it alike.  Eight laws are kept, under
+    1 MiB in all: the largest any benchmark workload builds is about 120 KiB."""
     t = mu.template
     (m, orbit), pull = t.domain(k), t.pull
     law = list(sampler.joint_law(mu, m, mu2))

@@ -9,7 +9,7 @@ and decode each uniform to a support rank (``_support``, ``_decode``) as
 ``_draw`` would.  Outside ``fastpath`` one reader does so, ``_read`` over a
 cached ``_layout``: it decodes every coordinate once, one decode per ground
 space, and codes each unit by the law atom its point is.  The checks count
-the codes (``_atom_counter``) and the PAC sweep rebuilds (x, y) from them
+the codes (``_atom_counts``) and the PAC sweep rebuilds (x, y) from them
 (``_labeled_reader``), y gathered from F's labels at each atom, so no check
 or PAC sweep draws a dict sample or calls F in its trial loop.
 """
@@ -135,6 +135,7 @@ class _Layout(NamedTuple):
     coords: list  # x's coordinates, the first draws
     at: np.ndarray  # each domain coordinate's stream position, per unit
     radix: np.ndarray  # each domain coordinate's place value in a unit's code
+    atoms: int  # the number of codes: the law's atoms at the domain size
 
 
 @lru_cache(maxsize=32)
@@ -162,7 +163,7 @@ def _layout(mu, mu2, k, m):
         digits += [len(support) for _, support in templates._supports(nu, d)]
         n += len(tn.coords(m))
     radix = np.cumprod([1, *digits[:0:-1]])[::-1]  # the last fastest
-    return _Layout(n, groups, t.coords(m), np.hstack(at).T, radix)
+    return _Layout(n, groups, t.coords(m), np.hstack(at).T, radix, prod(digits))
 
 
 def _read(layout, rng):
@@ -176,28 +177,14 @@ def _read(layout, rng):
     return values, layout.radix.dot(ranks[layout.at])
 
 
-@lru_cache(maxsize=32)
-def _atoms(mu, mu2, k):
-    """The number of atoms of the units' law: ``joint_law`` at the arity-k
-    domain size, as ``losses.law_plan`` lists it."""
-    d = mu.template.domain(k)[0]
-    return prod(templates.law_atoms(nu, d) for nu in (mu, mu2) if nu)
-
-
-def _atom_counter(sc, k):
-    """(atoms, count): the number of atoms of the units' law and count(rng,
-    m) -> (how many units of the size-m sample read off rng induce each atom,
-    the number of units): ``_read``'s codes, counted."""
-    atoms = _atoms(sc.mu, sc.mu2, k)
-
-    def count(rng, m):
-        layout = _layout(sc.mu, sc.mu2, k, m)
-        if not layout.at.shape[1]:
-            raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = {k}")
-        codes = _read(layout, rng)[1]
-        return np.bincount(codes, minlength=atoms), len(codes)
-
-    return atoms, count
+def _atom_counts(sc, k, rng, m):
+    """(how many units of the size-m sample read off rng induce each atom of
+    the units' law, the number of units): ``_read``'s codes, counted."""
+    layout = _layout(sc.mu, sc.mu2, k, m)
+    if not layout.at.shape[1]:
+        raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = {k}")
+    codes = _read(layout, rng)[1]
+    return np.bincount(codes, minlength=layout.atoms), len(codes)
 
 
 @lru_cache(maxsize=32)

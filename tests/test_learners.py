@@ -667,8 +667,10 @@ def test_unit_codes_equal_the_generic_route(name):
     assert got == [generic(sampler.stream(name, t), m) for m in ms for t in range(6)]
     assert all(type(e) is Fraction for emps in got for e in emps)
     # the reader codes the exact law's atoms, zero weights left out
-    d, (atoms, _) = sc.mu.template.domain(ell.k)[0], sampler._atom_counter(sc, ell.k)
-    assert atoms == math.prod(templates.law_atoms(nu, d) for nu in (sc.mu, sc.mu2) if nu)
+    d = sc.mu.template.domain(ell.k)[0]
+    atoms = {sampler._layout(sc.mu, sc.mu2, ell.k, m).atoms for m in ms}
+    assert atoms == {math.prod(templates.law_atoms(nu, d) for nu in (sc.mu, sc.mu2) if nu)}
+    assert atoms == {len(losses.law_plan(sc.mu, ell.k, sc.mu2)[1])}
 
 
 @pytest.mark.parametrize(
@@ -709,17 +711,16 @@ def _hashing_learner(candidates, k):
 
 def _pac_instance(name):
     """A unit-code instance as a PAC sweep: the learner above over the
-    members (and F, without mu'), and the sizes m < k, m = k and larger."""
+    members (and F, without mu'), and the sizes 0, m < k, m = k and larger."""
     sc, members, ell, ms = UNIT_CODE_INSTANCES[name]
     candidates = members if sc.mu2 else [*members, sc.F]
     small = 0 if sc.partite else ell.k - 1
-    return sc, candidates, ell, sorted({small, ell.k, *ms})
+    return sc, candidates, ell, sorted({0, small, ell.k, *ms})
 
 
 @pytest.mark.parametrize("name", UNIT_CODE_INSTANCES)
 def test_pac_success_equals_the_dict_route(name):
     sc, candidates, ell, ms = _pac_instance(name)
-    ms = [m for m in ms if m]  # a learner cannot size an empty sample
     A = _hashing_learner(candidates, ell.k)
     total = losses.totals(sc.mu, sc.F, losses.wrap_agnostic(ell) if sc.mu2 else ell, sc.mu2)
     target = min(map(total, candidates))
@@ -767,33 +768,8 @@ def test_pac_success_reads_F_once_per_atom():
         calls.clear()
         learners.estimate_pac_success(A, sc, ell, 6, Fraction(1, 10), trials, "F")
         counts.append(len(calls))
-    atoms = len(losses.law_plan(sc.mu, 2)[1])
+    atoms = len(losses.law_plan(sc.mu, 2, None)[1])
     assert counts == [2 * atoms, 2 * atoms]  # one read per atom and orbit slot
-
-
-def test_pac_success_refuses_a_law_without_mu2():
-    sc, members, ell, _ = UNIT_CODE_INSTANCES["agnostic-flip"]
-    A = _hashing_learner(members, ell.k)
-    with pytest.raises(ValueError, match="disagree on mu'"):
-        learners.estimate_pac_success(
-            A, sc, ell, 4, 0, 5, "law", law=losses.law_plan(sc.mu, ell.k)
-        )
-    plain = sampler.Scenario(sc.mu, members[0])
-    with pytest.raises(ValueError, match="disagree on mu'"):
-        learners.estimate_pac_success(
-            A, plain, ell, 4, 0, 5, "law", law=losses.law_plan(sc.mu, ell.k, sc.mu2)
-        )
-
-
-def test_pac_success_refuses_a_law_at_another_arity():
-    match = families.matching_family(2).cls
-    ell = losses.zero_one_loss(match.labels, 2)
-    sc = sampler.Scenario(templates.uniform_prob(match.template), match.members[1])
-    A = learners.erm(match, ell)
-    with pytest.raises(ValueError, match="atoms, not the units'"):
-        learners.estimate_pac_success(
-            A, sc, ell, 4, 0, 5, "law", law=losses.law_plan(sc.mu, 1)
-        )
 
 
 def _agnostic_point_mass_scenarios():
@@ -851,23 +827,28 @@ def test_each_check_enumerates_the_law_once(monkeypatch):
     ell = losses.zero_one_loss(nfl.labels, 1)
     sc = sampler.Scenario(nfl.mu, nfl.hypothesis(frozenset({0, 3})))
     A = adversaries.erm_learner(nfl)
-    learners.estimate_pac_success(A, sc, ell, 3, Fraction(1, 10), 50, "once")
+    losses.law_plan.cache_clear()
+    own = learners.estimate_pac_success(A, sc, ell, 3, Fraction(1, 10), 50, "once")
     assert len(calls) == 1
     calls.clear()
+    losses.law_plan.cache_clear()
     learners.check_concentration(sc, nfl.hypothesis({4}), ell, 3, 0.5, 50, "once")
     assert len(calls) == 1
     calls.clear()
     match = families.matching_family(2).cls
     sc2 = sampler.Scenario(templates.uniform_prob(match.template), match.members[1])
     ell2 = losses.zero_one_loss(match.labels, 2)
+    losses.law_plan.cache_clear()
     learners.check_uniform_convergence(sc2, match, ell2, 4, 0.5, 20, "once")
     assert len(calls) == 1 and len(match.members) > 1
     (ag, t, ell1), _ = _agnostic_point_mass_scenarios()
     consts = [constant_hypothesis(1, t, (0, 1), v) for v in (0, 1)]
     calls.clear()
+    losses.law_plan.cache_clear()
     learners.check_concentration(ag, consts[1], ell1, 4, 0.5, 20, "once")
     assert len(calls) == 2 and set(calls) == {ag.mu, ag.mu2}
     calls.clear()
+    losses.law_plan.cache_clear()
     learners.estimate_pac_success(
         learners.Learner(1, lambda x, y, b: consts[1], lambda m: 1),
         ag, ell1, 3, Fraction(1, 10), 20, "once", cls=consts,
@@ -876,15 +857,14 @@ def test_each_check_enumerates_the_law_once(monkeypatch):
     # the no-free-lunch search builds mu's law once for its 64 B and the final
     # measurement
     calls.clear()
+    losses.law_plan.cache_clear()
     adversaries.nfl_worst_F(A, nfl, 3, Fraction(1, 10), 20, "once", search_trials=2)
     assert calls == [nfl.mu]
-    mu_law = losses.law_plan(nfl.mu, 1)
+    # a second sweep on mu (an equal one, built apart) enumerates nothing
     calls.clear()
-    shared = learners.estimate_pac_success(
-        A, sc, ell, 3, Fraction(1, 10), 50, "once", law=mu_law
-    )
+    again = sampler.Scenario(templates.uniform_prob(nfl.mu.template), sc.F)
+    shared = learners.estimate_pac_success(A, again, ell, 3, Fraction(1, 10), 50, "once")
     assert calls == []
-    own = learners.estimate_pac_success(A, sc, ell, 3, Fraction(1, 10), 50, "once")
     assert type(shared) is Fraction and shared == own
 
 

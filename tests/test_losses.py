@@ -261,9 +261,32 @@ def test_totals_pull_each_atom_back_once_per_orbit_point(monkeypatch):
     pull = indexing.pullback
     calls = []
     monkeypatch.setattr(indexing, "pullback", lambda *a: calls.append(a) or pull(*a))
+    losses.law_plan.cache_clear()
     losses.totals(mu, cls.members[-1], losses.zero_one_loss(cls.labels, 2))
     atoms = len(templates.config_law(mu, 2))
     assert len(calls) == atoms * len(perms(2))
+
+
+def test_law_plan_is_shared_by_equal_measures_only():
+    # measures compare by template and weights, so the cache keys by value
+    losses.law_plan.cache_clear()
+    t = templates.Template(2, (3, 2))
+    pt = templates.PartiteTemplate(2, {(1,): 2, (2,): 2, (1, 2): 2})
+    for template in (t, pt):
+        a, b = templates.uniform_prob(template), templates.uniform_prob(template)
+        assert a is not b and losses.law_plan(a, 2, None) is losses.law_plan(b, 2, None)
+    mu = templates.uniform_prob(t)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    skew = templates.ProbTemplate(t, ((half, quarter, quarter), (half, half)))
+
+    def first_weight(law):
+        return law[2]([1] + [0] * (len(law[1]) - 1))
+
+    law, joined = losses.law_plan(mu, 2, None), losses.law_plan(mu, 2, mu)
+    assert first_weight(losses.law_plan(skew, 2, None)) != first_weight(law)
+    assert len(losses.law_plan(mu, 1, None)[1]) == 3 != len(law[1])
+    assert joined[3] and not law[3]
+    assert first_weight(losses.law_plan(mu, 2, skew)) != first_weight(joined)
 
 
 def test_totals_refuse_a_law_above_the_cap():

@@ -4,7 +4,9 @@
 ``labeled_sample``, whose order it must follow.  ``fastpath.py`` is exempt:
 its contexts are the one other array route, and ROADMAP item 2(d) deletes
 them.  ``learners.py`` names no dict sampler (``labeled_sample``, ``star``):
-its checks and its PAC sweep read samples by unit code only."""
+its checks and its PAC sweep read samples by unit code only.  mu's exact law
+is cached where it is built (``losses.law_plan``), so no caller outside the
+modules that read it (``LAW_READERS``) names it to build and pass it on."""
 
 import ast
 from pathlib import Path
@@ -13,6 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "harity"
 EXEMPT = ("sampler.py", "fastpath.py")
 READERS = ("_uniforms", "_decode", "_support")
 DICT_SAMPLERS = ("labeled_sample", "star")  # no learner names these
+LAW_READERS = ("fastpath.py", "learners.py", "losses.py")  # the modules naming law_plan
 
 
 def stream_readers(tree, names=READERS):
@@ -62,3 +65,22 @@ def test_the_check_sees_a_planted_dict_sample():
         "def g(F, x, m):\n    star_ = F\n    return hypotheses.star(F, x, m)\n"
     )
     assert stream_readers(tree, DICT_SAMPLERS) == {"labeled_sample", "star"}
+
+
+def test_no_caller_threads_the_law():
+    found = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in LAW_READERS
+        and stream_readers(ast.parse(path.read_text()), ("law_plan",))
+    }
+    assert sorted(found) == []
+
+
+def test_the_check_sees_a_planted_law():
+    for source in (
+        "from .losses import law_plan\n",
+        "def f(sc, k):\n    return losses.law_plan(sc.mu, k, None)\n",
+        "def g(mu):\n    law_plan = mu\n    return law_plan\n",
+    ):
+        assert stream_readers(ast.parse(source), ("law_plan",)) == {"law_plan"}
