@@ -124,6 +124,8 @@ def distinct_rows(table):
     compared as byte strings through a ``np.void`` view (asking for the index
     also skips a first-use numpy.ma import)."""
     table = np.ascontiguousarray(table)
+    if not table.shape[1]:  # no bytes to compare: every row is the first
+        return table[:1], np.zeros(len(table), int)
     rows = table.view(np.dtype((np.void, table.dtype.itemsize * table.shape[1])))
     distinct, index = np.unique(rows, return_inverse=True)
     return distinct.view(table.dtype).reshape(-1, table.shape[1]), index.ravel()

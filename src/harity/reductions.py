@@ -13,11 +13,18 @@ coordinate); coordinates enumerate in the canonical size-then-lex order.
 
 One per-atom plan (``_plan``) decides which labels survive departization.
 ``departize_sample`` and both exact laws apply it, and the laws decode every
-randomness index exactly as the departized learner does.
+randomness index exactly as the departized learner does, once per (m, k).
+Both laws take one route: mu (x) mu' is enumerated once as integer masses
+over one denominator, each unit coded by its domain atom
+(``sampler.exact_read``); F is read once per atom of the joined domain law;
+and each plan's mass is summed over the distinct values of the x keys and
+labels that it reads.  The per-atom dict loops stay in the tests as the
+reference.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
 
@@ -27,9 +34,10 @@ from . import indexing, learners, losses, sampler, templates
 from .hypotheses import (
     Hypothesis,
     HypothesisClass,
+    canonical_key,
+    distinct_rows,
     partize_hypothesis,
     perms,
-    star,
     unpartize_hypothesis,
 )
 from .indexing import decode_mixed
@@ -334,50 +342,119 @@ def departize_sample_size(m_a, eps, delta, sup_norm, k):
 # exact departization laws (tiny-instance oracles)
 
 
-def _atom_plans(mu, mu2, m, k):
-    """The plan of every randomness atom, decoded from each index below
-    R = departize_r(1, m, k) exactly as the departized learner decodes its
-    randomness; each atom has probability 1/R.  A law whose atoms (samples
-    of mu and mu2 times R) exceed the exact-law cap is refused first."""
+@lru_cache(maxsize=4)
+def _plans(m, k):
+    """The plan of every randomness atom of a size-m sample, decoded from
+    each index below R = departize_r(1, m, k) exactly as the departized
+    learner decodes its randomness; each atom has probability 1/R.  A plan
+    reads no measure, so the plans are decoded once per (m, k)."""
     one = lambda _: 1  # noqa: E731
-    r = departize_r(one, m, k)
+    return tuple(
+        _plan(*decode_departize_randomness(i, one, m, k)[1:], k)
+        for i in range(departize_r(one, m, k))
+    )
+
+
+def _atom_plans(mu, mu2, m, k):
+    """``_plans(m, k)``, refused first when the law's atoms (samples of mu
+    and mu2 times R) exceed the exact-law cap."""
+    r = departize_r(lambda _: 1, m, k)
     sampler.check_law_size(templates.law_atoms(mu, m) * templates.law_atoms(mu2, m) * r)
-    return [_plan(*decode_departize_randomness(i, one, m, k)[1:], k) for i in range(r)]
+    return _plans(m, k)
+
+
+def _check_law_inputs(mu, mu2, F_part, m, k, partite):
+    """Refuse, before anything is enumerated, what a departization law cannot
+    read: measures of the other setting or of an arity other than k, m < 0,
+    or an F_part over another template than the measures' partite join."""
+    if {mu.template.partite, mu2.template.partite} != {partite}:
+        raise ValueError(
+            "the construction law reads partite measures"
+            if partite
+            else "the discrete law reads plain measures"
+        )
+    if {mu.template.k, mu2.template.k} != {k}:
+        raise ValueError(f"k = {k} is not the measures' arity")
+    if m < 0:
+        raise ValueError(f"sample size m = {m} is negative")
+    joined = templates.product_template(mu.template, mu2.template)
+    if not partite:
+        joined = templates.partize_template(joined, k)
+    if F_part.template != joined:
+        raise ValueError("F_part is not over the measures' joined partite template")
+
+
+def _atom_labels(mu, mu2, k, G):
+    """G's pattern at each point of each atom's orbit (``losses.plan``'s read)
+    over mu (x) mu' at the arity-k domain size, G called once per distinct
+    point: (label ids by atom, orbit slot and pattern position, the label
+    each id names)."""
+    t, patterns, ids = mu.template, {}, {}
+    d, orbit = t.domain(k)
+
+    def read(z):
+        key = canonical_key(z)
+        if key not in patterns:
+            patterns[key] = G(z)
+        return patterns[key]
+
+    labels = [
+        [[ids.setdefault(v, len(ids)) for v in read(t.pull(a, z))] for a in orbit]
+        for _, z, _ in sampler.joint_law(mu, d, mu2)
+    ]
+    return np.array(labels, int), list(ids)
+
+
+def _departize_law(mu, mu2, G, m, k, x_key):
+    """The exact law of the departized size-m sample over mu (x) mu', read by
+    unit code.  The joint law is enumerated once (``sampler.exact_read``); a
+    unit's labels are G's pattern at its atom, read over the unit's orbit
+    (``sampler._label_layout``); and each plan's mass is summed over the
+    distinct values of what it reads: x at ``x_key(C, key)`` for each of its
+    coordinates, and its surviving labels.  Each law key is built once per
+    plan and distinct read, and masses stay integers over one denominator
+    until the law's atoms are returned."""
+    plans = _atom_plans(mu, mu2, m, k)
+    values, codes, masses, D = sampler.exact_read(mu, mu2, k, m)
+    labels, names = _atom_labels(mu, mu2, k, G)
+    keys, unit, slot = sampler._label_layout(mu.template, k, m)
+    where = dict(zip(keys, zip(unit.tolist(), slot.tolist())))
+    column = {key: c for c, key in enumerate(mu.template.coords(m))}
+    law = {}
+    for coords, survivors in plans:
+        xs = [column[x_key(C, key)] for C, key, _ in coords]
+        ys = [(*where[s[0]], s[1]) for _, s in survivors if s]  # (unit, slot, pos)
+        u, j, p = np.array(ys, int).reshape(-1, 3).T
+        rows, index = distinct_rows(np.hstack([values[:, xs], labels[codes[:, u], j, p]]))
+        sums = np.zeros(len(rows), object)
+        np.add.at(sums, index, masses)
+        for row, mass in zip(rows.tolist(), sums):
+            y = iter(row[len(xs) :])
+            xhat = {
+                C: encode_tagged(v, tag, k, len(C)) for (C, _, tag), v in zip(coords, row)
+            }
+            yhat = {a: BOTTOM if s is None else names[next(y)] for a, s in survivors}
+            key = sampler.law_key(xhat, yhat)
+            law[key] = law.get(key, 0) + mass
+    return {key: Fraction(mass, D * len(plans)) for key, mass in law.items()}
 
 
 def departize_construction_law(mu_part, mu2_part, F_part, m, k):
     """Exact law of the departized (sample, labels) built from the partite
     construction: x visible, labels from F on the joined sample, randomness
-    uniform."""
-    plans = _atom_plans(mu_part, mu2_part, m, k)
-    law = {}
-    for x, joined, p in sampler.joint_law(mu_part, m, mu2_part):
-        y, w = star(F_part, joined, m), p / len(plans)
-        for plan in plans:
-            key = sampler.law_key(*_departize(plan, x, y, k))
-            law[key] = law.get(key, Fraction(0)) + w
-    return law
+    uniform.  Each plan reads x at its coordinates' partite keys."""
+    _check_law_inputs(mu_part, mu2_part, F_part, m, k, True)
+    return _departize_law(mu_part, mu2_part, F_part, m, k, lambda C, key: key)
 
 
 def departize_discrete_law(mu_base, mu2_base, F_part, m, k):
     """Exact law of the discrete equivalent: per-coordinate values from the
     base measures with independent uniform tags, a uniform permutation, and
     labels computed by pulling the joined values back through the induced
-    part assignment."""
-    plans = _atom_plans(mu_base, mu2_base, m, k)
-    law = {}
-    for x, joined, p in sampler.joint_law(mu_base, m, mu2_base):
-        pats = {
-            beta: F_part(indexing.phi_k(indexing.pullback(beta, joined)))
-            for beta in indexing.injections(m, k)
-        }
-        w = p / len(plans)
-        for coords, labels in plans:
-            xhat = {C: encode_tagged(x[C], tag, k, len(C)) for C, _, tag in coords}
-            yhat = {a: BOTTOM if s is None else pats[s[0]][s[1]] for a, s in labels}
-            key = sampler.law_key(xhat, yhat)
-            law[key] = law.get(key, Fraction(0)) + w
-    return law
+    part assignment (F_part read at phi_k of each pulled-back point)."""
+    _check_law_inputs(mu_base, mu2_base, F_part, m, k, False)
+    G = lambda z: F_part(indexing.phi_k(z))  # noqa: E731
+    return _departize_law(mu_base, mu2_base, G, m, k, lambda C, key: C)
 
 
 # ---------------------------------------------------------------------------

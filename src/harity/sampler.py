@@ -12,13 +12,15 @@ space, and codes each unit by the law atom its point is.  The checks count
 the codes (``_atom_counts``) and the PAC sweep rebuilds (x, y) from them
 (``_labeled_reader``), y gathered from F's labels at each atom, so no check
 or PAC sweep draws a dict sample or calls F in its trial loop.
+``exact_read`` is ``_read``'s exact twin: every atom of mu (x) mu' with
+its integer mass and its units' codes, which the departization laws read.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import prod
+from math import lcm, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -213,6 +215,26 @@ def _labeled_reader(sc, k, labels):
         return x, dict(zip(keys, blocks[codes[unit], slot].tolist()))
 
     return draw
+
+
+def exact_read(mu, mu2, k, m):
+    """The exact twin of ``_read``: every atom of mu (x) mu' on size-m samples,
+    in ``joint_law``'s order, as (values, codes, masses, D).  Row i holds
+    atom i's coordinate values in ``_read``'s order (x's, then x''s) and its
+    units' codes over ``_layout``; its probability is masses[i] / D, Python
+    integers over one denominator.  Refused above the cap before enumerating."""
+    supports = [s for nu in (mu, mu2) for _, s in templates._supports(nu, m)]
+    sizes = [len(s) for s in supports]
+    check_law_size(prod(sizes))
+    ranks = np.indices(sizes).reshape(len(sizes), prod(sizes)).T  # the last fastest
+    values, masses, D = np.empty_like(ranks), np.ones(1, object), 1
+    for c, support in enumerate(supports):
+        values[:, c] = np.array([v for v, _ in support])[ranks[:, c]]
+        d = lcm(*(w.denominator for _, w in support))
+        nums = [w.numerator * (d // w.denominator) for _, w in support]
+        masses, D = np.multiply.outer(masses, nums).ravel(), D * d
+    layout = _layout(mu, mu2, k, m)
+    return values, layout.radix @ ranks[:, layout.at], masses, D
 
 
 def check_law_size(atoms):

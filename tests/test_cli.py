@@ -5,7 +5,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from harity import cli, families, learners, losses
+from harity import cli, families, learners, losses, reductions
 
 
 def _run(args, **kw):
@@ -139,6 +139,22 @@ def test_reduce_departize_exact(tmp_path):
     assert rows["laws_equal"] == "1"
     assert rows["p"] == "0.0625"
     assert rows["randomness_count"] == "32"
+
+
+def test_reduce_departize_decodes_the_randomness_once(tmp_path, monkeypatch):
+    # both exact laws share the plans decoded for (m, k) = (2, 2): R = 32
+    # decodes, where decoding per law made 64
+    calls = []
+    decode = reductions.decode_departize_randomness
+    monkeypatch.setattr(
+        reductions,
+        "decode_departize_randomness",
+        lambda *args: calls.append(args) or decode(*args),
+    )
+    reductions._plans.cache_clear()
+    res = _run(["reduce", "--direction", "departize", "--out", str(tmp_path / "dep")])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == reductions.departize_r(lambda m: 1, 2, 2) == 32
 
 
 def test_ramsey_command(tmp_path):

@@ -334,6 +334,150 @@ def test_departize_laws_refuse_past_the_cap():
     assert time.perf_counter() - started < 1
 
 
+def reference_construction_law(mu_part, mu2_part, F_part, m, k):
+    """The construction law by the dict route: every plan applied to every
+    atom of the joint law, with y = F_part* of the joined sample."""
+    plans = reductions._atom_plans(mu_part, mu2_part, m, k)
+    law = {}
+    for x, joined, p in sampler.joint_law(mu_part, m, mu2_part):
+        y, w = star(F_part, joined, m), p / len(plans)
+        for plan in plans:
+            key = sampler.law_key(*reductions._departize(plan, x, y, k))
+            law[key] = law.get(key, Fraction(0)) + w
+    return law
+
+
+def reference_discrete_law(mu_base, mu2_base, F_part, m, k):
+    """The discrete law by the dict route: x read at each plan's coordinates
+    C, labels F_part(phi_k(beta*(joined))) for each injection beta."""
+    plans = reductions._atom_plans(mu_base, mu2_base, m, k)
+    law = {}
+    for x, joined, p in sampler.joint_law(mu_base, m, mu2_base):
+        pats = {
+            beta: F_part(indexing.phi_k(indexing.pullback(beta, joined)))
+            for beta in indexing.injections(m, k)
+        }
+        w = p / len(plans)
+        for coords, labels in plans:
+            xhat = {
+                C: reductions.encode_tagged(x[C], tag, k, len(C)) for C, _, tag in coords
+            }
+            yhat = {
+                a: reductions.BOTTOM if s is None else pats[s[0]][s[1]] for a, s in labels
+            }
+            key = sampler.law_key(xhat, yhat)
+            law[key] = law.get(key, Fraction(0)) + w
+    return law
+
+
+def _reference_instances():
+    """(mu, mu', F_part, m, k): every DEPARTIZE_INSTANCES entry at m = 2;
+    k = 1 at m <= 3; and k = 2 at m <= 2 with a zero weight in mu' and a
+    three-label F."""
+    out = [(mu, mu2, Fp, 2, 2) for mu, mu2, Fp in DEPARTIZE_INSTANCES]
+    t1, t2 = templates.Template(1, (3,)), templates.Template(1, (2,))
+    mu = templates.ProbTemplate(t1, ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),))
+    mu2 = templates.ProbTemplate(t2, ((Fraction(1, 4), Fraction(3, 4)),))
+    F = Hypothesis(
+        1,
+        templates.product_template(t1, t2),
+        (0, 1, 2),
+        lambda x: (x[(1,)] // 2 + 2 * (x[(1,)] % 2)) % 3,
+        name="k1",
+    )
+    out += [(mu, mu2, partize_hypothesis(F), m, 1) for m in range(4)]
+    _, mu = _base()
+    t3 = templates.Template(2, (3, 1))
+    mu2 = templates.ProbTemplate(
+        t3, ((Fraction(1, 2), Fraction(0), Fraction(1, 2)), (Fraction(1),))
+    )
+    F = Hypothesis(
+        2,
+        templates.product_template(mu.template, t3),
+        (0, 1, 2),
+        lambda x: min(2, x[(1,)] // 3 + x[(2,)] % 3),
+        name="three",
+    )
+    out += [(mu, mu2, partize_hypothesis(F), m, 2) for m in range(3)]
+    return out
+
+
+REFERENCE_INSTANCES = _reference_instances()
+REFERENCE_IDS = DEPARTIZE_IDS + [
+    f"{name}-m{m}" for name, ms in (("k1", 4), ("k2-zero-weight-mu2", 3)) for m in range(ms)
+]
+
+
+@pytest.mark.parametrize("mu,mu2,Fp,m,k", REFERENCE_INSTANCES, ids=REFERENCE_IDS)
+def test_departize_laws_equal_the_reference(mu, mu2, Fp, m, k):
+    mup, mu2p = templates.partize_prob(mu, k), templates.partize_prob(mu2, k)
+    law = reductions.departize_construction_law(mup, mu2p, Fp, m, k)
+    assert law == reference_construction_law(mup, mu2p, Fp, m, k)
+    assert reductions.departize_discrete_law(mu, mu2, Fp, m, k) == (
+        reference_discrete_law(mu, mu2, Fp, m, k)
+    )
+    assert sum(law.values()) == 1
+
+
+def _refused():
+    """Arguments that a departization law must refuse, by case: (the law, its
+    arguments, what the message names)."""
+    mu, mu2, Fp = DEPARTIZE_INSTANCES[0]
+    other = DEPARTIZE_INSTANCES[3][2]  # over the zero-weight pair's join
+    mup, mu2p = templates.partize_prob(mu, 2), templates.partize_prob(mu2, 2)
+    construction = reductions.departize_construction_law
+    discrete = reductions.departize_discrete_law
+    return {
+        "plain-construction": (construction, (mu, mu2, Fp, 2, 2), "partite measures"),
+        "partite-discrete": (discrete, (mup, mu2p, Fp, 2, 2), "plain measures"),
+        "construction-k3": (construction, (mup, mu2p, Fp, 2, 3), "arity"),
+        "discrete-k1": (discrete, (mu, mu2, Fp, 2, 1), "arity"),
+        "construction-m-1": (construction, (mup, mu2p, Fp, -1, 2), "negative"),
+        "discrete-m-1": (discrete, (mu, mu2, Fp, -1, 2), "negative"),
+        "construction-F": (construction, (mup, mu2p, other, 2, 2), "joined partite"),
+        "discrete-F": (discrete, (mu, mu2, other, 2, 2), "joined partite"),
+    }
+
+
+REFUSED = _refused()
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_departize_laws_refuse_what_they_cannot_read(case, monkeypatch):
+    law, args, message = REFUSED[case]
+
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated before refusing")
+
+    monkeypatch.setattr(reductions, "_atom_plans", enumerate_nothing)
+    monkeypatch.setattr(sampler, "exact_read", enumerate_nothing)
+    with pytest.raises(ValueError, match=message):
+        law(*args)
+
+
+def test_departize_laws_read_F_once_per_domain_atom():
+    # the dict route (reference_construction_law) reads F_part once per
+    # sample atom and injection: 2,048 calls of F on criterion 07's instance
+    calls = []
+    mu, mu2, _ = DEPARTIZE_INSTANCES[0]
+    tj = templates.product_template(mu.template, mu2.template)
+    F = Hypothesis(
+        2, tj, (0, 1), lambda x: calls.append(x) or (x[(1,)] + x[(2,)]) % 2, name="par"
+    )
+    Fp = partize_hypothesis(F)
+    mup, mu2p = templates.partize_prob(mu, 2), templates.partize_prob(mu2, 2)
+    for law, a, b in (
+        (reductions.departize_construction_law, mup, mu2p),
+        (reductions.departize_discrete_law, mu, mu2),
+    ):
+        d = a.template.domain(2)[0]
+        atoms = templates.law_atoms(a, d) * templates.law_atoms(b, d)
+        assert factorial(2) * atoms == 32
+        calls.clear()
+        law(a, b, Fp, 2, 2)
+        assert 0 < len(calls) <= factorial(2) * atoms
+
+
 def test_departize_learner_decodes_and_partizes():
     # the inner learner sees departize_sample at the decoded (sigma, U, U')
     # and b's own digit; its hypothesis comes back partized

@@ -27,6 +27,7 @@ ALLOWED = {
     "learners._trial_losses": "each setting has its own fastpath context",
     "learners.sample_size": "reads the sample size off either key shape",
     "losses.extend_with_neutral": "the symbol touches a pattern entry or a label",
+    "reductions._check_law_inputs": "each departization law reads one setting",
     "sampler.Scenario.__post_init__": "reads the setting from mu's template",
 }
 

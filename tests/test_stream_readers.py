@@ -4,9 +4,11 @@
 ``labeled_sample``, whose order it must follow.  ``fastpath.py`` is exempt:
 its contexts are the one other array route, and ROADMAP item 2(d) deletes
 them.  ``learners.py`` names no dict sampler (``labeled_sample``, ``star``):
-its checks and its PAC sweep read samples by unit code only.  mu's exact law
-is cached where it is built (``losses.law_plan``), so no caller outside the
-modules that read it (``LAW_READERS``) names it to build and pass it on."""
+its checks and its PAC sweep read samples by unit code only.
+``reductions.py`` names no ``star``: its exact laws read F's labels by unit
+code too.  mu's exact law is cached where it is built (``losses.law_plan``),
+so no caller outside the modules that read it (``LAW_READERS``) names it to
+build and pass it on."""
 
 import ast
 from pathlib import Path
@@ -65,6 +67,20 @@ def test_the_check_sees_a_planted_dict_sample():
         "def g(F, x, m):\n    star_ = F\n    return hypotheses.star(F, x, m)\n"
     )
     assert stream_readers(tree, DICT_SAMPLERS) == {"labeled_sample", "star"}
+
+
+def test_no_exact_law_labels_a_dict_sample():
+    # both departization laws read F's labels by unit code
+    tree = ast.parse((SRC / "reductions.py").read_text())
+    assert stream_readers(tree, ("star",)) == set()
+
+
+def test_the_check_sees_a_planted_star():
+    tree = ast.parse(
+        "from .hypotheses import Hypothesis, star\n"
+        "def law(F, joined, m):\n    return {0: star(F, joined, m)}\n"
+    )
+    assert stream_readers(tree, ("star",)) == {"star"}
 
 
 def test_no_caller_threads_the_law():
