@@ -3,14 +3,18 @@
 A unit's loss depends only on the values the sample induces on it, so an
 empirical loss is the sample's count of unit value codes times one exact loss
 table: a member's row of the check's ``losses.plan``, laid out over the
-products of mu's supports (``tables``).  A context codes each drawn value by
-its support rank; ``draw(rng, m)`` returns the count vector once per trial
-and ``empirical(V, counts)`` reads it against a table in integers.  A
-2-partite table always qualifies; a pair table only when it ignores the pair
-value and is symmetric.  Nothing declared about H, F or the loss is read.
+products of mu's supports (``tables``), which are the k = 2 law's atoms.  A
+context codes each drawn value by its support rank.  ``counts(rngs, m)``
+reads a block of streams at a time and yields one trials x atoms count
+matrix per block, over the law's atoms, which the checks multiply by the
+members' plan rows; ``empirical(V, counts)`` reads one trial's counts
+against one table.  A 2-partite table always qualifies; a pair table only
+when it ignores the pair value and is symmetric, so a pair context counts
+each unit once per order at pair value 0.  Nothing declared about H, F or
+the loss is read.
 
-Each draw reads the stream's prefix with one bulk call (``sampler._uniforms``,
-bit for bit as many ``rng.random()`` calls), so every statistic here equals
+The streams are read in bulk (``sampler._uniform_blocks``, bit for bit as
+many ``rng.random()`` calls), so every statistic here equals
 ``losses.empirical_loss`` on ``sampler.labeled_sample``'s sample for the same
 (seed, trial).
 """
@@ -23,7 +27,7 @@ from operator import mul
 import numpy as np
 
 from . import losses
-from .sampler import _decode, _support, _uniforms
+from .sampler import _decode, _row_counts, _support, _uniform_blocks, _uniforms
 
 
 def _pair_table(table, n):
@@ -58,7 +62,7 @@ class PairContext:
             raise ValueError("pair context needs a binary loss on a plain template")
         self._args = (mu, F, ell)
         self._values, self._cum = _support(mu.weights[0])
-        self.n = len(self._values)
+        self.n, self._w = len(self._values), len(_support(mu.weights[1])[0])
 
     @cached_property
     def ftable(self):
@@ -73,10 +77,21 @@ class PairContext:
         row = losses.plan(losses.law_plan(mu, ell.k, None), F, ell)[0]
         return tables(mu, [row(H)])[0]
 
-    def draw(self, rng, m):
-        """The support-rank counts of a size-m sample's unary values."""
-        ranks = _decode(self._cum, _uniforms(rng, m))
-        return np.bincount(ranks, minlength=self.n).tolist()
+    def counts(self, rngs, m):
+        """Per block of rngs: each size-m sample's count of ordered unit pairs
+        by their unary ranks (a, b), at pair value 0 of the law's atoms (a
+        qualifying table ignores the pair value and is symmetric), one row
+        per rng, and the count total m (m - 1).  Only the m unary values are
+        drawn; a sample without units is refused before any rng is read."""
+        if m < 2:
+            raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = 2")
+        n, diagonal = self.n, np.arange(self.n)
+        for u in _uniform_blocks(rngs, m):
+            c = _row_counts(_decode(self._cum, u), n)
+            pairs = np.zeros((len(u), n, n, self._w), int)
+            pairs[..., 0] = c[:, :, None] * c[:, None, :]
+            pairs[:, diagonal, diagonal, 0] -= c
+            yield pairs.reshape(len(u), -1), m * (m - 1)
 
     def draw_unary(self, rng, m):
         """The m unary values of a size-m sample: the first m draws of the
@@ -129,16 +144,25 @@ class TwoPartiteContext:
 
     loss_table = PairContext.loss_table
 
+    def counts(self, rngs, m):
+        """Per block of rngs: each size-(m, m) partite sample's count of
+        (part-1, part-2, cross) support-rank triples, the law's atoms, one row
+        per rng, and the count total m^2.  The stream is read in the
+        canonical coordinate order: part-1 singletons, part-2 singletons,
+        cross pairs (second index fastest).  A sample without units is
+        refused before any rng is read."""
+        if not m:
+            raise ValueError("no empirical loss: m = 0 has no unit of arity k = 2")
+        for u in _uniform_blocks(rngs, 2 * m + m * m):
+            s1 = _decode(self._cum1, u[:, :m])
+            s2 = _decode(self._cum2, u[:, m : 2 * m])
+            p = _decode(self._cum12, u[:, 2 * m :]).reshape(len(u), m, m)
+            codes = (s1[:, :, None] * self.n2 + s2[:, None, :]) * self.n12 + p
+            yield _row_counts(codes, self._codes), m * m
+
     def draw(self, rng, m):
-        """The support-rank-triple counts of one size-(m, m) partite sample,
-        reading the stream in the canonical coordinate order: part-1
-        singletons, part-2 singletons, cross pairs (second index fastest)."""
-        u = _uniforms(rng, 2 * m + m * m)
-        s1 = _decode(self._cum1, u[:m])
-        s2 = _decode(self._cum2, u[m : 2 * m])
-        p = _decode(self._cum12, u[2 * m :]).reshape(m, m)
-        codes = (s1[:, None] * self.n2 + s2[None, :]) * self.n12 + p
-        return np.bincount(codes.ravel(), minlength=self._codes).tolist()
+        """One size-(m, m) sample's triple counts, as ``counts`` gives them."""
+        return next(self.counts((rng,), m))[0][0].tolist()
 
     def empirical(self, V, counts):
         (D, nums), units = V, sum(counts)

@@ -12,10 +12,13 @@ Every Monte Carlo check reads each hypothesis's exact total from one plan of
 its law (``_plan``), whose mu-only part (``losses.law_plan``) is cached by
 the measures, so checks and sweeps on one mu enumerate it once.  The
 uniform-convergence and concentration checks take their members' totals and
-per-trial empirical losses from ``_trial_losses``, which counts each trial's
-units by the law atom they induce (in a fastpath context, or by the unit
-codes ``sampler._atom_counts`` counts) and reads the counts against the same
-plan rows.  ``estimate_pac_success`` reads its samples by the same unit codes
+a block reader from ``_trial_losses``: a block of trials' streams is decoded
+and its units counted by the law atom they induce in one pass (in a fastpath
+context, or by the unit codes ``sampler._atom_counts`` counts), and the
+trials x atoms count matrix is multiplied once by the members' integer plan
+rows.  The checks compare those integer sums with the exact totals over one
+common denominator (``_deviations``), so a trial builds no ``Fraction``.
+``estimate_pac_success`` reads its samples by the same unit codes
 (``sampler._labeled_reader``), with y gathered from the plan's labels of F at
 each atom, so no check or PAC sweep draws a dict sample.
 """
@@ -23,9 +26,9 @@ each atom, so no check or PAC sweep draws a dict sample.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
-from itertools import chain, product
-from math import comb
+from functools import cache, lru_cache, partial
+from itertools import chain, product, repeat
+from math import comb, lcm
 from numbers import Integral, Rational
 from operator import itemgetter
 
@@ -125,8 +128,8 @@ erm_nonpartite = erm_partite = erm
 
 
 # ---------------------------------------------------------------------------
-# exact totals and per-trial empirical losses, shared by every Monte Carlo
-# check
+# exact totals and blocks of trials' empirical losses, shared by every
+# Monte Carlo check
 
 
 def _plan(sc, ell):
@@ -137,45 +140,60 @@ def _plan(sc, ell):
 
 
 def _trial_losses(sc, members, ell):
-    """Each member's exact total and the one per-trial route: (rng, m) -> the
-    empirical loss of each member on the size-m sample drawn from rng.  Both
-    read one plan, which reads each member once per atom.
+    """Each member's exact total and the block reader: (rngs, m) -> per block
+    of rngs, (sums, den), where sums[t, i] / den is member i's empirical loss
+    on the size-m sample drawn from the block's t-th rng.  Both read one plan,
+    which reads each member once per atom.
 
     A unit's loss depends only on the law atom its point (joined with x' given
-    mu') is, so every route counts the sample's units by atom and reads the
-    counts against each member's plan row.  A non-agnostic k = 2 scenario
-    builds a fastpath context (TwoPartiteContext when 2-partite, PairContext
-    otherwise) when every member's plan row qualifies as its table
-    (``fastpath.tables``).  Otherwise ``sampler._atom_counts`` counts the
-    units by their atom codes, and ``_exact_product`` of the counts and the
-    rows, as integer numerators over one denominator, gives the losses.  Each
-    route reads the stream as ``sampler.labeled_sample`` does, so all give
+    mu') is, so every route counts each block's units by atom, one trials x
+    atoms matrix, and ``_exact_product`` of the counts and the members' plan
+    rows, as integer numerators over one denominator D, gives the sums.  A
+    non-agnostic k = 2 scenario counts in a fastpath context
+    (TwoPartiteContext when 2-partite, PairContext otherwise) when every
+    member's plan row qualifies as its table (``fastpath.tables``); otherwise
+    ``sampler._atom_counts`` counts the units by their atom codes.  Each
+    route reads the streams as ``sampler.labeled_sample`` does, so all give
     bit-identical losses.
     """
     row, weigh, _ = _plan(sc, ell)
     rows = [row(H) for H in members]
     totals = [weigh(r) for r in rows]
-    tables = sc.mu2 is None and ell.k == 2 and fastpath.tables(sc.mu, rows)
-    if tables and None not in tables:
-        context = fastpath.TwoPartiteContext if sc.partite else fastpath.PairContext
-        ctx = context(sc.mu, sc.F, ell)
-
-        def fast(rng, m):
-            counts = ctx.draw(rng, m)
-            return [ctx.empirical(V, counts) for V in tables]
-
-        return totals, fast
-
     D, nums = losses.numerators(chain.from_iterable(rows))
     top = max(map(abs, nums), default=0)
     V = np.array(nums, np.int64 if top < 2**63 else object).reshape(len(rows), -1).T
+    tables = sc.mu2 is None and ell.k == 2 and fastpath.tables(sc.mu, rows)
+    if tables and None not in tables:
+        context = fastpath.TwoPartiteContext if sc.partite else fastpath.PairContext
+        counts = context(sc.mu, sc.F, ell).counts
+    else:
+        counts = partial(sampler._atom_counts, sc, ell.k)
 
-    def coded(rng, m):
-        counts, units = sampler._atom_counts(sc, ell.k, rng, m)
-        sums = _exact_product(counts, V, top * units)
-        return [Fraction(int(s), D * units) for s in sums]
+    def read(rngs, m):
+        for c, units in counts(rngs, m):
+            yield _exact_product(c, V, top * units), D * units
 
-    return totals, coded
+    return totals, read
+
+
+def _deviations(read, totals, m, eps, trials, seed):
+    """Per block of the trials' streams (``sampler.stream(seed, t)``): the
+    members' integer sums, each |empirical - total| and eps, all as integers
+    over one common denominator; int64 while their bound is below 2^63, else
+    Python ints."""
+    for sums, den in read(map(sampler.stream, repeat(seed), range(trials)), m):
+        L = lcm(den, eps.denominator, *(T.denominator for T in totals))
+        scale, bar = L // den, eps.numerator * (L // eps.denominator)
+        exact = [T.numerator * (L // T.denominator) for T in totals]
+        top = max(abs(int(sums.max())), abs(int(sums.min()))) * scale
+        top += max(map(abs, exact))
+        dtype = np.int64 if max(2 * top, abs(bar), scale) < 2**63 else object
+        yield sums, abs(sums.astype(dtype) * scale - np.array(exact, dtype)), bar
+
+
+def _refuse_no_trials(trials):
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +248,21 @@ def check_uniform_convergence(sc, cls, ell, m, eps, trials, seed, trial_losses=N
     losses; also checks per trial that eps/2-representativeness forces the
     ERM's total loss within eps of the class infimum.  ``trial_losses``,
     ``_trial_losses(sc, cls.members, ell)``, lets a caller that sweeps m
-    read the members' rows once; it is built here when None."""
+    read the members' rows once; it is built here when None.  A trial's ERM
+    is the first member of least empirical loss."""
+    _refuse_no_trials(trials)
     eps = Fraction(eps)
-    members = list(cls.members)
-    totals, trial = trial_losses or _trial_losses(sc, members, ell)
+    totals, read = trial_losses or _trial_losses(sc, list(cls.members), ell)
     inf_total = min(totals)
+    fails = np.array([T > inf_total + eps for T in totals])
 
     good = checked = violations = 0
-    for t in range(trials):
-        emps = trial(sampler.stream(seed, t), m)
-        dev = max(abs(e - T) for e, T in zip(emps, totals))
-        if dev <= eps:
-            good += 1
-        if 2 * dev <= eps:
-            checked += 1
-            erm_idx = min(range(len(members)), key=lambda i: (emps[i], i))
-            if totals[erm_idx] > inf_total + eps:
-                violations += 1
+    for sums, dev, bar in _deviations(read, totals, m, eps, trials, seed):
+        worst = dev.max(axis=1)
+        good += int((worst <= bar).sum())
+        representative = 2 * worst <= bar
+        checked += int(representative.sum())
+        violations += int(fails[sums[representative].argmin(axis=1)].sum())
     return UCReport(Fraction(good, trials), trials, checked, violations)
 
 
@@ -269,14 +285,11 @@ def concentration_bound(eps, m, k, template, sup_norm=1):
 
 def check_concentration(sc, H, ell, m, eps, trials, seed):
     """Measured frequency of |empirical - total| >= eps for a fixed H."""
+    _refuse_no_trials(trials)
     eps = Fraction(eps)
-    (total,), trial = _trial_losses(sc, [H], ell)
-    hits = 0
-    for t in range(trials):
-        (emp,) = trial(sampler.stream(seed, t), m)
-        if abs(emp - total) >= eps:
-            hits += 1
-    return Fraction(hits, trials)
+    (total,), read = _trial_losses(sc, [H], ell)
+    blocks = _deviations(read, [total], m, eps, trials, seed)
+    return Fraction(sum(int((dev >= bar).sum()) for _, dev, bar in blocks), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +452,7 @@ def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None):
     ``sampler._labeled_reader``'s, x decoded in bulk and y gathered from the
     plan's labels of F at the atom each unit's code names, so F is read once
     per atom per call and never in the trial loop."""
+    _refuse_no_trials(trials)
     (row, weigh, labels), target = _plan(sc, ell), Fraction(eps)
     draw = sampler._labeled_reader(sc, ell.k, labels)
     # id(H) -> (H, its total); holding H keeps its id from being reused.  Not

@@ -4,22 +4,25 @@ representations, plus exact sample laws for tiny-instance oracles.
 Each Monte Carlo trial derives an independent ``random.Random`` stream from
 (seed, trial); identical (seed, trial) pairs give identical draws.
 ``labeled_sample`` draws a dict sample one coordinate at a time and is the
-reference.  The array routes read the same stream in bulk (``_uniforms``)
-and decode each uniform to a support rank (``_support``, ``_decode``) as
-``_draw`` would.  Outside ``fastpath`` one reader does so, ``_read`` over a
-cached ``_layout``: it decodes every coordinate once, one decode per ground
-space, and codes each unit by the law atom its point is.  The checks count
-the codes (``_atom_counts``) and the PAC sweep rebuilds (x, y) from them
-(``_labeled_reader``), y gathered from F's labels at each atom, so no check
-or PAC sweep draws a dict sample or calls F in its trial loop.
-``exact_read`` is ``_read``'s exact twin: every atom of mu (x) mu' with
-its integer mass and its units' codes, which the departization laws read.
+reference.  The array routes read the same stream in bulk (``_uniforms`` for
+one stream, ``_uniform_blocks`` for a block of streams, one ``getrandbits``
+call each) and decode each uniform to a support rank (``_support``,
+``_decode``) as ``_draw`` would.  Outside ``fastpath`` one reader does so,
+``_read`` over a cached ``_layout``: it decodes every coordinate once, one
+decode per ground space, and codes each unit by the law atom its point is.
+The checks count the codes a block of trials at a time (``_atom_counts``,
+one trials x atoms matrix per block) and the PAC sweep rebuilds (x, y) from
+one trial's codes (``_labeled_reader``), y gathered from F's labels at each
+atom, so no check or PAC sweep draws a dict sample or calls F in its trial
+loop.  ``exact_read`` is ``_read``'s exact twin: every atom of mu (x) mu'
+with its integer mass and its units' codes, which the departization laws
+read.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -85,16 +88,40 @@ def _decode(cum, u):
 
 # below this many uniforms, n random() calls cost less than the bulk read
 BULK_UNIFORMS = 64
+# a block of streams holds at most this many uniforms, and at least one stream
+BLOCK_UNIFORMS = 4096
+
+
+def _uniform_blocks(rngs, n):
+    """The next n ``rng.random()`` values of each rng, bit for bit, as one
+    (streams, n) array per block of rngs: one ``getrandbits`` call per rng,
+    which leaves it in their state, and one conversion per block joining
+    32-bit word pairs as ``random()`` does.  Only the block's words are held,
+    so an rng the caller drops is freed once it is read."""
+    rngs, size = iter(rngs), max(1, BLOCK_UNIFORMS // max(n, 1))
+    while block := [
+        r.getrandbits(64 * n).to_bytes(8 * n, "little") for r in islice(rngs, size)
+    ]:
+        w = np.frombuffer(b"".join(block), "<u4").reshape(len(block), 2 * n)
+        yield ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) * (
+            1.0 / 9007199254740992.0
+        )
 
 
 def _uniforms(rng, n):
     """The next n ``rng.random()`` values, bit for bit: from n calls for a
-    few, else joining 32-bit word pairs as ``random()`` does, from one call
-    that leaves rng in their state."""
+    few, else ``_uniform_blocks``'s one call."""
     if n < BULK_UNIFORMS:
         return np.array([rng.random() for _ in range(n)])
-    w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
-    return ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    return next(_uniform_blocks((rng,), n))[0]
+
+
+def _row_counts(codes, atoms):
+    """Each row's count of each code in range(atoms): one bincount over a
+    (rows, units) code matrix, each row's codes offset into its own range."""
+    rows = len(codes)
+    codes = codes.reshape(rows, -1) + np.arange(0, rows * atoms, atoms)[:, None]
+    return np.bincount(codes.ravel(), minlength=rows * atoms).reshape(rows, atoms)
 
 
 def sample_config(mu, m, rng):
@@ -168,25 +195,27 @@ def _layout(mu, mu2, k, m):
     return _Layout(n, groups, t.coords(m), np.hstack(at).T, radix, prod(digits))
 
 
-def _read(layout, rng):
-    """Each coordinate's value and each unit's atom code, from one bulk draw
-    that leaves rng where ``labeled_sample`` leaves it."""
-    u = _uniforms(rng, layout.n)
-    ranks, values = np.empty(layout.n, int), np.empty(layout.n, int)
+def _read(layout, u):
+    """Each coordinate's value and each unit's atom code, from the uniforms
+    u: one row of ``layout.n`` per stream, or a single row."""
+    ranks, values = np.empty(u.shape, int), np.empty(u.shape, int)
     for cum, pos, support in layout.groups:
-        ranks[pos] = r = _decode(cum, u[pos])
-        values[pos] = support[r]
-    return values, layout.radix.dot(ranks[layout.at])
+        ranks[..., pos] = r = _decode(cum, u[..., pos])
+        values[..., pos] = support[r]
+    return values, layout.radix @ ranks[..., layout.at]
 
 
-def _atom_counts(sc, k, rng, m):
-    """(how many units of the size-m sample read off rng induce each atom of
-    the units' law, the number of units): ``_read``'s codes, counted."""
+def _atom_counts(sc, k, rngs, m):
+    """Per block of rngs: (how many units of each size-m sample read off an
+    rng induce each atom of the units' law, one row per rng, the number of
+    units).  ``_read``'s codes, counted, reading each rng as
+    ``labeled_sample`` does; a sample without units is refused before any
+    rng is read."""
     layout = _layout(sc.mu, sc.mu2, k, m)
     if not layout.at.shape[1]:
         raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = {k}")
-    codes = _read(layout, rng)[1]
-    return np.bincount(codes, minlength=layout.atoms), len(codes)
+    for u in _uniform_blocks(rngs, layout.n):
+        yield _row_counts(_read(layout, u)[1], layout.atoms), layout.at.shape[1]
 
 
 @lru_cache(maxsize=32)
@@ -210,7 +239,7 @@ def _labeled_reader(sc, k, labels):
 
     def draw(rng, m):
         layout, (keys, unit, slot) = _layout(sc.mu, sc.mu2, k, m), _label_layout(t, k, m)
-        values, codes = _read(layout, rng)
+        values, codes = _read(layout, _uniforms(rng, layout.n))
         x = dict(zip(layout.coords, values.tolist()))  # x''s values come last
         return x, dict(zip(keys, blocks[codes[unit], slot].tolist()))
 

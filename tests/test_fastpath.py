@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -16,22 +17,39 @@ def _matching_ctx(n=2):
     return cls, mu, F, fastpath.PairContext(mu, F, ell), ell
 
 
+def _streams(seed, trials):
+    return [sampler.stream(seed, t) for t in range(trials)]
+
+
+def _ordered_pairs(ranks, n):
+    """The count of ordered pairs of distinct sample points by their unary
+    support ranks (a, b), a-major."""
+    counts = [0] * (n * n)
+    for a, b in permutations(ranks, 2):
+        counts[a * n + b] += 1
+    return counts
+
+
 def test_pair_empirical_matches_generic():
     # the fast route reads the same stream prefix the generic route reads,
     # so both see identical unary values and identical empirical losses
     cls, mu, F, ctx, ell = _matching_ctx()
     sc = sampler.Scenario(mu, F)
     tables = [ctx.loss_table(H) for H in cls.members]
+    blocks = list(ctx.counts(_streams("fp", 25), 6))
+    assert {units for _, units in blocks} == {6 * 5}
+    counts = np.vstack([c for c, _ in blocks])
     for t in range(25):
         u = ctx.draw_unary(sampler.stream("fp", t), 6)
         x, y = sampler.labeled_sample(sc, 6, sampler.stream("fp", t))
         assert u == [x[(i,)] for i in range(1, 7)]
-        counts = ctx.draw(sampler.stream("fp", t), 6)
-        assert counts == np.bincount(u, minlength=ctx.n).tolist()
-        for H, V in zip(cls.members, tables):
-            assert ctx.empirical(V, counts) == losses.empirical_loss_nonpartite(
-                x, y, ell, H, 6
-            )
+        # uniform mu: each unary value is its own support rank
+        assert counts[t].tolist() == _ordered_pairs(u, ctx.n)
+        unary = np.bincount(u, minlength=ctx.n).tolist()
+        for H, (D, V) in zip(cls.members, tables):
+            expected = losses.empirical_loss_nonpartite(x, y, ell, H, 6)
+            assert ctx.empirical((D, V), unary) == expected
+            assert Fraction(int(counts[t] @ np.ravel(V)), D * 6 * 5) == expected
 
 
 def test_empirical_refuses_counts_of_the_wrong_length():
@@ -71,10 +89,11 @@ def test_pair_rejects_asymmetric_loss():
     H = Hypothesis(2, cls.template, (0, 1), lambda x: 1 if x[(1,)] < x[(2,)] else 0)
     assert ctx.loss_table(H) is None
     sc = sampler.Scenario(mu, F)
-    _, trial = learners._trial_losses(sc, [H], bad)
+    _, read = learners._trial_losses(sc, [H], bad)
+    ((sums, den),) = read(_streams("asym", 5), 6)
     for t in range(5):
         x, y = sampler.labeled_sample(sc, 6, sampler.stream("asym", t))
-        assert trial(sampler.stream("asym", t), 6) == [
+        assert [Fraction(int(s), den) for s in sums[t]] == [
             losses.empirical_loss(x, y, bad, H, 6)
         ]
 
@@ -105,8 +124,13 @@ def test_two_partite_draw_matches_generic():
     V = ctx.loss_table(H)
     sc = sampler.Scenario(mu, F)
     n2, n12 = cls.template.size((2,)), cls.template.size((1, 2))
+    blocked, generic_rngs = _streams("tp", 20), _streams("tp", 20)
+    blocks = list(ctx.counts(blocked, 3))
+    assert {units for _, units in blocks} == {3 * 3}
+    rows = np.vstack([c for c, _ in blocks]).tolist()
     for t in range(20):
         counts = ctx.draw(sampler.stream("tp", t), 3)
+        assert rows[t] == counts
         x = sampler.sample_partite_config(mu, 3, sampler.stream("tp", t))
         # the count of each (part-1, part-2, cross) value triple, cross fastest
         expect = [0] * len(counts)
@@ -119,6 +143,8 @@ def test_two_partite_draw_matches_generic():
         ctx.draw(fast, 3)
         sampler.sample_partite_config(mu, 3, generic)
         assert fast.getstate() == generic.getstate()
+        sampler.sample_partite_config(mu, 3, generic_rngs[t])
+        assert blocked[t].getstate() == generic_rngs[t].getstate()
         y = star_partite(F, x, 3)
         assert ctx.empirical(V, counts) == losses.empirical_loss_partite(
             x, y, ell, H, 3
@@ -141,11 +167,21 @@ def test_contexts_refuse_a_sample_without_units():
     cls, mu, F, ctx, ell = _matching_ctx()
     V = ctx.loss_table(cls.members[0])
     with pytest.raises(ValueError, match="m = 1 has no unit of arity k = 2"):
-        ctx.empirical(V, ctx.draw(sampler.stream("tiny", 0), 1))
+        ctx.empirical(V, [1, 0, 0, 0])
+    pair = ctx
     cls, mu, F, H, ell = _two_partite_setup()
     ctx = fastpath.TwoPartiteContext(mu, F, ell)
+    zeros = [0] * len(ctx.draw(sampler.stream("tiny", 0), 1))
     with pytest.raises(ValueError, match="m = 0 has no unit of arity k = 2"):
-        ctx.empirical(ctx.loss_table(H), ctx.draw(sampler.stream("tiny", 0), 0))
+        ctx.empirical(ctx.loss_table(H), zeros)
+    with pytest.raises(ValueError, match="m = 0 has no unit of arity k = 2"):
+        ctx.draw(sampler.stream("tiny", 0), 0)
+    # a block reader refuses before it reads any stream
+    for context, m in ((pair, 1), (pair, 0), (ctx, 0)):
+        rng = sampler.stream("tiny", 0)
+        with pytest.raises(ValueError, match=f"m = {m} has no unit of arity k = 2"):
+            next(context.counts([rng], m))
+        assert rng.getstate() == sampler.stream("tiny", 0).getstate()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 64, 1088])
@@ -154,6 +190,20 @@ def test_uniforms_read_the_stream_as_random_does(n):
     u = sampler._uniforms(bulk, n)
     assert u.tolist() == [one_by_one.random() for _ in range(n)]
     assert bulk.getstate() == one_by_one.getstate()
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1088, 4097])
+def test_uniform_blocks_read_each_stream_as_uniforms_does(n):
+    block = max(1, sampler.BLOCK_UNIFORMS // max(n, 1))
+    for trials in (block - 1, block, block + 1):
+        blocked, one_by_one = _streams(("b", n), trials), _streams(("b", n), trials)
+        blocks = list(sampler._uniform_blocks(blocked, n))
+        # whole blocks of at most BLOCK_UNIFORMS uniforms, and one rng at least
+        assert [len(u) for u in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert all(u.shape[1] == n for u in blocks) and len(blocks) == -(-trials // block)
+        rows = [row.tolist() for u in blocks for row in u]
+        assert rows == [sampler._uniforms(rng, n).tolist() for rng in one_by_one]
+        assert [r.getstate() for r in blocked] == [r.getstate() for r in one_by_one]
 
 
 class _Fixed:
@@ -238,7 +288,9 @@ def test_pair_empirical_scales_mixed_denominators():
     ctx = fastpath.PairContext(mu, F, ell)
     sc = sampler.Scenario(mu, F)
     for t in range(10):
-        counts = ctx.draw(sampler.stream("mix", t), 7)
+        # uniform mu: each unary value is its own support rank
+        u = ctx.draw_unary(sampler.stream("mix", t), 7)
+        counts = np.bincount(u, minlength=ctx.n).tolist()
         x, y = sampler.labeled_sample(sc, 7, sampler.stream("mix", t))
         for H in cls.members:
             assert ctx.empirical(ctx.loss_table(H), counts) == losses.empirical_loss(

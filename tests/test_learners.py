@@ -242,18 +242,18 @@ def test_uc_fast_route_equals_manual_generic(monkeypatch):
     m = 8
     for ctx_cls, sc, cls, ell in setups:
         built.clear()
-        _, trial = learners._trial_losses(sc, cls.members, ell)
+        _, read = learners._trial_losses(sc, cls.members, ell)
         assert built and set(built) == {ctx_cls}
         empirical = (
             losses.empirical_loss_partite
             if sc.partite
             else losses.empirical_loss_nonpartite
         )
+        expected = []
         for t in range(10):
             x, y = sampler.labeled_sample(sc, m, sampler.stream("ucfast", t))
-            assert trial(sampler.stream("ucfast", t), m) == [
-                empirical(x, y, ell, H, m) for H in cls.members
-            ]
+            expected.append([empirical(x, y, ell, H, m) for H in cls.members])
+        assert _losses(read, _streams("ucfast", 10), m) == expected
 
 
 def test_two_partite_uc_check_builds_one_context(monkeypatch):
@@ -280,7 +280,9 @@ def test_two_partite_uc_check_builds_one_context(monkeypatch):
 
 def _generic_trial_losses(sc, members, ell):
     """``learners._trial_losses`` of a non-agnostic scenario on the generic
-    route, with each member's total summed atom by atom over ``config_law``."""
+    route, with each member's total summed atom by atom over ``config_law``:
+    each rng is its own block, whose sums are the members' dict-sample
+    empirical losses over their least common denominator."""
     t = sc.mu.template
     law = templates.config_law(sc.mu, t.domain(ell.k)[0])
 
@@ -288,11 +290,26 @@ def _generic_trial_losses(sc, members, ell):
         F = sc.F
         return sum(p * Fraction(ell(x, t.label(H, x), t.label(F, x))) for x, p in law)
 
-    def generic(rng, m):
-        x, y = sampler.labeled_sample(sc, m, rng)
-        return [losses.empirical_loss(x, y, ell, H, m) for H in members]
+    def generic(rngs, m):
+        for rng in rngs:
+            x, y = sampler.labeled_sample(sc, m, rng)
+            D, sums = losses.numerators(
+                losses.empirical_loss(x, y, ell, H, m) for H in members
+            )
+            yield np.array([sums], object), D
 
     return [total(H) for H in members], generic
+
+
+def _streams(seed, trials):
+    return [sampler.stream(seed, t) for t in range(trials)]
+
+
+def _losses(read, rngs, m):
+    """A block reader's empirical losses, one list of Fractions per rng."""
+    return [
+        [Fraction(int(s), den) for s in row] for sums, den in read(rngs, m) for row in sums
+    ]
 
 
 def _on_both_routes(monkeypatch, run):
@@ -386,13 +403,12 @@ def test_matching_members_without_declared_rank_take_the_pair_context(monkeypatc
     ell = losses.zero_one_loss(match.labels, 2)
     sc = sampler.Scenario(templates.uniform_prob(match.template), bare[-1])
     _, declared = learners._trial_losses(sc, match.members, ell)
-    _, trial = learners._trial_losses(sc, bare, ell)
+    _, read = learners._trial_losses(sc, bare, ell)
     assert len(built) == 2
     _, generic = _generic_trial_losses(sc, bare, ell)
-    for t in range(6):
-        fast = trial(sampler.stream("bare", t), 9)
-        assert fast == declared(sampler.stream("bare", t), 9)
-        assert fast == generic(sampler.stream("bare", t), 9)
+    fast = _losses(read, _streams("bare", 6), 9)
+    assert fast == _losses(declared, _streams("bare", 6), 9)
+    assert fast == _losses(generic, _streams("bare", 6), 9)
 
 
 def _random_table(rng, keys, values):
@@ -471,13 +487,13 @@ def _qualifies(sc, H, ell):
 def test_the_route_follows_the_exact_tables(instance):
     sc, members, ell = instance
     generic_totals, generic = _generic_trial_losses(sc, members, ell)
-    expected = [generic(sampler.stream("prop", t), 3) for t in range(4)]
+    expected = _losses(generic, _streams("prop", 4), 3)
     with _contexts_built() as built, mock.patch.object(
         sampler, "labeled_sample", wraps=sampler.labeled_sample
     ) as drawn:
-        totals, trial = learners._trial_losses(sc, members, ell)
+        totals, read = learners._trial_losses(sc, members, ell)
         assert totals == generic_totals
-        assert [trial(sampler.stream("prop", t), 3) for t in range(4)] == expected
+        assert _losses(read, _streams("prop", 4), 3) == expected
         fast = all(_qualifies(sc, H, ell) for H in members)
         assert built() == int(fast)
     assert drawn.call_count == 0
@@ -498,12 +514,11 @@ def test_a_check_reads_only_mus_support(n):
     with _contexts_built() as built:
         learners.check_concentration(sc, H, ell, 6, Fraction(1, 4), 20, "cap")
         assert built() == 1 and len(reads) <= 2 * 4
-        totals, trial = learners._trial_losses(sc, [H], ell)
+        totals, read = learners._trial_losses(sc, [H], ell)
     assert time.perf_counter() - started < 2
     generic_totals, generic = _generic_trial_losses(sc, [H], ell)
     assert totals == generic_totals
-    for t in range(5):
-        assert trial(sampler.stream("cap", t), 6) == generic(sampler.stream("cap", t), 6)
+    assert _losses(read, _streams("cap", 5), 6) == _losses(generic, _streams("cap", 5), 6)
 
 
 def test_a_check_reads_each_member_once_per_atom():
@@ -660,12 +675,18 @@ def test_unit_codes_equal_the_generic_route(name):
     with _contexts_built() as built, mock.patch.object(
         sampler, "labeled_sample", side_effect=AssertionError("dict sample drawn")
     ):
-        totals, trial = learners._trial_losses(sc, members, ell)
-        got = [trial(sampler.stream(name, t), m) for m in ms for t in range(6)]
+        totals, read = learners._trial_losses(sc, members, ell)
+        blocks = [(m, *b) for m in ms for b in read(_streams(name, 6), m)]
         assert built() == 0
     assert totals == generic_totals
-    assert got == [generic(sampler.stream(name, t), m) for m in ms for t in range(6)]
-    assert all(type(e) is Fraction for emps in got for e in emps)
+    got = [[Fraction(int(s), den) for s in row] for _, sums, den in blocks for row in sums]
+    assert got == [e for m in ms for e in _losses(generic, _streams(name, 6), m)]
+    # integer sums, in Python ints once their bound leaves int64
+    past = name in ("sums-past-int64", "values-past-int64")
+    largest = {sums.dtype for m, sums, _ in blocks if m == max(ms)}
+    assert largest == {np.dtype(object if past else np.int64)}
+    assert past or {sums.dtype for _, sums, _ in blocks} == {np.dtype(np.int64)}
+    assert all(isinstance(s, int) for _, sums, _ in blocks for s in sums.ravel().tolist())
     # the reader codes the exact law's atoms, zero weights left out
     d = sc.mu.template.domain(ell.k)[0]
     atoms = {sampler._layout(sc.mu, sc.mu2, ell.k, m).atoms for m in ms}
@@ -679,12 +700,13 @@ def test_unit_codes_equal_the_generic_route(name):
 )
 def test_unit_codes_read_the_stream_as_labeled_sample_does(name):
     sc, members, ell, ms = UNIT_CODE_INSTANCES[name]
-    _, trial = learners._trial_losses(sc, members, ell)
+    _, read = learners._trial_losses(sc, members, ell)
     for m in ms:
-        coded, drawn = sampler.stream(name, m), sampler.stream(name, m)
-        trial(coded, m)
-        sampler.labeled_sample(sc, m, drawn)
-        assert coded.getstate() == drawn.getstate()
+        coded, drawn = _streams(name, 3), _streams(name, 3)
+        list(read(coded, m))
+        for rng in drawn:
+            sampler.labeled_sample(sc, m, rng)
+        assert [r.getstate() for r in coded] == [r.getstate() for r in drawn]
 
 
 @pytest.mark.parametrize("name", ["c05-k1-plain", "k3-plain", "k3-partite", "zero-weight"])
@@ -693,10 +715,15 @@ def test_unit_codes_refuse_a_sample_without_units(name):
     m = 0 if sc.partite else ell.k - 1
     message = f"no empirical loss: m = {m} has no unit of arity k = {ell.k}"
     _, generic = _generic_trial_losses(sc, members, ell)
-    _, trial = learners._trial_losses(sc, members, ell)
-    for route in (generic, trial):
+    _, read = learners._trial_losses(sc, members, ell)
+    for route in (generic, read):
         with pytest.raises(ValueError, match=message):
-            route(sampler.stream("empty", 0), m)
+            list(route([sampler.stream("empty", 0)], m))
+    # the block reader refuses before it reads any stream
+    rng = sampler.stream("empty", 0)
+    with pytest.raises(ValueError, match=message):
+        next(read([rng], m))
+    assert rng.getstate() == sampler.stream("empty", 0).getstate()
 
 
 def _hashing_learner(candidates, k):
@@ -1112,3 +1139,146 @@ def test_pac_success_totals_each_returned_member_once(monkeypatch):
         A, sc, ell, 4, Fraction(1, 10), 40, "twins", cls=match.members
     )
     assert len(rows) == len(match.members) + 2
+
+
+@pytest.mark.parametrize(
+    "check", ["check_concentration", "check_uniform_convergence", "estimate_pac_success"]
+)
+@pytest.mark.parametrize("trials", [0, -3])
+def test_checks_refuse_fewer_than_one_trial(check, trials):
+    match = families.matching_family(2).cls
+    ell = losses.zero_one_loss(match.labels, 2)
+    sc = sampler.Scenario(templates.uniform_prob(match.template), match.members[-1])
+    first = {
+        "check_concentration": match.members[0],
+        "check_uniform_convergence": match,
+        "estimate_pac_success": learners.erm(match, ell),
+    }[check]
+    args = (sc, first, ell) if check != "estimate_pac_success" else (first, sc, ell)
+    # refused before the plan or any stream is built
+    with mock.patch.object(
+        learners, "_plan", side_effect=AssertionError("plan built")
+    ), mock.patch.object(sampler, "stream", side_effect=AssertionError("stream built")):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            getattr(learners, check)(*args, 6, Fraction(1, 10), trials, "none")
+
+
+def _boundary_setups():
+    """name -> (scenario, class, loss, m): one per route (unit codes at k = 1,
+    a pair context, a 2-partite context), small enough that deviations repeat."""
+    t1 = templates.Template(1, (2,))
+    consts = HypothesisClass(
+        1, t1, (0, 1), tuple(constant_hypothesis(1, t1, (0, 1), v) for v in (0, 1))
+    )
+    match = families.matching_family(2).cls
+    ho = families.highorder_family(3).cls
+    return {
+        "unit-codes": (
+            sampler.Scenario(
+                templates.uniform_prob(t1), Hypothesis(1, t1, (0, 1), lambda x: x[(1,)])
+            ),
+            consts,
+            losses.zero_one_loss((0, 1), 1),
+            4,
+        ),
+        "pair": (
+            sampler.Scenario(templates.uniform_prob(match.template), match.members[-1]),
+            match,
+            losses.zero_one_loss(match.labels, 2),
+            3,
+        ),
+        "two-partite": (
+            sampler.Scenario(templates.uniform_prob(ho.template), ho.members[-1]),
+            ho,
+            losses.zero_one_loss(ho.labels, 2),
+            2,
+        ),
+    }
+
+
+def _reference_deviations(sc, cls, ell, m, trials, seed):
+    """Per trial, each member's dict-sample empirical loss and |empirical -
+    total|, in Fractions."""
+    total = losses.totals(sc.mu, sc.F, ell)
+    totals = [total(H) for H in cls.members]
+    out = []
+    for t in range(trials):
+        x, y = sampler.labeled_sample(sc, m, sampler.stream(seed, t))
+        emps = [losses.empirical_loss(x, y, ell, H, m) for H in cls.members]
+        out.append((emps, [abs(e - T) for e, T in zip(emps, totals)]))
+    return totals, out
+
+
+@pytest.mark.parametrize("name", ["unit-codes", "pair", "two-partite"])
+def test_deviations_equal_to_eps_are_on_the_inclusive_side(name):
+    # concentration counts |emp - total| = eps as a hit (>=); uniform
+    # convergence counts a worst deviation of eps as good (<=) and one of
+    # eps / 2 as checked (2 dev <= eps), with the first least empirical loss
+    # as the ERM
+    sc, cls, ell, m = _boundary_setups()[name]
+    trials, seed = 60, f"edge/{name}"
+    totals, ref = _reference_deviations(sc, cls, ell, m, trials, seed)
+    devs = [d[0] for _, d in ref]
+    worst = [max(d) for _, d in ref]
+    erms = [min(range(len(e)), key=lambda i: (e[i], i)) for e, _ in ref]
+    eps = max(set(devs) - {0}, key=devs.count)
+    assert 0 < devs.count(eps) < trials
+    with _contexts_built() as built:
+        got = learners.check_concentration(sc, cls.members[0], ell, m, eps, trials, seed)
+        assert got == Fraction(sum(d >= eps for d in devs), trials)
+        for eps in (max(set(worst) - {0}, key=worst.count), 2 * min(set(worst) - {0})):
+            report = learners.check_uniform_convergence(sc, cls, ell, m, eps, trials, seed)
+            representative = [2 * w <= eps for w in worst]
+            assert report == learners.UCReport(
+                Fraction(sum(w <= eps for w in worst), trials),
+                trials,
+                sum(representative),
+                sum(r and totals[i] > min(totals) + eps for r, i in zip(representative, erms)),
+            )
+            # eps sits on a worst deviation, or on twice one: strict comparisons
+            # would count differently
+            assert sum(w == eps or 2 * w == eps for w in worst) > 0
+        assert built() == (0 if name == "unit-codes" else 3)
+
+
+def _wide_loss(partite, labels):
+    """A binary loss from a table of (H's label, F's label) at the unit's
+    first entry, with numerators over 12 far past 2^63."""
+    table = {
+        (0, 0): 0,
+        (1, 1): Fraction(1, 3),
+        (0, 1): 2**62 + Fraction(1, 2),
+        (1, 0): 2**61 + Fraction(3, 4),
+    }
+
+    def fn(x, y, yp):
+        return table[(y, yp) if partite else (y[0], yp[0])]
+
+    return losses.LossFn(2, labels, fn, name="wide", sup_norm=Fraction(2**63))
+
+
+@pytest.mark.parametrize("name", ["pair", "two-partite", "values-past-int64"])
+def test_sums_past_int64_take_python_ints_on_every_route(name, monkeypatch):
+    if name == "values-past-int64":
+        sc, members, ell, ms = UNIT_CODE_INSTANCES[name]
+        cls, m, contexts = HypothesisClass(1, sc.mu.template, (0, 1), tuple(members)), 7, 0
+    else:
+        sc, cls, _, m = _boundary_setups()[name]
+        ell, m, contexts = _wide_loss(sc.partite, cls.labels), 4, 1
+    with _contexts_built() as built:
+        _, read = learners._trial_losses(sc, cls.members, ell)
+        assert built() == contexts
+    blocks = list(read(_streams("wide", 8), m))
+    assert {sums.dtype for sums, _ in blocks} == {np.dtype(object)}
+    assert max(abs(s) for sums, _ in blocks for s in sums.ravel()) >= 2**63
+    _, generic = _generic_trial_losses(sc, cls.members, ell)
+    assert _losses(read, _streams("wide", 8), m) == _losses(generic, _streams("wide", 8), m)
+    eps = Fraction(1, 7)
+    chosen, reference = _on_both_routes(
+        monkeypatch,
+        lambda: (
+            learners.check_concentration(sc, cls.members[0], ell, m, eps, 30, "wide"),
+            learners.check_uniform_convergence(sc, cls, ell, m, eps, 30, "wide"),
+        ),
+    )
+    assert chosen == reference
