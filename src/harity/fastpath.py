@@ -2,18 +2,18 @@
 
 A unit's loss depends only on the values the sample induces on it, so an
 empirical loss is the sample's count of unit value codes times one exact loss
-table: a member's row of the check's ``losses.plan``, laid out over the
-products of mu's supports (``tables``), which are the k = 2 law's atoms.  A
-context codes each drawn value by its support rank.  ``counts(rngs, m)``
-reads a block of streams at a time and yields one trials x atoms count
-matrix per block, over the law's atoms, which the checks multiply by the
-members' plan rows; ``empirical(V, counts)`` reads one trial's counts
-against one table.  A 2-partite table always qualifies; a pair table only
-when it ignores the pair value and is symmetric, so a pair context counts
-each unit once per order at pair value 0.  Nothing declared about H, F or
-the loss is read.
+table: a member's row of the check's ``losses.plan``, over the products of
+mu's supports, which are the k = 2 law's atoms.  A context codes each drawn
+value by its support rank.  ``counts(rngs, m)`` reads a block of streams at
+a time and yields one trials x atoms count matrix per block, over the law's
+atoms, which the checks multiply by the members' integer plan rows V;
+``empirical(table, counts)`` reads one trial's counts against one
+``loss_table``.  ``qualifies`` picks the route from V: a 2-partite V always
+qualifies; a plain one only when it ignores the pair value and is symmetric,
+so a pair context counts each unit once per order at pair value 0.  Nothing
+declared about H, F or the loss is read.
 
-The streams are read in bulk (``sampler._uniform_blocks``, bit for bit as
+The streams are read in blocks (``sampler._uniform_blocks``, bit for bit as
 many ``rng.random()`` calls), so every statistic here equals
 ``losses.empirical_loss`` on ``sampler.labeled_sample``'s sample for the same
 (seed, trial).
@@ -27,30 +27,27 @@ from operator import mul
 import numpy as np
 
 from . import losses
-from .sampler import _decode, _row_counts, _support, _uniform_blocks, _uniforms
+from .sampler import _decode, _row_counts, _support, _uniform_blocks
 
 
-def _pair_table(table, n):
-    """(D, V) with V[a][b] / D the loss on a unit whose unary values have
-    support ranks (a, b), from a (D, numerators) row over n unary support
-    values; None unless it ignores the pair value and V[a][b] == V[b][a]."""
-    D, flat = table
-    w = len(flat) // n**2
-    V = [flat[a * n * w : (a + 1) * n * w : w] for a in range(n)]
-    ignores_pair = flat == [v for row in V for v in row for _ in range(w)]
-    return (D, V) if ignores_pair and V == [list(c) for c in zip(*V)] else None
-
-
-def tables(mu, rows):
-    """Each member's table, as its context reads it, from its ``losses.plan``
-    row over mu's k = 2 law, whose atoms are mu's support (part-1, part-2 and
-    pair or cross value, the last fastest), as (D, integer numerators over D);
-    None where it does not qualify."""
-    rows = [losses.numerators(row) for row in rows]
+def qualifies(mu, V):
+    """Whether a context counts for the members' integer plan rows V (the k = 2
+    law's atoms x members): always on a 2-partite template; on a plain one
+    when V, laid out as (unary rank, unary rank, pair value, member), ignores
+    the pair value and is symmetric in the two unary ranks."""
     if mu.template.partite:
-        return rows
+        return True
     n = len(_support(mu.weights[0])[0])
-    return [_pair_table(row, n) for row in rows]
+    P = V.reshape(n, n, -1, V.shape[1])
+    return bool((P == P[:, :, :1]).all() and (P == P.transpose(1, 0, 2, 3)).all())
+
+
+def _plan_row(args, H):
+    """(D, integer numerators over D) of H's ``losses.plan`` row over mu's
+    k = 2 law, for args (mu, F, ell)."""
+    mu, F, ell = args
+    row = losses.plan(losses.law_plan(mu, ell.k, None), F, ell)[0]
+    return losses.numerators(row(H))
 
 
 class PairContext:
@@ -62,7 +59,9 @@ class PairContext:
             raise ValueError("pair context needs a binary loss on a plain template")
         self._args = (mu, F, ell)
         self._values, self._cum = _support(mu.weights[0])
-        self.n, self._w = len(self._values), len(_support(mu.weights[1])[0])
+        self.n = len(self._values)
+        # pair values of positive weight: one on a k = 1 template (an implicit space)
+        self._w = sum(mu.weight(2, v) > 0 for v in range(mu.template.size(2)))
 
     @cached_property
     def ftable(self):
@@ -71,11 +70,14 @@ class PairContext:
         return [[F({(1,): a, (2,): b, (1, 2): 0}) for b in range(n)] for a in range(n)]
 
     def loss_table(self, H):
-        """H's table against F, as ``tables`` lays it out; None if it does not
-        qualify."""
-        mu, F, ell = self._args
-        row = losses.plan(losses.law_plan(mu, ell.k, None), F, ell)[0]
-        return tables(mu, [row(H)])[0]
+        """H's table against F: (D, V) with V[a][b] / D the loss on a unit
+        whose unary values have support ranks (a, b); None unless it
+        qualifies."""
+        D, nums = _plan_row(self._args, H)
+        V = np.array(nums, object).reshape(-1, 1)
+        if qualifies(self._args[0], V):
+            return D, V.reshape(self.n, self.n, -1)[:, :, 0].tolist()
+        return None
 
     def counts(self, rngs, m):
         """Per block of rngs: each size-m sample's count of ordered unit pairs
@@ -96,7 +98,8 @@ class PairContext:
     def draw_unary(self, rng, m):
         """The m unary values of a size-m sample: the first m draws of the
         generic stream (unary coordinates enumerate first)."""
-        return self._values[_decode(self._cum, _uniforms(rng, m))].tolist()
+        u = next(_uniform_blocks((rng,), m))[0]
+        return self._values[_decode(self._cum, u)].tolist()
 
     def empirical(self, V, c):
         """Mean of V over the unordered value pairs of a sample with support
@@ -142,7 +145,9 @@ class TwoPartiteContext:
         self.n2, self.n12 = len(self._cum2), len(self._cum12)
         self._codes = len(self._cum1) * self.n2 * self.n12
 
-    loss_table = PairContext.loss_table
+    def loss_table(self, H):
+        """H's table against F: its plan row, (D, integer numerators over D)."""
+        return _plan_row(self._args, H)
 
     def counts(self, rngs, m):
         """Per block of rngs: each size-(m, m) partite sample's count of

@@ -16,11 +16,12 @@ a block reader from ``_trial_losses``: a block of trials' streams is decoded
 and its units counted by the law atom they induce in one pass (in a fastpath
 context, or by the unit codes ``sampler._atom_counts`` counts), and the
 trials x atoms count matrix is multiplied once by the members' integer plan
-rows.  The checks compare those integer sums with the exact totals over one
-common denominator (``_deviations``), so a trial builds no ``Fraction``.
-``estimate_pac_success`` reads its samples by the same unit codes
-(``sampler._labeled_reader``), with y gathered from the plan's labels of F at
-each atom, so no check or PAC sweep draws a dict sample.
+rows, which also pick the route.  The checks compare those integer sums with
+the exact totals over one common denominator (``_deviations``), so a trial
+builds no ``Fraction``.  ``estimate_pac_success`` reads its samples by the
+same unit codes, a block of trials at a time (``sampler._labeled_reader``),
+with y gathered from the plan's labels of F at each atom, so no check or PAC
+sweep draws a dict sample.
 """
 
 import math
@@ -150,8 +151,8 @@ def _trial_losses(sc, members, ell):
     atoms matrix, and ``_exact_product`` of the counts and the members' plan
     rows, as integer numerators over one denominator D, gives the sums.  A
     non-agnostic k = 2 scenario counts in a fastpath context
-    (TwoPartiteContext when 2-partite, PairContext otherwise) when every
-    member's plan row qualifies as its table (``fastpath.tables``); otherwise
+    (TwoPartiteContext when 2-partite, PairContext otherwise) when the
+    members' integer rows qualify (``fastpath.qualifies``); otherwise
     ``sampler._atom_counts`` counts the units by their atom codes.  Each
     route reads the streams as ``sampler.labeled_sample`` does, so all give
     bit-identical losses.
@@ -162,8 +163,7 @@ def _trial_losses(sc, members, ell):
     D, nums = losses.numerators(chain.from_iterable(rows))
     top = max(map(abs, nums), default=0)
     V = np.array(nums, np.int64 if top < 2**63 else object).reshape(len(rows), -1).T
-    tables = sc.mu2 is None and ell.k == 2 and fastpath.tables(sc.mu, rows)
-    if tables and None not in tables:
+    if sc.mu2 is None and ell.k == 2 and fastpath.qualifies(sc.mu, V):
         context = fastpath.TwoPartiteContext if sc.partite else fastpath.PairContext
         counts = context(sc.mu, sc.F, ell).counts
     else:
@@ -449,9 +449,10 @@ def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None):
     total is computed once per call.
 
     No check or PAC sweep draws a dict sample: each trial's (x, y) is
-    ``sampler._labeled_reader``'s, x decoded in bulk and y gathered from the
-    plan's labels of F at the atom each unit's code names, so F is read once
-    per atom per call and never in the trial loop."""
+    ``sampler._labeled_reader``'s, x decoded a block of trials at a time and
+    y gathered from the plan's labels of F at the atom each unit's code
+    names, so F is read once per atom per call and never in the trial loop.
+    A trial's randomness index is then drawn from its own stream."""
     _refuse_no_trials(trials)
     (row, weigh, labels), target = _plan(sc, ell), Fraction(eps)
     draw = sampler._labeled_reader(sc, ell.k, labels)
@@ -467,9 +468,7 @@ def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None):
     if cls is not None:
         target += min(map(total, cls))
     wins = 0
-    for t in range(trials):
-        rng = sampler.stream(seed, t)
-        x, y = draw(rng, m)
+    for rng, x, y in draw(map(sampler.stream, repeat(seed), range(trials)), m):
         if total(A(x, y, rng.randrange(A.r(m)))) <= target:
             wins += 1
     return Fraction(wins, trials)

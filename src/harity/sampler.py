@@ -4,25 +4,25 @@ representations, plus exact sample laws for tiny-instance oracles.
 Each Monte Carlo trial derives an independent ``random.Random`` stream from
 (seed, trial); identical (seed, trial) pairs give identical draws.
 ``labeled_sample`` draws a dict sample one coordinate at a time and is the
-reference.  The array routes read the same stream in bulk (``_uniforms`` for
-one stream, ``_uniform_blocks`` for a block of streams, one ``getrandbits``
-call each) and decode each uniform to a support rank (``_support``,
-``_decode``) as ``_draw`` would.  Outside ``fastpath`` one reader does so,
-``_read`` over a cached ``_layout``: it decodes every coordinate once, one
-decode per ground space, and codes each unit by the law atom its point is.
-The checks count the codes a block of trials at a time (``_atom_counts``,
-one trials x atoms matrix per block) and the PAC sweep rebuilds (x, y) from
-one trial's codes (``_labeled_reader``), y gathered from F's labels at each
-atom, so no check or PAC sweep draws a dict sample or calls F in its trial
-loop.  ``exact_read`` is ``_read``'s exact twin: every atom of mu (x) mu'
-with its integer mass and its units' codes, which the departization laws
-read.
+reference.  Every array route reads the same streams through one block
+reader, ``_uniform_blocks`` (one ``getrandbits`` call per stream, one
+conversion per block of streams), and decodes each uniform to a support rank
+(``_support``, ``_decode``) as ``_draw`` would.  Outside ``fastpath`` one
+decoder does so, ``_read`` over a cached ``_layout``: it decodes every
+coordinate once, one decode per ground space, and codes each unit by the law
+atom its point is.  The checks count the codes a block of trials at a time
+(``_atom_counts``, one trials x atoms matrix per block) and the PAC sweep
+rebuilds each trial's (x, y) from a block's codes (``_labeled_reader``), y
+gathered from F's labels at each atom, so no check or PAC sweep draws a dict
+sample or calls F in its trial loop.  ``exact_read`` is ``_read``'s exact
+twin: every atom of mu (x) mu' with its integer mass and its units' codes,
+which the departization laws read.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, islice, tee
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -86,18 +86,16 @@ def _decode(cum, u):
     return cum[:-1].searchsorted(u, "right")
 
 
-# below this many uniforms, n random() calls cost less than the bulk read
-BULK_UNIFORMS = 64
 # a block of streams holds at most this many uniforms, and at least one stream
 BLOCK_UNIFORMS = 4096
 
 
 def _uniform_blocks(rngs, n):
     """The next n ``rng.random()`` values of each rng, bit for bit, as one
-    (streams, n) array per block of rngs: one ``getrandbits`` call per rng,
-    which leaves it in their state, and one conversion per block joining
-    32-bit word pairs as ``random()`` does.  Only the block's words are held,
-    so an rng the caller drops is freed once it is read."""
+    (streams, n) array per block of rngs, in order: one ``getrandbits`` call
+    per rng, which leaves it in their state, and one conversion per block
+    joining 32-bit word pairs as ``random()`` does.  Only the block's words
+    are held, so an rng the caller drops is freed once it is read."""
     rngs, size = iter(rngs), max(1, BLOCK_UNIFORMS // max(n, 1))
     while block := [
         r.getrandbits(64 * n).to_bytes(8 * n, "little") for r in islice(rngs, size)
@@ -106,14 +104,6 @@ def _uniform_blocks(rngs, n):
         yield ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) * (
             1.0 / 9007199254740992.0
         )
-
-
-def _uniforms(rng, n):
-    """The next n ``rng.random()`` values, bit for bit: from n calls for a
-    few, else ``_uniform_blocks``'s one call."""
-    if n < BULK_UNIFORMS:
-        return np.array([rng.random() for _ in range(n)])
-    return next(_uniform_blocks((rng,), n))[0]
 
 
 def _row_counts(codes, atoms):
@@ -230,18 +220,22 @@ def _label_layout(t, k, m):
 
 
 def _labeled_reader(sc, k, labels):
-    """draw(rng, m) -> (x, y), the sample ``labeled_sample`` draws from rng,
-    bit for bit, given F's labels over each atom's orbit (``losses.plan``'s):
-    x is the decoded coordinates, and y over a unit's orbit is the labels of
-    the atom the unit's code names.  F is never called."""
+    """draw(rngs, m) -> each rng with (x, y), the sample ``labeled_sample``
+    draws from it, bit for bit, given F's labels over each atom's orbit
+    (``losses.plan``'s), holding one block of rngs at a time: x is the decoded
+    coordinates, and y over a unit's orbit is the labels of the atom the
+    unit's code names.  F is never called."""
     t = sc.mu.template
     blocks = np.fromiter(chain.from_iterable(labels), object).reshape(len(labels), -1)
 
-    def draw(rng, m):
+    def draw(rngs, m):
         layout, (keys, unit, slot) = _layout(sc.mu, sc.mu2, k, m), _label_layout(t, k, m)
-        values, codes = _read(layout, _uniforms(rng, layout.n))
-        x = dict(zip(layout.coords, values.tolist()))  # x''s values come last
-        return x, dict(zip(keys, blocks[codes[unit], slot].tolist()))
+        read, rngs = tee(rngs)
+        for u in _uniform_blocks(read, layout.n):
+            values, codes = _read(layout, u)  # x''s values come last
+            ys = blocks[codes[:, unit], slot].tolist()
+            for rng, x, y in zip(islice(rngs, len(u)), values.tolist(), ys):
+                yield rng, dict(zip(layout.coords, x)), dict(zip(keys, y))
 
     return draw
 

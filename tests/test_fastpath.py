@@ -184,11 +184,13 @@ def test_contexts_refuse_a_sample_without_units():
         assert rng.getstate() == sampler.stream("tiny", 0).getstate()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 64, 1088])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 64, 65, 1088])
 def test_uniforms_read_the_stream_as_random_does(n):
+    # one stream is one block, read as n random() calls read it
     bulk, one_by_one = sampler.stream("u", n), sampler.stream("u", n)
-    u = sampler._uniforms(bulk, n)
-    assert u.tolist() == [one_by_one.random() for _ in range(n)]
+    u, *rest = sampler._uniform_blocks((bulk,), n)
+    assert not rest and u.shape == (1, n)
+    assert u[0].tolist() == [one_by_one.random() for _ in range(n)]
     assert bulk.getstate() == one_by_one.getstate()
 
 
@@ -202,7 +204,7 @@ def test_uniform_blocks_read_each_stream_as_uniforms_does(n):
         assert [len(u) for u in blocks[:-1]] == [block] * (len(blocks) - 1)
         assert all(u.shape[1] == n for u in blocks) and len(blocks) == -(-trials // block)
         rows = [row.tolist() for u in blocks for row in u]
-        assert rows == [sampler._uniforms(rng, n).tolist() for rng in one_by_one]
+        assert rows == [[rng.random() for _ in range(n)] for rng in one_by_one]
         assert [r.getstate() for r in blocked] == [r.getstate() for r in one_by_one]
 
 

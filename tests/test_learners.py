@@ -411,6 +411,32 @@ def test_matching_members_without_declared_rank_take_the_pair_context(monkeypatc
     assert fast == _losses(generic, _streams("bare", 6), 9)
 
 
+def test_a_binary_loss_on_a_k1_template_takes_the_pair_context(monkeypatch):
+    # a k = 1 template stores no pair weights: its pair space is an implicit
+    # singleton, which the pair context counts as one value
+    t = templates.Template(1, (3,))
+    F = Hypothesis(2, t, (0, 1), lambda x: int(x[(1,)] == x[(2,)]))
+    members = [
+        constant_hypothesis(2, t, (0, 1), 0),
+        constant_hypothesis(2, t, (0, 1), 1),
+        Hypothesis(2, t, (0, 1), lambda x: int(x[(1,)] + x[(2,)] == 2)),
+    ]
+    cls = HypothesisClass(2, t, (0, 1), tuple(members))
+    sc, ell = sampler.Scenario(templates.uniform_prob(t), F), losses.zero_one_loss((0, 1), 2)
+    assert losses.total_loss(sc.mu, F, ell, members[0]) == Fraction(1, 3)
+    eps = Fraction(1, 10)
+    with _contexts_built() as built:
+        chosen, reference = _on_both_routes(
+            monkeypatch,
+            lambda: (
+                learners.check_concentration(sc, members[0], ell, 8, eps, 40, "k1"),
+                learners.check_uniform_convergence(sc, cls, ell, 8, eps, 40, "k1"),
+            ),
+        )
+        assert built() == 2
+    assert chosen == reference and 0 < chosen[0] < 1
+
+
 def _random_table(rng, keys, values):
     return {key: rng.choice(values) for key in keys}
 
@@ -541,6 +567,35 @@ def test_a_check_reads_each_member_once_per_atom():
         assert built() == 1
     atoms = len(templates.config_law(mu, 2))
     assert atoms == 16 and len(reads) == len(counted) * 2 * atoms
+
+
+def test_a_check_converts_its_rows_to_integers_once():
+    # one losses.numerators call per _trial_losses call, whichever route its
+    # integer rows pick: the route reads the integers the sums read
+    match, ho = families.matching_family(2).cls, families.highorder_family(3).cls
+    cases = [
+        (
+            sampler.Scenario(templates.uniform_prob(match.template), match.members[-1]),
+            list(match.members),
+            losses.zero_one_loss(match.labels, 2),
+            1,
+        ),
+        (
+            sampler.Scenario(templates.uniform_partite_prob(ho.template), ho.members[-1]),
+            list(ho.members),
+            losses.zero_one_loss(ho.labels, 2, setting="partite"),
+            1,
+        ),
+        *((sc, members, ell, 0) for sc, members, ell, _ in UNIT_CODE_INSTANCES.values()),
+    ]
+    for sc, members, ell, contexts in cases:
+        losses.law_plan(sc.mu, ell.k, sc.mu2)  # the cached law converts its weights
+        with _contexts_built() as built, mock.patch.object(
+            losses, "numerators", wraps=losses.numerators
+        ) as converted:
+            learners._trial_losses(sc, members, ell)
+            assert built() == contexts
+        assert converted.call_count == 1
 
 
 def _table_hypothesis(t, k, rng, labels=(0, 1)):
@@ -772,16 +827,54 @@ def test_pac_success_equals_the_dict_route(name):
 
 @pytest.mark.parametrize("name", UNIT_CODE_INSTANCES)
 def test_labeled_reader_draws_labeled_samples(name):
-    # x, y in key order, and the stream left where labeled_sample leaves it
+    # several streams per call: each rng beside its x, y in key order, and
+    # left where labeled_sample leaves it
     sc, _, ell, ms = _pac_instance(name)
     draw = sampler._labeled_reader(sc, ell.k, learners._plan(sc, ell)[2])
     for m in ms:
-        coded, drawn = sampler.stream(name, m), sampler.stream(name, m)
-        x, y = draw(coded, m)
-        x0, y0 = sampler.labeled_sample(sc, m, drawn)
-        assert x == x0 and list(x) == list(x0)
-        assert list(y.items()) == list(y0.items())
-        assert coded.getstate() == drawn.getstate()
+        coded, drawn = _streams((name, m), 5), _streams((name, m), 5)
+        got = list(draw(iter(coded), m))
+        assert len(got) == 5 and all(rng is r for (rng, _, _), r in zip(got, coded))
+        for (rng, x, y), r in zip(got, drawn):
+            x0, y0 = sampler.labeled_sample(sc, m, r)
+            assert x == x0 and list(x) == list(x0)
+            assert list(y.items()) == list(y0.items())
+            assert rng.getstate() == r.getstate()
+
+
+def _recording(A, calls):
+    """A, recording each call's (x, y, b)."""
+    return learners.Learner(A.k, lambda x, y, b: calls.append((x, y, b)) or A.fn(x, y, b), A.r)
+
+
+@pytest.mark.parametrize("name", ["c05-k1-plain", "k3-partite", "agnostic-flip"])
+def test_pac_success_reads_its_trials_in_blocks(name, monkeypatch):
+    # 7 trials in blocks of two streams, the last one short: the learner sees
+    # each trial's sample and index b in trial order, as on the dict route
+    sc, candidates, ell, ms = _pac_instance(name)
+    A, m = _hashing_learner(candidates, ell.k), max(ms)
+    total = losses.totals(sc.mu, sc.F, losses.wrap_agnostic(ell) if sc.mu2 else ell, sc.mu2)
+    target = min(map(total, candidates))
+    expected, wins = [], 0
+    for t in range(7):
+        rng = sampler.stream(name, t)
+        x, y = sampler.labeled_sample(sc, m, rng)
+        expected.append((x, y, rng.randrange(A.r(m))))
+        wins += total(A(*expected[-1])) <= target
+    n = sampler._layout(sc.mu, sc.mu2, ell.k, m).n
+    monkeypatch.setattr(sampler, "BLOCK_UNIFORMS", 2 * n)
+    sizes, blocks = [], sampler._uniform_blocks
+
+    def counted(rngs, n):
+        for u in blocks(rngs, n):
+            sizes.append(len(u))
+            yield u
+
+    monkeypatch.setattr(sampler, "_uniform_blocks", counted)
+    calls = []
+    got = learners.estimate_pac_success(_recording(A, calls), sc, ell, m, 0, 7, name, candidates)
+    assert sizes == [2, 2, 2, 1]
+    assert calls == expected and got == Fraction(wins, 7)
 
 
 def test_pac_success_reads_F_once_per_atom():

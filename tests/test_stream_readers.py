@@ -1,6 +1,6 @@
 """The stream is decoded in one module: outside ``sampler.py``, no module of
-``src/harity`` names the bulk stream readers (``_uniforms``, the block reader
-``_uniform_blocks``, ``_decode``, ``_support``), so every array route reads
+``src/harity`` names the stream readers (the block reader ``_uniform_blocks``,
+``_decode``, ``_support``), so every array route reads
 the stream next to ``labeled_sample``, whose order it must follow.
 ``fastpath.py`` is exempt: its contexts are the one other array route, and
 ROADMAP item 2(d) deletes them.  ``learners.py`` names no dict sampler (``labeled_sample``, ``star``):
@@ -15,7 +15,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "harity"
 EXEMPT = ("sampler.py", "fastpath.py")
-READERS = ("_uniforms", "_uniform_blocks", "_decode", "_support")
+READERS = ("_uniform_blocks", "_decode", "_support")
 DICT_SAMPLERS = ("labeled_sample", "star")  # no learner names these
 LAW_READERS = ("fastpath.py", "learners.py", "losses.py")  # the modules naming law_plan
 
@@ -47,12 +47,11 @@ def test_only_the_sampler_reads_the_stream():
 def test_the_check_sees_a_planted_reader():
     tree = ast.parse(
         "from .sampler import _decode\n"
-        "def f(rng, n):\n    return sampler._uniforms(rng, n)\n"
         "def g(w):\n    _support = w\n    return _support\n"
         "def h(mu, m):\n    return templates._supports(mu, m)\n"
         "def i(rngs, n):\n    yield from sampler._uniform_blocks(rngs, n)\n"
     )
-    assert stream_readers(tree) == {"_decode", "_uniforms", "_support", "_uniform_blocks"}
+    assert stream_readers(tree) == {"_decode", "_support", "_uniform_blocks"}
 
 
 def test_no_learner_draws_a_dict_sample():
