@@ -4,7 +4,8 @@ uniform-convergence and concentration verifiers, and the rank-2 class learner.
 A ``Learner`` maps a visible sample plus a randomness index ``b`` in
 ``[R(m)]`` to a hypothesis; ``R`` identically 1 means deterministic.  A
 learner carries no setting flag: sample sizes and the setting are read from
-the sample's keys, and ``erm`` reads the class's table, so learners compose
+the sample's keys, and ``erm`` reads the class's table over the sample
+layout every unit reader shares (``sampler._units``), so learners compose
 without extra plumbing.  The concentration constant K, and with it every
 derandomization size, is read from a template (``concentration_constant``).
 
@@ -27,7 +28,7 @@ sweep draws a dict sample.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import chain, product, repeat
 from math import comb, lcm
 from numbers import Integral, Rational
@@ -88,13 +89,7 @@ def erm(cls, ell):
     if math.prod(digits) > 2**63:
         raise ValueError("the class's unit keys overflow int64")
     radix = np.cumprod([1, *digits[:0:-1]])[::-1]
-    wx, wy = np.array([*place.values()]) * radix[0], radix[1:]
-
-    @lru_cache(maxsize=4)
-    def layout(m):  # coords(m), each unit's positions in them, the units' orbits
-        coords, units = t.coords(m), list(t.units(m, k))
-        at = sampler._unit_positions(t, units, m, place)
-        return coords, at, [a for u in units for a in t.orbit(u)]
+    wx = np.array([place[a] for a in t.coords(t.domain(k)[0])]) * radix[0]
 
     @cache
     def column(key):
@@ -111,12 +106,13 @@ def erm(cls, ell):
         return np.array(values, None if top < 2**63 else object)[index]
 
     def fn(x, y, b):
-        coords, at, orbits = layout(sample_size(x))
+        coords, at, ykeys, unit, slot = sampler._units(t, k, sample_size(x))
         if not len(at):
             return cls.members[0]
         xs = np.fromiter(map(x.__getitem__, coords), int, len(coords))
-        ys = np.fromiter(map(index.__getitem__, map(y.__getitem__, orbits)), int)
-        keys = xs[at] @ wx + ys.reshape(len(at), -1) @ wy
+        ys = np.empty((len(at), len(ids)), int)  # y's label ids by (unit, slot)
+        ys[unit, slot] = [index[y[a]] for a in ykeys]
+        keys = xs[at] @ wx + ys @ radix[1:]
         keys, counts = np.unique(keys, return_counts=True)
         stack = np.array([column(key) for key in keys.tolist()])
         return cls.members[int(np.argmin(_exact_product(counts, stack, top * len(at))))]

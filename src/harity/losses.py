@@ -129,41 +129,36 @@ def numerators(values):
 @lru_cache(maxsize=8)
 def law_plan(mu, k, mu2):
     """The part of a ``plan`` that reads mu (and mu', or None) alone: the
-    template, ``sampler.joint_law``'s atoms at the arity-k domain size (each
-    x with its orbit pullbacks, or, given mu2, as listed), ``weigh`` (a row's
-    expectation in integers over one denominator, so a float loss value
-    raises TypeError) and whether mu2 was given.  Measures hash by template
-    and compare by weights, so equal measures share one cached law; mu2 has
-    no default, so every call keys it alike.  Eight laws are kept, under
-    1 MiB in all: the largest any benchmark workload builds is about 120 KiB."""
+    template, ``sampler.joint_law``'s atoms at the arity-k domain size, each
+    as (x, the orbit pullbacks of its joined point, which are x's own without
+    mu'), ``weigh`` (a row's expectation in integers over one denominator, so
+    a float loss value raises TypeError) and whether mu2 was given.  Measures
+    hash by template and compare by weights, so equal measures share one
+    cached law; mu2 has no default, so every call keys it alike.  Eight laws
+    are kept: the largest any benchmark workload builds (324 atoms, given
+    mu') holds about 290 KiB, so all eight hold under 2.5 MiB."""
     t = mu.template
     (m, orbit), pull = t.domain(k), t.pull
     law = list(sampler.joint_law(mu, m, mu2))
     W, weights = numerators(p for *_, p in law)
     weigh = lambda r: Fraction(sum(map(mul, weights, r)), W)  # noqa: E731
-    if mu2 is not None:
-        return t, law, weigh, True
-    return t, [(x, [pull(a, x) for a in orbit]) for x, _, _ in law], weigh, False
+    atoms = [(x, [pull(a, z) for a in orbit]) for x, z, _ in law]
+    return t, atoms, weigh, mu2 is not None
 
 
 def plan(law, F, ell):
-    """(row, weigh, labels) over a ``law_plan``.  ``labels[i]`` is F's labels
-    over atom i's orbit, ``[F(t.pull(a, z)) for a in t.domain(k)[1]]`` at its
-    point z (joined with x' given mu'), read once per plan.  ``row(H)`` is
-    H's loss at each atom, l(x, H's labels, F's labels), both read over the
-    atom's orbit, or, given mu', the agnostic l(H, x, y), y F's labels at the
-    joined point; a row reads H once per atom."""
+    """(row, weigh, labels) over a ``law_plan``.  ``labels[i]`` is F at atom
+    i's stored orbit pullbacks, ``[F(t.pull(a, z)) for a in t.domain(k)[1]]``
+    at its point z (joined with x' given mu'), read once per plan.  ``row(H)``
+    is H's loss at each atom, l(x, H's labels, F's labels), both read over
+    the atom's orbit, or, given mu', the agnostic l(H, x, y), y F's labels
+    at the joined point; a row reads H once per atom."""
     t, atoms, weigh, joined = law
-    if joined:
-        orbit = t.domain(ell.k)[1]
-        labels = [[F(t.pull(a, z)) for a in orbit] for _, z, _ in atoms]
-    else:
-        labels = [list(map(F, o)) for _, o in atoms]  # o: x's orbit pullbacks
+    labels = [list(map(F, o)) for _, o in atoms]
     read, slots = t.read, range(len(labels[0]))
     ys = [read(block.__getitem__, slots) for block in labels]
     if joined:
-        xs = [x for x, _, _ in atoms]
-        return (lambda H: [ell(H, x, y) for x, y in zip(xs, ys)]), weigh, labels
+        return (lambda H: [ell(H, x, y) for (x, _), y in zip(atoms, ys)]), weigh, labels
 
     def row(H):
         return [ell(x, read(H, o), y) for (x, o), y in zip(atoms, ys)]

@@ -16,7 +16,8 @@ One per-atom plan (``_plan``) decides which labels survive departization.
 randomness index exactly as the departized learner does, once per (m, k).
 Both laws take one route: mu (x) mu' is enumerated once as integer masses
 over one denominator, each unit coded by its domain atom
-(``sampler.exact_read``); F is read once per atom of the joined domain law;
+(``sampler.exact_read``); F is read once per atom of the joined domain law,
+its labels laid over the units by the one sample layout (``sampler._units``);
 and each plan's mass is summed over the distinct values of the x keys and
 labels that it reads.  The per-atom dict loops stay in the tests as the
 reference.
@@ -409,7 +410,7 @@ def _departize_law(mu, mu2, G, m, k, x_key):
     """The exact law of the departized size-m sample over mu (x) mu', read by
     unit code.  The joint law is enumerated once (``sampler.exact_read``); a
     unit's labels are G's pattern at its atom, read over the unit's orbit
-    (``sampler._label_layout``); and each plan's mass is summed over the
+    (``sampler._units``); and each plan's mass is summed over the
     distinct values of what it reads: x at ``x_key(C, key)`` for each of its
     coordinates, and its surviving labels.  Each law key is built once per
     plan and distinct read, and masses stay integers over one denominator
@@ -417,9 +418,9 @@ def _departize_law(mu, mu2, G, m, k, x_key):
     plans = _atom_plans(mu, mu2, m, k)
     values, codes, masses, D = sampler.exact_read(mu, mu2, k, m)
     labels, names = _atom_labels(mu, mu2, k, G)
-    keys, unit, slot = sampler._label_layout(mu.template, k, m)
-    where = dict(zip(keys, zip(unit.tolist(), slot.tolist())))
-    column = {key: c for c, key in enumerate(mu.template.coords(m))}
+    units = sampler._units(mu.template, k, m)
+    where = dict(zip(units.keys, zip(units.unit.tolist(), units.slot.tolist())))
+    column = {key: c for c, key in enumerate(units.coords)}
     law = {}
     for coords, survivors in plans:
         xs = [column[x_key(C, key)] for C, key, _ in coords]

@@ -7,16 +7,19 @@ Each Monte Carlo trial derives an independent ``random.Random`` stream from
 reference.  Every array route reads the same streams through one block
 reader, ``_uniform_blocks`` (one ``getrandbits`` call per stream, one
 conversion per block of streams), and decodes each uniform to a support rank
-(``_support``, ``_decode``) as ``_draw`` would.  Outside ``fastpath`` one
-decoder does so, ``_read`` over a cached ``_layout``: it decodes every
-coordinate once, one decode per ground space, and codes each unit by the law
-atom its point is.  The checks count the codes a block of trials at a time
-(``_atom_counts``, one trials x atoms matrix per block) and the PAC sweep
-rebuilds each trial's (x, y) from a block's codes (``_labeled_reader``), y
-gathered from F's labels at each atom, so no check or PAC sweep draws a dict
-sample or calls F in its trial loop.  ``exact_read`` is ``_read``'s exact
-twin: every atom of mu (x) mu' with its integer mass and its units' codes,
-which the departization laws read.
+(``_support``, ``_decode``) as ``_draw`` would.  A sample's units are laid
+out once per (template, k, m), by ``_units``, and every unit reader takes
+that layout: ``_layout``, the PAC sweep's reader, the ERM and the
+departization laws.  Outside ``fastpath`` one decoder reads the streams,
+``_read`` over a cached ``_layout``: it decodes every coordinate once, one
+decode per ground space, and codes each unit by the law atom its point is.
+The checks count the codes a block of trials at a time (``_atom_counts``,
+one trials x atoms matrix per block) and the PAC sweep rebuilds each trial's
+(x, y) from a block's codes (``_labeled_reader``), y gathered from F's
+labels at each atom, so no check or PAC sweep draws a dict sample or calls F
+in its trial loop.  ``exact_read`` is ``_read``'s exact twin: every atom of
+mu (x) mu' with its integer mass and its units' codes, which the
+departization laws read.
 """
 
 from dataclasses import dataclass
@@ -139,19 +142,33 @@ def labeled_sample(sc, m, rng):
     return x, star(sc.F, joined, m)
 
 
-def _unit_positions(t, units, m, keys, start=0):
-    """Each unit's row: the position in ``t.coords(m)``, numbered from start,
-    of its point u*(x)'s coordinate at each key."""
-    coords = t.coords(m)
-    pos = dict(zip(coords, range(start, start + len(coords))))
-    rows = [[p[a] for a in keys] for p in (t.pull(u, pos) for u in units)]
-    return np.array(rows, int).reshape(len(rows), len(keys))
+class _Units(NamedTuple):
+    coords: list  # t.coords(m), in order
+    at: np.ndarray  # per unit, the positions in coords of u*(x)'s domain coordinates
+    keys: list  # y's keys t.index(m, k), in order
+    unit: np.ndarray  # each key's unit, in t.units(m, k) order
+    slot: np.ndarray  # each key's slot in that unit's orbit
+
+
+# distinct keys in a 16-round perfbench run (seed 0): 11 on mc-long, 4 on mc-short,
+# 2 on exact-oracles, none on mc-fastpath
+@lru_cache(maxsize=32)
+def _units(t, k, m):
+    """The one layout of a size-m sample over t by its arity-k units, which
+    every unit reader takes; u*(x)'s coordinates are in ``t.coords(d)`` order."""
+    coords, units, domain = t.coords(m), list(t.units(m, k)), t.coords(t.domain(k)[0])
+    pos = {key: i for i, key in enumerate(coords)}
+    rows = [[p[a] for a in domain] for p in (t.pull(u, pos) for u in units)]
+    where = {a: (i, j) for i, u in enumerate(units) for j, a in enumerate(t.orbit(u))}
+    keys = list(t.index(m, k))
+    unit, slot = np.array([where[a] for a in keys], int).reshape(-1, 2).T
+    at = np.array(rows, int).reshape(len(rows), len(domain))
+    return _Units(coords, at, keys, unit, slot)
 
 
 class _Layout(NamedTuple):
     n: int  # draws: x's coordinates, then x''s
     groups: list  # (cumulative weights, stream positions, values) per ground space
-    coords: list  # x's coordinates, the first draws
     at: np.ndarray  # each domain coordinate's stream position, per unit
     radix: np.ndarray  # each domain coordinate's place value in a unit's code
     atoms: int  # the number of codes: the law's atoms at the domain size
@@ -167,8 +184,8 @@ def _layout(mu, mu2, k, m):
     domain coordinates, x's then x''s, the last fastest: the law's atom
     order.  Measures hash by template and compare by weights, so equal
     measures share one layout."""
-    t, d = mu.template, mu.template.domain(k)[0]
-    units, n, groups, at, digits = list(t.units(m, k)), 0, [], [], []
+    d = mu.template.domain(k)[0]
+    n, groups, at, digits = 0, [], [], []
     for nu in (mu, mu2) if mu2 else (mu,):
         tn, spaces = nu.template, {}
         for pos, (key, support) in enumerate(templates._supports(nu, m), n):
@@ -178,11 +195,12 @@ def _layout(mu, mu2, k, m):
                 pos = slice(pos[0], pos[-1] + 1)
             cum = np.cumsum([float(w) for _, w in support])  # as _draw sums them
             groups.append((cum, pos, np.array([v for v, _ in support])))
-        at.append(_unit_positions(tn, units, m, tn.coords(d), n))
+        units = _units(tn, k, m)
+        at.append(units.at + n)
         digits += [len(support) for _, support in templates._supports(nu, d)]
-        n += len(tn.coords(m))
+        n += len(units.coords)
     radix = np.cumprod([1, *digits[:0:-1]])[::-1]  # the last fastest
-    return _Layout(n, groups, t.coords(m), np.hstack(at).T, radix, prod(digits))
+    return _Layout(n, groups, np.hstack(at).T, radix, prod(digits))
 
 
 def _read(layout, u):
@@ -208,34 +226,22 @@ def _atom_counts(sc, k, rngs, m):
         yield _row_counts(_read(layout, u)[1], layout.atoms), layout.at.shape[1]
 
 
-@lru_cache(maxsize=32)
-def _label_layout(t, k, m):
-    """Where y's labels sit: the keys ``t.index(m, k)`` in order, each key's
-    unit (in ``t.units(m, k)`` order) and its slot in that unit's orbit."""
-    units = t.units(m, k)
-    where = {a: (i, j) for i, u in enumerate(units) for j, a in enumerate(t.orbit(u))}
-    keys = list(t.index(m, k))
-    unit, slot = np.array([where[a] for a in keys], int).reshape(-1, 2).T
-    return keys, unit, slot
-
-
 def _labeled_reader(sc, k, labels):
     """draw(rngs, m) -> each rng with (x, y), the sample ``labeled_sample``
     draws from it, bit for bit, given F's labels over each atom's orbit
     (``losses.plan``'s), holding one block of rngs at a time: x is the decoded
     coordinates, and y over a unit's orbit is the labels of the atom the
     unit's code names.  F is never called."""
-    t = sc.mu.template
     blocks = np.fromiter(chain.from_iterable(labels), object).reshape(len(labels), -1)
 
     def draw(rngs, m):
-        layout, (keys, unit, slot) = _layout(sc.mu, sc.mu2, k, m), _label_layout(t, k, m)
+        layout, units = _layout(sc.mu, sc.mu2, k, m), _units(sc.mu.template, k, m)
         read, rngs = tee(rngs)
         for u in _uniform_blocks(read, layout.n):
             values, codes = _read(layout, u)  # x''s values come last
-            ys = blocks[codes[:, unit], slot].tolist()
+            ys = blocks[codes[:, units.unit], units.slot].tolist()
             for rng, x, y in zip(islice(rngs, len(u)), values.tolist(), ys):
-                yield rng, dict(zip(layout.coords, x)), dict(zip(keys, y))
+                yield rng, dict(zip(units.coords, x)), dict(zip(units.keys, y))
 
     return draw
 

@@ -1,0 +1,207 @@
+"""Properties of the readers that share ``sampler._units``, the one layout of
+a sample's units, over random scenarios in both settings: the PAC sweep's
+reader, the checks' trial losses, the ERM, and the exact totals.  Each
+property compares a route with the dict-sample or brute-force reference on
+every draw of ``scenarios()``; the named instances in ``test_learners``
+(``UNIT_CODE_INSTANCES``, ``_k2_instances``) stay as regressions."""
+
+import math
+import random
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from harity import fastpath, indexing, learners, losses, sampler, templates
+from harity.hypotheses import Hypothesis, HypothesisClass
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _weights(rng, n):
+    """n rational weights, zeros allowed, at least one positive."""
+    w = [rng.choice((0, 1, 2)) for _ in range(n)]
+    w[rng.randrange(n)] += 1
+    return tuple(Fraction(v, sum(w)) for v in w)
+
+
+def _measure(t, rng):
+    return templates.ProbTemplate(t, t.tabulate(lambda a: _weights(rng, t.size(a))))
+
+
+def _template(draw, partite, k, unary, higher):
+    """A template of the setting with its unary (or part-singleton) spaces
+    drawn from 1..unary points and the others from 1..higher."""
+    def size(arity):
+        return draw(st.integers(1, unary if arity == 1 else higher))
+
+    if partite:
+        return templates.PartiteTemplate(k, {a: size(len(a)) for a in indexing.subsets(k, k)})
+    return templates.Template(k, tuple(size(i) for i in range(1, k + 1)))
+
+
+def _hashed(kl, t, labels, seed, unary):
+    """A hypothesis over t whose label at a point is a seeded hash of it, or
+    of its unary (part-singleton) values alone: deterministic, and read
+    lazily, so F may live over a large product."""
+
+    def fn(x):
+        read = [(key, v) for key, v in x.items() if len(key) == 1 or not unary]
+        return labels[hash((seed, tuple(sorted(read)))) % len(labels)]
+
+    return Hypothesis(kl, t, labels, fn)
+
+
+def _asymmetric_loss(kl, labels, seed):
+    """A Fraction loss that reads x's first coordinate and the first entry of
+    each label pattern (a partite label is its own first entry), so it is
+    neither symmetric in (y, y') nor under S_k."""
+
+    def head(y):
+        return y[0] if isinstance(y, tuple) else y
+
+    def fn(x, y, yp):
+        key = (seed, min(x.items()), head(y), head(yp))
+        return Fraction(hash(key) % 5, 1 + hash(key[1:]) % 3)
+
+    return losses.LossFn(kl, labels, fn, name="asym")
+
+
+@st.composite
+def scenarios(draw):
+    """(scenario, class, loss).  A plain or partite template with k in
+    {1, 2, 3} (unary spaces of up to 3 points, or 2 at k = 3, the others of
+    up to 2), zero weights allowed, 2 or 3 labels, the 0/1 loss or an
+    asymmetric Fraction loss of arity at most k (exactly k on a partite
+    template, whose units have one vertex per part), a class of 1 to 3
+    hashed members (in half the draws F and the members read only the unary
+    values, so that a fastpath context can qualify), and in about a third of
+    draws a mu' on its own template of the same setting and arity, F then
+    living over the product."""
+    partite, k = draw(st.booleans()), draw(st.integers(1, 3))
+    kl = k if partite else draw(st.integers(1, k))
+    labels = tuple(range(draw(st.integers(2, 3))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    t = _template(draw, partite, k, 2 if k == 3 else 3, 2)
+    mu, mu2, ft = _measure(t, rng), None, t
+    if draw(st.integers(0, 2)) == 0:
+        t2 = _template(draw, partite, k, 2, 1 if k == 3 else 2)
+        mu2, ft = _measure(t2, rng), templates.product_template(t, t2)
+    members, unary = {}, draw(st.booleans())
+    for _ in range(draw(st.integers(1, 3))):
+        H = _hashed(kl, t, labels, rng.random(), unary)
+        members.setdefault(tuple(map(H, templates.domain_points(t, kl))), H)
+    cls = HypothesisClass(kl, t, labels, tuple(members.values()))
+    if draw(st.booleans()):
+        ell = losses.zero_one_loss(labels, kl)
+    else:
+        ell = _asymmetric_loss(kl, labels, rng.random())
+    sc = sampler.Scenario(mu, _hashed(kl, ft, labels, rng.random(), unary), mu2=mu2)
+    return sc, cls, ell
+
+
+def _size(sc, ell, extra):
+    """A sample size with at least one unit of arity ell.k."""
+    return (1 if sc.partite else ell.k) + extra
+
+
+def _streams(seed, n=3):
+    return [sampler.stream(seed, t) for t in range(n)]
+
+
+@PROPERTY
+@given(scenarios(), st.integers(0, 2))
+def test_labeled_reader_yields_labeled_samples(instance, extra):
+    sc, _, ell = instance
+    m = _size(sc, ell, extra)
+    draw = sampler._labeled_reader(sc, ell.k, learners._plan(sc, ell)[2])
+    coded, drawn = _streams("reader"), _streams("reader")
+    got = list(draw(iter(coded), m))
+    assert [rng for rng, _, _ in got] == coded
+    for (rng, x, y), r in zip(got, drawn):
+        x0, y0 = sampler.labeled_sample(sc, m, r)
+        assert list(x.items()) == list(x0.items())
+        assert list(y.items()) == list(y0.items())
+        assert rng.getstate() == r.getstate()
+
+
+@PROPERTY
+@given(scenarios(), st.integers(0, 2))
+def test_trial_losses_equal_empirical_losses_on_every_route(instance, extra):
+    # the route the members' rows pick, and the unit-code route forced
+    sc, cls, ell = instance
+    m, members = _size(sc, ell, extra), list(cls.members)
+    expected = []
+    for r in _streams("trials"):
+        x, y = sampler.labeled_sample(sc, m, r)
+        expected.append([losses.empirical_loss(x, y, ell, H, m) for H in members])
+    for forced in (False, True):
+        route = {"return_value": False} if forced else {"wraps": fastpath.qualifies}
+        with mock.patch.object(fastpath, "qualifies", **route):
+            _, read = learners._trial_losses(sc, members, ell)
+            got = [
+                [Fraction(int(s), den) for s in row]
+                for sums, den in read(_streams("trials"), m)
+                for row in sums
+            ]
+        assert got == expected
+
+
+@PROPERTY
+@given(scenarios(), st.integers(0, 2))
+def test_erm_is_the_first_argmin(instance, extra):
+    sc, cls, ell = instance
+    m, A = _size(sc, ell, extra), learners.erm(cls, ell)
+    for r in _streams("erm"):
+        x, y = sampler.labeled_sample(sc, m, r)
+        emp = [losses.empirical_loss(x, y, ell, H, m) for H in cls.members]
+        assert A(x, y, 0) is cls.members[emp.index(min(emp))]
+
+
+@PROPERTY
+@given(scenarios())
+def test_totals_equal_the_brute_force_sum(instance):
+    # each atom's mass is rebuilt from mu's (and mu''s) weights coordinate by
+    # coordinate, over the points the uniform law lists
+    sc, cls, ell = instance
+    t, d = sc.mu.template, sc.mu.template.domain(ell.k)[0]
+    uniform = [templates.uniform_prob(nu.template) for nu in (sc.mu, sc.mu2) if nu]
+
+    def mass(nu, x):
+        tn = nu.template
+        return math.prod(nu.weight(tn.space(key), v) for key, v in x.items())
+
+    atoms = []
+    for x, z, _ in sampler.joint_law(uniform[0], d, uniform[1] if sc.mu2 else None):
+        p = mass(sc.mu, x)
+        if sc.mu2:
+            p *= mass(sc.mu2, templates.split_config(t, sc.mu2.template, z)[1])
+        atoms.append((x, t.label(sc.F, z), p))
+    agnostic = losses.wrap_agnostic(ell) if sc.mu2 else ell
+    total = losses.totals(sc.mu, sc.F, agnostic, sc.mu2)
+    for H in cls.members:
+        expected = sum(p * Fraction(ell(x, t.label(H, x), y)) for x, y, p in atoms)
+        assert total(H) == expected
+
+
+# ---------------------------------------------------------------------------
+# one layout per (template, k, m)
+
+
+def test_a_sweep_and_a_check_lay_the_units_out_once(monkeypatch):
+    # a PAC sweep with the ERM and a check on one k = 1 scenario and m (the
+    # check takes the unit-code route) enumerate the units once between them
+    t = templates.Template(1, (3,))
+    mu = templates.ProbTemplate(t, ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),))
+    members = [Hypothesis(1, t, (0, 1), lambda x, v=v: int(x[(1,)] == v)) for v in range(3)]
+    cls = HypothesisClass(1, t, (0, 1), tuple(members))
+    sc = sampler.Scenario(mu, Hypothesis(1, t, (0, 1), lambda x: x[(1,)] % 2))
+    ell, m = losses.zero_one_loss((0, 1), 1), 9
+    sampler._units.cache_clear()
+    sampler._layout.cache_clear()
+    calls, units = [], templates.Template.units
+    monkeypatch.setattr(templates.Template, "units", lambda *a: calls.append(a) or units(*a))
+    learners.estimate_pac_success(learners.erm(cls, ell), sc, ell, m, 0, 4, "once")
+    learners.check_concentration(sc, members[0], ell, m, Fraction(1, 10), 4, "once")
+    assert calls == [(t, m, 1)]
