@@ -56,8 +56,9 @@ class ShatteredScenario:
 
     def erm(self, x, y):
         """F_B for the points that some witness carries with its f1-label."""
+        point = {i: v for (i,), v in x.items()}  # each vertex's point
         return self.hypothesis(
-            {x[(a[0],)] for a, label in y.items() if label == self.f1(x[(a[0],)])}
+            {point[i] for (i,), label in y.items() if label == self.f1(point[i])}
         )
 
 

@@ -105,18 +105,31 @@ def pullback(alpha, x):
 
     x is a config point over [m]; the result lives over [len(alpha)] and keeps
     exactly the arities that x has.  As x holds every subset of size <= min(k, m),
-    size s is kept when the image of alpha's first s positions is a key of x:
-    one probe per size, so a call costs O(2^k) lookups when len(alpha) = k.
+    every size is kept when alpha's image is a key of x, and otherwise size s
+    is kept when the image of alpha's first s positions is: at most one probe
+    per size, so a call costs O(2^k) lookups when len(alpha) = k.  A result
+    that keeps every size takes its keys from one cached tuple per
+    len(alpha) (``_domains``), so all such results share them.
     """
-    out = {}
-    kp = len(alpha)
+    kp, out = len(alpha), {}
+    doms = _domains(kp) if tuple(sorted(alpha)) in x else None  # every size kept
     for size in range(1, kp + 1):
-        if tuple(sorted(alpha[:size])) not in x:
+        if doms:
+            keys = doms[size - 1]
+        elif tuple(sorted(alpha[:size])) in x:
+            keys = combinations(range(1, kp + 1), size)
+        else:
             break
-        doms = combinations(range(1, kp + 1), size)
-        for dom, image in zip(doms, combinations(alpha, size)):
+        for dom, image in zip(keys, combinations(alpha, size)):
             out[dom] = x[tuple(sorted(image))]
     return out
+
+
+@cache
+def _domains(k):
+    """The subsets of [k] of each size 1..k, lex, one tuple per size: the
+    keys of every pullback that keeps all of them."""
+    return tuple(tuple(combinations(range(1, k + 1), s)) for s in range(1, k + 1))
 
 
 def pullback_partite(alpha, x):

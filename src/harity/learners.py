@@ -3,11 +3,13 @@ uniform-convergence and concentration verifiers, and the rank-2 class learner.
 
 A ``Learner`` maps a visible sample plus a randomness index ``b`` in
 ``[R(m)]`` to a hypothesis; ``R`` identically 1 means deterministic.  A
-learner carries no setting flag: sample sizes and the setting are read from
-the sample's keys, and ``erm`` reads the class's table over the sample
-layout every unit reader shares (``sampler._units``), so learners compose
-without extra plumbing.  The concentration constant K, and with it every
-derandomization size, is read from a template (``concentration_constant``).
+learner carries no setting flag: an array sample knows its size, a dict's
+size and setting are read from its keys, and ``erm`` reads the class's
+table over the sample layout every unit reader shares (``sampler._units``),
+taking the sample's values through ``sampler.values`` (an array sample's
+rows, or a dict key by key), so learners compose without extra plumbing.
+The concentration constant K, and with it every derandomization size, is
+read from a template (``concentration_constant``).
 
 Every Monte Carlo check reads each hypothesis's exact total from one plan of
 its law (``_plan``), whose mu-only part (``losses.law_plan``) is cached by
@@ -21,8 +23,8 @@ rows, which also pick the route.  The checks compare those integer sums with
 the exact totals over one common denominator (``_deviations``), so a trial
 builds no ``Fraction``.  ``estimate_pac_success`` reads its samples by the
 same unit codes, a block of trials at a time (``sampler._labeled_reader``),
-with y gathered from the plan's labels of F at each atom, so no check or PAC
-sweep draws a dict sample.
+as array samples with y's label ids gathered from the plan's labels of F at
+each atom, so no check or PAC sweep draws a dict sample.
 """
 
 import math
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, product, repeat
 from math import comb, lcm
-from numbers import Integral, Rational
+from numbers import Rational
 from operator import itemgetter
 
 import numpy as np
@@ -41,7 +43,10 @@ from . import fastpath, hypotheses, indexing, losses, sampler, templates
 
 def sample_size(x):
     """The number of points of a sample (per part, in the partite setting);
-    0 for the empty sample."""
+    0 for the empty sample.  An array sample knows it; a dict is read from
+    its keys."""
+    if type(x) is sampler.ArraySample:
+        return x.m
     if indexing.partite_keys(x):
         return max(map(itemgetter(1), chain.from_iterable(x)))
     return max(map(itemgetter(-1), x), default=0)
@@ -83,7 +88,7 @@ def erm(cls, ell):
         raise ValueError("class has no members")
     t, k, labels = cls.template, cls.k, ell.labels
     place, dom = templates.places(t, k), templates.domain_points(t, k)
-    ids, index = t.domain(k)[1], {v: i for i, v in enumerate(labels)}
+    ids, index, relabels = t.domain(k)[1], {v: i for i, v in enumerate(labels)}, {}
     # a unit's key in mixed radix: its point's column, then y's labels on its orbit
     digits, slots, top = [len(dom), *[len(labels)] * len(ids)], range(len(ids)), 0
     if math.prod(digits) > 2**63:
@@ -109,10 +114,9 @@ def erm(cls, ell):
         coords, at, ykeys, unit, slot = sampler._units(t, k, sample_size(x))
         if not len(at):
             return cls.members[0]
-        xs = np.fromiter(map(x.__getitem__, coords), int, len(coords))
         ys = np.empty((len(at), len(ids)), int)  # y's label ids by (unit, slot)
-        ys[unit, slot] = [index[y[a]] for a in ykeys]
-        keys = xs[at] @ wx + ys @ radix[1:]
+        ys[unit, slot] = sampler.values(y, ykeys, index, relabels)
+        keys = sampler.values(x, coords)[at] @ wx + ys @ radix[1:]
         keys, counts = np.unique(keys, return_counts=True)
         stack = np.array([column(key) for key in keys.tolist()])
         return cls.members[int(np.argmin(_exact_product(counts, stack, top * len(at))))]
@@ -445,10 +449,12 @@ def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None):
     total is computed once per call.
 
     No check or PAC sweep draws a dict sample: each trial's (x, y) is
-    ``sampler._labeled_reader``'s, x decoded a block of trials at a time and
-    y gathered from the plan's labels of F at the atom each unit's code
-    names, so F is read once per atom per call and never in the trial loop.
-    A trial's randomness index is then drawn from its own stream."""
+    ``sampler._labeled_reader``'s pair of array samples, x decoded a block
+    of trials at a time and y's label ids gathered from the plan's labels of
+    F at the atom each unit's code names, so F is read once per atom per
+    call and never in the trial loop.  A trial's randomness index is then
+    drawn from its own stream, which nothing reads afterwards, so a learner
+    with one index gets 0 without a draw."""
     _refuse_no_trials(trials)
     (row, weigh, labels), target = _plan(sc, ell), Fraction(eps)
     draw = sampler._labeled_reader(sc, ell.k, labels)
@@ -463,8 +469,9 @@ def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None):
 
     if cls is not None:
         target += min(map(total, cls))
-    wins = 0
+    wins, r = 0, A.r(m)
     for rng, x, y in draw(map(sampler.stream, repeat(seed), range(trials)), m):
-        if total(A(x, y, rng.randrange(A.r(m)))) <= target:
+        # nothing reads a trial's stream after its index: with one, it is 0
+        if total(A(x, y, rng.randrange(r) if r != 1 else 0)) <= target:
             wins += 1
     return Fraction(wins, trials)

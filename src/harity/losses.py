@@ -136,7 +136,8 @@ def law_plan(mu, k, mu2):
     hash by template and compare by weights, so equal measures share one
     cached law; mu2 has no default, so every call keys it alike.  Eight laws
     are kept: the largest any benchmark workload builds (324 atoms, given
-    mu') holds about 290 KiB, so all eight hold under 2.5 MiB."""
+    mu') holds about 195 KiB, its pullbacks sharing their keys, so all eight
+    hold under 1.6 MiB."""
     t = mu.template
     (m, orbit), pull = t.domain(k), t.pull
     law = list(sampler.joint_law(mu, m, mu2))

@@ -14,14 +14,20 @@ departization laws.  Outside ``fastpath`` one decoder reads the streams,
 ``_read`` over a cached ``_layout``: it decodes every coordinate once, one
 decode per ground space, and codes each unit by the law atom its point is.
 The checks count the codes a block of trials at a time (``_atom_counts``,
-one trials x atoms matrix per block) and the PAC sweep rebuilds each trial's
-(x, y) from a block's codes (``_labeled_reader``), y gathered from F's
-labels at each atom, so no check or PAC sweep draws a dict sample or calls F
-in its trial loop.  ``exact_read`` is ``_read``'s exact twin: every atom of
-mu (x) mu' with its integer mass and its units' codes, which the
-departization laws read.
+one trials x atoms matrix per block), and the PAC sweep's reader
+(``_labeled_reader``) yields each trial's (x, y) as two ``ArraySample``s
+backed by its block's rows: x's values in ``_units``' ``coords`` order, and
+y's label ids in its ``keys`` order, gathered from F's labels at each atom.
+So no check or PAC sweep draws a dict sample or calls F in its trial loop.
+An array reader (the ERM) takes a sample's row through ``values``, which
+reads any other sample key by key; a key reader gets the array sample's
+Mapping view, which builds its dict once, on first read.  ``exact_read`` is
+``_read``'s exact twin: every atom of mu (x) mu' with its integer mass and
+its units' codes, which the departization laws read.
 """
 
+import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,8 +47,6 @@ EXACT_LAW_CAP = 10**6
 
 def stream(seed, trial=0):
     """Deterministic per-trial RNG stream."""
-    import random
-
     return random.Random(f"{seed}/{trial}")
 
 
@@ -226,22 +230,89 @@ def _atom_counts(sc, k, rngs, m):
         yield _row_counts(_read(layout, u)[1], layout.atoms), layout.at.shape[1]
 
 
+class ArraySample(Mapping):
+    """A read-only sample, x or y, of size m, backed by one row of a
+    reader's block: x's values at ``keys`` (a ``_units`` entry's
+    ``coords``), in order, or y's label ids into ``alphabet`` at a
+    ``_units`` entry's ``keys``.  ``values`` hands an array reader the row
+    itself; a reader by key gets a dict built once, on first read."""
+
+    __slots__ = ("m", "_keys", "_row", "_alphabet", "_dict")
+
+    def __init__(self, m, keys, row, alphabet=None):
+        self.m, self._keys, self._row, self._alphabet = m, keys, row, alphabet
+        self._dict = None
+
+    def _items(self):
+        if self._dict is None:
+            row = self._row.tolist()
+            if self._alphabet is not None:
+                row = map(self._alphabet.__getitem__, row)
+            self._dict = dict(zip(self._keys, row))
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._items()[key]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def items(self):
+        return self._items().items()
+
+
+def values(sample, keys, index=None, relabels=None):
+    """A sample's values at keys, in order, as an int array, or given index
+    (a dict from label to id), each value's id.  An ``ArraySample`` laid out
+    over these keys gives its stored row, y's ids mapped to index's by one
+    small array per alphabet, kept in the caller's dict relabels; any other
+    sample is read key by key.  A value missing from index raises KeyError
+    either way."""
+    if type(sample) is ArraySample and sample._keys is keys:
+        row, alphabet = sample._row, sample._alphabet
+        if index is None and alphabet is None:
+            return row
+        if index is not None and alphabet is not None:
+            if alphabet not in relabels:
+                ids = np.array([index.get(a, -1) for a in alphabet], int)
+                relabels[alphabet] = ids, bool((ids < 0).any())
+            relabel, missing = relabels[alphabet]
+            ids = relabel[row]
+            if missing and (ids < 0).any():
+                raise KeyError(alphabet[row[ids.argmin()]])
+            return ids
+    read = map(sample.__getitem__, keys)
+    if index is not None:
+        read = map(index.__getitem__, read)
+    return np.fromiter(read, int, len(keys))
+
+
 def _labeled_reader(sc, k, labels):
     """draw(rngs, m) -> each rng with (x, y), the sample ``labeled_sample``
-    draws from it, bit for bit, given F's labels over each atom's orbit
-    (``losses.plan``'s), holding one block of rngs at a time: x is the decoded
-    coordinates, and y over a unit's orbit is the labels of the atom the
-    unit's code names.  F is never called."""
-    blocks = np.fromiter(chain.from_iterable(labels), object).reshape(len(labels), -1)
+    draws from it, bit for bit, as two ``ArraySample``s, given F's labels
+    over each atom's orbit (``losses.plan``'s), holding one block of rngs at
+    a time: x is the decoded coordinates, and y over a unit's orbit is the
+    ids of the labels of the atom the unit's code names.  F is never
+    called."""
+    code = {}  # each label's id, in the order the atoms first show it
+    ids = [code.setdefault(a, len(code)) for a in chain.from_iterable(labels)]
+    ids, alphabet = np.fromiter(ids, int).reshape(len(labels), -1), tuple(code)
 
     def draw(rngs, m):
         layout, units = _layout(sc.mu, sc.mu2, k, m), _units(sc.mu.template, k, m)
         read, rngs = tee(rngs)
         for u in _uniform_blocks(read, layout.n):
-            values, codes = _read(layout, u)  # x''s values come last
-            ys = blocks[codes[:, units.unit], units.slot].tolist()
-            for rng, x, y in zip(islice(rngs, len(u)), values.tolist(), ys):
-                yield rng, dict(zip(units.coords, x)), dict(zip(units.keys, y))
+            xs, codes = _read(layout, u)  # x''s values come last
+            ys = ids[codes[:, units.unit], units.slot]
+            xs.setflags(write=False)  # the samples' rows
+            ys.setflags(write=False)
+            for rng, x, y in zip(islice(rngs, len(u)), xs[:, : len(units.coords)], ys):
+                yield rng, ArraySample(m, units.coords, x), ArraySample(
+                    m, units.keys, y, alphabet
+                )
 
     return draw
 

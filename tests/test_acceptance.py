@@ -30,7 +30,6 @@ from harity.hypotheses import (
     constant_hypothesis,
     partize_hypothesis,
     pattern,
-    star_partite,
 )
 
 
@@ -273,54 +272,25 @@ def test_criterion_09_clean_subsets():
 
 
 def test_criterion_10_rank2_pac():
+    # the library's PAC sweep: its own sampler, streams and ERM
+    started = time.time()
     eps = delta = Fraction(1, 5)
     m_pac = learners.infvcn_m_pac(float(eps), float(delta))
     m = math.ceil(m_pac)
-    cls = families.highorder_family(8).cls
-    n = 8
-    v_star = frozenset({0, 2, 3, 5, 7})
-
-    def fast_v_hat(x2, x12):
-        eq = x12 == x2[None, :]
-        witnessed = {int(v) for v in np.unique(x12[eq])}
-        return frozenset(v for v in witnessed if v in v_star)
-
-    trials = 400
-    rng = np.random.default_rng(20260826)
-    successes = 0
-    for _ in range(trials):
-        x2 = rng.integers(0, n, m)
-        x12 = rng.integers(0, n, (m, m))
-        loss = Fraction(len(v_star - fast_v_hat(x2, x12)), n * n)
-        if loss <= eps:
-            successes += 1
-    freq = successes / trials
-    need = 1 - float(delta) - 3 * _sigma(trials)
-
-    # cross-check the fast rule against the generic class ERM on small samples
-    mu = templates.uniform_partite_prob(cls.template)
+    cls, A, _ = learners.infvcn_learner(8)
     F = next(H for H in cls.members if H.name == "ho[0, 2, 3, 5, 7]")
-    A = learners.erm(cls, losses.zero_one_loss(cls.labels, 2))
-    agree = True
-    for t in range(20):
-        r = sampler.stream("c10-xc", t)
-        x = sampler.sample_partite_config(mu, 3, r)
-        y = star_partite(F, x, 3)
-        H = A(x, y)
-        x2 = np.array([x[((2, j),)] for j in range(1, 4)])
-        x12 = np.array(
-            [[x[((1, i), (2, j))] for j in range(1, 4)] for i in range(1, 4)]
-        )
-        v_hat = fast_v_hat(x2, x12)
-        for v in range(n):
-            xx = {((1, 1),): 0, ((2, 1),): v, ((1, 1), (2, 1)): v}
-            agree = agree and H(xx) == (1 if v in v_hat else 0)
-    ok = m == 201 and m <= 1000 and freq >= need and agree
+    sc = sampler.Scenario(templates.uniform_prob(cls.template), F)
+    ell = losses.zero_one_loss(cls.labels, 2)
+    trials = 400
+    freq = learners.estimate_pac_success(A, sc, ell, m, eps, trials, "c10")
+    need = 1 - float(delta) - 3 * _sigma(trials)
+    elapsed = time.time() - started
+    ok = m == 201 and m <= 1000 and freq >= need and elapsed < 15
     _report(
         10,
         ok,
-        f"m = ceil({m_pac:.2f}) = {m} <= 1000, freq {freq:.3f} >= {need:.3f}, "
-        "fast ERM == generic ERM",
+        f"m = ceil({m_pac:.2f}) = {m} <= 1000, freq {float(freq):.3f} >= {need:.3f}, "
+        f"{elapsed:.2f}s (< 15s)",
     )
 
 

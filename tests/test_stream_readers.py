@@ -8,7 +8,10 @@ its checks and its PAC sweep read samples by unit code only.
 ``reductions.py`` names no ``star``: its exact laws read F's labels by unit
 code too.  mu's exact law is cached where it is built (``losses.law_plan``),
 so no caller outside the modules that read it (``LAW_READERS``) names it to
-build and pass it on."""
+build and pass it on.  Only ``sampler.py`` builds an ``ArraySample`` or reads
+its rows (``ROW_FIELDS``): every other module reads a sample through
+``sampler.values`` or the Mapping view, and names the type only to test a
+sample's type (``type(x) is sampler.ArraySample``)."""
 
 import ast
 from pathlib import Path
@@ -18,6 +21,7 @@ EXEMPT = ("sampler.py", "fastpath.py")
 READERS = ("_uniform_blocks", "_decode", "_support")
 DICT_SAMPLERS = ("labeled_sample", "star")  # no learner names these
 LAW_READERS = ("fastpath.py", "learners.py", "losses.py")  # the modules naming law_plan
+ROW_FIELDS = ("_keys", "_row", "_alphabet", "_dict", "_items")  # an ArraySample's insides
 
 
 def stream_readers(tree, names=READERS):
@@ -100,3 +104,49 @@ def test_the_check_sees_a_planted_law():
         "def g(mu):\n    law_plan = mu\n    return law_plan\n",
     ):
         assert stream_readers(ast.parse(source), ("law_plan",)) == {"law_plan"}
+
+
+def array_sample_uses(tree):
+    """Where a module builds an ArraySample or reads its rows: each use of
+    the type other than as the right side of ``type(...) is``, and each
+    attribute read of ``ROW_FIELDS``."""
+    tests = {
+        id(n.comparators[0])
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Compare)
+        and isinstance(n.ops[0], (ast.Is, ast.IsNot))
+        and isinstance(n.left, ast.Call)
+        and getattr(n.left.func, "id", None) == "type"
+    }
+    found = set()
+    for n in ast.walk(tree):
+        name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+        if isinstance(n, ast.alias):
+            name = n.name
+        if name == "ArraySample" and id(n) not in tests:
+            found.add("ArraySample")
+        elif isinstance(n, ast.Attribute) and n.attr in ROW_FIELDS:
+            found.add(n.attr)
+    return found
+
+
+def test_only_the_sampler_builds_or_reads_array_samples():
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "sampler.py"
+        for name in array_sample_uses(ast.parse(path.read_text()))
+    }
+    assert sorted(found) == []
+
+
+def test_the_check_sees_a_planted_array_sample():
+    tree = ast.parse(
+        "from .sampler import ArraySample\n"
+        "def f(m, keys, row):\n    return sampler.ArraySample(m, keys, row)\n"
+        "def g(y):\n    return y._row, y._alphabet\n"
+        "def h(x):\n    return x._items()\n"
+    )
+    assert array_sample_uses(tree) == {"ArraySample", "_row", "_alphabet", "_items"}
+    allowed = "def size(x):\n    return x.m if type(x) is sampler.ArraySample else 0\n"
+    assert array_sample_uses(ast.parse(allowed)) == set()

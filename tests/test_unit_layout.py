@@ -1,9 +1,10 @@
 """Properties of the readers that share ``sampler._units``, the one layout of
 a sample's units, over random scenarios in both settings: the PAC sweep's
-reader, the checks' trial losses, the ERM, and the exact totals.  Each
-property compares a route with the dict-sample or brute-force reference on
-every draw of ``scenarios()``; the named instances in ``test_learners``
-(``UNIT_CODE_INSTANCES``, ``_k2_instances``) stay as regressions."""
+reader, the checks' trial losses, the ERM, the PAC sweep itself, and the
+exact totals.  Each property compares a route with the dict-sample or
+brute-force reference on every draw of ``scenarios()``; the named instances
+in ``test_learners`` (``UNIT_CODE_INSTANCES``, ``_k2_instances``) stay as
+regressions."""
 
 import math
 import random
@@ -13,7 +14,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harity import fastpath, indexing, learners, losses, sampler, templates
+from harity import families, fastpath, indexing, learners, losses, sampler, templates
 from harity.hypotheses import Hypothesis, HypothesisClass
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -160,6 +161,22 @@ def test_erm_is_the_first_argmin(instance, extra):
 
 
 @PROPERTY
+@given(scenarios(), st.integers(0, 2), st.integers(0, 2))
+def test_pac_sweep_equals_the_dict_route(instance, extra, j):
+    # the array route (the reader's samples, the ERM reading their rows)
+    # against labeled_sample's dicts, the ERM reading them by key, and the
+    # exact totals; the target is a member's total, so the ERM's pick counts
+    sc, cls, ell = instance
+    m, A = _size(sc, ell, extra), learners.erm(cls, ell)
+    total = losses.totals(sc.mu, sc.F, losses.wrap_agnostic(ell) if sc.mu2 else ell, sc.mu2)
+    eps = total(cls.members[j % len(cls.members)])
+    wins = sum(
+        total(A(*sampler.labeled_sample(sc, m, r), 0)) <= eps for r in _streams("pac", 6)
+    )
+    assert learners.estimate_pac_success(A, sc, ell, m, eps, 6, "pac") == Fraction(wins, 6)
+
+
+@PROPERTY
 @given(scenarios())
 def test_totals_equal_the_brute_force_sum(instance):
     # each atom's mass is rebuilt from mu's (and mu''s) weights coordinate by
@@ -183,6 +200,52 @@ def test_totals_equal_the_brute_force_sum(instance):
     for H in cls.members:
         expected = sum(p * Fraction(ell(x, t.label(H, x), y)) for x, y, p in atoms)
         assert total(H) == expected
+
+
+@PROPERTY
+@given(scenarios(), st.integers(0, 2))
+def test_the_erm_reads_an_array_sample_by_its_rows(instance, extra):
+    # with the view's dict build refused, the ERM and sample_size read the
+    # reader's samples as they read labeled_sample's dicts; the views read
+    # as those dicts, in order, and the rows behind them are read-only
+    sc, cls, ell = instance
+    m, A = _size(sc, ell, extra), learners.erm(cls, ell)
+    draw = sampler._labeled_reader(sc, ell.k, learners._plan(sc, ell)[2])
+    got = [(x, y) for _, x, y in draw(_streams("rows"), m)]
+    coords = sampler._units(sc.mu.template, ell.k, m).coords
+    assert not any(sampler.values(x, coords).flags.writeable for x, _ in got)
+    refuse = AssertionError("a key was read")
+    with mock.patch.object(sampler.ArraySample, "_items", side_effect=refuse):
+        picked = [A(x, y) for x, y in got]
+        sizes = [learners.sample_size(x) for x, _ in got]
+    for (x, y), r, H, size in zip(got, _streams("rows"), picked, sizes):
+        x0, y0 = sampler.labeled_sample(sc, m, r)
+        assert H is A(dict(x), dict(y)) and size == learners.sample_size(x0)
+        assert list(x.items()) == list(x0.items()) and x == x0
+        assert list(y.items()) == list(y0.items()) and y == y0
+
+
+def test_a_label_the_loss_lacks_is_refused_on_either_route():
+    # F labels matched pairs 2, which the 0/1 loss over (0, 1) lacks: on each
+    # sample the ERM raises KeyError on the reader's arrays iff on the dicts
+    match = families.matching_family(2).cls
+    G = match.members[-1]
+    F = Hypothesis(2, G.template, (0, 2), lambda x: 2 * G(x))
+    sc = sampler.Scenario(templates.uniform_prob(match.template), F)
+    ell = losses.zero_one_loss((0, 1), 2)
+    A = learners.erm(match, ell)
+    draw = sampler._labeled_reader(sc, 2, learners._plan(sc, ell)[2])
+    outcomes = []
+    for (_, x, y), r in zip(draw(_streams("missing", 12), 3), _streams("missing", 12)):
+        routes = []
+        for sample in ((x, y), sampler.labeled_sample(sc, 3, r)):
+            try:
+                routes.append(A(*sample) is not None)
+            except KeyError as e:
+                routes.append(e.args)
+        assert routes[0] == routes[1]
+        outcomes.append(routes[0])
+    assert (2,) in outcomes and True in outcomes
 
 
 # ---------------------------------------------------------------------------
