@@ -4,6 +4,7 @@ adversary maps.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -54,12 +55,21 @@ class ShatteredScenario:
             )
         return self._built[Bf]
 
+    @cached_property
+    def _ids(self):
+        """Label ids, f1's at each point, and ``erm``'s relabel arrays."""
+        index = {v: i for i, v in enumerate(self.labels)}
+        return index, [index[self.f1(a)] for a in range(self.d)], {}
+
     def erm(self, x, y):
-        """F_B for the points that some witness carries with its f1-label."""
-        point = {i: v for (i,), v in x.items()}  # each vertex's point
-        return self.hypothesis(
-            {point[i] for (i,), label in y.items() if label == self.f1(point[i])}
-        )
+        """F_B for the points that some witness carries with its f1-label,
+        x and y read through ``sampler.values`` over the sample's unit
+        layout, y as ids into ``labels`` (every F_B's)."""
+        units = sampler._units(self.template, 1, learners.sample_size(x))
+        index, f1, relabels = self._ids
+        points = sampler.values(x, units.coords)[units.at[:, 0]][units.unit].tolist()
+        ys = sampler.values(y, units.keys, index, relabels).tolist()
+        return self.hypothesis({a for a, b in zip(points, ys) if b == f1[a]})
 
 
 # the no-free-lunch search tries every B (2^d of them) up to this size
@@ -89,8 +99,9 @@ def nfl_worst_F(A, sc, m, eps, trials, seed, search_trials=100):
     0/1 loss, with a final measurement at the full trial count.  Exhaustive
     over B for d <= EXPLICIT_CAP, otherwise a seeded random batch (the
     averaging argument makes a random B faithful).  Only F_B varies, so
-    every measurement reads mu's one cached law.  The F_B that the search
-    builds are dropped when it returns."""
+    one ``learners.pac_successes`` call reads mu's one cached law and every
+    candidate's trials in one reader pass, and a second measures the worst
+    B.  The F_B that the search builds are dropped when it returns."""
     ell = losses.zero_one_loss(sc.labels, 1)
     d = sc.d
     if d <= EXPLICIT_CAP:
@@ -104,19 +115,15 @@ def nfl_worst_F(A, sc, m, eps, trials, seed, search_trials=100):
             for _ in range(NFL_RANDOM_BATCH)
         ]
 
-    def failure_freq(B, n, tag):
-        scen = sampler.Scenario(sc.mu, sc.hypothesis(B))
-        return 1 - learners.estimate_pac_success(
-            A, scen, ell, m, eps, n, f"{seed}/{tag}"
-        )
-
-    best = None
     try:
-        for i, B in enumerate(candidates):
-            freq = failure_freq(B, search_trials, f"search/{i}")
-            if best is None or freq > best[0]:
-                best = (freq, B)
-        return best[1], failure_freq(best[1], trials, "final")
+        scenarios = [sampler.Scenario(sc.mu, sc.hypothesis(B)) for B in candidates]
+        tags = [f"{seed}/search/{i}" for i in range(len(candidates))]
+        wins = learners.pac_successes(A, scenarios, ell, m, eps, search_trials, tags)
+        worst = wins.index(min(wins))  # the first of the most failures
+        final = learners.pac_successes(
+            A, scenarios[worst : worst + 1], ell, m, eps, trials, [f"{seed}/final"]
+        )
+        return candidates[worst], 1 - final[0]
     finally:
         sc._built.clear()  # no F_B outlives its search
 

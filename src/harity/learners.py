@@ -21,10 +21,11 @@ context, or by the unit codes ``sampler._atom_counts`` counts), and the
 trials x atoms count matrix is multiplied once by the members' integer plan
 rows, which also pick the route.  The checks compare those integer sums with
 the exact totals over one common denominator (``_deviations``), so a trial
-builds no ``Fraction``.  ``estimate_pac_success`` reads its samples by the
-same unit codes, a block of trials at a time (``sampler._labeled_reader``),
-as array samples with y's label ids gathered from the plan's labels of F at
-each atom, so no check or PAC sweep draws a dict sample.
+builds no ``Fraction``.  ``pac_successes`` reads the samples of scenarios
+that vary only F by the same unit codes, every target's trials in one block
+reader pass (``sampler._labeled_reader``), as array samples with y's label
+ids gathered from each target's plan labels at each atom, so no check or PAC
+sweep draws a dict sample; ``estimate_pac_success`` is its one-target call.
 """
 
 import math
@@ -441,37 +442,48 @@ def infvcn_learner(n_max):
 # PAC success estimation
 
 
-def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None):
-    """Monte Carlo frequency of trials whose learned hypothesis has total
-    loss <= eps or, given ``cls``, <= inf + eps (agnostic, exact infimum over
-    ``cls``).  mu's law is ``losses.law_plan``'s, cached by the measures, so
-    callers that vary only F or m enumerate it once.  Each returned member's
-    total is computed once per call.
-
-    No check or PAC sweep draws a dict sample: each trial's (x, y) is
-    ``sampler._labeled_reader``'s pair of array samples, x decoded a block
-    of trials at a time and y's label ids gathered from the plan's labels of
-    F at the atom each unit's code names, so F is read once per atom per
-    call and never in the trial loop.  A trial's randomness index is then
-    drawn from its own stream, which nothing reads afterwards, so a learner
-    with one index gets 0 without a draw."""
+def pac_successes(A, scenarios, ell, m, eps, trials, seeds, cls=None):
+    """Each scenario's Monte Carlo frequency of trials whose learned
+    hypothesis has total loss <= eps or, given ``cls``, <= inf + eps
+    (agnostic, exact infimum over ``cls``), scenario i's trials reading
+    ``sampler.stream(seeds[i], t)``.  The scenarios share mu and mu' (one
+    cached ``losses.law_plan``) and vary only F, read once per target, and
+    each returned member's total is computed once per target.  One
+    ``sampler._labeled_reader`` pass reads every target's trials as array
+    samples, so no dict sample is drawn.  A trial's randomness index is then
+    drawn from its own stream; with one index it is 0, and no stream is
+    kept.  Refused before any stream is read: no scenario, a seed count
+    other than theirs, mu or mu' not shared, trials < 1."""
     _refuse_no_trials(trials)
-    (row, weigh, labels), target = _plan(sc, ell), Fraction(eps)
-    draw = sampler._labeled_reader(sc, ell.k, labels)
-    # id(H) -> (H, its total); holding H keeps its id from being reused.  Not
-    # keyed by H: members that differ only in fn compare equal
-    seen = {}
+    if not scenarios or len(seeds) != len(scenarios):
+        raise ValueError(f"need scenarios, one seed each: {len(seeds)} for {len(scenarios)}")
+    if any((sc.mu, sc.mu2) != (scenarios[0].mu, scenarios[0].mu2) for sc in scenarios):
+        raise ValueError("the scenarios must share mu and mu'")
+    rows, weighs, labels = zip(*(_plan(sc, ell) for sc in scenarios))
+    draw = sampler._labeled_reader(scenarios[0], ell.k, *labels)
+    del labels  # the reader keeps them stacked as ids
+    # per target, id(H) -> (H, its total); holding H keeps its id from being
+    # reused.  Not keyed by H: members that differ only in fn compare equal
+    seen = [{} for _ in rows]
 
-    def total(H):
-        if id(H) not in seen:
-            seen[id(H)] = H, weigh(row(H))
-        return seen[id(H)][1]
+    def total(i, H):
+        if id(H) not in seen[i]:
+            seen[i][id(H)] = H, weighs[i](rows[i](H))
+        return seen[i][id(H)][1]
 
+    bars = [Fraction(eps)] * len(rows)
     if cls is not None:
-        target += min(map(total, cls))
-    wins, r = 0, A.r(m)
-    for rng, x, y in draw(map(sampler.stream, repeat(seed), range(trials)), m):
+        bars = [bar + min(total(i, H) for H in cls) for i, bar in enumerate(bars)]
+    wins, r = [0] * len(rows), A.r(m)
+    targets = [i for i in range(len(rows)) for _ in range(trials)]
+    rngs = chain.from_iterable(map(sampler.stream, repeat(s), range(trials)) for s in seeds)
+    for i, (rng, x, y) in zip(targets, draw(rngs, m, targets, r != 1)):
         # nothing reads a trial's stream after its index: with one, it is 0
-        if total(A(x, y, rng.randrange(r) if r != 1 else 0)) <= target:
-            wins += 1
-    return Fraction(wins, trials)
+        if total(i, A(x, y, rng.randrange(r) if r != 1 else 0)) <= bars[i]:
+            wins[i] += 1
+    return [Fraction(w, trials) for w in wins]
+
+
+def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None):
+    """``pac_successes`` on one scenario and its seed."""
+    return pac_successes(A, [sc], ell, m, eps, trials, [seed], cls)[0]

@@ -17,7 +17,7 @@ The checks count the codes a block of trials at a time (``_atom_counts``,
 one trials x atoms matrix per block), and the PAC sweep's reader
 (``_labeled_reader``) yields each trial's (x, y) as two ``ArraySample``s
 backed by its block's rows: x's values in ``_units``' ``coords`` order, and
-y's label ids in its ``keys`` order, gathered from F's labels at each atom.
+y's label ids in its ``keys`` order, gathered from its target F's labels.
 So no check or PAC sweep draws a dict sample or calls F in its trial loop.
 An array reader (the ERM) takes a sample's row through ``values``, which
 reads any other sample key by key; a key reader gets the array sample's
@@ -31,7 +31,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, tee
+from itertools import chain, islice, repeat, tee
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -290,23 +290,34 @@ def values(sample, keys, index=None, relabels=None):
     return np.fromiter(read, int, len(keys))
 
 
-def _labeled_reader(sc, k, labels):
-    """draw(rngs, m) -> each rng with (x, y), the sample ``labeled_sample``
-    draws from it, bit for bit, as two ``ArraySample``s, given F's labels
-    over each atom's orbit (``losses.plan``'s), holding one block of rngs at
-    a time: x is the decoded coordinates, and y over a unit's orbit is the
-    ids of the labels of the atom the unit's code names.  F is never
-    called."""
+def _labeled_reader(sc, k, *labels):
+    """draw(rngs, m, targets=None, keep=True) -> each rng with (x, y), the
+    sample ``labeled_sample`` draws from it, bit for bit, as two
+    ``ArraySample``s, given each target F's labels over each atom's orbit
+    (``losses.plan``'s), holding one block of rngs at a time: x is the
+    decoded coordinates, and y over a unit's orbit is the ids, under one
+    alphabet, of the labels of the atom the unit's code names under the
+    rng's target (``targets[i]``, needed with several targets).  F is never
+    called.  With keep False, None stands in for each rng, dropped once
+    read."""
     code = {}  # each label's id, in the order the atoms first show it
-    ids = [code.setdefault(a, len(code)) for a in chain.from_iterable(labels)]
-    ids, alphabet = np.fromiter(ids, int).reshape(len(labels), -1), tuple(code)
+    ids = [code.setdefault(a, len(code)) for a in chain.from_iterable(chain(*labels))]
+    ids, alphabet = np.fromiter(ids, int).reshape(-1, len(labels[0][0])), tuple(code)
+    atoms, several = len(labels[0]), len(labels) > 1  # draw holds the ids alone
 
-    def draw(rngs, m):
+    def draw(rngs, m, targets=None, keep=True):
         layout, units = _layout(sc.mu, sc.mu2, k, m), _units(sc.mu.template, k, m)
-        read, rngs = tee(rngs)
+        read, rngs = tee(rngs) if keep else (rngs, repeat(None))
+        # each rng's offset into the stacked ids: its target's first atom
+        offsets = atoms * np.asarray(targets) if several else None
+        start = 0
         for u in _uniform_blocks(read, layout.n):
             xs, codes = _read(layout, u)  # x''s values come last
-            ys = ids[codes[:, units.unit], units.slot]
+            codes = codes[:, units.unit]
+            if offsets is not None:
+                codes += offsets[start : start + len(u), None]
+            start += len(u)
+            ys = ids[codes, units.slot]
             xs.setflags(write=False)  # the samples' rows
             ys.setflags(write=False)
             for rng, x, y in zip(islice(rngs, len(u)), xs[:, : len(units.coords)], ys):

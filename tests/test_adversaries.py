@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 
@@ -71,6 +72,42 @@ def test_nfl_hypotheses_are_built_once_per_b(monkeypatch):
     # B' is one of the 4 subsets of {0, 3}; only B' = B has loss <= 1/10
     assert len(rows) == 4 and freq == Fraction(8, 25)
     assert sc.hypothesis([3, 0]) is sc.hypothesis({0, 3})
+
+
+def test_the_shattered_erm_reads_an_array_sample_by_its_rows():
+    # with the view's dict build refused, the ERM picks from the reader's
+    # rows the F_B it picks from labeled_sample's dicts; the labels are in
+    # another order than the reader's alphabet shows them
+    sc = adversaries.shattered_scenario(
+        5, ("a", "b", "c"), lambda a: "abc"[a % 3], lambda a: "abc"[(a + 1) % 3]
+    )
+    ell = losses.zero_one_loss(sc.labels, 1)
+    refuse = AssertionError("a key was read")
+    for B, m in product(({1, 4}, {0, 2, 3}), (0, 1, 3, 6)):
+        scen = sampler.Scenario(sc.mu, sc.hypothesis(B))
+        draw = sampler._labeled_reader(scen, 1, learners._plan(scen, ell)[2])
+        streams = [sampler.stream(("erm", m), t) for t in range(8)]
+        got = [(x, y) for _, x, y in draw(streams, m)]
+        with mock.patch.object(sampler.ArraySample, "_items", side_effect=refuse):
+            picked = [sc.erm(x, y) for x, y in got]
+        for H, t in zip(picked, range(8)):
+            x0, y0 = sampler.labeled_sample(scen, m, sampler.stream(("erm", m), t))
+            point = {i: v for (i,), v in x0.items()}
+            carried = {point[i] for (i,), v in y0.items() if v == sc.f1(point[i])}
+            assert H is sc.erm(x0, y0) is sc.hypothesis(carried)
+
+
+def test_nfl_search_reads_its_trials_in_two_passes(monkeypatch):
+    # every candidate B's trials in one reader pass, then the final
+    # measurement of the worst B in another
+    built, reader = [], sampler._labeled_reader
+    monkeypatch.setattr(
+        sampler, "_labeled_reader", lambda sc, k, *labels: built.append(len(labels)) or reader(sc, k, *labels)
+    )
+    sc = adversaries.shattered_scenario(6)
+    A = adversaries.erm_learner(sc)
+    adversaries.nfl_worst_F(A, sc, 3, Fraction(1, 10), 20, "passes", search_trials=2)
+    assert built == [64, 1]
 
 
 def test_nfl_search_keeps_no_hypothesis():

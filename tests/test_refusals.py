@@ -4,11 +4,13 @@ raises a ValueError with its message, before anything large is built."""
 
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 
-from harity import cli, dims, families, learners, reductions, templates
+from harity import cli, dims, families, learners, losses, reductions, sampler, templates
+from harity.hypotheses import Hypothesis
 
 
 @pytest.mark.parametrize(
@@ -100,3 +102,46 @@ def _half():
 def test_library_refusals(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def _pac_refusal(case):
+    """The arguments of a ``pac_successes`` call that ``case`` refuses."""
+    t = templates.Template(1, (2,))
+    mu, other = templates.uniform_prob(t), templates.ProbTemplate(t, ((Fraction(1, 3), Fraction(2, 3)),))
+    F = Hypothesis(1, t, (0, 1), lambda x: x[(1,)])
+    Fj = Hypothesis(1, templates.product_template(t, t), (0, 1), lambda x: x[(1,)])
+    plain, joined = sampler.Scenario(mu, F), sampler.Scenario(mu, Fj, mu2=mu)
+    targets, seeds, trials = [plain, plain], ["a", "b"], 3
+    if case == "mu-differs":
+        targets = [plain, sampler.Scenario(other, F)]
+    elif case == "mu2-differs":
+        targets = [joined, sampler.Scenario(mu, Fj, mu2=other)]
+    elif case == "mu2-missing":
+        targets = [joined, sampler.Scenario(mu, Fj)]
+    elif case == "no-target":
+        targets, seeds = [], []
+    elif case == "seed-count":
+        seeds = ["a"]
+    else:
+        trials = 0
+    A = learners.Learner(1, lambda x, y, b: F, lambda m: 1)
+    return A, targets, losses.zero_one_loss((0, 1), 1), 2, 0, trials, seeds
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("mu-differs", "must share mu and mu'"),
+        ("mu2-differs", "must share mu and mu'"),
+        ("mu2-missing", "must share mu and mu'"),
+        ("no-target", "need scenarios, one seed each: 0 for 0"),
+        ("seed-count", "need scenarios, one seed each: 1 for 2"),
+        ("no-trials", "trials must be at least 1"),
+    ],
+)
+def test_pac_successes_refuses_before_reading_a_stream(case, message, monkeypatch):
+    refuse = AssertionError("a stream was read")
+    monkeypatch.setattr(sampler, "stream", mock.Mock(side_effect=refuse))
+    monkeypatch.setattr(sampler, "_labeled_reader", mock.Mock(side_effect=refuse))
+    with pytest.raises(ValueError, match=message):
+        learners.pac_successes(*_pac_refusal(case))

@@ -176,6 +176,54 @@ def test_pac_sweep_equals_the_dict_route(instance, extra, j):
     assert learners.estimate_pac_success(A, sc, ell, m, eps, 6, "pac") == Fraction(wins, 6)
 
 
+def _hashing_learner(cls):
+    """A learner with two randomness indices that picks a member by a hash
+    of the sample, read by key, and of b."""
+
+    def fn(x, y, b):
+        return cls.members[hash((tuple(x.items()), tuple(y.items()), b)) % len(cls.members)]
+
+    return learners.Learner(cls.k, fn, lambda m: 2, name="hashing")
+
+
+@PROPERTY
+@given(
+    scenarios(),
+    st.integers(0, 2),
+    st.integers(2, 3),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.booleans(),
+)
+def test_pac_successes_equal_a_loop_per_target(instance, extra, n, seed, agnostic, randomized):
+    # 2 or 3 targets sharing mu (and mu'), each against the reference loop
+    # labeled_sample -> A -> losses.totals on its own streams; the ERM, or a
+    # learner that hashes the sample and its index b, reads every y, so a
+    # row labeled by another target's F shows in the frequencies
+    sc, cls, ell = instance
+    m, rng = _size(sc, ell, extra), random.Random(seed)
+    targets = [sc] + [
+        sampler.Scenario(sc.mu, _hashed(ell.k, sc.F.template, cls.labels, rng.random(), False), sc.mu2)
+        for _ in range(n - 1)
+    ]
+    A = _hashing_learner(cls) if randomized else learners.erm(cls, ell)
+    agnostic_ell = losses.wrap_agnostic(ell) if sc.mu2 else ell
+    totals = [losses.totals(t.mu, t.F, agnostic_ell, t.mu2) for t in targets]
+    eps = Fraction(0) if agnostic else totals[0](cls.members[seed % len(cls.members)])
+    seeds = [f"targets/{i}" for i in range(n)]
+    expected = []
+    for target, total, tag in zip(targets, totals, seeds):
+        bar = eps + (min(map(total, cls)) if agnostic else 0)
+        wins = 0
+        for t in range(5):
+            r = sampler.stream(tag, t)
+            x, y = sampler.labeled_sample(target, m, r)
+            wins += total(A(x, y, r.randrange(A.r(m)))) <= bar
+        expected.append(Fraction(wins, 5))
+    got = learners.pac_successes(A, targets, ell, m, eps, 5, seeds, cls if agnostic else None)
+    assert got == expected
+
+
 @PROPERTY
 @given(scenarios())
 def test_totals_equal_the_brute_force_sum(instance):
