@@ -57,18 +57,16 @@ class ShatteredScenario:
 
     @cached_property
     def _ids(self):
-        """Label ids, f1's at each point, and ``erm``'s relabel arrays."""
-        index = {v: i for i, v in enumerate(self.labels)}
-        return index, [index[self.f1(a)] for a in range(self.d)], {}
+        """f1's label id, its position in ``labels``, at each point."""
+        return [self.labels.index(self.f1(a)) for a in range(self.d)]
 
     def erm(self, x, y):
         """F_B for the points that some witness carries with its f1-label,
         x and y read through ``sampler.values`` over the sample's unit
         layout, y as ids into ``labels`` (every F_B's)."""
         units = sampler._units(self.template, 1, learners.sample_size(x))
-        index, f1, relabels = self._ids
         points = sampler.values(x, units.coords)[units.at[:, 0]][units.unit].tolist()
-        ys = sampler.values(y, units.keys, index, relabels).tolist()
+        ys, f1 = sampler.values(y, units.keys, self.labels).tolist(), self._ids
         return self.hypothesis({a for a, b in zip(points, ys) if b == f1[a]})
 
 

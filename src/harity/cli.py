@@ -28,6 +28,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import click
@@ -75,6 +76,7 @@ class Infeasible(Exception):
     pass
 
 
+@cache  # one git call per process
 def _git_describe():
     try:
         out = subprocess.run(

@@ -24,8 +24,9 @@ the exact totals over one common denominator (``_deviations``), so a trial
 builds no ``Fraction``.  ``pac_successes`` reads the samples of scenarios
 that vary only F by the same unit codes, every target's trials in one block
 reader pass (``sampler._labeled_reader``), as array samples with y's label
-ids gathered from each target's plan labels at each atom, so no check or PAC
-sweep draws a dict sample; ``estimate_pac_success`` is its one-target call.
+ids (positions in the loss's labels) gathered from each target's plan labels
+at each atom, so no check or PAC sweep draws a dict sample or renumbers y;
+``estimate_pac_success`` is its one-target call.
 """
 
 import math
@@ -84,12 +85,13 @@ def erm(cls, ell):
     loss column per key (one ``ell`` call per distinct table row over the
     orbit, and no member call) give every member's total, exactly: int64 under
     an overflow guard, else Python numbers; a float loss raises TypeError.  A
-    sample with no unit (m < k) gives member 0."""
+    sample with no unit (m < k) gives member 0.  y is read as ids, positions
+    in ell's labels (``sampler.values``), which the PAC reader's rows are."""
     if not cls.members:
         raise ValueError("class has no members")
     t, k, labels = cls.template, cls.k, ell.labels
     place, dom = templates.places(t, k), templates.domain_points(t, k)
-    ids, index, relabels = t.domain(k)[1], {v: i for i, v in enumerate(labels)}, {}
+    ids = t.domain(k)[1]
     # a unit's key in mixed radix: its point's column, then y's labels on its orbit
     digits, slots, top = [len(dom), *[len(labels)] * len(ids)], range(len(ids)), 0
     if math.prod(digits) > 2**63:
@@ -116,7 +118,7 @@ def erm(cls, ell):
         if not len(at):
             return cls.members[0]
         ys = np.empty((len(at), len(ids)), int)  # y's label ids by (unit, slot)
-        ys[unit, slot] = sampler.values(y, ykeys, index, relabels)
+        ys[unit, slot] = sampler.values(y, ykeys, labels)
         keys = sampler.values(x, coords)[at] @ wx + ys @ radix[1:]
         keys, counts = np.unique(keys, return_counts=True)
         stack = np.array([column(key) for key in keys.tolist()])
@@ -371,6 +373,8 @@ def _split(x, y, m1, m, k):
         else:
             xs = indexing.pullback(tuple(range(lo + 1, hi + 1)), x)
             index = indexing.injections(hi - lo, k)
+        if not lo:  # the prefix keeps its keys
+            return xs, {a: y[a] for a in index}
         return xs, {a: y[tuple(j + lo for j in a)] for a in index}
 
     return (*part(0, m1), *part(m1, m))
@@ -460,7 +464,7 @@ def pac_successes(A, scenarios, ell, m, eps, trials, seeds, cls=None):
     if any((sc.mu, sc.mu2) != (scenarios[0].mu, scenarios[0].mu2) for sc in scenarios):
         raise ValueError("the scenarios must share mu and mu'")
     rows, weighs, labels = zip(*(_plan(sc, ell) for sc in scenarios))
-    draw = sampler._labeled_reader(scenarios[0], ell.k, *labels)
+    draw = sampler._labeled_reader(scenarios[0], ell.k, ell.labels, *labels)
     del labels  # the reader keeps them stacked as ids
     # per target, id(H) -> (H, its total); holding H keeps its id from being
     # reused.  Not keyed by H: members that differ only in fn compare equal

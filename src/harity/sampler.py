@@ -17,7 +17,7 @@ The checks count the codes a block of trials at a time (``_atom_counts``,
 one trials x atoms matrix per block), and the PAC sweep's reader
 (``_labeled_reader``) yields each trial's (x, y) as two ``ArraySample``s
 backed by its block's rows: x's values in ``_units``' ``coords`` order, and
-y's label ids in its ``keys`` order, gathered from its target F's labels.
+y's label ids, numbered once by the loss's labels, in its ``keys`` order.
 So no check or PAC sweep draws a dict sample or calls F in its trial loop.
 An array reader (the ERM) takes a sample's row through ``values``, which
 reads any other sample key by key; a key reader gets the array sample's
@@ -233,7 +233,7 @@ def _atom_counts(sc, k, rngs, m):
 class ArraySample(Mapping):
     """A read-only sample, x or y, of size m, backed by one row of a
     reader's block: x's values at ``keys`` (a ``_units`` entry's
-    ``coords``), in order, or y's label ids into ``alphabet`` at a
+    ``coords``), in order, or y's label ids, positions in ``alphabet``, at a
     ``_units`` entry's ``keys``.  ``values`` hands an array reader the row
     itself; a reader by key gets a dict built once, on first read."""
 
@@ -264,43 +264,38 @@ class ArraySample(Mapping):
         return self._items().items()
 
 
-def values(sample, keys, index=None, relabels=None):
-    """A sample's values at keys, in order, as an int array, or given index
-    (a dict from label to id), each value's id.  An ``ArraySample`` laid out
-    over these keys gives its stored row, y's ids mapped to index's by one
-    small array per alphabet, kept in the caller's dict relabels; any other
-    sample is read key by key.  A value missing from index raises KeyError
-    either way."""
+def values(sample, keys, labels=None):
+    """A sample's values at keys, in order, as an int array, or given labels
+    (a tuple), each value's position in labels.  An ``ArraySample`` laid out
+    over these keys gives its stored row when its ids are positions in
+    labels, as the PAC reader numbers them; any other sample is read key by
+    key.  A value outside labels raises KeyError either way."""
     if type(sample) is ArraySample and sample._keys is keys:
         row, alphabet = sample._row, sample._alphabet
-        if index is None and alphabet is None:
+        if labels is None and alphabet is None:
             return row
-        if index is not None and alphabet is not None:
-            if alphabet not in relabels:
-                ids = np.array([index.get(a, -1) for a in alphabet], int)
-                relabels[alphabet] = ids, bool((ids < 0).any())
-            relabel, missing = relabels[alphabet]
-            ids = relabel[row]
-            if missing and (ids < 0).any():
-                raise KeyError(alphabet[row[ids.argmin()]])
-            return ids
+        if labels is not None and alphabet is not None and alphabet[: len(labels)] == labels:
+            if len(alphabet) > len(labels) and (extra := row >= len(labels)).any():
+                raise KeyError(alphabet[row[extra.argmax()]])
+            return row
     read = map(sample.__getitem__, keys)
-    if index is not None:
-        read = map(index.__getitem__, read)
+    if labels is not None:
+        read = map({v: i for i, v in enumerate(labels)}.__getitem__, read)
     return np.fromiter(read, int, len(keys))
 
 
-def _labeled_reader(sc, k, *labels):
+def _labeled_reader(sc, k, alphabet, *labels):
     """draw(rngs, m, targets=None, keep=True) -> each rng with (x, y), the
     sample ``labeled_sample`` draws from it, bit for bit, as two
     ``ArraySample``s, given each target F's labels over each atom's orbit
     (``losses.plan``'s), holding one block of rngs at a time: x is the
-    decoded coordinates, and y over a unit's orbit is the ids, under one
-    alphabet, of the labels of the atom the unit's code names under the
-    rng's target (``targets[i]``, needed with several targets).  F is never
-    called.  With keep False, None stands in for each rng, dropped once
-    read."""
-    code = {}  # each label's id, in the order the atoms first show it
+    decoded coordinates, and y over a unit's orbit is the ids of the labels
+    of the atom the unit's code names under the rng's target (``targets[i]``,
+    needed with several targets).  A label's id is its position in alphabet
+    (the loss's labels); a label outside it takes the next id, in the order
+    the atoms first show it.  F is never called.  With keep False, None
+    stands in for each rng, dropped once read."""
+    code = {a: i for i, a in enumerate(alphabet)}
     ids = [code.setdefault(a, len(code)) for a in chain.from_iterable(chain(*labels))]
     ids, alphabet = np.fromiter(ids, int).reshape(-1, len(labels[0][0])), tuple(code)
     atoms, several = len(labels[0]), len(labels) > 1  # draw holds the ids alone

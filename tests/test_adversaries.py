@@ -76,8 +76,8 @@ def test_nfl_hypotheses_are_built_once_per_b(monkeypatch):
 
 def test_the_shattered_erm_reads_an_array_sample_by_its_rows():
     # with the view's dict build refused, the ERM picks from the reader's
-    # rows the F_B it picks from labeled_sample's dicts; the labels are in
-    # another order than the reader's alphabet shows them
+    # rows the F_B it picks from labeled_sample's dicts; the atoms first show
+    # the labels in another order than the loss's
     sc = adversaries.shattered_scenario(
         5, ("a", "b", "c"), lambda a: "abc"[a % 3], lambda a: "abc"[(a + 1) % 3]
     )
@@ -85,7 +85,7 @@ def test_the_shattered_erm_reads_an_array_sample_by_its_rows():
     refuse = AssertionError("a key was read")
     for B, m in product(({1, 4}, {0, 2, 3}), (0, 1, 3, 6)):
         scen = sampler.Scenario(sc.mu, sc.hypothesis(B))
-        draw = sampler._labeled_reader(scen, 1, learners._plan(scen, ell)[2])
+        draw = sampler._labeled_reader(scen, 1, ell.labels, learners._plan(scen, ell)[2])
         streams = [sampler.stream(("erm", m), t) for t in range(8)]
         got = [(x, y) for _, x, y in draw(streams, m)]
         with mock.patch.object(sampler.ArraySample, "_items", side_effect=refuse):
@@ -101,9 +101,12 @@ def test_nfl_search_reads_its_trials_in_two_passes(monkeypatch):
     # every candidate B's trials in one reader pass, then the final
     # measurement of the worst B in another
     built, reader = [], sampler._labeled_reader
-    monkeypatch.setattr(
-        sampler, "_labeled_reader", lambda sc, k, *labels: built.append(len(labels)) or reader(sc, k, *labels)
-    )
+
+    def counted(sc, k, alphabet, *labels):
+        built.append(len(labels))
+        return reader(sc, k, alphabet, *labels)
+
+    monkeypatch.setattr(sampler, "_labeled_reader", counted)
     sc = adversaries.shattered_scenario(6)
     A = adversaries.erm_learner(sc)
     adversaries.nfl_worst_F(A, sc, 3, Fraction(1, 10), 20, "passes", search_trials=2)

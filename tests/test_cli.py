@@ -496,3 +496,25 @@ def test_help_lists_the_same_options(name):
         if line.strip().startswith("--")
     ]
     assert listed == HELP_OPTIONS[name] + ["--help"]
+
+
+def test_git_describe_runs_once_per_process(tmp_path, monkeypatch):
+    # two in-process CLI runs start git once between them; the summary keeps
+    # the value git printed
+    calls = []
+
+    def run(*args, **kw):
+        calls.append(args)
+        return cli.subprocess.CompletedProcess(args, 0, "v1-dirty\n", "")
+
+    cli._git_describe.cache_clear()
+    monkeypatch.setattr(cli.subprocess, "run", run)
+    try:
+        for out in ("a", "b"):
+            res = _run(["dims", "--family", "matching", "--n", "2", "--out", str(tmp_path / out)])
+            assert res.exit_code == 0, res.output
+            summary = json.loads((tmp_path / f"{out}.json").read_text())
+            assert summary["git_describe"] == "v1-dirty"
+    finally:
+        cli._git_describe.cache_clear()
+    assert len(calls) == 1

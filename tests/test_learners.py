@@ -830,7 +830,7 @@ def test_labeled_reader_draws_labeled_samples(name):
     # several streams per call: each rng beside its x, y in key order, and
     # left where labeled_sample leaves it
     sc, _, ell, ms = _pac_instance(name)
-    draw = sampler._labeled_reader(sc, ell.k, learners._plan(sc, ell)[2])
+    draw = sampler._labeled_reader(sc, ell.k, ell.labels, learners._plan(sc, ell)[2])
     for m in ms:
         coded, drawn = _streams((name, m), 5), _streams((name, m), 5)
         got = list(draw(iter(coded), m))

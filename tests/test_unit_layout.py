@@ -1,11 +1,14 @@
 """Properties of the readers that share ``sampler._units``, the one layout of
 a sample's units, over random scenarios in both settings: the PAC sweep's
 reader, the checks' trial losses, the ERM, the PAC sweep itself, and the
-exact totals.  Each property compares a route with the dict-sample or
+exact totals; and the sampling axioms, exchangeability and projectivity, on
+the exact sample law.  Each property compares a route with the dict-sample or
 brute-force reference on every draw of ``scenarios()``; the named instances
 in ``test_learners`` (``UNIT_CODE_INSTANCES``, ``_k2_instances``) stay as
 regressions."""
 
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -116,7 +119,7 @@ def _streams(seed, n=3):
 def test_labeled_reader_yields_labeled_samples(instance, extra):
     sc, _, ell = instance
     m = _size(sc, ell, extra)
-    draw = sampler._labeled_reader(sc, ell.k, learners._plan(sc, ell)[2])
+    draw = sampler._labeled_reader(sc, ell.k, ell.labels, learners._plan(sc, ell)[2])
     coded, drawn = _streams("reader"), _streams("reader")
     got = list(draw(iter(coded), m))
     assert [rng for rng, _, _ in got] == coded
@@ -258,7 +261,7 @@ def test_the_erm_reads_an_array_sample_by_its_rows(instance, extra):
     # as those dicts, in order, and the rows behind them are read-only
     sc, cls, ell = instance
     m, A = _size(sc, ell, extra), learners.erm(cls, ell)
-    draw = sampler._labeled_reader(sc, ell.k, learners._plan(sc, ell)[2])
+    draw = sampler._labeled_reader(sc, ell.k, ell.labels, learners._plan(sc, ell)[2])
     got = [(x, y) for _, x, y in draw(_streams("rows"), m)]
     coords = sampler._units(sc.mu.template, ell.k, m).coords
     assert not any(sampler.values(x, coords).flags.writeable for x, _ in got)
@@ -282,7 +285,7 @@ def test_a_label_the_loss_lacks_is_refused_on_either_route():
     sc = sampler.Scenario(templates.uniform_prob(match.template), F)
     ell = losses.zero_one_loss((0, 1), 2)
     A = learners.erm(match, ell)
-    draw = sampler._labeled_reader(sc, 2, learners._plan(sc, ell)[2])
+    draw = sampler._labeled_reader(sc, 2, ell.labels, learners._plan(sc, ell)[2])
     outcomes = []
     for (_, x, y), r in zip(draw(_streams("missing", 12), 3), _streams("missing", 12)):
         routes = []
@@ -294,6 +297,119 @@ def test_a_label_the_loss_lacks_is_refused_on_either_route():
         assert routes[0] == routes[1]
         outcomes.append(routes[0])
     assert (2,) in outcomes and True in outcomes
+
+
+@PROPERTY
+@given(scenarios(), st.integers(0, 2), st.permutations(range(3)), st.integers(0, 2))
+def test_the_reader_numbers_y_by_the_loss_labels(instance, extra, order, cut):
+    # the reader's y ids are positions in the alphabet it is given (here some
+    # of the labels, in a drawn order); a label F yields outside it takes the
+    # next id, in the order the plan's atoms first show it
+    sc, _, ell = instance
+    m, labels = _size(sc, ell, extra), learners._plan(sc, ell)[2]
+    alphabet = tuple(ell.labels[i] for i in order if i < len(ell.labels))[cut:]
+    shown = [a for a in dict.fromkeys(itertools.chain.from_iterable(labels)) if a not in alphabet]
+    draw = sampler._labeled_reader(sc, ell.k, alphabet, labels)
+    for (_, _, y), r in zip(draw(_streams("ids"), m), _streams("ids")):
+        _, y0 = sampler.labeled_sample(sc, m, r)
+        assert y._alphabet == alphabet + tuple(shown)
+        assert [y._alphabet[i] for i in y._row.tolist()] == list(y0.values())
+
+
+@PROPERTY
+@given(scenarios(), st.integers(0, 2))
+def test_a_learner_over_the_labels_in_another_order_reads_y_by_key(instance, extra):
+    # the reader numbers y by the loss's labels; an ERM whose loss lists them
+    # in another order picks on the reader's samples what it picks on
+    # labeled_sample's dicts, reading y by key and x by its row
+    sc, cls, ell = instance
+    m = _size(sc, ell, extra)
+    A = learners.erm(cls, dataclasses.replace(ell, labels=ell.labels[::-1]))
+    draw = sampler._labeled_reader(sc, ell.k, ell.labels, learners._plan(sc, ell)[2])
+    for (_, x, y), r in zip(draw(_streams("order"), m), _streams("order")):
+        assert A(x, y) is A(*sampler.labeled_sample(sc, m, r))
+        assert y._dict is not None and x._dict is None
+
+
+# ---------------------------------------------------------------------------
+# the sampling axioms, on the exact sample law: exchangeability and
+# projectivity
+
+# the exact laws these properties enumerate hold at most this many atoms, so
+# m falls below 3 on the larger templates
+AXIOM_ATOMS = 400
+
+
+def _axiom_size(sc):
+    """The largest m <= 3 whose exact sample law is under AXIOM_ATOMS."""
+    def atoms(m):
+        return math.prod(templates.law_atoms(nu, m) for nu in (sc.mu, sc.mu2) if nu)
+
+    return max(m for m in range(4) if m == 0 or atoms(m) <= AXIOM_ATOMS)
+
+
+def _image(law, read):
+    """The law of read(x, y) for (x, y) drawn from law."""
+    out = {}
+    for (x, y), p in law.items():
+        key = sampler.law_key(*read(dict(x), dict(y)))
+        out[key] = out.get(key, 0) + p
+    return out
+
+
+def _actions(t, m):
+    """sigma's action on a sample's x keys and y keys, for every sigma in
+    S_m, or on a partite template for each part's own permutation, the
+    other parts fixed."""
+    if not t.partite:
+        for s in itertools.permutations(range(1, m + 1)):
+            yield (lambda A, s=s: tuple(sorted(s[v - 1] for v in A))), (
+                lambda a, s=s: tuple(s[v - 1] for v in a)
+            )
+        return
+    for part, s in itertools.product(range(1, t.k + 1), itertools.permutations(range(1, m + 1))):
+        def act(p, v, part=part, s=s):
+            return s[v - 1] if p == part else v
+
+        yield (lambda f, act=act: tuple((p, act(p, v)) for p, v in f)), (
+            lambda a, act=act: tuple(act(p, v) for p, v in enumerate(a, 1))
+        )
+
+
+AXIOMS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@AXIOMS
+@given(scenarios())
+def test_the_sample_law_is_exchangeable(instance):
+    # (sigma*(x), sigma*(y)) has the law of (x, y), mu' included
+    sc, _, _ = instance
+    m = _axiom_size(sc)
+    law = sampler.exact_sample_law(sc, m)
+    for on_x, on_y in _actions(sc.mu.template, m):
+        def act(x, y):
+            return {A: x[on_x(A)] for A in x}, {a: y[on_y(a)] for a in y}
+
+        assert _image(law, act) == law
+
+
+@AXIOMS
+@given(scenarios())
+def test_the_sample_law_is_projective(instance):
+    # the first m' points of a size-m sample have the size-m' law
+    sc, _, _ = instance
+    m, partite = _axiom_size(sc), sc.mu.template.partite
+    law = sampler.exact_sample_law(sc, m)
+    for mp in range(m):
+        def first(x, y, mp=mp):
+            def within(A):
+                return max(v for _, v in A) <= mp if partite else max(A) <= mp
+
+            return {A: v for A, v in x.items() if within(A)}, {
+                a: v for a, v in y.items() if max(a) <= mp
+            }
+
+        assert _image(law, first) == sampler.exact_sample_law(sc, mp)
 
 
 # ---------------------------------------------------------------------------
