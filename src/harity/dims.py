@@ -75,11 +75,11 @@ def _collapse(fam):
 
 def natarajan_dim(fam, cap=6, domain_cap=64):
     fam = _collapse(fam)
-    n = len(fam.domain)
+    n, distinct = len(fam.domain), len(set(fam.functions))
     if n > domain_cap:
         raise ValueError("domain exceeds the search cap")
-    for size in range(1, min(cap, n) + 1):
-        if natarajan_witness(fam, size, domain_cap) is None:
+    for size in range(1, min(cap, n) + 1):  # shattering a set takes 2^size functions
+        if 2**size > distinct or natarajan_witness(fam, size, domain_cap) is None:
             return size - 1
     return AtLeast(cap) if cap < n else n
 

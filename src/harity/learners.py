@@ -11,22 +11,15 @@ rows, or a dict key by key), so learners compose without extra plumbing.
 The concentration constant K, and with it every derandomization size, is
 read from a template (``concentration_constant``).
 
-Every Monte Carlo check reads each hypothesis's exact total from one plan of
-its law (``_plan``), whose mu-only part (``losses.law_plan``) is cached by
-the measures, so checks and sweeps on one mu enumerate it once.  The
-uniform-convergence and concentration checks take their members' totals and
-a block reader from ``_trial_losses``: a block of trials' streams is decoded
-and its units counted by the law atom they induce in one pass (in a fastpath
-context, or by the unit codes ``sampler._atom_counts`` counts), and the
-trials x atoms count matrix is multiplied once by the members' integer plan
-rows, which also pick the route.  The checks compare those integer sums with
-the exact totals over one common denominator (``_deviations``), so a trial
-builds no ``Fraction``.  ``pac_successes`` reads the samples of scenarios
-that vary only F by the same unit codes, every target's trials in one block
-reader pass (``sampler._labeled_reader``), as array samples with y's label
-ids (positions in the loss's labels) gathered from each target's plan labels
-at each atom, so no check or PAC sweep draws a dict sample or renumbers y;
-``estimate_pac_success`` is its one-target call.
+Exact totals are read off the law's plan, whose mu-only part
+(``losses.law_plan``) the measures cache.  The checks count a block of
+trials' units by law atom in one pass (in a fastpath context, or
+``sampler._atom_counts``) times the members' integer plan rows, which pick
+the route (``_trial_losses``), and meet the exact totals over one
+denominator (``_deviations``).  ``pac_successes`` draws all trials of
+scenarios that vary only F in one reader pass and scores them in another:
+each hypothesis is read once, each total an integer gather of loss cells.
+No check or sweep draws a dict sample or builds a ``Fraction`` per trial.
 """
 
 import math
@@ -136,13 +129,6 @@ erm_nonpartite = erm_partite = erm
 # Monte Carlo check
 
 
-def _plan(sc, ell):
-    """The check's ``losses.plan`` over sc's cached ``losses.law_plan``, with
-    the natural agnostic loss given mu'."""
-    law = losses.law_plan(sc.mu, ell.k, sc.mu2)
-    return losses.plan(law, sc.F, losses.wrap_agnostic(ell) if sc.mu2 else ell)
-
-
 def _trial_losses(sc, members, ell):
     """Each member's exact total and the block reader: (rngs, m) -> per block
     of rngs, (sums, den), where sums[t, i] / den is member i's empirical loss
@@ -160,7 +146,8 @@ def _trial_losses(sc, members, ell):
     route reads the streams as ``sampler.labeled_sample`` does, so all give
     bit-identical losses.
     """
-    row, weigh, _ = _plan(sc, ell)
+    law = losses.law_plan(sc.mu, ell.k, sc.mu2)
+    row, weigh = losses.plan(law, sc.F, losses.wrap_agnostic(ell) if sc.mu2 else ell)
     rows = [row(H) for H in members]
     totals = [weigh(r) for r in rows]
     D, nums = losses.numerators(chain.from_iterable(rows))
@@ -447,45 +434,63 @@ def infvcn_learner(n_max):
 
 
 def pac_successes(A, scenarios, ell, m, eps, trials, seeds, cls=None):
-    """Each scenario's Monte Carlo frequency of trials whose learned
-    hypothesis has total loss <= eps or, given ``cls``, <= inf + eps
-    (agnostic, exact infimum over ``cls``), scenario i's trials reading
-    ``sampler.stream(seeds[i], t)``.  The scenarios share mu and mu' (one
-    cached ``losses.law_plan``) and vary only F, read once per target, and
-    each returned member's total is computed once per target.  One
-    ``sampler._labeled_reader`` pass reads every target's trials as array
-    samples, so no dict sample is drawn.  A trial's randomness index is then
-    drawn from its own stream; with one index it is 0, and no stream is
-    kept.  Refused before any stream is read: no scenario, a seed count
-    other than theirs, mu or mu' not shared, trials < 1."""
+    """Each scenario's frequency of trials whose learned hypothesis has total
+    loss <= eps or, given ``cls``, <= inf + eps (agnostic, exact infimum over
+    ``cls``), scenario i's trials reading ``sampler.stream(seeds[i], t)``.  The
+    scenarios share mu and mu' and vary only F.  One reader pass draws every
+    trial and calls A (the index drawn from its stream, or 0 with one index);
+    one pass scores them.  Each object, F or H (by identity), is read once per
+    point list; a total is an integer gather of weights times loss cells keyed
+    by (x, H's labels, F's at the joined point: the natural agnostic loss given
+    mu'), one ``ell`` call per cell.  Refused before any stream is read: no
+    scenario, seeds not one each, mu or mu' not shared, trials < 1, empty cls."""
     _refuse_no_trials(trials)
     if not scenarios or len(seeds) != len(scenarios):
         raise ValueError(f"need scenarios, one seed each: {len(seeds)} for {len(scenarios)}")
     if any((sc.mu, sc.mu2) != (scenarios[0].mu, scenarios[0].mu2) for sc in scenarios):
         raise ValueError("the scenarios must share mu and mu'")
-    rows, weighs, labels = zip(*(_plan(sc, ell) for sc in scenarios))
-    draw = sampler._labeled_reader(scenarios[0], ell.k, ell.labels, *labels)
-    del labels  # the reader keeps them stacked as ids
-    # per target, id(H) -> (H, its total); holding H keeps its id from being
-    # reused.  Not keyed by H: members that differ only in fn compare equal
-    seen = [{} for _ in rows]
+    if cls is not None and not (cls := list(cls)):
+        raise ValueError("cls has no members, so no infimum")
+    law = losses.law_plan(scenarios[0].mu, ell.k, scenarios[0].mu2)
+    t, s, (W, weights), (zs, at, X, xs) = law[0], len(law[1][0][1]), *law[4:]
+    read = {}  # (id(G), id(points)) -> (G, its labels there); holding G keeps its id
 
-    def total(i, H):
-        if id(H) not in seen[i]:
-            seen[i][id(H)] = H, weighs[i](rows[i](H))
-        return seen[i][id(H)][1]
+    def labels(G, points):
+        if (key := (id(G), id(points))) not in read:
+            read[key] = G, list(map(G, points))
+        return read[key][1]
 
-    bars = [Fraction(eps)] * len(rows)
-    if cls is not None:
-        bars = [bar + min(total(i, H) for H in cls) for i, bar in enumerate(bars)]
-    wins, r = [0] * len(rows), A.r(m)
-    targets = [i for i in range(len(rows)) for _ in range(trials)]
-    rngs = chain.from_iterable(map(sampler.stream, repeat(s), range(trials)) for s in seeds)
-    for i, (rng, x, y) in zip(targets, draw(rngs, m, targets, r != 1)):
-        # nothing reads a trial's stream after its index: with one, it is 0
-        if total(i, A(x, y, rng.randrange(r) if r != 1 else 0)) <= bars[i]:
-            wins[i] += 1
-    return [Fraction(w, trials) for w in wins]
+    fs = [labels(sc.F, zs) for sc in scenarios]
+    draw = sampler._labeled_reader(scenarios[0], ell.k, ell.labels, *fs)
+    got, T, r, eps = {}, len(scenarios), A.r(m), Fraction(eps)  # id(H) -> (row, H)
+    index = lambda H: got.setdefault(id(H), (len(got), H))[0]  # noqa: E731
+    rngs = chain.from_iterable(map(sampler.stream, repeat(z), range(trials)) for z in seeds)
+    reader = draw(rngs, m, np.repeat(np.arange(T), trials), r != 1)
+    picks = [index(A(x, y, rng.randrange(r) if r != 1 else 0)) for rng, x, y in reader]
+    # the scoring pass: a target's rows are its trials' H, then cls's members
+    inf = [index(H) for H in cls or ()]
+    rows = np.array([picks[i : i + trials] + inf for i in range(0, len(picks), trials)])
+    code = {a: i for i, a in enumerate(draw.alphabet)}
+    hs = [[code.setdefault(a, len(code)) for a in labels(H, xs)] for _, H in got.values()]
+    L, P, alphabet = len(code), len(code) ** s, tuple(code)
+    if len(X) * P * P >= 2**63:
+        raise ValueError("the loss cells' keys overflow int64")
+    # a cell's key: x, H's labels over its orbit, F's over the atom's; radix L
+    hk = (np.array(hs).reshape(-1, s) @ L ** np.arange(s)).reshape(len(got), -1) * P
+    fk = (draw.ids @ L ** np.arange(s)).reshape(T, -1) + at * (P * P)
+    keys = hk[rows][..., at] + fk[:, None]
+    cells = np.sort(keys, axis=None)
+    cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
+    x, hc, fc = (v.tolist() for v in (cells // (P * P), *np.divmod(cells % (P * P), P)))
+    pattern = {c: t.read(lambda j: alphabet[c // L**j % L], range(s)) for c in {*hc, *fc}}
+    reads = map(ell, map(X.__getitem__, x), map(pattern.get, hc), map(pattern.get, fc))
+    D, nums = losses.numerators(reads)
+    # a total S is over W D: S <= (eps + inf) W D iff S - min S <= eps W D, floored
+    bar, top = eps.numerator * W * D // eps.denominator, max(map(abs, nums)) * W
+    V = np.array(nums, np.int64 if top + abs(bar) < 2**63 else object)
+    sums = V[cells.searchsorted(keys)] @ weights
+    bar = bar + (sums[:, trials:].min(axis=1, keepdims=True) if inf else 0)
+    return [Fraction(w, trials) for w in (sums[:, :trials] <= bar).sum(axis=1).tolist()]
 
 
 def estimate_pac_success(A, sc, ell, m, eps, trials, seed, cls=None):

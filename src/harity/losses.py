@@ -18,6 +18,8 @@ from itertools import groupby, product
 from math import lcm
 from operator import itemgetter, mul
 
+import numpy as np
+
 from . import indexing, sampler, templates
 from .hypotheses import Hypothesis, canonical_key, perms
 
@@ -121,8 +123,8 @@ def wrap_agnostic(ell):
 
 def numerators(values):
     """(D, numerators) of int or Fraction values over their lcm D; a float raises."""
-    exact = [Fraction(v, 1) for v in values]
-    D = lcm(*(v.denominator for v in exact))
+    exact = [v if type(v) in (int, Fraction) else Fraction(v, 1) for v in values]
+    D = lcm(*{v.denominator for v in exact})
     return D, [v.numerator * (D // v.denominator) for v in exact]
 
 
@@ -130,47 +132,48 @@ def numerators(values):
 def law_plan(mu, k, mu2):
     """The part of a ``plan`` that reads mu (and mu', or None) alone: the
     template, ``sampler.joint_law``'s atoms at the arity-k domain size, each
-    as (x, the orbit pullbacks of its joined point, which are x's own without
-    mu'), ``weigh`` (a row's expectation in integers over one denominator, so
-    a float loss value raises TypeError) and whether mu2 was given.  Measures
-    hash by template and compare by weights, so equal measures share one
-    cached law; mu2 has no default, so every call keys it alike.  Eight laws
-    are kept: the largest any benchmark workload builds (324 atoms, given
-    mu') holds about 195 KiB, its pullbacks sharing their keys, so all eight
-    hold under 1.6 MiB."""
+    as (x, the orbit pullbacks of its joined point, x's own without mu'),
+    ``weigh`` (a row's expectation over one denominator; a float loss value
+    raises TypeError), whether mu2 was given, (W, the atoms' integer weights
+    over W, int64 below 2^63), and (the atoms' pullbacks in order, each
+    atom's x as a position in the distinct x, those x, their pullbacks: the
+    same list without mu').  Measures hash by template and compare by
+    weights, so equal measures share one cached law; eight laws are kept."""
     t = mu.template
     (m, orbit), pull = t.domain(k), t.pull
     law = list(sampler.joint_law(mu, m, mu2))
     W, weights = numerators(p for *_, p in law)
     weigh = lambda r: Fraction(sum(map(mul, weights, r)), W)  # noqa: E731
     atoms = [(x, [pull(a, z) for a in orbit]) for x, z, _ in law]
-    return t, atoms, weigh, mu2 is not None
+    runs = [(x, len(list(g))) for x, g in groupby(law, itemgetter(0))]  # an x's atoms
+    zs = [p for _, o in atoms for p in o]
+    xs = [pull(a, x) for x, _ in runs for a in orbit] if mu2 else zs
+    at = np.repeat(np.arange(len(runs)), [n for _, n in runs])
+    ints = np.array(weights, np.int64 if W < 2**63 else object)
+    return t, atoms, weigh, mu2 is not None, (W, ints), (zs, at, [x for x, _ in runs], xs)
 
 
 def plan(law, F, ell):
-    """(row, weigh, labels) over a ``law_plan``.  ``labels[i]`` is F at atom
-    i's stored orbit pullbacks, ``[F(t.pull(a, z)) for a in t.domain(k)[1]]``
-    at its point z (joined with x' given mu'), read once per plan.  ``row(H)``
-    is H's loss at each atom, l(x, H's labels, F's labels), both read over
-    the atom's orbit, or, given mu', the agnostic l(H, x, y), y F's labels
-    at the joined point; a row reads H once per atom."""
-    t, atoms, weigh, joined = law
-    labels = [list(map(F, o)) for _, o in atoms]
-    read, slots = t.read, range(len(labels[0]))
-    ys = [read(block.__getitem__, slots) for block in labels]
+    """(row, weigh) over a ``law_plan``, F read once at every atom's orbit
+    pullbacks: ``row(H)`` is H's loss at each atom, l(x, H's labels, F's
+    labels) over the atom's orbit, or, given mu', the agnostic l(H, x, y),
+    y F's labels at the joined point; a row reads H once per atom."""
+    t, atoms, weigh, joined, _, (zs, *_) = law
+    labels, read, slots = list(map(F, zs)), t.read, range(len(zs) // len(atoms))
+    ys = [read(block.__getitem__, slots) for block in zip(*[iter(labels)] * len(slots))]
     if joined:
-        return (lambda H: [ell(H, x, y) for (x, _), y in zip(atoms, ys)]), weigh, labels
+        return (lambda H: [ell(H, x, y) for (x, _), y in zip(atoms, ys)]), weigh
 
     def row(H):
         return [ell(x, read(H, o), y) for (x, o), y in zip(atoms, ys)]
 
-    return row, weigh, labels
+    return row, weigh
 
 
 def totals(mu, F, ell, mu2=None):
     """H -> E_{x ~ mu}[l(x, H's labels at x, F's labels at x)], or, given mu2,
     E over mu (x) mu' of the agnostic l(H, x, y): ``plan``'s weighted row."""
-    row, weigh, _ = plan(law_plan(mu, ell.k, mu2), F, ell)
+    row, weigh = plan(law_plan(mu, ell.k, mu2), F, ell)
     return lambda H: weigh(row(H))
 
 

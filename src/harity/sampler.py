@@ -287,18 +287,19 @@ def values(sample, keys, labels=None):
 def _labeled_reader(sc, k, alphabet, *labels):
     """draw(rngs, m, targets=None, keep=True) -> each rng with (x, y), the
     sample ``labeled_sample`` draws from it, bit for bit, as two
-    ``ArraySample``s, given each target F's labels over each atom's orbit
-    (``losses.plan``'s), holding one block of rngs at a time: x is the
+    ``ArraySample``s, given each target F's labels at every atom's orbit
+    pullbacks, in order, holding one block of rngs at a time: x is the
     decoded coordinates, and y over a unit's orbit is the ids of the labels
     of the atom the unit's code names under the rng's target (``targets[i]``,
     needed with several targets).  A label's id is its position in alphabet
     (the loss's labels); a label outside it takes the next id, in the order
-    the atoms first show it.  F is never called.  With keep False, None
-    stands in for each rng, dropped once read."""
+    the atoms first show it.  With keep False, None stands in for each rng,
+    dropped once read.  ``draw.ids`` (a row per target and atom) and
+    ``draw.alphabet`` hold the ids and their labels."""
     code = {a: i for i, a in enumerate(alphabet)}
-    ids = [code.setdefault(a, len(code)) for a in chain.from_iterable(chain(*labels))]
-    ids, alphabet = np.fromiter(ids, int).reshape(-1, len(labels[0][0])), tuple(code)
-    atoms, several = len(labels[0]), len(labels) > 1  # draw holds the ids alone
+    ids = [code.setdefault(a, len(code)) for a in chain(*labels)]
+    ids = np.fromiter(ids, int).reshape(-1, len(sc.mu.template.domain(k)[1]))
+    alphabet, atoms, several = tuple(code), len(ids) // len(labels), len(labels) > 1
 
     def draw(rngs, m, targets=None, keep=True):
         layout, units = _layout(sc.mu, sc.mu2, k, m), _units(sc.mu.template, k, m)
@@ -320,6 +321,7 @@ def _labeled_reader(sc, k, alphabet, *labels):
                     m, units.keys, y, alphabet
                 )
 
+    draw.ids, draw.alphabet = ids, alphabet
     return draw
 
 

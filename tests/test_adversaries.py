@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
@@ -5,11 +6,17 @@ from unittest import mock
 import pytest
 
 from harity import adversaries, families, learners, losses, sampler
-from harity.hypotheses import partize_class
+from harity.hypotheses import Hypothesis, partize_class
 
 
 # ---------------------------------------------------------------------------
 # no free lunch
+
+
+def _labels(sc, ell):
+    """F's labels at every atom's orbit pullbacks, atom by atom, as the PAC
+    sweep hands them to its reader."""
+    return list(map(sc.F, losses.law_plan(sc.mu, ell.k, sc.mu2)[5][0]))
 
 
 def test_nfl_lower_bound_values():
@@ -55,22 +62,17 @@ def test_shattered_erm_is_consistent():
 
 def test_nfl_hypotheses_are_built_once_per_b(monkeypatch):
     # the ERM returns F_B' for B' = B ∩ the sample's points, and each B' is
-    # one object, so estimate_pac_success reads each B''s total once
-    rows = []
-    plan = losses.plan
-
-    def counted(law, F, ell):
-        row, weigh, labels = plan(law, F, ell)
-        return (lambda H: rows.append(H) or row(H)), weigh, labels
-
-    monkeypatch.setattr(losses, "plan", counted)
+    # one object, so estimate_pac_success reads each B' once: at the law's
+    # six atoms, the target F_B's read serving its return too
+    reads = Counter()
+    monkeypatch.setattr(Hypothesis, "__call__", lambda H, x: reads.update([id(H)]) or H.fn(x))
     sc = adversaries.shattered_scenario(6)
     scen = sampler.Scenario(sc.mu, sc.hypothesis({0, 3}))
     ell = losses.zero_one_loss(sc.labels, 1)
     A = adversaries.erm_learner(sc)
     freq = learners.estimate_pac_success(A, scen, ell, 5, Fraction(1, 10), 100, 4)
     # B' is one of the 4 subsets of {0, 3}; only B' = B has loss <= 1/10
-    assert len(rows) == 4 and freq == Fraction(8, 25)
+    assert len(reads) == 4 and set(reads.values()) == {6} and freq == Fraction(8, 25)
     assert sc.hypothesis([3, 0]) is sc.hypothesis({0, 3})
 
 
@@ -85,7 +87,7 @@ def test_the_shattered_erm_reads_an_array_sample_by_its_rows():
     refuse = AssertionError("a key was read")
     for B, m in product(({1, 4}, {0, 2, 3}), (0, 1, 3, 6)):
         scen = sampler.Scenario(sc.mu, sc.hypothesis(B))
-        draw = sampler._labeled_reader(scen, 1, ell.labels, learners._plan(scen, ell)[2])
+        draw = sampler._labeled_reader(scen, 1, ell.labels, _labels(scen, ell))
         streams = [sampler.stream(("erm", m), t) for t in range(8)]
         got = [(x, y) for _, x, y in draw(streams, m)]
         with mock.patch.object(sampler.ArraySample, "_items", side_effect=refuse):

@@ -79,6 +79,39 @@ def test_monotone_under_adding_functions():
         )
 
 
+def _level_by_level(fam, cap):
+    """The shattering search without the counting bound: every level up to
+    min(cap, n) is searched until one has no witness."""
+    fam = dims._collapse(fam)
+    n = len(fam.domain)
+    for size in range(1, min(cap, n) + 1):
+        if dims.natarajan_witness(fam, size) is None:
+            return size - 1
+    return dims.AtLeast(cap) if cap < n else n
+
+
+def test_natarajan_searches_no_level_above_the_counting_bound(monkeypatch):
+    # shattering d points takes 2^d distinct functions, so no witness search
+    # runs above floor(log2 #distinct), and the value is the level-by-level one
+    rng = sampler.stream("counting-bound", 0)
+    searched, witness = [], dims.natarajan_witness
+
+    def counted(fam, d, domain_cap=64):
+        searched.append(d)
+        return witness(fam, d, domain_cap)
+
+    for trial in range(60):
+        n, labels, cap = rng.randrange(1, 8), rng.choice((2, 3)), rng.randrange(0, 8)
+        fam = _family(n, [[rng.randrange(labels) for _ in range(n)] for _ in range(rng.randrange(1, 12))])
+        expected = _level_by_level(fam, cap)
+        searched.clear()
+        monkeypatch.setattr(dims, "natarajan_witness", counted)
+        assert dims.natarajan_dim(fam, cap) == expected
+        monkeypatch.setattr(dims, "natarajan_witness", witness)
+        bound = len(set(dims._collapse(fam).functions)).bit_length() - 1
+        assert max(searched, default=0) <= bound
+
+
 def test_natarajan_witness_valid():
     fam = _family(3, list(product((0, 1), repeat=3)))
     idxs, g0, g1 = dims.natarajan_witness(fam, 3)

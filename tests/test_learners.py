@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -30,6 +31,12 @@ from harity.hypotheses import (
     star,
     star_partite,
 )
+
+
+def _labels(sc, ell):
+    """F's labels at every atom's orbit pullbacks, atom by atom, as the PAC
+    sweep hands them to its reader."""
+    return list(map(sc.F, losses.law_plan(sc.mu, ell.k, sc.mu2)[5][0]))
 
 
 def _m_rand(e, d):
@@ -830,7 +837,7 @@ def test_labeled_reader_draws_labeled_samples(name):
     # several streams per call: each rng beside its x, y in key order, and
     # left where labeled_sample leaves it
     sc, _, ell, ms = _pac_instance(name)
-    draw = sampler._labeled_reader(sc, ell.k, ell.labels, learners._plan(sc, ell)[2])
+    draw = sampler._labeled_reader(sc, ell.k, ell.labels, _labels(sc, ell))
     for m in ms:
         coded, drawn = _streams((name, m), 5), _streams((name, m), 5)
         got = list(draw(iter(coded), m))
@@ -1200,17 +1207,11 @@ def test_estimate_pac_success_perfect_learner():
 
 
 def test_pac_success_totals_each_returned_member_once(monkeypatch):
-    # a learner returns one of a few members, so each one's total is read
-    # once per call; two members that differ only in fn compare equal, and
-    # each still gets its own total
-    rows = []
-    plan = losses.plan
-
-    def counted(law, F, ell):
-        row, weigh, labels = plan(law, F, ell)
-        return (lambda H: rows.append(H) or row(H)), weigh, labels
-
-    monkeypatch.setattr(losses, "plan", counted)
+    # a learner returns one of a few members, so each one is read once per
+    # call, at the law's atoms; two members that differ only in fn compare
+    # equal, and each is still read
+    reads = Counter()
+    monkeypatch.setattr(Hypothesis, "__call__", lambda H, x: reads.update([id(H)]) or H.fn(x))
     match = families.matching_family(2).cls
     t, labels = match.template, match.labels
     twins = [Hypothesis(2, t, labels, H.fn, name="twin") for H in match.members[:2]]
@@ -1219,7 +1220,10 @@ def test_pac_success_totals_each_returned_member_once(monkeypatch):
     ell = losses.zero_one_loss(labels, 2)
     A = learners.Learner(2, lambda x, y, b: twins[b], lambda m: 2)
     freq = learners.estimate_pac_success(A, sc, ell, 4, Fraction(1, 10), 40, "twins")
-    assert len(rows) == 2
+    # the two twins and the target, each read once, at the two points of
+    # every atom's orbit
+    points = 2 * len(templates.config_law(sc.mu, 2))
+    assert reads == dict.fromkeys(map(id, [*twins, sc.F]), points)
     # only twins[0], which is F, has total loss 0 <= 1/10
     picks = []
     for trial in range(40):
@@ -1227,11 +1231,52 @@ def test_pac_success_totals_each_returned_member_once(monkeypatch):
         sampler.labeled_sample(sc, 4, rng)
         picks.append(rng.randrange(2))
     assert 0 < picks.count(0) < 40 and freq == Fraction(picks.count(0), 40)
-    rows.clear()
+    reads.clear()
     learners.estimate_pac_success(
         A, sc, ell, 4, Fraction(1, 10), 40, "twins", cls=match.members
     )
-    assert len(rows) == len(match.members) + 2
+    assert len(reads) == len(match.members) + 2 and set(reads.values()) == {points}
+
+
+def test_pac_success_reads_each_h_once_per_distinct_x_given_mu2(monkeypatch):
+    # given mu', F is read at each of the 6 joint atoms, and each returned H
+    # once per distinct x, at its 3 points, not once per joint atom.  Hs[0]
+    # is constant 0 (total 1/3) and Hs[1] = 1[x = 2] (total 2/3), so with
+    # eps = 0 a trial succeeds when its index picks Hs[0]
+    t, t2 = templates.Template(1, (3,)), templates.Template(1, (2,))
+    mu, mu2 = templates.uniform_prob(t), templates.uniform_prob(t2)
+    # a joined value is x's value times 2 plus x''s
+    F = Hypothesis(1, templates.product_template(t, t2), (0, 1), lambda z: int(z[(1,)] // 2 == z[(1,)] % 2))
+    Hs = [Hypothesis(1, t, (0, 1), lambda x, v=v: int(x[(1,)] == v)) for v in (3, 2)]
+    sc, ell = sampler.Scenario(mu, F, mu2=mu2), losses.zero_one_loss((0, 1), 1)
+    reads = Counter()
+    monkeypatch.setattr(Hypothesis, "__call__", lambda H, x: reads.update([id(H)]) or H.fn(x))
+    A = learners.Learner(1, lambda x, y, b: Hs[b], lambda m: 2)
+    got = learners.estimate_pac_success(A, sc, ell, 3, 0, 30, "mu2", cls=Hs)
+    assert reads == {id(F): 6, id(Hs[0]): 3, id(Hs[1]): 3}
+    monkeypatch.undo()
+    totals = losses.totals(mu, F, losses.wrap_agnostic(ell), mu2)
+    assert list(map(totals, Hs)) == [Fraction(1, 3), Fraction(2, 3)]
+    wins = 0
+    for trial in range(30):
+        rng = sampler.stream("mu2", trial)
+        sampler.labeled_sample(sc, 3, rng)
+        wins += rng.randrange(2) == 0
+    assert 0 < got == Fraction(wins, 30) < 1
+
+
+def test_pac_success_refuses_loss_cells_over_int64():
+    # a cell's key is x, then H's and F's labels over the k! = 6 slots of the
+    # orbit, in radix 40: 40^12 keys overflow int64
+    t = templates.Template(3, (1, 1, 1))
+    F = constant_hypothesis(3, t, tuple(range(40)), 0)
+    sc, ell = sampler.Scenario(templates.uniform_prob(t), F), losses.zero_one_loss(range(40), 3)
+    A = learners.Learner(3, lambda x, y, b: F, lambda m: 1)
+    with pytest.raises(ValueError, match="loss cells' keys overflow int64"):
+        learners.estimate_pac_success(A, sc, ell, 3, 0, 2, "wide")
+    assert learners.estimate_pac_success(
+        A, sc, losses.zero_one_loss(range(30), 3), 3, 0, 2, "wide"
+    ) == 1
 
 
 @pytest.mark.parametrize(
@@ -1250,7 +1295,7 @@ def test_checks_refuse_fewer_than_one_trial(check, trials):
     args = (sc, first, ell) if check != "estimate_pac_success" else (first, sc, ell)
     # refused before the plan or any stream is built
     with mock.patch.object(
-        learners, "_plan", side_effect=AssertionError("plan built")
+        losses, "law_plan", side_effect=AssertionError("plan built")
     ), mock.patch.object(sampler, "stream", side_effect=AssertionError("stream built")):
         with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
             getattr(learners, check)(*args, 6, Fraction(1, 10), trials, "none")

@@ -111,7 +111,7 @@ def _pac_refusal(case):
     F = Hypothesis(1, t, (0, 1), lambda x: x[(1,)])
     Fj = Hypothesis(1, templates.product_template(t, t), (0, 1), lambda x: x[(1,)])
     plain, joined = sampler.Scenario(mu, F), sampler.Scenario(mu, Fj, mu2=mu)
-    targets, seeds, trials = [plain, plain], ["a", "b"], 3
+    targets, seeds, trials, cls = [plain, plain], ["a", "b"], 3, None
     if case == "mu-differs":
         targets = [plain, sampler.Scenario(other, F)]
     elif case == "mu2-differs":
@@ -122,10 +122,12 @@ def _pac_refusal(case):
         targets, seeds = [], []
     elif case == "seed-count":
         seeds = ["a"]
+    elif case == "empty-cls":
+        cls = []
     else:
         trials = 0
     A = learners.Learner(1, lambda x, y, b: F, lambda m: 1)
-    return A, targets, losses.zero_one_loss((0, 1), 1), 2, 0, trials, seeds
+    return A, targets, losses.zero_one_loss((0, 1), 1), 2, 0, trials, seeds, cls
 
 
 @pytest.mark.parametrize(
@@ -137,6 +139,7 @@ def _pac_refusal(case):
         ("no-target", "need scenarios, one seed each: 0 for 0"),
         ("seed-count", "need scenarios, one seed each: 1 for 2"),
         ("no-trials", "trials must be at least 1"),
+        ("empty-cls", "cls has no members, so no infimum"),
     ],
 )
 def test_pac_successes_refuses_before_reading_a_stream(case, message, monkeypatch):

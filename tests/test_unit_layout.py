@@ -2,10 +2,10 @@
 a sample's units, over random scenarios in both settings: the PAC sweep's
 reader, the checks' trial losses, the ERM, the PAC sweep itself, and the
 exact totals; and the sampling axioms, exchangeability and projectivity, on
-the exact sample law.  Each property compares a route with the dict-sample or
-brute-force reference on every draw of ``scenarios()``; the named instances
-in ``test_learners`` (``UNIT_CODE_INSTANCES``, ``_k2_instances``) stay as
-regressions."""
+the exact sample law, with the equivariance of F*.  Each property compares
+a route with the dict-sample or brute-force reference on every draw of
+``scenarios()``; the named instances in ``test_learners``
+(``UNIT_CODE_INSTANCES``, ``_k2_instances``) stay as regressions."""
 
 import dataclasses
 import itertools
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harity import families, fastpath, indexing, learners, losses, sampler, templates
-from harity.hypotheses import Hypothesis, HypothesisClass
+from harity.hypotheses import Hypothesis, HypothesisClass, star
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -110,6 +110,12 @@ def _size(sc, ell, extra):
     return (1 if sc.partite else ell.k) + extra
 
 
+def _labels(sc, ell):
+    """F's labels at every atom's orbit pullbacks, atom by atom, as the PAC
+    sweep hands them to its reader."""
+    return list(map(sc.F, losses.law_plan(sc.mu, ell.k, sc.mu2)[5][0]))
+
+
 def _streams(seed, n=3):
     return [sampler.stream(seed, t) for t in range(n)]
 
@@ -119,7 +125,7 @@ def _streams(seed, n=3):
 def test_labeled_reader_yields_labeled_samples(instance, extra):
     sc, _, ell = instance
     m = _size(sc, ell, extra)
-    draw = sampler._labeled_reader(sc, ell.k, ell.labels, learners._plan(sc, ell)[2])
+    draw = sampler._labeled_reader(sc, ell.k, ell.labels, _labels(sc, ell))
     coded, drawn = _streams("reader"), _streams("reader")
     got = list(draw(iter(coded), m))
     assert [rng for rng, _, _ in got] == coded
@@ -261,7 +267,7 @@ def test_the_erm_reads_an_array_sample_by_its_rows(instance, extra):
     # as those dicts, in order, and the rows behind them are read-only
     sc, cls, ell = instance
     m, A = _size(sc, ell, extra), learners.erm(cls, ell)
-    draw = sampler._labeled_reader(sc, ell.k, ell.labels, learners._plan(sc, ell)[2])
+    draw = sampler._labeled_reader(sc, ell.k, ell.labels, _labels(sc, ell))
     got = [(x, y) for _, x, y in draw(_streams("rows"), m)]
     coords = sampler._units(sc.mu.template, ell.k, m).coords
     assert not any(sampler.values(x, coords).flags.writeable for x, _ in got)
@@ -285,7 +291,7 @@ def test_a_label_the_loss_lacks_is_refused_on_either_route():
     sc = sampler.Scenario(templates.uniform_prob(match.template), F)
     ell = losses.zero_one_loss((0, 1), 2)
     A = learners.erm(match, ell)
-    draw = sampler._labeled_reader(sc, 2, ell.labels, learners._plan(sc, ell)[2])
+    draw = sampler._labeled_reader(sc, 2, ell.labels, _labels(sc, ell))
     outcomes = []
     for (_, x, y), r in zip(draw(_streams("missing", 12), 3), _streams("missing", 12)):
         routes = []
@@ -306,9 +312,9 @@ def test_the_reader_numbers_y_by_the_loss_labels(instance, extra, order, cut):
     # of the labels, in a drawn order); a label F yields outside it takes the
     # next id, in the order the plan's atoms first show it
     sc, _, ell = instance
-    m, labels = _size(sc, ell, extra), learners._plan(sc, ell)[2]
+    m, labels = _size(sc, ell, extra), _labels(sc, ell)
     alphabet = tuple(ell.labels[i] for i in order if i < len(ell.labels))[cut:]
-    shown = [a for a in dict.fromkeys(itertools.chain.from_iterable(labels)) if a not in alphabet]
+    shown = [a for a in dict.fromkeys(labels) if a not in alphabet]
     draw = sampler._labeled_reader(sc, ell.k, alphabet, labels)
     for (_, _, y), r in zip(draw(_streams("ids"), m), _streams("ids")):
         _, y0 = sampler.labeled_sample(sc, m, r)
@@ -325,7 +331,7 @@ def test_a_learner_over_the_labels_in_another_order_reads_y_by_key(instance, ext
     sc, cls, ell = instance
     m = _size(sc, ell, extra)
     A = learners.erm(cls, dataclasses.replace(ell, labels=ell.labels[::-1]))
-    draw = sampler._labeled_reader(sc, ell.k, ell.labels, learners._plan(sc, ell)[2])
+    draw = sampler._labeled_reader(sc, ell.k, ell.labels, _labels(sc, ell))
     for (_, x, y), r in zip(draw(_streams("order"), m), _streams("order")):
         assert A(x, y) is A(*sampler.labeled_sample(sc, m, r))
         assert y._dict is not None and x._dict is None
@@ -333,7 +339,7 @@ def test_a_learner_over_the_labels_in_another_order_reads_y_by_key(instance, ext
 
 # ---------------------------------------------------------------------------
 # the sampling axioms, on the exact sample law: exchangeability and
-# projectivity
+# projectivity; and the equivariance of F*
 
 # the exact laws these properties enumerate hold at most this many atoms, so
 # m falls below 3 on the larger templates
@@ -410,6 +416,22 @@ def test_the_sample_law_is_projective(instance):
             }
 
         assert _image(law, first) == sampler.exact_sample_law(sc, mp)
+
+
+@AXIOMS
+@given(scenarios(), st.integers(0, 2**32))
+def test_star_is_equivariant(instance, seed):
+    # star(F, sigma*x) = sigma*star(F, x) for every sigma in S_3, or each
+    # part's own permutation on a partite template, at points x drawn over
+    # F's template (the product with mu''s, given mu')
+    sc, _, _ = instance
+    F, m, rng = sc.F, 3, random.Random(seed)
+    nu = templates.uniform_prob(F.template)
+    for _ in range(3):
+        x = sampler.sample_config(nu, m, rng)
+        y = star(F, x, m)
+        for on_x, on_y in _actions(F.template, m):
+            assert star(F, {A: x[on_x(A)] for A in x}, m) == {a: y[on_y(a)] for a in y}
 
 
 # ---------------------------------------------------------------------------
