@@ -1,12 +1,13 @@
-"""Lower-bound constructions: the no-free-lunch scenario, the slice
-non-learnability scenario, the clean-subset search, and the partition-family
-adversary maps.
+"""Lower-bound constructions: the no-free-lunch scenario, whose ERM is one
+block form over a reader's rows, the slice non-learnability scenario, the
+clean-subset search, and the partition-family adversary maps.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
 
 from . import dims, learners, losses, sampler, templates
 from .hypotheses import Hypothesis, HypothesisClass
@@ -51,23 +52,25 @@ class ShatteredScenario:
                 self.template,
                 self.labels,
                 lambda x, b=Bf: self.f1(x[(1,)]) if x[(1,)] in b else self.f0(x[(1,)]),
-                name=f"F{sorted(B)}",
+                name=f"F{sorted(Bf)}",
             )
         return self._built[Bf]
 
-    @cached_property
-    def _ids(self):
-        """f1's label id, its position in ``labels``, at each point."""
-        return [self.labels.index(self.f1(a)) for a in range(self.d)]
+    def erm_block(self, m, xs, ys, alphabet):
+        """Per block row: F_B for the points some witness carries with its
+        f1-label, the hits ORed into a mask; one F_B per distinct mask."""
+        units = sampler._units(self.template, 1, m)
+        points = xs[:, units.at[units.unit, 0]]
+        f1 = np.array([self.labels.index(self.f1(a)) for a in range(self.d)])
+        hit = sampler.renumber(ys, alphabet, self.labels) == f1[points]
+        bits = np.left_shift(np.array(1, np.int64 if self.d < 63 else object), points)
+        masks = np.bitwise_or.reduce(np.where(hit, bits, 0), axis=1).tolist()
+        built = {v: self.hypothesis([a for a in range(self.d) if v >> a & 1]) for v in set(masks)}
+        return [built[v] for v in masks]
 
     def erm(self, x, y):
-        """F_B for the points that some witness carries with its f1-label,
-        x and y read through ``sampler.values`` over the sample's unit
-        layout, y as ids into ``labels`` (every F_B's)."""
-        units = sampler._units(self.template, 1, learners.sample_size(x))
-        points = sampler.values(x, units.coords)[units.at[:, 0]][units.unit].tolist()
-        ys, f1 = sampler.values(y, units.keys, self.labels).tolist(), self._ids
-        return self.hypothesis({a for a, b in zip(points, ys) if b == f1[a]})
+        """``erm_block`` on the one sample (x, y): ``erm_learner``'s call."""
+        return erm_learner(self)(x, y)
 
 
 # the no-free-lunch search tries every B (2^d of them) up to this size
@@ -87,9 +90,7 @@ def shattered_scenario(d, labels=(0, 1), f0=None, f1=None):
 
 
 def erm_learner(sc):
-    return learners.Learner(
-        1, lambda x, y, b: sc.erm(x, y), lambda m: 1, name="nfl-erm"
-    )
+    return learners.block_learner(sc.erm_block, sc.template, 1, sc.labels, "nfl-erm")
 
 
 def nfl_worst_F(A, sc, m, eps, trials, seed, search_trials=100):

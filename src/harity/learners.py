@@ -3,13 +3,13 @@ uniform-convergence and concentration verifiers, and the rank-2 class learner.
 
 A ``Learner`` maps a visible sample plus a randomness index ``b`` in
 ``[R(m)]`` to a hypothesis; ``R`` identically 1 means deterministic.  A
-learner carries no setting flag: an array sample knows its size, a dict's
-size and setting are read from its keys, and ``erm`` reads the class's
-table over the sample layout every unit reader shares (``sampler._units``),
-taking the sample's values through ``sampler.values`` (an array sample's
-rows, or a dict key by key), so learners compose without extra plumbing.
-The concentration constant K, and with it every derandomization size, is
-read from a template (``concentration_constant``).
+deterministic learner may have a block form, which learns every row of a
+reader block in one pass; ``erm`` (and the no-free-lunch ERM) is written
+only as a block form, a sample being a one-row block read through
+``sampler.values`` (``block_learner``).  A learner carries no setting flag: an
+array sample knows its size, and a dict's is read from its keys.  The
+concentration constant K, and with it every derandomization size, is read
+from a template (``concentration_constant``).
 
 Exact totals are read off the law's plan, whose mu-only part
 (``losses.law_plan``) the measures cache.  The checks count a block of
@@ -17,8 +17,9 @@ trials' units by law atom in one pass (in a fastpath context, or
 ``sampler._atom_counts``) times the members' integer plan rows, which pick
 the route (``_trial_losses``), and meet the exact totals over one
 denominator (``_deviations``).  ``pac_successes`` draws all trials of
-scenarios that vary only F in one reader pass and scores them in another:
-each hypothesis is read once, each total an integer gather of loss cells.
+scenarios that vary only F in one reader pass, handing each block to a
+deterministic learner's block form, and scores them in another: each
+hypothesis is read once, each total an integer gather of loss cells.
 No check or sweep draws a dict sample or builds a ``Fraction`` per trial.
 """
 
@@ -49,10 +50,12 @@ def sample_size(x):
 
 @dataclass(frozen=True)
 class Learner:
+    """(x, y, b) -> H, b in [R(m)]; a deterministic learner may add a block form."""
     k: int
     fn: object = field(compare=False)  # (x, y, b) -> Hypothesis
     r: object = field(compare=False)  # m -> randomness count
     name: str = ""
+    block: object = field(default=None, compare=False)  # (m, xs, ys, alphabet) -> H per row
 
     def __call__(self, x, y, b=0):
         if not 0 <= b < self.r(sample_size(x)):
@@ -60,8 +63,25 @@ class Learner:
         return self.fn(x, y, b)
 
 
+def block_learner(block, t, k, labels, name):
+    """A learner written once, as its block form: a sample is a one-row block."""
+
+    def fn(x, y, b):
+        units = sampler._units(t, k, m := sample_size(x))
+        xs, ys = sampler.values(x, units.coords), sampler.values(y, units.keys, labels)
+        return block(m, xs[None], ys[None], labels)[0]
+
+    return Learner(k, fn, lambda m: 1, name, block)
+
+
 # ---------------------------------------------------------------------------
 # empirical risk minimization
+
+
+def _distinct(a):
+    """a's distinct values, sorted: ``np.unique`` without its fixed cost."""
+    a = np.sort(a, axis=None)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 def _exact_product(counts, V, bound):
@@ -72,14 +92,14 @@ def _exact_product(counts, V, bound):
 
 
 def erm(cls, ell):
-    """The exact empirical-loss argmin over the class, ties to member order.
-    A unit u's loss depends only on its key: the table column of u*(x) and y's
-    labels (ell's) over u's orbit.  So the sample's key counts times a cached
-    loss column per key (one ``ell`` call per distinct table row over the
-    orbit, and no member call) give every member's total, exactly: int64 under
-    an overflow guard, else Python numbers; a float loss raises TypeError.  A
-    sample with no unit (m < k) gives member 0.  y is read as ids, positions
-    in ell's labels (``sampler.values``), which the PAC reader's rows are."""
+    """The exact empirical-loss argmin over the class, ties to member order, as
+    a ``block_learner``.  A unit u's loss depends only on its key: the table
+    column of u*(x) and y's labels over u's orbit (``sampler.renumber`` carries
+    y's ids to ell's labels).  So each row's key counts (one sort and one
+    bincount per block) times a cached loss column per key (one ``ell`` call
+    per distinct table row over the orbit, no member call) give every member's
+    total, exactly (``_exact_product``; a float loss raises TypeError).  A row
+    without units gives member 0."""
     if not cls.members:
         raise ValueError("class has no members")
     t, k, labels = cls.template, cls.k, ell.labels
@@ -106,18 +126,19 @@ def erm(cls, ell):
         top = max(top, *map(abs, values))
         return np.array(values, None if top < 2**63 else object)[index]
 
-    def fn(x, y, b):
-        coords, at, ykeys, unit, slot = sampler._units(t, k, sample_size(x))
-        if not len(at):
-            return cls.members[0]
-        ys = np.empty((len(at), len(ids)), int)  # y's label ids by (unit, slot)
-        ys[unit, slot] = sampler.values(y, ykeys, labels)
-        keys = sampler.values(x, coords)[at] @ wx + ys @ radix[1:]
-        keys, counts = np.unique(keys, return_counts=True)
-        stack = np.array([column(key) for key in keys.tolist()])
-        return cls.members[int(np.argmin(_exact_product(counts, stack, top * len(at))))]
+    def block(m, xs, ys, alphabet):
+        units = sampler._units(t, k, m)
+        if not len(units.at):
+            return [cls.members[0]] * len(xs)
+        y = np.take(sampler.renumber(ys, alphabet, labels), units.order, axis=1)
+        keys = np.take(xs, units.at, axis=1) @ wx + y @ radix[1:]
+        distinct = _distinct(keys)
+        stack = np.array([column(key) for key in distinct.tolist()])
+        counts = sampler._row_counts(distinct.searchsorted(keys), len(distinct))
+        sums = _exact_product(counts, stack, top * len(units.at))
+        return list(map(cls.members.__getitem__, sums.argmin(axis=1).tolist()))
 
-    return Learner(cls.k, fn, lambda m: 1, name=f"erm({cls.name})")
+    return block_learner(block, t, k, labels, f"erm({cls.name})")
 
 
 # the old per-setting names, kept because perfbench's workloads call them
@@ -465,8 +486,13 @@ def pac_successes(A, scenarios, ell, m, eps, trials, seeds, cls=None):
     got, T, r, eps = {}, len(scenarios), A.r(m), Fraction(eps)  # id(H) -> (row, H)
     index = lambda H: got.setdefault(id(H), (len(got), H))[0]  # noqa: E731
     rngs = chain.from_iterable(map(sampler.stream, repeat(z), range(trials)) for z in seeds)
-    reader = draw(rngs, m, np.repeat(np.arange(T), trials), r != 1)
-    picks = [index(A(x, y, rng.randrange(r) if r != 1 else 0)) for rng, x, y in reader]
+    targets = np.repeat(np.arange(T), trials)
+    if A.block is not None and r == 1:
+        blocks = draw.blocks(rngs, m, targets)
+        picks = [index(H) for xs, ys in blocks for H in A.block(m, xs, ys, draw.alphabet)]
+    else:
+        reader = draw(rngs, m, targets, r != 1)
+        picks = [index(A(x, y, rng.randrange(r) if r != 1 else 0)) for rng, x, y in reader]
     # the scoring pass: a target's rows are its trials' H, then cls's members
     inf = [index(H) for H in cls or ()]
     rows = np.array([picks[i : i + trials] + inf for i in range(0, len(picks), trials)])
@@ -479,8 +505,7 @@ def pac_successes(A, scenarios, ell, m, eps, trials, seeds, cls=None):
     hk = (np.array(hs).reshape(-1, s) @ L ** np.arange(s)).reshape(len(got), -1) * P
     fk = (draw.ids @ L ** np.arange(s)).reshape(T, -1) + at * (P * P)
     keys = hk[rows][..., at] + fk[:, None]
-    cells = np.sort(keys, axis=None)
-    cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
+    cells = _distinct(keys)
     x, hc, fc = (v.tolist() for v in (cells // (P * P), *np.divmod(cells % (P * P), P)))
     pattern = {c: t.read(lambda j: alphabet[c // L**j % L], range(s)) for c in {*hc, *fc}}
     reads = map(ell, map(X.__getitem__, x), map(pattern.get, hc), map(pattern.get, fc))

@@ -8,22 +8,17 @@ reference.  Every array route reads the same streams through one block
 reader, ``_uniform_blocks`` (one ``getrandbits`` call per stream, one
 conversion per block of streams), and decodes each uniform to a support rank
 (``_support``, ``_decode``) as ``_draw`` would.  A sample's units are laid
-out once per (template, k, m), by ``_units``, and every unit reader takes
-that layout: ``_layout``, the PAC sweep's reader, the ERM and the
-departization laws.  Outside ``fastpath`` one decoder reads the streams,
-``_read`` over a cached ``_layout``: it decodes every coordinate once, one
-decode per ground space, and codes each unit by the law atom its point is.
-The checks count the codes a block of trials at a time (``_atom_counts``,
-one trials x atoms matrix per block), and the PAC sweep's reader
-(``_labeled_reader``) yields each trial's (x, y) as two ``ArraySample``s
-backed by its block's rows: x's values in ``_units``' ``coords`` order, and
-y's label ids, numbered once by the loss's labels, in its ``keys`` order.
-So no check or PAC sweep draws a dict sample or calls F in its trial loop.
-An array reader (the ERM) takes a sample's row through ``values``, which
-reads any other sample key by key; a key reader gets the array sample's
-Mapping view, which builds its dict once, on first read.  ``exact_read`` is
-``_read``'s exact twin: every atom of mu (x) mu' with its integer mass and
-its units' codes, which the departization laws read.
+out once per (template, k, m), by ``_units``, which every unit reader takes.
+Outside ``fastpath`` one decoder, ``_read`` over a cached ``_layout``,
+decodes every coordinate once and codes each unit by the law atom its point
+is.  The checks count the codes a block of trials at a time
+(``_atom_counts``).  The PAC sweep's reader (``_labeled_reader``) yields
+each block once, as x's value rows and y's label-id rows (``renumber``
+carries ids to another alphabet), which a learner's block form reads whole;
+its per-trial view wraps each row in an ``ArraySample``, which ``values``
+hands an array reader as the row and a key reader as a dict built once.
+``exact_read`` is ``_read``'s exact twin: every atom of mu (x) mu' with its
+integer mass and its units' codes, which the departization laws read.
 """
 
 import random
@@ -152,6 +147,7 @@ class _Units(NamedTuple):
     keys: list  # y's keys t.index(m, k), in order
     unit: np.ndarray  # each key's unit, in t.units(m, k) order
     slot: np.ndarray  # each key's slot in that unit's orbit
+    order: np.ndarray  # per unit, its keys' positions in keys, slot by slot
 
 
 # distinct keys in a 16-round perfbench run (seed 0): 11 on mc-long, 4 on mc-short,
@@ -167,7 +163,8 @@ def _units(t, k, m):
     keys = list(t.index(m, k))
     unit, slot = np.array([where[a] for a in keys], int).reshape(-1, 2).T
     at = np.array(rows, int).reshape(len(rows), len(domain))
-    return _Units(coords, at, keys, unit, slot)
+    order = np.lexsort((slot, unit)).reshape(-1, len(t.domain(k)[1]))
+    return _Units(coords, at, keys, unit, slot, order)
 
 
 class _Layout(NamedTuple):
@@ -214,7 +211,7 @@ def _read(layout, u):
     for cum, pos, support in layout.groups:
         ranks[..., pos] = r = _decode(cum, u[..., pos])
         values[..., pos] = support[r]
-    return values, layout.radix @ ranks[..., layout.at]
+    return values, layout.radix @ np.take(ranks, layout.at, axis=-1)
 
 
 def _atom_counts(sc, k, rngs, m):
@@ -265,63 +262,70 @@ class ArraySample(Mapping):
 
 
 def values(sample, keys, labels=None):
-    """A sample's values at keys, in order, as an int array, or given labels
-    (a tuple), each value's position in labels.  An ``ArraySample`` laid out
-    over these keys gives its stored row when its ids are positions in
-    labels, as the PAC reader numbers them; any other sample is read key by
-    key.  A value outside labels raises KeyError either way."""
+    """A sample's values at keys, as an int array, or given labels (a tuple),
+    as positions in labels (KeyError outside them): an ``ArraySample`` over
+    keys whose alphabet starts with labels gives its row, others read by key."""
     if type(sample) is ArraySample and sample._keys is keys:
         row, alphabet = sample._row, sample._alphabet
         if labels is None and alphabet is None:
             return row
         if labels is not None and alphabet is not None and alphabet[: len(labels)] == labels:
-            if len(alphabet) > len(labels) and (extra := row >= len(labels)).any():
-                raise KeyError(alphabet[row[extra.argmax()]])
-            return row
+            return renumber(row, alphabet, labels)
     read = map(sample.__getitem__, keys)
     if labels is not None:
         read = map({v: i for i, v in enumerate(labels)}.__getitem__, read)
     return np.fromiter(read, int, len(keys))
 
 
+def renumber(ids, alphabet, labels):
+    """ids in alphabet as ids in labels; the first outside raises KeyError."""
+    if alphabet[: len(labels)] != labels:
+        full = (*labels, *(a for a in alphabet if a not in labels))
+        ids, alphabet = np.array([full.index(a) for a in alphabet])[ids], full
+    if len(alphabet) > len(labels) and (extra := ids >= len(labels)).any():
+        raise KeyError(alphabet[ids[extra][0]])
+    return ids
+
+
 def _labeled_reader(sc, k, alphabet, *labels):
-    """draw(rngs, m, targets=None, keep=True) -> each rng with (x, y), the
-    sample ``labeled_sample`` draws from it, bit for bit, as two
-    ``ArraySample``s, given each target F's labels at every atom's orbit
-    pullbacks, in order, holding one block of rngs at a time: x is the
-    decoded coordinates, and y over a unit's orbit is the ids of the labels
-    of the atom the unit's code names under the rng's target (``targets[i]``,
-    needed with several targets).  A label's id is its position in alphabet
-    (the loss's labels); a label outside it takes the next id, in the order
-    the atoms first show it.  With keep False, None stands in for each rng,
-    dropped once read.  ``draw.ids`` (a row per target and atom) and
-    ``draw.alphabet`` hold the ids and their labels."""
+    """draw.blocks(rngs, m, targets=None) yields each block of rngs once, as
+    (xs, ys), a read-only row per rng: x's values in ``_units``' ``coords``
+    order, and y's label ids in its ``keys`` order, y on a unit's orbit being
+    the labels (each target F's, given at every atom's orbit pullbacks) of the
+    atom its code names under the rng's target (``targets[i]``).  An id is a
+    position in alphabet (the loss's labels), or past it in first-seen order.
+    draw(rngs, m, targets=None, keep=True) yields each rng (None if not keep)
+    with its ``labeled_sample`` draw as two ArraySamples; ``draw.ids`` (a row
+    per target and atom) and ``draw.alphabet`` hold the ids and labels."""
     code = {a: i for i, a in enumerate(alphabet)}
     ids = [code.setdefault(a, len(code)) for a in chain(*labels)]
     ids = np.fromiter(ids, int).reshape(-1, len(sc.mu.template.domain(k)[1]))
     alphabet, atoms, several = tuple(code), len(ids) // len(labels), len(labels) > 1
 
-    def draw(rngs, m, targets=None, keep=True):
+    def blocks(rngs, m, targets=None):
         layout, units = _layout(sc.mu, sc.mu2, k, m), _units(sc.mu.template, k, m)
-        read, rngs = tee(rngs) if keep else (rngs, repeat(None))
         # each rng's offset into the stacked ids: its target's first atom
         offsets = atoms * np.asarray(targets) if several else None
         start = 0
-        for u in _uniform_blocks(read, layout.n):
+        for u in _uniform_blocks(rngs, layout.n):
             xs, codes = _read(layout, u)  # x''s values come last
-            codes = codes[:, units.unit]
+            codes = np.take(codes, units.unit, axis=1)
             if offsets is not None:
                 codes += offsets[start : start + len(u), None]
             start += len(u)
             ys = ids[codes, units.slot]
-            xs.setflags(write=False)  # the samples' rows
+            xs.setflags(write=False)
             ys.setflags(write=False)
-            for rng, x, y in zip(islice(rngs, len(u)), xs[:, : len(units.coords)], ys):
-                yield rng, ArraySample(m, units.coords, x), ArraySample(
-                    m, units.keys, y, alphabet
-                )
+            yield xs[:, : len(units.coords)], ys
 
-    draw.ids, draw.alphabet = ids, alphabet
+    def draw(rngs, m, targets=None, keep=True):
+        units = _units(sc.mu.template, k, m)
+        read, rngs = tee(rngs) if keep else (rngs, repeat(None))
+        for xs, ys in blocks(read, m, targets):
+            for rng, x, y in zip(islice(rngs, len(xs)), xs, ys):
+                yield rng, ArraySample(m, units.coords, x), ArraySample(m, units.keys, y, alphabet)
+
+    draw.blocks, draw.ids, draw.alphabet = blocks, ids, alphabet
     return draw
 
 

@@ -99,6 +99,48 @@ def test_the_shattered_erm_reads_an_array_sample_by_its_rows():
             assert H is sc.erm(x0, y0) is sc.hypothesis(carried)
 
 
+def test_the_shattered_erm_block_form_picks_as_on_the_dicts():
+    # a reader block's rows at m in {0, 1, d, d + 3} against sc.erm on
+    # labeled_sample's dicts from the same streams; F_B is built once per B
+    sc = adversaries.shattered_scenario(
+        5, ("a", "b", "c"), lambda a: "abc"[a % 3], lambda a: "abc"[(a + 1) % 3]
+    )
+    ell = losses.zero_one_loss(sc.labels, 1)
+    scen = sampler.Scenario(sc.mu, sc.hypothesis({0, 3}))
+    draw = sampler._labeled_reader(scen, 1, ell.labels, _labels(scen, ell))
+    for m in (0, 1, sc.d, sc.d + 3):
+        streams = [sampler.stream(("block", m), t) for t in range(12)]
+        (xs, ys), = draw.blocks(streams, m)
+        picked = sc.erm_block(m, xs, ys, draw.alphabet)
+        for H, t in zip(picked, range(12), strict=True):
+            x0, y0 = sampler.labeled_sample(scen, m, sampler.stream(("block", m), t))
+            assert H is sc.erm(x0, y0)
+        assert len(set(map(id, picked))) == len({H.name for H in picked})
+
+
+def test_the_nfl_erm_over_reversed_labels_learns_as_by_key():
+    # the sweep numbers y by its loss's labels, here the reverse of F_B's:
+    # the block form renumbers them, as the per-trial route reads y by key
+    for sc, B, labels, expected in (
+        (adversaries.shattered_scenario(6), {0, 2, 3}, (1, 0), ["0", "1/40", "7/40", "17/40"]),
+        (
+            adversaries.shattered_scenario(
+                5, ("a", "b", "c"), lambda a: "abc"[a % 3], lambda a: "abc"[(a + 1) % 3]
+            ),
+            {1, 4},
+            ("c", "b", "a"),
+            ["0", "1/8", "1/2", "13/20"],
+        ),
+    ):
+        target, ell = sampler.Scenario(sc.mu, sc.hypothesis(B)), losses.zero_one_loss(labels, 1)
+        for A in (adversaries.erm_learner(sc), learners.Learner(1, lambda x, y, b: sc.erm(x, y), lambda m: 1)):
+            got = [
+                learners.estimate_pac_success(A, target, ell, m, Fraction(1, 10), 40, "rev")
+                for m in (1, 3, 6, 9)
+            ]
+            assert got == list(map(Fraction, expected))
+
+
 def test_nfl_search_reads_its_trials_in_two_passes(monkeypatch):
     # every candidate B's trials in one reader pass, then the final
     # measurement of the worst B in another

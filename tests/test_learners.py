@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -1277,6 +1278,47 @@ def test_pac_success_refuses_loss_cells_over_int64():
     assert learners.estimate_pac_success(
         A, sc, losses.zero_one_loss(range(30), 3), 3, 0, 2, "wide"
     ) == 1
+
+
+def test_an_erm_over_reversed_labels_learns_as_by_key():
+    # the sweep's reader numbers y by (0, 1), the ERM's loss lists (1, 0):
+    # its block form renumbers the ids, so a trial learns what the per-trial
+    # route (the learner without its block form, reading y by key) learns
+    match = families.matching_family(2).cls
+    sc = sampler.Scenario(templates.uniform_prob(match.template), match.members[-1])
+    A = learners.erm(match, losses.zero_one_loss((1, 0), 2))
+    ell, eps = losses.zero_one_loss((0, 1), 2), Fraction(1, 10)
+    for A_m in (A, dataclasses.replace(A, block=None)):
+        got = [learners.estimate_pac_success(A_m, sc, ell, m, eps, 40, "rev") for m in (4, 10, 20)]
+        assert got == [Fraction(3, 40), Fraction(33, 40), 1]
+
+
+def test_a_block_form_reads_the_blocks_without_a_call_per_trial():
+    # with Learner.__call__ and ArraySample refused, the no-free-lunch search
+    # and an ERM sweep learn through their block forms, and find what the
+    # per-trial route (the learners without their block forms) finds
+    sc = adversaries.shattered_scenario(6)
+    match = families.matching_family(2).cls
+    ell = losses.zero_one_loss(match.labels, 2)
+    sc_m = sampler.Scenario(templates.uniform_prob(match.template), match.members[-1])
+    eps = Fraction(1, 10)
+
+    def run(block):
+        nfl, A = adversaries.erm_learner(sc), learners.erm(match, ell)
+        if not block:
+            nfl, A = dataclasses.replace(nfl, block=None), dataclasses.replace(A, block=None)
+        return (
+            adversaries.nfl_worst_F(nfl, sc, 3, eps, 30, "rows", search_trials=4),
+            learners.estimate_pac_success(A, sc_m, ell, 10, eps, 30, "rows"),
+        )
+
+    expected = run(False)
+    refuse = AssertionError("a trial was learned one sample at a time")
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(learners.Learner, "__call__", side_effect=refuse))
+        stack.enter_context(mock.patch.object(sampler.ArraySample, "__init__", side_effect=refuse))
+        assert run(True) == expected
+    assert 0 < expected[0][1] < 1 and 0 < expected[1] < 1
 
 
 @pytest.mark.parametrize(

@@ -284,7 +284,8 @@ def test_the_erm_reads_an_array_sample_by_its_rows(instance, extra):
 
 def test_a_label_the_loss_lacks_is_refused_on_either_route():
     # F labels matched pairs 2, which the 0/1 loss over (0, 1) lacks: on each
-    # sample the ERM raises KeyError on the reader's arrays iff on the dicts
+    # sample the ERM raises KeyError on the reader's arrays iff on the dicts,
+    # and iff its block form does on the sample's row
     match = families.matching_family(2).cls
     G = match.members[-1]
     F = Hypothesis(2, G.template, (0, 2), lambda x: 2 * G(x))
@@ -292,17 +293,50 @@ def test_a_label_the_loss_lacks_is_refused_on_either_route():
     ell = losses.zero_one_loss((0, 1), 2)
     A = learners.erm(match, ell)
     draw = sampler._labeled_reader(sc, 2, ell.labels, _labels(sc, ell))
+    (xs, ys), = draw.blocks(_streams("missing", 12), 3)
     outcomes = []
-    for (_, x, y), r in zip(draw(_streams("missing", 12), 3), _streams("missing", 12)):
+    for (_, x, y), r, i in zip(draw(_streams("missing", 12), 3), _streams("missing", 12), range(12)):
         routes = []
-        for sample in ((x, y), sampler.labeled_sample(sc, 3, r)):
+        for learn in (
+            lambda: A(x, y),
+            lambda: A(*sampler.labeled_sample(sc, 3, r)),
+            lambda: A.block(3, xs[i : i + 1], ys[i : i + 1], draw.alphabet)[0],
+        ):
             try:
-                routes.append(A(*sample) is not None)
+                routes.append(learn() is not None)
             except KeyError as e:
                 routes.append(e.args)
-        assert routes[0] == routes[1]
+        assert routes[0] == routes[1] == routes[2]
         outcomes.append(routes[0])
     assert (2,) in outcomes and True in outcomes
+
+
+def _scaled(ell):
+    """ell times 2^61, so that a row's sums pass 2^63 from four units on."""
+    return losses.LossFn(ell.k, ell.labels, lambda x, y, yp: 2**61 * ell(x, y, yp), name="big")
+
+
+@PROPERTY
+@given(scenarios(), st.integers(0, 4), st.booleans())
+def test_the_erm_block_form_picks_as_the_dict_route(instance, m, scaled):
+    # each row of the reader's blocks against labeled_sample's dicts from the
+    # same stream: the one-row call and the empirical losses' first argmin,
+    # so ties go to the first member, a row without a unit (m < k) gives
+    # member 0, and sums past 2^63 are multiplied in Python ints
+    sc, cls, ell = instance
+    ell = _scaled(ell) if scaled else ell
+    A = learners.erm(cls, ell)
+    draw = sampler._labeled_reader(sc, ell.k, ell.labels, _labels(sc, ell))
+    blocks = draw.blocks(_streams("block", 6), m)
+    picked = [H for xs, ys in blocks for H in A.block(m, xs, ys, draw.alphabet)]
+    units = len(sampler._units(sc.mu.template, ell.k, m).at)
+    for H, r in zip(picked, _streams("block", 6), strict=True):
+        x, y = sampler.labeled_sample(sc, m, r)
+        best = cls.members[0]
+        if units:
+            emp = [losses.empirical_loss(x, y, ell, G, m) for G in cls.members]
+            best = cls.members[emp.index(min(emp))]
+        assert H is A(x, y) is best
 
 
 @PROPERTY
