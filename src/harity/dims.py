@@ -3,15 +3,23 @@ certification.
 
 The shattering search is exhaustive within stated caps (default: candidate
 set size <= 6, domain <= 64).  A capped result is reported as ``AtLeast`` and
-never conflated with an exact value.
+never conflated with an exact value.  Restrictions are tuples of a family's
+columns; a set of two-valued columns is shattered iff all 2^d occur.  A chunk
+of x's slices is one gather and one ``distinct_rows`` sort of x-prefixed rows.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import comb, perm
 
+import numpy as np
+
 from . import templates
 from .hypotheses import canonical_key, distinct_rows
+
+# a slice read gathers at most this many table cells at once, and at least one x
+SLICE_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -30,17 +38,23 @@ class FunctionFamily:
     functions: tuple  # tuples of values aligned with domain
 
     def __post_init__(self):
-        for f in self.functions:
-            if len(f) != len(self.domain):
-                raise ValueError("function not total on domain")
+        if set(map(len, self.functions)) - {len(self.domain)}:
+            raise ValueError("function not total on domain")
+
+    @cached_property
+    def columns(self):  # one tuple per domain point, read once, when first asked for
+        return tuple(zip(*self.functions)) or ((),) * len(self.domain)
 
 
-def _shattered(functions, idxs):
-    """The witness pair (g0, g1) Natarajan-shattering the domain positions
-    ``idxs``, or None."""
-    restr = {tuple(f[i] for i in idxs) for f in functions}
+def _shattered(columns, idxs):
+    """The pair (g0, g1) Natarajan-shattering positions ``idxs`` of ``columns``, or
+    None; on two-valued columns, the first restriction and its complement."""
+    restr = set(zip(*(columns[i] for i in idxs)))
     if len(restr) < 2 ** len(idxs):
         return None
+    g0, values = next(iter(restr)), [set(c) for c in zip(*restr)]
+    if all(len(v) == 2 for v in values):
+        return g0, tuple((v - {a}).pop() for v, a in zip(values, g0))
     for g0 in restr:
         for g1 in restr:
             if any(a == b for a, b in zip(g0, g1)):
@@ -59,17 +73,13 @@ def _collapse(fam):
     duplicates of an identical column (two identical columns can never
     realize the (f0, f1) mixture patterns).
     """
-    seen = set()
-    keep = []
-    for i in range(len(fam.domain)):
-        col = tuple(f[i] for f in fam.functions)
-        if len(set(col)) < 2 or col in seen:
-            continue
-        seen.add(col)
-        keep.append(i)
+    first = {}  # each kept column to its first position
+    for i, col in enumerate(fam.columns):
+        if len(set(col)) > 1:
+            first.setdefault(col, i)
     return FunctionFamily(
-        tuple(fam.domain[i] for i in keep),
-        tuple(tuple(f[i] for i in keep) for f in fam.functions),
+        tuple(fam.domain[i] for i in first.values()),
+        tuple(zip(*first)) if first else ((),) * len(fam.functions),
     )
 
 
@@ -90,7 +100,7 @@ def natarajan_witness(fam, d, domain_cap=64):
     if len(fam.domain) > domain_cap:
         raise ValueError("domain exceeds the search cap")
     for idxs in combinations(range(len(fam.domain)), d):
-        pair = _shattered(fam.functions, idxs)
+        pair = _shattered(fam.columns, idxs)
         if pair is not None:
             return (idxs, *pair)
     return None
@@ -108,8 +118,8 @@ def vc_dim(fam, cap=6, domain_cap=64):
 
 
 def _labelled(cls, rows):
-    """Rows of label indices as the sorted tuples of the labels they name."""
-    return tuple(sorted(tuple(cls.labels[i] for i in row) for row in rows.tolist()))
+    """Rows of label indices as the tuples of the labels they name."""
+    return list(map(tuple, np.fromiter(cls.labels, object)[rows].tolist()))
 
 
 def slices(cls):
@@ -117,16 +127,24 @@ def slices(cls):
     coordinates avoiding the missing vertex or part, and the family is the
     class's members restricted to x's extensions ``points``, which vary the
     coordinates containing it, read as the class table's distinct rows at
-    their columns (``templates.places``)."""
-    t, place = cls.template, templates.places(cls.template, cls.k)
+    their columns (``templates.places``), a chunk of x's per sort."""
+    t, place, members = cls.template, templates.places(cls.template, cls.k), len(cls.table)
     for missing, fixed, varied in t.slices(cls.k):
-        points = templates.points_over(t, varied)
-        domain = tuple(canonical_key(z) for z in points)
+        points, xs = templates.points_over(t, varied), templates.points_over(t, fixed)
+        domain, width = tuple(canonical_key(z) for z in points), len(points) + 1
         columns = [sum(place[key] * v for key, v in z.items()) for z in points]
-        for x in templates.points_over(t, fixed):
-            offset = sum(place[key] * v for key, v in x.items())
-            rows = distinct_rows(cls.table[:, [offset + c for c in columns]])[0]
-            yield missing, x, points, FunctionFamily(domain, _labelled(cls, rows))
+        offsets = [sum(place[key] * v for key, v in x.items()) for x in xs]
+        # at most 256 x's a chunk: x's index is one byte, so the rows sort by it
+        step = min(256, max(1, SLICE_CELLS // (members * width or 1)))
+        for start in range(0, len(xs), step):
+            chunk = np.add.outer(offsets[start : start + step], columns)
+            rows = np.empty((members, len(chunk), width), cls.table.dtype)
+            rows[..., 0], rows[..., 1:] = np.arange(len(chunk)), np.take(cls.table, chunk, axis=1)
+            distinct = distinct_rows(rows.reshape(-1, width))[0]
+            labelled = _labelled(cls, distinct[:, 1:])
+            ends = np.searchsorted(distinct[:, 0], range(len(chunk) + 1)).tolist()
+            for x, a, b in zip(xs[start:], ends, ends[1:]):
+                yield missing, x, points, FunctionFamily(domain, tuple(sorted(labelled[a:b])))
 
 
 def vcn_k(cls, cap=6):
@@ -146,7 +164,7 @@ def family_on_full_domain(cls):
     configuration space (used for classic VC on binary classes)."""
     points = templates.domain_points(cls.template, cls.k)
     domain = tuple(canonical_key(x) for x in points)
-    return FunctionFamily(domain, _labelled(cls, distinct_rows(cls.table)[0]))
+    return FunctionFamily(domain, tuple(sorted(_labelled(cls, distinct_rows(cls.table)[0]))))
 
 
 def growth_function(cls, m):
@@ -155,9 +173,8 @@ def growth_function(cls, m):
     contribute their full-domain restriction count."""
     best = 1
     for *_, fam in slices(cls):
-        n = len(fam.domain)
-        for idxs in combinations(range(n), min(m, n)):
-            best = max(best, len({tuple(f[i] for i in idxs) for f in fam.functions}))
+        for cols in combinations(fam.columns, min(m, len(fam.domain))):
+            best = max(best, len(set(zip(*cols))))
     return best
 
 

@@ -98,7 +98,8 @@ def erm(cls, ell):
     y's ids to ell's labels).  So each row's key counts (one sort and one
     bincount per block) times a cached loss column per key (one ``ell`` call
     per distinct table row over the orbit, no member call) give every member's
-    total, exactly (``_exact_product``; a float loss raises TypeError).  A row
+    total, exactly (``_exact_product``, over float64 columns while the losses are
+    integers and the sums below 2^53; a float loss raises TypeError).  A row
     without units gives member 0."""
     if not cls.members:
         raise ValueError("class has no members")
@@ -114,7 +115,7 @@ def erm(cls, ell):
 
     @cache
     def column(key):
-        nonlocal top  # the largest |loss| any column holds
+        nonlocal top  # the largest |loss| any column holds, inf past a non-integer
         c, *ys = (key // radix) % digits
         cells = [sum(place[a] * v for a, v in t.pull(s, dom[c]).items()) for s in ids]
         rows, index = hypotheses.distinct_rows(cls.table[:, cells])
@@ -123,8 +124,9 @@ def erm(cls, ell):
         values = [ell(dom[c], h, y) for h in hs]
         if not all(isinstance(v, Rational) for v in values):
             raise TypeError("ERM sums loss values exactly: ints or Fractions only")
-        top = max(top, *map(abs, values))
-        return np.array(values, None if top < 2**63 else object)[index]
+        top = max(top, *(abs(v) if v.denominator == 1 else math.inf for v in values))
+        exact = np.array(values, None if top < 2**63 else object)[index]
+        return exact, exact.astype(float)
 
     def block(m, xs, ys, alphabet):
         units = sampler._units(t, k, m)
@@ -133,9 +135,10 @@ def erm(cls, ell):
         y = np.take(sampler.renumber(ys, alphabet, labels), units.order, axis=1)
         keys = np.take(xs, units.at, axis=1) @ wx + y @ radix[1:]
         distinct = _distinct(keys)
-        stack = np.array([column(key) for key in distinct.tolist()])
+        exact, floats = zip(*map(column, distinct.tolist()))
         counts = sampler._row_counts(distinct.searchsorted(keys), len(distinct))
-        sums = _exact_product(counts, stack, top * len(units.at))
+        bound = top * len(units.at)  # below 2^53 each partial sum is an exact float
+        sums = _exact_product(counts, np.array(floats if bound < 2**53 else exact), bound)
         return list(map(cls.members.__getitem__, sums.argmin(axis=1).tolist()))
 
     return block_learner(block, t, k, labels, f"erm({cls.name})")

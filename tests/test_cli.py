@@ -175,6 +175,11 @@ GOLDEN_CSV = [
         "dims --family bdeg --n 4 --d 2",
         "d53be0a815022cdb6860bd933162bf91186a43e128efb886e65a7fbcb66f6ff9",
     ),
+    # the largest slice family: 2^15 members, an `AtLeast` row (>=12)
+    (
+        "dims --family dist --n 16",
+        "bab83db7ec572a7d7dc8b8f06847b52dc870a100bcbcdd260abf7f59f1f7cf33",
+    ),
     (
         "sample --family matching --n 3 --m 6 --seed s1",
         "bc093790e252e6462a5a19b1950264e6a17bb98e6bdf7d2111c48346a80e9b2d",

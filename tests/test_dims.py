@@ -1,10 +1,16 @@
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
 from harity import dims, families, sampler, templates
-from harity.hypotheses import HypothesisClass, partize_class
+from harity.hypotheses import (
+    Hypothesis,
+    HypothesisClass,
+    canonical_key,
+    distinct_rows,
+    partize_class,
+)
 
 
 def _family(domain_size, functions):
@@ -217,3 +223,109 @@ def test_family_on_full_domain_vc():
     spec = families.matching_family(2)
     fam = dims.family_on_full_domain(spec.cls)
     assert dims.vc_dim(fam, cap=4) == 2
+
+
+def _reference_shattered(functions, idxs):
+    """The shattering test written as a scan over restriction tuples, one
+    element at a time."""
+    restr = {tuple(f[i] for i in idxs) for f in functions}
+    if len(restr) < 2 ** len(idxs):
+        return None
+    for g0 in restr:
+        for g1 in restr:
+            if any(a == b for a, b in zip(g0, g1)):
+                continue
+            if all(
+                tuple(g1[i] if bit else g0[i] for i, bit in enumerate(bits)) in restr
+                for bits in product((0, 1), repeat=len(idxs))
+            ):
+                return g0, g1
+    return None
+
+
+def test_the_shattered_witness_is_the_scans_pair():
+    # binary and 3-label families, some with a constant and a duplicated
+    # column: every position set gets the scan's (g0, g1) or None, whether
+    # the two-valued count decides it or the scan runs
+    rng = sampler.stream("witness", 0)
+    found = {2: 0, 3: 0}
+    for trial in range(150):
+        n, labels = rng.randrange(1, 7), rng.choice((2, 3))
+        count = rng.randrange(1, min(labels**n, 40) + 1)
+        rows = [[rng.randrange(labels) for _ in range(n)] for _ in range(count)]
+        if n > 2 and trial % 3 == 0:
+            for row in rows:
+                row[0], row[1] = row[2], 1
+        fam = _family(n, sorted({tuple(row) for row in rows}))
+        for d in range(1, n + 1):
+            for idxs in combinations(range(n), d):
+                pair = dims._shattered(fam.columns, idxs)
+                assert pair == _reference_shattered(fam.functions, idxs)
+                found[labels] += pair is not None
+    assert min(found.values()) > 100
+
+
+def _reference_slices(cls):
+    """Each slice read on its own, as the distinct rows of the class table
+    at its x's columns."""
+    t, place = cls.template, templates.places(cls.template, cls.k)
+    for missing, fixed, varied in t.slices(cls.k):
+        points = templates.points_over(t, varied)
+        columns = [sum(place[key] * v for key, v in z.items()) for z in points]
+        for x in templates.points_over(t, fixed):
+            offset = sum(place[key] * v for key, v in x.items())
+            rows = distinct_rows(cls.table[:, [offset + c for c in columns]])[0]
+            labelled = (tuple(cls.labels[i] for i in row) for row in rows.tolist())
+            yield missing, x, points, tuple(map(canonical_key, points)), tuple(sorted(labelled))
+
+
+def _reference_growth(cls, m):
+    best = 1
+    for *_, domain, functions in _reference_slices(cls):
+        for idxs in combinations(range(len(domain)), min(m, len(domain))):
+            best = max(best, len({tuple(f[i] for i in idxs) for f in functions}))
+    return best
+
+
+def _slice_classes():
+    names = ("matching", "bdeg", "dist", "maxg", "highorder")
+    built = {name: families.build_family(name).cls for name in names}
+    match = families.matching_family(2).cls
+    empty = HypothesisClass(match.k, match.template, match.labels, (), name="empty")
+    return {
+        **built,
+        "partized matching(2)": partize_class(match),
+        "partized bdeg(3,1)": partize_class(families.bounded_degree_family(3, 1).cls),
+        "empty": empty,
+    }
+
+
+def _wide_class():
+    """A class whose one split has 300 x's, more than a chunk holds."""
+    t = templates.Template(2, (300, 1))
+    members = tuple(
+        Hypothesis(2, t, (0, 1, 2), lambda x, s=s: (x[(1,)] * s + x[(2,)]) % 3)
+        for s in range(3)
+    )
+    return HypothesisClass(2, t, (0, 1, 2), members, name="wide")
+
+
+@pytest.mark.parametrize("cells", [None, 1, 450])
+def test_slices_read_as_each_slice_on_its_own(monkeypatch, cells):
+    # one array pass per chunk of x's gives each slice's own distinct rows,
+    # also when the cell budget splits a split's x's into several chunks: at
+    # 450 cells matching(4) reads its 8 x's in chunks of 3, 3 and 2, and
+    # dist(6) its 6 in chunks of 2; a chunk holds at most 256 x's
+    if cells:
+        monkeypatch.setattr(dims, "SLICE_CELLS", cells)
+    for name, cls in {**_slice_classes(), "wide": _wide_class()}.items():
+        read = [(mi, x, p, fam.domain, fam.functions) for mi, x, p, fam in dims.slices(cls)]
+        assert read == list(_reference_slices(cls)), name
+
+
+def test_growth_counts_the_restriction_tuples():
+    classes = _slice_classes()
+    classes["highorder"] = families.highorder_family(3).cls
+    for name, cls in classes.items():
+        for m in (1, 2, 3):
+            assert dims.growth_function(cls, m) == _reference_growth(cls, m), (name, m)
