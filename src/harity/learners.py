@@ -476,7 +476,7 @@ def pac_successes(A, scenarios, ell, m, eps, trials, seeds, cls=None):
     if cls is not None and not (cls := list(cls)):
         raise ValueError("cls has no members, so no infimum")
     law = losses.law_plan(scenarios[0].mu, ell.k, scenarios[0].mu2)
-    t, s, (W, weights), (zs, at, X, xs) = law[0], len(law[1][0][1]), *law[4:]
+    t, s, (W, weights), (zs, at, X, xs) = law[0], law[6][0].shape[1], *law[4:6]
     read = {}  # (id(G), id(points)) -> (G, its labels there); holding G keeps its id
 
     def labels(G, points):

@@ -1,6 +1,6 @@
-"""Loss functions (plain and agnostic, both settings), exact totals (read from
-one per-atom ``plan`` over mu's ``law_plan``), empirical losses, flexibility
-witnesses, neutral symbols, and Bayes predictors.
+"""Loss functions (plain and agnostic, both settings), exact totals (one
+``plan`` over mu's ``law_plan``: ``sampler.exact_domain``'s integer masses),
+empirical losses, flexibility witnesses, neutral symbols, and Bayes predictors.
 
 Non-partite losses consume full label patterns: a pattern is a tuple over the
 canonical enumeration of S_k (see ``hypotheses.perms``), i.e. an element of
@@ -10,13 +10,12 @@ from a template's rules (``orbit``, ``read``, ``index``, ``domain``), so no
 loss computation here branches on the setting.
 """
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 from math import lcm
-from operator import itemgetter, mul
+from operator import mul
 
 import numpy as np
 
@@ -82,15 +81,9 @@ def zero_one_loss(labels, k, setting=None):
     """1[y != y'] on full patterns (non-partite) or single labels (partite).
     ``setting`` is ignored: the loss reads either alike.  It stays only
     because perfbench's workloads pass it."""
-    return LossFn(
-        k,
-        tuple(labels),
-        lambda x, y, yp: 0 if y == yp else 1,
-        name="01",
-        sup_norm=Fraction(1),
-        separation=Fraction(1),
-        symmetric=True,
-    )
+    one = Fraction(1)
+    fn = lambda x, y, yp: 0 if y == yp else 1  # noqa: E731
+    return LossFn(k, tuple(labels), fn, "01", sup_norm=one, separation=one, symmetric=True)
 
 
 @dataclass(frozen=True)
@@ -108,13 +101,7 @@ class AgnosticLossFn:
 def wrap_agnostic(ell):
     """The natural agnostic version l(H,x,y) := l(x, H's labels at x, y)."""
     fn = lambda H, x, y: ell(x, H.template.label(H, x), y)  # noqa: E731
-    return AgnosticLossFn(
-        ell.k,
-        ell.labels,
-        fn,
-        name=ell.name + "^ag",
-        sup_norm=ell.sup_norm,
-    )
+    return AgnosticLossFn(ell.k, ell.labels, fn, name=ell.name + "^ag", sup_norm=ell.sup_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -130,42 +117,52 @@ def numerators(values):
 
 @lru_cache(maxsize=8)
 def law_plan(mu, k, mu2):
-    """The part of a ``plan`` that reads mu (and mu', or None) alone: the
-    template, ``sampler.joint_law``'s atoms at the arity-k domain size, each
-    as (x, the orbit pullbacks of its joined point, x's own without mu'),
+    """The part of a ``plan`` that reads mu (and mu', or None) alone, read off
+    ``sampler.exact_domain``: the template, each atom's joined point,
     ``weigh`` (a row's expectation over one denominator; a float loss value
     raises TypeError), whether mu2 was given, (W, the atoms' integer weights
-    over W, int64 below 2^63), and (the atoms' pullbacks in order, each
+    over W, int64 below 2^63), (the atoms' orbit pullbacks in order, each
     atom's x as a position in the distinct x, those x, their pullbacks: the
-    same list without mu').  Measures hash by template and compare by
+    same list without mu'), and (the atoms' and the x's pullbacks, each as a
+    position in its own list).  Measures hash by template and compare by
     weights, so equal measures share one cached law; eight laws are kept."""
-    t = mu.template
-    (m, orbit), pull = t.domain(k), t.pull
-    law = list(sampler.joint_law(mu, m, mu2))
-    W, weights = numerators(p for *_, p in law)
+    X, Z, ids, masses, W = sampler.exact_domain(mu, mu2, k)
+    runs, weights = len(Z) // len(X), masses.tolist()
     weigh = lambda r: Fraction(sum(map(mul, weights, r)), W)  # noqa: E731
-    atoms = [(x, [pull(a, z) for a in orbit]) for x, z, _ in law]
-    runs = [(x, len(list(g))) for x, g in groupby(law, itemgetter(0))]  # an x's atoms
-    zs = [p for _, o in atoms for p in o]
-    xs = [pull(a, x) for x, _ in runs for a in orbit] if mu2 else zs
-    at = np.repeat(np.arange(len(runs)), [n for _, n in runs])
-    ints = np.array(weights, np.int64 if W < 2**63 else object)
-    return t, atoms, weigh, mu2 is not None, (W, ints), (zs, at, [x for x, _ in runs], xs)
+    zs, xids = list(map(Z.__getitem__, ids.ravel().tolist())), ids[::runs] // runs
+    xs = list(map(X.__getitem__, xids.ravel().tolist())) if mu2 else zs
+    ints, at = masses.astype(np.int64) if W < 2**63 else masses, np.arange(len(Z)) // runs
+    return mu.template, Z, weigh, mu2 is not None, (W, ints), (zs, at, X, xs), (ids, xids)
+
+
+def _cells(law, F):
+    """F read once per atom's joined point of a ``law_plan``: (the distinct
+    cells (x's position, F's read over the atom's orbit), each atom's cell)."""
+    t, Z, *_, (_, at, _, _), (ids, _) = law
+    labels, seen, slots = list(map(F, Z)), {}, range(ids.shape[1])
+    ys = zip(*(map(labels.__getitem__, c) for c in ids.T.tolist()))  # F's labels per orbit
+    cell = [seen.setdefault(c, len(seen)) for c in zip(at.tolist(), ys)]
+    return [(x, t.read(y.__getitem__, slots)) for x, y in seen], cell
 
 
 def plan(law, F, ell):
-    """(row, weigh) over a ``law_plan``, F read once at every atom's orbit
-    pullbacks: ``row(H)`` is H's loss at each atom, l(x, H's labels, F's
-    labels) over the atom's orbit, or, given mu', the agnostic l(H, x, y),
-    y F's labels at the joined point; a row reads H once per atom."""
-    t, atoms, weigh, joined, _, (zs, *_) = law
-    labels, read, slots = list(map(F, zs)), t.read, range(len(zs) // len(atoms))
-    ys = [read(block.__getitem__, slots) for block in zip(*[iter(labels)] * len(slots))]
-    if joined:
-        return (lambda H: [ell(H, x, y) for (x, _), y in zip(atoms, ys)]), weigh
+    """(row, weigh) over a ``law_plan``: ``row(H)`` is H's loss at each atom,
+    l(x, H's labels, F's labels) over the atom's orbit, or, given mu', the
+    agnostic l(H, x, y), y F's labels at the joined point.  F is read once per
+    joined point, H once per distinct point, and the pure l once per
+    ``_cells`` cell; orbit reads and values are gathered by position."""
+    t, _, weigh, joined, _, (_, _, X, _), (_, xids) = law
+    (cells, cell), orbits = _cells(law, F), xids.tolist()
 
     def row(H):
-        return [ell(x, read(H, o), y) for (x, o), y in zip(atoms, ys)]
+        if joined:  # H's values by key: H read once at each distinct point l reads
+            by, key = {}, canonical_key
+            G = replace(H, fn=lambda z: by[k] if (k := key(z)) in by else by.setdefault(k, H(z)))
+            values = [ell(G, X[x], y) for x, y in cells]
+        else:
+            hs = list(map(H, X))
+            values = [ell(X[x], t.read(hs.__getitem__, orbits[x]), y) for x, y in cells]
+        return list(map(values.__getitem__, cell))
 
     return row, weigh
 
@@ -285,13 +282,7 @@ def extend_with_neutral(ell_ag, witness):
             return witness.bottom_cost(x)
         return ell_ag(H, x, y)
 
-    return AgnosticLossFn(
-        ell_ag.k,
-        labels,
-        fn,
-        name=ell_ag.name + "+⊥",
-        sup_norm=ell_ag.sup_norm,
-    )
+    return AgnosticLossFn(ell_ag.k, labels, fn, name=ell_ag.name + "+⊥", sup_norm=ell_ag.sup_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -302,53 +293,40 @@ def bayes_predictor(mu, mu2, F, ell):
     """The hypothesis minimizing the mu'-conditional expected loss at every
     configuration point of mu's template (exact, exhaustive).  That value is
     an expectation over mu' alone, so mu supplies only the template and a
-    mu-null point gets its conditional argmin too.  The points are
-    ``sampler.joint_law``'s under the uniform law, so its cap counts pairs
-    of a point and a mu' atom.
+    mu-null point gets its conditional argmin too.  The points and integer
+    masses are the ``law_plan`` of the uniform law and mu', so its cap counts
+    pairs of a point and a mu' atom.
 
     Labels are chosen per S_k orbit (a partite point is its own orbit) over
     all assignments to its distinct points, so the result is a genuine
     hypothesis.  An assignment scores the sum of the conditional losses at
-    those points, which carry equal mass, so asymmetric losses are minimized
-    too; it sums exactly over the mass of each distinct label of F at a
-    point, read off the law one point at a time.  Ties break toward the
-    smallest label indices, read over the distinct points in the order the
-    orbit first shows them.
+    those points (equal mass, so asymmetric losses are minimized too), over
+    the mass of each distinct label of F at a point (``_cells``).  Ties break
+    toward the smallest label indices, over the distinct points in the order
+    the orbit first shows them.
     """
-    t, u = mu.template, templates.uniform_prob(mu.template)
-    (m, ps), pull, read, label = t.domain(ell.k), t.pull, t.read, t.label
-    # each point's key -> (the point, {F's labels at a joined point: their
-    # mass}), read off the law, which lists a point's atoms together
-    conditional = {}
-    for x, atoms in groupby(sampler.joint_law(u, m, mu2), key=itemgetter(0)):
-        yps = Counter()
-        for _, z, p in atoms:
-            yps[label(F, z)] += p
-        conditional[canonical_key(x)] = x, yps
-    values = {}
-    for key, (x, _) in conditional.items():
+    t, read = mu.template, mu.template.read
+    law = law_plan(templates.uniform_prob(t), ell.k, mu2)
+    (_, ints), (_, _, X, _), (_, xids) = law[4:]
+    cells, cell = _cells(law, F)
+    mass, conditional = np.zeros(len(cells), ints.dtype), [{} for _ in X]
+    np.add.at(mass, cell, ints)  # a sum is at most W, so its dtype holds it
+    for (x, y), w in zip(cells, mass.tolist()):
+        conditional[x][y] = w
+    keys, orbits, values = list(map(canonical_key, X)), xids.tolist(), {}
+    for i, key in enumerate(keys):
         if key in values:
             continue
         # the orbit's distinct points, numbered as the orbit first shows them
-        orbit = dict.fromkeys(canonical_key(pull(s, x)) for s in ps)
-        slot = {o: i for i, o in enumerate(orbit)}
-        points = [
-            (z, [slot[canonical_key(pull(s, z))] for s in ps], yps)
-            for z, yps in map(conditional.get, slot)
-        ]
+        slot = {p: j for j, p in enumerate(dict.fromkeys(orbits[i]))}
+        points = [(X[p], [slot[q] for q in orbits[p]], conditional[p]) for p in slot]
 
         def score(assignment):
             hy = lambda j: ell.labels[assignment[j]]  # noqa: E731
-            return sum(
-                w * ell(z, read(hy, reads), yp)
-                for z, reads, yps in points
-                for yp, w in yps.items()
-            )
+            return sum(w * ell(z, read(hy, r), y) for z, r, ys in points for y, w in ys.items())
 
         # product runs in lexicographic order and min keeps the first least
         best = min(product(range(len(ell.labels)), repeat=len(slot)), key=score)
-        values.update((o, ell.labels[i]) for o, i in zip(slot, best))
+        values.update((keys[p], ell.labels[j]) for p, j in zip(slot, best))
 
-    return Hypothesis(
-        ell.k, t, ell.labels, lambda x: values[canonical_key(x)], name="bayes"
-    )
+    return Hypothesis(ell.k, t, ell.labels, lambda x: values[canonical_key(x)], name="bayes")

@@ -15,9 +15,9 @@ One per-atom plan (``_plan``) decides which labels survive departization.
 ``departize_sample`` and both exact laws apply it, and the laws decode every
 randomness index exactly as the departized learner does, once per (m, k).
 Both laws take one route: mu (x) mu' is enumerated once as integer masses
-over one denominator, each unit coded by its domain atom
-(``sampler.exact_read``); F is read once per atom of the joined domain law,
-its labels laid over the units by the one sample layout (``sampler._units``);
+over one denominator, each unit coded by its domain atom (``exact_read``);
+F is read once per atom of the joined domain law (``exact_domain``), its
+labels laid over the units by the one sample layout (``sampler._units``);
 and each plan's mass is summed over the distinct values of the x keys and
 labels that it reads.  The per-atom dict loops stay in the tests as the
 reference.
@@ -35,7 +35,6 @@ from . import indexing, learners, losses, sampler, templates
 from .hypotheses import (
     Hypothesis,
     HypothesisClass,
-    canonical_key,
     distinct_rows,
     partize_hypothesis,
     perms,
@@ -387,23 +386,14 @@ def _check_law_inputs(mu, mu2, F_part, m, k, partite):
 
 def _atom_labels(mu, mu2, k, G):
     """G's pattern at each point of each atom's orbit (``losses.plan``'s read)
-    over mu (x) mu' at the arity-k domain size, G called once per distinct
-    point: (label ids by atom, orbit slot and pattern position, the label
+    over mu (x) mu' at the arity-k domain size (``sampler.exact_domain``), G
+    called once per atom's joined point and gathered by the orbit's atom
+    numbers: (label ids by atom, orbit slot and pattern position, the label
     each id names)."""
-    t, patterns, ids = mu.template, {}, {}
-    d, orbit = t.domain(k)
-
-    def read(z):
-        key = canonical_key(z)
-        if key not in patterns:
-            patterns[key] = G(z)
-        return patterns[key]
-
-    labels = [
-        [[ids.setdefault(v, len(ids)) for v in read(t.pull(a, z))] for a in orbit]
-        for _, z, _ in sampler.joint_law(mu, d, mu2)
-    ]
-    return np.array(labels, int), list(ids)
+    _, Z, ids, _, _ = sampler.exact_domain(mu, mu2, k)
+    names = {}  # label -> id, as the atoms' patterns first show them
+    rows = [[names.setdefault(v, len(names)) for v in G(z)] for z in Z]
+    return np.array(rows, int)[ids], list(names)
 
 
 def _departize_law(mu, mu2, G, m, k, x_key):
@@ -416,7 +406,9 @@ def _departize_law(mu, mu2, G, m, k, x_key):
     plan and distinct read, and masses stay integers over one denominator
     until the law's atoms are returned."""
     plans = _atom_plans(mu, mu2, m, k)
-    values, codes, masses, D = sampler.exact_read(mu, mu2, k, m)
+    values, ranks, masses, D = sampler.exact_read(mu, mu2, m)
+    layout = sampler._layout(mu, mu2, k, m)
+    codes = layout.radix @ ranks[:, layout.at]
     labels, names = _atom_labels(mu, mu2, k, G)
     units = sampler._units(mu.template, k, m)
     where = dict(zip(units.keys, zip(units.unit.tolist(), units.slot.tolist())))

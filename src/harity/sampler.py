@@ -18,7 +18,8 @@ carries ids to another alphabet), which a learner's block form reads whole;
 its per-trial view wraps each row in an ``ArraySample``, which ``values``
 hands an array reader as the row and a key reader as a dict built once.
 ``exact_read`` is ``_read``'s exact twin: every atom of mu (x) mu' with its
-integer mass and its units' codes, which the departization laws read.
+integer mass, values and ranks, which the departization laws code by unit;
+``exact_domain`` reads it at the domain size as points, for ``losses``.
 """
 
 import random
@@ -26,7 +27,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, repeat, tee
+from itertools import chain, count, islice, repeat, tee
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -329,13 +330,13 @@ def _labeled_reader(sc, k, alphabet, *labels):
     return draw
 
 
-def exact_read(mu, mu2, k, m):
-    """The exact twin of ``_read``: every atom of mu (x) mu' on size-m samples,
-    in ``joint_law``'s order, as (values, codes, masses, D).  Row i holds
-    atom i's coordinate values in ``_read``'s order (x's, then x''s) and its
-    units' codes over ``_layout``; its probability is masses[i] / D, Python
-    integers over one denominator.  Refused above the cap before enumerating."""
-    supports = [s for nu in (mu, mu2) for _, s in templates._supports(nu, m)]
+def exact_read(mu, mu2, m):
+    """Every atom of mu (x) mu' (or mu alone) on size-m samples, in
+    ``joint_law``'s order, as (values, ranks, masses, D): row i holds atom
+    i's coordinate values in ``_read``'s order (x's, then x''s) and their
+    support ranks (``_layout.radix`` reads them as unit codes); its mass is
+    masses[i] / D, Python integers.  Refused above the cap before enumerating."""
+    supports = [s for nu in (mu, mu2) if nu for _, s in templates._supports(nu, m)]
     sizes = [len(s) for s in supports]
     check_law_size(prod(sizes))
     ranks = np.indices(sizes).reshape(len(sizes), prod(sizes)).T  # the last fastest
@@ -345,8 +346,31 @@ def exact_read(mu, mu2, k, m):
         d = lcm(*(w.denominator for _, w in support))
         nums = [w.numerator * (d // w.denominator) for _, w in support]
         masses, D = np.multiply.outer(masses, nums).ravel(), D * d
-    layout = _layout(mu, mu2, k, m)
-    return values, layout.radix @ ranks[:, layout.at], masses, D
+    return values, ranks, masses, D
+
+
+def exact_domain(mu, mu2, k):
+    """``exact_read`` at the arity-k domain size, as points: (mu's
+    distinct points, each atom's joined point (its x, without mu'), each
+    atom's orbit pullbacks as atom numbers, masses, D); an x's atoms are
+    consecutive.  A pullback permutes the columns, each measure's read once
+    per orbit element off its template's pullback of their positions."""
+    t, (d, orbit) = mu.template, mu.template.domain(k)
+    values, ranks, masses, D = exact_read(mu, mu2, d)
+    perms, c = [[] for _ in orbit], 0
+    for keys, pull in [(nu.template.coords(d), nu.template.pull) for nu in (mu, mu2) if nu]:
+        for p, a in zip(perms, orbit):
+            p += map(pull(a, dict(zip(keys, count(c)))).__getitem__, keys)
+        c += len(keys)
+    keys, sizes = t.coords(d), ranks[-1] + 1
+    x, runs = values[:, : len(keys)], prod(sizes[len(keys) :])  # runs: mu''s atoms
+    if mu2:  # templates.join_config, column by column
+        t2, c2 = mu2.template, mu2.template.coords(d)
+        joined = [t2.size(t2.space(a)) for a in keys], [len(keys) + c2.index(a) for a in keys]
+        values = x * joined[0] + values[:, joined[1]]
+    zs = list(map(dict, map(zip, repeat(keys), values.tolist())))
+    xs = list(map(dict, map(zip, repeat(keys), x[::runs].tolist()))) if mu2 else zs
+    return xs, zs, np.ravel_multi_index(tuple(ranks[:, perms].T), sizes).T, masses, D
 
 
 def check_law_size(atoms):
@@ -366,7 +390,9 @@ def law_key(x, y):
 def joint_law(mu, m, mu2=None):
     """The (x, joined point, p) atoms of mu (x) mu' on size-m samples, x' fastest,
     or of mu alone (joined point x), lazily: a one-pass reader holds only the
-    two measures' own laws.  Refused above the cap before enumerating."""
+    two measures' own laws.  Refused above the cap before enumerating.  It is
+    ``exact_sample_law``'s enumerator and the tests' reference; every other
+    exact oracle reads ``exact_read``'s integer masses."""
     check_law_size(prod(templates.law_atoms(nu, m) for nu in (mu, mu2) if nu))
     law = templates.config_law(mu, m)
     if mu2 is None:

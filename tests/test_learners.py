@@ -557,7 +557,7 @@ def test_a_check_reads_only_mus_support(n):
 
 def test_a_check_reads_each_member_once_per_atom():
     # the totals and the fast route's tables are the same plan rows: each
-    # member is read once per orbit point of each of the law's atoms
+    # member is read once per distinct point of the law's atoms' orbits
     match = families.matching_family(2).cls
     reads = []
     t, labels = match.template, match.labels
@@ -574,7 +574,7 @@ def test_a_check_reads_each_member_once_per_atom():
         learners.check_uniform_convergence(sc, cls, ell, 6, 0.5, 20, "one-plan")
         assert built() == 1
     atoms = len(templates.config_law(mu, 2))
-    assert atoms == 16 and len(reads) == len(counted) * 2 * atoms
+    assert atoms == 16 and len(reads) == len(counted) * atoms
 
 
 def test_a_check_converts_its_rows_to_integers_once():
@@ -946,10 +946,12 @@ def test_agnostic_checks_use_the_joined_total():
 
 def test_each_check_enumerates_the_law_once(monkeypatch):
     # the exact totals are built once per check, not once per trial or member
-    calls = []
-    law = templates.config_law
+    calls = []  # the measures each enumeration reads
+    law = sampler.exact_read
     monkeypatch.setattr(
-        templates, "config_law", lambda mu, m: calls.append(mu) or law(mu, m)
+        sampler,
+        "exact_read",
+        lambda mu, mu2, m: calls.extend(nu for nu in (mu, mu2) if nu) or law(mu, mu2, m),
     )
     nfl = adversaries.shattered_scenario(6)
     ell = losses.zero_one_loss(nfl.labels, 1)

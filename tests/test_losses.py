@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -255,7 +256,9 @@ def test_totals_refuse_float_values():
 
 
 def test_totals_pull_each_atom_back_once_per_orbit_point(monkeypatch):
-    # F's labels are read over the stored orbit, not pulled back again
+    # F's labels are read over each atom's orbit by atom number: each orbit
+    # element pulls the coordinates' positions back once, and no atom is
+    # pulled back at all
     cls = families.matching_family(4).cls
     mu = templates.uniform_prob(cls.template)
     pull = indexing.pullback
@@ -264,7 +267,7 @@ def test_totals_pull_each_atom_back_once_per_orbit_point(monkeypatch):
     losses.law_plan.cache_clear()
     losses.totals(mu, cls.members[-1], losses.zero_one_loss(cls.labels, 2))
     atoms = len(templates.config_law(mu, 2))
-    assert len(calls) == atoms * len(perms(2))
+    assert len(calls) == len(perms(2)) < atoms
 
 
 def test_law_plan_is_shared_by_equal_measures_only():
@@ -578,3 +581,140 @@ def test_permute_pattern_identity():
     y = (0, 1)
     assert losses.permute_pattern(y, (1, 2), 2) == (0, 1)
     assert losses.permute_pattern(y, (2, 1), 2) == (1, 0)
+
+
+def test_an_agnostic_total_reads_H_once_per_point_and_F_once_per_atom():
+    # mu' = mu on Template(2, (3, 2)): 18 domain points and 324 joint atoms;
+    # H is read at most once per point and F at most once per joined atom,
+    # where reading H's pattern at every atom took 324 pattern reads
+    t = templates.Template(2, (3, 2))
+    mu = templates.uniform_prob(t)
+    f_reads, h_reads = [], []
+    F = Hypothesis(
+        2,
+        templates.product_template(t, t),
+        (0, 1),
+        lambda x: f_reads.append(x) or (x[(1,)] + x[(2,)] * x[(1, 2)]) % 2,
+    )
+    H = Hypothesis(2, t, (0, 1), lambda x: h_reads.append(x) or int(x[(1,)] < x[(2,)]))
+    ag = losses.wrap_agnostic(losses.zero_one_loss((0, 1), 2))
+    points, atoms = len(templates.domain_points(t, 2)), templates.law_atoms(mu, 2) ** 2
+    assert (points, atoms) == (18, 324)
+    losses.law_plan.cache_clear()
+    total = losses.total_loss_ag(mu, mu, F, ag, H)
+    assert 0 < len(h_reads) <= points and 0 < len(f_reads) <= atoms
+    assert len({canonical_key(x) for x in h_reads}) == len(h_reads)
+    assert total == _old_total_loss_ag(mu, mu, F, ag, H)
+
+
+# the Bayes predictor's body before it read the law in integer masses
+
+
+def _old_bayes_predictor(mu, mu2, F, ell):
+    from collections import Counter
+    from itertools import groupby
+    from operator import itemgetter
+
+    t, u = mu.template, templates.uniform_prob(mu.template)
+    (m, ps), pull, read, label = t.domain(ell.k), t.pull, t.read, t.label
+    conditional = {}
+    for x, atoms in groupby(sampler.joint_law(u, m, mu2), key=itemgetter(0)):
+        yps = Counter()
+        for _, z, p in atoms:
+            yps[label(F, z)] += p
+        conditional[canonical_key(x)] = x, yps
+    values = {}
+    for key, (x, _) in conditional.items():
+        if key in values:
+            continue
+        orbit = dict.fromkeys(canonical_key(pull(s, x)) for s in ps)
+        slot = {o: i for i, o in enumerate(orbit)}
+        points = [
+            (z, [slot[canonical_key(pull(s, z))] for s in ps], yps)
+            for z, yps in map(conditional.get, slot)
+        ]
+
+        def score(assignment):
+            hy = lambda j: ell.labels[assignment[j]]  # noqa: E731
+            return sum(
+                w * ell(z, read(hy, reads), yp)
+                for z, reads, yps in points
+                for yp, w in yps.items()
+            )
+
+        best = min(product(range(len(ell.labels)), repeat=len(slot)), key=score)
+        values.update((o, ell.labels[i]) for o, i in zip(slot, best))
+
+    return Hypothesis(
+        ell.k, t, ell.labels, lambda x: values[canonical_key(x)], name="bayes"
+    )
+
+
+def _seeded_measure(rng, t):
+    """Random weights on every ground space of t, each space keeping at least
+    one positive weight and, now and then, a zero."""
+
+    def row(a):
+        raw = [rng.choice((0, 1, 2, 3)) for _ in range(t.size(a))]
+        raw[rng.randrange(len(raw))] += 1
+        return tuple(Fraction(w, sum(raw)) for w in raw)
+
+    return templates.ProbTemplate(t, t.tabulate(row))
+
+
+def _seeded_table(rng, t, k, labels):
+    table = {canonical_key(x): rng.choice(labels) for x in templates.domain_points(t, k)}
+    return Hypothesis(k, t, labels, lambda x: table[canonical_key(x)])
+
+
+def _seeded_losses(labels, k):
+    """The 0/1 loss, an asymmetric loss, and a Fraction loss that reads x."""
+    asymmetric = lambda x, y, yp: 2 * (y > yp) + (y < yp)  # noqa: E731
+    reads_x = lambda x, y, yp: Fraction(1 + sum(x.values()) % 3, 4) * (y != yp)  # noqa: E731
+    return [
+        losses.zero_one_loss(labels, k),
+        losses.LossFn(k, labels, asymmetric, name="asym"),
+        losses.LossFn(k, labels, reads_x, name="reads-x"),
+    ]
+
+
+def _seeded_instance(i):
+    """Instance i of 72: k in {1, 2, 3}, both settings, L in {2, 3}, and the
+    three losses, over seeded measures (zero weights included) and tables.
+    A domain has at most 18 points, so a joint law at most 324 atoms."""
+    k, partite, L, which = 1 + i % 3, i // 3 % 2 == 1, 2 + i // 6 % 2, i // 12 % 3
+    rng = random.Random(f"bayes-equivalence/{i}")
+    # a point's first arity (or part) takes up to 3 values, one more up to 2
+    first, other = rng.choice((1, 2, 3)) if k < 3 else rng.choice((1, 2)), rng.choice((1, 2))
+    if partite:
+        size = {(k,): other, (1,): first}  # at k = 1 the one part takes first
+        t = templates.PartiteTemplate(k, {a: size.get(a, 1) for a in indexing.subsets(k, k)})
+    else:
+        t = templates.Template(k, (first, *[1] * (k - 2), other)[:k])
+    labels = tuple(range(L))
+    mu, mu2 = _seeded_measure(rng, t), _seeded_measure(rng, t)
+    F = _seeded_table(rng, templates.product_template(t, t), k, labels)
+    return mu, mu2, F, _seeded_losses(labels, k)[which], rng
+
+
+@pytest.mark.parametrize("i", range(72))
+def test_bayes_and_totals_equal_the_old_bodies(i):
+    mu, mu2, F, ell, rng = _seeded_instance(i)
+    t, labels = mu.template, ell.labels
+    B, old = losses.bayes_predictor(mu, mu2, F, ell), _old_bayes_predictor(mu, mu2, F, ell)
+    assert B.table() == old.table()
+    H = _seeded_table(rng, t, ell.k, labels)
+    ag, tj = losses.wrap_agnostic(ell), templates.product_template(t, t)
+    # an agnostic loss that wrap_agnostic does not build, over an F showing ⊥
+    bottom = _seeded_table(rng, tj, ell.k, labels + (losses.BOTTOM,))
+    witness = losses.flexibility_witness_01(labels, t)
+    zero_one = losses.wrap_agnostic(losses.zero_one_loss(labels, ell.k))
+    ext = losses.extend_with_neutral(zero_one, witness)
+    plain = _old_total_loss_partite if t.partite else _old_total_loss
+    G = _seeded_table(rng, t, ell.k, labels)
+    for h in (B, H):
+        assert losses.totals(mu, F, ag, mu2)(h) == _old_total_loss_ag(mu, mu2, F, ag, h)
+        expected = _old_total_loss_ag(mu, mu2, bottom, ext, h)
+        assert losses.totals(mu, bottom, ext, mu2)(h) == expected
+        assert losses.totals(mu, G, ell)(h) == plain(mu, G, ell, h)
+    assert losses.totals(mu, F, ag, mu2)(B) <= losses.totals(mu, F, ag, mu2)(H)

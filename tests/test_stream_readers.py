@@ -6,7 +6,9 @@ the stream next to ``labeled_sample``, whose order it must follow.
 ROADMAP item 2(d) deletes them.  ``learners.py`` names no dict sampler (``labeled_sample``, ``star``):
 its checks and its PAC sweep read samples by unit code only.
 ``reductions.py`` names no ``star``: its exact laws read F's labels by unit
-code too.  mu's exact law is cached where it is built (``losses.law_plan``),
+code too.  Every exact oracle outside ``sampler.py`` reads ``exact_read``'s
+integer masses: no other module names the dict enumerator ``joint_law``.
+mu's exact law is cached where it is built (``losses.law_plan``),
 so no caller outside the modules that read it (``LAW_READERS``) names it to
 build and pass it on.  Only ``sampler.py`` builds an ``ArraySample`` or reads
 its rows (``ROW_FIELDS``): every other module reads a sample through
@@ -85,6 +87,25 @@ def test_the_check_sees_a_planted_star():
         "def law(F, joined, m):\n    return {0: star(F, joined, m)}\n"
     )
     assert stream_readers(tree, ("star",)) == {"star"}
+
+
+def test_only_the_sampler_names_joint_law():
+    found = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "sampler.py"
+        and stream_readers(ast.parse(path.read_text()), ("joint_law",))
+    }
+    assert sorted(found) == []
+
+
+def test_the_check_sees_a_planted_joint_law():
+    for source in (
+        "from .sampler import joint_law\n",
+        "def f(mu, m, mu2):\n    return list(sampler.joint_law(mu, m, mu2))\n",
+        "def g(law):\n    joint_law = law\n    return joint_law\n",
+    ):
+        assert stream_readers(ast.parse(source), ("joint_law",)) == {"joint_law"}
 
 
 def test_no_caller_threads_the_law():
