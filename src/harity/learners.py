@@ -79,9 +79,11 @@ def block_learner(block, t, k, labels, name):
 
 
 def _distinct(a):
-    """a's distinct values, sorted: ``np.unique`` without its fixed cost."""
-    a = np.sort(a, axis=None)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+    """(a's distinct values, sorted, each entry's position among them):
+    ``np.unique(a, return_inverse=True)`` without its fixed cost."""
+    d = np.sort(a, axis=None)
+    d = d[np.concatenate(([True], d[1:] != d[:-1]))]
+    return d, d.searchsorted(a)
 
 
 def _exact_product(counts, V, bound):
@@ -134,9 +136,9 @@ def erm(cls, ell):
             return [cls.members[0]] * len(xs)
         y = np.take(sampler.renumber(ys, alphabet, labels), units.order, axis=1)
         keys = np.take(xs, units.at, axis=1) @ wx + y @ radix[1:]
-        distinct = _distinct(keys)
+        distinct, index = _distinct(keys)
         exact, floats = zip(*map(column, distinct.tolist()))
-        counts = sampler._row_counts(distinct.searchsorted(keys), len(distinct))
+        counts = sampler._row_counts(index, len(distinct))
         bound = top * len(units.at)  # below 2^53 each partial sum is an exact float
         sums = _exact_product(counts, np.array(floats if bound < 2**53 else exact), bound)
         return list(map(cls.members.__getitem__, sums.argmin(axis=1).tolist()))
@@ -463,9 +465,10 @@ def pac_successes(A, scenarios, ell, m, eps, trials, seeds, cls=None):
     ``cls``), scenario i's trials reading ``sampler.stream(seeds[i], t)``.  The
     scenarios share mu and mu' and vary only F.  One reader pass draws every
     trial and calls A (the index drawn from its stream, or 0 with one index);
-    one pass scores them.  Each object, F or H (by identity), is read once per
-    point list; a total is an integer gather of weights times loss cells keyed
-    by (x, H's labels, F's at the joined point: the natural agnostic loss given
+    one pass scores them.  Each object (by identity) is read once per point, F
+    at the law's joined points and H at its distinct x, then gathered over the
+    orbits; a total is an integer gather of weights times loss cells keyed by
+    (x, H's labels, F's at the joined point: the natural agnostic loss given
     mu'), one ``ell`` call per cell.  Refused before any stream is read: no
     scenario, seeds not one each, mu or mu' not shared, trials < 1, empty cls."""
     _refuse_no_trials(trials)
@@ -476,7 +479,7 @@ def pac_successes(A, scenarios, ell, m, eps, trials, seeds, cls=None):
     if cls is not None and not (cls := list(cls)):
         raise ValueError("cls has no members, so no infimum")
     law = losses.law_plan(scenarios[0].mu, ell.k, scenarios[0].mu2)
-    t, s, (W, weights), (zs, at, X, xs) = law[0], law[6][0].shape[1], *law[4:6]
+    t, Z, _, _, (W, weights), (at, X), (ids, xids) = law
     read = {}  # (id(G), id(points)) -> (G, its labels there); holding G keeps its id
 
     def labels(G, points):
@@ -484,7 +487,9 @@ def pac_successes(A, scenarios, ell, m, eps, trials, seeds, cls=None):
             read[key] = G, list(map(G, points))
         return read[key][1]
 
-    fs = [labels(sc.F, zs) for sc in scenarios]
+    fs, pulls = [labels(sc.F, Z) for sc in scenarios], ids.ravel().tolist()
+    if ids.shape[1] > 1:  # each atom's orbit, gathered; a one-point orbit is the atom
+        fs = [list(map(f.__getitem__, pulls)) for f in fs]
     draw = sampler._labeled_reader(scenarios[0], ell.k, ell.labels, *fs)
     got, T, r, eps = {}, len(scenarios), A.r(m), Fraction(eps)  # id(H) -> (row, H)
     index = lambda H: got.setdefault(id(H), (len(got), H))[0]  # noqa: E731
@@ -500,15 +505,15 @@ def pac_successes(A, scenarios, ell, m, eps, trials, seeds, cls=None):
     inf = [index(H) for H in cls or ()]
     rows = np.array([picks[i : i + trials] + inf for i in range(0, len(picks), trials)])
     code = {a: i for i, a in enumerate(draw.alphabet)}
-    hs = [[code.setdefault(a, len(code)) for a in labels(H, xs)] for _, H in got.values()]
-    L, P, alphabet = len(code), len(code) ** s, tuple(code)
+    hs = [[code.setdefault(a, len(code)) for a in labels(H, X)] for _, H in got.values()]
+    L, P, alphabet = len(code), len(code) ** (s := ids.shape[1]), tuple(code)
     if len(X) * P * P >= 2**63:
         raise ValueError("the loss cells' keys overflow int64")
     # a cell's key: x, H's labels over its orbit, F's over the atom's; radix L
-    hk = (np.array(hs).reshape(-1, s) @ L ** np.arange(s)).reshape(len(got), -1) * P
+    hk = np.array(hs)[:, xids] @ L ** np.arange(s) * P
     fk = (draw.ids @ L ** np.arange(s)).reshape(T, -1) + at * (P * P)
     keys = hk[rows][..., at] + fk[:, None]
-    cells = _distinct(keys)
+    cells, cell = _distinct(keys)
     x, hc, fc = (v.tolist() for v in (cells // (P * P), *np.divmod(cells % (P * P), P)))
     pattern = {c: t.read(lambda j: alphabet[c // L**j % L], range(s)) for c in {*hc, *fc}}
     reads = map(ell, map(X.__getitem__, x), map(pattern.get, hc), map(pattern.get, fc))
@@ -516,7 +521,7 @@ def pac_successes(A, scenarios, ell, m, eps, trials, seeds, cls=None):
     # a total S is over W D: S <= (eps + inf) W D iff S - min S <= eps W D, floored
     bar, top = eps.numerator * W * D // eps.denominator, max(map(abs, nums)) * W
     V = np.array(nums, np.int64 if top + abs(bar) < 2**63 else object)
-    sums = V[cells.searchsorted(keys)] @ weights
+    sums = V[cell] @ weights
     bar = bar + (sums[:, trials:].min(axis=1, keepdims=True) if inf else 0)
     return [Fraction(w, trials) for w in (sums[:, :trials] <= bar).sum(axis=1).tolist()]
 

@@ -121,24 +121,21 @@ def law_plan(mu, k, mu2):
     ``sampler.exact_domain``: the template, each atom's joined point,
     ``weigh`` (a row's expectation over one denominator; a float loss value
     raises TypeError), whether mu2 was given, (W, the atoms' integer weights
-    over W, int64 below 2^63), (the atoms' orbit pullbacks in order, each
-    atom's x as a position in the distinct x, those x, their pullbacks: the
-    same list without mu'), and (the atoms' and the x's pullbacks, each as a
-    position in its own list).  Measures hash by template and compare by
-    weights, so equal measures share one cached law; eight laws are kept."""
+    over W, int64 below 2^63), (each atom's x as a position in the distinct
+    x, those x: Z itself without mu'), and (the atoms' and the x's orbit
+    pullbacks, each as a position in its own list).  Measures hash by template
+    and compare by weights, so equal measures share a cached law (of eight)."""
     X, Z, ids, masses, W = sampler.exact_domain(mu, mu2, k)
     runs, weights = len(Z) // len(X), masses.tolist()
     weigh = lambda r: Fraction(sum(map(mul, weights, r)), W)  # noqa: E731
-    zs, xids = list(map(Z.__getitem__, ids.ravel().tolist())), ids[::runs] // runs
-    xs = list(map(X.__getitem__, xids.ravel().tolist())) if mu2 else zs
-    ints, at = masses.astype(np.int64) if W < 2**63 else masses, np.arange(len(Z)) // runs
-    return mu.template, Z, weigh, mu2 is not None, (W, ints), (zs, at, X, xs), (ids, xids)
+    at, xids = np.arange(len(Z)) // runs, ids[::runs] // runs
+    return mu.template, Z, weigh, mu2 is not None, (W, masses), (at, X), (ids, xids)
 
 
 def _cells(law, F):
     """F read once per atom's joined point of a ``law_plan``: (the distinct
     cells (x's position, F's read over the atom's orbit), each atom's cell)."""
-    t, Z, *_, (_, at, _, _), (ids, _) = law
+    t, Z, *_, (at, _), (ids, _) = law
     labels, seen, slots = list(map(F, Z)), {}, range(ids.shape[1])
     ys = zip(*(map(labels.__getitem__, c) for c in ids.T.tolist()))  # F's labels per orbit
     cell = [seen.setdefault(c, len(seen)) for c in zip(at.tolist(), ys)]
@@ -151,7 +148,7 @@ def plan(law, F, ell):
     agnostic l(H, x, y), y F's labels at the joined point.  F is read once per
     joined point, H once per distinct point, and the pure l once per
     ``_cells`` cell; orbit reads and values are gathered by position."""
-    t, _, weigh, joined, _, (_, _, X, _), (_, xids) = law
+    t, _, weigh, joined, _, (_, X), (_, xids) = law
     (cells, cell), orbits = _cells(law, F), xids.tolist()
 
     def row(H):
@@ -307,7 +304,7 @@ def bayes_predictor(mu, mu2, F, ell):
     """
     t, read = mu.template, mu.template.read
     law = law_plan(templates.uniform_prob(t), ell.k, mu2)
-    (_, ints), (_, _, X, _), (_, xids) = law[4:]
+    (_, ints), (_, X), (_, xids) = law[4:]
     cells, cell = _cells(law, F)
     mass, conditional = np.zeros(len(cells), ints.dtype), [{} for _ in X]
     np.add.at(mass, cell, ints)  # a sum is at most W, so its dtype holds it

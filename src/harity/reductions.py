@@ -14,20 +14,17 @@ coordinate); coordinates enumerate in the canonical size-then-lex order.
 One per-atom plan (``_plan``) decides which labels survive departization.
 ``departize_sample`` and both exact laws apply it, and the laws decode every
 randomness index exactly as the departized learner does, once per (m, k).
-Both laws take one route: mu (x) mu' is enumerated once as integer masses
-over one denominator, each unit coded by its domain atom (``exact_read``);
-F is read once per atom of the joined domain law (``exact_domain``), its
-labels laid over the units by the one sample layout (``sampler._units``);
-and each plan's mass is summed over the distinct values of the x keys and
-labels that it reads.  The per-atom dict loops stay in the tests as the
-reference.
+Both laws take one route: mu (x) mu' is enumerated once in integer masses
+(``exact_read``), F is read once per joined point of the domain law
+(``exact_domain``), and every plan's reads of every atom are summed in one
+integer pass.  The per-atom dict loops stay in the tests as the reference.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -43,6 +40,8 @@ from .hypotheses import (
 from .indexing import decode_mixed
 
 BOTTOM = losses.BOTTOM
+
+GRID_CELLS = 2**18  # a departization law gathers at most this many cells at once
 
 
 # ---------------------------------------------------------------------------
@@ -384,52 +383,51 @@ def _check_law_inputs(mu, mu2, F_part, m, k, partite):
         raise ValueError("F_part is not over the measures' joined partite template")
 
 
-def _atom_labels(mu, mu2, k, G):
-    """G's pattern at each point of each atom's orbit (``losses.plan``'s read)
-    over mu (x) mu' at the arity-k domain size (``sampler.exact_domain``), G
-    called once per atom's joined point and gathered by the orbit's atom
-    numbers: (label ids by atom, orbit slot and pattern position, the label
-    each id names)."""
-    _, Z, ids, _, _ = sampler.exact_domain(mu, mu2, k)
-    names = {}  # label -> id, as the atoms' patterns first show them
-    rows = [[names.setdefault(v, len(names)) for v in G(z)] for z in Z]
-    return np.array(rows, int)[ids], list(names)
-
-
 def _departize_law(mu, mu2, G, m, k, x_key):
-    """The exact law of the departized size-m sample over mu (x) mu', read by
-    unit code.  The joint law is enumerated once (``sampler.exact_read``); a
-    unit's labels are G's pattern at its atom, read over the unit's orbit
-    (``sampler._units``); and each plan's mass is summed over the
-    distinct values of what it reads: x at ``x_key(C, key)`` for each of its
-    coordinates, and its surviving labels.  Each law key is built once per
-    plan and distinct read, and masses stay integers over one denominator
-    until the law's atoms are returned."""
+    """The exact law of the departized size-m sample over mu (x) mu', summed
+    over the grid of (sample atom, plan).  An atom's reads are one column: x's
+    values under every tag, G's pattern at each injection's point (G called
+    once per joined point of ``sampler.exact_domain``), then BOTTOM's id.  A
+    plan indexes it: x at ``x_key(C, key)`` under C's tag for each coordinate
+    C, then each injection's survivor or BOTTOM.  The grid is gathered at
+    most ``GRID_CELLS`` cells at a time, its rows summed by one sort a chunk
+    (mixed-radix int64 keys while the radix fits, else ``distinct_rows``) in
+    integer masses; one law key is built per law atom."""
     plans = _atom_plans(mu, mu2, m, k)
     values, ranks, masses, D = sampler.exact_read(mu, mu2, m)
-    layout = sampler._layout(mu, mu2, k, m)
-    codes = layout.radix @ ranks[:, layout.at]
-    labels, names = _atom_labels(mu, mu2, k, G)
-    units = sampler._units(mu.template, k, m)
-    where = dict(zip(units.keys, zip(units.unit.tolist(), units.slot.tolist())))
-    column = {key: c for c, key in enumerate(units.coords)}
-    law = {}
-    for coords, survivors in plans:
-        xs = [column[x_key(C, key)] for C, key, _ in coords]
-        ys = [(*where[s[0]], s[1]) for _, s in survivors if s]  # (unit, slot, pos)
-        u, j, p = np.array(ys, int).reshape(-1, 3).T
-        rows, index = distinct_rows(np.hstack([values[:, xs], labels[codes[:, u], j, p]]))
-        sums = np.zeros(len(rows), object)
-        np.add.at(sums, index, masses)
-        for row, mass in zip(rows.tolist(), sums):
-            y = iter(row[len(xs) :])
-            xhat = {
-                C: encode_tagged(v, tag, k, len(C)) for (C, _, tag), v in zip(coords, row)
-            }
-            yhat = {a: BOTTOM if s is None else names[next(y)] for a, s in survivors}
-            key = sampler.law_key(xhat, yhat)
-            law[key] = law.get(key, 0) + mass
-    return {key: Fraction(mass, D * len(plans)) for key, mass in law.items()}
+    layout, units = sampler._layout(mu, mu2, k, m), sampler._units(mu.template, k, m)
+    _, Z, pulls, _, _ = sampler.exact_domain(mu, mu2, k)
+    names = {}  # label -> id, as the atoms' patterns first show them
+    labels = np.array([[names.setdefault(v, len(names)) for v in G(z)] for z in Z], int)
+    codes = pulls[layout.radix @ ranks[:, layout.at]][:, units.unit, units.slot]  # per key
+    tags = np.array([tag_count(k, len(key)) for key in units.coords], int)
+    T, s, (coords, survivors), P = tags.max(initial=1), labels.shape[1], plans[0], len(plans)
+    x = values[:, : len(tags)].T[:, None] * tags[:, None, None] + np.arange(T)[:, None]
+    reads = [x.reshape(-1, len(values)), labels[codes].transpose(1, 2, 0).reshape(-1, len(values))]
+    reads = np.vstack([*reads, np.full((1, len(values)), len(names))])
+    column = {key: c * T for c, key in enumerate(units.coords)}  # then (beta, position)'s
+    column |= {y: len(x) * T + i for i, y in enumerate(product(units.keys, range(s)))}
+    index = [[column[x_key(C, key)] + tag for C, key, tag in cs] for cs, _ in plans]
+    index = [row + [column[y] if y else -1 for _, y in ys] for row, (_, ys) in zip(index, plans)]
+    width, bound = len(coords) + len(survivors), int(reads.max()) + 1
+    index, fits = np.array(index, int).reshape(P, width), bound**width < 2**63
+    place = bound ** np.arange(width - 1, -1, -1) if fits else None
+    masses = masses.astype(object) if D * P >= 2**63 else masses
+    keys, sums = np.zeros((0,) if fits else (0, width), np.int64), masses[:0]
+    step = max(1, GRID_CELLS // (len(values) * width or 1))
+    for plan in (index[i : i + step] for i in range(0, P, step)):
+        grid = reads[plan]  # by plan, read and atom
+        rows = (place @ grid).ravel() if fits else grid.transpose(0, 2, 1).reshape(-1, width)
+        weights = np.concatenate([sums, np.tile(masses, len(plan))])
+        rows = np.concatenate([keys, rows])
+        keys, at = learners._distinct(rows) if fits else distinct_rows(rows)
+        sums = np.zeros(len(keys), masses.dtype)
+        np.add.at(sums, at, weights)
+    rows = (keys[:, None] // place % bound if fits else keys).tolist()
+    Cs, alphas, ids = [C for C, _, _ in coords], [a for a, _ in survivors], [*names, BOTTOM]
+    ys = (dict(zip(alphas, map(ids.__getitem__, r[len(Cs) :]))) for r in rows)
+    atoms = map(sampler.law_key, (dict(zip(Cs, r)) for r in rows), ys)
+    return {atom: Fraction(w, D * P) for atom, w in zip(atoms, sums.tolist())}
 
 
 def departize_construction_law(mu_part, mu2_part, F_part, m, k):

@@ -335,7 +335,7 @@ def exact_read(mu, mu2, m):
     ``joint_law``'s order, as (values, ranks, masses, D): row i holds atom
     i's coordinate values in ``_read``'s order (x's, then x''s) and their
     support ranks (``_layout.radix`` reads them as unit codes); its mass is
-    masses[i] / D, Python integers.  Refused above the cap before enumerating."""
+    masses[i] / D, int64 below 2^63 (else ints).  Refused above the cap before enumerating."""
     supports = [s for nu in (mu, mu2) if nu for _, s in templates._supports(nu, m)]
     sizes = [len(s) for s in supports]
     check_law_size(prod(sizes))
@@ -346,7 +346,7 @@ def exact_read(mu, mu2, m):
         d = lcm(*(w.denominator for _, w in support))
         nums = [w.numerator * (d // w.denominator) for _, w in support]
         masses, D = np.multiply.outer(masses, nums).ravel(), D * d
-    return values, ranks, masses, D
+    return values, ranks, masses.astype(np.int64) if D < 2**63 else masses, D
 
 
 def exact_domain(mu, mu2, k):

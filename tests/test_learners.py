@@ -37,7 +37,8 @@ from harity.hypotheses import (
 def _labels(sc, ell):
     """F's labels at every atom's orbit pullbacks, atom by atom, as the PAC
     sweep hands them to its reader."""
-    return list(map(sc.F, losses.law_plan(sc.mu, ell.k, sc.mu2)[5][0]))
+    law = losses.law_plan(sc.mu, ell.k, sc.mu2)  # the joined points, then pullbacks
+    return [sc.F(law[1][i]) for i in law[6][0].ravel().tolist()]
 
 
 def _m_rand(e, d):
@@ -897,7 +898,7 @@ def test_pac_success_reads_F_once_per_atom():
         learners.estimate_pac_success(A, sc, ell, 6, Fraction(1, 10), trials, "F")
         counts.append(len(calls))
     atoms = len(losses.law_plan(sc.mu, 2, None)[1])
-    assert counts == [2 * atoms, 2 * atoms]  # one read per atom and orbit slot
+    assert counts == [atoms, atoms]  # one read per atom's joined point
 
 
 def _agnostic_point_mass_scenarios():
@@ -1223,9 +1224,9 @@ def test_pac_success_totals_each_returned_member_once(monkeypatch):
     ell = losses.zero_one_loss(labels, 2)
     A = learners.Learner(2, lambda x, y, b: twins[b], lambda m: 2)
     freq = learners.estimate_pac_success(A, sc, ell, 4, Fraction(1, 10), 40, "twins")
-    # the two twins and the target, each read once, at the two points of
-    # every atom's orbit
-    points = 2 * len(templates.config_law(sc.mu, 2))
+    # the two twins and the target, each read once, at every atom's joined
+    # point (without mu', the distinct points are the atoms)
+    points = len(templates.config_law(sc.mu, 2))
     assert reads == dict.fromkeys(map(id, [*twins, sc.F]), points)
     # only twins[0], which is F, has total loss 0 <= 1/10
     picks = []

@@ -1,8 +1,10 @@
+import random
 import time
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -476,6 +478,115 @@ def test_departize_laws_read_F_once_per_domain_atom():
         calls.clear()
         law(a, b, Fp, 2, 2)
         assert 0 < len(calls) <= factorial(2) * atoms
+
+
+def test_departize_laws_build_one_law_key_per_atom(monkeypatch):
+    # the grid's rows are summed before any key is built: criterion 07's
+    # laws have 32 atoms each, and each one's key is built once
+    calls = []
+    law_key = sampler.law_key
+    monkeypatch.setattr(sampler, "law_key", lambda x, y: calls.append(x) or law_key(x, y))
+    mu, mu2, Fp = DEPARTIZE_INSTANCES[0]
+    mup, mu2p = templates.partize_prob(mu, 2), templates.partize_prob(mu2, 2)
+    for law, a, b in (
+        (reductions.departize_construction_law, mup, mu2p),
+        (reductions.departize_discrete_law, mu, mu2),
+    ):
+        calls.clear()
+        assert len(law(a, b, Fp, 2, 2)) == len(calls) == 32
+
+
+def _seeded_instance(seed, t, t2):
+    """mu over t, mu' over t2 and a three-label F table over their join, all
+    drawn from one seeded stream; a weight is 0 to 3 over the space's sum, and
+    each space keeps a positive one."""
+    rng = random.Random(f"departize/{seed}")
+
+    def measure(t):
+        spaces = []
+        for size in t.sizes:
+            w = [rng.randrange(4) for _ in range(size)]
+            w[rng.randrange(size)] += 1
+            spaces.append(tuple(Fraction(v, sum(w)) for v in w))
+        return templates.ProbTemplate(t, tuple(spaces))
+
+    mu, mu2 = measure(t), measure(t2)
+    tj = templates.product_template(t, t2)
+    keys = ((1,), (2,), (1, 2))
+    table = {p: rng.randrange(3) for p in product(*(range(tj.size(len(a))) for a in keys))}
+    F = Hypothesis(2, tj, (0, 1, 2), lambda x: table[tuple(x[a] for a in keys)], name="table")
+    return mu, mu2, partize_hypothesis(F)
+
+
+SEEDED_PAIRS = {"2-1": ((2, 1), (2, 1)), "3-1": ((3, 1), (2, 1)), "2-3": ((2, 1), (3, 1))}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("pair", list(SEEDED_PAIRS))
+def test_departize_laws_equal_the_reference_on_seeded_tables(pair, seed):
+    a, b = (templates.Template(2, sizes) for sizes in SEEDED_PAIRS[pair])
+    mu, mu2, Fp = _seeded_instance(seed, a, b)
+    mup, mu2p = templates.partize_prob(mu, 2), templates.partize_prob(mu2, 2)
+    law = reductions.departize_construction_law(mup, mu2p, Fp, 2, 2)
+    assert law == reference_construction_law(mup, mu2p, Fp, 2, 2)
+    assert law == reductions.departize_discrete_law(mu, mu2, Fp, 2, 2)
+    assert sum(law.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_discrete_law_equals_the_reference_at_m3(seed):
+    # 64 samples of 384 randomness atoms each: the discrete law's grid at m = 3
+    t = templates.Template(2, (2, 1))
+    mu, mu2, Fp = _seeded_instance(seed, t, t)
+    law = reductions.departize_discrete_law(mu, mu2, Fp, 3, 2)
+    assert law == reference_discrete_law(mu, mu2, Fp, 3, 2)
+    assert sum(law.values()) == 1
+
+
+@pytest.mark.parametrize("cells", [reductions.GRID_CELLS, 1], ids=["one-chunk", "plan-chunks"])
+@pytest.mark.parametrize("big", [False, True], ids=["int64-keys", "rows"])
+def test_departize_laws_sum_chunks_and_wide_rows_exactly(big, cells, monkeypatch):
+    # at k = 1 and m = 3 a grid row holds six reads; values up to 4,999 put
+    # its radix past 2^63, so its rows are sorted by distinct_rows.  With a
+    # budget of one cell, every plan is its own chunk
+    sorted_rows = []
+    rows = reductions.distinct_rows
+    monkeypatch.setattr(reductions, "distinct_rows", lambda t: sorted_rows.append(t) or rows(t))
+    monkeypatch.setattr(reductions, "GRID_CELLS", cells)
+    n = 5000 if big else 3
+    t, t2 = templates.Template(1, (n,)), templates.Template(1, (2,))
+    ends = tuple(Fraction(1, 2) if v in (0, n - 1) else Fraction(0) for v in range(n))
+    mu, mu2 = templates.ProbTemplate(t, (ends,)), templates.uniform_prob(t2)
+    F = Hypothesis(1, templates.product_template(t, t2), (0, 1), lambda x: x[(1,)] % 3 % 2)
+    Fp, mup, mu2p = partize_hypothesis(F), templates.partize_prob(mu, 1), templates.partize_prob(mu2, 1)
+    law = reductions.departize_construction_law(mup, mu2p, Fp, 3, 1)
+    assert law == reference_construction_law(mup, mu2p, Fp, 3, 1)
+    assert law == reductions.departize_discrete_law(mu, mu2, Fp, 3, 1)
+    assert sum(law.values()) == 1 and bool(sorted_rows) == big
+
+
+# primes p whose k = 1 measures (1/p, (p - 1)/p) put a size-2 sample's D = p^4
+# below 2^63 (with D times the 2 plans below it or not) or above it; the
+# largest puts law_plan's W = p^2 above it too
+BIG_PRIMES = {"small": 3, "int64-sums-over": 55103, "object": 55109, "object-W": 4294967291}
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES.values(), ids=list(BIG_PRIMES))
+def test_exact_read_masses_cross_2_63_exactly(p):
+    t = templates.Template(1, (2,))
+    mu = templates.ProbTemplate(t, ((Fraction(1, p), Fraction(p - 1, p)),))
+    _, _, masses, D = sampler.exact_read(mu, mu, 2)
+    assert D == p**4 and masses.dtype == (np.int64 if D < 2**63 else object)
+    joint = [q for _, _, q in sampler.joint_law(mu, 2, mu)]
+    assert [Fraction(w, D) for w in masses.tolist()] == joint
+    law = losses.law_plan(mu, 1, mu)
+    assert law[2]([1] * len(law[1])) == 1 and law[4][1].dtype == (np.int64 if p * p < 2**63 else object)
+    F = Hypothesis(1, templates.product_template(t, t), (0, 1), lambda x: x[(1,)] % 3 % 2, name="F")
+    Fp, mup = partize_hypothesis(F), templates.partize_prob(mu, 1)
+    lawA = reductions.departize_construction_law(mup, mup, Fp, 2, 1)
+    assert lawA == reference_construction_law(mup, mup, Fp, 2, 1)
+    assert lawA == reductions.departize_discrete_law(mu, mu, Fp, 2, 1)
+    assert sum(lawA.values()) == 1
 
 
 def test_departize_learner_decodes_and_partizes():

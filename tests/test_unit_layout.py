@@ -113,7 +113,8 @@ def _size(sc, ell, extra):
 def _labels(sc, ell):
     """F's labels at every atom's orbit pullbacks, atom by atom, as the PAC
     sweep hands them to its reader."""
-    return list(map(sc.F, losses.law_plan(sc.mu, ell.k, sc.mu2)[5][0]))
+    law = losses.law_plan(sc.mu, ell.k, sc.mu2)  # the joined points, then pullbacks
+    return [sc.F(law[1][i]) for i in law[6][0].ravel().tolist()]
 
 
 def _streams(seed, n=3):
