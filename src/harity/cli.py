@@ -275,21 +275,14 @@ def dims_cmd(merged):
         specs = [families.build_family(name) for name in FAMILIES]
     rows = []
     for spec in specs:
-        measured = dims.vcn_k(spec.cls, cap=12)
+        # shattering d points takes 2^d members (every family has one), so a
+        # search capped at floor(log2 #members) is exact where it stops
+        measured = int(dims.vcn_k(spec.cls, cap=len(spec.cls).bit_length() - 1))
         expected = (spec.metadata or {}).get("vcn2")
-        shown = (
-            f">={int(measured)}" if isinstance(measured, dims.AtLeast)
-            else int(measured)
-        )
-        if expected is None:
-            ok = ""
-        elif isinstance(measured, dims.AtLeast):
-            ok = int(int(measured) <= expected)
-        else:
-            ok = int(int(measured) == expected)
+        ok = "" if expected is None else int(measured == expected)
         params = json.dumps(spec.params, sort_keys=True)
         shown_expected = "" if expected is None else expected
-        rows.append([spec.name, params, "vcn2", shown, shown_expected, ok])
+        rows.append([spec.name, params, "vcn2", measured, shown_expected, ok])
     return ["family", "params", "metric", "measured", "expected", "ok"], rows
 
 

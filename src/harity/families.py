@@ -23,7 +23,8 @@ ENUMERATION_CAP = 2**21
 # points) builds in about 0.1 s, and each further pair more than doubles that
 MEMBER_CAP = 2**12
 # bdeg and the partition families read fewer points per member: bdeg(6, 5)
-# and dist(16) keep 2^15 members, and `harity dims` takes 0.5-1.1 s on them
+# and dist(16) keep 2^15 members, and `harity dims` takes 0.5-0.6 s on them
+# (2 shared cores), most of it building the family
 GRAPH_MEMBER_CAP = 2**15
 
 

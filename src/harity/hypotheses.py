@@ -174,13 +174,25 @@ class HypothesisClass:
 
 
 def partize_class(H):
+    """The class of H's partized members, tabulated from H's table without a
+    member call: a partite point x's label reads H at S_k's pullbacks of
+    iota_kpart(x), and its index in ``patterns_label_space`` is those label
+    indices' mixed-radix number, the first pullback's most significant."""
     if H.partite:
         raise ValueError("class is already partite")
-    members = tuple(partize_hypothesis(F) for F in H.members)
+    pt, place = templates.partize_template(H.template, H.k), templates.places(H.template, H.k)
+    points = [indexing.iota_kpart(x) for x in templates.domain_points(pt, H.k)]
+    code = np.zeros((len(H.table), len(points)), np.int64)
+    for sigma in perms(H.k):
+        pulled = (indexing.pullback(sigma, x) for x in points)
+        columns = [sum(place[a] * v for a, v in y.items()) for y in pulled]
+        code = code * len(H.labels) + H.table[:, columns]
+    labels = patterns_label_space(H.labels, H.k)
     return HypothesisClass(
         H.k,
-        templates.partize_template(H.template, H.k),
-        patterns_label_space(H.labels, H.k),
-        members,
+        pt,
+        labels,
+        tuple(partize_hypothesis(F) for F in H.members),
         name=f"{H.name}^kpart",
+        table=code.astype(np.min_scalar_type(len(labels))),
     )

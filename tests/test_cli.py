@@ -175,10 +175,12 @@ GOLDEN_CSV = [
         "dims --family bdeg --n 4 --d 2",
         "d53be0a815022cdb6860bd933162bf91186a43e128efb886e65a7fbcb66f6ff9",
     ),
-    # the largest slice family: 2^15 members, an `AtLeast` row (>=12)
+    # the largest slice family: 2^15 members, searched to the counting bound
+    # floor(log2 2^15) = 15, which its widest slice reaches (the row read
+    # `>=12` at cap 12 before, bab83db7...)
     (
         "dims --family dist --n 16",
-        "bab83db7ec572a7d7dc8b8f06847b52dc870a100bcbcdd260abf7f59f1f7cf33",
+        "7f26e1fcd15086eb85aff70abc1b3553dd0e6acc6ef59bc6107b65c42c8718b9",
     ),
     (
         "sample --family matching --n 3 --m 6 --seed s1",

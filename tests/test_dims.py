@@ -85,10 +85,25 @@ def test_monotone_under_adding_functions():
         )
 
 
+def _collapse(fam):
+    """The family without the columns no shattered set holds: columns
+    realizing fewer than two values (every column of an empty family), and
+    copies of an earlier column."""
+    first = {}  # each kept column to its first position
+    for i, col in enumerate(fam.columns):
+        if len(set(col)) > 1:
+            first.setdefault(col, i)
+    return dims.FunctionFamily(
+        tuple(fam.domain[i] for i in first.values()),
+        tuple(zip(*first)) if first else ((),) * len(fam.functions),
+    )
+
+
 def _level_by_level(fam, cap):
-    """The shattering search without the counting bound: every level up to
-    min(cap, n) is searched until one has no witness."""
-    fam = dims._collapse(fam)
+    """The shattering search as a level-by-level set scan without the
+    counting bound: every level up to min(cap, n) is searched until one has
+    no witness."""
+    fam = _collapse(fam)
     n = len(fam.domain)
     for size in range(1, min(cap, n) + 1):
         if dims.natarajan_witness(fam, size) is None:
@@ -97,25 +112,27 @@ def _level_by_level(fam, cap):
 
 
 def test_natarajan_searches_no_level_above_the_counting_bound(monkeypatch):
-    # shattering d points takes 2^d distinct functions, so no witness search
-    # runs above floor(log2 #distinct), and the value is the level-by-level one
+    # shattering d points takes 2^d distinct functions, so the search splits
+    # no set's cells to a level above floor(log2 #distinct), and the value is
+    # the level-by-level one; a call at depth d splits to level d + 1
     rng = sampler.stream("counting-bound", 0)
-    searched, witness = [], dims.natarajan_witness
+    searched, deepest = [], dims._deepest
 
-    def counted(fam, d, domain_cap=64):
-        searched.append(d)
-        return witness(fam, d, domain_cap)
+    def counted(pairs, cells, tail, start, depth, best, target):
+        searched.append(depth + 1)
+        return deepest(pairs, cells, tail, start, depth, best, target)
 
+    monkeypatch.setattr(dims, "_deepest", counted)
+    reached = 0
     for trial in range(60):
         n, labels, cap = rng.randrange(1, 8), rng.choice((2, 3)), rng.randrange(0, 8)
         fam = _family(n, [[rng.randrange(labels) for _ in range(n)] for _ in range(rng.randrange(1, 12))])
-        expected = _level_by_level(fam, cap)
         searched.clear()
-        monkeypatch.setattr(dims, "natarajan_witness", counted)
-        assert dims.natarajan_dim(fam, cap) == expected
-        monkeypatch.setattr(dims, "natarajan_witness", witness)
-        bound = len(set(dims._collapse(fam).functions)).bit_length() - 1
+        assert dims.natarajan_dim(fam, cap) == _level_by_level(fam, cap)
+        bound = len(set(fam.functions)).bit_length() - 1
         assert max(searched, default=0) <= bound
+        reached += max(searched, default=0) == bound
+    assert reached > 10  # the searches that reach the bound stop there
 
 
 def test_natarajan_witness_valid():
@@ -329,3 +346,99 @@ def test_growth_counts_the_restriction_tuples():
     for name, cls in classes.items():
         for m in (1, 2, 3):
             assert dims.growth_function(cls, m) == _reference_growth(cls, m), (name, m)
+
+
+def _reference_dim(domain, functions, cap):
+    return _level_by_level(dims.FunctionFamily(domain, functions), cap)
+
+
+def _reference_vcn(cls, cap):
+    """VCN_k as each slice's level-by-level scan, read on its own."""
+    best = 0
+    for *_, domain, functions in _reference_slices(cls):
+        d = _reference_dim(domain, functions, cap)
+        if isinstance(d, dims.AtLeast):
+            return d
+        best = max(best, d)
+    return best
+
+
+def _random_class(rng, template, labels, count):
+    """Up to ``count`` distinct members with label indices drawn at every
+    domain point, a few of them copies of another point's column."""
+    k, points = template.k, templates.domain_points(template, template.k)
+    index = {canonical_key(x): i for i, x in enumerate(points)}
+    rows = set()
+    for _ in range(count):
+        row = [rng.randrange(labels) for _ in points]
+        for _ in range(rng.randrange(3)):
+            row[rng.randrange(len(row))] = row[rng.randrange(len(row))]
+        rows.add(tuple(row))
+    members = tuple(
+        Hypothesis(k, template, tuple(range(labels)), lambda x, r=row: r[index[canonical_key(x)]])
+        for row in sorted(rows)
+    )
+    return HypothesisClass(k, template, tuple(range(labels)), members, name="random")
+
+
+PROPERTY_TEMPLATES = (
+    templates.Template(1, (5,)),
+    templates.Template(2, (3, 1)),
+    templates.Template(2, (2, 2)),
+    templates.Template(3, (2, 1, 1)),
+    templates.PartiteTemplate(2, {(1,): 2, (2,): 3, (1, 2): 1}),
+    templates.partize_template(templates.Template(2, (2, 2)), 2),
+)
+
+
+def _property_classes():
+    """Seeded random classes with 2, 3 and 4 labels over plain and partite
+    templates, partizations of random plain classes, and the empty class."""
+    rng = sampler.stream("dims-property", 0)
+    classes = []
+    for trial in range(36):
+        t = PROPERTY_TEMPLATES[trial % len(PROPERTY_TEMPLATES)]
+        classes.append(_random_class(rng, t, 2 + trial % 3, rng.randrange(1, 40)))
+    for trial in range(6):
+        plain = _random_class(rng, templates.Template(2, (2, 1)), 2 + trial % 2, rng.randrange(2, 12))
+        classes.append(partize_class(plain))
+    match = families.matching_family(2).cls
+    classes.append(HypothesisClass(match.k, match.template, match.labels, (), name="empty"))
+    return classes
+
+
+@pytest.mark.parametrize("cells, kept", [(None, None), (1, 1), (150, 4)])
+def test_the_search_matches_the_set_scans(monkeypatch, cells, kept):
+    # at 150 cells a random class reads its x's a few per chunk, and at 1 one
+    # per chunk; at 1 kept cell the search re-splits every level from the
+    # rows, and at 4 from its second; every dimension, cap and growth value
+    # is the reference's
+    if cells:
+        monkeypatch.setattr(dims, "SLICE_CELLS", cells)
+        monkeypatch.setattr(dims, "KEPT_CELLS", kept)
+    labels = set()
+    for cls in _property_classes():
+        labels.add(len(cls.labels))
+        for cap in (0, 1, 2, 3, 6):
+            assert repr(dims.vcn_k(cls, cap)) == repr(_reference_vcn(cls, cap)), (cls.template, cap)
+        for m in range(1, 5):
+            assert dims.growth_function(cls, m) == _reference_growth(cls, m), (cls.template, m)
+    assert {2, 3, 4, 9} <= labels
+
+
+@pytest.mark.parametrize("kept", [None, 1, 4])
+def test_natarajan_matches_the_set_scan(monkeypatch, kept):
+    # families with 2 to 4 values, duplicated rows and copied columns, at
+    # every cap from 0 to 8, keeping every split or re-splitting levels
+    if kept:
+        monkeypatch.setattr(dims, "KEPT_CELLS", kept)
+    rng = sampler.stream("natarajan-property", 0)
+    for trial in range(100):
+        n, labels = rng.randrange(0, 7), rng.choice((2, 3, 4))
+        rows = [[rng.randrange(labels) for _ in range(n)] for _ in range(rng.randrange(0, 30))]
+        if n > 2 and trial % 4 == 0:
+            for row in rows:
+                row[1] = row[0]
+        fam = _family(n, rows)
+        for cap in range(9):
+            assert repr(dims.natarajan_dim(fam, cap)) == repr(_level_by_level(fam, cap)), (rows, cap)

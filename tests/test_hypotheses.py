@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from harity import families, indexing, templates
@@ -102,6 +103,21 @@ def test_partize_class_bijective():
     assert pcls.partite
     with pytest.raises(ValueError):
         partize_class(pcls)
+
+
+def test_partize_class_tabulates_as_the_partized_members():
+    # k = 3 with three labels: 3^6 pattern labels, so the table is uint16,
+    # and each cell is the pattern's index read point by point
+    t = templates.Template(3, (2, 2, 1))
+    members = tuple(
+        Hypothesis(3, t, (0, 1, 2), lambda x, s=s: (x[(1,)] + 2 * x[(2,)] + s * x[(3,)] + x[(1, 2)]) % 3)
+        for s in range(3)
+    )
+    pcls = partize_class(HypothesisClass(3, t, (0, 1, 2), members))
+    points = templates.domain_points(pcls.template, 3)
+    rows = [[pcls.labels.index(F(x)) for x in points] for F in pcls.members]
+    assert pcls.table.dtype == np.uint16
+    assert pcls.table.tobytes() == np.array(rows, np.uint16).tobytes()
 
 
 def test_star_partite_shape():
