@@ -13,10 +13,11 @@ qualifies; a plain one only when it ignores the pair value and is symmetric,
 so a pair context counts each unit once per order at pair value 0.  Nothing
 declared about H, F or the loss is read.
 
-The streams are read in blocks (``sampler._uniform_blocks``, bit for bit as
-many ``rng.random()`` calls), so every statistic here equals
-``losses.empirical_loss`` on ``sampler.labeled_sample``'s sample for the same
-(seed, trial).
+The streams are read in blocks (``sampler._uniform_blocks``, the 53-bit keys
+of as many ``rng.random()`` calls) and ranked by ``sampler._decode``'s
+integer thresholds, the one decoder ``sampler._atom_counts`` uses too, so
+every statistic here equals ``losses.empirical_loss`` on
+``sampler.labeled_sample``'s sample for the same (seed, trial).
 """
 
 from fractions import Fraction
@@ -58,7 +59,7 @@ class PairContext:
         if ell.k != 2 or mu.template.partite:
             raise ValueError("pair context needs a binary loss on a plain template")
         self._args = (mu, F, ell)
-        self._values, self._cum = _support(mu.weights[0])
+        self._values, self._T = _support(mu.weights[0])
         self.n = len(self._values)
         # pair values of positive weight: one on a k = 1 template (an implicit space)
         self._w = sum(mu.weight(2, v) > 0 for v in range(mu.template.size(2)))
@@ -88,18 +89,18 @@ class PairContext:
         if m < 2:
             raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = 2")
         n, diagonal = self.n, np.arange(self.n)
-        for u in _uniform_blocks(rngs, m):
-            c = _row_counts(_decode(self._cum, u), n)
-            pairs = np.zeros((len(u), n, n, self._w), int)
+        for K in _uniform_blocks(rngs, m, n * n * self._w):
+            c = _row_counts(_decode(self._T, K), n)
+            pairs = np.zeros((len(K), n, n, self._w), int)
             pairs[..., 0] = c[:, :, None] * c[:, None, :]
             pairs[:, diagonal, diagonal, 0] -= c
-            yield pairs.reshape(len(u), -1), m * (m - 1)
+            yield pairs.reshape(len(K), -1), m * (m - 1)
 
     def draw_unary(self, rng, m):
         """The m unary values of a size-m sample: the first m draws of the
         generic stream (unary coordinates enumerate first)."""
-        u = next(_uniform_blocks((rng,), m))[0]
-        return self._values[_decode(self._cum, u)].tolist()
+        K = next(_uniform_blocks((rng,), m))[0]
+        return self._values[_decode(self._T, K)].tolist()
 
     def empirical(self, V, c):
         """Mean of V over the unordered value pairs of a sample with support
@@ -139,11 +140,12 @@ class TwoPartiteContext:
         if ell.k != 2 or not mu.template.partite:
             raise ValueError("needs a binary loss on a partite template")
         self._args = (mu, F, ell)
-        self._cum1, self._cum2, self._cum12 = (
+        self._T1, self._T2, self._T12 = (
             _support(mu.weights[a])[1] for a in ((1,), (2,), (1, 2))
         )
-        self.n2, self.n12 = len(self._cum2), len(self._cum12)
-        self._codes = len(self._cum1) * self.n2 * self.n12
+        # a support of n values has n - 1 thresholds
+        self.n2, self.n12 = len(self._T2) + 1, len(self._T12) + 1
+        self._codes = (len(self._T1) + 1) * self.n2 * self.n12
 
     def loss_table(self, H):
         """H's table against F: its plan row, (D, integer numerators over D)."""
@@ -158,11 +160,13 @@ class TwoPartiteContext:
         refused before any rng is read."""
         if not m:
             raise ValueError("no empirical loss: m = 0 has no unit of arity k = 2")
-        for u in _uniform_blocks(rngs, 2 * m + m * m):
-            s1 = _decode(self._cum1, u[:, :m])
-            s2 = _decode(self._cum2, u[:, m : 2 * m])
-            p = _decode(self._cum12, u[:, 2 * m :]).reshape(len(u), m, m)
-            codes = (s1[:, :, None] * self.n2 + s2[:, None, :]) * self.n12 + p
+        for K in _uniform_blocks(rngs, 2 * m + m * m, self._codes):
+            s1 = _decode(self._T1, K[:, :m]).astype(np.intp)  # ranks may be uint8
+            s2 = _decode(self._T2, K[:, m : 2 * m])
+            p = _decode(self._T12, K[:, 2 * m :]).reshape(len(K), m, m)
+            codes = (s1 * self.n2)[:, :, None] + s2[:, None, :]
+            codes *= self.n12
+            codes += p
             yield _row_counts(codes, self._codes), m * m
 
     def draw(self, rng, m):

@@ -5,10 +5,13 @@ Each Monte Carlo trial derives an independent ``random.Random`` stream from
 (seed, trial); identical (seed, trial) pairs give identical draws.
 ``labeled_sample`` draws a dict sample one coordinate at a time and is the
 reference.  Every array route reads the same streams through one block
-reader, ``_uniform_blocks`` (one ``getrandbits`` call per stream, one
-conversion per block of streams), and decodes each uniform to a support rank
-(``_support``, ``_decode``) as ``_draw`` would.  A sample's units are laid
-out once per (template, k, m), by ``_units``, which every unit reader takes.
+reader, ``_uniform_blocks`` (one ``getrandbits`` call per stream), as each
+``random()``'s 53-bit numerator K, and decodes each K to a support rank by
+integer thresholds (``_support``, ``_decode``) as ``_draw`` would decode
+K / 2^53.  A block holds at most ``BLOCK_UNIFORMS`` cells of the widest row
+it yields, so a counting caller passes the width of its count row.  A
+sample's units are laid out once per (template, k, m), by ``_units``, which
+every unit reader takes.
 Outside ``fastpath`` one decoder, ``_read`` over a cached ``_layout``,
 decodes every coordinate once and codes each unit by the law atom its point
 is.  The checks count the codes a block of trials at a time
@@ -76,37 +79,62 @@ def _draw(rng, weights):
     return max(i for i, w in enumerate(weights) if w > 0)
 
 
+def _thresholds(floats):
+    """The integer thresholds of cumulative float weights, summed as
+    ``_draw`` sums them, all but the last: T_i = ceil(c_i * 2^53), as uint64.
+    A uniform random() = K / 2^53 lies at or past c_i exactly when K >= T_i,
+    because K is an integer and c_i * 2^53 is exact in binary64."""
+    return np.ceil(np.cumsum(floats)[:-1] * 2.0**53).astype(np.uint64)
+
+
 def _support(weights):
     """A ground space's values of positive weight, in order, and their
-    cumulative float weights, summed as ``_draw`` sums them."""
+    ``_thresholds`` T_i = ceil(c_i * 2^53) over the cumulative float weights
+    c_i but the last: a key K = random() * 2^53 draws past value i exactly
+    when K >= T_i, since K is an integer and c_i * 2^53 is exact."""
     values = [v for v, w in enumerate(weights) if w]
-    return np.asarray(values), np.cumsum([float(weights[v]) for v in values])
+    return np.asarray(values), _thresholds([float(weights[v]) for v in values])
 
 
-def _decode(cum, u):
-    """The support rank each uniform draws: how many cumulative weights but
-    the last it reaches, so past the float sum, the last."""
-    return cum[:-1].searchsorted(u, "right")
+def _decode(T, K):
+    """The support rank each key K = random() * 2^53 (``_uniform_blocks``')
+    draws: how many thresholds T (``_support``'s) it reaches, so past the
+    float sum, the last.  Summed
+    comparisons, in the narrowest unsigned type that holds the rank (a
+    one-value space compares nothing); a support of more than 64 values,
+    where comparisons stop beating it, searches T instead."""
+    if len(T) >= 64:
+        return T.searchsorted(K, "right")
+    ranks = np.zeros(K.shape, np.min_scalar_type(len(T)))
+    for t in T:
+        ranks += K >= t
+    return ranks
 
 
-# a block of streams holds at most this many uniforms, and at least one stream
-BLOCK_UNIFORMS = 4096
+# a block of streams holds at most this many cells of the widest row it
+# yields, and at least one stream
+BLOCK_UNIFORMS = 2**14
 
 
-def _uniform_blocks(rngs, n):
-    """The next n ``rng.random()`` values of each rng, bit for bit, as one
-    (streams, n) array per block of rngs, in order: one ``getrandbits`` call
-    per rng, which leaves it in their state, and one conversion per block
-    joining 32-bit word pairs as ``random()`` does.  Only the block's words
-    are held, so an rng the caller drops is freed once it is read."""
-    rngs, size = iter(rngs), max(1, BLOCK_UNIFORMS // max(n, 1))
+def _uniform_blocks(rngs, n, atoms=0):
+    """The next n ``rng.random()`` values of each rng, bit for bit, as their
+    53-bit numerators K (``random() == K * 2**-53`` exactly), one (streams,
+    n) uint64 array per block of rngs, in order.  One ``getrandbits`` call
+    per rng leaves it in their state; ``random()`` joins two 32-bit words
+    w0, w1 as (w0 >> 5) * 2^26 + (w1 >> 6), which one little-endian 64-bit
+    word w reads as (w & 0xFFFFFFE0) << 21 | w >> 38.  A block holds at most
+    ``BLOCK_UNIFORMS`` cells of its widest row: the n keys, or the caller's
+    count row of ``atoms`` cells.  Only the block's words are held, so an
+    rng the caller drops is freed once it is read."""
+    rngs, size = iter(rngs), max(1, BLOCK_UNIFORMS // max(n, atoms, 1))
     while block := [
         r.getrandbits(64 * n).to_bytes(8 * n, "little") for r in islice(rngs, size)
     ]:
-        w = np.frombuffer(b"".join(block), "<u4").reshape(len(block), 2 * n)
-        yield ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) * (
-            1.0 / 9007199254740992.0
-        )
+        w = np.frombuffer(b"".join(block), "<u8").reshape(len(block), n)
+        K = w & 0xFFFFFFE0
+        K <<= 21
+        K |= w >> 38
+        yield K
 
 
 def _row_counts(codes, atoms):
@@ -170,7 +198,7 @@ def _units(t, k, m):
 
 class _Layout(NamedTuple):
     n: int  # draws: x's coordinates, then x''s
-    groups: list  # (cumulative weights, stream positions, values) per ground space
+    groups: list  # (thresholds, stream positions, values) per ground space
     at: np.ndarray  # each domain coordinate's stream position, per unit
     radix: np.ndarray  # each domain coordinate's place value in a unit's code
     atoms: int  # the number of codes: the law's atoms at the domain size
@@ -195,8 +223,8 @@ def _layout(mu, mu2, k, m):
         for support, pos in spaces.values():
             if pos[-1] - pos[0] == len(pos) - 1:
                 pos = slice(pos[0], pos[-1] + 1)
-            cum = np.cumsum([float(w) for _, w in support])  # as _draw sums them
-            groups.append((cum, pos, np.array([v for v, _ in support])))
+            T = _thresholds([float(w) for _, w in support])
+            groups.append((T, pos, np.array([v for v, _ in support])))
         units = _units(tn, k, m)
         at.append(units.at + n)
         digits += [len(support) for _, support in templates._supports(nu, d)]
@@ -205,12 +233,13 @@ def _layout(mu, mu2, k, m):
     return _Layout(n, groups, np.hstack(at).T, radix, prod(digits))
 
 
-def _read(layout, u):
-    """Each coordinate's value and each unit's atom code, from the uniforms
-    u: one row of ``layout.n`` per stream, or a single row."""
-    ranks, values = np.empty(u.shape, int), np.empty(u.shape, int)
-    for cum, pos, support in layout.groups:
-        ranks[..., pos] = r = _decode(cum, u[..., pos])
+def _read(layout, K):
+    """Each coordinate's value and each unit's atom code, from the keys K
+    (``_uniform_blocks``'): one row of ``layout.n`` per stream, or a single
+    row."""
+    ranks, values = np.empty(K.shape, int), np.empty(K.shape, int)
+    for T, pos, support in layout.groups:
+        ranks[..., pos] = r = _decode(T, K[..., pos])
         values[..., pos] = support[r]
     return values, layout.radix @ np.take(ranks, layout.at, axis=-1)
 
@@ -224,8 +253,8 @@ def _atom_counts(sc, k, rngs, m):
     layout = _layout(sc.mu, sc.mu2, k, m)
     if not layout.at.shape[1]:
         raise ValueError(f"no empirical loss: m = {m} has no unit of arity k = {k}")
-    for u in _uniform_blocks(rngs, layout.n):
-        yield _row_counts(_read(layout, u)[1], layout.atoms), layout.at.shape[1]
+    for K in _uniform_blocks(rngs, layout.n, layout.atoms):
+        yield _row_counts(_read(layout, K)[1], layout.atoms), layout.at.shape[1]
 
 
 class ArraySample(Mapping):
@@ -308,12 +337,12 @@ def _labeled_reader(sc, k, alphabet, *labels):
         # each rng's offset into the stacked ids: its target's first atom
         offsets = atoms * np.asarray(targets) if several else None
         start = 0
-        for u in _uniform_blocks(rngs, layout.n):
-            xs, codes = _read(layout, u)  # x''s values come last
+        for K in _uniform_blocks(rngs, layout.n):
+            xs, codes = _read(layout, K)  # x''s values come last
             codes = np.take(codes, units.unit, axis=1)
             if offsets is not None:
-                codes += offsets[start : start + len(u), None]
-            start += len(u)
+                codes += offsets[start : start + len(K), None]
+            start += len(K)
             ys = ids[codes, units.slot]
             xs.setflags(write=False)
             ys.setflags(write=False)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from harity import families, fastpath, learners, losses, sampler, templates
-from harity.hypotheses import star, star_partite
+from harity.hypotheses import Hypothesis, star, star_partite
 
 
 def _matching_ctx(n=2):
@@ -186,11 +188,12 @@ def test_contexts_refuse_a_sample_without_units():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 64, 65, 1088])
 def test_uniforms_read_the_stream_as_random_does(n):
-    # one stream is one block, read as n random() calls read it
+    # one stream is one block of n keys, each random()'s 53-bit numerator K:
+    # K * 2^-53 is exact, so it equals random() bit for bit
     bulk, one_by_one = sampler.stream("u", n), sampler.stream("u", n)
-    u, *rest = sampler._uniform_blocks((bulk,), n)
-    assert not rest and u.shape == (1, n)
-    assert u[0].tolist() == [one_by_one.random() for _ in range(n)]
+    K, *rest = sampler._uniform_blocks((bulk,), n)
+    assert not rest and K.shape == (1, n) and K.dtype == np.uint64
+    assert [k * 2**-53 for k in K[0].tolist()] == [one_by_one.random() for _ in range(n)]
     assert bulk.getstate() == one_by_one.getstate()
 
 
@@ -203,7 +206,7 @@ def test_uniform_blocks_read_each_stream_as_uniforms_does(n):
         # whole blocks of at most BLOCK_UNIFORMS uniforms, and one rng at least
         assert [len(u) for u in blocks[:-1]] == [block] * (len(blocks) - 1)
         assert all(u.shape[1] == n for u in blocks) and len(blocks) == -(-trials // block)
-        rows = [row.tolist() for u in blocks for row in u]
+        rows = [[k * 2**-53 for k in row.tolist()] for K in blocks for row in K]
         assert rows == [[rng.random() for _ in range(n)] for rng in one_by_one]
         assert [r.getstate() for r in blocked] == [r.getstate() for r in one_by_one]
 
@@ -235,14 +238,66 @@ class _Fixed:
 )
 def test_decode_agrees_with_the_generic_draw_at_boundaries(weights, r, expected):
     floats = [float(w) for w in weights]
-    # the fast route decodes support ranks; values maps them to the draws
-    values, cum = sampler._support(weights)
-    assert sampler._draw(_Fixed(r), floats) == expected
-    assert values[sampler._decode(cum, np.array([r]))].tolist() == [expected]
-    # and on both floats next to every cumulative weight
-    rs = [float(np.nextafter(c, d)) for c in cum for d in (0, 2)]
-    decoded = values[sampler._decode(cum, np.array(rs))].tolist()
-    assert decoded == [sampler._draw(_Fixed(r), floats) for r in rs]
+    # the fast route decodes support ranks of keys K = r * 2^53; values maps
+    # them to the draws
+    values, T = sampler._support(weights)
+    K = int(r * 2**53)
+    assert K / 2**53 == r and sampler._draw(_Fixed(r), floats) == expected
+    assert values[sampler._decode(T, np.array([K], np.uint64))].tolist() == [expected]
+    # and on the random() grid points next to every cumulative weight, and
+    # at both ends of the grid
+    assert _decodes_as_drawn(weights)
+
+
+def _decodes_as_drawn(weights):
+    """Whether ``_decode`` draws what ``_draw`` draws at 0, at 2^53 - 1 and at
+    the random() grid points K / 2^53 on both sides of every cumulative
+    float weight c: ceil(c * 2^53) - 1 and ceil(c * 2^53)."""
+    floats = [float(w) for w in weights]
+    values, T = sampler._support(weights)
+    keys, c = [0, 2**53 - 1], 0.0
+    for w in floats:
+        c += w
+        keys += [max(math.ceil(c * 2**53) - 1, 0), math.ceil(c * 2**53)]
+    decoded = values[sampler._decode(T, np.array(keys, np.uint64))].tolist()
+    return decoded == [sampler._draw(_Fixed(k / 2**53), floats) for k in keys]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 65, 300])
+def test_decode_agrees_with_the_generic_draw_on_random_weights(size):
+    # supports on both sides of the switch to a sorted search (64 values),
+    # with zero weights between and after the positive ones
+    rng = random.Random(f"decode/{size}")
+    for _ in range(5):
+        weights = [Fraction(rng.randrange(1, 1000), rng.randrange(1, 1000)) for _ in range(size)]
+        weights += [Fraction(0)] * rng.randrange(3)
+        rng.shuffle(weights)
+        total = sum(weights)
+        weights = [w / total for w in weights]
+        assert len(sampler._support(weights)[1]) == size - 1
+        assert _decodes_as_drawn(weights)
+
+
+def _skewed(n):
+    """n positive weights 1, 3, 5, ... over n^2, which sum to 1."""
+    return tuple(Fraction(2 * i + 1, n * n) for i in range(n))
+
+
+def test_two_partite_counts_past_256_atoms_equal_the_atom_counts():
+    # 2 * 17 * 17 = 578 atoms: each rank fits in a byte, a triple's code does not
+    t = templates.PartiteTemplate(2, {(1,): 2, (2,): 17, (1, 2): 17})
+    mu = templates.ProbTemplate(t, t.tabulate(lambda a: _skewed(t.size(a))))
+    F = Hypothesis(2, t, (0, 1), lambda x: x[(1, 2)] % 2)
+    ctx = fastpath.TwoPartiteContext(mu, F, losses.zero_one_loss((0, 1), 2))
+    sc = sampler.Scenario(mu, F)
+    for m in (1, 6):
+        fast = list(ctx.counts(_streams("wide", 9), m))
+        generic = list(sampler._atom_counts(sc, 2, _streams("wide", 9), m))
+        assert [units for _, units in fast] == [units for _, units in generic]
+        fast, generic = (np.vstack([c for c, _ in blocks]) for blocks in (fast, generic))
+        assert fast.shape == generic.shape == (9, 578)
+        assert fast.tolist() == generic.tolist()
+    assert (generic[:, 256:] > 0).any()
 
 
 def test_pair_draw_matches_generic_on_a_skewed_mu():

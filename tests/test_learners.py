@@ -886,6 +886,71 @@ def test_pac_success_reads_its_trials_in_blocks(name, monkeypatch):
     assert calls == expected and got == Fraction(wins, 7)
 
 
+def _block_spy(monkeypatch, module):
+    """The sizes of the blocks module's ``_uniform_blocks`` yields, with the
+    widths (n, atoms) it is called with."""
+    calls, blocks = [], sampler._uniform_blocks
+
+    def spy(rngs, n, atoms=0):
+        calls.append(((n, atoms), sizes := []))
+        for K in blocks(rngs, n, atoms):
+            sizes.append(len(K))
+            yield K
+
+    monkeypatch.setattr(module, "_uniform_blocks", spy)
+    return calls
+
+
+def _skewed_k2_instance(partite):
+    """A skewed 2-partite scenario, or a skewed plain k = 2 one whose members
+    qualify for a pair context, with its class and loss."""
+    if partite:
+        cls = families.highorder_family(3).cls
+        t = cls.template
+        skew = {1: (Fraction(1),), 3: (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))}
+        mu = templates.ProbTemplate(t, t.tabulate(lambda a: skew[t.size(a)]))
+    else:
+        cls = families.matching_family(2).cls
+        t = cls.template
+        w1 = (Fraction(1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 6))
+        mu = templates.ProbTemplate(t, (w1, *templates.uniform_prob(t).weights[1:]))
+    return sampler.Scenario(mu, cls.members[-1]), cls, losses.zero_one_loss(cls.labels, 2)
+
+
+@pytest.mark.parametrize("partite", [True, False])
+def test_checks_read_their_trials_in_blocks(partite, monkeypatch):
+    # 7 trials through a pair context, in one block, in blocks of one stream
+    # and of three (the last one short): equal frequencies
+    sc, cls, ell = _skewed_k2_instance(partite)
+    m, H, calls = 5, cls.members[1], _block_spy(monkeypatch, fastpath)
+
+    def checks():
+        calls.clear()
+        return (
+            learners.check_concentration(sc, H, ell, m, Fraction(1, 10), 7, "blocks"),
+            learners.check_uniform_convergence(sc, cls, ell, m, Fraction(1, 5), 7, "blocks"),
+        )
+
+    expected = checks()
+    assert [sizes for _, sizes in calls] == [[7], [7]]
+    width = max(calls[0][0])  # the widest row: the keys or the count row
+    for streams, sizes in ((1, [1] * 7), (3, [3, 3, 1])):
+        monkeypatch.setattr(sampler, "BLOCK_UNIFORMS", streams * width)
+        assert checks() == expected
+        assert [s for _, s in calls] == [sizes, sizes]
+
+
+def test_atom_counts_read_a_wide_law_one_stream_a_block(monkeypatch):
+    # 130 * 130 law atoms: a count row wider than BLOCK_UNIFORMS cells
+    t = templates.Template(2, (130, 1))
+    sc = sampler.Scenario(templates.uniform_prob(t), constant_hypothesis(2, t, (0, 1), 0))
+    assert sampler._layout(sc.mu, None, 2, 3).atoms == 16900 > sampler.BLOCK_UNIFORMS
+    calls = _block_spy(monkeypatch, sampler)
+    counts = list(sampler._atom_counts(sc, 2, _streams("wide", 4), 3))
+    assert calls == [((6, 16900), [1, 1, 1, 1])]
+    assert [c.shape for c, _ in counts] == [(1, 16900)] * 4
+
+
 def test_pac_success_reads_F_once_per_atom():
     # F's labels come from the plan, read once per atom whatever the trials
     match = families.matching_family(2).cls
