@@ -1,5 +1,6 @@
 """Lower-bound constructions: the no-free-lunch scenario, whose ERM is one
-block form over a reader's rows, the slice non-learnability scenario, the
+block form over a reader's rows, the slice non-learnability scenario, which
+the dimension search finds in a class's slice member masks, the
 clean-subset search, and the partition-family adversary maps.
 """
 
@@ -140,7 +141,7 @@ class SliceNonlearnScenario:
     cls: HypothesisClass
     a_missing: int
     x0: dict  # slice point: the coordinates not containing the missing part
-    ext_points: tuple  # the slice domain, aligned with the family's columns
+    ext_points: tuple  # the slice domain, aligned with the slice's columns
     idxs: tuple  # shattered positions within ext_points
     g0: tuple
     g1: tuple
@@ -220,24 +221,26 @@ class SliceNonlearnScenario:
 
 
 def vcn_nonlearn_scenario(cls, d):
-    """Find a dimension-d slice of a partite class and package it as a unary
-    shattered scenario."""
+    """Package the first slice of a partite class with a shattered d-set as
+    a unary shattered scenario: ``dims.vcn_k``'s cell rule over the slice's
+    member masks finds the set, and x0, the extension points and the labels
+    of its value pairs (read off members) are built for that slice alone."""
     if not cls.partite:
         raise ValueError("needs a partite class")
-    for a_missing, x0, ext, fam in dims.slices(cls):
-        wit = dims.natarajan_witness(fam, d)
-        if wit is None:
-            continue
-        idxs, g0, g1 = wit
-        unary = shattered_scenario(
-            d,
-            labels=tuple(cls.labels),
-            f0=lambda i, g=g0: g[i],
-            f1=lambda i, g=g1: g[i],
-        )
-        return SliceNonlearnScenario(
-            cls, a_missing, x0, tuple(ext), idxs, g0, g1, unary
-        )
+    if d < 1:
+        raise ValueError(f"a shattered scenario needs d >= 1, got {d}")
+    t, columns = cls.template, dims._slice_columns(cls)
+    for a_missing, fixed, varied in t.slices(cls.k):
+        xs = product(*(range(t.size(t.space(f))) for f in fixed))  # points_over's order
+        for values, masks in zip(xs, columns):  # xs read first, so a split ends on its last x
+            found = dims._witness(masks, len(cls.table), d)
+            if found is None:
+                continue
+            x0, ext = dict(zip(fixed, values)), templates.points_over(t, varied)
+            label = lambda p, i: cls.members[i]({**x0, **ext[p]})  # noqa: E731
+            idxs, g0, g1 = zip(*((p, label(p, i), label(p, j)) for p, i, j in found))
+            unary = shattered_scenario(d, tuple(cls.labels), g0.__getitem__, g1.__getitem__)
+            return SliceNonlearnScenario(cls, a_missing, x0, tuple(ext), idxs, g0, g1, unary)
     raise ValueError("no slice of dimension >= d at this truncation")
 
 

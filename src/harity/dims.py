@@ -5,19 +5,19 @@ Every dimension oracle reads a family as bitmasks: each column holds, for
 each value it takes, a Python int whose bits are the rows taking it (the
 functions of a ``FunctionFamily``, or the members of a class table).  A set
 of columns, with a pair of values each, splits the rows into cells, and is
-Natarajan-shattered iff no cell is empty.  Shattering is hereditary, so one
-depth-first search in lex order extends only shattered sets, up to
-min(cap, n, floor(log2 #rows)) (shattering d points takes 2^d distinct rows).
-It is exhaustive within stated caps (default: set size <= 6, domain <= 64),
-and a capped result is an ``AtLeast``, never an exact value.  A class's slice
-columns are one gather of the class table per chunk of x's, packed along the
-member axis; ``slices`` reads the same chunks as ``FunctionFamily``s, whose
-restrictions ``natarajan_witness`` scans as tuples.
+Natarajan-shattered iff no cell is empty (``_split``).  Shattering is
+hereditary, so one depth-first search in lex order extends only shattered
+sets, up to min(cap, n, floor(log2 #rows)) (shattering d points takes 2^d
+distinct rows).  The witness search keeps every choice of value pairs that
+shatters a set, so the first d-set it completes is the lex-first one, which
+``natarajan_witness`` and the slice scenario report.  Search is exhaustive
+within stated caps (default: set size <= 6, domain <= 64), and a capped
+result is an ``AtLeast``, never an exact value.  A class's slice columns are
+one gather of the class table per chunk of x's, packed along the member axis.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, islice
 from math import comb, perm
 
 import numpy as np
@@ -52,43 +52,18 @@ class FunctionFamily:
         if set(map(len, self.functions)) - {len(self.domain)}:
             raise ValueError("function not total on domain")
 
-    @cached_property
-    def columns(self):  # one tuple per domain point, read once, when first asked for
-        return tuple(zip(*self.functions)) or ((),) * len(self.domain)
-
-
-def _shattered(columns, idxs):
-    """The pair (g0, g1) Natarajan-shattering positions ``idxs`` of ``columns``, or
-    None; on two-valued columns, the first restriction and its complement."""
-    restr = set(zip(*(columns[i] for i in idxs)))
-    if len(restr) < 2 ** len(idxs):
-        return None
-    g0, values = next(iter(restr)), [set(c) for c in zip(*restr)]
-    if all(len(v) == 2 for v in values):
-        return g0, tuple((v - {a}).pop() for v, a in zip(values, g0))
-    for g0 in restr:
-        for g1 in restr:
-            if any(a == b for a, b in zip(g0, g1)):
-                continue
-            if all(
-                tuple(g1[i] if bit else g0[i] for i, bit in enumerate(bits)) in restr
-                for bits in product((0, 1), repeat=len(idxs))
-            ):
-                return g0, g1
-    return None
-
 
 def _kept(columns):
-    """Each distinct column that takes two or more values, as its values' row
-    masks, in order; columns are tuples of masks, equal when the columns are.
-    No constant column, nor a copy of an earlier one, sits in a shattered set."""
-    kept = ([mask for mask in masks if mask] for masks in dict.fromkeys(columns))
-    return [masks for masks in kept if len(masks) > 1]
+    """Each distinct column that takes two or more values, in order of first
+    position; columns are tuples of its values' row masks (empty ones too),
+    equal when the columns are.  No constant column, nor a copy of an
+    earlier one, sits in a shattered set."""
+    return [masks for masks in dict.fromkeys(columns) if len(masks) - masks.count(0) > 1]
 
 
 def _value_pairs(columns):
-    """Each kept column's value pairs, as pairs of row masks."""
-    return [list(combinations(masks, 2)) for masks in _kept(columns)]
+    """Each kept column's value pairs, as pairs of non-empty row masks."""
+    return [list(combinations(filter(None, masks), 2)) for masks in _kept(columns)]
 
 
 def _split(cells, a, b):
@@ -154,28 +129,76 @@ def _dimension(pairs, count, cap, floor):
     return AtLeast(cap) if d == cap < n else d
 
 
-def natarajan_dim(fam, cap=6, domain_cap=DOMAIN_CAP):
+def _first_shattered(pairs, branches, start, d):
+    """The lex-first set of d more columns from ``start`` on that, split by
+    one value pair (a, b) each, leave every cell of some branch non-empty, as
+    that branch's path with (index, a, b) per column added; or None.  A
+    branch is (cells, path): one choice of pairs for the columns so far."""
+    if not d:
+        return branches[0][1]
+    for i in range(start, len(pairs) - d + 1):
+        grown = [
+            (split, (*path, (i, a, b)))
+            for cells, path in branches
+            for a, b in pairs[i]
+            if (split := _split(cells, a, b)) is not None
+        ]
+        found = _first_shattered(pairs, grown, i + 1, d - 1) if grown else None
+        if found is not None:
+            return found
+    return None
+
+
+def _witness(columns, count, d):
+    """The lex-first d-set of positions that the cell rule shatters over
+    ``count`` rows, each as (position, i, j): split by the values that rows i
+    and j take there (the first row taking each), in value order; or None.
+    Kept columns keep the order of their first positions, so their lex-first
+    set is the domain's."""
+    if d >= count.bit_length():  # shattering d columns takes 2^d rows
+        return None
+    found = _first_shattered(_value_pairs(columns), [([(1 << count) - 1], ())], 0, d)
+    if found is None:
+        return None
+    kept, first = _kept(columns), lambda mask: (mask & -mask).bit_length() - 1  # noqa: E731
+    return [(columns.index(kept[i]), first(a), first(b)) for i, a, b in found]
+
+
+def _family_masks(fam):
+    """A family's distinct rows, and each domain point's column as one row
+    mask per value, values in first-seen order."""
     rows = tuple(dict.fromkeys(fam.functions))
     values = tuple(dict.fromkeys(chain.from_iterable(rows)))
-    pairs = _value_pairs(
+    columns = [
         tuple(sum(1 << i for i, x in enumerate(col) if x == v) for v in values)
         for col in zip(*rows)
-    )
+    ]
+    return rows, columns
+
+
+def natarajan_dim(fam, cap=6, domain_cap=DOMAIN_CAP):
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+    rows, columns = _family_masks(fam)
+    pairs = _value_pairs(columns)
     if len(pairs) > domain_cap:
         raise ValueError("domain exceeds the search cap")
     return _dimension(pairs, len(rows), cap, 0)
 
 
 def natarajan_witness(fam, d):
-    """A size-d shattered position set with its witness pair (g0, g1), or
-    None.  Indices refer to the original (uncollapsed) domain."""
+    """The lex-first shattered d-set of domain positions with its witness
+    pair (g0, g1), values in first-seen order; or None (a family with no
+    functions shatters no set, not even the empty one)."""
+    if d < 0:
+        raise ValueError(f"d must be non-negative, got {d}")
     if len(fam.domain) > DOMAIN_CAP:
         raise ValueError("domain exceeds the search cap")
-    for idxs in combinations(range(len(fam.domain)), d):
-        pair = _shattered(fam.columns, idxs)
-        if pair is not None:
-            return (idxs, *pair)
-    return None
+    rows, columns = _family_masks(fam)
+    found = _witness(columns, len(rows), d)
+    if found is None:
+        return None
+    return tuple(zip(*((p, rows[i][p], rows[j][p]) for p, i, j in found))) or ((), (), ())
 
 
 def vc_dim(fam, cap=6, domain_cap=DOMAIN_CAP):
@@ -189,11 +212,6 @@ def vc_dim(fam, cap=6, domain_cap=DOMAIN_CAP):
 # slices of hypothesis classes
 
 
-def _labelled(cls, rows):
-    """Rows of label indices as the tuples of the labels they name."""
-    return list(map(tuple, np.fromiter(cls.labels, object)[rows].tolist()))
-
-
 def _offsets(t, place, keys):
     """The sum of place values of each point over ``keys``, in
     ``templates.points_over``' order (the last key fastest)."""
@@ -203,50 +221,23 @@ def _offsets(t, place, keys):
     return out
 
 
-def _layout(cls):
-    """Each split of the slice rule as (missing, fixed, varied, chunks): x
-    fixes the coordinates ``fixed`` avoiding the missing vertex or part, its
-    extensions vary the coordinates ``varied`` containing it, and each chunk
-    holds the class-table columns (``templates.places``) of the next run of
-    x's extensions, one row per x, in ``points_over``' order.  A chunk gathers
-    at most SLICE_CELLS cells with one more per member and x, and at most 256
-    x's (so an x's index is one byte), but at least one x."""
+def _slice_columns(cls):
+    """Each slice's columns, split by split (x fixes the coordinates ``fixed``
+    avoiding the missing vertex or part, its extensions vary the coordinates
+    ``varied`` containing it) and each split's x's in ``points_over``' order,
+    as tuples of member masks, one per label its chunk takes, in label order:
+    bit i of a label's mask is set iff member i takes that label there.  A
+    chunk holds the class-table columns (``templates.places``) of a run of
+    x's extensions, one row per x: at most SLICE_CELLS cells with one more
+    per member and x, and at most 256 x's, but at least one.  It is one
+    gather of the table, packed along the member axis once per label."""
     t, place, members = cls.template, templates.places(cls.template, cls.k), len(cls.table)
-    for missing, fixed, varied in t.slices(cls.k):
+    size = (members + 7) // 8
+    for _, fixed, varied in t.slices(cls.k):
         offsets, columns = _offsets(t, place, fixed), _offsets(t, place, varied)
         step = min(256, max(1, SLICE_CELLS // (members * (len(columns) + 1) or 1)))
-        starts = range(0, len(offsets), step)
-        chunks = (np.add.outer(offsets[s : s + step], columns) for s in starts)
-        yield missing, fixed, varied, chunks
-
-
-def slices(cls):
-    """Each slice of the class as (missing, x, points, family): the family is
-    the class's members restricted to x's extensions ``points``, read as the
-    class table's distinct rows at their columns, a chunk of x's per sort."""
-    t, members = cls.template, len(cls.table)
-    for missing, fixed, varied, chunks in _layout(cls):
-        points, xs = templates.points_over(t, varied), templates.points_over(t, fixed)
-        domain, width, start = tuple(canonical_key(z) for z in points), len(points) + 1, 0
-        for chunk in chunks:
-            rows = np.empty((members, len(chunk), width), cls.table.dtype)
-            rows[..., 0], rows[..., 1:] = np.arange(len(chunk)), cls.table[:, chunk]
-            distinct = distinct_rows(rows.reshape(-1, width))[0]
-            labelled = _labelled(cls, distinct[:, 1:])
-            ends = np.searchsorted(distinct[:, 0], range(len(chunk) + 1)).tolist()
-            for x, a, b in zip(xs[start:], ends, ends[1:]):
-                yield missing, x, points, FunctionFamily(domain, tuple(sorted(labelled[a:b])))
-            start += len(chunk)
-
-
-def _slice_columns(cls):
-    """Each slice's columns, in ``slices``' order, as tuples of member masks,
-    one per label its chunk takes: bit i of a label's mask is set iff member
-    i takes that label there.  A chunk of x's is one gather of the table,
-    packed along the member axis once per label it takes."""
-    size = (len(cls.table) + 7) // 8
-    for *_, chunks in _layout(cls):
-        for chunk in chunks:
+        for start in range(0, len(offsets), step):
+            chunk = np.add.outer(offsets[start : start + step], columns)
             cells = cls.table[:, chunk]  # (member, x, point)
             taken = [
                 np.packbits(eq, axis=0, bitorder="little")
@@ -267,6 +258,8 @@ def vcn_k(cls, cap=6):
     """Exact supremum of the slice Natarajan dimensions over the finite
     (truncated) slice index set; a slice is searched only for a set larger
     than the best so far."""
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
     best = 0
     for columns in _slice_columns(cls):
         pairs = _value_pairs(columns)
@@ -284,7 +277,8 @@ def family_on_full_domain(cls):
     configuration space (used for classic VC on binary classes)."""
     points = templates.domain_points(cls.template, cls.k)
     domain = tuple(canonical_key(x) for x in points)
-    return FunctionFamily(domain, tuple(sorted(_labelled(cls, distinct_rows(cls.table)[0]))))
+    rows = np.fromiter(cls.labels, object)[distinct_rows(cls.table)[0]].tolist()
+    return FunctionFamily(domain, tuple(sorted(map(tuple, rows))))
 
 
 def _most_cells(columns, cells, start, left, best):
@@ -303,6 +297,8 @@ def growth_function(cls, m):
     family to an m-point subset of its domain.  Slices smaller than m
     contribute their full-domain restriction count.  Restrictions only grow
     with the set, so m of a slice's distinct non-constant columns suffice."""
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m}")
     best, rows = 1, [(1 << len(cls.table)) - 1] if len(cls.table) else []
     for columns in _slice_columns(cls):
         kept = _kept(columns)

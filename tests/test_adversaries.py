@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from harity import adversaries, families, learners, losses, sampler
+from harity import adversaries, dims, families, learners, losses, sampler
 from harity.hypotheses import Hypothesis, partize_class
 
 
@@ -221,6 +221,33 @@ def test_nonlearn_wrap_roundtrip():
     H = A(x, y, 0)
     for i in range(3):
         assert H({(1,): i}) == (sc.g1[i] if i in B else sc.g0[i])
+
+
+@pytest.mark.parametrize(
+    "build, vcn",
+    [
+        (lambda: families.matching_family(2), 1),
+        (lambda: families.bounded_degree_family(3, 1), 1),
+        (lambda: families.bounded_degree_family(4, 3), 3),
+        (lambda: families.distance_family(4), 3),
+    ],
+    ids=["matching(2)", "bdeg(3,1)", "bdeg(4,3)", "dist(4)"],
+)
+def test_the_slice_scenario_exists_up_to_vcn(build, vcn):
+    # the partization keeps VCN_2; a slice of that dimension gives a scenario
+    # in which a member realizes every (g0, g1)-mixture, and none is larger
+    pcls = partize_class(build().cls)
+    assert dims.vcn_k(pcls) == vcn
+    sc = adversaries.vcn_nonlearn_scenario(pcls, vcn)
+    assert len(sc.idxs) == vcn and all(a != b for a, b in zip(sc.g0, sc.g1))
+    for r in range(vcn + 1):
+        for B in combinations(range(vcn), r):
+            R = sc.restrict(sc.realizing_member(set(B)))
+            assert [R({(1,): i}) for i in range(vcn)] == [
+                sc.g1[i] if i in B else sc.g0[i] for i in range(vcn)
+            ]
+    with pytest.raises(ValueError, match="no slice of dimension >= d"):
+        adversaries.vcn_nonlearn_scenario(pcls, vcn + 1)
 
 
 def test_nonlearn_loss_prime_capped():

@@ -12,7 +12,6 @@ from harity import adversaries, dims, families, reductions, templates
 from harity.hypotheses import (
     Hypothesis,
     HypothesisClass,
-    canonical_key,
     constant_hypothesis,
     partize_class,
 )
@@ -66,16 +65,19 @@ BUILT_IN = [
 ]
 
 
-def _reference_slices(cls):
-    """The slices written out from the member closures, one call per member
-    and extension point."""
+def _reference_masks(cls):
+    """The slices' columns written out from the member closures, one call
+    per member and extension point: each column as the member masks of the
+    labels taken there, in label order."""
     t = cls.template
-    for missing, fixed, varied in t.slices(cls.k):
+    for _, fixed, varied in t.slices(cls.k):
         points = templates.points_over(t, varied)
-        domain = tuple(canonical_key(z) for z in points)
         for x in templates.points_over(t, fixed):
-            functions = {tuple(H({**x, **z}) for z in points) for H in cls.members}
-            yield missing, x, points, domain, tuple(sorted(functions))
+            columns = [[cls.labels.index(H({**x, **z})) for H in cls.members] for z in points]
+            yield [
+                tuple(sum(1 << i for i, v in enumerate(col) if v == u) for u in sorted(set(col)))
+                for col in columns
+            ]
 
 
 @pytest.mark.parametrize("build", BUILT_IN + _closure_built())
@@ -86,8 +88,8 @@ def test_table_matches_the_closures(build):
     assert cls.table.dtype == np.min_scalar_type(len(cls.labels))
     for H, row in zip(cls.members, cls.table.tolist()):
         assert [cls.labels[i] for i in row] == [H(x) for x in points]
-    read = [(m, x, p, fam.domain, fam.functions) for m, x, p, fam in dims.slices(cls)]
-    assert read == list(_reference_slices(cls))
+    read = [[tuple(filter(None, masks)) for masks in columns] for columns in dims._slice_columns(cls)]
+    assert read == list(_reference_masks(cls))
 
 
 @pytest.fixture

@@ -90,7 +90,7 @@ def _collapse(fam):
     realizing fewer than two values (every column of an empty family), and
     copies of an earlier column."""
     first = {}  # each kept column to its first position
-    for i, col in enumerate(fam.columns):
+    for i, col in enumerate(zip(*fam.functions)):
         if len(set(col)) > 1:
             first.setdefault(col, i)
     return dims.FunctionFamily(
@@ -101,12 +101,12 @@ def _collapse(fam):
 
 def _level_by_level(fam, cap):
     """The shattering search as a level-by-level set scan without the
-    counting bound: every level up to min(cap, n) is searched until one has
-    no witness."""
+    counting bound: every level up to min(cap, n) is searched until the
+    reference scan finds no shattered set in it."""
     fam = _collapse(fam)
     n = len(fam.domain)
     for size in range(1, min(cap, n) + 1):
-        if dims.natarajan_witness(fam, size) is None:
+        if _reference_witness(fam.functions, n, size) is None:
             return size - 1
     return dims.AtLeast(cap) if cap < n else n
 
@@ -147,11 +147,28 @@ def test_natarajan_witness_valid():
     assert dims.natarajan_witness(fam, 4) is None
 
 
+def test_the_empty_set_is_shattered_by_any_function():
+    # the witness at d = 0 is the empty set, unless there is no function
+    fam = _family(2, [(0, 1)])
+    assert dims.natarajan_witness(fam, 0) == ((), (), ())
+    assert dims.natarajan_witness(_family(2, []), 0) is None
+    assert dims.natarajan_witness(_family(0, [()]), 0) == ((), (), ())
+
+
+def _cells(count, columns):
+    """The non-empty cells that every value of every column splits
+    ``count`` rows into: one per distinct restriction."""
+    cells = [(1 << count) - 1]
+    for masks in columns:
+        cells = [part for c in cells for mask in masks if (part := c & mask)]
+    return cells
+
+
 def test_vcn_matching_slices():
     # every slice of the matching family has exactly two functions
     cls = families.matching_family(3).cls
-    for *_, fam in dims.slices(cls):
-        assert len(set(fam.functions)) == 2
+    for columns in dims._slice_columns(cls):
+        assert len(_cells(len(cls.table), columns)) == 2
     assert dims.vcn_k(cls) == 1
 
 
@@ -260,10 +277,22 @@ def _reference_shattered(functions, idxs):
     return None
 
 
-def test_the_shattered_witness_is_the_scans_pair():
-    # binary and 3-label families, some with a constant and a duplicated
-    # column: every position set gets the scan's (g0, g1) or None, whether
-    # the two-valued count decides it or the scan runs
+def _reference_witness(functions, n, d):
+    """The lex-first d-set of positions in range(n) that the scan shatters,
+    with the scan's pair, or None."""
+    for idxs in combinations(range(n), d):
+        pair = _reference_shattered(functions, idxs)
+        if pair is not None:
+            return idxs, pair
+    return None
+
+
+def test_the_witness_is_the_scans_lex_first_set():
+    # binary and 3-label families, a third of them with their first column
+    # copied at position 2 and a constant second column: at every d the witness
+    # is None iff the scan finds no shattered d-set, and otherwise holds the
+    # scan's lex-first set, split by a pair whose every mixture the family
+    # takes there
     rng = sampler.stream("witness", 0)
     found = {2: 0, 3: 0}
     for trial in range(150):
@@ -274,31 +303,59 @@ def test_the_shattered_witness_is_the_scans_pair():
             for row in rows:
                 row[0], row[1] = row[2], 1
         fam = _family(n, sorted({tuple(row) for row in rows}))
-        for d in range(1, n + 1):
-            for idxs in combinations(range(n), d):
-                pair = dims._shattered(fam.columns, idxs)
-                assert pair == _reference_shattered(fam.functions, idxs)
-                found[labels] += pair is not None
+        for d in range(n + 2):
+            witness, reference = dims.natarajan_witness(fam, d), _reference_witness(fam.functions, n, d)
+            assert (witness is None) == (reference is None), (fam, d)
+            if witness is None:
+                continue
+            idxs, g0, g1 = witness
+            assert idxs == reference[0], (fam, d)
+            assert all(a != b for a, b in zip(g0, g1))
+            taken = {tuple(f[i] for i in idxs) for f in fam.functions}
+            for bits in product((0, 1), repeat=d):
+                assert tuple(g1[i] if bit else g0[i] for i, bit in enumerate(bits)) in taken
+            found[labels] += d > 0
     assert min(found.values()) > 100
 
 
-def _reference_slices(cls):
-    """Each slice read on its own, as the distinct rows of the class table
-    at its x's columns."""
+def _reference_tables(cls):
+    """Each slice read on its own: its extension points, and the class
+    table at its x's columns."""
     t, place = cls.template, templates.places(cls.template, cls.k)
-    for missing, fixed, varied in t.slices(cls.k):
+    for _, fixed, varied in t.slices(cls.k):
         points = templates.points_over(t, varied)
         columns = [sum(place[key] * v for key, v in z.items()) for z in points]
         for x in templates.points_over(t, fixed):
             offset = sum(place[key] * v for key, v in x.items())
-            rows = distinct_rows(cls.table[:, [offset + c for c in columns]])[0]
-            labelled = (tuple(cls.labels[i] for i in row) for row in rows.tolist())
-            yield missing, x, points, tuple(map(canonical_key, points)), tuple(sorted(labelled))
+            yield points, cls.table[:, [offset + c for c in columns]]
+
+
+def _reference_slices(cls):
+    """Each slice as its domain and the distinct rows of its table."""
+    for points, table in _reference_tables(cls):
+        labelled = (tuple(cls.labels[i] for i in row) for row in distinct_rows(table)[0].tolist())
+        yield tuple(map(canonical_key, points)), tuple(sorted(labelled))
+
+
+def _reference_masks(cls):
+    """Each slice's columns as the member masks of the labels taken there,
+    in label order."""
+    for _, table in _reference_tables(cls):
+        yield [_masks(col) for col in table.T.tolist()]
+
+
+def _masks(labels):
+    """The masks of the members taking each label in ``labels``, in label
+    order: bit i is set iff member i takes it."""
+    masks = {}
+    for i, label in enumerate(labels):
+        masks[label] = masks.get(label, 0) | 1 << i
+    return tuple(masks[label] for label in sorted(masks))
 
 
 def _reference_growth(cls, m):
     best = 1
-    for *_, domain, functions in _reference_slices(cls):
+    for domain, functions in _reference_slices(cls):
         for idxs in combinations(range(len(domain)), min(m, len(domain))):
             best = max(best, len({tuple(f[i] for i in idxs) for f in functions}))
     return best
@@ -329,15 +386,15 @@ def _wide_class():
 
 @pytest.mark.parametrize("cells", [None, 1, 450])
 def test_slices_read_as_each_slice_on_its_own(monkeypatch, cells):
-    # one array pass per chunk of x's gives each slice's own distinct rows,
+    # one array pass per chunk of x's gives each slice's own member masks,
     # also when the cell budget splits a split's x's into several chunks: at
     # 450 cells matching(4) reads its 8 x's in chunks of 3, 3 and 2, and
     # dist(6) its 6 in chunks of 2; a chunk holds at most 256 x's
     if cells:
         monkeypatch.setattr(dims, "SLICE_CELLS", cells)
     for name, cls in {**_slice_classes(), "wide": _wide_class()}.items():
-        read = [(mi, x, p, fam.domain, fam.functions) for mi, x, p, fam in dims.slices(cls)]
-        assert read == list(_reference_slices(cls)), name
+        read = [[tuple(filter(None, masks)) for masks in columns] for columns in dims._slice_columns(cls)]
+        assert read == list(_reference_masks(cls)), name
 
 
 def test_growth_counts_the_restriction_tuples():
@@ -355,7 +412,7 @@ def _reference_dim(domain, functions, cap):
 def _reference_vcn(cls, cap):
     """VCN_k as each slice's level-by-level scan, read on its own."""
     best = 0
-    for *_, domain, functions in _reference_slices(cls):
+    for domain, functions in _reference_slices(cls):
         d = _reference_dim(domain, functions, cap)
         if isinstance(d, dims.AtLeast):
             return d

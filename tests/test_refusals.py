@@ -9,8 +9,8 @@ from unittest import mock
 import pytest
 from click.testing import CliRunner
 
-from harity import cli, dims, families, learners, losses, reductions, sampler, templates
-from harity.hypotheses import Hypothesis
+from harity import adversaries, cli, dims, families, learners, losses, reductions, sampler, templates
+from harity.hypotheses import Hypothesis, partize_class
 
 
 @pytest.mark.parametrize(
@@ -87,6 +87,18 @@ def _half():
             "m must be at least k",
         ),
         (lambda: families.bounded_degree_family(0, 1), "bad parameters"),
+        (lambda: dims.vcn_k(families.matching_family(2).cls, -1), "cap must be non-negative, got -1"),
+        (lambda: dims.vc_dim(dims.FunctionFamily((0,), ((0,), (1,))), -2), "cap must be non-negative, got -2"),
+        (lambda: dims.natarajan_dim(dims.FunctionFamily((0,), ((0,),)), -1), "cap must be non-negative"),
+        (lambda: dims.growth_function(families.matching_family(2).cls, -3), "m must be non-negative, got -3"),
+        (
+            lambda: dims.natarajan_witness(dims.FunctionFamily((0,), ((0,),)), -1),
+            "d must be non-negative, got -1",
+        ),
+        (
+            lambda: adversaries.vcn_nonlearn_scenario(partize_class(families.matching_family(2).cls), 0),
+            "a shattered scenario needs d >= 1, got 0",
+        ),
     ],
     ids=[
         "function-not-total",
@@ -97,6 +109,12 @@ def _half():
         "partite-empty-space",
         "phi_m_labels-m-below-k",
         "bdeg-no-vertex",
+        "vcn_k-negative-cap",
+        "vc_dim-negative-cap",
+        "natarajan_dim-negative-cap",
+        "growth-negative-m",
+        "witness-negative-d",
+        "scenario-no-point",
     ],
 )
 def test_library_refusals(build, message):
